@@ -47,8 +47,7 @@ from .linalg import (
     as_complex_matrix,
     assemble_total,
     is_invertible,
-    operator_norm,
-    within,
+    residual_within,
 )
 from .signature import CoincidenceReport, check_coincidence
 
@@ -212,7 +211,10 @@ def _duality_total(
     return assemble_total(row_dims, col_dims, entries)
 
 
-def _structure_residuals(cwb: ComplexWithBoundary, blocks: BlockDecomposition) -> dict:
+def _structure_gates(
+    cwb: ComplexWithBoundary, blocks: BlockDecomposition, tol: float
+) -> dict[str, tuple[bool, float]]:
+    """Gate every structural identity at one common scale, by name."""
     chain, s = cwb.chain, cwb.duality
     big_n = chain.n
     dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
@@ -230,26 +232,23 @@ def _structure_residuals(cwb: ComplexWithBoundary, blocks: BlockDecomposition) -
     flo = _duality_total(dims1, dims0, blocks.f_lower)
 
     stot = s.total(chain)
-    scale_b = operator_norm(chain.total_boundary())
-    scale_s = operator_norm(stot)
-    res = {
-        "split-preserved": operator_norm(ftot),
-        "duality-selfadjoint": operator_norm(stot - adjoint(stot)),
-        "boundary-squared": operator_norm(
-            chain.total_boundary() @ chain.total_boundary()
-        ),
-        "sub-boundary-coupling": operator_norm(b0 @ htot + htot @ b1),
-        "cross-duality-row": operator_norm(
-            b1 @ flo + flo @ adjoint(b0) + s1 @ adjoint(htot)
-        ),
-        "cross-duality-column": operator_norm(
-            b0 @ fup + fup @ adjoint(b1) + htot @ s1
-        ),
-        "quotient-duality": operator_norm(b1 @ s1 + s1 @ adjoint(b1)),
-        "off-diagonal-adjoint": operator_norm(flo - adjoint(fup)),
+    btot = chain.total_boundary()
+
+    def scale(norm) -> float:
+        nb, ns = norm(btot), norm(stot)
+        return max(nb, ns, nb * ns)
+
+    residuals = {
+        "split-preserved": ftot,
+        "duality-selfadjoint": stot - adjoint(stot),
+        "boundary-squared": btot @ btot,
+        "sub-boundary-coupling": b0 @ htot + htot @ b1,
+        "cross-duality-row": b1 @ flo + flo @ adjoint(b0) + s1 @ adjoint(htot),
+        "cross-duality-column": b0 @ fup + fup @ adjoint(b1) + htot @ s1,
+        "quotient-duality": b1 @ s1 + s1 @ adjoint(b1),
+        "off-diagonal-adjoint": flo - adjoint(fup),
     }
-    res["scale"] = max(1.0, scale_b, scale_s, scale_b * scale_s)
-    return res
+    return {name: residual_within(r, tol, scale) for name, r in residuals.items()}
 
 
 def _quotient_cone_min_sv(cwb: ComplexWithBoundary, tol: float) -> tuple[bool, float]:
@@ -292,20 +291,14 @@ def verify_with_boundary(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> CwbReport:
     """Check every structural condition and report without raising."""
-    blocks = _split_blocks(cwb)
-    res = _structure_residuals(cwb, blocks)
-    scale = res["scale"]
-    failures = [
-        name
-        for name, value in res.items()
-        if name != "scale" and not within(value, tol, scale)
-    ]
+    gates = _structure_gates(cwb, _split_blocks(cwb), tol)
+    failures = [name for name, (ok, _) in gates.items() if not ok]
     inv, minsv = _quotient_cone_min_sv(cwb, tol)
     if not inv:
         failures.append("quotient cone operator is not invertible")
     return CwbReport(
         tol=tol,
-        residuals={k: v for k, v in res.items() if k != "scale"},
+        residuals={name: res for name, (_, res) in gates.items()},
         cone_min_singular_value=minsv,
         cone_invertible=inv,
         sub_top_dim=len(cwb.sub_indices(cwb.chain.n)),
@@ -321,31 +314,18 @@ def decompose(cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL) -> BlockDecomp
     subcomplex and IdentityViolated naming each failed chain identity.
     """
     blocks = _split_blocks(cwb)
-    res = _structure_residuals(cwb, blocks)
-    scale = res["scale"]
-    if not within(res["split-preserved"], tol, scale):
+    gates = _structure_gates(cwb, blocks, tol)
+    ok, res = gates["split-preserved"]
+    if not ok:
         raise SplitInconsistent(
-            f"differential maps the subcomplex outside itself: "
-            f"residual {res['split-preserved']:.3e}"
+            f"differential maps the subcomplex outside itself: residual {res:.3e}"
         )
-    bad = [
-        name
-        for name in (
-            "duality-selfadjoint",
-            "boundary-squared",
-            "sub-boundary-coupling",
-            "cross-duality-row",
-            "cross-duality-column",
-            "quotient-duality",
-            "off-diagonal-adjoint",
-        )
-        if not within(res[name], tol, scale)
-    ]
+    bad = [name for name, (ok, _) in gates.items() if not ok]
     if bad:
         raise IdentityViolated(
             "chain identities failed: " + ", ".join(bad)
         )
-    blocks.residuals.update({k: v for k, v in res.items() if k != "scale"})
+    blocks.residuals.update({name: res for name, (_, res) in gates.items()})
     return blocks
 
 
@@ -372,7 +352,13 @@ def boundary_complex(
     restricted = [
         _take(defect[k], idx0[k], idx0[n - k]) for k in range(n + 1)
     ]
-    worst = 0.0
+    btot = chain.total_boundary()
+    stot = cwb.duality.total(chain)
+
+    def scale(norm) -> float:
+        return norm(btot) * norm(stot)
+
+    gates = []
     for k in range(n + 1):
         closed = (
             blocks.b0[k + 1] @ blocks.s2[k + 1]
@@ -380,15 +366,11 @@ def boundary_complex(
             + blocks.h[k + 1] @ adjoint(blocks.f_upper[n - k])
             + blocks.f_upper[k] @ adjoint(blocks.h[big_n - k])
         )
-        worst = max(worst, operator_norm(restricted[k] - closed))
-    scale = max(
-        1.0,
-        operator_norm(chain.total_boundary()) * operator_norm(cwb.duality.total(chain)),
-    )
-    if worst > tol * scale:
+        gates.append(residual_within(restricted[k] - closed, tol, scale))
+    if not all(ok for ok, _ in gates):
         raise FormulaMismatch(
             f"restricted boundary duality disagrees with its closed form: "
-            f"residual {worst:.3e}"
+            f"residual {max(res for _, res in gates):.3e}"
         )
     dims0 = blocks.sub_dims[: n + 1]
     bnd = tuple(1j * blocks.b0[m] for m in range(1, n + 1))
@@ -424,23 +406,32 @@ def hyperbolic(
         as_complex_matrix(blk, rows=chain.dims[k], cols=chain.dims[d - k])
         for k, blk in enumerate(s_blocks)
     ]
-    scale_b = operator_norm(chain.total_boundary())
-    scale_s = max([operator_norm(x) for x in s], default=0.0)
+    btot = chain.total_boundary()
+
+    def scale_s(norm) -> float:
+        return max((norm(x) for x in s), default=0.0)
+
     for k in range(1, d):
-        res = operator_norm(chain.boundary(k) @ chain.boundary(k + 1))
-        if not within(res, tol, scale_b * scale_b):
+        ok, res = residual_within(
+            chain.boundary(k) @ chain.boundary(k + 1),
+            tol,
+            lambda norm: norm(btot) ** 2,
+        )
+        if not ok:
             raise PreconditionViolated(f"input boundary does not square to zero ({res:.3e})")
     for k in range(d + 1):
-        res = operator_norm(adjoint(s[k]) - s[d - k])
-        if not within(res, tol, scale_s):
+        ok, res = residual_within(adjoint(s[k]) - s[d - k], tol, scale_s)
+        if not ok:
             raise PreconditionViolated(
                 f"input family is not self-adjoint at degree {k} ({res:.3e})"
             )
     for k in range(1, d + 1):
-        res = operator_norm(
-            chain.boundary(k) @ s[k] + s[k - 1] @ adjoint(chain.boundary(d - k + 1))
+        ok, res = residual_within(
+            chain.boundary(k) @ s[k] + s[k - 1] @ adjoint(chain.boundary(d - k + 1)),
+            tol,
+            lambda norm: norm(btot) * scale_s(norm),
         )
-        if not within(res, tol, scale_b * scale_s):
+        if not ok:
             raise PreconditionViolated(
                 f"input family does not anticommute with the boundary at degree {k} "
                 f"({res:.3e})"
@@ -541,9 +532,8 @@ def verify_cone_identities(
             )
         if 0 <= q <= big_n and 0 <= q + 1 <= big_n:
             htot[a_slice(m - 1, 1), a_slice(m, 1)] = adjoint(blocks.b1[q + 1])
-    sq = operator_norm(htot @ htot)
-    scale = max(1.0, operator_norm(htot) ** 2)
-    if not within(sq, tol, scale):
+    ok, sq = residual_within(htot @ htot, tol, lambda norm: norm(htot) ** 2)
+    if not ok:
         failures.append("attaching cone differential does not square to zero")
 
     # (b) four-term sequence on total spaces
@@ -565,9 +555,9 @@ def verify_cone_identities(
     second[:d_1, :d_e] = jmap
     second[d_1:, d_e:] = adjoint(jmap)
     third = np.hstack([np.zeros((d_0, d_1)), adjoint(imap)])
-    comp1 = operator_norm(second @ first)
-    comp2 = operator_norm(third @ second)
-    composes = within(comp1, tol) and within(comp2, tol)
+    composes = all(
+        residual_within(r, tol)[0] for r in (second @ first, third @ second)
+    )
     if not composes:
         failures.append("four-term sequence does not compose to zero")
     rank_first = int(np.linalg.matrix_rank(first)) if first.size else 0
@@ -611,9 +601,12 @@ def verify_cone_identities(
         b_bdry = assemble_total(
             dims0, dims0, [(m - 1, m, 1j * blocks.b0[m]) for m in range(1, big_n + 1)]
         )
-        chain_res = operator_norm(ftot @ delta + b_bdry @ ftot)
-        scale_f = max(1.0, operator_norm(ftot) * max(operator_norm(delta), 1.0))
-        if not within(chain_res, tol, scale_f):
+        ok, chain_res = residual_within(
+            ftot @ delta + b_bdry @ ftot,
+            tol,
+            lambda norm: norm(ftot) * max(norm(delta), 1.0),
+        )
+        if not ok:
             failures.append("coupling map is not a chain map to the boundary complex")
 
         # (d) restricted duality equals f T f* + b0 S2 + S2 b0*
@@ -638,9 +631,10 @@ def verify_cone_identities(
             [(k, big_n - k, blocks.s2[k]) for k in range(big_n + 1)],
         )
         formula = ftot @ ttot @ adjoint(ftot) + b0_raw @ s2_tot + s2_tot @ adjoint(b0_raw)
-        formula_res = operator_norm(s0_tot - formula)
-        scale_form = max(1.0, operator_norm(s0_tot), operator_norm(formula))
-        if not within(formula_res, tol, scale_form):
+        ok, formula_res = residual_within(
+            s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))
+        )
+        if not ok:
             failures.append("boundary duality formula does not match the restriction")
 
     return ConeIdentitiesReport(

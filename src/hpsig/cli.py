@@ -27,7 +27,7 @@ from .complexes import (
     homology_ranks,
     verify_duality,
 )
-from .linalg import adjoint, min_singular_value
+from .linalg import adjoint, is_invertible
 from .errors import (
     DegenerateBoundaryDuality,
     DegenerateDuality,
@@ -257,9 +257,8 @@ def _cmd_cone(args) -> int:
     cone = duality_cone(obj, tol=args.tol)
     ranks = homology_ranks(cone, tol=args.tol)
     btot = cone.total_boundary()
-    sv = min_singular_value(btot + adjoint(btot))
+    invertible, sv = is_invertible(btot + adjoint(btot), tol=args.tol)
     acyclic = all(r == 0 for r in ranks)
-    invertible = sv > args.tol
     ok = acyclic and invertible
     lines = [
         f"mapping cone of the duality: dims {cone.dims}",

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_complex_matrix, operator_norm, within
+from .linalg import DEFAULT_TOL, adjoint, as_complex_matrix, residual_within
 
 CHAR_TOL = 1e-6
 
@@ -195,12 +195,12 @@ class GroupAction:
         tol = self.tol
         e = self.group.identity
         for k, m in enumerate(self.blocks[e]):
-            if not within(operator_norm(m - np.eye(m.shape[0])), tol):
+            if not residual_within(m - np.eye(m.shape[0]), tol)[0]:
                 raise NotRepresentation(f"identity element is not the identity at degree {k}")
         for g, fam in enumerate(self.blocks):
             for k, m in enumerate(fam):
-                res = operator_norm(m @ adjoint(m) - np.eye(m.shape[0]))
-                if not within(res, tol):
+                ok, res = residual_within(m @ adjoint(m) - np.eye(m.shape[0]), tol)
+                if not ok:
                     raise NotUnitary(
                         f"element {g} is not unitary at degree {k}: residual {res:.3e}"
                     )
@@ -208,10 +208,10 @@ class GroupAction:
             for h in range(self.group.order):
                 gh = self.group.multiply(g, h)
                 for k in range(len(self._dims)):
-                    res = operator_norm(
-                        self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k]
+                    ok, res = residual_within(
+                        self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], tol
                     )
-                    if not within(res, tol):
+                    if not ok:
                         raise NotRepresentation(
                             f"homomorphism fails for elements ({g}, {h}) "
                             f"at degree {k}: residual {res:.3e}"
@@ -347,9 +347,9 @@ def k0_from_projections(
     for name, p in (("p_plus", pp), ("p_minus", pm)):
         if p.shape[0] != p.shape[1]:
             raise ShapeMismatch(f"{name} is not square")
-        if not within(operator_norm(p @ p - p), tol, operator_norm(p)):
+        if not residual_within(p @ p - p, tol, lambda norm: norm(p))[0]:
             raise PreconditionViolated(f"{name} is not idempotent within tolerance")
-        if not within(operator_norm(p - adjoint(p)), tol, operator_norm(p)):
+        if not residual_within(p - adjoint(p), tol, lambda norm: norm(p))[0]:
             raise PreconditionViolated(f"{name} is not self-adjoint within tolerance")
     if pp.shape != pm.shape:
         raise ShapeMismatch("projections act on different spaces")
@@ -366,8 +366,8 @@ def k0_from_projections(
     for g in range(action.group.order):
         rho = action.total(g)
         for name, p in (("p_plus", pp), ("p_minus", pm)):
-            res = operator_norm(rho @ p - p @ rho)
-            if not within(res, tol):
+            ok, res = residual_within(rho @ p - p @ rho, tol)
+            if not ok:
                 raise NonEquivariantProjection(
                     f"{name} does not commute with element {g}: residual {res:.3e}"
                 )

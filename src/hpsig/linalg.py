@@ -1,15 +1,36 @@
 """Dense spectral primitives.
 
 All operators in this package are finite dimensional and are represented as
-complex numpy arrays. Residual checks compare a norm against
-``tol * max(1, scale)`` where ``scale`` is the norm of the data entering the
-identity, so that tolerances behave uniformly across magnitudes.
+complex numpy arrays.
+
+Residual gates.  An identity is accepted when the spectral norm of its
+residual ``r`` satisfies ``|r| <= tol * max(1, scale)`` (:func:`within`), where
+``scale`` is built from the spectral norms of the data entering the identity,
+so that tolerances behave uniformly across magnitudes.  :func:`residual_within`
+decides that rule without a singular value decomposition in the common case:
+the Frobenius norm of ``r`` bounds its spectral norm from above and the largest
+column norm of each operand bounds the operand's spectral norm from below, so
+when the bound passes against the lowered scale the exact rule passes too.
+Only otherwise are the exact norms computed, and they decide.  A residual
+stored in a report is therefore the number its gate used: an upper bound on
+the spectral norm when the gate passed, and the exact spectral norm when it
+failed.  Residuals that gate nothing are diagnostic and store the Frobenius
+bound (:func:`frobenius_norm`); these are ``CapReport.symmetrization_residual``,
+``CapReport.chain_residual`` and ``EquivarianceReport.raw_cap_residual``, and
+they do not enter ``passed``.
+
+Invertibility and spectral splitting read eigenvalues of self-adjoint
+operators.  For those the smallest ``|eigenvalue|`` equals the smallest
+singular value and the largest ``|eigenvalue|`` equals the spectral norm, so
+neither needs a singular value decomposition.  A report's
+``cone_min_singular_value`` is the smallest ``|eigenvalue|`` of the
+self-adjoint cone operator ``D + D^*``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,13 +41,17 @@ DEFAULT_TOL = 1e-9
 __all__ = [
     "DEFAULT_TOL",
     "SpectralSplit",
+    "Spectrum",
     "adjoint",
     "as_complex_matrix",
     "assemble_total",
+    "frobenius_norm",
     "is_invertible",
     "min_singular_value",
     "operator_norm",
+    "residual_within",
     "spectral_split",
+    "spectrum",
     "within",
 ]
 
@@ -80,13 +105,21 @@ def min_singular_value(m: np.ndarray) -> float:
     return float(s[-1])
 
 
-def is_invertible(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-    """Return (flag, smallest singular value); flag is true iff it exceeds tol.
+def frobenius_norm(m: np.ndarray) -> float:
+    """Frobenius norm, an upper bound on the spectral norm; 0 for empty matrices."""
+    return float(np.linalg.norm(np.asarray(m)))
 
-    Empty square matrices are invertible (identity of the zero space).
-    """
-    sv = min_singular_value(m)
-    return sv > tol, sv
+
+def _column_norm_bound(m: np.ndarray) -> float:
+    """Largest column norm, a lower bound on the spectral norm; 0 for empty matrices."""
+    a = np.asarray(m)
+    return float(np.linalg.norm(a, axis=0).max()) if a.size else 0.0
+
+
+# The bound test runs at this fraction of the tolerance, so that rounding in
+# the computed Frobenius and column norms (relative error about n * 1e-16)
+# cannot pass a residual that the exact rule would fail.
+_BOUND_MARGIN = 1.0 - 1e-10
 
 
 def within(residual: float, tol: float, scale: float = 1.0) -> bool:
@@ -94,59 +127,116 @@ def within(residual: float, tol: float, scale: float = 1.0) -> bool:
     return residual <= tol * max(1.0, scale)
 
 
+def residual_within(
+    r: np.ndarray,
+    tol: float,
+    scale: Callable[[Callable[[np.ndarray], float]], float] | None = None,
+) -> tuple[bool, float]:
+    """Decide ``within(operator_norm(r), tol, scale(operator_norm))``.
+
+    ``scale`` gives the scale of the identity in terms of a norm function,
+    e.g. ``lambda norm: norm(b) * norm(s)``, and must be nondecreasing in
+    every norm it takes; None stands for a scale of 1.  Returns
+    ``(passed, residual)``: the Frobenius bound of ``r`` when it passes
+    against the scale evaluated on column-norm lower bounds, and otherwise the
+    exact spectral norm, judged against the exact scale.
+    """
+    bound = frobenius_norm(r)
+    lower = 1.0 if scale is None else scale(_column_norm_bound)
+    if within(bound, tol * _BOUND_MARGIN, lower):
+        return True, bound
+    exact = operator_norm(r)
+    return within(exact, tol, 1.0 if scale is None else scale(operator_norm)), exact
+
+
+def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
+    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint."""
+    a = as_complex_matrix(h)
+    if a.shape[0] != a.shape[1]:
+        raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
+    ok, herm = residual_within(a - adjoint(a), tol, lambda norm: norm(a))
+    if not ok:
+        raise NotSelfAdjoint(
+            f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
+        )
+    return (a + adjoint(a)) / 2.0
+
+
+def is_invertible(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
+    """Return (flag, smallest |eigenvalue|) of a self-adjoint operator; the
+    flag is true iff that value exceeds ``tol``.
+
+    The smallest |eigenvalue| of a self-adjoint operator is its smallest
+    singular value.  Empty operators are invertible (identity of the zero
+    space).  Raises NotSelfAdjoint if ``h`` is not self-adjoint within ``tol``.
+    """
+    w = np.linalg.eigvalsh(_hermitian_part(h, tol))
+    least = float(np.abs(w).min()) if w.size else float("inf")
+    return least > tol, least
+
+
 @dataclass(frozen=True)
-class SpectralSplit:
+class Spectrum:
+    """Eigenvalues of a self-adjoint operator, classified by sign.
+
+    Eigenvalues with ``|lam| <= tol * max(1, max |lam|)`` land in the zero
+    class; ``max |lam|`` is the spectral norm of the operator.
+    """
+
+    eigenvalues: np.ndarray
+    rank_plus: int
+    rank_minus: int
+    rank_zero: int
+    min_abs_nonzero_eigenvalue: float
+
+
+@dataclass(frozen=True)
+class SpectralSplit(Spectrum):
     """Signed spectral decomposition of a self-adjoint operator.
 
     ``p_plus``/``p_minus``/``p_zero`` are orthogonal projections onto the
     strictly positive, strictly negative and (numerically) zero eigenspaces.
-    Eigenvalues with ``|lam| <= tol * max(1, norm)`` land in the zero class.
     """
 
     p_plus: np.ndarray
     p_minus: np.ndarray
     p_zero: np.ndarray
-    rank_plus: int
-    rank_minus: int
-    rank_zero: int
-    min_abs_nonzero_eigenvalue: float
-    eigenvalues: np.ndarray
+
+
+def _sign_classes(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Masks of the positive and negative eigenvalues and the Spectrum fields."""
+    thresh = tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+    plus = w > thresh
+    minus = w < -thresh
+    nonzero = np.abs(w[plus | minus])
+    fields = dict(
+        eigenvalues=w,
+        rank_plus=int(np.count_nonzero(plus)),
+        rank_minus=int(np.count_nonzero(minus)),
+        rank_zero=int(w.size - np.count_nonzero(plus | minus)),
+        min_abs_nonzero_eigenvalue=float(nonzero.min()) if nonzero.size else float("inf"),
+    )
+    return plus, minus, fields
+
+
+def spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Sign classes of the eigenvalues of a self-adjoint matrix, without
+    eigenvectors."""
+    w = np.linalg.eigvalsh(_hermitian_part(h, tol))
+    return Spectrum(**_sign_classes(w, tol)[2])
 
 
 def spectral_split(h: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSplit:
     """Split a self-adjoint matrix into positive/negative/zero spectral parts."""
-    a = as_complex_matrix(h)
-    if a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"spectral_split needs a square matrix, got {a.shape}")
-    scale = operator_norm(a)
-    herm = operator_norm(a - adjoint(a))
-    if not within(herm, tol, scale):
-        raise NotSelfAdjoint(
-            f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
-        )
-    if a.shape[0] == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return SpectralSplit(empty, empty, empty, 0, 0, 0, float("inf"), np.zeros(0))
-    w, v = np.linalg.eigh((a + adjoint(a)) / 2.0)
-    thresh = tol * max(1.0, scale)
-    plus = w > thresh
-    minus = w < -thresh
-    zero = ~(plus | minus)
+    w, v = np.linalg.eigh(_hermitian_part(h, tol))
+    plus, minus, fields = _sign_classes(w, tol)
 
     def proj(mask: np.ndarray) -> np.ndarray:
         vecs = v[:, mask]
         return vecs @ adjoint(vecs)
 
-    nonzero = np.abs(w[plus | minus])
     return SpectralSplit(
-        p_plus=proj(plus),
-        p_minus=proj(minus),
-        p_zero=proj(zero),
-        rank_plus=int(np.count_nonzero(plus)),
-        rank_minus=int(np.count_nonzero(minus)),
-        rank_zero=int(np.count_nonzero(zero)),
-        min_abs_nonzero_eigenvalue=float(nonzero.min()) if nonzero.size else float("inf"),
-        eigenvalues=w,
+        **fields, p_plus=proj(plus), p_minus=proj(minus), p_zero=proj(~(plus | minus))
     )
 
 

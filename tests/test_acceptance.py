@@ -29,6 +29,7 @@ Criteria, tolerances, and time budgets:
 
 import functools
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -383,7 +384,7 @@ def test_criterion_8_degeneracy_handling(tmp_path):
     write_hpx(hp, path)
     assert main(["verify", path]) == 3
     proc = subprocess.run(
-        ["hpsig", "verify", path], capture_output=True, text=True
+        [sys.executable, "-m", "hpsig", "verify", path], capture_output=True, text=True
     )
     assert proc.returncode == 3
     assert "FAIL" in proc.stdout

@@ -337,11 +337,11 @@ def test_console_entry_point(tmp_path):
         capture_output=True,
         text=True,
     )
-    # module execution works the same as the installed script
+    # module execution works the same as the installed script's entry point
     assert proc.returncode == 0
     assert "expected signature class" in proc.stdout
     proc2 = subprocess.run(
-        ["hpsig", "generate", "--seed", "1", "--profile", "n2"],
+        [sys.executable, "-m", "hpsig", "generate", "--seed", "1", "--profile", "n2"],
         capture_output=True,
         text=True,
     )

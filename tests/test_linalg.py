@@ -13,7 +13,14 @@ from hpsig import (
     spectral_split,
 )
 from hpsig.errors import NotSelfAdjoint, ShapeMismatch
-from hpsig.linalg import as_complex_matrix, assemble_total, within
+from hpsig.linalg import (
+    as_complex_matrix,
+    assemble_total,
+    frobenius_norm,
+    residual_within,
+    spectrum,
+    within,
+)
 
 
 def _random_matrix(rng, rows, cols):
@@ -47,6 +54,12 @@ def test_is_invertible_threshold():
     assert not ok and sv == pytest.approx(1e-12)
     ok, sv = is_invertible(np.eye(3), tol=1e-9)
     assert ok and sv == pytest.approx(1.0)
+    # the smallest |eigenvalue|, not the smallest eigenvalue
+    ok, sv = is_invertible(np.diag([2.0, -0.5]), tol=1e-9)
+    assert ok and sv == pytest.approx(0.5)
+    assert is_invertible(np.zeros((0, 0))) == (True, float("inf"))
+    with pytest.raises(NotSelfAdjoint):
+        is_invertible(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_within_rule():
@@ -55,6 +68,54 @@ def test_within_rule():
     # the scale only loosens the rule once it exceeds 1
     assert within(5e-9, 1e-9, scale=10.0)
     assert not within(5e-9, 1e-9, scale=0.1)
+
+
+def test_residual_within_falls_back_when_the_frobenius_bound_fails():
+    # |eps I_16|_F = 4 eps > tol >= eps = |eps I_16|_2
+    eps, tol = 5e-10, 1e-9
+    r = eps * np.eye(16)
+    assert frobenius_norm(r) > tol
+    ok, res = residual_within(r, tol)
+    assert ok and res == pytest.approx(eps)
+    ok, res = residual_within(3 * r, tol)
+    assert not ok and res == pytest.approx(3 * eps)
+
+
+def test_residual_within_falls_back_when_the_lower_scale_fails():
+    # the all-ones matrix has column norms 4 but spectral norm 16
+    a = np.ones((16, 16))
+    r = np.zeros((16, 16))
+    r[0, 0] = 1e-8
+    ok, res = residual_within(r, 1e-9, lambda norm: norm(a))
+    assert ok and res == pytest.approx(1e-8)
+    r[0, 0] = 2e-8
+    ok, res = residual_within(r, 1e-9, lambda norm: norm(a))
+    assert not ok and res == pytest.approx(2e-8)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    seed=st.integers(0, 10_000),
+    rows=st.integers(1, 6),
+    cols=st.integers(1, 6),
+    rank_one=st.booleans(),
+    size=st.sampled_from([0.0, 0.1, 1.0, 30.0]),
+    ratio=st.floats(0.25, 4.0),
+)
+def test_residual_within_agrees_with_the_exact_rule(seed, rows, cols, rank_one, size, ratio):
+    rng = np.random.default_rng(seed)
+    a = size * _random_matrix(rng, rows, cols)
+    if rank_one:
+        r = _random_matrix(rng, rows, 1) @ _random_matrix(rng, 1, cols)
+    else:
+        r = _random_matrix(rng, rows, cols)
+    tol = 1e-9
+    # place |r|_2 at ratio times the threshold of the exact rule
+    r *= ratio * tol * max(1.0, operator_norm(a)) / operator_norm(r)
+    ok, res = residual_within(r, tol, lambda norm: norm(a))
+    assert ok == within(operator_norm(r), tol, operator_norm(a))
+    assert res in (frobenius_norm(r), operator_norm(r))
+    assert res >= operator_norm(r) * (1 - 1e-12)
 
 
 def test_as_complex_matrix_shape_enforcement():
@@ -109,10 +170,10 @@ def test_signature_counts_match_sylvester(seed, d):
     while min_singular_value(g) < 1e-3:
         g = _random_matrix(rng, d, d)
     h = g @ np.diag(signs.astype(complex)) @ adjoint(g)
-    split = spectral_split((h + adjoint(h)) / 2.0)
-    assert split.rank_plus == int(np.sum(signs > 0))
-    assert split.rank_minus == int(np.sum(signs < 0))
-    assert split.rank_zero == 0
+    for spec in (spectral_split((h + adjoint(h)) / 2.0), spectrum((h + adjoint(h)) / 2.0)):
+        assert spec.rank_plus == int(np.sum(signs > 0))
+        assert spec.rank_minus == int(np.sum(signs < 0))
+        assert spec.rank_zero == 0
 
 
 def test_assemble_total_accumulates_blocks():
