@@ -44,9 +44,10 @@ from .groups import k0_equal, k0_zero
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
-    as_complex_matrix,
+    as_matrix,
     assemble_total,
     is_invertible,
+    operator_dtype,
     residual_within,
 )
 from .signature import CoincidenceReport, check_coincidence
@@ -119,7 +120,7 @@ def _take(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray
     rows = np.asarray(list(rows), dtype=int)
     cols = np.asarray(list(cols), dtype=int)
     if m.size == 0 or rows.size == 0 or cols.size == 0:
-        return np.zeros((rows.size, cols.size), dtype=np.complex128)
+        return np.zeros((rows.size, cols.size), dtype=m.dtype)
     return m[np.ix_(rows, cols)]
 
 
@@ -166,10 +167,10 @@ def _split_blocks(cwb: ComplexWithBoundary) -> BlockDecomposition:
     idx1 = [cwb.quotient_indices(m) for m in range(big_n + 1)]
     dims0 = tuple(len(ix) for ix in idx0)
     dims1 = tuple(len(ix) for ix in idx1)
-    b0 = [np.zeros((0, 0), dtype=np.complex128)]
-    b1 = [np.zeros((0, 0), dtype=np.complex128)]
-    h = [np.zeros((0, 0), dtype=np.complex128)]
-    f = [np.zeros((0, 0), dtype=np.complex128)]
+    b0 = [np.zeros((0, 0))]
+    b1 = [np.zeros((0, 0))]
+    h = [np.zeros((0, 0))]
+    f = [np.zeros((0, 0))]
     for m in range(1, big_n + 1):
         b = chain.boundary(m)
         b0.append(_take(b, idx0[m - 1], idx0[m]))
@@ -403,7 +404,7 @@ def hyperbolic(
     if len(s_blocks) != d + 1:
         raise ShapeMismatch(f"expected {d + 1} duality blocks, got {len(s_blocks)}")
     s = [
-        as_complex_matrix(blk, rows=chain.dims[k], cols=chain.dims[d - k])
+        as_matrix(blk, rows=chain.dims[k], cols=chain.dims[d - k])
         for k, blk in enumerate(s_blocks)
     ]
     btot = chain.total_boundary()
@@ -441,13 +442,14 @@ def hyperbolic(
         (chain.dims[m] if m <= d else 0) + (chain.dims[top - m] if top - m <= d else 0)
         for m in range(top + 1)
     )
+    dtype = operator_dtype(*s, *chain.boundaries)
     bnds = []
     for m in range(1, top + 1):
         r1 = chain.dims[m - 1] if m - 1 <= d else 0
         r2 = chain.dims[top - m + 1] if top - m + 1 <= d else 0
         c1 = chain.dims[m] if m <= d else 0
         c2 = chain.dims[top - m] if top - m <= d else 0
-        blk = np.zeros((r1 + r2, c1 + c2), dtype=np.complex128)
+        blk = np.zeros((r1 + r2, c1 + c2), dtype=dtype)
         if m <= d:
             blk[:r1, :c1] = chain.boundary(m)
         blk[:r1, c1:] = s[m - 1]
@@ -458,7 +460,7 @@ def hyperbolic(
     for m in range(top + 1):
         r1 = chain.dims[m] if m <= d else 0
         r2 = chain.dims[top - m] if top - m <= d else 0
-        blk = np.zeros((r1 + r2, r2 + r1), dtype=np.complex128)
+        blk = np.zeros((r1 + r2, r2 + r1))
         blk[:r1, r2:] = np.eye(r1)
         blk[r1:, :r2] = np.eye(r2)
         sdual.append(blk)
@@ -508,7 +510,10 @@ def verify_cone_identities(
         for m in range(big_n + 2)
     )
     aoff = np.concatenate(([0], np.cumsum(adims))).astype(int)
-    htot = np.zeros((int(aoff[-1]), int(aoff[-1])), dtype=np.complex128)
+    htot = np.zeros(
+        (int(aoff[-1]), int(aoff[-1])),
+        dtype=operator_dtype(*chain.boundaries, *cwb.duality.blocks),
+    )
 
     def a_slice(m: int, part: int) -> slice:
         base = int(aoff[m])
@@ -524,7 +529,7 @@ def verify_cone_identities(
             htot[a_slice(m - 1, 0), a_slice(m, 0)] = chain.boundary(m)
         q = big_n + 1 - m
         if 0 <= q <= big_n and m - 1 <= big_n:
-            incl = np.zeros((chain.dims[q], dims1[q]), dtype=np.complex128)
+            incl = np.zeros((chain.dims[q], dims1[q]))
             for col, row in enumerate(idx1[q]):
                 incl[row, col] = 1.0
             htot[a_slice(m - 1, 0), a_slice(m, 1)] = (
@@ -540,8 +545,8 @@ def verify_cone_identities(
     d_e = sum(chain.dims)
     d_0 = sum(dims0)
     d_1 = sum(dims1)
-    imap = np.zeros((d_e, d_0), dtype=np.complex128)
-    jmap = np.zeros((d_1, d_e), dtype=np.complex128)
+    imap = np.zeros((d_e, d_0))
+    jmap = np.zeros((d_1, d_e))
     off_e = np.concatenate(([0], np.cumsum(chain.dims))).astype(int)
     off_0 = np.concatenate(([0], np.cumsum(dims0))).astype(int)
     off_1 = np.concatenate(([0], np.cumsum(dims1))).astype(int)
@@ -551,7 +556,7 @@ def verify_cone_identities(
         for row, col in enumerate(idx1[m]):
             jmap[off_1[m] + row, off_e[m] + col] = 1.0
     first = np.vstack([imap, np.zeros((d_1, d_0))])
-    second = np.zeros((d_1 + d_e, d_e + d_1), dtype=np.complex128)
+    second = np.zeros((d_1 + d_e, d_e + d_1))
     second[:d_1, :d_e] = jmap
     second[d_1:, d_e:] = adjoint(jmap)
     third = np.hstack([np.zeros((d_0, d_1)), adjoint(imap)])
@@ -585,12 +590,13 @@ def verify_cone_identities(
         failures.append(f"quotient data is not hyperbolic input: {exc}")
     if hyp_valid:
         top = big_n + 1
+        dtype = operator_dtype(*blocks.h, *blocks.f_upper)
         fam_entries = []
         for m in range(1, top + 1):
             rows = dims0[m - 1]
             c1 = dims1[m] if m <= big_n else 0
             c2 = dims1[top - m] if top - m <= big_n else 0
-            blk = np.zeros((rows, c1 + c2), dtype=np.complex128)
+            blk = np.zeros((rows, c1 + c2), dtype=dtype)
             if c1:
                 blk[:, :c1] = blocks.h[m]
             if c2:

@@ -37,9 +37,10 @@ from .groups import GroupAction
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
-    as_complex_matrix,
+    as_matrix,
     assemble_total,
     is_invertible,
+    operator_dtype,
     residual_within,
 )
 
@@ -85,7 +86,7 @@ class ChainComplex:
                 f"got {len(bnds)}"
             )
         bnds = tuple(
-            as_complex_matrix(b, rows=dims[k], cols=dims[k + 1])
+            as_matrix(b, rows=dims[k], cols=dims[k + 1])
             for k, b in enumerate(bnds)
         )
         self.dims = dims
@@ -102,16 +103,10 @@ class ChainComplex:
             return self.boundaries[k - 1]
         rows = self.dims[k - 1] if 0 <= k - 1 <= self.n else 0
         cols = self.dims[k] if 0 <= k <= self.n else 0
-        return np.zeros((rows, cols), dtype=np.complex128)
+        return np.zeros((rows, cols))
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def offsets(self) -> tuple[int, ...]:
-        out = [0]
-        for d in self.dims:
-            out.append(out[-1] + d)
-        return tuple(out)
 
     def total_boundary(self) -> np.ndarray:
         """Sum of all ``b_k`` as one operator on the total space."""
@@ -126,7 +121,7 @@ class DualityOperator:
     blocks: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        self.blocks = tuple(as_complex_matrix(b) for b in self.blocks)
+        self.blocks = tuple(as_matrix(b) for b in self.blocks)
 
     @property
     def n(self) -> int:
@@ -136,7 +131,7 @@ class DualityOperator:
         n = self.n
         if 0 <= k <= n:
             return self.blocks[k]
-        return np.zeros((0, 0), dtype=np.complex128)
+        return np.zeros((0, 0))
 
     def validate_against(self, chain: ChainComplex) -> None:
         if self.n != chain.n:
@@ -195,16 +190,12 @@ class HilbertPoincareComplex:
     def total_duality(self) -> np.ndarray:
         return self.duality.total(self.chain)
 
-    def b_plus_bstar(self) -> np.ndarray:
-        b = self.total_boundary()
-        return b + adjoint(b)
-
     def degree_sign_operator(self) -> np.ndarray:
         """Diagonal operator acting by ``(-1)^k`` on ``E_k``."""
         signs = np.concatenate(
             [np.full(d, (-1.0) ** k) for k, d in enumerate(self.dims)]
         )
-        return np.diag(signs.astype(np.complex128))
+        return np.diag(signs)
 
     def total_dim(self) -> int:
         return self.chain.total_dim()
@@ -285,7 +276,7 @@ def mapping_cone(
     if len(blocks) != n + 1:
         raise ShapeMismatch(f"expected {n + 1} chain map blocks, got {len(blocks)}")
     mats = [
-        as_complex_matrix(a, rows=target.dims[k], cols=source.dims[k])
+        as_matrix(a, rows=target.dims[k], cols=source.dims[k])
         for k, a in enumerate(blocks)
     ]
     for k in range(1, n + 1):
@@ -303,11 +294,12 @@ def mapping_cone(
         (source.dims[j - 1] if j >= 1 else 0) + (target.dims[j] if j <= n else 0)
         for j in range(n + 2)
     )
+    dtype = operator_dtype(*mats, *source.boundaries, *target.boundaries)
     bnds = []
     for j in range(1, n + 2):
         rows = [source.dims[j - 2] if j >= 2 else 0, target.dims[j - 1] if j - 1 <= n else 0]
         cols = [source.dims[j - 1] if j - 1 <= n else 0, target.dims[j] if j <= n else 0]
-        block = np.zeros((sum(rows), sum(cols)), dtype=np.complex128)
+        block = np.zeros((sum(rows), sum(cols)), dtype=dtype)
         if j >= 2:
             block[: rows[0], : cols[0]] = -source.boundary(j - 1)
         block[rows[0]:, : cols[0]] = mats[j - 1]
@@ -411,7 +403,7 @@ def twist(
     if len(unitaries) != n + 1:
         raise ShapeMismatch(f"expected {n + 1} unitaries, got {len(unitaries)}")
     us = [
-        as_complex_matrix(u, rows=hp.dims[k], cols=hp.dims[k])
+        as_matrix(u, rows=hp.dims[k], cols=hp.dims[k])
         for k, u in enumerate(unitaries)
     ]
     for k, u in enumerate(us):
@@ -453,7 +445,7 @@ def perturb_duality(
             continue
         if not 2 <= j <= n:
             raise ShapeMismatch(f"R block at degree {j} lies outside 2..{n}")
-        mats[j] = as_complex_matrix(r, rows=hp.dims[j], cols=hp.dims[n + 2 - j])
+        mats[j] = as_matrix(r, rows=hp.dims[j], cols=hp.dims[n + 2 - j])
     for j, r in mats.items():
         partner = mats.get(n + 2 - j)
         other = partner if partner is not None else np.zeros_like(adjoint(r))
@@ -501,7 +493,9 @@ def opposite(hp: HilbertPoincareComplex) -> HilbertPoincareComplex:
 
 
 def _blockdiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros((x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=np.complex128)
+    out = np.zeros(
+        (x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=operator_dtype(x, y)
+    )
     out[: x.shape[0], : x.shape[1]] = x
     out[x.shape[0]:, x.shape[1]:] = y
     return out

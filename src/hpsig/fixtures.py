@@ -117,15 +117,15 @@ def model_even_sphere(n: int = 2) -> HilbertPoincareComplex:
     if n < 2 or n % 2:
         raise ValueError("need even n >= 2")
     dims = tuple(1 if k in (0, n) else 0 for k in range(n + 1))
-    one = np.ones((1, 1), dtype=np.complex128)
+    one = np.ones((1, 1))
     blocks = []
     for k in range(n + 1):
         if k in (0, n):
             blocks.append(one.copy())
         else:
-            blocks.append(np.zeros((dims[k], dims[n - k]), dtype=np.complex128))
+            blocks.append(np.zeros((dims[k], dims[n - k])))
     bnds = tuple(
-        np.zeros((dims[k - 1], dims[k]), dtype=np.complex128) for k in range(1, n + 1)
+        np.zeros((dims[k - 1], dims[k])) for k in range(1, n + 1)
     )
     return HilbertPoincareComplex(ChainComplex(dims, bnds), DualityOperator(tuple(blocks)))
 
@@ -135,14 +135,14 @@ def model_projective_plane() -> HilbertPoincareComplex:
     degrees 0, 2, 4, duality swapping the ends and fixing the middle.
     Signature +1."""
     dims = (1, 0, 1, 0, 1)
-    one = np.ones((1, 1), dtype=np.complex128)
+    one = np.ones((1, 1))
     blocks = []
     for k in range(5):
         if k in (0, 2, 4):
             blocks.append(one.copy())
         else:
-            blocks.append(np.zeros((dims[k], dims[4 - k]), dtype=np.complex128))
+            blocks.append(np.zeros((dims[k], dims[4 - k])))
     bnds = tuple(
-        np.zeros((dims[k - 1], dims[k]), dtype=np.complex128) for k in range(1, 5)
+        np.zeros((dims[k - 1], dims[k])) for k in range(1, 5)
     )
     return HilbertPoincareComplex(ChainComplex(dims, bnds), DualityOperator(tuple(blocks)))

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_complex_matrix, residual_within
+from .linalg import DEFAULT_TOL, adjoint, as_matrix, operator_dtype, residual_within
 
 CHAR_TOL = 1e-6
 
@@ -179,7 +179,7 @@ class GroupAction:
         fams = []
         dims = None
         for g, fam in enumerate(self.blocks):
-            mats = tuple(as_complex_matrix(m) for m in fam)
+            mats = tuple(as_matrix(m) for m in fam)
             if any(m.shape[0] != m.shape[1] for m in mats):
                 raise ShapeMismatch(f"action blocks of element {g} are not square")
             d = tuple(m.shape[0] for m in mats)
@@ -227,7 +227,7 @@ class GroupAction:
     def total(self, g: int) -> np.ndarray:
         mats = self.blocks[g]
         size = sum(self._dims)
-        out = np.zeros((size, size), dtype=np.complex128)
+        out = np.zeros((size, size), dtype=operator_dtype(*mats))
         pos = 0
         for m in mats:
             out[pos : pos + m.shape[0], pos : pos + m.shape[0]] = m
@@ -257,7 +257,7 @@ class GroupAction:
                 b = other.blocks[g][k]
                 m = np.zeros(
                     (a.shape[0] + b.shape[0], a.shape[0] + b.shape[0]),
-                    dtype=np.complex128,
+                    dtype=operator_dtype(a, b),
                 )
                 m[: a.shape[0], : a.shape[0]] = a
                 m[a.shape[0]:, a.shape[0]:] = b
@@ -268,7 +268,7 @@ class GroupAction:
     @classmethod
     def trivial_action(cls, dims: Sequence[int]) -> "GroupAction":
         group = FiniteGroup.trivial()
-        fam = tuple(np.eye(int(d), dtype=np.complex128) for d in dims)
+        fam = tuple(np.eye(int(d)) for d in dims)
         return cls(group, (fam,))
 
 
@@ -342,8 +342,8 @@ def k0_from_projections(
     commute with the action or its character is not constant on a conjugacy
     class within CHAR_TOL.
     """
-    pp = as_complex_matrix(p_plus)
-    pm = as_complex_matrix(p_minus)
+    pp = as_matrix(p_plus)
+    pm = as_matrix(p_minus)
     for name, p in (("p_plus", pp), ("p_minus", pm)):
         if p.shape[0] != p.shape[1]:
             raise ShapeMismatch(f"{name} is not square")

@@ -1,8 +1,9 @@
 """JSON file formats: .hpx for duality complexes, .smf for triangulations.
 
 Numbers are stored as bare floats when real and as ``[re, im]`` pairs
-otherwise.  Matrices are row lists; their shapes are implied by the stored
-dimension vector, so empty blocks round-trip exactly.  A complex with
+otherwise.  A matrix whose entries are all bare numbers loads as float64, and
+one with any pair loads as complex128.  Matrices are row lists; their shapes
+are implied by the stored dimension vector, so empty blocks round-trip exactly.  A complex with
 boundary is an .hpx document with the extra ``boundary_split`` key.
 """
 
@@ -33,11 +34,12 @@ def _encode_matrix(m: np.ndarray) -> list:
     return [[_encode_number(v) for v in row] for row in np.asarray(m)]
 
 
-def _decode_number(x: Any, where: str) -> complex:
+def _decode_number(x: Any, where: str) -> float | complex:
+    """A plain number decodes to a float, an ``[re, im]`` pair to a complex."""
     if isinstance(x, bool):
         raise ParseError(f"{where}: expected a number, got a boolean")
     if isinstance(x, (int, float)):
-        return complex(x)
+        return float(x)
     if (
         isinstance(x, list)
         and len(x) == 2
@@ -48,17 +50,21 @@ def _decode_number(x: Any, where: str) -> complex:
 
 
 def _decode_matrix(x: Any, rows: int, cols: int, where: str) -> np.ndarray:
+    """float64 when every entry is a plain number, complex128 when any entry is
+    an ``[re, im]`` pair."""
     if not isinstance(x, list):
         raise ParseError(f"{where}: expected a list of rows")
     if len(x) != rows:
         raise ParseError(f"{where}: expected {rows} rows, got {len(x)}")
-    out = np.zeros((rows, cols), dtype=np.complex128)
+    values = []
     for i, row in enumerate(x):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{where}, row {i}: expected {cols} entries")
-        for j, v in enumerate(row):
-            out[i, j] = _decode_number(v, f"{where}[{i}][{j}]")
-    return out
+        values.append(
+            [_decode_number(v, f"{where}[{i}][{j}]") for j, v in enumerate(row)]
+        )
+    # numpy infers float64 from Python floats and complex128 once one is complex.
+    return np.array(values).reshape((rows, cols))
 
 
 def _need(doc: dict, key: str, kind, where: str) -> Any:

@@ -1,7 +1,13 @@
 """Dense spectral primitives.
 
-All operators in this package are finite dimensional and are represented as
-complex numpy arrays.
+All operators in this package are finite dimensional numpy arrays, stored as
+float64 when their data is real and as complex128 otherwise: :func:`as_matrix`
+coerces one operator and :func:`operator_dtype` gives the dtype of a matrix
+assembled from several blocks (float64 unless some block is complex).  numpy's
+dtype dispatch then picks the real or complex LAPACK and BLAS routine, so the
+spectral projections of a real operator are real.  The cap-product duality of
+a triangulation of dimension 4k is real and runs in real arithmetic; in
+dimension 4k + 2 it is imaginary and runs in complex arithmetic.
 
 Residual gates.  An identity is accepted when the spectral norm of its
 residual ``r`` satisfies ``|r| <= tol * max(1, scale)`` (:func:`within`), where
@@ -43,11 +49,12 @@ __all__ = [
     "SpectralSplit",
     "Spectrum",
     "adjoint",
-    "as_complex_matrix",
+    "as_matrix",
     "assemble_total",
     "frobenius_norm",
     "is_invertible",
     "min_singular_value",
+    "operator_dtype",
     "operator_norm",
     "residual_within",
     "spectral_split",
@@ -56,11 +63,24 @@ __all__ = [
 ]
 
 
-def as_complex_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
-    """Coerce ``m`` to a 2d complex array, optionally enforcing its shape."""
-    a = np.asarray(m, dtype=np.complex128)
+_REAL = np.dtype(np.float64)
+_COMPLEX = np.dtype(np.complex128)
+
+
+def operator_dtype(*blocks: np.ndarray) -> np.dtype:
+    """Dtype of operator data built from ``blocks``: complex128 when some block
+    is complex, float64 otherwise."""
+    return _COMPLEX if any(b.dtype.kind == "c" for b in blocks) else _REAL
+
+
+def as_matrix(m, rows: int | None = None, cols: int | None = None) -> np.ndarray:
+    """Coerce ``m`` to a 2d array, float64 when its dtype is real (ints and
+    bools included) and complex128 otherwise, optionally enforcing its shape."""
+    a = np.asarray(m)
+    if a.dtype != _REAL and a.dtype != _COMPLEX:
+        a = a.astype(_REAL if a.dtype.kind in "biuf" else _COMPLEX)
     if a.ndim == 0 and (rows == 0 or cols == 0):
-        a = np.zeros((rows or 0, cols or 0), dtype=np.complex128)
+        a = np.zeros((rows or 0, cols or 0), dtype=a.dtype)
     if a.ndim == 1:
         # A length-0 vector is accepted for empty blocks only.
         if a.size == 0 and (rows in (0, None) or cols in (0, None)):
@@ -151,7 +171,7 @@ def residual_within(
 
 def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
     """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint."""
-    a = as_complex_matrix(h)
+    a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
     ok, herm = residual_within(a - adjoint(a), tol, lambda norm: norm(a))
@@ -247,13 +267,17 @@ def assemble_total(
 ) -> np.ndarray:
     """Assemble a block matrix from (row-degree, col-degree, block) entries.
 
-    Blocks at the same position accumulate additively.
+    Blocks at the same position accumulate additively; the dtype follows
+    :func:`operator_dtype`.
     """
     row_off = np.concatenate(([0], np.cumsum(row_dims))).astype(int)
     col_off = np.concatenate(([0], np.cumsum(col_dims))).astype(int)
-    total = np.zeros((int(row_off[-1]), int(col_off[-1])), dtype=np.complex128)
-    for r, c, block in entries:
-        b = np.asarray(block, dtype=np.complex128)
+    blocks = [(r, c, np.asarray(block)) for r, c, block in entries]
+    total = np.zeros(
+        (int(row_off[-1]), int(col_off[-1])),
+        dtype=operator_dtype(*(b for _, _, b in blocks)),
+    )
+    for r, c, b in blocks:
         if b.shape != (row_dims[r], col_dims[c]):
             raise ShapeMismatch(
                 f"block at ({r}, {c}) has shape {b.shape}, "

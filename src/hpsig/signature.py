@@ -30,6 +30,7 @@ from .errors import DegenerateOperator, OddDimension
 from .groups import CHAR_TOL, K0Class, k0_equal, k0_from_projections
 from .linalg import (
     DEFAULT_TOL,
+    SpectralSplit,
     Spectrum,
     adjoint,
     residual_within,
@@ -82,19 +83,41 @@ def _nondegenerate(spec: _S, what: str) -> _S:
     return spec
 
 
+def _total_operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, np.ndarray]:
+    """``B = b + b^*`` and ``S`` on the total space."""
+    b = hp.total_boundary()
+    return b + adjoint(b), hp.total_duality()
+
+
+def _higson_roe(
+    hp: HilbertPoincareComplex, plus: SpectralSplit, minus_op: np.ndarray, tol: float
+) -> SignatureResult:
+    """Higson-Roe class from the split of ``B + S`` and the operator ``B - S``."""
+    _nondegenerate(plus, "B + S")
+    minus = _nondegenerate(spectral_split(minus_op, tol), "B - S")
+    k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
+    gap = min(plus.min_abs_nonzero_eigenvalue, minus.min_abs_nonzero_eigenvalue)
+    return SignatureResult(method="higson-roe", k0=k0, spectral_gap=gap)
+
+
+def _reduced(
+    hp: HilbertPoincareComplex, split: SpectralSplit, tol: float
+) -> SignatureResult:
+    """Reduced class from the split of ``b + b^* + S``."""
+    _nondegenerate(split, "b + b* + S")
+    k0 = k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
+    return SignatureResult(
+        method="reduced", k0=k0, spectral_gap=split.min_abs_nonzero_eigenvalue
+    )
+
+
 def higson_roe_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Difference class of the positive parts of ``B + S`` and ``B - S``."""
     _require_even(hp)
-    b = hp.total_boundary()
-    big_b = b + adjoint(b)
-    s = hp.total_duality()
-    plus = _nondegenerate(spectral_split(big_b + s, tol), "B + S")
-    minus = _nondegenerate(spectral_split(big_b - s, tol), "B - S")
-    k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
-    gap = min(plus.min_abs_nonzero_eigenvalue, minus.min_abs_nonzero_eigenvalue)
-    return SignatureResult(method="higson-roe", k0=k0, spectral_gap=gap)
+    big_b, s = _total_operators(hp)
+    return _higson_roe(hp, spectral_split(big_b + s, tol), big_b - s, tol)
 
 
 def _doubling_isometry(hp: HilbertPoincareComplex) -> np.ndarray:
@@ -112,7 +135,7 @@ def _doubling_isometry(hp: HilbertPoincareComplex) -> np.ndarray:
     ]
     cone_off = np.concatenate(([0], np.cumsum(cone_dims))).astype(int)
     off = np.concatenate(([0], np.cumsum(dims))).astype(int)
-    v = np.zeros((int(cone_off[-1]), int(off[-1])), dtype=np.complex128)
+    v = np.zeros((int(cone_off[-1]), int(off[-1])))
     inv_sqrt2 = 1.0 / np.sqrt(2.0)
     for k in range(n + 1):
         d = dims[k]
@@ -156,13 +179,8 @@ def reduced_signature(
 ) -> SignatureResult:
     """Signature of ``b + b^* + S`` on the total space."""
     _require_even(hp)
-    b = hp.total_boundary()
-    op = b + adjoint(b) + hp.total_duality()
-    split = _nondegenerate(spectral_split(op, tol), "b + b* + S")
-    k0 = k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
-    return SignatureResult(
-        method="reduced", k0=k0, spectral_gap=split.min_abs_nonzero_eigenvalue
-    )
+    big_b, s = _total_operators(hp)
+    return _reduced(hp, spectral_split(big_b + s, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -192,9 +210,15 @@ def check_coincidence(
     with ``phi = (-1)^degree``, which is the algebraic reason the classes agree
     for even ``n``, at the scale of ``B + S`` and ``B - S``.
     """
-    hr = higson_roe_signature(hp, tol=tol)
+    _require_even(hp)
+    # B + S is diagonalised once and shared by the Higson-Roe and the reduced
+    # construction, which both need its spectral split.
+    big_b, s = _total_operators(hp)
+    plus, minus = big_b + s, big_b - s
+    plus_split = spectral_split(plus, tol)
+    hr = _higson_roe(hp, plus_split, minus, tol)
     mi = mishchenko_signature(hp, tol=tol)
-    re = reduced_signature(hp, tol=tol)
+    re = _reduced(hp, plus_split, tol)
     results = (hr, mi, re)
     diffs = [0.0]
     for i in range(3):
@@ -205,10 +229,6 @@ def check_coincidence(
             )
     max_diff = max(diffs)
     phi_op = hp.degree_sign_operator()
-    b = hp.total_boundary()
-    big_b = b + adjoint(b)
-    s = hp.total_duality()
-    plus, minus = big_b + s, big_b - s
     graded, residual = residual_within(
         phi_op @ minus @ phi_op + plus, tol, lambda norm: max(norm(plus), norm(minus))
     )

@@ -222,7 +222,7 @@ def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainDa
     dims = tuple(len(degree) for degree in simplices)
     bnds = []
     for p in range(1, n + 1):
-        mat = np.zeros((dims[p - 1], dims[p]), dtype=np.complex128)
+        mat = np.zeros((dims[p - 1], dims[p]))
         for col, s in enumerate(simplices[p]):
             for i in range(p + 1):
                 face = s[:i] + s[i + 1 :]
@@ -244,7 +244,7 @@ def fundamental_cycle(
     """
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
-    z = np.zeros(chains.chain.dims[n], dtype=np.complex128)
+    z = np.zeros(chains.chain.dims[n])
     for f, s in zip(m.facets, m.signs):
         z[chains.index[n][f]] = s
     if n >= 1:
@@ -273,9 +273,7 @@ def cap_duality(
     n = m.dim
     out = []
     for p in range(n + 1):
-        mat = np.zeros(
-            (chains.chain.dims[p], chains.chain.dims[n - p]), dtype=np.complex128
-        )
+        mat = np.zeros((chains.chain.dims[p], chains.chain.dims[n - p]))
         for f, s in zip(m.facets, m.signs):
             front = f[: n - p + 1]
             back = f[n - p :]
@@ -284,7 +282,8 @@ def cap_duality(
     return tuple(out)
 
 
-_FOURTH_ROOTS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+# Real phases stay real, so a 4k-dimensional cap stays real.
+_FOURTH_ROOTS = (1.0, 1.0j, -1.0, -1.0j)
 
 
 def _phase_exponent(n: int, p: int) -> int:
@@ -296,10 +295,8 @@ def _phased_cap(
     m: OrientedSimplicialManifold, chains: SimplicialChainData
 ) -> tuple[list[np.ndarray], tuple[complex, ...]]:
     raw = cap_duality(m, chains)
-    phases = tuple(
-        _FOURTH_ROOTS[_phase_exponent(m.dim, p)] for p in range(m.dim + 1)
-    )
-    return [phases[p] * raw[p] for p in range(m.dim + 1)], phases
+    roots = [_FOURTH_ROOTS[_phase_exponent(m.dim, p)] for p in range(m.dim + 1)]
+    return [r * raw[p] for p, r in enumerate(roots)], tuple(complex(r) for r in roots)
 
 
 def _symmetrize(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -324,13 +321,11 @@ def _average_over_group(
     nondegeneracy survives.
     """
     n = len(blocks) - 1
-    out = []
-    for k in range(n + 1):
-        acc = np.zeros_like(blocks[k])
-        for g in range(rho.group.order):
-            acc += adjoint(rho.blocks[g][k]) @ blocks[k] @ rho.blocks[g][n - k]
-        out.append(acc / rho.group.order)
-    return out
+    order = rho.group.order
+    return [
+        sum(adjoint(fam[k]) @ blocks[k] @ fam[n - k] for fam in rho.blocks) / order
+        for k in range(n + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -487,9 +482,7 @@ def chain_action(
                 )
         fam = []
         for p in range(n + 1):
-            mat = np.zeros(
-                (chains.chain.dims[p], chains.chain.dims[p]), dtype=np.complex128
-            )
+            mat = np.zeros((chains.chain.dims[p], chains.chain.dims[p]))
             for col, s in enumerate(chains.simplices[p]):
                 image, flip = _sort_with_sign([vm[v] for v in s])
                 mat[chains.index[p][image], col] = flip

@@ -23,7 +23,12 @@ from hpsig import (
 )
 from hpsig.cli import main
 from hpsig.errors import ParseError
-from hpsig.fixtures import octahedron, octahedron_rotation, simplex_disk
+from hpsig.fixtures import (
+    model_projective_plane,
+    octahedron,
+    octahedron_rotation,
+    simplex_disk,
+)
 
 
 def _zero_duality_complex() -> HilbertPoincareComplex:
@@ -54,6 +59,18 @@ def test_hpx_roundtrip_plain(tmp_path):
     a = reduced_signature(hp).k0
     b = reduced_signature(back).k0
     assert a.values == b.values
+
+
+def test_hpx_real_entries_load_as_real(tmp_path):
+    path = str(tmp_path / "r.hpx")
+    write_hpx(model_projective_plane(), path)
+    back = read_hpx(path)
+    assert {s.dtype for s in back.duality.blocks + back.chain.boundaries} == {
+        np.dtype(np.float64)
+    }
+    hp, _ = generate_with_signature(0, "n2-d6")
+    write_hpx(hp, path)
+    assert read_hpx(path).total_duality().dtype == np.complex128
 
 
 def test_hpx_roundtrip_with_action(tmp_path):

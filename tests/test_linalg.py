@@ -14,9 +14,10 @@ from hpsig import (
 )
 from hpsig.errors import NotSelfAdjoint, ShapeMismatch
 from hpsig.linalg import (
-    as_complex_matrix,
+    as_matrix,
     assemble_total,
     frobenius_norm,
+    operator_dtype,
     residual_within,
     spectrum,
     within,
@@ -119,14 +120,32 @@ def test_residual_within_agrees_with_the_exact_rule(seed, rows, cols, rank_one, 
 
 
 def test_as_complex_matrix_shape_enforcement():
-    a = as_complex_matrix([[1, 2], [3, 4]], rows=2, cols=2)
-    assert a.dtype == np.complex128
+    a = as_matrix([[1, 2], [3, 4]], rows=2, cols=2)
+    assert a.dtype == np.float64
+    z = as_matrix([[1, 2j], [3, 4]], rows=2, cols=2)
+    assert z.dtype == np.complex128
+    assert z[0, 1] == 2j
     with pytest.raises(ShapeMismatch):
-        as_complex_matrix([[1, 2]], rows=2, cols=2)
+        as_matrix([[1, 2]], rows=2, cols=2)
     with pytest.raises(ShapeMismatch):
-        as_complex_matrix([1, 2, 3])
+        as_matrix([1, 2, 3])
     with pytest.raises(ShapeMismatch):
-        as_complex_matrix([[np.inf, 0.0], [0.0, 1.0]])
+        as_matrix([[np.inf, 0.0], [0.0, 1.0]])
+
+
+def test_dtype_follows_the_data():
+    real = np.array([[1, 0], [0, 2]])
+    cplx = np.array([[0, 1j], [-1j, 0]])
+    assert operator_dtype(real.astype(float), np.eye(2)) == np.float64
+    assert operator_dtype(real.astype(float), cplx) == np.complex128
+    assert assemble_total([2, 2], [2, 2], [(0, 1, real), (1, 0, real)]).dtype == np.float64
+    assert assemble_total([2, 2], [2, 2], [(0, 1, real), (1, 0, cplx)]).dtype == np.complex128
+    assert as_matrix(np.eye(2, dtype=bool)).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
+    assert spectral_split(np.array([[0.0, 1.0], [1.0, 0.0]])).p_plus.dtype == np.float64
+    split = spectral_split(cplx)
+    assert split.p_plus.dtype == np.complex128
+    assert (split.rank_plus, split.rank_minus) == (1, 1)
 
 
 def test_spectral_split_known_diagonal():

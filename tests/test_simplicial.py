@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from hpsig import (
+    ChainComplex,
+    DualityOperator,
+    HilbertPoincareComplex,
     OrientedSimplicialManifold,
     SimplicialAction,
     FiniteGroup,
@@ -13,12 +16,14 @@ from hpsig import (
     boundary_signature_is_zero,
     cap_duality,
     chain_action,
+    check_coincidence,
     duality_operator,
     enumerate_and_boundaries,
     fundamental_cycle,
     geometry_stats,
     k0_equal,
     manifold_signature,
+    spectral_split,
     to_hp_complex,
     verify_complex,
     verify_duality,
@@ -44,7 +49,7 @@ from hpsig.fixtures import (
     simplex_sphere,
     sphere_swap_action,
 )
-from hpsig.linalg import operator_norm
+from hpsig.linalg import adjoint, operator_norm
 
 
 def test_facet_validation():
@@ -162,6 +167,55 @@ def test_cp2_signature_and_orientation_flip():
     rep2 = manifold_signature(flipped)
     assert rep2.passed
     assert abs(rep2.k0.values[0] + 1.0) < 1e-6
+
+
+def _b_plus_s_and_b_minus_s(hp):
+    b = hp.total_boundary()
+    big_b, s = b + adjoint(b), hp.total_duality()
+    return big_b + s, big_b - s
+
+
+@pytest.mark.parametrize("build", [cp2_nine_vertex, lambda: simplex_sphere(4)])
+def test_four_k_triangulation_stays_real(build):
+    hp = to_hp_complex(build())
+    assert hp.total_boundary().dtype == np.float64
+    assert hp.total_duality().dtype == np.float64
+    for op in _b_plus_s_and_b_minus_s(hp):
+        split = spectral_split(op)
+        assert {p.dtype for p in (split.p_plus, split.p_minus, split.p_zero)} == {
+            np.dtype(np.float64)
+        }
+
+
+def test_two_mod_four_triangulation_is_complex():
+    m2, act2 = barycentric_subdivide(octahedron(), octahedron_rotation())
+    hp = to_hp_complex(m2, act2)
+    assert hp.total_duality().dtype == np.complex128
+
+
+def test_cp2_complex_cast_gives_the_same_verdicts():
+    real = to_hp_complex(cp2_nine_vertex())
+    cast = HilbertPoincareComplex(
+        ChainComplex(real.dims, tuple(b.astype(np.complex128) for b in real.chain.boundaries)),
+        DualityOperator(tuple(s.astype(np.complex128) for s in real.duality.blocks)),
+    )
+    assert cast.total_duality().dtype == np.complex128
+    rep_real, rep_cast = check_coincidence(real), check_coincidence(cast)
+    assert rep_real.passed and rep_cast.passed
+    for r, c in zip(rep_real.results, rep_cast.results):
+        assert r.method == c.method
+        assert r.k0.values == c.k0.values
+        assert c.spectral_gap == pytest.approx(r.spectral_gap, rel=1e-12)
+    for op_real, op_cast in zip(_b_plus_s_and_b_minus_s(real), _b_plus_s_and_b_minus_s(cast)):
+        sr, sc = spectral_split(op_real), spectral_split(op_cast)
+        assert (sr.rank_plus, sr.rank_minus, sr.rank_zero) == (
+            sc.rank_plus,
+            sc.rank_minus,
+            sc.rank_zero,
+        )
+        assert sc.min_abs_nonzero_eigenvalue == pytest.approx(
+            sr.min_abs_nonzero_eigenvalue, rel=1e-12
+        )
 
 
 def test_odd_dimension_circle():
