@@ -28,6 +28,7 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
+    dual_complex,
     mapping_cone,
     verify_duality,
 )
@@ -46,8 +47,8 @@ from .linalg import (
     adjoint,
     as_matrix,
     assemble_total,
+    block_diag,
     is_invertible,
-    operator_dtype,
     residual_within,
 )
 from .signature import CoincidenceReport, check_coincidence
@@ -124,15 +125,17 @@ def _take(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray
     return m[np.ix_(rows, cols)]
 
 
-def _defect_family(cwb: ComplexWithBoundary) -> list[np.ndarray]:
-    """``R_k = b_{k+1} S_{k+1} + S_k b^*_{N-k}`` mapping ``E_{n-k} -> E_k``."""
+def _restricted_defect(cwb: ComplexWithBoundary) -> list[np.ndarray]:
+    """The defect ``R_k = b_{k+1} S_{k+1} + S_k b^*_{N-k}``, which maps
+    ``E_{n-k} -> E_k``, restricted to ``(E_0)_{n-k} -> (E_0)_k``."""
     chain, s = cwb.chain, cwb.duality
     big_n = chain.n
     out = []
     for k in range(big_n):
         term1 = chain.boundary(k + 1) @ s.block(k + 1)
         term2 = s.block(k) @ adjoint(chain.boundary(big_n - k))
-        out.append(term1 + term2)
+        sub_rows, sub_cols = cwb.sub_indices(k), cwb.sub_indices(big_n - 1 - k)
+        out.append(_take(term1 + term2, sub_rows, sub_cols))
     return out
 
 
@@ -199,16 +202,18 @@ def _split_blocks(cwb: ComplexWithBoundary) -> BlockDecomposition:
     )
 
 
-def _boundary_total(dims: Sequence[int], family: Sequence[np.ndarray]) -> np.ndarray:
-    entries = [(m - 1, m, family[m]) for m in range(1, len(dims))]
-    return assemble_total(dims, dims, entries)
+def _boundary_total(
+    row_dims: Sequence[int], col_dims: Sequence[int], family: Sequence[np.ndarray]
+) -> np.ndarray:
+    entries = [(m - 1, m, family[m]) for m in range(1, len(family))]
+    return assemble_total(row_dims, col_dims, entries)
 
 
 def _duality_total(
     row_dims: Sequence[int], col_dims: Sequence[int], family: Sequence[np.ndarray]
 ) -> np.ndarray:
-    big_n = len(family) - 1
-    entries = [(k, big_n - k, family[k]) for k in range(big_n + 1)]
+    top = len(family) - 1
+    entries = [(k, top - k, family[k]) for k in range(top + 1)]
     return assemble_total(row_dims, col_dims, entries)
 
 
@@ -217,16 +222,11 @@ def _structure_gates(
 ) -> dict[str, tuple[bool, float]]:
     """Gate every structural identity at one common scale, by name."""
     chain, s = cwb.chain, cwb.duality
-    big_n = chain.n
     dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
-    b0 = _boundary_total(dims0, blocks.b0)
-    b1 = _boundary_total(dims1, blocks.b1)
-    htot = assemble_total(
-        dims0, dims1, [(m - 1, m, blocks.h[m]) for m in range(1, big_n + 1)]
-    )
-    ftot = assemble_total(
-        dims1, dims0, [(m - 1, m, blocks.f[m]) for m in range(1, big_n + 1)]
-    )
+    b0 = _boundary_total(dims0, dims0, blocks.b0)
+    b1 = _boundary_total(dims1, dims1, blocks.b1)
+    htot = _boundary_total(dims0, dims1, blocks.h)
+    ftot = _boundary_total(dims1, dims0, blocks.f)
     s1 = _duality_total(dims1, dims1, blocks.s1)
     s2 = _duality_total(dims0, dims0, blocks.s2)
     fup = _duality_total(dims0, dims1, blocks.f_upper)
@@ -252,17 +252,15 @@ def _structure_gates(
     return {name: residual_within(r, tol, scale) for name, r in residuals.items()}
 
 
-def _quotient_cone_min_sv(cwb: ComplexWithBoundary, tol: float) -> tuple[bool, float]:
+def _quotient_cone_min_sv(
+    cwb: ComplexWithBoundary, blocks: BlockDecomposition, tol: float
+) -> tuple[bool, float]:
     """Invertibility of the cone operator of the quotient duality family."""
     chain = cwb.chain
     big_n = chain.n
-    blocks = _split_blocks(cwb)
     quotient = ChainComplex(blocks.quotient_dims, tuple(blocks.b1[1:]))
-    dual_dims = tuple(reversed(chain.dims))
-    dual_bnds = tuple(
-        -adjoint(chain.boundary(big_n - k + 1)) for k in range(1, big_n + 1)
-    )
-    source = ChainComplex(dual_dims, dual_bnds)
+    dual = dual_complex(chain)
+    source = ChainComplex(dual.dims, tuple(-b for b in dual.boundaries))
     js = [
         _take(cwb.duality.block(p), cwb.quotient_indices(p), range(chain.dims[big_n - p]))
         for p in range(big_n + 1)
@@ -292,9 +290,10 @@ def verify_with_boundary(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> CwbReport:
     """Check every structural condition and report without raising."""
-    gates = _structure_gates(cwb, _split_blocks(cwb), tol)
+    blocks = _split_blocks(cwb)
+    gates = _structure_gates(cwb, blocks, tol)
     failures = [name for name, (ok, _) in gates.items() if not ok]
-    inv, minsv = _quotient_cone_min_sv(cwb, tol)
+    inv, minsv = _quotient_cone_min_sv(cwb, blocks, tol)
     if not inv:
         failures.append("quotient cone operator is not invertible")
     return CwbReport(
@@ -348,11 +347,7 @@ def boundary_complex(
             f"subcomplex has dimension {blocks.sub_dims[big_n]} in top degree "
             f"{big_n}; the boundary object must live in degrees 0..{n}"
         )
-    defect = _defect_family(cwb)
-    idx0 = [cwb.sub_indices(m) for m in range(big_n + 1)]
-    restricted = [
-        _take(defect[k], idx0[k], idx0[n - k]) for k in range(n + 1)
-    ]
+    restricted = _restricted_defect(cwb)
     btot = chain.total_boundary()
     stot = cwb.duality.total(chain)
 
@@ -438,32 +433,29 @@ def hyperbolic(
                 f"({res:.3e})"
             )
     top = d + 1
-    hdims = tuple(
-        (chain.dims[m] if m <= d else 0) + (chain.dims[top - m] if top - m <= d else 0)
-        for m in range(top + 1)
-    )
-    dtype = operator_dtype(*s, *chain.boundaries)
+    # degree m is E_m (+) E_{top-m}; ext pads the one degree that falls outside
+    ext = (*chain.dims, 0)
     bnds = []
     for m in range(1, top + 1):
-        r1 = chain.dims[m - 1] if m - 1 <= d else 0
-        r2 = chain.dims[top - m + 1] if top - m + 1 <= d else 0
-        c1 = chain.dims[m] if m <= d else 0
-        c2 = chain.dims[top - m] if top - m <= d else 0
-        blk = np.zeros((r1 + r2, c1 + c2), dtype=dtype)
-        if m <= d:
-            blk[:r1, :c1] = chain.boundary(m)
-        blk[:r1, c1:] = s[m - 1]
-        if top - m + 1 <= d:
-            blk[r1:, c1:] = adjoint(chain.boundary(top - m + 1))
+        blk = assemble_total(
+            (ext[m - 1], ext[top - m + 1]),
+            (ext[m], ext[top - m]),
+            [
+                (0, 0, chain.boundary(m)),
+                (0, 1, s[m - 1]),
+                (1, 1, adjoint(chain.boundary(top - m + 1))),
+            ],
+        )
         bnds.append(1j * blk)
-    sdual = []
-    for m in range(top + 1):
-        r1 = chain.dims[m] if m <= d else 0
-        r2 = chain.dims[top - m] if top - m <= d else 0
-        blk = np.zeros((r1 + r2, r2 + r1))
-        blk[:r1, r2:] = np.eye(r1)
-        blk[r1:, :r2] = np.eye(r2)
-        sdual.append(blk)
+    sdual = [
+        assemble_total(
+            (ext[m], ext[top - m]),
+            (ext[top - m], ext[m]),
+            [(0, 1, np.eye(ext[m])), (1, 0, np.eye(ext[top - m]))],
+        )
+        for m in range(top + 1)
+    ]
+    hdims = tuple(ext[m] + ext[top - m] for m in range(top + 1))
     return HilbertPoincareComplex(
         ChainComplex(hdims, tuple(bnds)), DualityOperator(tuple(sdual))
     )
@@ -500,66 +492,41 @@ def verify_cone_identities(
     chain = cwb.chain
     big_n = chain.n
     dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
-    idx1 = [cwb.quotient_indices(m) for m in range(big_n + 1)]
+    idx1 = [list(cwb.quotient_indices(m)) for m in range(big_n + 1)]
+    quotient = ChainComplex(dims1, tuple(blocks.b1[1:]))
     failures: list[str] = []
 
-    # (a) attaching cone: degree m is E_m (+) (E_1)_{N+1-m}
-    adims = tuple(
-        (chain.dims[m] if m <= big_n else 0)
-        + (dims1[big_n + 1 - m] if 0 <= big_n + 1 - m <= big_n else 0)
-        for m in range(big_n + 2)
-    )
-    aoff = np.concatenate(([0], np.cumsum(adims))).astype(int)
-    htot = np.zeros(
-        (int(aoff[-1]), int(aoff[-1])),
-        dtype=operator_dtype(*chain.boundaries, *cwb.duality.blocks),
-    )
-
-    def a_slice(m: int, part: int) -> slice:
-        base = int(aoff[m])
-        e_dim = chain.dims[m] if 0 <= m <= big_n else 0
-        if part == 0:
-            return slice(base, base + e_dim)
-        q = big_n + 1 - m
-        q_dim = dims1[q] if 0 <= q <= big_n else 0
-        return slice(base + e_dim, base + e_dim + q_dim)
-
+    # (a) attaching cone: degree m is E_m (+) (E_1)_{N+1-m}; the pads stand
+    # for the degrees outside 0..N
+    ext, ext1 = (*chain.dims, 0), (*dims1, 0)
+    abnds = []
     for m in range(1, big_n + 2):
-        if 1 <= m <= big_n:
-            htot[a_slice(m - 1, 0), a_slice(m, 0)] = chain.boundary(m)
         q = big_n + 1 - m
-        if 0 <= q <= big_n and m - 1 <= big_n:
-            incl = np.zeros((chain.dims[q], dims1[q]))
-            for col, row in enumerate(idx1[q]):
-                incl[row, col] = 1.0
-            htot[a_slice(m - 1, 0), a_slice(m, 1)] = (
-                cwb.duality.block(m - 1) @ incl
+        abnds.append(
+            assemble_total(
+                (ext[m - 1], ext1[q + 1]),
+                (ext[m], ext1[q]),
+                [
+                    (0, 0, chain.boundary(m)),
+                    (0, 1, cwb.duality.block(m - 1)[:, idx1[q]]),
+                    (1, 1, adjoint(quotient.boundary(q + 1))),
+                ],
             )
-        if 0 <= q <= big_n and 0 <= q + 1 <= big_n:
-            htot[a_slice(m - 1, 1), a_slice(m, 1)] = adjoint(blocks.b1[q + 1])
-    ok, sq = residual_within(htot @ htot, tol, lambda norm: norm(htot) ** 2)
+        )
+    adims = tuple(ext[m] + ext1[big_n + 1 - m] for m in range(big_n + 2))
+    attach = ChainComplex(adims, tuple(abnds)).total_boundary()
+    ok, sq = residual_within(attach @ attach, tol, lambda norm: norm(attach) ** 2)
     if not ok:
         failures.append("attaching cone differential does not square to zero")
 
     # (b) four-term sequence on total spaces
-    d_e = sum(chain.dims)
-    d_0 = sum(dims0)
-    d_1 = sum(dims1)
-    imap = np.zeros((d_e, d_0))
-    jmap = np.zeros((d_1, d_e))
-    off_e = np.concatenate(([0], np.cumsum(chain.dims))).astype(int)
-    off_0 = np.concatenate(([0], np.cumsum(dims0))).astype(int)
-    off_1 = np.concatenate(([0], np.cumsum(dims1))).astype(int)
-    for m in range(big_n + 1):
-        for col, row in enumerate(cwb.sub_indices(m)):
-            imap[off_e[m] + row, off_0[m] + col] = 1.0
-        for row, col in enumerate(idx1[m]):
-            jmap[off_1[m] + row, off_e[m] + col] = 1.0
-    first = np.vstack([imap, np.zeros((d_1, d_0))])
-    second = np.zeros((d_1 + d_e, d_e + d_1))
-    second[:d_1, :d_e] = jmap
-    second[d_1:, d_e:] = adjoint(jmap)
-    third = np.hstack([np.zeros((d_0, d_1)), adjoint(imap)])
+    eyes = [np.eye(d) for d in chain.dims]
+    imap = block_diag(*(e[:, list(cwb.sub_indices(m))] for m, e in enumerate(eyes)))
+    jmap = block_diag(*(e[idx1[m], :] for m, e in enumerate(eyes)))
+    d_e, d_0, d_1 = sum(chain.dims), sum(dims0), sum(dims1)
+    first = assemble_total((d_e, d_1), (d_0,), [(0, 0, imap)])
+    second = block_diag(jmap, adjoint(jmap))
+    third = assemble_total((d_0,), (d_1, d_e), [(0, 1, adjoint(imap))])
     composes = all(
         residual_within(r, tol)[0] for r in (second @ first, third @ second)
     )
@@ -579,7 +546,6 @@ def verify_cone_identities(
         failures.append("four-term sequence is not exact")
 
     # (c) hyperbolic complex of the quotient data and the coupling chain map
-    quotient = ChainComplex(dims1, tuple(blocks.b1[1:]))
     hyp_valid = True
     chain_res = float("nan")
     formula_res = float("nan")
@@ -589,24 +555,18 @@ def verify_cone_identities(
         hyp_valid = False
         failures.append(f"quotient data is not hyperbolic input: {exc}")
     if hyp_valid:
+        # hyperbolic degree m is (E_1)_m (+) (E_1)_{top-m}: half-degrees 2m, 2m + 1
         top = big_n + 1
-        dtype = operator_dtype(*blocks.h, *blocks.f_upper)
-        fam_entries = []
-        for m in range(1, top + 1):
-            rows = dims0[m - 1]
-            c1 = dims1[m] if m <= big_n else 0
-            c2 = dims1[top - m] if top - m <= big_n else 0
-            blk = np.zeros((rows, c1 + c2), dtype=dtype)
-            if c1:
-                blk[:, :c1] = blocks.h[m]
-            if c2:
-                blk[:, c1:] = blocks.f_upper[m - 1]
-            fam_entries.append((m - 1, m, blk))
-        ftot = assemble_total(dims0, hyp.dims, fam_entries)
-        delta = hyp.total_boundary()
-        b_bdry = assemble_total(
-            dims0, dims0, [(m - 1, m, 1j * blocks.b0[m]) for m in range(1, big_n + 1)]
+        half_dims = [d for m in range(top + 1) for d in (ext1[m], ext1[top - m])]
+        ftot = assemble_total(
+            dims0,
+            half_dims,
+            [(m - 1, 2 * m, blocks.h[m]) for m in range(1, top)]
+            + [(m - 1, 2 * m + 1, blocks.f_upper[m - 1]) for m in range(1, top + 1)],
         )
+        delta = hyp.total_boundary()
+        b0_raw = _boundary_total(dims0, dims0, blocks.b0)
+        b_bdry = 1j * b0_raw
         ok, chain_res = residual_within(
             ftot @ delta + b_bdry @ ftot,
             tol,
@@ -616,26 +576,9 @@ def verify_cone_identities(
             failures.append("coupling map is not a chain map to the boundary complex")
 
         # (d) restricted duality equals f T f* + b0 S2 + S2 b0*
-        defect = _defect_family(cwb)
-        idx0 = [cwb.sub_indices(m) for m in range(big_n + 1)]
-        n = big_n - 1
-        restricted = [
-            _take(defect[k], idx0[k], idx0[n - k]) for k in range(n + 1)
-        ]
-        s0_tot = assemble_total(
-            dims0,
-            dims0,
-            [(k, n - k, restricted[k]) for k in range(n + 1)],
-        )
+        s0_tot = _duality_total(dims0, dims0, _restricted_defect(cwb))
         ttot = hyp.total_duality()
-        b0_raw = assemble_total(
-            dims0, dims0, [(m - 1, m, blocks.b0[m]) for m in range(1, big_n + 1)]
-        )
-        s2_tot = assemble_total(
-            dims0,
-            dims0,
-            [(k, big_n - k, blocks.s2[k]) for k in range(big_n + 1)],
-        )
+        s2_tot = _duality_total(dims0, dims0, blocks.s2)
         formula = ftot @ ttot @ adjoint(ftot) + b0_raw @ s2_tot + s2_tot @ adjoint(b0_raw)
         ok, formula_res = residual_within(
             s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))

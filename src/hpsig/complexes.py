@@ -39,8 +39,8 @@ from .linalg import (
     adjoint,
     as_matrix,
     assemble_total,
+    block_diag,
     is_invertible,
-    operator_dtype,
     residual_within,
 )
 
@@ -226,14 +226,8 @@ def verify_complex(chain: ChainComplex, tol: float = DEFAULT_TOL) -> ComplexRepo
 
 def homology_ranks(chain: ChainComplex, tol: float = DEFAULT_TOL) -> tuple[int, ...]:
     """Numerical Betti numbers ``dim E_k - rank b_k - rank b_{k+1}``."""
-    out = []
-    for k in range(chain.n + 1):
-        bk = chain.boundary(k)
-        bk1 = chain.boundary(k + 1)
-        rk = _rank(bk, tol)
-        rk1 = _rank(bk1, tol)
-        out.append(chain.dims[k] - rk - rk1)
-    return tuple(out)
+    ranks = [_rank(chain.boundary(k), tol) for k in range(chain.n + 2)]
+    return tuple(d - ranks[k] - ranks[k + 1] for k, d in enumerate(chain.dims))
 
 
 def _rank(m: np.ndarray, tol: float) -> int:
@@ -290,22 +284,17 @@ def mapping_cone(
                 f"blocks do not commute with the boundaries at degree {k}: "
                 f"residual {res:.3e}"
             )
-    dims = tuple(
-        (source.dims[j - 1] if j >= 1 else 0) + (target.dims[j] if j <= n else 0)
-        for j in range(n + 2)
-    )
-    dtype = operator_dtype(*mats, *source.boundaries, *target.boundaries)
     bnds = []
     for j in range(1, n + 2):
-        rows = [source.dims[j - 2] if j >= 2 else 0, target.dims[j - 1] if j - 1 <= n else 0]
-        cols = [source.dims[j - 1] if j - 1 <= n else 0, target.dims[j] if j <= n else 0]
-        block = np.zeros((sum(rows), sum(cols)), dtype=dtype)
-        if j >= 2:
-            block[: rows[0], : cols[0]] = -source.boundary(j - 1)
-        block[rows[0]:, : cols[0]] = mats[j - 1]
-        if j <= n:
-            block[rows[0]:, cols[0]:] = target.boundary(j)
-        bnds.append(block)
+        src, tgt = -source.boundary(j - 1), target.boundary(j)
+        bnds.append(
+            assemble_total(
+                (src.shape[0], tgt.shape[0]),
+                (src.shape[1], tgt.shape[1]),
+                [(0, 0, src), (1, 0, mats[j - 1]), (1, 1, tgt)],
+            )
+        )
+    dims = (target.dims[0], *(b.shape[1] for b in bnds))
     return ChainComplex(dims, tuple(bnds))
 
 
@@ -475,10 +464,10 @@ def direct_sum(
     n = a.n
     dims = tuple(da + db for da, db in zip(a.dims, b.dims))
     bnds = tuple(
-        _blockdiag(a.chain.boundary(k), b.chain.boundary(k)) for k in range(1, n + 1)
+        block_diag(a.chain.boundary(k), b.chain.boundary(k)) for k in range(1, n + 1)
     )
     sblocks = tuple(
-        _blockdiag(a.duality.block(k), b.duality.block(k)) for k in range(n + 1)
+        block_diag(a.duality.block(k), b.duality.block(k)) for k in range(n + 1)
     )
     action = None
     if a.action is not None and b.action is not None:
@@ -491,11 +480,3 @@ def opposite(hp: HilbertPoincareComplex) -> HilbertPoincareComplex:
     dual = DualityOperator(tuple(-b for b in hp.duality.blocks))
     return HilbertPoincareComplex(hp.chain, dual, hp.action)
 
-
-def _blockdiag(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros(
-        (x.shape[0] + y.shape[0], x.shape[1] + y.shape[1]), dtype=operator_dtype(x, y)
-    )
-    out[: x.shape[0], : x.shape[1]] = x
-    out[x.shape[0]:, x.shape[1]:] = y
-    return out

@@ -32,7 +32,7 @@ from .complexes import (
 )
 from .errors import ParseError, PreconditionViolated
 from .groups import FiniteGroup, GroupAction, K0Class
-from .linalg import adjoint
+from .linalg import adjoint, assemble_total, block_diag
 
 __all__ = [
     "Profile",
@@ -148,24 +148,6 @@ def _empty_piece(n: int) -> HilbertPoincareComplex:
     )
 
 
-def _isotypic_blockdiag(
-    piece_dims: list[tuple[int, ...]],
-    degree_row: int,
-    degree_col: int,
-    maker,
-) -> np.ndarray:
-    rows = sum(d[degree_row] for d in piece_dims)
-    cols = sum(d[degree_col] for d in piece_dims)
-    out = np.zeros((rows, cols), dtype=np.complex128)
-    r = c = 0
-    for d in piece_dims:
-        dr, dc = d[degree_row], d[degree_col]
-        out[r : r + dr, c : c + dc] = maker(dr, dc)
-        r += dr
-        c += dc
-    return out
-
-
 def generate_with_signature(
     seed: int, profile: str | Profile
 ) -> tuple[HilbertPoincareComplex, K0Class]:
@@ -210,20 +192,20 @@ def generate_with_signature(
     if order > 1:
         group = FiniteGroup.cyclic(order)
         omega = np.exp(2j * np.pi / order)
-        fams = []
-        for g in range(order):
-            fam = []
-            for k in range(n + 1):
-                mat = np.zeros((total.dims[k], total.dims[k]), dtype=np.complex128)
-                off = 0
-                for j, d in enumerate(piece_dims):
-                    mat[off : off + d[k], off : off + d[k]] = (
-                        omega ** ((j * g) % order)
-                    ) * np.eye(d[k])
-                    off += d[k]
-                fam.append(mat)
-            fams.append(tuple(fam))
-        action = GroupAction(group, tuple(fams))
+        # element g acts on isotypic piece j by omega^(jg)
+        fams = tuple(
+            tuple(
+                block_diag(
+                    *(
+                        omega ** ((j * g) % order) * np.eye(d[k])
+                        for j, d in enumerate(piece_dims)
+                    )
+                )
+                for k in range(n + 1)
+            )
+            for g in range(order)
+        )
+        action = GroupAction(group, fams)
         hp = HilbertPoincareComplex(total.chain, total.duality, action)
     else:
         group = FiniteGroup.trivial()
@@ -236,11 +218,9 @@ def generate_with_signature(
         partner = n + 2 - j
         if j > partner:
             continue
-        blk = _isotypic_blockdiag(
-            piece_dims,
-            j,
-            partner,
-            lambda dr, dc: 0.3 * (rng.normal(size=(dr, dc)) + 1j * rng.normal(size=(dr, dc))),
+        shapes = [(d[j], d[partner]) for d in piece_dims]
+        blk = block_diag(
+            *(0.3 * (rng.normal(size=sh) + 1j * rng.normal(size=sh)) for sh in shapes)
         )
         if j == partner:
             blk = (blk + adjoint(blk)) / 2.0
@@ -252,7 +232,7 @@ def generate_with_signature(
 
     # equivariant change of basis inside each isotypic piece, then a global one
     eq_us = [
-        _isotypic_blockdiag(piece_dims, k, k, lambda dr, dc: random_unitary(rng, dr))
+        block_diag(*(random_unitary(rng, d[k]) for d in piece_dims))
         for k in range(n + 1)
     ]
     hp = twist(hp, eq_us)
@@ -292,20 +272,20 @@ def generate_with_boundary(seed: int, profile: str | Profile) -> ComplexWithBoun
     big_n = n + 1
     cap = max(1, min(2, profile.max_dim // 2))
 
-    # acyclic subcomplex: identity blocks between consecutive degrees < big_n
-    dims0 = [0] * (big_n + 1)
-    rounds = []
+    # acyclic subcomplex: a direct sum of pieces C^s in degrees k and k + 1
+    # (k < big_n) whose boundary is the identity; np.eye(d[m - 1], d[m]) is
+    # that identity at m = k + 1 and an empty block at every other m
+    piece_dims = []
     for _ in range(1 + int(rng.integers(0, 2))):
         k = int(rng.integers(0, big_n - 1))
         s = 1 + int(rng.integers(0, cap))
-        rounds.append((k, dims0[k], dims0[k + 1], s))
-        dims0[k] += s
-        dims0[k + 1] += s
+        piece_dims.append([s if m in (k, k + 1) else 0 for m in range(big_n + 1)])
+    dims0 = [sum(d[m] for d in piece_dims) for m in range(big_n + 1)]
     b0 = [np.zeros((0, 0), dtype=np.complex128)]
-    for m in range(1, big_n + 1):
-        b0.append(np.zeros((dims0[m - 1], dims0[m]), dtype=np.complex128))
-    for k, row0, col0, s in rounds:
-        b0[k + 1][row0 : row0 + s, col0 : col0 + s] = np.eye(s)
+    b0.extend(
+        block_diag(*(np.eye(d[m - 1], d[m]) for d in piece_dims))
+        for m in range(1, big_n + 1)
+    )
     u0 = [random_unitary(rng, dims0[k]) for k in range(big_n + 1)]
     for m in range(1, big_n + 1):
         b0[m] = u0[m - 1] @ b0[m] @ adjoint(u0[m])
@@ -328,12 +308,11 @@ def generate_with_boundary(seed: int, profile: str | Profile) -> ComplexWithBoun
     u = random_unitary(rng, t)
     signs = rng.integers(0, 2, size=t) * 2 - 1
     form = u @ np.diag(signs.astype(np.complex128)) @ adjoint(u)
-    s_in[mid][:t, :t] = (form + adjoint(form)) / 2.0
+    s_in[mid] = (form + adjoint(form)) / 2.0
     for a in range(mid):
         if dims_in[a]:
             x = _well_conditioned(rng, dims_in[a])
-            s_in[a][-dims_in[a] :, -dims_in[a] :] = x
-            s_in[n - a][-dims_in[a] :, -dims_in[a] :] = adjoint(x)
+            s_in[a], s_in[n - a] = x, adjoint(x)
     quotient = hyperbolic(ChainComplex(dims_in, _zero_boundaries(dims_in)), s_in)
     dims1 = quotient.dims
     b1 = [np.zeros((0, 0), dtype=np.complex128)]
@@ -361,21 +340,27 @@ def generate_with_boundary(seed: int, profile: str | Profile) -> ComplexWithBoun
             s2[k] = adjoint(s2[big_n - k])
 
     dims = tuple(dims0[m] + dims1[m] for m in range(big_n + 1))
-    bnds = []
-    for m in range(1, big_n + 1):
-        blk = np.zeros((dims[m - 1], dims[m]), dtype=np.complex128)
-        blk[: dims0[m - 1], : dims0[m]] = b0[m]
-        blk[: dims0[m - 1], dims0[m] :] = h[m]
-        blk[dims0[m - 1] :, dims0[m] :] = b1[m]
-        bnds.append(blk)
-    sblocks = []
-    for k in range(big_n + 1):
-        blk = np.zeros((dims[k], dims[big_n - k]), dtype=np.complex128)
-        blk[: dims0[k], : dims0[big_n - k]] = s2[k]
-        blk[: dims0[k], dims0[big_n - k] :] = f_up[k]
-        blk[dims0[k] :, : dims0[big_n - k]] = adjoint(f_up[big_n - k])
-        blk[dims0[k] :, dims0[big_n - k] :] = s1[k]
-        sblocks.append(blk)
+    bnds = [
+        assemble_total(
+            (dims0[m - 1], dims1[m - 1]),
+            (dims0[m], dims1[m]),
+            [(0, 0, b0[m]), (0, 1, h[m]), (1, 1, b1[m])],
+        )
+        for m in range(1, big_n + 1)
+    ]
+    sblocks = [
+        assemble_total(
+            (dims0[k], dims1[k]),
+            (dims0[big_n - k], dims1[big_n - k]),
+            [
+                (0, 0, s2[k]),
+                (0, 1, f_up[k]),
+                (1, 0, adjoint(f_up[big_n - k])),
+                (1, 1, s1[k]),
+            ],
+        )
+        for k in range(big_n + 1)
+    ]
     split = tuple(tuple(range(dims0[m])) for m in range(big_n + 1))
     return ComplexWithBoundary(
         ChainComplex(dims, tuple(bnds)), DualityOperator(tuple(sblocks)), split

@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, operator_dtype, residual_within
+from .linalg import DEFAULT_TOL, adjoint, as_matrix, block_diag, residual_within
 
 CHAR_TOL = 1e-6
 
@@ -225,14 +225,7 @@ class GroupAction:
         return self.blocks[g][k]
 
     def total(self, g: int) -> np.ndarray:
-        mats = self.blocks[g]
-        size = sum(self._dims)
-        out = np.zeros((size, size), dtype=operator_dtype(*mats))
-        pos = 0
-        for m in mats:
-            out[pos : pos + m.shape[0], pos : pos + m.shape[0]] = m
-            pos += m.shape[0]
-        return out
+        return block_diag(*self.blocks[g])
 
     def conjugated(self, unitaries: Sequence[np.ndarray]) -> "GroupAction":
         fams = tuple(
@@ -249,21 +242,11 @@ class GroupAction:
             raise GroupMismatch("cannot sum actions of different groups")
         if len(self.dims) != len(other.dims):
             raise ShapeMismatch("actions live on different numbers of degrees")
-        fams = []
-        for g in range(self.group.order):
-            fam = []
-            for k in range(len(self.dims)):
-                a = self.blocks[g][k]
-                b = other.blocks[g][k]
-                m = np.zeros(
-                    (a.shape[0] + b.shape[0], a.shape[0] + b.shape[0]),
-                    dtype=operator_dtype(a, b),
-                )
-                m[: a.shape[0], : a.shape[0]] = a
-                m[a.shape[0]:, a.shape[0]:] = b
-                fam.append(m)
-            fams.append(tuple(fam))
-        return GroupAction(self.group, tuple(fams), tol=self.tol)
+        fams = tuple(
+            tuple(map(block_diag, mine, theirs))
+            for mine, theirs in zip(self.blocks, other.blocks)
+        )
+        return GroupAction(self.group, fams, tol=self.tol)
 
     @classmethod
     def trivial_action(cls, dims: Sequence[int]) -> "GroupAction":

@@ -9,6 +9,12 @@ spectral projections of a real operator are real.  The cap-product duality of
 a triangulation of dimension 4k is real and runs in real arithmetic; in
 dimension 4k + 2 it is imaginary and runs in complex arithmetic.
 
+Block layout.  :func:`assemble_total` is the one place where blocks become a
+matrix: it lays out graded blocks at their offsets, checks their shapes and
+picks their dtype.  :func:`block_diag` is its diagonal case.  Every block
+matrix of the package (total operators, mapping cones, direct sums, group
+actions, isometries and the bordism constructions) goes through them.
+
 Residual gates.  An identity is accepted when the spectral norm of its
 residual ``r`` satisfies ``|r| <= tol * max(1, scale)`` (:func:`within`), where
 ``scale`` is built from the spectral norms of the data entering the identity,
@@ -35,6 +41,7 @@ self-adjoint cone operator ``D + D^*``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -51,6 +58,7 @@ __all__ = [
     "adjoint",
     "as_matrix",
     "assemble_total",
+    "block_diag",
     "frobenius_norm",
     "is_invertible",
     "min_singular_value",
@@ -118,7 +126,7 @@ def min_singular_value(m: np.ndarray) -> float:
         if a.shape[0] == 0 or a.shape[1] == 0:
             return 0.0
         s = np.linalg.svd(a, compute_uv=False)
-        return float(s[-1]) if min(a.shape) else 0.0
+        return float(s[-1])
     if a.shape[0] == 0:
         return float("inf")
     s = np.linalg.svd(a, compute_uv=False)
@@ -270,12 +278,11 @@ def assemble_total(
     Blocks at the same position accumulate additively; the dtype follows
     :func:`operator_dtype`.
     """
-    row_off = np.concatenate(([0], np.cumsum(row_dims))).astype(int)
-    col_off = np.concatenate(([0], np.cumsum(col_dims))).astype(int)
+    row_off = [0, *itertools.accumulate(row_dims)]
+    col_off = [0, *itertools.accumulate(col_dims)]
     blocks = [(r, c, np.asarray(block)) for r, c, block in entries]
     total = np.zeros(
-        (int(row_off[-1]), int(col_off[-1])),
-        dtype=operator_dtype(*(b for _, _, b in blocks)),
+        (row_off[-1], col_off[-1]), dtype=operator_dtype(*[b for _, _, b in blocks])
     )
     for r, c, b in blocks:
         if b.shape != (row_dims[r], col_dims[c]):
@@ -283,5 +290,16 @@ def assemble_total(
                 f"block at ({r}, {c}) has shape {b.shape}, "
                 f"expected {(row_dims[r], col_dims[c])}"
             )
-        total[row_off[r]:row_off[r + 1], col_off[c]:col_off[c + 1]] += b
+        if b.size:  # empty blocks (edge degrees, empty summands) are common
+            view = total[row_off[r]:row_off[r + 1], col_off[c]:col_off[c + 1]]
+            view += b  # in place on the view, with no write-back
     return total
+
+
+def block_diag(*mats: np.ndarray) -> np.ndarray:
+    """Block diagonal matrix of ``mats``, which may be rectangular or empty."""
+    mats = [np.asarray(m) for m in mats]
+    entries = [(i, i, m) for i, m in enumerate(mats)]
+    return assemble_total(
+        [m.shape[0] for m in mats], [m.shape[1] for m in mats], entries
+    )

@@ -33,6 +33,7 @@ from .linalg import (
     SpectralSplit,
     Spectrum,
     adjoint,
+    assemble_total,
     residual_within,
     spectral_split,
     spectrum,
@@ -128,29 +129,16 @@ def _doubling_isometry(hp: HilbertPoincareComplex) -> np.ndarray:
     summand at cone degree ``n - k + 1``.
     """
     n = hp.n
-    dims = hp.dims
-    cone_dims = [
-        (dims[n - j + 1] if 0 <= n - j + 1 <= n else 0) + (dims[j] if j <= n else 0)
-        for j in range(n + 2)
+    ext = (*hp.dims, 0)
+    # cone degree j contributes its source summand (row block 2j), then its
+    # target summand (row block 2j + 1)
+    summand_dims = [d for j in range(n + 2) for d in (ext[n - j + 1], ext[j])]
+    entries = [
+        (row, k, np.eye(hp.dims[k]) / np.sqrt(2.0))
+        for k in range(n + 1)
+        for row in (2 * k + 1, 2 * (n - k + 1))
     ]
-    cone_off = np.concatenate(([0], np.cumsum(cone_dims))).astype(int)
-    off = np.concatenate(([0], np.cumsum(dims))).astype(int)
-    v = np.zeros((int(cone_off[-1]), int(off[-1])))
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for k in range(n + 1):
-        d = dims[k]
-        if d == 0:
-            continue
-        cols = slice(off[k], off[k + 1])
-        # target summand of cone degree k sits after the source summand there
-        src_width = dims[n - k + 1] if 0 <= n - k + 1 <= n else 0
-        rows_target = slice(cone_off[k] + src_width, cone_off[k] + src_width + d)
-        v[rows_target, cols] = inv_sqrt2 * np.eye(d)
-        # source summand of cone degree n - k + 1 is E_k
-        j = n - k + 1
-        rows_source = slice(cone_off[j], cone_off[j] + d)
-        v[rows_source, cols] = inv_sqrt2 * np.eye(d)
-    return v
+    return assemble_total(summand_dims, hp.dims, entries)
 
 
 def mishchenko_signature(

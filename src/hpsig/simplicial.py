@@ -89,15 +89,6 @@ def _sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(items), sign
 
 
-def _permutation_sign(perm: Sequence[int]) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
-
-
 @dataclass(eq=False)
 class OrientedSimplicialManifold:
     """Pure simplicial complex of facet dimension ``dim`` with facet signs.
@@ -696,7 +687,7 @@ def barycentric_subdivide(
                 acc.append(f[k])
                 flag.append(new_id[tuple(sorted(acc))])
             new_facets.append(tuple(flag))
-            new_signs.append(sgn * _permutation_sign(perm))
+            new_signs.append(sgn * _sort_with_sign(perm)[1])
     m2 = OrientedSimplicialManifold(tuple(new_facets), tuple(new_signs))
     if action is None:
         return m2, None

@@ -18,6 +18,10 @@ from hpsig import (
     operator_norm,
     opposite,
     perturb_duality,
+    check_coincidence,
+    generate_with_signature,
+    k0_add,
+    k0_equal,
     random_unitary,
     twist,
     verify_complex,
@@ -167,6 +171,26 @@ def test_direct_sum_with_zero_is_identity():
         assert np.array_equal(total.chain.boundary(k), hp.chain.boundary(k))
     for k in range(hp.n + 1):
         assert np.array_equal(total.duality.block(k), hp.duality.block(k))
+
+
+def test_direct_sum_of_complexes_with_actions():
+    a, class_a = generate_with_signature(3, "n2-z3-d3")
+    b, class_b = generate_with_signature(4, "n2-z3-d3")
+    total = direct_sum(a, b)
+    report = check_coincidence(total)
+    assert report.passed
+    assert k0_equal(report.k0, k0_add(class_a, class_b))
+    for g in range(total.action.group.order):
+        # degree k of the sum is a_k (+) b_k, so the total action interleaves
+        # the degree blocks of the two summands
+        expect = np.zeros((total.total_dim(),) * 2, dtype=complex)
+        off = 0
+        for k, (da, db) in enumerate(zip(a.dims, b.dims)):
+            expect[off : off + da, off : off + da] = a.action.degree(g, k)
+            off += da
+            expect[off : off + db, off : off + db] = b.action.degree(g, k)
+            off += db
+        assert np.array_equal(total.action.total(g), expect)
 
 
 def test_direct_sum_mismatch_errors():

@@ -16,6 +16,7 @@ from hpsig.errors import NotSelfAdjoint, ShapeMismatch
 from hpsig.linalg import (
     as_matrix,
     assemble_total,
+    block_diag,
     frobenius_norm,
     operator_dtype,
     residual_within,
@@ -140,6 +141,13 @@ def test_dtype_follows_the_data():
     assert operator_dtype(real.astype(float), cplx) == np.complex128
     assert assemble_total([2, 2], [2, 2], [(0, 1, real), (1, 0, real)]).dtype == np.float64
     assert assemble_total([2, 2], [2, 2], [(0, 1, real), (1, 0, cplx)]).dtype == np.complex128
+    assert block_diag(real, np.eye(3)).dtype == np.float64
+    assert block_diag(real, cplx).dtype == np.complex128
+    assert block_diag(np.ones((2, 3)), np.ones((1, 0)), np.ones((0, 2))).shape == (3, 5)
+    assert np.array_equal(
+        block_diag(np.ones((1, 2)), 2 * np.ones((2, 1))),
+        [[1, 1, 0], [0, 0, 2], [0, 0, 2]],
+    )
     assert as_matrix(np.eye(2, dtype=bool)).dtype == np.float64
     assert as_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
     assert spectral_split(np.array([[0.0, 1.0], [1.0, 0.0]])).p_plus.dtype == np.float64
