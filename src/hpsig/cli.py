@@ -23,16 +23,14 @@ from .bordism import (
 )
 from .complexes import (
     HilbertPoincareComplex,
-    duality_cone,
+    doubled_duality_cone,
     homology_ranks,
     verify_duality,
 )
-from .linalg import adjoint, is_invertible
 from .errors import (
     DegenerateBoundaryDuality,
     DegenerateDuality,
     DegenerateOperator,
-    EquivarianceViolated,
     HpsigError,
     ParseError,
     PreconditionViolated,
@@ -47,12 +45,12 @@ from .signature import (
     reduced_signature,
 )
 from .simplicial import (
+    _equivariant_structure,
     barycentric_subdivide,
     bordism_to_cwb,
     enumerate_and_boundaries,
     geometry_stats,
     manifold_signature,
-    verify_equivariance,
 )
 
 EXIT_OK = 0
@@ -254,10 +252,10 @@ def _cmd_cone(args) -> int:
             "the duality cone is defined for closed complexes; "
             "run bordism-check on a complex with boundary"
         )
-    cone = duality_cone(obj, tol=args.tol)
+    doubled = doubled_duality_cone(obj, tol=args.tol)
+    cone = doubled.cone
     ranks = homology_ranks(cone, tol=args.tol)
-    btot = cone.total_boundary()
-    invertible, sv = is_invertible(btot + adjoint(btot), tol=args.tol)
+    invertible, sv = doubled.invertibility(args.tol)
     acyclic = all(r == 0 for r in ranks)
     ok = acyclic and invertible
     lines = [
@@ -381,11 +379,12 @@ def _cmd_manifold(args) -> int:
         lines.append(f"manifold: {'PASS' if passed else 'FAIL'} (tol {tol:g})")
         _emit(args, payload, lines)
         return EXIT_OK if passed else EXIT_FAIL
-    if action is not None:
-        try:
-            eq = verify_equivariance(manifold, action, chains, tol=tol)
-        except EquivarianceViolated as exc:
-            eq = exc.report
+    if action is None:
+        rep = manifold_signature(manifold, None, chains, tol=tol)
+    else:
+        # the action and the duality are built once, for the equivariance
+        # residuals and for the signatures
+        rho, dual, eq = _equivariant_structure(manifold, action, chains, tol)
         lines.append(
             f"  equivariance residuals: boundary {eq.boundary_residual:.3e}, "
             f"duality {eq.duality_residual:.3e}"
@@ -399,7 +398,7 @@ def _cmd_manifold(args) -> int:
             lines.append("manifold: FAIL (action does not commute)")
             _emit(args, payload, lines)
             return EXIT_FAIL
-    rep = manifold_signature(manifold, action, chains, tol=tol)
+        rep = check_coincidence(HilbertPoincareComplex(chains.chain, dual, rho), tol=tol)
     for result in rep.results:
         lines.append(f"  {result.method:<12s} {_fmt_class(result.k0)}")
     lines.append(f"  max character difference {rep.max_character_difference:.3e}")

@@ -354,7 +354,8 @@ def k0_from_projections(
                 raise NonEquivariantProjection(
                     f"{name} does not commute with element {g}: residual {res:.3e}"
                 )
-        per_element.append(complex(np.trace(rho @ pp) - np.trace(rho @ pm)))
+        # trace(rho p) as an elementwise sum, without the matrix product
+        per_element.append(complex(np.sum(rho.T * pp) - np.sum(rho.T * pm)))
     values = []
     for cls in action.group.conjugacy_classes:
         vals = [per_element[g] for g in cls]

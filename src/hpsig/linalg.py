@@ -36,7 +36,14 @@ operators.  For those the smallest ``|eigenvalue|`` equals the smallest
 singular value and the largest ``|eigenvalue|`` equals the spectral norm, so
 neither needs a singular value decomposition.  A report's
 ``cone_min_singular_value`` is the smallest ``|eigenvalue|`` of the
-self-adjoint cone operator ``D + D^*``.
+self-adjoint cone operator ``C = D + D^*`` of the duality cone.  In the
+orthonormal basis of the doubling isometry ``v: x -> (x, x)/sqrt(2)`` and its
+complement ``w: x -> (-x, x)/sqrt(2)`` (source copy first), ``C`` is
+``[[B + S, X^*], [X, B - S]]`` with ``X`` proportional to ``S - S^*``.  When
+the cross block ``X`` is exactly zero, which holds when ``S`` is self-adjoint
+entry for entry, the spectrum of ``C`` is the union of the spectra of the two
+half-width compressions, and those are diagonalised instead of ``C``
+(:class:`~hpsig.complexes.DoubledCone`); otherwise ``C`` itself is.
 """
 
 from __future__ import annotations
@@ -59,6 +66,7 @@ __all__ = [
     "as_matrix",
     "assemble_total",
     "block_diag",
+    "classify_eigenvalues",
     "frobenius_norm",
     "is_invertible",
     "min_singular_value",
@@ -247,11 +255,15 @@ def _sign_classes(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, di
     return plus, minus, fields
 
 
+def classify_eigenvalues(w: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
+    """Sign classes of the given eigenvalues of a self-adjoint operator."""
+    return Spectrum(**_sign_classes(w, tol)[2])
+
+
 def spectrum(h: np.ndarray, tol: float = DEFAULT_TOL) -> Spectrum:
     """Sign classes of the eigenvalues of a self-adjoint matrix, without
     eigenvectors."""
-    w = np.linalg.eigvalsh(_hermitian_part(h, tol))
-    return Spectrum(**_sign_classes(w, tol)[2])
+    return classify_eigenvalues(np.linalg.eigvalsh(_hermitian_part(h, tol)), tol)
 
 
 def spectral_split(h: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSplit:

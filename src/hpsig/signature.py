@@ -5,10 +5,10 @@ For an even top degree ``n`` the three constructions are:
 * ``higson_roe_signature``: difference of the positive spectral projections of
   ``B + S`` and ``B - S`` on the total space, where ``B = b + b^*``.
 * ``mishchenko_signature``: build the mapping cone of the duality, form the
-  self-adjoint cone operator ``D + D^*``, compress it back to the total space
-  by the isometry ``x -> (x, x)/sqrt(2)`` (one copy in the source summands of
-  the cone, one in the target summands), and take positive minus negative
-  spectral projections of the compression.
+  self-adjoint cone operator ``D + D^*``, check that it is invertible,
+  compress it back to the total space by the isometry ``x -> (x, x)/sqrt(2)``
+  (one copy in the source summands of the cone, one in the target summands),
+  and take positive minus negative spectral projections of the compression.
 * ``reduced_signature``: positive minus negative spectral projections of
   ``B + S`` directly.
 
@@ -25,7 +25,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .complexes import HilbertPoincareComplex, duality_cone
+from .complexes import HilbertPoincareComplex, doubled_duality_cone
 from .errors import DegenerateOperator, OddDimension
 from .groups import CHAR_TOL, K0Class, k0_equal, k0_from_projections
 from .linalg import (
@@ -33,7 +33,7 @@ from .linalg import (
     SpectralSplit,
     Spectrum,
     adjoint,
-    assemble_total,
+    classify_eigenvalues,
     residual_within,
     spectral_split,
     spectrum,
@@ -121,42 +121,29 @@ def higson_roe_signature(
     return _higson_roe(hp, spectral_split(big_b + s, tol), big_b - s, tol)
 
 
-def _doubling_isometry(hp: HilbertPoincareComplex) -> np.ndarray:
-    """Isometry of the total space into the duality cone, ``x -> (x, x)/sqrt(2)``.
-
-    Cone degree ``j`` is ``E_{n-j+1} (+) E_j``; degree ``k`` of the total space
-    is sent to the target summand at cone degree ``k`` and to the source
-    summand at cone degree ``n - k + 1``.
-    """
-    n = hp.n
-    ext = (*hp.dims, 0)
-    # cone degree j contributes its source summand (row block 2j), then its
-    # target summand (row block 2j + 1)
-    summand_dims = [d for j in range(n + 2) for d in (ext[n - j + 1], ext[j])]
-    entries = [
-        (row, k, np.eye(hp.dims[k]) / np.sqrt(2.0))
-        for k in range(n + 1)
-        for row in (2 * k + 1, 2 * (n - k + 1))
-    ]
-    return assemble_total(summand_dims, hp.dims, entries)
-
-
 def mishchenko_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Signature through the duality cone and the diagonal compression.
 
     The cone operator only has to be invertible, so its eigenvalues are
-    computed without eigenvectors.
+    computed without eigenvectors.  When the cone is decoupled (see
+    :class:`~hpsig.complexes.DoubledCone`) they are the eigenvalues of the
+    compression, which its split computes anyway, together with those of the
+    complementary compression.
     """
     _require_even(hp)
-    cone = duality_cone(hp, tol=tol)
-    d = cone.total_boundary()
-    cone_op = d + adjoint(d)
-    cone_spec = _nondegenerate(spectrum(cone_op, tol), "cone operator")
-    v = _doubling_isometry(hp)
-    compressed = adjoint(v) @ cone_op @ v
-    split = _nondegenerate(spectral_split(compressed, tol), "compressed cone operator")
+    doubled = doubled_duality_cone(hp, tol=tol)
+    split = spectral_split(doubled.plus, tol)
+    if doubled.decoupled:
+        cone_eigenvalues = np.concatenate(
+            [split.eigenvalues, spectrum(doubled.minus, tol).eigenvalues]
+        )
+        cone_spec = classify_eigenvalues(cone_eigenvalues, tol)
+    else:
+        cone_spec = spectrum(doubled.operator, tol)
+    _nondegenerate(cone_spec, "cone operator")
+    _nondegenerate(split, "compressed cone operator")
     k0 = k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
     gap = min(cone_spec.min_abs_nonzero_eigenvalue, split.min_abs_nonzero_eigenvalue)
     return SignatureResult(method="mishchenko", k0=k0, spectral_gap=gap)

@@ -511,18 +511,40 @@ def verify_equivariance(
     the report is attached to the exception as ``report``.
     """
     chains = chains or enumerate_and_boundaries(m)
+    _, _, report = _equivariant_structure(m, action, chains, tol)
+    if not report.passed:
+        exc = EquivarianceViolated(
+            f"action does not commute with the structure maps "
+            f"(boundary residual {report.boundary_residual:.3e}, "
+            f"duality residual {report.duality_residual:.3e})"
+        )
+        exc.report = report
+        raise exc
+    return report
+
+
+def _equivariant_structure(
+    m: OrientedSimplicialManifold,
+    action: SimplicialAction,
+    chains: SimplicialChainData,
+    tol: float,
+) -> tuple[GroupAction, DualityOperator, EquivarianceReport]:
+    """Chain action, the duality operator the pipeline uses with it, and their
+    equivariance report, which is returned rather than raised.
+
+    For a closed manifold the duality is :func:`duality_operator` with the
+    action; with boundary it is the group averaged, symmetrized phased cap.
+    """
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
     btot = chain.total_boundary()
     phased, _ = _phased_cap(m, chains)
     raw_tot = DualityOperator(tuple(phased)).total(chain)
     if m.with_boundary:
-        stot = DualityOperator(
-            _symmetrize(_average_over_group(phased, rho))
-        ).total(chain)
+        dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
     else:
         dual, _ = duality_operator(m, chains, tol=tol, rho=rho)
-        stot = dual.total(chain)
+    stot = dual.total(chain)
 
     def scale(norm) -> float:
         return max(norm(btot), norm(stot))
@@ -530,25 +552,14 @@ def verify_equivariance(
     reps = [rho.total(g) for g in range(rho.group.order)]
     b_gates = [residual_within(r @ btot - btot @ r, tol, scale) for r in reps]
     s_gates = [residual_within(r @ stot - stot @ r, tol, scale) for r in reps]
-    b_res = max(res for _, res in b_gates)
-    s_res = max(res for _, res in s_gates)
-    raw_res = max(frobenius_norm(r @ raw_tot - raw_tot @ r) for r in reps)
-    passed = all(ok for ok, _ in b_gates + s_gates)
     report = EquivarianceReport(
         tol=tol,
-        boundary_residual=b_res,
-        duality_residual=s_res,
-        raw_cap_residual=raw_res,
-        passed=passed,
+        boundary_residual=max(res for _, res in b_gates),
+        duality_residual=max(res for _, res in s_gates),
+        raw_cap_residual=max(frobenius_norm(r @ raw_tot - raw_tot @ r) for r in reps),
+        passed=all(ok for ok, _ in b_gates + s_gates),
     )
-    if not passed:
-        exc = EquivarianceViolated(
-            f"action does not commute with the structure maps "
-            f"(boundary residual {b_res:.3e}, duality residual {s_res:.3e})"
-        )
-        exc.report = report
-        raise exc
-    return report
+    return rho, dual, report
 
 
 def to_hp_complex(

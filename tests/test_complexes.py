@@ -10,10 +10,13 @@ from hpsig import (
     DualityOperator,
     HilbertPoincareComplex,
     adjoint,
+    barycentric_subdivide,
     direct_sum,
+    doubled_duality_cone,
     dual_complex,
     duality_cone,
     homology_ranks,
+    is_invertible,
     mapping_cone,
     operator_norm,
     opposite,
@@ -23,6 +26,7 @@ from hpsig import (
     k0_add,
     k0_equal,
     random_unitary,
+    to_hp_complex,
     twist,
     verify_complex,
     verify_duality,
@@ -35,7 +39,13 @@ from hpsig.errors import (
     NotUnitary,
     ShapeMismatch,
 )
-from hpsig.fixtures import model_even_sphere, model_projective_plane
+from hpsig.fixtures import (
+    cp2_nine_vertex,
+    model_even_sphere,
+    model_projective_plane,
+    octahedron,
+    octahedron_rotation,
+)
 
 
 def _interval() -> ChainComplex:
@@ -251,3 +261,53 @@ def test_perturb_duality_changes_s_but_not_homology_pairing():
     moved = operator_norm(out.duality.block(1) - hp.duality.block(1))
     assert moved > 1e-6
     assert verify_duality(out).passed
+
+
+# The duality cone in its doubling basis.
+
+
+@pytest.fixture(scope="module", params=["cp2", "octahedron-z4"])
+def triangulated(request):
+    if request.param == "cp2":
+        return to_hp_complex(cp2_nine_vertex())
+    return to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+
+
+def _full_cone_min_sv(hp):
+    d = duality_cone(hp).total_boundary()
+    return is_invertible(d + adjoint(d))[1]
+
+
+def test_doubled_cone_halves_are_b_plus_and_minus_s(triangulated):
+    hp = triangulated
+    b = hp.total_boundary()
+    big_b, s = b + adjoint(b), hp.total_duality()
+    doubled = doubled_duality_cone(hp)
+    assert doubled.decoupled
+    assert np.abs(doubled.plus - (big_b + s)).max() <= 1e-12
+    assert np.abs(doubled.minus - (big_b - s)).max() <= 1e-12
+    d = doubled.cone.total_boundary()
+    assert np.array_equal(doubled.operator, d + adjoint(d))
+
+
+def test_doubled_cone_min_sv_matches_the_full_cone(triangulated):
+    hp = triangulated
+    rep = verify_duality(hp)
+    assert rep.passed, rep.failures
+    assert abs(rep.cone_min_singular_value - _full_cone_min_sv(hp)) <= 1e-12
+
+
+def test_doubled_cone_falls_back_to_the_full_cone():
+    # generated dualities are self-adjoint only up to rounding
+    hp, _ = generate_with_signature(5, "n4-z3-d3")
+    assert not doubled_duality_cone(hp).decoupled
+    assert verify_duality(hp).cone_min_singular_value == _full_cone_min_sv(hp)
+    # a duality that is not self-adjoint at all
+    base = model_projective_plane()
+    blocks = list(base.duality.blocks)
+    blocks[0] = blocks[0] + 1e-3
+    skewed = HilbertPoincareComplex(base.chain, DualityOperator(tuple(blocks)))
+    assert not doubled_duality_cone(skewed).decoupled
+    rep = verify_duality(skewed)
+    assert "duality is not self-adjoint" in rep.failures
+    assert rep.cone_min_singular_value == _full_cone_min_sv(skewed)

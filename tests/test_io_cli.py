@@ -17,6 +17,7 @@ from hpsig import (
     read_hpx,
     read_smf,
     reduced_signature,
+    verify_equivariance,
     verify_with_boundary,
     write_hpx,
     write_smf,
@@ -269,6 +270,20 @@ def test_cli_manifold_closed_with_action(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "max isotropy order 4" in out
     assert "PASS" in out
+
+
+def test_cli_manifold_reports_the_equivariance_residuals(tmp_path, capsys):
+    path = str(tmp_path / "oct.smf")
+    write_smf(octahedron(), path, octahedron_rotation())
+    assert main(["manifold", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    eq = verify_equivariance(octahedron(), octahedron_rotation())
+    assert payload["equivariance"] == {
+        "boundary_residual": eq.boundary_residual,
+        "duality_residual": eq.duality_residual,
+        "passed": True,
+    }
+    assert payload["passed"] is True
 
 
 def test_cli_manifold_with_boundary(tmp_path, capsys):

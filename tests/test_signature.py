@@ -7,17 +7,28 @@ from hpsig import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
+    barycentric_subdivide,
     check_coincidence,
     direct_sum,
+    doubled_duality_cone,
     generate_with_signature,
     higson_roe_signature,
     k0_equal,
     mishchenko_signature,
     opposite,
     reduced_signature,
+    to_hp_complex,
 )
+from hpsig import signature
 from hpsig.errors import DegenerateOperator, OddDimension
-from hpsig.fixtures import model_even_sphere, model_projective_plane
+from hpsig.fixtures import (
+    cp2_nine_vertex,
+    model_even_sphere,
+    model_projective_plane,
+    octahedron,
+    octahedron_rotation,
+)
+from hpsig.linalg import spectrum
 
 
 def _hyperbolic_middle(n: int) -> HilbertPoincareComplex:
@@ -134,3 +145,35 @@ def test_report_exposes_first_result_class():
     rep = check_coincidence(hp)
     assert rep.k0 is rep.results[0].k0
     assert {r.method for r in rep.results} == {"higson-roe", "mishchenko", "reduced"}
+
+
+@pytest.mark.parametrize("name", ["cp2", "octahedron-z4", "n4-z4-d4"])
+def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
+    if name == "cp2":
+        hp = to_hp_complex(cp2_nine_vertex())
+    elif name == "octahedron-z4":
+        hp = to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+    else:
+        hp = generate_with_signature(2, name)[0]
+    seen = []
+
+    def record(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(fn(*args, **kwargs))
+            return seen[-1]
+        return wrapper
+
+    # the cone's spectrum is classified from the halves when decoupled, and
+    # computed from the full cone operator otherwise
+    monkeypatch.setattr(signature, "classify_eigenvalues", record(signature.classify_eigenvalues))
+    monkeypatch.setattr(signature, "spectrum", record(signature.spectrum))
+    mishchenko_signature(hp)
+    doubled = doubled_duality_cone(hp)
+    full = spectrum(doubled.operator)
+    cone = seen[-1]
+    assert len(seen) == (2 if doubled.decoupled else 1)
+    assert cone.eigenvalues.size == full.eigenvalues.size
+    assert (cone.rank_plus, cone.rank_minus, cone.rank_zero) == (
+        full.rank_plus, full.rank_minus, full.rank_zero
+    )
+    assert abs(cone.min_abs_nonzero_eigenvalue - full.min_abs_nonzero_eigenvalue) <= 1e-12
