@@ -19,13 +19,14 @@ in the source summands of the cone and one in the target summands.  In the
 orthonormal basis of the doubling isometry ``v: x -> (x, x)/sqrt(2)`` and its
 complement ``w: x -> (-x, x)/sqrt(2)`` (the minus sign on the source copy) it
 is ``[[B + S, X^*], [X, B - S]]`` with ``B = b + b^*`` and ``X = +-(S - S^*)/2``.
-The cross block vanishes exactly when the source-source and target-target
-blocks of ``C`` agree entry for entry and so do its source-target and
-target-source blocks; this holds whenever ``S`` is self-adjoint entry for
-entry, as for every triangulation.  Then the spectrum of ``C`` is the union of
-the spectra of its two half-width compressions, and :class:`DoubledCone`
-diagonalises those instead of ``C``.  Otherwise, e.g. when ``S`` is
-self-adjoint only up to rounding, ``C`` itself is diagonalised.
+The cross block vanishes exactly when ``S`` is self-adjoint entry for entry,
+as for every triangulation, and that is decided on ``S`` before any cone is
+assembled.  Then the spectrum of ``C`` is the union of the spectra of
+``B + S`` and ``B - S``: :func:`verify_duality` runs the cone's chain-map check
+on the blocks of ``S`` and diagonalises the two halves, and the cone itself is
+never built.  Otherwise, e.g. when ``S`` is self-adjoint only up to rounding,
+the cone is assembled and ``C`` itself is diagonalised.  :class:`DoubledCone`
+holds the assembled cone with both views, for callers that need the cone.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``.
@@ -206,12 +207,15 @@ class HilbertPoincareComplex:
     def total_duality(self) -> np.ndarray:
         return self.duality.total(self.chain)
 
-    def degree_sign_operator(self) -> np.ndarray:
-        """Diagonal operator acting by ``(-1)^k`` on ``E_k``."""
-        signs = np.concatenate(
+    def degree_signs(self) -> np.ndarray:
+        """The diagonal of :meth:`degree_sign_operator`: ``(-1)^k`` on ``E_k``."""
+        return np.concatenate(
             [np.full(d, (-1.0) ** k) for k, d in enumerate(self.dims)]
         )
-        return np.diag(signs)
+
+    def degree_sign_operator(self) -> np.ndarray:
+        """Diagonal operator acting by ``(-1)^k`` on ``E_k``."""
+        return np.diag(self.degree_signs())
 
     def total_dim(self) -> int:
         return self.chain.total_dim()
@@ -266,6 +270,27 @@ def _negated(chain: ChainComplex) -> ChainComplex:
     return ChainComplex(chain.dims, tuple(-b for b in chain.boundaries))
 
 
+def _require_chain_map(
+    mats: Sequence[np.ndarray],
+    source: ChainComplex,
+    target: ChainComplex,
+    tol: float,
+) -> None:
+    """Raise NotChainMap unless the degreewise ``mats`` intertwine the
+    boundaries of ``source`` and ``target`` within tolerance."""
+    for k in range(1, source.n + 1):
+        lhs = target.boundary(k) @ mats[k]
+        rhs = mats[k - 1] @ source.boundary(k)
+        ok, res = residual_within(
+            lhs - rhs, tol, lambda norm: max(norm(lhs), norm(rhs))
+        )
+        if not ok:
+            raise NotChainMap(
+                f"blocks do not commute with the boundaries at degree {k}: "
+                f"residual {res:.3e}"
+            )
+
+
 def mapping_cone(
     blocks: Sequence[np.ndarray],
     source: ChainComplex,
@@ -289,17 +314,7 @@ def mapping_cone(
         as_matrix(a, rows=target.dims[k], cols=source.dims[k])
         for k, a in enumerate(blocks)
     ]
-    for k in range(1, n + 1):
-        lhs = target.boundary(k) @ mats[k]
-        rhs = mats[k - 1] @ source.boundary(k)
-        ok, res = residual_within(
-            lhs - rhs, tol, lambda norm: max(norm(lhs), norm(rhs))
-        )
-        if not ok:
-            raise NotChainMap(
-                f"blocks do not commute with the boundaries at degree {k}: "
-                f"residual {res:.3e}"
-            )
+    _require_chain_map(mats, source, target, tol)
     bnds = []
     for j in range(1, n + 2):
         src, tgt = -source.boundary(j - 1), target.boundary(j)
@@ -318,6 +333,29 @@ def duality_cone(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> ChainC
     """Mapping cone of the duality viewed as a chain map ``(E, -b^*) -> (E, b)``."""
     source = _negated(dual_complex(hp.chain))
     return mapping_cone(hp.duality.blocks, source, hp.chain, tol=tol)
+
+
+def _decoupled(s: np.ndarray) -> bool:
+    """Whether the cone operator of a duality with total operator ``s`` is
+    ``B + S`` (+) ``B - S`` in the doubling basis: ``s == s^*`` entry for entry
+    (see :class:`DoubledCone`)."""
+    return bool(np.array_equal(s, adjoint(s)))
+
+
+def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
+    """Raise NotChainMap exactly as :func:`duality_cone` does, without
+    assembling the cone."""
+    source = _negated(dual_complex(hp.chain))
+    _require_chain_map(hp.duality.blocks, source, hp.chain, tol)
+
+
+def _halves_invertibility(
+    plus: np.ndarray, minus: np.ndarray, tol: float
+) -> tuple[bool, float]:
+    """(flag, smallest |eigenvalue|) of ``plus`` (+) ``minus`` as
+    :func:`is_invertible` gives them for the direct sum."""
+    least = min(is_invertible(h, tol=tol)[1] for h in (plus, minus))
+    return least > tol, least
 
 
 @dataclass(frozen=True)
@@ -343,8 +381,7 @@ class DoubledCone:
         them for ``C``, read off the two halves when the cone is decoupled."""
         if not self.decoupled:
             return is_invertible(self.operator, tol=tol)
-        least = min(is_invertible(h, tol=tol)[1] for h in (self.plus, self.minus))
-        return least > tol, least
+        return _halves_invertibility(self.plus, self.minus, tol)
 
 
 def _doubling_order(dims: Sequence[int]) -> np.ndarray:
@@ -399,8 +436,9 @@ class DualityReport:
 
     ``cone_min_singular_value`` is the smallest |eigenvalue| of the
     self-adjoint cone operator ``D + D^*``, which is its smallest singular
-    value; it is read off the two half-width compressions when the cone is
-    decoupled (see :class:`DoubledCone`).
+    value; when ``S`` is self-adjoint entry for entry it is read off
+    ``B + S`` and ``B - S`` without assembling the cone (see
+    :class:`DoubledCone`).
     """
 
     tol: float
@@ -435,7 +473,12 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
         failures.append("duality does not anticommute with the boundary")
 
     try:
-        inv, minsv = doubled_duality_cone(hp, tol=tol).invertibility(tol)
+        if _decoupled(s):
+            _require_duality_chain_map(hp, tol)
+            big_b = b + adjoint(b)
+            inv, minsv = _halves_invertibility(big_b + s, big_b - s, tol)
+        else:
+            inv, minsv = doubled_duality_cone(hp, tol=tol).invertibility(tol)
     except NotChainMap:
         inv, minsv = False, 0.0
     if not inv:

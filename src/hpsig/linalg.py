@@ -39,11 +39,12 @@ neither needs a singular value decomposition.  A report's
 self-adjoint cone operator ``C = D + D^*`` of the duality cone.  In the
 orthonormal basis of the doubling isometry ``v: x -> (x, x)/sqrt(2)`` and its
 complement ``w: x -> (-x, x)/sqrt(2)`` (source copy first), ``C`` is
-``[[B + S, X^*], [X, B - S]]`` with ``X`` proportional to ``S - S^*``.  When
-the cross block ``X`` is exactly zero, which holds when ``S`` is self-adjoint
-entry for entry, the spectrum of ``C`` is the union of the spectra of the two
-half-width compressions, and those are diagonalised instead of ``C``
-(:class:`~hpsig.complexes.DoubledCone`); otherwise ``C`` itself is.
+``[[B + S, X^*], [X, B - S]]`` with ``X`` proportional to ``S - S^*``.  The
+cross block ``X`` is exactly zero when ``S`` is self-adjoint entry for entry,
+which is decided on ``S`` itself before any cone is assembled; then the
+spectrum of ``C`` is the union of the spectra of ``B + S`` and ``B - S``, and
+those are diagonalised instead of ``C`` (:class:`~hpsig.complexes.DoubledCone`);
+otherwise the cone is assembled and ``C`` itself is diagonalised.
 """
 
 from __future__ import annotations

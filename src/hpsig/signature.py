@@ -16,6 +16,20 @@ All three land in K_0 of the group algebra (of the trivial group when no
 action is present) and agree; ``check_coincidence`` verifies that numerically
 together with the exact grading symmetry that conjugates ``B - S`` into
 ``-(B + S)``.
+
+``check_coincidence`` diagonalises ``B + S`` and ``B - S`` once each and all
+three constructions read those results.  When ``S`` is self-adjoint entry for
+entry the cone decouples (see :class:`~hpsig.complexes.DoubledCone`): it is
+not assembled, Mishchenko's compression is ``B + S`` entry for entry, so it
+shares that spectrum and split (and hence the reduced class), and its cone
+spectrum is the union of the spectra of ``B + S`` and ``B - S``.  Otherwise
+Mishchenko's construction assembles and diagonalises its own cone.  Over the
+trivial group (no action) only eigenvalues are computed and every class is an
+inertia count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and
+Mishchenko are ``#pos(B + S) - #neg(B + S)``; with an action the classes are
+characters of spectral projections.  The comparison therefore checks the
+constructions' algebra, not the eigensolver; the independent check is an exact
+one, the intersection form on middle homology (ROADMAP Direction 2).
 """
 
 from __future__ import annotations
@@ -25,12 +39,16 @@ from typing import TypeVar
 
 import numpy as np
 
-from .complexes import HilbertPoincareComplex, doubled_duality_cone
+from .complexes import (
+    HilbertPoincareComplex,
+    _decoupled,
+    _require_duality_chain_map,
+    doubled_duality_cone,
+)
 from .errors import DegenerateOperator, OddDimension
-from .groups import CHAR_TOL, K0Class, k0_equal, k0_from_projections
+from .groups import CHAR_TOL, FiniteGroup, K0Class, k0_equal, k0_from_projections
 from .linalg import (
     DEFAULT_TOL,
-    SpectralSplit,
     Spectrum,
     adjoint,
     classify_eigenvalues,
@@ -90,26 +108,82 @@ def _total_operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, np.ndarray
     return b + adjoint(b), hp.total_duality()
 
 
+def _diagonalise(hp: HilbertPoincareComplex, h: np.ndarray, tol: float) -> Spectrum:
+    """Eigenvalues of ``h`` over the trivial group, where every class is an
+    inertia count; its spectral split when a group acts."""
+    return spectrum(h, tol) if hp.action is None else spectral_split(h, tol)
+
+
+def _nondegenerate_halves(
+    hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
+) -> tuple[Spectrum, Spectrum]:
+    """``B + S`` and ``B - S``, each diagonalised once and checked in turn."""
+    plus = _nondegenerate(_diagonalise(hp, plus_op, tol), "B + S")
+    return plus, _nondegenerate(_diagonalise(hp, minus_op, tol), "B - S")
+
+
+def _inertia_class(rank: int) -> K0Class:
+    """A class over the trivial group, whose K_0 is the integers."""
+    return K0Class(FiniteGroup.trivial(), (complex(rank),))
+
+
+def _signed_class(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> K0Class:
+    """Positive minus negative part of a nondegenerate self-adjoint operator."""
+    if hp.action is None:
+        return _inertia_class(split.rank_plus - split.rank_minus)
+    return k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
+
+
 def _higson_roe(
-    hp: HilbertPoincareComplex, plus: SpectralSplit, minus_op: np.ndarray, tol: float
+    hp: HilbertPoincareComplex, plus: Spectrum, minus: Spectrum, tol: float
 ) -> SignatureResult:
-    """Higson-Roe class from the split of ``B + S`` and the operator ``B - S``."""
-    _nondegenerate(plus, "B + S")
-    minus = _nondegenerate(spectral_split(minus_op, tol), "B - S")
-    k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
+    """Higson-Roe class from the nondegenerate ``B + S`` and ``B - S``."""
+    if hp.action is None:
+        k0 = _inertia_class(plus.rank_plus - minus.rank_plus)
+    else:
+        k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
     gap = min(plus.min_abs_nonzero_eigenvalue, minus.min_abs_nonzero_eigenvalue)
     return SignatureResult(method="higson-roe", k0=k0, spectral_gap=gap)
 
 
-def _reduced(
-    hp: HilbertPoincareComplex, split: SpectralSplit, tol: float
-) -> SignatureResult:
-    """Reduced class from the split of ``b + b^* + S``."""
+def _reduced(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> SignatureResult:
+    """Reduced class from ``b + b^* + S``."""
     _nondegenerate(split, "b + b* + S")
-    k0 = k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
     return SignatureResult(
-        method="reduced", k0=k0, spectral_gap=split.min_abs_nonzero_eigenvalue
+        method="reduced",
+        k0=_signed_class(hp, split, tol),
+        spectral_gap=split.min_abs_nonzero_eigenvalue,
     )
+
+
+def _cone_of_halves(plus: Spectrum, minus: Spectrum, tol: float) -> Spectrum:
+    """Spectrum of a decoupled cone operator, ``(B + S) (+) (B - S)``."""
+    return classify_eigenvalues(np.concatenate([plus.eigenvalues, minus.eigenvalues]), tol)
+
+
+def _mishchenko_gap(compression: Spectrum, cone: Spectrum) -> float:
+    """Check that the cone operator and its compression are nondegenerate."""
+    _nondegenerate(cone, "cone operator")
+    _nondegenerate(compression, "compressed cone operator")
+    return min(cone.min_abs_nonzero_eigenvalue, compression.min_abs_nonzero_eigenvalue)
+
+
+def _mishchenko(
+    hp: HilbertPoincareComplex, compression: Spectrum, cone: Spectrum, tol: float
+) -> SignatureResult:
+    """Mishchenko's class from the spectra of the compression and the cone."""
+    gap = _mishchenko_gap(compression, cone)
+    return SignatureResult(
+        method="mishchenko", k0=_signed_class(hp, compression, tol), spectral_gap=gap
+    )
+
+
+def _mishchenko_full_cone(hp: HilbertPoincareComplex, tol: float) -> SignatureResult:
+    """Mishchenko's class from the assembled cone, for a duality that is not
+    self-adjoint entry for entry."""
+    doubled = doubled_duality_cone(hp, tol=tol)
+    compression = _diagonalise(hp, doubled.plus, tol)
+    return _mishchenko(hp, compression, spectrum(doubled.operator, tol), tol)
 
 
 def higson_roe_signature(
@@ -118,7 +192,7 @@ def higson_roe_signature(
     """Difference class of the positive parts of ``B + S`` and ``B - S``."""
     _require_even(hp)
     big_b, s = _total_operators(hp)
-    return _higson_roe(hp, spectral_split(big_b + s, tol), big_b - s, tol)
+    return _higson_roe(hp, *_nondegenerate_halves(hp, big_b + s, big_b - s, tol), tol)
 
 
 def mishchenko_signature(
@@ -127,26 +201,19 @@ def mishchenko_signature(
     """Signature through the duality cone and the diagonal compression.
 
     The cone operator only has to be invertible, so its eigenvalues are
-    computed without eigenvectors.  When the cone is decoupled (see
-    :class:`~hpsig.complexes.DoubledCone`) they are the eigenvalues of the
-    compression, which its split computes anyway, together with those of the
-    complementary compression.
+    computed without eigenvectors.  When ``S`` is self-adjoint entry for entry
+    the cone decouples (see :class:`~hpsig.complexes.DoubledCone`): it is not
+    assembled, the compression is ``B + S`` and the cone's spectrum is the
+    union of the spectra of ``B + S`` and ``B - S``.
     """
     _require_even(hp)
-    doubled = doubled_duality_cone(hp, tol=tol)
-    split = spectral_split(doubled.plus, tol)
-    if doubled.decoupled:
-        cone_eigenvalues = np.concatenate(
-            [split.eigenvalues, spectrum(doubled.minus, tol).eigenvalues]
-        )
-        cone_spec = classify_eigenvalues(cone_eigenvalues, tol)
-    else:
-        cone_spec = spectrum(doubled.operator, tol)
-    _nondegenerate(cone_spec, "cone operator")
-    _nondegenerate(split, "compressed cone operator")
-    k0 = k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
-    gap = min(cone_spec.min_abs_nonzero_eigenvalue, split.min_abs_nonzero_eigenvalue)
-    return SignatureResult(method="mishchenko", k0=k0, spectral_gap=gap)
+    big_b, s = _total_operators(hp)
+    if not _decoupled(s):
+        return _mishchenko_full_cone(hp, tol)
+    _require_duality_chain_map(hp, tol)
+    compression = _diagonalise(hp, big_b + s, tol)
+    cone = _cone_of_halves(compression, _diagonalise(hp, big_b - s, tol), tol)
+    return _mishchenko(hp, compression, cone, tol)
 
 
 def reduced_signature(
@@ -155,7 +222,7 @@ def reduced_signature(
     """Signature of ``b + b^* + S`` on the total space."""
     _require_even(hp)
     big_b, s = _total_operators(hp)
-    return _reduced(hp, spectral_split(big_b + s, tol), tol)
+    return _reduced(hp, _diagonalise(hp, big_b + s, tol), tol)
 
 
 @dataclass(frozen=True)
@@ -186,14 +253,22 @@ def check_coincidence(
     for even ``n``, at the scale of ``B + S`` and ``B - S``.
     """
     _require_even(hp)
-    # B + S is diagonalised once and shared by the Higson-Roe and the reduced
-    # construction, which both need its spectral split.
+    # B + S and B - S are diagonalised once each and shared by all three
+    # constructions.
     big_b, s = _total_operators(hp)
-    plus, minus = big_b + s, big_b - s
-    plus_split = spectral_split(plus, tol)
-    hr = _higson_roe(hp, plus_split, minus, tol)
-    mi = mishchenko_signature(hp, tol=tol)
-    re = _reduced(hp, plus_split, tol)
+    plus_op, minus_op = big_b + s, big_b - s
+    plus, minus = _nondegenerate_halves(hp, plus_op, minus_op, tol)
+    hr = _higson_roe(hp, plus, minus, tol)
+    if _decoupled(s):
+        # Mishchenko's compression is B + S entry for entry, so its class is
+        # the reduced one.
+        _require_duality_chain_map(hp, tol)
+        gap = _mishchenko_gap(plus, _cone_of_halves(plus, minus, tol))
+        re = _reduced(hp, plus, tol)
+        mi = SignatureResult(method="mishchenko", k0=re.k0, spectral_gap=gap)
+    else:
+        mi = _mishchenko_full_cone(hp, tol)
+        re = _reduced(hp, plus, tol)
     results = (hr, mi, re)
     diffs = [0.0]
     for i in range(3):
@@ -203,9 +278,11 @@ def check_coincidence(
                 for x, y in zip(results[i].k0.values, results[j].k0.values)
             )
     max_diff = max(diffs)
-    phi_op = hp.degree_sign_operator()
+    signs = hp.degree_signs()
     graded, residual = residual_within(
-        phi_op @ minus @ phi_op + plus, tol, lambda norm: max(norm(plus), norm(minus))
+        signs[:, None] * minus_op * signs + plus_op,
+        tol,
+        lambda norm: max(norm(plus_op), norm(minus_op)),
     )
     all_equal = all(
         k0_equal(results[i].k0, results[j].k0, tol=char_tol)

@@ -18,6 +18,7 @@ from hpsig import (
     homology_ranks,
     is_invertible,
     mapping_cone,
+    mishchenko_signature,
     operator_norm,
     opposite,
     perturb_duality,
@@ -284,8 +285,9 @@ def test_doubled_cone_halves_are_b_plus_and_minus_s(triangulated):
     big_b, s = b + adjoint(b), hp.total_duality()
     doubled = doubled_duality_cone(hp)
     assert doubled.decoupled
-    assert np.abs(doubled.plus - (big_b + s)).max() <= 1e-12
-    assert np.abs(doubled.minus - (big_b - s)).max() <= 1e-12
+    # entry for entry: the fast path reads B + S and B - S in their place
+    assert np.array_equal(doubled.plus, big_b + s)
+    assert np.array_equal(doubled.minus, big_b - s)
     d = doubled.cone.total_boundary()
     assert np.array_equal(doubled.operator, d + adjoint(d))
 
@@ -295,11 +297,15 @@ def test_doubled_cone_min_sv_matches_the_full_cone(triangulated):
     rep = verify_duality(hp)
     assert rep.passed, rep.failures
     assert abs(rep.cone_min_singular_value - _full_cone_min_sv(hp)) <= 1e-12
+    # read off B + S and B - S without the cone, as the assembled halves give it
+    assert rep.cone_min_singular_value == doubled_duality_cone(hp).invertibility()[1]
 
 
 def test_doubled_cone_falls_back_to_the_full_cone():
     # generated dualities are self-adjoint only up to rounding
     hp, _ = generate_with_signature(5, "n4-z3-d3")
+    s = hp.total_duality()
+    assert not np.array_equal(s, adjoint(s))
     assert not doubled_duality_cone(hp).decoupled
     assert verify_duality(hp).cone_min_singular_value == _full_cone_min_sv(hp)
     # a duality that is not self-adjoint at all
@@ -311,3 +317,39 @@ def test_doubled_cone_falls_back_to_the_full_cone():
     rep = verify_duality(skewed)
     assert "duality is not self-adjoint" in rep.failures
     assert rep.cone_min_singular_value == _full_cone_min_sv(skewed)
+
+
+def _self_adjoint_non_chain_map():
+    """CP^2_9 with ``S_0`` and ``S_4 = S_0^*`` moved by the same entry: ``S``
+    stays self-adjoint entry for entry but no longer anticommutes with ``b``.
+    (The rank-one model of CP^2 has zero boundaries, so every duality on it is
+    a chain map.)"""
+    base = to_hp_complex(cp2_nine_vertex())
+    blocks = list(base.duality.blocks)
+    bump = np.zeros_like(blocks[0])
+    bump[0, 0] = 1e-3
+    blocks[0] = blocks[0] + bump
+    blocks[4] = blocks[4] + bump.T
+    hp = HilbertPoincareComplex(base.chain, DualityOperator(tuple(blocks)))
+    s = hp.total_duality()
+    assert np.array_equal(s, adjoint(s))
+    return hp
+
+
+def test_self_adjoint_non_chain_map_fails_the_cone_gate():
+    hp = _self_adjoint_non_chain_map()
+    rep = verify_duality(hp)
+    assert not rep.passed
+    assert "duality does not anticommute with the boundary" in rep.failures
+    assert "duality cone operator is not invertible" in rep.failures
+    assert rep.cone_min_singular_value == 0.0
+    assert not rep.cone_invertible
+    with pytest.raises(NotChainMap) as full:
+        duality_cone(hp)
+    # the coincidence check raises the cone's own message without building it
+    with pytest.raises(NotChainMap) as fast:
+        check_coincidence(hp)
+    assert str(fast.value) == str(full.value)
+    with pytest.raises(NotChainMap) as standalone:
+        mishchenko_signature(hp)
+    assert str(standalone.value) == str(full.value)

@@ -13,13 +13,18 @@ from hpsig import (
     doubled_duality_cone,
     generate_with_signature,
     higson_roe_signature,
+    adjoint,
     k0_equal,
+    k0_from_projections,
     mishchenko_signature,
     opposite,
+    OrientedSimplicialManifold,
     reduced_signature,
+    spectral_split,
     to_hp_complex,
 )
-from hpsig import signature
+from hpsig import complexes, signature
+from hpsig.simplicial import manifold_signature
 from hpsig.errors import DegenerateOperator, OddDimension
 from hpsig.fixtures import (
     cp2_nine_vertex,
@@ -27,6 +32,7 @@ from hpsig.fixtures import (
     model_projective_plane,
     octahedron,
     octahedron_rotation,
+    simplex_sphere,
 )
 from hpsig.linalg import spectrum
 
@@ -164,16 +170,78 @@ def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
         return wrapper
 
     # the cone's spectrum is classified from the halves when decoupled, and
-    # computed from the full cone operator otherwise
+    # computed from the full cone operator otherwise; over the trivial group
+    # the halves themselves are spectra
     monkeypatch.setattr(signature, "classify_eigenvalues", record(signature.classify_eigenvalues))
     monkeypatch.setattr(signature, "spectrum", record(signature.spectrum))
     mishchenko_signature(hp)
     doubled = doubled_duality_cone(hp)
     full = spectrum(doubled.operator)
     cone = seen[-1]
-    assert len(seen) == (2 if doubled.decoupled else 1)
+    assert len(seen) == (3 if doubled.decoupled and hp.action is None else 1)
     assert cone.eigenvalues.size == full.eigenvalues.size
     assert (cone.rank_plus, cone.rank_minus, cone.rank_zero) == (
         full.rank_plus, full.rank_minus, full.rank_zero
     )
     assert abs(cone.min_abs_nonzero_eigenvalue - full.min_abs_nonzero_eigenvalue) <= 1e-12
+
+
+def _count_calls(monkeypatch, owner, names):
+    counts = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    return counts
+
+
+def test_eigensolve_budget(monkeypatch):
+    cp2 = cp2_nine_vertex()
+    octa = to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+    solves = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    cones = _count_calls(monkeypatch, complexes, ("mapping_cone",))
+    # B + S and B - S once each in verify_duality and once each in
+    # check_coincidence, eigenvalues only, and no cone
+    assert manifold_signature(cp2).passed
+    assert solves == {"eigh": 0, "eigvalsh": 4}
+    assert cones == {"mapping_cone": 0}
+    solves.update(eigh=0, eigvalsh=0)
+    # with a group, the two spectral splits are shared by all three
+    assert check_coincidence(octa).passed
+    assert solves == {"eigh": 2, "eigvalsh": 0}
+    assert cones == {"mapping_cone": 0}
+
+
+def _flipped(m):
+    return OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
+
+
+@pytest.mark.parametrize("name", ["cp2", "cp2-flip", "s4", "n0", "n2", "n4"])
+def test_inertia_classes_match_the_projection_classes(name):
+    if name.startswith("cp2"):
+        m = cp2_nine_vertex()
+        hp = to_hp_complex(_flipped(m) if name == "cp2-flip" else m)
+    elif name == "s4":
+        hp = to_hp_complex(simplex_sphere(4))
+    else:
+        hp = generate_with_signature(3, name)[0]
+    assert hp.action is None
+    b = hp.total_boundary()
+    big_b, s = b + adjoint(b), hp.total_duality()
+    plus, minus = spectral_split(big_b + s), spectral_split(big_b - s)
+    compression = spectral_split(doubled_duality_cone(hp).plus)
+    want = {
+        "higson-roe": k0_from_projections(plus.p_plus, minus.p_plus),
+        "mishchenko": k0_from_projections(compression.p_plus, compression.p_minus),
+        "reduced": k0_from_projections(plus.p_plus, plus.p_minus),
+    }
+    rep = check_coincidence(hp)
+    assert rep.passed
+    for r in rep.results:
+        assert r.k0.group.same_group(want[r.method].group)
+        assert r.k0.values == want[r.method].values

@@ -1,0 +1,229 @@
+"""Verdict sweep: run ``verify_duality`` and ``check_coincidence`` on a fixed
+set of complexes, as they are and perturbed, and compare two such runs.
+
+    PYTHONPATH=src python tools/verdict_sweep.py --seeds 12 --out new.jsonl
+    python tools/verdict_sweep.py --compare old.jsonl new.jsonl
+
+The cases are the acceptance suite's 12 generated profiles (n0/n2/n4 x no
+group, Z/2, Z/3, Z/4) for seeds ``0 .. seeds-1``, the 9-vertex CP^2 and its
+orientation flip, the once-subdivided octahedron with its Z/4 rotation and the
+boundary of the 5-simplex (S^4).  Each case runs as it is and with its
+duality perturbed at relative sizes 1e-11, 1e-9, 1e-7, 1e-5 and 1e-3, once by
+a self-adjoint family (``S_k += eps (R_k + R_{n-k}^*) / 2``, which keeps an
+entrywise self-adjoint ``S`` entrywise self-adjoint) and once by an arbitrary
+one (``S_k += eps R_k``).  The perturbations are seeded by the case name, so
+two runs see the same inputs.
+
+Each case writes one JSON line: the ``verify_duality`` flags, failures and
+cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
+spectral gaps and grading residual, or the exception type and its message
+with floating-point numbers masked.  ``scale`` is the Frobenius norm of
+``B + S``, an upper bound on its spectral norm.
+
+``--compare A B`` lists every discrete mismatch (flags, failure lists,
+exception types and messages, classes beyond 1e-6, missing cases) and the
+worst float difference relative to ``max(1, scale)``; it exits 1 when a
+discrete mismatch exists.  Needs only the standard library, numpy and the
+``hpsig`` package on the path.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import re
+import sys
+import zlib
+
+import numpy as np
+
+PROFILES = (
+    "n0-d4", "n2-d4", "n4-d4",
+    "n0-z2-d4", "n2-z2-d4", "n4-z2-d4",
+    "n0-z3-d3", "n2-z3-d3", "n4-z3-d3",
+    "n0-z4-d4", "n2-z4-d4", "n4-z4-d4",
+)
+LEVELS = (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)
+CLASS_TOL = 1e-6
+_FLOAT = re.compile(r"[-+]?\d+\.\d+(?:e[-+]?\d+)?")
+
+
+def base_cases(seeds: int):
+    """(name, complex) pairs, built lazily."""
+    import hpsig
+    from hpsig import fixtures
+
+    def flipped(m):
+        return hpsig.OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
+
+    yield "cp2", hpsig.to_hp_complex(fixtures.cp2_nine_vertex())
+    yield "cp2-flip", hpsig.to_hp_complex(flipped(fixtures.cp2_nine_vertex()))
+    yield "octahedron-z4", hpsig.to_hp_complex(
+        *hpsig.barycentric_subdivide(fixtures.octahedron(), fixtures.octahedron_rotation())
+    )
+    yield "s4", hpsig.to_hp_complex(fixtures.simplex_sphere(4))
+    for seed in range(seeds):
+        for profile in PROFILES:
+            yield f"{profile}/{seed}", hpsig.generate_with_signature(seed, profile)[0]
+
+
+def perturbed(hp, name: str, kind: str, eps: float):
+    """``hp`` with its duality moved by ``eps`` times a seeded family."""
+    import hpsig
+
+    n = hp.n
+    blocks = hp.duality.blocks
+    rng = np.random.default_rng(zlib.crc32(f"{name}/{kind}".encode()))
+    complex_data = any(np.iscomplexobj(b) for b in blocks)
+
+    def draw(shape):
+        r = rng.standard_normal(shape)
+        return r + 1j * rng.standard_normal(shape) if complex_data else r
+
+    raw = [draw(b.shape) for b in blocks]
+    size = max((float(np.abs(b).max()) for b in blocks if b.size), default=1.0)
+    if kind == "sa":
+        moves = [(raw[k] + raw[n - k].conj().T) / 2.0 for k in range(n + 1)]
+    else:
+        moves = raw
+    new = tuple(b + (eps * size) * m for b, m in zip(blocks, moves))
+    return hpsig.HilbertPoincareComplex(hp.chain, hpsig.DualityOperator(new), hp.action)
+
+
+def _error(exc: Exception) -> dict:
+    return {"error": type(exc).__name__, "message": _FLOAT.sub("<x>", str(exc))}
+
+
+def record(name: str, variant: str, hp) -> dict:
+    import hpsig
+
+    b = hp.total_boundary()
+    scale = float(np.linalg.norm(b + b.conj().T + hp.total_duality()))
+    out = {"case": name, "variant": variant, "scale": scale}
+    try:
+        rep = hpsig.verify_duality(hp)
+        out["verify"] = {
+            "passed": rep.passed,
+            "failures": list(rep.failures),
+            "cone_invertible": rep.cone_invertible,
+            "cone_min_singular_value": rep.cone_min_singular_value,
+        }
+    except Exception as exc:  # the sweep records every outcome and goes on
+        out["verify"] = _error(exc)
+    try:
+        rep = hpsig.check_coincidence(hp)
+        out["coincidence"] = {
+            "passed": rep.passed,
+            "classes": {
+                r.method: [[v.real, v.imag] for v in r.k0.values] for r in rep.results
+            },
+            "gaps": {r.method: r.spectral_gap for r in rep.results},
+            "grading_residual": rep.grading_conjugation_residual,
+        }
+    except Exception as exc:  # the sweep records every outcome and goes on
+        out["coincidence"] = _error(exc)
+    return out
+
+
+def sweep(seeds: int, stream) -> int:
+    count = 0
+    for name, hp in base_cases(seeds):
+        variants = [("base", hp)]
+        variants += [
+            (f"{kind}-{eps:g}", perturbed(hp, name, kind, eps))
+            for kind in ("sa", "nsa")
+            for eps in LEVELS
+        ]
+        for variant, case in variants:
+            stream.write(json.dumps(record(name, variant, case)) + "\n")
+            count += 1
+    return count
+
+
+def _load(path: str) -> dict:
+    with open(path) as f:
+        recs = [json.loads(line) for line in f if line.strip()]
+    return {(r["case"], r["variant"]): r for r in recs}
+
+
+def _float_diff(a: float, b: float, scale: float) -> float:
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(1.0, scale)
+
+
+def compare(path_a: str, path_b: str, stream) -> int:
+    """Print every discrete mismatch and the worst relative float difference;
+    return the number of discrete mismatches."""
+    a, b = _load(path_a), _load(path_b)
+    mismatches = []
+    worst = {}
+
+    def note_float(field, key, x, y, scale):
+        d = _float_diff(x, y, scale)
+        if d > worst.get(field, (-1.0, None))[0]:
+            worst[field] = (d, key)
+
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            mismatches.append(f"{key}: only in {'B' if key in b else 'A'}")
+            continue
+        ra, rb = a[key], b[key]
+        scale = max(ra["scale"], rb["scale"])
+        va, vb = ra["verify"], rb["verify"]
+        for field in ("error", "message", "passed", "failures", "cone_invertible"):
+            if va.get(field) != vb.get(field):
+                mismatches.append(f"{key}: verify {field} {va.get(field)!r} != {vb.get(field)!r}")
+        if "cone_min_singular_value" in va and "cone_min_singular_value" in vb:
+            note_float("cone_min_singular_value", key, va["cone_min_singular_value"],
+                       vb["cone_min_singular_value"], scale)
+        ca, cb = ra["coincidence"], rb["coincidence"]
+        for field in ("error", "message", "passed"):
+            if ca.get(field) != cb.get(field):
+                mismatches.append(f"{key}: coincidence {field} {ca.get(field)!r} != {cb.get(field)!r}")
+        if "classes" not in ca or "classes" not in cb:
+            continue
+        for method in sorted(set(ca["classes"]) | set(cb["classes"])):
+            xa, xb = ca["classes"].get(method), cb["classes"].get(method)
+            if xa is None or xb is None or len(xa) != len(xb):
+                mismatches.append(f"{key}: {method} class missing or of another group")
+                continue
+            gap = max(abs(complex(*p) - complex(*q)) for p, q in zip(xa, xb))
+            if gap > CLASS_TOL:
+                mismatches.append(f"{key}: {method} class {xa} != {xb}")
+            note_float("class", key, gap, 0.0, 1.0)
+            note_float("spectral_gap", key, ca["gaps"][method], cb["gaps"][method], scale)
+        note_float("grading_residual", key, ca["grading_residual"], cb["grading_residual"], scale)
+
+    for line in mismatches:
+        stream.write(line + "\n")
+    stream.write(f"{len(set(a) | set(b))} cases, {len(mismatches)} discrete mismatches\n")
+    for field, (d, key) in sorted(worst.items()):
+        stream.write(f"worst relative {field} difference {d:.3e} at {key}\n")
+    return len(mismatches)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, default=12,
+                        help="seeds per generated profile (default 12)")
+    parser.add_argument("--out", help="JSON lines file to write (default stdout)")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                        help="compare two sweep files instead of running one")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return 1 if compare(*args.compare, sys.stdout) else 0
+    if args.out:
+        with open(args.out, "w") as f:
+            count = sweep(args.seeds, f)
+    else:
+        count = sweep(args.seeds, sys.stdout)
+    print(f"{count} cases", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
