@@ -488,8 +488,8 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
     if hp.action is not None:
         gates = [
             residual_within(r, tol, lambda norm: max(norm(b), norm(s)))
-            for rho in map(hp.action.total, range(hp.action.group.order))
-            for r in (rho @ b - b @ rho, rho @ s - s @ rho)
+            for rho in map(hp.action.operator, range(hp.action.group.order))
+            for r in (rho.commutator(b), rho.commutator(s))
         ]
         ares = max(res for _, res in gates)
         if not all(ok for ok, _ in gates):

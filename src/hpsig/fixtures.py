@@ -16,6 +16,7 @@ __all__ = [
     "model_projective_plane",
     "octahedron",
     "octahedron_rotation",
+    "octahedron_rotation_group",
     "simplex_disk",
     "simplex_sphere",
     "sphere_swap_action",
@@ -65,6 +66,42 @@ def octahedron_rotation() -> SimplicialAction:
         vm[5] = 5
         maps.append(vm)
     return SimplicialAction(group, tuple(maps))
+
+
+def octahedron_rotation_group() -> SimplicialAction:
+    """The 24 rotations of the octahedron as vertex maps (a group isomorphic
+    to S_4, with conjugacy classes of sizes 1, 3, 6, 6 and 8).
+
+    Vertex ``v`` of :func:`octahedron` sits at ``_OCTAHEDRON_AXES[v]``, a
+    signed coordinate axis.  A rotation is a signed permutation of the axes of
+    determinant +1, and the multiplication table is computed by composing the
+    vertex maps: ``g h`` maps ``v`` to ``g(h(v))``.  The action fixes faces
+    setwise but not pointwise, so it acts regularly only on a subdivision.
+    """
+    import itertools
+
+    where = {axis: v for v, axis in enumerate(_OCTAHEDRON_AXES)}
+    maps = []
+    for perm in itertools.permutations(range(3)):
+        parity = np.linalg.det(np.eye(3)[list(perm)])
+        for signs in itertools.product((1, -1), repeat=3):
+            if parity * np.prod(signs) < 0:
+                continue
+            maps.append(tuple(
+                where[(perm[a], s * signs[a])] for a, s in _OCTAHEDRON_AXES
+            ))
+    index = {vm: i for i, vm in enumerate(maps)}
+    table = tuple(
+        tuple(index[tuple(g[v] for v in h)] for h in maps) for g in maps
+    )
+    names = tuple("".join(map(str, vm)) for vm in maps)
+    group = FiniteGroup(names, table)
+    return SimplicialAction(group, tuple(dict(enumerate(vm)) for vm in maps))
+
+
+# (axis, sign) of each octahedron vertex: the equator 0-1-2-3 is +x, +y, -x,
+# -y and the poles 4, 5 are +z, -z.
+_OCTAHEDRON_AXES = ((0, 1), (1, 1), (0, -1), (1, -1), (2, 1), (2, -1))
 
 
 def disjoint_sphere_pair() -> OrientedSimplicialManifold:

@@ -7,6 +7,19 @@ stored per conjugacy class.  Character comparisons use a fixed tolerance
 (CHAR_TOL), independent of the numerical tolerance of the linear algebra,
 because character values of finite groups are algebraic integers separated by
 gaps far larger than roundoff at the sizes this package handles.
+
+A group acting on a triangulation moves simplices to simplices, so every
+element acts on the chains by a signed permutation matrix.  :class:`GroupAction`
+recognises such blocks (every row and every column holds exactly one nonzero
+entry, and that entry is exactly +1 or -1; a complex entry with zero imaginary
+part counts) and then does its group work by index arithmetic: commutators,
+traces and conjugations are gathers with signs, and the identity and
+homomorphism checks compare index and sign arrays exactly.  Every entry of a
+product with a signed permutation has exactly one nonzero term, so these
+results equal the dense products bit for bit, up to the sign of zero; gates,
+residuals and verdicts are those of the dense path.  Any other action, e.g. a
+conjugate by dense unitaries, keeps the dense matrices.  Callers reach either
+implementation through :meth:`GroupAction.operator`.
 """
 
 from __future__ import annotations
@@ -158,12 +171,113 @@ class FiniteGroup:
         return cls(names, table)
 
 
+class _SignedPermutation:
+    """The signed permutation matrix with entry ``sgn[i]`` at ``(i, src[i])``.
+
+    Products with it are gathers: ``(m x)[i, :] = sgn[i] x[src[i], :]`` and
+    ``(x m)[:, j] = x[:, dst[j]] dsgn[j]``, where ``dst`` is the inverse of
+    ``src`` and ``dsgn = sgn[dst]``.  The signs keep the dtype of the block
+    they were read from, so results have the dtype of the dense products.
+    """
+
+    __slots__ = ("src", "sgn", "dst", "dsgn")
+
+    def __init__(self, src: np.ndarray, sgn: np.ndarray) -> None:
+        self.src = src
+        self.sgn = sgn
+        self.dst = np.empty_like(src)
+        self.dst[src] = np.arange(src.size)
+        self.dsgn = sgn[self.dst]
+
+    @classmethod
+    def detect(cls, m: np.ndarray) -> "_SignedPermutation | None":
+        """``m`` as a signed permutation, or None when it is not one."""
+        d = m.shape[0]
+        # a dense block fails the count, so detection costs it one pass
+        if np.count_nonzero(m) != d or (m.dtype.kind == "c" and np.any(m.imag)):
+            return None
+        rows, cols = np.nonzero(m)  # row-major order: rows are sorted
+        sgn = m[rows, cols]
+        hit = np.zeros(d, dtype=bool)
+        hit[cols] = True
+        if not (
+            np.array_equal(rows, np.arange(d))
+            and hit.all()
+            and np.all(np.abs(sgn) == 1.0)
+        ):
+            return None
+        return cls(cols, sgn)
+
+    @classmethod
+    def block_diag(cls, parts: Sequence["_SignedPermutation"]) -> "_SignedPermutation":
+        """The block diagonal sum of ``parts``."""
+        offsets = itertools.accumulate((p.src.size for p in parts), initial=0)
+        src = np.concatenate(
+            [np.zeros(0, dtype=np.intp), *(p.src + off for p, off in zip(parts, offsets))]
+        )
+        return cls(src, np.concatenate([np.zeros(0), *(p.sgn for p in parts)]))
+
+    def is_identity(self) -> bool:
+        return bool(
+            np.array_equal(self.src, np.arange(self.src.size)) and np.all(self.sgn == 1.0)
+        )
+
+    def commutator(self, x: np.ndarray) -> np.ndarray:
+        """``m x - x m``."""
+        # in place on the two gathers: fresh arrays cost more than the sums
+        dtype = np.result_type(x, self.sgn)
+        out = np.take(x, self.src, axis=0).astype(dtype, copy=False)
+        out *= self.sgn[:, None]
+        right = np.take(x, self.dst, axis=1).astype(dtype, copy=False)
+        right *= self.dsgn
+        out -= right
+        return out
+
+    def trace(self, x: np.ndarray):
+        """``tr(m x)``."""
+        return np.sum(self.sgn * x[self.src, np.arange(self.src.size)])
+
+    def conjugate(self, x: np.ndarray, right: "_SignedPermutation") -> np.ndarray:
+        """``m^* x right``; the signs are real, so ``m^*`` has the signs of ``m``."""
+        return x[np.ix_(self.dst, right.dst)] * (self.dsgn[:, None] * right.dsgn)
+
+
+class _DenseElement:
+    """A group element acting by its dense matrix, with the interface of
+    :class:`_SignedPermutation`."""
+
+    __slots__ = ("matrix",)
+
+    def __init__(self, matrix: np.ndarray) -> None:
+        self.matrix = matrix
+
+    def commutator(self, x: np.ndarray) -> np.ndarray:
+        return self.matrix @ x - x @ self.matrix
+
+    def trace(self, x: np.ndarray):
+        # tr(m x) as an elementwise sum, without the matrix product
+        return np.sum(self.matrix.T * x)
+
+    def conjugate(self, x: np.ndarray, right: "_DenseElement") -> np.ndarray:
+        return adjoint(self.matrix) @ x @ right.matrix
+
+
 @dataclass(eq=False)
 class GroupAction:
     """Unitary representation on a graded space, one block per (element, degree).
 
     ``blocks[g][k]`` acts on degree ``k``.  Construction checks unitarity, the
     identity, and the homomorphism property degreewise.
+
+    When every block is a signed permutation (see the module docstring) the
+    action also keeps an index array and a sign array per element and degree.
+    Then unitarity holds exactly, and the identity and the homomorphism
+    property are decided by exact composition: ``src_gh == src_h[src_g]`` and
+    ``sgn_gh == sgn_g * sgn_h[src_g]``.  A mismatch is judged by the dense
+    residual, so the verdict, the residual and the message are those of the
+    dense checks for every nonnegative ``tol``.  :meth:`operator` gives the
+    commutators, traces and conjugations of either kind of action;
+    :meth:`total` and :meth:`degree` give the dense blocks.
     """
 
     group: FiniteGroup
@@ -192,30 +306,77 @@ class GroupAction:
             fams.append(mats)
         self.blocks = tuple(fams)
         self._dims = dims if dims is not None else ()
-        tol = self.tol
+        self._signed = self._detect_signed()
+        if self._signed is None:
+            self._check_dense()
+        else:
+            self._totals = tuple(map(_SignedPermutation.block_diag, self._signed))
+            self._check_signed()
+
+    def _detect_signed(self) -> tuple[tuple[_SignedPermutation, ...], ...] | None:
+        """Every block as a signed permutation, or None at the first block
+        that is not one.  The identity's blocks come last: they qualify in
+        every valid action, and a dense action fails on another element."""
         e = self.group.identity
-        for k, m in enumerate(self.blocks[e]):
-            if not residual_within(m - np.eye(m.shape[0]), tol)[0]:
-                raise NotRepresentation(f"identity element is not the identity at degree {k}")
+        found: list = [None] * self.group.order
+        for g in [*range(e), *range(e + 1, self.group.order), e]:
+            fam = []
+            for m in self.blocks[g]:
+                p = _SignedPermutation.detect(m)
+                if p is None:
+                    return None
+                fam.append(p)
+            found[g] = tuple(fam)
+        return tuple(found)
+
+    def _require_identity(self, k: int) -> None:
+        m = self.blocks[self.group.identity][k]
+        if not residual_within(m - np.eye(m.shape[0]), self.tol)[0]:
+            raise NotRepresentation(f"identity element is not the identity at degree {k}")
+
+    def _require_homomorphism(self, g: int, h: int, k: int) -> None:
+        gh = self.group.multiply(g, h)
+        ok, res = residual_within(
+            self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], self.tol
+        )
+        if not ok:
+            raise NotRepresentation(
+                f"homomorphism fails for elements ({g}, {h}) "
+                f"at degree {k}: residual {res:.3e}"
+            )
+
+    def _check_dense(self) -> None:
+        for k in range(len(self._dims)):
+            self._require_identity(k)
         for g, fam in enumerate(self.blocks):
             for k, m in enumerate(fam):
-                ok, res = residual_within(m @ adjoint(m) - np.eye(m.shape[0]), tol)
+                ok, res = residual_within(m @ adjoint(m) - np.eye(m.shape[0]), self.tol)
                 if not ok:
                     raise NotUnitary(
                         f"element {g} is not unitary at degree {k}: residual {res:.3e}"
                     )
         for g in range(self.group.order):
             for h in range(self.group.order):
-                gh = self.group.multiply(g, h)
                 for k in range(len(self._dims)):
-                    ok, res = residual_within(
-                        self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], tol
-                    )
-                    if not ok:
-                        raise NotRepresentation(
-                            f"homomorphism fails for elements ({g}, {h}) "
-                            f"at degree {k}: residual {res:.3e}"
-                        )
+                    self._require_homomorphism(g, h, k)
+
+    def _check_signed(self) -> None:
+        """The dense checks, in the same order, with every identity that holds
+        exactly skipped; a signed permutation is exactly unitary."""
+        for k, p in enumerate(self._signed[self.group.identity]):
+            if not p.is_identity():
+                self._require_identity(k)
+        offsets = [0, *itertools.accumulate(self._dims)]
+        src = np.stack([t.src for t in self._totals])
+        sgn = np.stack([t.sgn for t in self._totals])
+        table = np.asarray(self.group.table)
+        for g, t in enumerate(self._totals):
+            # row h compares g h with the composition of g and h
+            bad = (src[:, t.src] != src[table[g]]) | (t.sgn * sgn[:, t.src] != sgn[table[g]])
+            for h in np.flatnonzero(bad.any(axis=1)):
+                for k in range(len(self._dims)):
+                    if bad[h, offsets[k]:offsets[k + 1]].any():
+                        self._require_homomorphism(g, int(h), k)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -226,6 +387,28 @@ class GroupAction:
 
     def total(self, g: int) -> np.ndarray:
         return block_diag(*self.blocks[g])
+
+    @property
+    def is_signed_permutation(self) -> bool:
+        """Whether every block is a signed permutation, so that
+        :meth:`operator` works by index arithmetic."""
+        return self._signed is not None
+
+    def operator(
+        self, g: int, k: int | None = None
+    ) -> "_SignedPermutation | _DenseElement":
+        """Element ``g`` on degree ``k``, or on the total space when ``k`` is
+        None: an object with ``commutator(x)`` (``rho x - x rho``),
+        ``trace(x)`` (``tr(rho x)``) and ``conjugate(x, right)``
+        (``rho^* x right`` for another such object ``right``).
+
+        For a signed-permutation action these are gathers and equal the dense
+        products bit for bit, up to the sign of zero; otherwise the dense
+        block is built once here and multiplied.
+        """
+        if self._signed is None:
+            return _DenseElement(self.total(g) if k is None else self.blocks[g][k])
+        return self._totals[g] if k is None else self._signed[g][k]
 
     def conjugated(self, unitaries: Sequence[np.ndarray]) -> "GroupAction":
         fams = tuple(
@@ -347,15 +530,14 @@ def k0_from_projections(
         )
     per_element = []
     for g in range(action.group.order):
-        rho = action.total(g)
+        rho = action.operator(g)
         for name, p in (("p_plus", pp), ("p_minus", pm)):
-            ok, res = residual_within(rho @ p - p @ rho, tol)
+            ok, res = residual_within(rho.commutator(p), tol)
             if not ok:
                 raise NonEquivariantProjection(
                     f"{name} does not commute with element {g}: residual {res:.3e}"
                 )
-        # trace(rho p) as an elementwise sum, without the matrix product
-        per_element.append(complex(np.sum(rho.T * pp) - np.sum(rho.T * pm)))
+        per_element.append(complex(rho.trace(pp) - rho.trace(pm)))
     values = []
     for cls in action.group.conjugacy_classes:
         vals = [per_element[g] for g in cls]

@@ -187,16 +187,25 @@ def residual_within(
 
 
 def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
-    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint."""
+    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint.
+
+    An ``h`` that is self-adjoint entry for entry is returned as it is, which
+    is ``(h + h*) / 2`` exactly, and its self-adjointness residual is exactly
+    zero.
+    """
     a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    ok, herm = residual_within(a - adjoint(a), tol, lambda norm: norm(a))
+    adj = adjoint(a)
+    skew = a - adj
+    if not skew.any():  # finite floats differ exactly when their difference is nonzero
+        return a
+    ok, herm = residual_within(skew, tol, lambda norm: norm(a))
     if not ok:
         raise NotSelfAdjoint(
             f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
         )
-    return (a + adjoint(a)) / 2.0
+    return (a + adj) / 2.0
 
 
 def is_invertible(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -314,7 +314,11 @@ def _average_over_group(
     n = len(blocks) - 1
     order = rho.group.order
     return [
-        sum(adjoint(fam[k]) @ blocks[k] @ fam[n - k] for fam in rho.blocks) / order
+        sum(
+            rho.operator(g, k).conjugate(blocks[k], rho.operator(g, n - k))
+            for g in range(order)
+        )
+        / order
         for k in range(n + 1)
     ]
 
@@ -360,7 +364,17 @@ def duality_operator(
             "manifolds with boundary use bordism_to_cwb"
         )
     chains = chains or enumerate_and_boundaries(m)
-    phased, phases = _phased_cap(m, chains)
+    return _duality_from_cap(chains, *_phased_cap(m, chains), tol, rho)
+
+
+def _duality_from_cap(
+    chains: SimplicialChainData,
+    phased: Sequence[np.ndarray],
+    phases: tuple[complex, ...],
+    tol: float,
+    rho: GroupAction | None,
+) -> tuple[DualityOperator, CapReport]:
+    """:func:`duality_operator` of a closed manifold from its phased cap."""
     if rho is not None:
         phased = _average_over_group(phased, rho)
     chain = chains.chain
@@ -538,25 +552,26 @@ def _equivariant_structure(
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
     btot = chain.total_boundary()
-    phased, _ = _phased_cap(m, chains)
+    # one phased cap, for the raw residual and for the duality
+    phased, phases = _phased_cap(m, chains)
     raw_tot = DualityOperator(tuple(phased)).total(chain)
     if m.with_boundary:
         dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
     else:
-        dual, _ = duality_operator(m, chains, tol=tol, rho=rho)
+        dual, _ = _duality_from_cap(chains, phased, phases, tol, rho)
     stot = dual.total(chain)
 
     def scale(norm) -> float:
         return max(norm(btot), norm(stot))
 
-    reps = [rho.total(g) for g in range(rho.group.order)]
-    b_gates = [residual_within(r @ btot - btot @ r, tol, scale) for r in reps]
-    s_gates = [residual_within(r @ stot - stot @ r, tol, scale) for r in reps]
+    ops = [rho.operator(g) for g in range(rho.group.order)]
+    b_gates = [residual_within(r.commutator(btot), tol, scale) for r in ops]
+    s_gates = [residual_within(r.commutator(stot), tol, scale) for r in ops]
     report = EquivarianceReport(
         tol=tol,
         boundary_residual=max(res for _, res in b_gates),
         duality_residual=max(res for _, res in s_gates),
-        raw_cap_residual=max(frobenius_norm(r @ raw_tot - raw_tot @ r) for r in reps),
+        raw_cap_residual=max(frobenius_norm(r.commutator(raw_tot)) for r in ops),
         passed=all(ok for ok, _ in b_gates + s_gates),
     )
     return rho, dual, report

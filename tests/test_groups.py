@@ -10,6 +10,10 @@ from hpsig import (
     GroupAction,
     K0Class,
     adjoint,
+    chain_action,
+    generate_with_signature,
+    spectral_split,
+    verify_duality,
     k0_add,
     k0_equal,
     k0_from_projections,
@@ -26,6 +30,7 @@ from hpsig.errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
+from hpsig.fixtures import octahedron, octahedron_rotation
 from hpsig.groups import CHAR_TOL
 
 
@@ -190,3 +195,97 @@ def test_cyclic_actions_by_characters_are_representations(order, seed):
             assert np.allclose(
                 act.blocks[a][0] @ act.blocks[b][0], act.blocks[ab][0], atol=1e-9
             )
+
+
+def _random_matrix(rng, rows: int, cols: int, complex_data: bool) -> np.ndarray:
+    x = rng.standard_normal((rows, cols))
+    return x + 1j * rng.standard_normal((rows, cols)) if complex_data else x
+
+
+@pytest.mark.parametrize("kind", ["chain-action", "generated"])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_element_operators_match_the_dense_products(kind, complex_data):
+    if kind == "chain-action":
+        act = chain_action(octahedron(), octahedron_rotation())
+        assert act.is_signed_permutation
+    else:
+        act = generate_with_signature(5, "n2-z3-d4")[0].action
+        assert not act.is_signed_permutation
+    rng = np.random.default_rng(11)
+    size, n = sum(act.dims), len(act.dims) - 1
+    x = _random_matrix(rng, size, size, complex_data)
+    for g in range(act.group.order):
+        rho, op = act.total(g), act.operator(g)
+        # every entry of a product with a signed permutation has one nonzero
+        # term, so the gathers reproduce the dense products bit for bit
+        assert np.array_equal(op.commutator(x) + 0.0, rho @ x - x @ rho + 0.0)
+        assert op.trace(x) == pytest.approx(np.trace(rho @ x), abs=1e-12)
+        for k in range(n + 1):
+            y = _random_matrix(rng, act.dims[k], act.dims[n - k], complex_data)
+            left, right = act.degree(g, k), act.degree(g, n - k)
+            assert np.array_equal(
+                act.operator(g, k).conjugate(y, act.operator(g, n - k)) + 0.0,
+                adjoint(left) @ y @ right + 0.0,
+            )
+
+
+def _cycle(d: int) -> np.ndarray:
+    return np.roll(np.eye(d), 1, axis=0)
+
+
+def test_signed_family_that_is_not_a_homomorphism():
+    g = FiniteGroup.cyclic(2)
+    # a signed three-cycle at degree 1 does not square to the identity
+    fams = ((np.eye(2), np.eye(3)), (np.eye(2)[::-1], -_cycle(3)))
+    with pytest.raises(NotRepresentation) as exc_info:
+        GroupAction(g, fams)
+    assert str(exc_info.value) == (
+        "homomorphism fails for elements (1, 1) at degree 1: residual 1.732e+00"
+    )
+    # the mismatch is judged by the dense residual, which passes at tol 2
+    assert GroupAction(g, fams, tol=2.0).is_signed_permutation
+
+
+def test_signed_identity_that_is_not_the_identity():
+    g = FiniteGroup.cyclic(2)
+    swap = np.eye(2)[::-1]
+    with pytest.raises(NotRepresentation) as exc_info:
+        GroupAction(g, ((np.eye(1), swap), (np.eye(1), np.eye(2))))
+    assert str(exc_info.value) == "identity element is not the identity at degree 1"
+
+
+def test_signed_permutation_detection():
+    g = FiniteGroup.cyclic(2)
+    swap = np.eye(2)[::-1]
+    near = swap.copy()
+    near[0, 1] = 1.0 + 1e-12
+    act = GroupAction(g, ((np.eye(2),), (near,)), tol=1e-9)
+    assert not act.is_signed_permutation
+    cplx = GroupAction(g, ((np.eye(2),), (-swap + 0j,)))
+    assert cplx.is_signed_permutation
+    p = np.diag([1.0, 0.0])
+    # the operator keeps the dtype of the complex block
+    assert cplx.operator(1).commutator(p).dtype == np.complex128
+    # a diagonal phase is unitary but not a signed permutation
+    phase = np.array([[-1.0 + 1e-16j]])
+    assert not GroupAction(g, ((np.eye(1),), (phase,))).is_signed_permutation
+    # two entries in one row and none in another
+    bad = np.array([[1.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(NotUnitary):
+        GroupAction(g, ((np.eye(2),), (bad,)))
+
+
+def test_dense_action_builds_each_element_once_per_call(monkeypatch):
+    hp = generate_with_signature(5, "n2-z3-d4")[0]
+    act = hp.action
+    assert not act.is_signed_permutation
+    b = hp.total_boundary()
+    split = spectral_split(b + adjoint(b) + hp.total_duality())
+    calls = []
+    total = GroupAction.total
+    monkeypatch.setattr(GroupAction, "total", lambda self, g: calls.append(g) or total(self, g))
+    k0_from_projections(split.p_plus, split.p_minus, act)
+    assert calls == list(range(act.group.order))
+    calls.clear()
+    assert verify_duality(hp).passed
+    assert calls == list(range(act.group.order))

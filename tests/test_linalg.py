@@ -164,6 +164,25 @@ def test_spectral_split_known_diagonal():
     assert np.allclose(split.p_minus, np.diag([0.0, 1.0, 0.0]))
 
 
+def test_exactly_hermitian_operators_skip_the_average(monkeypatch):
+    rng = np.random.default_rng(3)
+    h = _random_hermitian(rng, 6)
+    assert np.array_equal(h, adjoint(h))
+    near = h.copy()
+    near[0, 1] += 1e-13
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a))
+    spectrum(h)
+    spectrum(near)
+    # the exactly Hermitian operator is diagonalised as it is, which is its
+    # average bit for bit; the other one is still checked and averaged
+    assert seen[0] is h
+    assert np.array_equal(seen[1], (near + adjoint(near)) / 2.0)
+    with pytest.raises(NotSelfAdjoint):
+        spectrum(h + np.triu(np.ones((6, 6)), 1))
+
+
 def test_spectral_split_rejects_nonhermitian():
     with pytest.raises(NotSelfAdjoint):
         spectral_split(np.array([[0.0, 1.0], [0.0, 0.0]]))

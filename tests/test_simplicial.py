@@ -1,5 +1,7 @@
 """Tests for triangulated manifolds, the cap duality, and group actions."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from hpsig import (
     OrientedSimplicialManifold,
     SimplicialAction,
     FiniteGroup,
+    GroupAction,
     barycentric_subdivide,
     bordism_to_cwb,
     boundary_complex,
@@ -45,10 +48,13 @@ from hpsig.fixtures import (
     disjoint_sphere_pair,
     octahedron,
     octahedron_rotation,
+    octahedron_rotation_group,
     simplex_disk,
     simplex_sphere,
     sphere_swap_action,
 )
+from hpsig.cli import main
+from hpsig.io import write_smf
 from hpsig.linalg import adjoint, operator_norm
 
 
@@ -369,3 +375,35 @@ def test_subdivision_transports_action():
     rep = verify_equivariance(m2, act2)
     assert rep.passed
     assert rep.duality_residual <= 1e-12
+
+
+def test_signed_action_needs_no_dense_element(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "oct.smf")
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    write_smf(m, path, act)
+    calls = []
+    total = GroupAction.total
+    monkeypatch.setattr(GroupAction, "total", lambda self, g: calls.append(g) or total(self, g))
+    assert main(["manifold", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    # gates, characters and the group average all run on index arrays
+    assert calls == []
+
+
+def test_octahedral_rotation_group_on_the_subdivided_octahedron(tmp_path, capsys):
+    act = octahedron_rotation_group()
+    group = act.group
+    assert group.order == 24
+    assert sorted(map(len, group.conjugacy_classes)) == [1, 3, 6, 6, 8]
+    m, act2 = barycentric_subdivide(octahedron(), act)
+    assert chain_action(m, act2).is_signed_permutation
+    path = str(tmp_path / "oct24.smf")
+    write_smf(m, path, act2)
+    assert main(["manifold", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True
+    assert payload["equivariance"]["passed"] is True
+    # S^2 has no middle homology, so every character vanishes
+    for k0 in payload["methods"].values():
+        assert len(k0["classes"]) == 5
+        assert all(abs(complex(*c["value"])) < 1e-6 for c in k0["classes"])

@@ -6,7 +6,8 @@ set of complexes, as they are and perturbed, and compare two such runs.
 
 The cases are the acceptance suite's 12 generated profiles (n0/n2/n4 x no
 group, Z/2, Z/3, Z/4) for seeds ``0 .. seeds-1``, the 9-vertex CP^2 and its
-orientation flip, the once-subdivided octahedron with its Z/4 rotation and the
+orientation flip, the octahedron with its Z/4 rotation, the once-subdivided
+octahedron with that rotation and with its 24-element rotation group, and the
 boundary of the 5-simplex (S^4).  Each case runs as it is and with its
 duality perturbed at relative sizes 1e-11, 1e-9, 1e-7, 1e-5 and 1e-3, once by
 a self-adjoint family (``S_k += eps (R_k + R_{n-k}^*) / 2``, which keeps an
@@ -18,7 +19,9 @@ Each case writes one JSON line: the ``verify_duality`` flags, failures and
 cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
 spectral gaps and grading residual, or the exception type and its message
 with floating-point numbers masked.  ``scale`` is the Frobenius norm of
-``B + S``, an upper bound on its spectral norm.
+``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
+triangulation with a group action also holds every field of the
+``EquivarianceReport`` that the CLI ``manifold`` command gates on.
 
 ``--compare A B`` lists every discrete mismatch (flags, failure lists,
 exception types and messages, classes beyond 1e-6, missing cases) and the
@@ -45,27 +48,76 @@ PROFILES = (
     "n0-z4-d4", "n2-z4-d4", "n4-z4-d4",
 )
 LEVELS = (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)
+EQUIVARIANCE_FIELDS = (
+    "tol", "boundary_residual", "duality_residual", "raw_cap_residual", "passed",
+)
 CLASS_TOL = 1e-6
 _FLOAT = re.compile(r"[-+]?\d+\.\d+(?:e[-+]?\d+)?")
 
 
+def _octahedron_rotation_group():
+    """The 24 rotations of the octahedron, from ``hpsig.fixtures`` when the
+    package has them and built the same way otherwise, so that the sweep also
+    runs on trees without that fixture."""
+    import itertools
+
+    import hpsig
+    from hpsig import fixtures
+
+    if hasattr(fixtures, "octahedron_rotation_group"):
+        return fixtures.octahedron_rotation_group()
+    axes = ((0, 1), (1, 1), (0, -1), (1, -1), (2, 1), (2, -1))
+    where = {axis: v for v, axis in enumerate(axes)}
+    maps = []
+    for perm in itertools.permutations(range(3)):
+        parity = np.linalg.det(np.eye(3)[list(perm)])
+        for signs in itertools.product((1, -1), repeat=3):
+            if parity * np.prod(signs) > 0:
+                maps.append(tuple(where[(perm[a], s * signs[a])] for a, s in axes))
+    index = {vm: i for i, vm in enumerate(maps)}
+    table = tuple(tuple(index[tuple(g[v] for v in h)] for h in maps) for g in maps)
+    group = hpsig.FiniteGroup(tuple("".join(map(str, vm)) for vm in maps), table)
+    return hpsig.SimplicialAction(group, tuple(dict(enumerate(vm)) for vm in maps))
+
+
 def base_cases(seeds: int):
-    """(name, complex) pairs, built lazily."""
+    """(name, complex, triangulation) triples, built lazily; the triangulation
+    is ``(manifold, action)`` for a triangulation with a group action and None
+    otherwise."""
     import hpsig
     from hpsig import fixtures
 
     def flipped(m):
         return hpsig.OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
 
-    yield "cp2", hpsig.to_hp_complex(fixtures.cp2_nine_vertex())
-    yield "cp2-flip", hpsig.to_hp_complex(flipped(fixtures.cp2_nine_vertex()))
-    yield "octahedron-z4", hpsig.to_hp_complex(
-        *hpsig.barycentric_subdivide(fixtures.octahedron(), fixtures.octahedron_rotation())
-    )
-    yield "s4", hpsig.to_hp_complex(fixtures.simplex_sphere(4))
+    yield "cp2", hpsig.to_hp_complex(fixtures.cp2_nine_vertex()), None
+    yield "cp2-flip", hpsig.to_hp_complex(flipped(fixtures.cp2_nine_vertex())), None
+    coarse = (fixtures.octahedron(), fixtures.octahedron_rotation())
+    yield "octahedron-z4-coarse", hpsig.to_hp_complex(*coarse), coarse
+    for name, action in (
+        ("octahedron-z4", fixtures.octahedron_rotation()),
+        ("octahedron-rot24", _octahedron_rotation_group()),
+    ):
+        tri = hpsig.barycentric_subdivide(fixtures.octahedron(), action)
+        yield name, hpsig.to_hp_complex(*tri), tri
+    yield "s4", hpsig.to_hp_complex(fixtures.simplex_sphere(4)), None
     for seed in range(seeds):
         for profile in PROFILES:
-            yield f"{profile}/{seed}", hpsig.generate_with_signature(seed, profile)[0]
+            yield f"{profile}/{seed}", hpsig.generate_with_signature(seed, profile)[0], None
+
+
+def equivariance(tri) -> dict:
+    """Every field of the equivariance report of a triangulation with an
+    action, as the CLI ``manifold`` command computes it."""
+    from hpsig import simplicial
+
+    m, action = tri
+    try:
+        chains = simplicial.enumerate_and_boundaries(m)
+        _, _, rep = simplicial._equivariant_structure(m, action, chains, 1e-9)
+    except Exception as exc:  # the sweep records every outcome and goes on
+        return _error(exc)
+    return {field: getattr(rep, field) for field in EQUIVARIANCE_FIELDS}
 
 
 def perturbed(hp, name: str, kind: str, eps: float):
@@ -128,7 +180,7 @@ def record(name: str, variant: str, hp) -> dict:
 
 def sweep(seeds: int, stream) -> int:
     count = 0
-    for name, hp in base_cases(seeds):
+    for name, hp, tri in base_cases(seeds):
         variants = [("base", hp)]
         variants += [
             (f"{kind}-{eps:g}", perturbed(hp, name, kind, eps))
@@ -136,7 +188,10 @@ def sweep(seeds: int, stream) -> int:
             for eps in LEVELS
         ]
         for variant, case in variants:
-            stream.write(json.dumps(record(name, variant, case)) + "\n")
+            rec = record(name, variant, case)
+            if tri is not None and variant == "base":
+                rec["equivariance"] = equivariance(tri)
+            stream.write(json.dumps(rec) + "\n")
             count += 1
     return count
 
@@ -180,6 +235,13 @@ def compare(path_a: str, path_b: str, stream) -> int:
         if "cone_min_singular_value" in va and "cone_min_singular_value" in vb:
             note_float("cone_min_singular_value", key, va["cone_min_singular_value"],
                        vb["cone_min_singular_value"], scale)
+        ea, eb = ra.get("equivariance", {}), rb.get("equivariance", {})
+        for field in ("error", "message", "tol", "passed"):
+            if ea.get(field) != eb.get(field):
+                mismatches.append(f"{key}: equivariance {field} {ea.get(field)!r} != {eb.get(field)!r}")
+        for field in ("boundary_residual", "duality_residual", "raw_cap_residual"):
+            if field in ea and field in eb:
+                note_float(field, key, ea[field], eb[field], scale)
         ca, cb = ra["coincidence"], rb["coincidence"]
         for field in ("error", "message", "passed"):
             if ca.get(field) != cb.get(field):
