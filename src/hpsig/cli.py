@@ -39,6 +39,7 @@ from .generate import generate_with_boundary, generate_with_signature
 from .groups import K0Class
 from .io import read_hpx, read_smf, write_hpx, write_smf
 from .signature import (
+    _coincidence,
     check_coincidence,
     higson_roe_signature,
     mishchenko_signature,
@@ -382,9 +383,11 @@ def _cmd_manifold(args) -> int:
     if action is None:
         rep = manifold_signature(manifold, None, chains, tol=tol)
     else:
-        # the action and the duality are built once, for the equivariance
-        # residuals and for the signatures
-        rho, dual, eq = _equivariant_structure(manifold, action, chains, tol)
+        # the action, the duality and the spectral splits of B + S and B - S
+        # are built once, for the equivariance residuals and for the signatures
+        rho, dual, eq, halves = _equivariant_structure(
+            manifold, action, chains, tol, for_signatures=True
+        )
         lines.append(
             f"  equivariance residuals: boundary {eq.boundary_residual:.3e}, "
             f"duality {eq.duality_residual:.3e}"
@@ -398,7 +401,7 @@ def _cmd_manifold(args) -> int:
             lines.append("manifold: FAIL (action does not commute)")
             _emit(args, payload, lines)
             return EXIT_FAIL
-        rep = check_coincidence(HilbertPoincareComplex(chains.chain, dual, rho), tol=tol)
+        rep = _coincidence(HilbertPoincareComplex(chains.chain, dual, rho), halves, tol)
     for result in rep.results:
         lines.append(f"  {result.method:<12s} {_fmt_class(result.k0)}")
     lines.append(f"  max character difference {rep.max_character_difference:.3e}")

@@ -28,6 +28,12 @@ never built.  Otherwise, e.g. when ``S`` is self-adjoint only up to rounding,
 the cone is assembled and ``C`` itself is diagonalised.  :class:`DoubledCone`
 holds the assembled cone with both views, for callers that need the cone.
 
+The signature constructions need the operators and spectra that the duality
+check forms.  :func:`_verify_duality` takes ``b`` and ``S`` from a caller that
+has assembled them and hands back the diagonalised halves and the
+anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
+``manifold`` command form each of them once per call.
+
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``.
 """
@@ -51,12 +57,15 @@ from .errors import (
 from .groups import GroupAction
 from .linalg import (
     DEFAULT_TOL,
+    Spectrum,
     adjoint,
     as_matrix,
     assemble_total,
     block_diag,
     is_invertible,
     residual_within,
+    spectral_split,
+    spectrum,
 )
 
 __all__ = [
@@ -349,15 +358,6 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
     _require_chain_map(hp.duality.blocks, source, hp.chain, tol)
 
 
-def _halves_invertibility(
-    plus: np.ndarray, minus: np.ndarray, tol: float
-) -> tuple[bool, float]:
-    """(flag, smallest |eigenvalue|) of ``plus`` (+) ``minus`` as
-    :func:`is_invertible` gives them for the direct sum."""
-    least = min(is_invertible(h, tol=tol)[1] for h in (plus, minus))
-    return least > tol, least
-
-
 @dataclass(frozen=True)
 class DoubledCone:
     """The duality cone, its self-adjoint operator and the operator's
@@ -381,7 +381,8 @@ class DoubledCone:
         them for ``C``, read off the two halves when the cone is decoupled."""
         if not self.decoupled:
             return is_invertible(self.operator, tol=tol)
-        return _halves_invertibility(self.plus, self.minus, tol)
+        least = min(is_invertible(h, tol=tol)[1] for h in (self.plus, self.minus))
+        return least > tol, least
 
 
 def _doubling_order(dims: Sequence[int]) -> np.ndarray:
@@ -454,8 +455,38 @@ class DualityReport:
 
 def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> DualityReport:
     """Check all duality axioms and report residuals without raising."""
-    b = hp.total_boundary()
-    s = hp.total_duality()
+    return _verify_duality(hp, tol)[0]
+
+
+@dataclass(frozen=True)
+class _Halves:
+    """``B + S`` and ``B - S`` of a decoupled duality with their
+    diagonalisations: spectra, or spectral splits when projections are
+    needed."""
+
+    plus_op: np.ndarray
+    minus_op: np.ndarray
+    plus: Spectrum
+    minus: Spectrum
+
+
+def _verify_duality(
+    hp: HilbertPoincareComplex,
+    tol: float,
+    b: np.ndarray | None = None,
+    s: np.ndarray | None = None,
+    split: bool = False,
+) -> tuple[DualityReport, _Halves | None, np.ndarray]:
+    """:func:`verify_duality` on the total boundary ``b`` and total duality
+    ``s`` when the caller has them, also returning what it computed.
+
+    The halves are returned when the duality is decoupled and passed the
+    cone's chain-map gate, diagonalised by :func:`spectrum`, or by
+    :func:`spectral_split` when ``split``; otherwise they are None.  The last
+    item is the anticommutator ``b S + S b^*``.
+    """
+    b = hp.total_boundary() if b is None else b
+    s = hp.total_duality() if s is None else s
     failures = []
 
     ok, bres = residual_within(b @ b, tol, lambda norm: norm(b) ** 2)
@@ -466,17 +497,27 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
     if not ok:
         failures.append("duality is not self-adjoint")
 
-    ok, cres = residual_within(
-        b @ s + s @ adjoint(b), tol, lambda norm: norm(b) * norm(s)
-    )
+    anti = b @ s + s @ adjoint(b)
+    ok, cres = residual_within(anti, tol, lambda norm: norm(b) * norm(s))
     if not ok:
         failures.append("duality does not anticommute with the boundary")
 
+    halves = None
     try:
         if _decoupled(s):
             _require_duality_chain_map(hp, tol)
             big_b = b + adjoint(b)
-            inv, minsv = _halves_invertibility(big_b + s, big_b - s, tol)
+            plus_op, minus_op = big_b + s, big_b - s
+            diagonalise = spectral_split if split else spectrum
+            halves = _Halves(
+                plus_op, minus_op, diagonalise(plus_op, tol), diagonalise(minus_op, tol)
+            )
+            # the smallest |eigenvalue|, as is_invertible reads it
+            minsv = min(
+                float(np.abs(h.eigenvalues).min(initial=np.inf))
+                for h in (halves.plus, halves.minus)
+            )
+            inv = minsv > tol
         else:
             inv, minsv = doubled_duality_cone(hp, tol=tol).invertibility(tol)
     except NotChainMap:
@@ -495,7 +536,7 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
         if not all(ok for ok, _ in gates):
             failures.append("action does not commute with the structure maps")
 
-    return DualityReport(
+    report = DualityReport(
         tol=tol,
         boundary_residual=bres,
         selfadjoint_residual=sares,
@@ -506,6 +547,7 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
         passed=not failures,
         failures=tuple(failures),
     )
+    return report, halves, anti
 
 
 def twist(

@@ -17,12 +17,17 @@ action is present) and agree; ``check_coincidence`` verifies that numerically
 together with the exact grading symmetry that conjugates ``B - S`` into
 ``-(B + S)``.
 
-``check_coincidence`` diagonalises ``B + S`` and ``B - S`` once each and all
-three constructions read those results.  When ``S`` is self-adjoint entry for
-entry the cone decouples (see :class:`~hpsig.complexes.DoubledCone`): it is
-not assembled, Mishchenko's compression is ``B + S`` entry for entry, so it
-shares that spectrum and split (and hence the reduced class), and its cone
-spectrum is the union of the spectra of ``B + S`` and ``B - S``.  Otherwise
+``B + S`` and ``B - S`` are diagonalised once each per operation and all
+three constructions read those results.  ``check_coincidence`` diagonalises
+them itself.  ``manifold_signature`` and the ``manifold`` command have already
+diagonalised them in the duality check of the same operation, and hand those
+spectra to ``_coincidence``, which skips the cone's chain-map gate that the
+check has just passed on the same data at the same tolerance.  When ``S`` is
+self-adjoint entry for entry the cone decouples (see
+:class:`~hpsig.complexes.DoubledCone`): it is not assembled, Mishchenko's
+compression is ``B + S`` entry for entry, so it shares that spectrum and split
+(and hence the reduced class), and its cone spectrum is the union of the
+spectra of ``B + S`` and ``B - S``.  Otherwise
 Mishchenko's construction assembles and diagonalises its own cone.  Over the
 trivial group (no action) only eigenvalues are computed and every class is an
 inertia count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and
@@ -42,6 +47,7 @@ import numpy as np
 from .complexes import (
     HilbertPoincareComplex,
     _decoupled,
+    _Halves,
     _require_duality_chain_map,
     doubled_duality_cone,
 )
@@ -252,17 +258,42 @@ def check_coincidence(
     with ``phi = (-1)^degree``, which is the algebraic reason the classes agree
     for even ``n``, at the scale of ``B + S`` and ``B - S``.
     """
+    return _coincidence(hp, None, tol, char_tol)
+
+
+def _coincidence(
+    hp: HilbertPoincareComplex,
+    halves: _Halves | None,
+    tol: float,
+    char_tol: float = CHAR_TOL,
+) -> CoincidenceReport:
+    """:func:`check_coincidence`, reusing ``halves`` when given.
+
+    ``halves`` must come from the duality check of ``hp``'s duality at the
+    same ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised as
+    spectral splits when ``hp`` has an action.  Such halves exist only for a
+    decoupled duality that passed the cone's chain-map gate, which is
+    therefore not run again.
+    """
     _require_even(hp)
     # B + S and B - S are diagonalised once each and shared by all three
     # constructions.
-    big_b, s = _total_operators(hp)
-    plus_op, minus_op = big_b + s, big_b - s
-    plus, minus = _nondegenerate_halves(hp, plus_op, minus_op, tol)
+    if halves is None:
+        big_b, s = _total_operators(hp)
+        plus_op, minus_op = big_b + s, big_b - s
+        plus, minus = _nondegenerate_halves(hp, plus_op, minus_op, tol)
+        decoupled = _decoupled(s)
+    else:
+        plus_op, minus_op = halves.plus_op, halves.minus_op
+        plus = _nondegenerate(halves.plus, "B + S")
+        minus = _nondegenerate(halves.minus, "B - S")
+        decoupled = True
     hr = _higson_roe(hp, plus, minus, tol)
-    if _decoupled(s):
+    if decoupled:
         # Mishchenko's compression is B + S entry for entry, so its class is
         # the reduced one.
-        _require_duality_chain_map(hp, tol)
+        if halves is None:
+            _require_duality_chain_map(hp, tol)
         gap = _mishchenko_gap(plus, _cone_of_halves(plus, minus, tol))
         re = _reduced(hp, plus, tol)
         mi = SignatureResult(method="mishchenko", k0=re.k0, spectral_gap=gap)

@@ -39,7 +39,8 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
-    verify_duality,
+    _Halves,
+    _verify_duality,
 )
 from .errors import (
     BoundaryConditionViolated,
@@ -54,7 +55,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupAction
 from .linalg import DEFAULT_TOL, adjoint, frobenius_norm, residual_within
-from .signature import CoincidenceReport, check_coincidence
+from .signature import CoincidenceReport, _coincidence
 
 __all__ = [
     "CapReport",
@@ -329,8 +330,10 @@ class CapReport:
 
     ``raw_chain_residual`` gates the phase normalization.
     ``symmetrization_residual`` and ``chain_residual`` are diagnostic only
-    (Frobenius bounds); ``passed`` is the verdict of :func:`verify_duality` on
-    the symmetrized family, whose cone operator's smallest |eigenvalue| is
+    (Frobenius bounds); ``chain_residual`` is the Frobenius norm of the
+    anticommutator ``b S + S b^*`` that the duality check forms for its own
+    chain gate.  ``passed`` is the verdict of :func:`verify_duality` on the
+    symmetrized family, whose cone operator's smallest |eigenvalue| is
     ``cone_min_singular_value``.
     """
 
@@ -358,13 +361,40 @@ def duality_operator(
     PreconditionViolated for manifolds with boundary (those go through
     :func:`bordism_to_cwb`).
     """
+    cap = _closed_duality(m, chains, tol, rho, for_signatures=False)
+    return cap.dual, cap.report
+
+
+@dataclass(frozen=True)
+class _CapDuality:
+    """One pass of :func:`_duality_from_cap`: the duality and its report, the
+    total boundary ``b`` and total duality ``s`` it was checked on, and, for
+    the signature constructions, the halves ``B + S`` and ``B - S`` with their
+    diagonalisations when the duality is decoupled (see
+    :func:`~hpsig.complexes._verify_duality`)."""
+
+    dual: DualityOperator
+    report: CapReport
+    b: np.ndarray
+    s: np.ndarray
+    halves: _Halves | None
+
+
+def _closed_duality(
+    m: OrientedSimplicialManifold,
+    chains: SimplicialChainData | None,
+    tol: float,
+    rho: GroupAction | None,
+    for_signatures: bool,
+) -> _CapDuality:
+    """:func:`duality_operator` with everything its duality check computed."""
     if m.with_boundary:
         raise PreconditionViolated(
             "duality_operator needs a closed manifold; "
             "manifolds with boundary use bordism_to_cwb"
         )
     chains = chains or enumerate_and_boundaries(m)
-    return _duality_from_cap(chains, *_phased_cap(m, chains), tol, rho)
+    return _duality_from_cap(chains, *_phased_cap(m, chains), tol, rho, for_signatures)
 
 
 def _duality_from_cap(
@@ -373,34 +403,36 @@ def _duality_from_cap(
     phases: tuple[complex, ...],
     tol: float,
     rho: GroupAction | None,
-) -> tuple[DualityOperator, CapReport]:
-    """:func:`duality_operator` of a closed manifold from its phased cap."""
+    for_signatures: bool,
+) -> _CapDuality:
+    """:func:`duality_operator` of a closed manifold from its phased cap.
+
+    The halves are kept only ``for_signatures``, diagonalised as
+    :func:`~hpsig.signature._coincidence` reads them with ``rho``: spectral
+    splits when a group acts, spectra over the trivial group.  Otherwise the
+    check computes spectra only and the halves are None.
+    """
     if rho is not None:
         phased = _average_over_group(phased, rho)
     chain = chains.chain
     btot = chain.total_boundary()
-
-    def family_total(blocks: Sequence[np.ndarray]) -> np.ndarray:
-        dual = DualityOperator(tuple(blocks))
-        return dual.total(chain)
-
-    ptot = family_total(phased)
+    ptot = DualityOperator(tuple(phased)).total(chain)
     raw_ok, raw_res = residual_within(
         btot @ ptot + ptot @ adjoint(btot), tol, lambda norm: norm(btot) * norm(ptot)
     )
-    sym = _symmetrize(phased)
-    dual = DualityOperator(sym)
+    dual = DualityOperator(_symmetrize(phased))
     stot = dual.total(chain)
     sym_res = frobenius_norm(ptot - stot)
-    chain_res = frobenius_norm(btot @ stot + stot @ adjoint(btot))
-    hp = HilbertPoincareComplex(chain, dual)
-    rep = verify_duality(hp, tol=tol)
+    split = for_signatures and rho is not None
+    rep, halves, anti = _verify_duality(
+        HilbertPoincareComplex(chain, dual), tol, btot, stot, split
+    )
     report = CapReport(
         tol=tol,
         phases=phases,
         raw_chain_residual=raw_res,
         symmetrization_residual=sym_res,
-        chain_residual=chain_res,
+        chain_residual=frobenius_norm(anti),
         cone_min_singular_value=rep.cone_min_singular_value,
         passed=rep.passed,
     )
@@ -415,7 +447,7 @@ def _duality_from_cap(
             f"(residual {raw_res:.3e}); the phase normalization does not fit "
             f"this complex"
         )
-    return dual, report
+    return _CapDuality(dual, report, btot, stot, halves if for_signatures else None)
 
 
 @dataclass(eq=False)
@@ -453,44 +485,43 @@ def chain_action(
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
     vset = set(m.vertices)
-    facet_set = set(m.facets)
     sign_of = {f: s for f, s in zip(m.facets, m.signs)}
     fams = []
     for g in range(action.group.order):
         vm = action.vertex_maps[g]
+        name = action.group.elements[g]
         if set(vm.keys()) != vset or set(vm.values()) != vset:
-            raise NotSimplicial(
-                f"element {action.group.elements[g]} does not permute the vertex set"
-            )
-        for f in m.facets:
-            image = tuple(sorted(vm[v] for v in f))
-            if image not in facet_set:
+            raise NotSimplicial(f"element {name} does not permute the vertex set")
+        # each simplex image sorted once, with its parity, for every check
+        # and for the matrix entries
+        images = [
+            [_sort_with_sign([vm[v] for v in s]) for s in chains.simplices[p]]
+            for p in range(n + 1)
+        ]
+        facet_images = [images[n][chains.index[n][f]] for f in m.facets]
+        for f, (image, _) in zip(m.facets, facet_images):
+            if image not in sign_of:
                 raise NotSimplicial(
-                    f"element {action.group.elements[g]} maps facet {f} to "
-                    f"{image}, which is not a facet"
+                    f"element {name} maps facet {f} to {image}, which is not a facet"
                 )
         for p in range(n + 1):
-            for s in chains.simplices[p]:
-                image = tuple(sorted(vm[v] for v in s))
+            for s, (image, _) in zip(chains.simplices[p], images[p]):
                 if image == s and any(vm[v] != v for v in s):
                     raise NotSimplicial(
-                        f"element {action.group.elements[g]} fixes simplex {s} "
-                        f"setwise but not pointwise; subdivide barycentrically "
-                        f"once to make the action regular"
+                        f"element {name} fixes simplex {s} setwise but not "
+                        f"pointwise; subdivide barycentrically once to make the "
+                        f"action regular"
                     )
-        for f, s in zip(m.facets, m.signs):
-            image, flip = _sort_with_sign([vm[v] for v in f])
+        for f, s, (image, flip) in zip(m.facets, m.signs, facet_images):
             if sign_of[image] != s * flip:
                 raise OrientationReversing(
-                    f"element {action.group.elements[g]} reverses the "
-                    f"orientation on facet {f}"
+                    f"element {name} reverses the orientation on facet {f}"
                 )
         fam = []
         for p in range(n + 1):
             mat = np.zeros((chains.chain.dims[p], chains.chain.dims[p]))
-            for col, s in enumerate(chains.simplices[p]):
-                image, flip = _sort_with_sign([vm[v] for v in s])
-                mat[chains.index[p][image], col] = flip
+            rows = np.array([chains.index[p][image] for image, _ in images[p]], dtype=np.intp)
+            mat[rows, np.arange(rows.size)] = [flip for _, flip in images[p]]
             fam.append(mat)
         fams.append(tuple(fam))
     return GroupAction(action.group, tuple(fams), tol=tol)
@@ -525,7 +556,7 @@ def verify_equivariance(
     the report is attached to the exception as ``report``.
     """
     chains = chains or enumerate_and_boundaries(m)
-    _, _, report = _equivariant_structure(m, action, chains, tol)
+    report = _equivariant_structure(m, action, chains, tol)[2]
     if not report.passed:
         exc = EquivarianceViolated(
             f"action does not commute with the structure maps "
@@ -542,24 +573,28 @@ def _equivariant_structure(
     action: SimplicialAction,
     chains: SimplicialChainData,
     tol: float,
-) -> tuple[GroupAction, DualityOperator, EquivarianceReport]:
-    """Chain action, the duality operator the pipeline uses with it, and their
-    equivariance report, which is returned rather than raised.
+    for_signatures: bool = False,
+) -> tuple[GroupAction, DualityOperator, EquivarianceReport, _Halves | None]:
+    """Chain action, the duality operator the pipeline uses with it, their
+    equivariance report, which is returned rather than raised, and, for the
+    signature constructions, the spectral splits of ``B + S`` and ``B - S``
+    that the duality check of a closed manifold computed (None with boundary
+    or when not ``for_signatures``).
 
     For a closed manifold the duality is :func:`duality_operator` with the
     action; with boundary it is the group averaged, symmetrized phased cap.
     """
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
-    btot = chain.total_boundary()
     # one phased cap, for the raw residual and for the duality
     phased, phases = _phased_cap(m, chains)
     raw_tot = DualityOperator(tuple(phased)).total(chain)
     if m.with_boundary:
         dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
+        btot, stot, halves = chain.total_boundary(), dual.total(chain), None
     else:
-        dual, _ = _duality_from_cap(chains, phased, phases, tol, rho)
-    stot = dual.total(chain)
+        cap = _duality_from_cap(chains, phased, phases, tol, rho, for_signatures)
+        dual, btot, stot, halves = cap.dual, cap.b, cap.s, cap.halves
 
     def scale(norm) -> float:
         return max(norm(btot), norm(stot))
@@ -574,7 +609,7 @@ def _equivariant_structure(
         raw_cap_residual=max(frobenius_norm(r.commutator(raw_tot)) for r in ops),
         passed=all(ok for ok, _ in b_gates + s_gates),
     )
-    return rho, dual, report
+    return rho, dual, report, halves
 
 
 def to_hp_complex(
@@ -584,10 +619,22 @@ def to_hp_complex(
     tol: float = DEFAULT_TOL,
 ) -> HilbertPoincareComplex:
     """Duality complex of a closed oriented triangulated manifold."""
+    return _hp_with_halves(m, action, chains, tol, for_signatures=False)[0]
+
+
+def _hp_with_halves(
+    m: OrientedSimplicialManifold,
+    action: SimplicialAction | None,
+    chains: SimplicialChainData | None,
+    tol: float,
+    for_signatures: bool,
+) -> tuple[HilbertPoincareComplex, _Halves | None]:
+    """:func:`to_hp_complex` with the halves its duality check diagonalised
+    (see :func:`_duality_from_cap`)."""
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol) if action is not None else None
-    dual, _ = duality_operator(m, chains, tol=tol, rho=rho)
-    return HilbertPoincareComplex(chains.chain, dual, rho)
+    cap = _closed_duality(m, chains, tol, rho, for_signatures)
+    return HilbertPoincareComplex(chains.chain, cap.dual, rho), cap.halves
 
 
 def manifold_signature(
@@ -596,9 +643,14 @@ def manifold_signature(
     chains: SimplicialChainData | None = None,
     tol: float = DEFAULT_TOL,
 ) -> CoincidenceReport:
-    """Signature classes of a closed manifold through all three constructions."""
-    hp = to_hp_complex(m, action, chains, tol=tol)
-    return check_coincidence(hp, tol=tol)
+    """Signature classes of a closed manifold through all three constructions.
+
+    The same as ``check_coincidence(to_hp_complex(m, action, chains, tol),
+    tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the duality
+    check, and read again by the constructions.
+    """
+    hp, halves = _hp_with_halves(m, action, chains, tol, for_signatures=True)
+    return _coincidence(hp, halves, tol)
 
 
 def bordism_to_cwb(

@@ -1,5 +1,7 @@
 """Tests for the three signature constructions and their coincidence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -22,8 +24,11 @@ from hpsig import (
     reduced_signature,
     spectral_split,
     to_hp_complex,
+    verify_equivariance,
+    write_smf,
 )
 from hpsig import complexes, signature
+from hpsig.cli import main
 from hpsig.simplicial import manifold_signature
 from hpsig.errors import DegenerateOperator, OddDimension
 from hpsig.fixtures import (
@@ -200,21 +205,45 @@ def _count_calls(monkeypatch, owner, names):
     return counts
 
 
-def test_eigensolve_budget(monkeypatch):
+def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     cp2 = cp2_nine_vertex()
-    octa = to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+    path = str(tmp_path / "octahedron-z4.smf")
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    write_smf(m, path, act)
+    cp2_hp = to_hp_complex(cp2)
+    octa = to_hp_complex(m, act)
     solves = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
     cones = _count_calls(monkeypatch, complexes, ("mapping_cone",))
-    # B + S and B - S once each in verify_duality and once each in
-    # check_coincidence, eigenvalues only, and no cone
+    boundaries = _count_calls(monkeypatch, complexes.ChainComplex, ("total_boundary",))
+    totals = _count_calls(monkeypatch, complexes.DualityOperator, ("total",))
+    # B + S and B - S once each, in the duality check, eigenvalues only, and
+    # read again by the constructions; no cone; b once, and the phased and
+    # the symmetrized cap once each
     assert manifold_signature(cp2).passed
-    assert solves == {"eigh": 0, "eigvalsh": 4}
+    assert solves == {"eigh": 0, "eigvalsh": 2}
     assert cones == {"mapping_cone": 0}
+    assert boundaries == {"total_boundary": 1}
+    assert totals == {"total": 2}
     solves.update(eigh=0, eigvalsh=0)
-    # with a group, the two spectral splits are shared by all three
+    # check_coincidence alone diagonalises each half once: eigenvalues only
+    # over the trivial group, and with a group two spectral splits shared by
+    # all three constructions
+    assert check_coincidence(cp2_hp).passed
+    assert solves == {"eigh": 0, "eigvalsh": 2}
+    solves.update(eigh=0, eigvalsh=0)
     assert check_coincidence(octa).passed
     assert solves == {"eigh": 2, "eigvalsh": 0}
     assert cones == {"mapping_cone": 0}
+    solves.update(eigh=0, eigvalsh=0)
+    # the manifold command hands the duality check's splits on
+    assert main(["manifold", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert solves == {"eigh": 2, "eigvalsh": 0}
+    assert cones == {"mapping_cone": 0}
+    solves.update(eigh=0, eigvalsh=0)
+    # the equivariance check needs no projections: spectra only
+    verify_equivariance(m, act)
+    assert solves == {"eigh": 0, "eigvalsh": 2}
 
 
 def _flipped(m):

@@ -1,5 +1,6 @@
 """Tests for triangulated manifolds, the cap duality, and group actions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,8 +33,10 @@ from hpsig import (
     verify_duality,
     verify_equivariance,
 )
+from hpsig import simplicial
 from hpsig.errors import (
     BoundaryConditionViolated,
+    DegenerateDuality,
     EquivarianceViolated,
     IncoherentOrientation,
     InvalidFacet,
@@ -276,6 +279,28 @@ def test_chain_action_rejects_orientation_reversal():
         chain_action(m, act)
 
 
+@pytest.mark.parametrize(
+    "m, vertex_map, error, message",
+    [
+        (simplex_sphere(2), {v: 0 for v in range(4)}, NotSimplicial,
+         "element g does not permute the vertex set"),
+        (octahedron(), {0: 0, 1: 2, 2: 1, 3: 3, 4: 4, 5: 5}, NotSimplicial,
+         "element g maps facet (0, 1, 4) to (0, 2, 4), which is not a facet"),
+        (simplex_sphere(2), {0: 1, 1: 0, 2: 2, 3: 3}, NotSimplicial,
+         "element g fixes simplex (0, 1) setwise but not pointwise; subdivide "
+         "barycentrically once to make the action regular"),
+        (disjoint_sphere_pair(), {0: 5, 1: 4, 2: 6, 3: 7, 4: 1, 5: 0, 6: 2, 7: 3},
+         OrientationReversing, "element g reverses the orientation on facet (0, 1, 2)"),
+    ],
+)
+def test_chain_action_reports_the_first_violation(m, vertex_map, error, message):
+    identity = {v: v for v in m.vertices}
+    act = SimplicialAction(FiniteGroup.cyclic(2), (identity, vertex_map))
+    with pytest.raises(error) as exc_info:
+        chain_action(m, act)
+    assert str(exc_info.value) == message
+
+
 def test_equivariance_identity_action():
     m = simplex_sphere(2)
     act = SimplicialAction(FiniteGroup.trivial(), ({v: v for v in range(4)},))
@@ -407,3 +432,81 @@ def test_octahedral_rotation_group_on_the_subdivided_octahedron(tmp_path, capsys
     for k0 in payload["methods"].values():
         assert len(k0["classes"]) == 5
         assert all(abs(complex(*c["value"])) < 1e-6 for c in k0["classes"])
+
+
+def _flipped(m):
+    return OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
+
+
+_ROUTE_CASES = {
+    "cp2": lambda: (cp2_nine_vertex(), None),
+    "cp2-flip": lambda: (_flipped(cp2_nine_vertex()), None),
+    "s4": lambda: (simplex_sphere(4), None),
+    "octahedron-z4": lambda: barycentric_subdivide(octahedron(), octahedron_rotation()),
+    "octahedron-rot24": lambda: barycentric_subdivide(
+        octahedron(), octahedron_rotation_group()
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
+def test_shared_route_matches_the_public_route(name):
+    m, act = _ROUTE_CASES[name]()
+    shared = manifold_signature(m, act)
+    public = check_coincidence(to_hp_complex(m, act))
+    assert shared.passed and public.passed
+    assert [r.method for r in shared.results] == [r.method for r in public.results]
+    for a, b in zip(shared.results, public.results):
+        assert a.k0.values == b.k0.values
+        assert a.spectral_gap == b.spectral_gap
+    assert shared.max_character_difference == public.max_character_difference
+    assert shared.grading_conjugation_residual == public.grading_conjugation_residual
+    # the CapReport the shared route computes, against duality_operator's
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains) if act is not None else None
+    cap = simplicial._closed_duality(m, chains, 1e-9, rho, for_signatures=True)
+    _, want = duality_operator(m, chains, rho=rho)
+    for field in dataclasses.fields(want):
+        got, expected = getattr(cap.report, field.name), getattr(want, field.name)
+        if field.name == "cone_min_singular_value" and rho is not None:
+            # read off eigh's eigenvalues here and eigvalsh's there
+            assert abs(got - expected) <= 1e-12
+        else:
+            assert got == expected, field.name
+
+
+_PHASED_CAP = simplicial._phased_cap
+
+
+def _broken_phased_cap(m, chains):
+    phased, phases = _PHASED_CAP(m, chains)
+    rng = np.random.default_rng(0)
+    k = len(phased) // 2
+    phased[k] = phased[k] + 0.1 * rng.standard_normal(phased[k].shape)
+    return phased, phases
+
+
+@pytest.mark.parametrize(
+    "name, build, error, message",
+    [
+        ("odd", lambda: circle_polygon(5), OddDimension,
+         "signature constructions need even top degree, got 1"),
+        ("boundary", lambda: simplex_disk(2), PreconditionViolated,
+         "duality_operator needs a closed manifold; "
+         "manifolds with boundary use bordism_to_cwb"),
+        ("chain-map", cp2_nine_vertex, DegenerateDuality,
+         "symmetrized cap duality is degenerate "
+         "(smallest cone singular value 0.000e+00)"),
+    ],
+)
+def test_shared_route_fails_as_the_public_route(name, build, error, message, monkeypatch):
+    if name == "chain-map":
+        # the symmetrized cap stays self-adjoint entry for entry, so the
+        # duality is decoupled, and the cone's chain-map gate fails
+        monkeypatch.setattr(simplicial, "_phased_cap", _broken_phased_cap)
+    m = build()
+    with pytest.raises(error) as shared:
+        manifold_signature(m)
+    with pytest.raises(error) as public:
+        check_coincidence(to_hp_complex(m))
+    assert str(shared.value) == str(public.value) == message

@@ -20,23 +20,30 @@ cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
 spectral gaps and grading residual, or the exception type and its message
 with floating-point numbers masked.  ``scale`` is the Frobenius norm of
 ``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
-triangulation with a group action also holds every field of the
-``EquivarianceReport`` that the CLI ``manifold`` command gates on.
+triangulation also holds the same fields for ``manifold_signature``, which
+reuses the spectra of its duality check; with a group action it further holds
+every field of the ``EquivarianceReport`` that the CLI ``manifold`` command
+gates on, and that command's ``--json`` payload and exit code.
 
 ``--compare A B`` lists every discrete mismatch (flags, failure lists,
-exception types and messages, classes beyond 1e-6, missing cases) and the
-worst float difference relative to ``max(1, scale)``; it exits 1 when a
-discrete mismatch exists.  Needs only the standard library, numpy and the
+exception types and messages, classes beyond 1e-6, exit codes and the
+non-float fields of the CLI payload, missing cases) and the worst float
+difference relative to ``max(1, scale)``; it exits 1 when a discrete mismatch
+exists.  Needs only the standard library, numpy and the
 ``hpsig`` package on the path.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import re
 import sys
+import tempfile
 import zlib
 
 import numpy as np
@@ -82,16 +89,19 @@ def _octahedron_rotation_group():
 
 def base_cases(seeds: int):
     """(name, complex, triangulation) triples, built lazily; the triangulation
-    is ``(manifold, action)`` for a triangulation with a group action and None
-    otherwise."""
+    is ``(manifold, action)`` for a triangulation, with action None when no
+    group acts, and None for a generated complex."""
     import hpsig
     from hpsig import fixtures
 
     def flipped(m):
         return hpsig.OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
 
-    yield "cp2", hpsig.to_hp_complex(fixtures.cp2_nine_vertex()), None
-    yield "cp2-flip", hpsig.to_hp_complex(flipped(fixtures.cp2_nine_vertex())), None
+    for name, m in (
+        ("cp2", fixtures.cp2_nine_vertex()),
+        ("cp2-flip", flipped(fixtures.cp2_nine_vertex())),
+    ):
+        yield name, hpsig.to_hp_complex(m), (m, None)
     coarse = (fixtures.octahedron(), fixtures.octahedron_rotation())
     yield "octahedron-z4-coarse", hpsig.to_hp_complex(*coarse), coarse
     for name, action in (
@@ -100,7 +110,8 @@ def base_cases(seeds: int):
     ):
         tri = hpsig.barycentric_subdivide(fixtures.octahedron(), action)
         yield name, hpsig.to_hp_complex(*tri), tri
-    yield "s4", hpsig.to_hp_complex(fixtures.simplex_sphere(4)), None
+    s4 = fixtures.simplex_sphere(4)
+    yield "s4", hpsig.to_hp_complex(s4), (s4, None)
     for seed in range(seeds):
         for profile in PROFILES:
             yield f"{profile}/{seed}", hpsig.generate_with_signature(seed, profile)[0], None
@@ -114,10 +125,31 @@ def equivariance(tri) -> dict:
     m, action = tri
     try:
         chains = simplicial.enumerate_and_boundaries(m)
-        _, _, rep = simplicial._equivariant_structure(m, action, chains, 1e-9)
+        # the report is the third item whatever else the helper returns
+        rep = simplicial._equivariant_structure(m, action, chains, 1e-9)[2]
     except Exception as exc:  # the sweep records every outcome and goes on
         return _error(exc)
     return {field: getattr(rep, field) for field in EQUIVARIANCE_FIELDS}
+
+
+def cli_manifold(tri) -> dict:
+    """Exit code and ``--json`` payload of ``hpsig manifold`` on the
+    triangulation, written to a temporary ``.smf`` file."""
+    import hpsig
+    import hpsig.cli
+
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "case.smf")
+        hpsig.write_smf(tri[0], path, tri[1])
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = hpsig.cli.main(["manifold", path, "--json"])
+    text = out.getvalue()
+    return {
+        "exit": code,
+        "payload": json.loads(text) if text.strip() else None,
+        "stderr": _FLOAT.sub("<x>", err.getvalue().replace(path, "<file>")),
+    }
 
 
 def perturbed(hp, name: str, kind: str, eps: float):
@@ -147,6 +179,17 @@ def _error(exc: Exception) -> dict:
     return {"error": type(exc).__name__, "message": _FLOAT.sub("<x>", str(exc))}
 
 
+def _coincidence(rep) -> dict:
+    return {
+        "passed": rep.passed,
+        "classes": {
+            r.method: [[v.real, v.imag] for v in r.k0.values] for r in rep.results
+        },
+        "gaps": {r.method: r.spectral_gap for r in rep.results},
+        "grading_residual": rep.grading_conjugation_residual,
+    }
+
+
 def record(name: str, variant: str, hp) -> dict:
     import hpsig
 
@@ -164,18 +207,23 @@ def record(name: str, variant: str, hp) -> dict:
     except Exception as exc:  # the sweep records every outcome and goes on
         out["verify"] = _error(exc)
     try:
-        rep = hpsig.check_coincidence(hp)
-        out["coincidence"] = {
-            "passed": rep.passed,
-            "classes": {
-                r.method: [[v.real, v.imag] for v in r.k0.values] for r in rep.results
-            },
-            "gaps": {r.method: r.spectral_gap for r in rep.results},
-            "grading_residual": rep.grading_conjugation_residual,
-        }
+        out["coincidence"] = _coincidence(hpsig.check_coincidence(hp))
     except Exception as exc:  # the sweep records every outcome and goes on
         out["coincidence"] = _error(exc)
     return out
+
+
+def record_triangulation(rec: dict, tri) -> None:
+    """Add the routes that start from the triangulation itself."""
+    import hpsig
+
+    try:
+        rec["manifold_signature"] = _coincidence(hpsig.manifold_signature(*tri))
+    except Exception as exc:  # the sweep records every outcome and goes on
+        rec["manifold_signature"] = _error(exc)
+    if tri[1] is not None:
+        rec["equivariance"] = equivariance(tri)
+        rec["cli"] = cli_manifold(tri)
 
 
 def sweep(seeds: int, stream) -> int:
@@ -190,7 +238,7 @@ def sweep(seeds: int, stream) -> int:
         for variant, case in variants:
             rec = record(name, variant, case)
             if tri is not None and variant == "base":
-                rec["equivariance"] = equivariance(tri)
+                record_triangulation(rec, tri)
             stream.write(json.dumps(rec) + "\n")
             count += 1
     return count
@@ -222,6 +270,46 @@ def compare(path_a: str, path_b: str, stream) -> int:
         if d > worst.get(field, (-1.0, None))[0]:
             worst[field] = (d, key)
 
+    def compare_coincidence(route, key, ca, cb, scale):
+        for field in ("error", "message", "passed"):
+            if ca.get(field) != cb.get(field):
+                mismatches.append(f"{key}: {route} {field} {ca.get(field)!r} != {cb.get(field)!r}")
+        if "classes" not in ca or "classes" not in cb:
+            return
+        for method in sorted(set(ca["classes"]) | set(cb["classes"])):
+            xa, xb = ca["classes"].get(method), cb["classes"].get(method)
+            if xa is None or xb is None or len(xa) != len(xb):
+                mismatches.append(f"{key}: {route} {method} class missing or of another group")
+                continue
+            gap = max(abs(complex(*p) - complex(*q)) for p, q in zip(xa, xb))
+            if gap > CLASS_TOL:
+                mismatches.append(f"{key}: {route} {method} class {xa} != {xb}")
+            note_float("class", key, gap, 0.0, 1.0)
+            note_float("spectral_gap", key, ca["gaps"][method], cb["gaps"][method], scale)
+        note_float("grading_residual", key, ca["grading_residual"], cb["grading_residual"], scale)
+
+    def compare_payload(where, x, y, key, scale):
+        """Floats are compared as numbers (class values at 1e-6), everything
+        else exactly."""
+        if isinstance(x, dict) and isinstance(y, dict):
+            for field in sorted(set(x) | set(y)):
+                if field not in x or field not in y:
+                    mismatches.append(f"{where}.{field} only in {'B' if field in y else 'A'}")
+                else:
+                    compare_payload(f"{where}.{field}", x[field], y[field], key, scale)
+        elif isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+            for i, (p, q) in enumerate(zip(x, y)):
+                compare_payload(f"{where}[{i}]", p, q, key, scale)
+        elif type(x) is float and type(y) is float:
+            if ".value[" in where:
+                if abs(x - y) > CLASS_TOL:
+                    mismatches.append(f"{where} {x!r} != {y!r}")
+                note_float("class", key, abs(x - y), 0.0, 1.0)
+            else:
+                note_float(f"cli {where.rsplit('.', 1)[-1]}", key, x, y, scale)
+        elif type(x) is not type(y) or x != y:
+            mismatches.append(f"{where} {x!r} != {y!r}")
+
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             mismatches.append(f"{key}: only in {'B' if key in b else 'A'}")
@@ -242,23 +330,12 @@ def compare(path_a: str, path_b: str, stream) -> int:
         for field in ("boundary_residual", "duality_residual", "raw_cap_residual"):
             if field in ea and field in eb:
                 note_float(field, key, ea[field], eb[field], scale)
-        ca, cb = ra["coincidence"], rb["coincidence"]
-        for field in ("error", "message", "passed"):
-            if ca.get(field) != cb.get(field):
-                mismatches.append(f"{key}: coincidence {field} {ca.get(field)!r} != {cb.get(field)!r}")
-        if "classes" not in ca or "classes" not in cb:
-            continue
-        for method in sorted(set(ca["classes"]) | set(cb["classes"])):
-            xa, xb = ca["classes"].get(method), cb["classes"].get(method)
-            if xa is None or xb is None or len(xa) != len(xb):
-                mismatches.append(f"{key}: {method} class missing or of another group")
-                continue
-            gap = max(abs(complex(*p) - complex(*q)) for p, q in zip(xa, xb))
-            if gap > CLASS_TOL:
-                mismatches.append(f"{key}: {method} class {xa} != {xb}")
-            note_float("class", key, gap, 0.0, 1.0)
-            note_float("spectral_gap", key, ca["gaps"][method], cb["gaps"][method], scale)
-        note_float("grading_residual", key, ca["grading_residual"], cb["grading_residual"], scale)
+        compare_coincidence("coincidence", key, ra["coincidence"], rb["coincidence"], scale)
+        if "manifold_signature" in ra or "manifold_signature" in rb:
+            compare_coincidence("manifold_signature", key, ra.get("manifold_signature", {}),
+                                rb.get("manifold_signature", {}), scale)
+        if "cli" in ra or "cli" in rb:
+            compare_payload(f"{key}: cli", ra.get("cli"), rb.get("cli"), key, scale)
 
     for line in mismatches:
         stream.write(line + "\n")
