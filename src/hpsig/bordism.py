@@ -476,6 +476,17 @@ class ConeIdentitiesReport:
     failures: tuple[str, ...]
 
 
+# The failure message of each check of the attaching construction, by the
+# report field it checks; the CLI reads each check's verdict from these.
+_CONE_IDENTITY_FAILURES = {
+    "cone_square_residual": "attaching cone differential does not square to zero",
+    "sequence_composes": "four-term sequence does not compose to zero",
+    "sequence_exact": "four-term sequence is not exact",
+    "chain_map_residual": "coupling map is not a chain map to the boundary complex",
+    "boundary_formula_residual": "boundary duality formula does not match the restriction",
+}
+
+
 def verify_cone_identities(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> ConeIdentitiesReport:
@@ -517,7 +528,7 @@ def verify_cone_identities(
     attach = ChainComplex(adims, tuple(abnds)).total_boundary()
     ok, sq = residual_within(attach @ attach, tol, lambda norm: norm(attach) ** 2)
     if not ok:
-        failures.append("attaching cone differential does not square to zero")
+        failures.append(_CONE_IDENTITY_FAILURES["cone_square_residual"])
 
     # (b) four-term sequence on total spaces
     eyes = [np.eye(d) for d in chain.dims]
@@ -531,7 +542,7 @@ def verify_cone_identities(
         residual_within(r, tol)[0] for r in (second @ first, third @ second)
     )
     if not composes:
-        failures.append("four-term sequence does not compose to zero")
+        failures.append(_CONE_IDENTITY_FAILURES["sequence_composes"])
     rank_first = int(np.linalg.matrix_rank(first)) if first.size else 0
     rank_second = int(np.linalg.matrix_rank(second)) if second.size else 0
     rank_third = int(np.linalg.matrix_rank(third)) if third.size else 0
@@ -543,7 +554,7 @@ def verify_cone_identities(
         and rank_third == d_0
     )
     if not exact:
-        failures.append("four-term sequence is not exact")
+        failures.append(_CONE_IDENTITY_FAILURES["sequence_exact"])
 
     # (c) hyperbolic complex of the quotient data and the coupling chain map
     hyp_valid = True
@@ -573,7 +584,7 @@ def verify_cone_identities(
             lambda norm: norm(ftot) * max(norm(delta), 1.0),
         )
         if not ok:
-            failures.append("coupling map is not a chain map to the boundary complex")
+            failures.append(_CONE_IDENTITY_FAILURES["chain_map_residual"])
 
         # (d) restricted duality equals f T f* + b0 S2 + S2 b0*
         s0_tot = _duality_total(dims0, dims0, _restricted_defect(cwb))
@@ -584,7 +595,7 @@ def verify_cone_identities(
             s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))
         )
         if not ok:
-            failures.append("boundary duality formula does not match the restriction")
+            failures.append(_CONE_IDENTITY_FAILURES["boundary_formula_residual"])
 
     return ConeIdentitiesReport(
         tol=tol,

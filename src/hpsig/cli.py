@@ -2,9 +2,18 @@
 
 Exit codes: 0 success, 1 verification or computation failure, 2 unreadable
 or malformed input, 3 degenerate duality or operator (structure parses and
-the algebraic identities hold, but an invertibility assumption fails).
+the algebraic identities hold, but an invertibility assumption fails: the
+cone or quotient cone is the only failed gate of ``verify``, ``cone`` finds
+the cone degenerate, or a degenerate duality or operator is raised).
 The default tolerance is 1e-9, overridable with --tol or the HPSIG_TOL
 environment variable.
+
+Every command has one output path.  It records each text line together with
+the JSON fields that line shows in one :class:`_Output`; :func:`main` renders
+that once, as the text lines or with ``--json`` as the JSON object, and
+returns the command's exit code.  Gate verdicts and exit codes come from the
+report flags, and a gate's ``ok``/``FAIL`` from the failure message that the
+module producing the report defines; no message text is copied here.
 """
 
 from __future__ import annotations
@@ -15,13 +24,16 @@ import os
 import sys
 
 from .bordism import (
+    _CONE_IDENTITY_FAILURES,
     ComplexWithBoundary,
+    CwbReport,
     boundary_complex,
     boundary_signature_is_zero,
     verify_cone_identities,
     verify_with_boundary,
 )
 from .complexes import (
+    _DUALITY_FAILURES,
     HilbertPoincareComplex,
     doubled_duality_cone,
     homology_ranks,
@@ -58,6 +70,44 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_PARSE = 2
 EXIT_DEGENERATE = 3
+
+# the gates of the duality check: DualityReport field, text label, JSON key
+# of the residual (the cone value has its own key)
+_DUALITY_GATES = (
+    ("boundary_residual", "boundary squared", "boundary_squared"),
+    ("selfadjoint_residual", "duality self-adjoint", "selfadjoint"),
+    ("chain_residual", "chain condition", "chain_condition"),
+    ("cone_min_singular_value", "cone min singular value", None),
+    ("action_residual", "action commutes", "action"),
+)
+# the residual checks of the attaching construction: report field, text label
+_ATTACHING_GATES = (
+    ("cone_square_residual", "attaching cone squares"),
+    ("chain_map_residual", "coupling chain map"),
+    ("boundary_formula_residual", "boundary duality formula"),
+)
+
+
+class _Output:
+    """The text lines and the JSON object of one command, recorded together."""
+
+    def __init__(self, **fields) -> None:
+        self.lines: list[str] = []
+        self.payload = dict(fields)
+
+    def __call__(self, line: str | None = None, /, **fields) -> None:
+        """Record a text line (if any) and the JSON fields it shows."""
+        if line is not None:
+            self.lines.append(line)
+        self.payload.update(fields)
+
+    def render(self, as_json: bool) -> None:
+        print(json.dumps(self.payload, indent=1) if as_json else "\n".join(self.lines))
+
+
+def _fields(report, *names: str) -> dict:
+    """The named fields of a report, as a JSON section."""
+    return {name: getattr(report, name) for name in names}
 
 
 def _fmt_complex(z: complex) -> str:
@@ -98,406 +148,225 @@ def _check_line(name: str, value: float, ok: bool) -> str:
     return f"  {name:<24s} {value:11.3e}  {'ok' if ok else 'FAIL'}"
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=1))
-    else:
-        for line in lines:
-            print(line)
-
-
-def _cmd_verify(args) -> int:
-    obj = read_hpx(args.file)
-    tol = args.tol
-    if isinstance(obj, ComplexWithBoundary):
-        rep = verify_with_boundary(obj, tol=tol)
-        lines = [f"complex with boundary: top degree {obj.chain.n}, dims {obj.chain.dims}"]
-        for name, value in rep.residuals.items():
-            lines.append(_check_line(name, value, name not in rep.failures))
-        lines.append(
-            _check_line("cone min singular value", rep.cone_min_singular_value, rep.cone_invertible)
-        )
-        lines.append(f"verify: {'PASS' if rep.passed else 'FAIL'} (tol {tol:g})")
-        payload = {
-            "command": "verify",
-            "kind": "with-boundary",
-            "tol": tol,
-            "residuals": rep.residuals,
-            "cone_min_singular_value": rep.cone_min_singular_value,
-            "failures": list(rep.failures),
-            "passed": rep.passed,
-        }
-        _emit(args, payload, lines)
-        if rep.passed:
-            return EXIT_OK
-        if all("cone" in f for f in rep.failures):
-            return EXIT_DEGENERATE
-        return EXIT_FAIL
-    rep = verify_duality(obj, tol=tol)
-    lines = [f"duality complex: top degree {obj.n}, dims {obj.dims}"]
-    lines.append(
-        _check_line("boundary squared", rep.boundary_residual,
-                    "boundary squares to a nonzero operator" not in rep.failures)
-    )
-    lines.append(
-        _check_line("duality self-adjoint", rep.selfadjoint_residual,
-                    "duality is not self-adjoint" not in rep.failures)
-    )
-    lines.append(
-        _check_line("chain condition", rep.chain_residual,
-                    "duality does not anticommute with the boundary" not in rep.failures)
-    )
-    lines.append(
-        _check_line("cone min singular value", rep.cone_min_singular_value, rep.cone_invertible)
-    )
-    if obj.action is not None:
-        lines.append(
-            _check_line("action commutes", rep.action_residual,
-                        "action does not commute with the structure maps" not in rep.failures)
-        )
-    lines.append(f"verify: {'PASS' if rep.passed else 'FAIL'} (tol {tol:g})")
-    payload = {
-        "command": "verify",
-        "kind": "closed",
-        "tol": tol,
-        "residuals": {
-            "boundary_squared": rep.boundary_residual,
-            "selfadjoint": rep.selfadjoint_residual,
-            "chain_condition": rep.chain_residual,
-            "action": rep.action_residual,
-        },
-        "cone_min_singular_value": rep.cone_min_singular_value,
-        "failures": list(rep.failures),
-        "passed": rep.passed,
-    }
-    _emit(args, payload, lines)
+def _exit_code(rep) -> int:
+    """Exit code of a duality or structure check: degenerate when the cone is
+    the only failed gate."""
     if rep.passed:
         return EXIT_OK
-    if rep.failures == ("duality cone operator is not invertible",):
-        return EXIT_DEGENERATE
-    return EXIT_FAIL
+    return EXIT_DEGENERATE if not rep.cone_invertible and len(rep.failures) == 1 else EXIT_FAIL
 
 
-def _cmd_signature(args) -> int:
+def _read_hpx(path: str, closed: bool, why: str):
+    """The complex stored at ``path``, which must be closed or have a boundary."""
+    obj = read_hpx(path)
+    if isinstance(obj, ComplexWithBoundary) == closed:
+        raise PreconditionViolated(why)
+    return obj
+
+
+def _structure(out: _Output, rep: CwbReport, section: str | None = None) -> None:
+    """The gate lines of a with-boundary structure check, with its residuals,
+    cone value and failures at the top level of the JSON or under ``section``."""
+    for name, value in rep.residuals.items():
+        out(_check_line(name, value, name not in rep.failures))
+    fields = _fields(rep, "residuals", "cone_min_singular_value", "failures")
+    out(_check_line("cone min singular value", rep.cone_min_singular_value, rep.cone_invertible),
+        **({section: fields} if section else fields))
+
+
+def _cmd_verify(args, out: _Output) -> int:
     obj = read_hpx(args.file)
-    if isinstance(obj, ComplexWithBoundary):
-        raise PreconditionViolated(
-            "signature needs a closed complex; use bordism-check for one with boundary"
-        )
     tol = args.tol
+    if isinstance(obj, ComplexWithBoundary):
+        out(f"complex with boundary: top degree {obj.chain.n}, dims {obj.chain.dims}",
+            kind="with-boundary", tol=tol)
+        rep = verify_with_boundary(obj, tol=tol)
+        _structure(out, rep)
+    else:
+        rep = verify_duality(obj, tol=tol)
+        residuals = {key: getattr(rep, field) for field, _, key in _DUALITY_GATES if key}
+        out(f"duality complex: top degree {obj.n}, dims {obj.dims}", kind="closed", tol=tol,
+            residuals=residuals, cone_min_singular_value=rep.cone_min_singular_value)
+        for field, label, key in _DUALITY_GATES:
+            if key != "action" or obj.action is not None:
+                ok = _DUALITY_FAILURES[field] not in rep.failures
+                out(_check_line(label, getattr(rep, field), ok))
+        out(failures=rep.failures)
+    out(f"verify: {'PASS' if rep.passed else 'FAIL'} (tol {tol:g})", passed=rep.passed)
+    return _exit_code(rep)
+
+
+def _cmd_signature(args, out: _Output) -> int:
+    hp = _read_hpx(args.file, True, "signature needs a closed complex; "
+                   "use bordism-check for one with boundary")
     if args.method != "all":
-        fn = {
-            "higson-roe": higson_roe_signature,
-            "mishchenko": mishchenko_signature,
-            "reduced": reduced_signature,
-        }[args.method]
-        result = fn(obj, tol=tol)
-        lines = [
-            f"{result.method} signature: {_fmt_class(result.k0)}",
-            f"  spectral gap {result.spectral_gap:.3e}",
-        ]
-        payload = {
-            "command": "signature",
-            "method": result.method,
-            "class": _class_dict(result.k0),
-            "spectral_gap": result.spectral_gap,
-        }
-        _emit(args, payload, lines)
+        fn = {"higson-roe": higson_roe_signature, "mishchenko": mishchenko_signature,
+              "reduced": reduced_signature}[args.method]
+        result = fn(hp, tol=args.tol)
+        out(f"{result.method} signature: {_fmt_class(result.k0)}",
+            method=result.method, **{"class": _class_dict(result.k0)})
+        out(f"  spectral gap {result.spectral_gap:.3e}", spectral_gap=result.spectral_gap)
         return EXIT_OK
-    rep = check_coincidence(obj, tol=tol)
-    lines = []
-    for result in rep.results:
-        lines.append(
-            f"  {result.method:<12s} {_fmt_class(result.k0)}   "
-            f"(gap {result.spectral_gap:.3e})"
-        )
-    lines.append(f"  max character difference {rep.max_character_difference:.3e}")
-    lines.append(
-        f"  grading conjugation residual {rep.grading_conjugation_residual:.3e}"
-    )
-    lines.append(f"coincidence: {'PASS' if rep.passed else 'FAIL'}")
-    payload = {
-        "command": "signature",
-        "methods": {
-            r.method: _class_dict(r.k0) for r in rep.results
-        },
-        "max_character_difference": rep.max_character_difference,
-        "grading_conjugation_residual": rep.grading_conjugation_residual,
-        "passed": rep.passed,
-    }
-    _emit(args, payload, lines)
+    rep = check_coincidence(hp, tol=args.tol)
+    out(methods={r.method: _class_dict(r.k0) for r in rep.results})
+    for r in rep.results:
+        out(f"  {r.method:<12s} {_fmt_class(r.k0)}   (gap {r.spectral_gap:.3e})")
+    out(f"  max character difference {rep.max_character_difference:.3e}",
+        max_character_difference=rep.max_character_difference)
+    out(f"  grading conjugation residual {rep.grading_conjugation_residual:.3e}",
+        grading_conjugation_residual=rep.grading_conjugation_residual)
+    out(f"coincidence: {'PASS' if rep.passed else 'FAIL'}", passed=rep.passed)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _cmd_boundary(args) -> int:
-    obj = read_hpx(args.file)
-    if not isinstance(obj, ComplexWithBoundary):
-        raise PreconditionViolated("file holds a closed complex, not one with boundary")
-    hp = boundary_complex(obj, tol=args.tol)
-    lines = [
-        f"boundary complex: top degree {hp.n}, dims {hp.dims}",
-    ]
-    payload = {"command": "boundary", "n": hp.n, "dims": list(hp.dims)}
+def _cmd_boundary(args, out: _Output) -> int:
+    cwb = _read_hpx(args.file, False, "file holds a closed complex, not one with boundary")
+    hp = boundary_complex(cwb, tol=args.tol)
+    out(f"boundary complex: top degree {hp.n}, dims {hp.dims}", n=hp.n, dims=hp.dims)
     if args.output:
         write_hpx(hp, args.output)
-        lines.append(f"written to {args.output}")
-        payload["output"] = args.output
-    _emit(args, payload, lines)
+        out(f"written to {args.output}", output=args.output)
     return EXIT_OK
 
 
-def _cmd_cone(args) -> int:
-    obj = read_hpx(args.file)
-    if isinstance(obj, ComplexWithBoundary):
-        raise PreconditionViolated(
-            "the duality cone is defined for closed complexes; "
-            "run bordism-check on a complex with boundary"
-        )
-    doubled = doubled_duality_cone(obj, tol=args.tol)
+def _cmd_cone(args, out: _Output) -> int:
+    hp = _read_hpx(args.file, True, "the duality cone is defined for closed complexes; "
+                   "run bordism-check on a complex with boundary")
+    doubled = doubled_duality_cone(hp, tol=args.tol)
     cone = doubled.cone
     ranks = homology_ranks(cone, tol=args.tol)
     invertible, sv = doubled.invertibility(args.tol)
     acyclic = all(r == 0 for r in ranks)
     ok = acyclic and invertible
-    lines = [
-        f"mapping cone of the duality: dims {cone.dims}",
-        f"  homology ranks {ranks}",
-        f"  cone operator min singular value {sv:.3e}",
-        f"cone: {'PASS' if ok else 'DEGENERATE'} (tol {args.tol:g})",
-    ]
-    payload = {
-        "command": "cone",
-        "dims": list(cone.dims),
-        "homology_ranks": list(ranks),
-        "min_singular_value": sv,
-        "acyclic": acyclic,
-        "invertible": invertible,
-        "passed": ok,
-    }
-    _emit(args, payload, lines)
+    out(f"mapping cone of the duality: dims {cone.dims}", dims=cone.dims)
+    out(f"  homology ranks {ranks}", homology_ranks=ranks)
+    out(f"  cone operator min singular value {sv:.3e}", min_singular_value=sv)
+    out(f"cone: {'PASS' if ok else 'DEGENERATE'} (tol {args.tol:g})",
+        acyclic=acyclic, invertible=invertible, passed=ok)
     return EXIT_OK if ok else EXIT_DEGENERATE
 
 
-def _cmd_bordism_check(args) -> int:
-    obj = read_hpx(args.file)
-    if not isinstance(obj, ComplexWithBoundary):
-        raise PreconditionViolated("file holds a closed complex, not one with boundary")
+def _cmd_bordism_check(args, out: _Output) -> int:
+    cwb = _read_hpx(args.file, False, "file holds a closed complex, not one with boundary")
     tol = args.tol
-    struct = verify_with_boundary(obj, tol=tol)
-    cone = verify_cone_identities(obj, tol=tol)
-    zero = boundary_signature_is_zero(obj, tol=tol)
-    lines = ["structure:"]
-    for name, value in struct.residuals.items():
-        lines.append(_check_line(name, value, name not in struct.failures))
-    lines.append(
-        _check_line("cone min singular value", struct.cone_min_singular_value,
-                    struct.cone_invertible)
-    )
-    lines.append("attaching construction:")
-    lines.append(_check_line("attaching cone squares", cone.cone_square_residual,
-                             "attaching cone differential does not square to zero" not in cone.failures))
-    lines.append(_check_line(
-        "coupling chain map", cone.chain_map_residual,
-        "coupling map is not a chain map to the boundary complex" not in cone.failures,
+    struct = verify_with_boundary(cwb, tol=tol)
+    cone = verify_cone_identities(cwb, tol=tol)
+    zero = boundary_signature_is_zero(cwb, tol=tol)
+    out("structure:")
+    _structure(out, struct, "structure")
+    out("attaching construction:", attaching=_fields(
+        cone, *(field for field, _ in _ATTACHING_GATES),
+        "sequence_composes", "sequence_exact", "hyperbolic_valid", "failures",
     ))
-    lines.append(_check_line(
-        "boundary duality formula", cone.boundary_formula_residual,
-        "boundary duality formula does not match the restriction" not in cone.failures,
-    ))
-    lines.append(f"  four-term sequence composes: {cone.sequence_composes}")
-    lines.append(f"  four-term sequence exact:    {cone.sequence_exact}")
-    lines.append(f"  hyperbolic quotient valid:   {cone.hyperbolic_valid}")
-    lines.append("boundary class:")
+    for field, label in _ATTACHING_GATES:
+        ok = _CONE_IDENTITY_FAILURES[field] not in cone.failures
+        out(_check_line(label, getattr(cone, field), ok))
+    out(f"  four-term sequence composes: {cone.sequence_composes}")
+    out(f"  four-term sequence exact:    {cone.sequence_exact}")
+    out(f"  hyperbolic quotient valid:   {cone.hyperbolic_valid}")
+    out("boundary class:")
     for result in zero.coincidence.results:
-        lines.append(f"  {result.method:<12s} {_fmt_class(result.k0)}")
-    lines.append(f"  boundary class vanishes: {zero.is_zero}")
+        out(f"  {result.method:<12s} {_fmt_class(result.k0)}")
+    out(f"  boundary class vanishes: {zero.is_zero}", boundary_class_zero=zero.is_zero)
     passed = struct.passed and cone.passed and zero.passed
-    lines.append(f"bordism-check: {'PASS' if passed else 'FAIL'} (tol {tol:g})")
-    payload = {
-        "command": "bordism-check",
-        "structure": {
-            "residuals": struct.residuals,
-            "cone_min_singular_value": struct.cone_min_singular_value,
-            "failures": list(struct.failures),
-        },
-        "attaching": {
-            "cone_square_residual": cone.cone_square_residual,
-            "chain_map_residual": cone.chain_map_residual,
-            "boundary_formula_residual": cone.boundary_formula_residual,
-            "sequence_composes": cone.sequence_composes,
-            "sequence_exact": cone.sequence_exact,
-            "hyperbolic_valid": cone.hyperbolic_valid,
-            "failures": list(cone.failures),
-        },
-        "boundary_class_zero": zero.is_zero,
-        "passed": passed,
-    }
-    _emit(args, payload, lines)
+    out(f"bordism-check: {'PASS' if passed else 'FAIL'} (tol {tol:g})", passed=passed)
     return EXIT_OK if passed else EXIT_FAIL
 
 
-def _cmd_manifold(args) -> int:
+def _describe(out: _Output, manifold, prefix: str = "") -> None:
+    """The header line of a triangulation, with its dimension and boundary flag."""
+    out(
+        f"{prefix}dimension {manifold.dim}, {len(manifold.vertices)} vertices, "
+        f"{len(manifold.facets)} facets, "
+        f"{'with boundary' if manifold.with_boundary else 'closed'}",
+        dim=manifold.dim,
+        with_boundary=manifold.with_boundary,
+    )
+
+
+def _cmd_manifold(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
     tol = args.tol
     chains = enumerate_and_boundaries(manifold)
-    lines = [
-        f"triangulation: dimension {manifold.dim}, "
-        f"{len(manifold.vertices)} vertices, {len(manifold.facets)} facets, "
-        f"{'with boundary' if manifold.with_boundary else 'closed'}",
-        f"  chain dims {chains.chain.dims}",
-    ]
-    payload: dict = {
-        "command": "manifold",
-        "dim": manifold.dim,
-        "with_boundary": manifold.with_boundary,
-        "chain_dims": list(chains.chain.dims),
-    }
+    _describe(out, manifold, "triangulation: ")
+    out(f"  chain dims {chains.chain.dims}", chain_dims=chains.chain.dims)
     if args.stats:
         stats = geometry_stats(manifold, action, chains)
-        lines.append(
-            f"  max closed star {stats.max_closed_star}, "
-            f"max isotropy order {stats.max_isotropy_order}"
-        )
-        payload["stats"] = {
-            "simplex_counts": list(stats.simplex_counts),
-            "max_closed_star": stats.max_closed_star,
-            "max_isotropy_order": stats.max_isotropy_order,
-        }
+        out(f"  max closed star {stats.max_closed_star}, "
+            f"max isotropy order {stats.max_isotropy_order}",
+            stats=_fields(stats, "simplex_counts", "max_closed_star", "max_isotropy_order"))
     if manifold.with_boundary:
         if action is not None:
-            raise PreconditionViolated(
-                "group actions are only supported on closed triangulations"
-            )
+            raise PreconditionViolated("group actions are only supported on closed triangulations")
+        # bordism_to_cwb raises unless the boundary structure checks pass
         cwb = bordism_to_cwb(manifold, chains, tol=tol)
-        struct = verify_with_boundary(cwb, tol=tol)
         zero = boundary_signature_is_zero(cwb, tol=tol)
-        lines.append(f"  boundary structure valid: {struct.passed}")
-        lines.append(f"  boundary class vanishes:  {zero.is_zero}")
-        passed = struct.passed and zero.passed
-        payload["structure_passed"] = struct.passed
-        payload["boundary_class_zero"] = zero.is_zero
-        payload["passed"] = passed
-        lines.append(f"manifold: {'PASS' if passed else 'FAIL'} (tol {tol:g})")
-        _emit(args, payload, lines)
-        return EXIT_OK if passed else EXIT_FAIL
+        out("  boundary structure valid: True", structure_passed=True)
+        out(f"  boundary class vanishes:  {zero.is_zero}", boundary_class_zero=zero.is_zero)
+        out(f"manifold: {'PASS' if zero.passed else 'FAIL'} (tol {tol:g})", passed=zero.passed)
+        return EXIT_OK if zero.passed else EXIT_FAIL
     if action is None:
         rep = manifold_signature(manifold, None, chains, tol=tol)
     else:
         # the action, the duality and the spectral splits of B + S and B - S
         # are built once, for the equivariance residuals and for the signatures
-        rho, dual, eq, halves = _equivariant_structure(
-            manifold, action, chains, tol, for_signatures=True
-        )
-        lines.append(
-            f"  equivariance residuals: boundary {eq.boundary_residual:.3e}, "
-            f"duality {eq.duality_residual:.3e}"
-        )
-        payload["equivariance"] = {
-            "boundary_residual": eq.boundary_residual,
-            "duality_residual": eq.duality_residual,
-            "passed": eq.passed,
-        }
+        rho, dual, eq, halves = _equivariant_structure(manifold, action, chains, tol,
+                                                       for_signatures=True)
+        out(f"  equivariance residuals: boundary {eq.boundary_residual:.3e}, "
+            f"duality {eq.duality_residual:.3e}",
+            equivariance=_fields(eq, "boundary_residual", "duality_residual", "passed"))
         if not eq.passed:
-            lines.append("manifold: FAIL (action does not commute)")
-            _emit(args, payload, lines)
+            out("manifold: FAIL (action does not commute)")
             return EXIT_FAIL
         rep = _coincidence(HilbertPoincareComplex(chains.chain, dual, rho), halves, tol)
+    out(methods={r.method: _class_dict(r.k0) for r in rep.results})
     for result in rep.results:
-        lines.append(f"  {result.method:<12s} {_fmt_class(result.k0)}")
-    lines.append(f"  max character difference {rep.max_character_difference:.3e}")
-    lines.append(f"manifold signature: {_fmt_class(rep.k0)}"
-                 f" ({'PASS' if rep.passed else 'FAIL'})")
-    payload["methods"] = {r.method: _class_dict(r.k0) for r in rep.results}
-    payload["max_character_difference"] = rep.max_character_difference
-    payload["class"] = _class_dict(rep.k0)
-    payload["passed"] = rep.passed
-    _emit(args, payload, lines)
+        out(f"  {result.method:<12s} {_fmt_class(result.k0)}")
+    out(f"  max character difference {rep.max_character_difference:.3e}",
+        max_character_difference=rep.max_character_difference)
+    out(f"manifold signature: {_fmt_class(rep.k0)} ({'PASS' if rep.passed else 'FAIL'})",
+        **{"class": _class_dict(rep.k0)}, passed=rep.passed)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
-    chains = enumerate_and_boundaries(manifold)
-    stats = geometry_stats(manifold, action, chains)
-    lines = [
-        f"dimension {manifold.dim}, {len(manifold.vertices)} vertices, "
-        f"{len(manifold.facets)} facets, "
-        f"{'with boundary' if manifold.with_boundary else 'closed'}",
-        f"  simplex counts {stats.simplex_counts}",
-        f"  max closed star {stats.max_closed_star}",
-        f"  max isotropy order {stats.max_isotropy_order}",
-    ]
-    payload = {
-        "command": "stats",
-        "dim": manifold.dim,
-        "with_boundary": manifold.with_boundary,
-        "simplex_counts": list(stats.simplex_counts),
-        "max_closed_star": stats.max_closed_star,
-        "max_isotropy_order": stats.max_isotropy_order,
-    }
-    _emit(args, payload, lines)
+    stats = geometry_stats(manifold, action, enumerate_and_boundaries(manifold))
+    _describe(out, manifold)
+    out(f"  simplex counts {stats.simplex_counts}", simplex_counts=stats.simplex_counts)
+    out(f"  max closed star {stats.max_closed_star}", max_closed_star=stats.max_closed_star)
+    out(f"  max isotropy order {stats.max_isotropy_order}",
+        max_isotropy_order=stats.max_isotropy_order)
     return EXIT_OK
 
 
-def _cmd_generate(args) -> int:
+def _cmd_generate(args, out: _Output) -> int:
     if args.with_boundary:
-        cwb = generate_with_boundary(args.seed, args.profile)
-        lines = [
-            f"generated complex with boundary: top degree {cwb.chain.n}, "
-            f"dims {cwb.chain.dims}",
-            f"  subcomplex dims {tuple(len(ix) for ix in cwb.split)}",
-        ]
-        payload = {
-            "command": "generate",
-            "kind": "with-boundary",
-            "seed": args.seed,
-            "profile": args.profile,
-            "dims": list(cwb.chain.dims),
-            "sub_dims": [len(ix) for ix in cwb.split],
-        }
-        if args.output:
-            write_hpx(cwb, args.output)
-            lines.append(f"written to {args.output}")
-            payload["output"] = args.output
-        _emit(args, payload, lines)
-        return EXIT_OK
-    hp, expected = generate_with_signature(args.seed, args.profile)
-    lines = [
-        f"generated complex: top degree {hp.n}, dims {hp.dims}",
-        f"  expected signature class {_fmt_class(expected)}",
-    ]
-    payload = {
-        "command": "generate",
-        "kind": "closed",
-        "seed": args.seed,
-        "profile": args.profile,
-        "dims": list(hp.dims),
-        "expected_class": _class_dict(expected),
-    }
+        obj = generate_with_boundary(args.seed, args.profile)
+        out(f"generated complex with boundary: top degree {obj.chain.n}, dims {obj.chain.dims}",
+            kind="with-boundary", seed=args.seed, profile=args.profile, dims=obj.chain.dims)
+        sub_dims = tuple(len(ix) for ix in obj.split)
+        out(f"  subcomplex dims {sub_dims}", sub_dims=sub_dims)
+    else:
+        obj, expected = generate_with_signature(args.seed, args.profile)
+        out(f"generated complex: top degree {obj.n}, dims {obj.dims}",
+            kind="closed", seed=args.seed, profile=args.profile, dims=obj.dims)
+        out(f"  expected signature class {_fmt_class(expected)}",
+            expected_class=_class_dict(expected))
     if args.output:
-        write_hpx(hp, args.output)
-        lines.append(f"written to {args.output}")
-        payload["output"] = args.output
-    _emit(args, payload, lines)
+        write_hpx(obj, args.output)
+        out(f"written to {args.output}", output=args.output)
     return EXIT_OK
 
 
-def _cmd_subdivide(args) -> int:
+def _cmd_subdivide(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
     refined, refined_action = barycentric_subdivide(manifold, action)
-    lines = [
-        f"subdivided: {len(manifold.facets)} -> {len(refined.facets)} facets, "
+    out(f"subdivided: {len(manifold.facets)} -> {len(refined.facets)} facets, "
         f"{len(refined.vertices)} vertices",
-    ]
-    payload = {
-        "command": "subdivide",
-        "facets": len(refined.facets),
-        "vertices": len(refined.vertices),
-    }
+        facets=len(refined.facets), vertices=len(refined.vertices))
     write_smf(refined, args.output, refined_action)
-    lines.append(f"written to {args.output}")
-    payload["output"] = args.output
-    _emit(args, payload, lines)
+    out(f"written to {args.output}", output=args.output)
     return EXIT_OK
 
 
@@ -515,88 +384,64 @@ def _default_tol() -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="hpsig",
-        description="Signatures of algebraic duality complexes.",
-    )
+    parser = argparse.ArgumentParser(prog="hpsig",
+                                     description="Signatures of algebraic duality complexes.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str):
+    def add(name: str, help_text: str, fn, file: bool = True):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--tol", type=float, default=None,
                        help="numerical tolerance (default 1e-9 or HPSIG_TOL)")
         p.add_argument("--json", action="store_true", help="machine readable output")
+        if file:
+            p.add_argument("file")
+        p.set_defaults(fn=fn)
         return p
 
-    p = add("verify", "check the axioms of a stored complex")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = add("signature", "compute signature classes of a closed complex")
-    p.add_argument("file")
+    add("verify", "check the axioms of a stored complex", _cmd_verify)
+    p = add("signature", "compute signature classes of a closed complex", _cmd_signature)
     p.add_argument("--method", default="all",
                    choices=["all", "higson-roe", "mishchenko", "reduced"])
-    p.set_defaults(fn=_cmd_signature)
-
-    p = add("boundary", "extract the boundary complex of a complex with boundary")
-    p.add_argument("file")
+    p = add("boundary", "extract the boundary complex of a complex with boundary", _cmd_boundary)
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=_cmd_boundary)
-
-    p = add("cone", "mapping cone of the duality, with acyclicity report")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_cone)
-
-    p = add("bordism-check", "full structural and vanishing checks on a complex with boundary")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_bordism_check)
-
-    p = add("manifold", "build and check the duality complex of a triangulation")
-    p.add_argument("file")
+    add("cone", "mapping cone of the duality, with acyclicity report", _cmd_cone)
+    add("bordism-check", "full structural and vanishing checks on a complex with boundary",
+        _cmd_bordism_check)
+    p = add("manifold", "build and check the duality complex of a triangulation", _cmd_manifold)
     p.add_argument("--stats", action="store_true", help="include geometry statistics")
-    p.set_defaults(fn=_cmd_manifold)
-
-    p = add("stats", "geometry statistics of a triangulation")
-    p.add_argument("file")
-    p.set_defaults(fn=_cmd_stats)
-
-    p = add("generate", "seeded random complex with a known signature class")
+    add("stats", "geometry statistics of a triangulation", _cmd_stats)
+    p = add("generate", "seeded random complex with a known signature class", _cmd_generate,
+            file=False)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--profile", required=True,
                    help="n<int>[-z<int>][-d<int>], e.g. n4-z3-d6")
     p.add_argument("--with-boundary", action="store_true")
     p.add_argument("-o", "--output", default=None)
-    p.set_defaults(fn=_cmd_generate)
-
-    p = add("subdivide", "barycentric subdivision of a triangulation")
-    p.add_argument("file")
+    p = add("subdivide", "barycentric subdivision of a triangulation", _cmd_subdivide)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=_cmd_subdivide)
-
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    out = _Output(command=args.command)
     try:
         if args.tol is None:
             args.tol = _default_tol()
         elif not args.tol > 0:
             raise ParseError(f"--tol must be positive, got {args.tol}")
-        return args.fn(args)
-    except ParseError as exc:
+        code = args.fn(args, out)
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (DegenerateDuality, DegenerateOperator, DegenerateBoundaryDuality) as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except HpsigError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return EXIT_FAIL
+    out.render(args.json)
+    return code
 
 
 if __name__ == "__main__":

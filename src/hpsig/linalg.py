@@ -240,13 +240,14 @@ class Spectrum:
 class SpectralSplit(Spectrum):
     """Signed spectral decomposition of a self-adjoint operator.
 
-    ``p_plus``/``p_minus``/``p_zero`` are orthogonal projections onto the
-    strictly positive, strictly negative and (numerically) zero eigenspaces.
+    ``p_plus``/``p_minus`` are orthogonal projections onto the strictly
+    positive and strictly negative eigenspaces; the projection onto the
+    (numerically) zero eigenspace, of rank ``rank_zero``, is
+    ``I - p_plus - p_minus``.
     """
 
     p_plus: np.ndarray
     p_minus: np.ndarray
-    p_zero: np.ndarray
 
 
 def _sign_classes(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
@@ -285,9 +286,7 @@ def spectral_split(h: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSplit:
         vecs = v[:, mask]
         return vecs @ adjoint(vecs)
 
-    return SpectralSplit(
-        **fields, p_plus=proj(plus), p_minus=proj(minus), p_zero=proj(~(plus | minus))
-    )
+    return SpectralSplit(**fields, p_plus=proj(plus), p_minus=proj(minus))
 
 
 def assemble_total(

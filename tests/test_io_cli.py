@@ -206,6 +206,68 @@ def test_cli_verify_degenerate_exit_code(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def _moved(duality: DualityOperator, eps: float = 1e-3) -> DualityOperator:
+    """``duality`` plus ``eps`` times a seeded family that is not self-adjoint."""
+    rng = np.random.default_rng(7)
+    return DualityOperator(tuple(b + eps * rng.standard_normal(b.shape) for b in duality.blocks))
+
+
+def test_cli_verify_with_boundary_quotient_cone_only_is_degenerate(tmp_path, capsys):
+    hp = _zero_duality_complex()
+    cwb = ComplexWithBoundary(hp.chain, hp.duality, ((), (), ()))
+    rep = verify_with_boundary(cwb)
+    # every structural identity holds and the quotient cone is the one failed gate
+    assert not rep.cone_invertible and len(rep.failures) == 1
+    assert rep.failures[0] not in rep.residuals
+    assert not any("cone" in name for name in rep.residuals)
+    path = str(tmp_path / "zb.hpx")
+    write_hpx(cwb, path)
+    assert main(["verify", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "cone min singular value    0.000e+00  FAIL" in captured.out
+    assert "verify: FAIL" in captured.out
+    assert main(["verify", path, "--json"]) == 3
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["kind"] == "with-boundary"
+    assert doc["failures"] == list(rep.failures)
+
+
+def test_cli_verify_with_boundary_structural_failure_exit_code(tmp_path, capsys):
+    cwb = generate_with_boundary(3, "n2-d6")
+    moved = ComplexWithBoundary(cwb.chain, _moved(cwb.duality), cwb.split)
+    rep = verify_with_boundary(moved)
+    assert "duality-selfadjoint" in rep.failures
+    path = str(tmp_path / "mb.hpx")
+    write_hpx(moved, path)
+    assert main(["verify", path]) == 1
+    out = capsys.readouterr().out
+    assert [line.split()[-1] for line in out.splitlines() if "duality-selfadjoint" in line] == [
+        "FAIL"
+    ]
+    assert "verify: FAIL" in out
+
+
+def test_cli_verify_closed_nonselfadjoint_exit_code(tmp_path, capsys):
+    hp, _ = generate_with_signature(5, "n2-d6")
+    path = str(tmp_path / "m.hpx")
+    write_hpx(HilbertPoincareComplex(hp.chain, _moved(hp.duality)), path)
+    assert main(["verify", path]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    verdicts = {line[2:26].strip(): line.split()[-1] for line in lines if line.startswith("  ")}
+    assert verdicts["duality self-adjoint"] == "FAIL"
+    assert verdicts["boundary squared"] == "ok"
+    assert lines[-1] == "verify: FAIL (tol 1e-09)"
+
+
+def test_cli_bordism_check_failure_exit_code(tmp_path, capsys):
+    cwb = generate_with_boundary(3, "n2-d6")
+    path = str(tmp_path / "mb.hpx")
+    write_hpx(ComplexWithBoundary(cwb.chain, _moved(cwb.duality), cwb.split), path)
+    assert main(["bordism-check", path]) == 1
+    assert capsys.readouterr().err.startswith("failure:")
+
+
 def test_cli_signature(tmp_path, capsys):
     hp, expected = generate_with_signature(5, "n2-d6")
     path = str(tmp_path / "c.hpx")

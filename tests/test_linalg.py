@@ -194,11 +194,12 @@ def test_spectral_split_is_a_resolution_of_identity(seed, d):
     rng = np.random.default_rng(seed)
     h = _random_hermitian(rng, d)
     split = spectral_split(h)
-    total = split.p_plus + split.p_minus + split.p_zero
-    assert np.allclose(total, np.eye(d), atol=1e-10)
-    for p in (split.p_plus, split.p_minus, split.p_zero):
+    # the rest of the identity is the projection onto the zero eigenspace
+    p_zero = np.eye(d) - split.p_plus - split.p_minus
+    for p in (split.p_plus, split.p_minus, p_zero):
         assert np.allclose(p @ p, p, atol=1e-10)
         assert np.allclose(adjoint(p), p, atol=1e-12)
+    assert abs(np.trace(p_zero).real - split.rank_zero) < 1e-10
     # projections commute with the operator
     assert operator_norm(h @ split.p_plus - split.p_plus @ h) < 1e-9 * max(
         1.0, operator_norm(h)

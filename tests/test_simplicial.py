@@ -191,7 +191,7 @@ def test_four_k_triangulation_stays_real(build):
     assert hp.total_duality().dtype == np.float64
     for op in _b_plus_s_and_b_minus_s(hp):
         split = spectral_split(op)
-        assert {p.dtype for p in (split.p_plus, split.p_minus, split.p_zero)} == {
+        assert {p.dtype for p in (split.p_plus, split.p_minus)} == {
             np.dtype(np.float64)
         }
 

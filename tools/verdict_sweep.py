@@ -25,12 +25,21 @@ reuses the spectra of its duality check; with a group action it further holds
 every field of the ``EquivarianceReport`` that the CLI ``manifold`` command
 gates on, and that command's ``--json`` payload and exit code.
 
+``--cli`` runs the CLI byte sweep instead: every command, in text and with
+``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
+temporary directory (passing, failing, degenerate and with-boundary complexes,
+triangulations with and without actions, unreadable files, bad tolerances).
+Each invocation writes one JSON line with its argv, exit code, stdout and
+stderr, the temporary directory masked as ``<dir>``.
+
+    PYTHONPATH=src python tools/verdict_sweep.py --cli --out cli.jsonl
+
 ``--compare A B`` lists every discrete mismatch (flags, failure lists,
 exception types and messages, classes beyond 1e-6, exit codes and the
-non-float fields of the CLI payload, missing cases) and the worst float
-difference relative to ``max(1, scale)``; it exits 1 when a discrete mismatch
-exists.  Needs only the standard library, numpy and the
-``hpsig`` package on the path.
+non-float fields of the CLI payload, missing cases; for CLI byte records any
+difference in exit code, stdout or stderr) and the worst float difference
+relative to ``max(1, scale)``; it exits 1 when a discrete mismatch exists.
+Needs only the standard library, numpy and the ``hpsig`` package on the path.
 """
 
 from __future__ import annotations
@@ -244,6 +253,170 @@ def sweep(seeds: int, stream) -> int:
     return count
 
 
+HPX_COMMANDS = (
+    ("verify",),
+    ("signature",),
+    ("signature", "--method", "higson-roe"),
+    ("signature", "--method", "mishchenko"),
+    ("signature", "--method", "reduced"),
+    ("boundary",),
+    ("boundary", "-o", "{dir}/edge.hpx"),
+    ("cone",),
+    ("bordism-check",),
+)
+SMF_COMMANDS = (
+    ("manifold",),
+    ("manifold", "--stats"),
+    ("stats",),
+    ("subdivide", "-o", "{dir}/sd.smf"),
+)
+
+
+def _zero_duality_chain():
+    """Degrees 0..2 of dims (1, 0, 1) with zero boundaries and zero duality."""
+    import hpsig
+
+    chain = hpsig.ChainComplex((1, 0, 1), (np.zeros((1, 0)), np.zeros((0, 1))))
+    dual = hpsig.DualityOperator((np.zeros((1, 1)), np.zeros((0, 0)), np.zeros((1, 1))))
+    return chain, dual
+
+
+def _disk_rotation():
+    """The 2-simplex with Z/3 rotating its vertices, an action on a triangulation
+    with boundary."""
+    import hpsig
+
+    maps = tuple({v: (v + k) % 3 for v in range(3)} for k in range(3))
+    return hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(3), maps)
+
+
+def cli_fixtures(tmp: str) -> tuple[list[str], list[str]]:
+    """Write the byte sweep's input files to ``tmp``; return the ``.hpx`` and
+    the ``.smf`` paths, including one unwritten and one unparsable of each."""
+    import hpsig
+    from hpsig import fixtures
+
+    chain, zero = _zero_duality_chain()
+    closed = {
+        "n2-z2-0": hpsig.generate_with_signature(0, "n2-z2")[0],
+        "n2-d6-5": hpsig.generate_with_signature(5, "n2-d6")[0],
+        "n4-z3-d3-1": hpsig.generate_with_signature(1, "n4-z3-d3")[0],
+        "n0-z4-d4-2": hpsig.generate_with_signature(2, "n0-z4-d4")[0],
+        "model-cp2": fixtures.model_projective_plane(),
+        "zero-duality": hpsig.HilbertPoincareComplex(chain, zero),
+    }
+    closed["n2-d6-5-nsa"] = perturbed(closed["n2-d6-5"], "n2-d6-5", "nsa", 1e-3)
+    closed["n2-z2-0-sa"] = perturbed(closed["n2-z2-0"], "n2-z2-0", "sa", 1e-3)
+    bounded = {
+        "b-n2-0": hpsig.generate_with_boundary(0, "n2"),
+        "b-n2-d6-3": hpsig.generate_with_boundary(3, "n2-d6"),
+        "b-n4-d6-2": hpsig.generate_with_boundary(2, "n4-d6"),
+        "b-disk3": hpsig.bordism_to_cwb(fixtures.simplex_disk(3)),
+        "b-zero-quotient": hpsig.ComplexWithBoundary(chain, zero, ((), (), ())),
+    }
+    # a structural failure, and a quotient cone that is singular at the default
+    # tolerance while every structural identity holds
+    for name, kind, eps in (("b-n2-d6-3", "nsa", 1e-3), ("b-n2-0", "sa", 1e-9)):
+        cwb = bounded[name]
+        moved = perturbed(hpsig.HilbertPoincareComplex(cwb.chain, cwb.duality), name, kind, eps)
+        bounded[f"{name}-{kind}"] = hpsig.ComplexWithBoundary(cwb.chain, moved.duality, cwb.split)
+    hpx = []
+    for name, obj in {**closed, **bounded}.items():
+        hpx.append(os.path.join(tmp, f"{name}.hpx"))
+        hpsig.write_hpx(obj, hpx[-1])
+    octa, rot = fixtures.octahedron(), fixtures.octahedron_rotation()
+    triangulations = {
+        "octahedron": (octa, None),
+        "octahedron-z4": (octa, rot),
+        "octahedron-sd-z4": hpsig.barycentric_subdivide(octa, rot),
+        "octahedron-sd-rot24": hpsig.barycentric_subdivide(octa, _octahedron_rotation_group()),
+        "s4": (fixtures.simplex_sphere(4), None),
+        "cp2": (fixtures.cp2_nine_vertex(), None),
+        "sphere-pair-swap": (fixtures.disjoint_sphere_pair(), fixtures.sphere_swap_action()),
+        "circle": (fixtures.circle_polygon(4), None),
+        "disk2": (fixtures.simplex_disk(2), None),
+        "disk3": (fixtures.simplex_disk(3), None),
+        "disk2-z3": (fixtures.simplex_disk(2), _disk_rotation()),
+    }
+    smf = []
+    for name, (m, action) in triangulations.items():
+        smf.append(os.path.join(tmp, f"{name}.smf"))
+        hpsig.write_smf(m, smf[-1], action)
+    for paths, suffix, text in ((hpx, "hpx", '{"format": "none"}'), (smf, "smf", "{broken")):
+        paths.append(os.path.join(tmp, f"unparsable.{suffix}"))
+        with open(paths[-1], "w") as f:
+            f.write(text)
+        paths.append(os.path.join(tmp, f"missing.{suffix}"))
+    return hpx, smf
+
+
+def cli_invocations(tmp: str):
+    """(argv, environment) pairs of the byte sweep, each argv once without and
+    once with ``--json``; the environment holds ``HPSIG_TOL`` or is empty."""
+    hpx, smf = cli_fixtures(tmp)
+    runs = [((*cmd, path), {}) for path in hpx for cmd in HPX_COMMANDS]
+    runs += [((*cmd, path), {}) for path in smf for cmd in SMF_COMMANDS]
+    runs += [(("manifold", hpx[0]), {}), (("verify", smf[0]), {})]
+    runs += [
+        (("verify", hpx[0], "--tol", tol), {}) for tol in ("-1", "0", "1e-3", "nan")
+    ]
+    runs += [(("manifold", smf[1], "--tol", "-1"), {})]
+    runs += [(("verify", hpx[0]), {"HPSIG_TOL": tol}) for tol in ("banana", "-2", "1e-3")]
+    for seed, profile in ((1, "n2"), (9, "n2-z2-d6"), (3, "n4-z3-d3"), (2, "n0-z4")):
+        for extra in ((), ("--with-boundary",), ("-o", "{dir}/gen.hpx")):
+            runs.append((("generate", "--seed", str(seed), "--profile", profile, *extra), {}))
+    runs += [
+        (("generate", "--seed", "1", "--profile", "x7"), {}),
+        (("generate", "--seed", "1", "--profile", "n2", "--with-boundary",
+          "-o", "{dir}/gen-b.hpx"), {}),
+        (("generate", "--seed", "1"), {}),
+        (("verify",), {}),
+    ]
+    for argv, env in runs:
+        argv = [a.replace("{dir}", tmp) for a in argv]
+        yield argv, env
+        yield [*argv, "--json"], env
+
+
+def cli_record(argv, env: dict, tmp: str) -> dict:
+    """Exit code, stdout and stderr of one in-process ``hpsig`` invocation."""
+    import hpsig.cli
+
+    saved = os.environ.pop("HPSIG_TOL", None)
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = hpsig.cli.main(argv)
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+    finally:
+        os.environ.pop("HPSIG_TOL", None)
+        if saved is not None:
+            os.environ["HPSIG_TOL"] = saved
+
+    def mask(text: str) -> str:
+        return text.replace(tmp, "<dir>")
+
+    return {
+        "case": "hpsig " + mask(" ".join(argv)),
+        "variant": " ".join(f"{k}={v}" for k, v in env.items()) or "cli",
+        "exit": code,
+        "stdout": mask(out.getvalue()),
+        "stderr": mask(err.getvalue()),
+    }
+
+
+def cli_sweep(stream) -> int:
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv, env in cli_invocations(tmp):
+            stream.write(json.dumps(cli_record(argv, env, tmp)) + "\n")
+            count += 1
+    return count
+
+
 def _load(path: str) -> dict:
     with open(path) as f:
         recs = [json.loads(line) for line in f if line.strip()]
@@ -310,11 +483,29 @@ def compare(path_a: str, path_b: str, stream) -> int:
         elif type(x) is not type(y) or x != y:
             mismatches.append(f"{where} {x!r} != {y!r}")
 
+    def compare_bytes(key, x, y):
+        """CLI byte records match only when exit code, stdout and stderr are
+        identical; the first differing line is shown."""
+        if x.get("exit") != y.get("exit"):
+            mismatches.append(f"{key}: exit {x.get('exit')!r} != {y.get('exit')!r}")
+        for field in ("stdout", "stderr"):
+            p, q = x.get(field, ""), y.get(field, "")
+            if p != q:
+                pl, ql = p.splitlines(), q.splitlines()
+                i = next(
+                    (i for i, (u, v) in enumerate(zip(pl, ql)) if u != v), min(len(pl), len(ql))
+                )
+                shown = [lines[i] if i < len(lines) else "<end>" for lines in (pl, ql)]
+                mismatches.append(f"{key}: {field} line {i + 1} {shown[0]!r} != {shown[1]!r}")
+
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             mismatches.append(f"{key}: only in {'B' if key in b else 'A'}")
             continue
         ra, rb = a[key], b[key]
+        if "stdout" in ra or "stdout" in rb:
+            compare_bytes(key, ra, rb)
+            continue
         scale = max(ra["scale"], rb["scale"])
         va, vb = ra["verify"], rb["verify"]
         for field in ("error", "message", "passed", "failures", "cone_invertible"):
@@ -352,14 +543,20 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="JSON lines file to write (default stdout)")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"),
                         help="compare two sweep files instead of running one")
+    parser.add_argument("--cli", action="store_true",
+                        help="run the CLI byte sweep instead of the verdict sweep")
     args = parser.parse_args(argv)
     if args.compare:
         return 1 if compare(*args.compare, sys.stdout) else 0
+
+    def run(stream) -> int:
+        return cli_sweep(stream) if args.cli else sweep(args.seeds, stream)
+
     if args.out:
         with open(args.out, "w") as f:
-            count = sweep(args.seeds, f)
+            count = run(f)
     else:
-        count = sweep(args.seeds, sys.stdout)
+        count = run(sys.stdout)
     print(f"{count} cases", file=sys.stderr)
     return 0
 
