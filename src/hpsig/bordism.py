@@ -28,9 +28,10 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
+    _Halves,
+    _verify_duality,
     dual_complex,
     mapping_cone,
-    verify_duality,
 )
 from .errors import (
     DegenerateBoundaryDuality,
@@ -51,7 +52,7 @@ from .linalg import (
     is_invertible,
     residual_within,
 )
-from .signature import CoincidenceReport, check_coincidence
+from .signature import CoincidenceReport, _coincidence
 
 __all__ = [
     "BlockDecomposition",
@@ -338,6 +339,15 @@ def boundary_complex(
     decomposition blocks (FormulaMismatch on disagreement) and the resulting
     duality must have an invertible cone operator (DegenerateBoundaryDuality).
     """
+    return _boundary_complex(cwb, tol)[0]
+
+
+def _boundary_complex(
+    cwb: ComplexWithBoundary, tol: float
+) -> tuple[HilbertPoincareComplex, _Halves | None]:
+    """:func:`boundary_complex` with the halves ``B + S`` and ``B - S`` that
+    its duality check diagonalised (see
+    :func:`~hpsig.complexes._verify_duality`)."""
     blocks = decompose(cwb, tol=tol)
     chain = cwb.chain
     big_n = chain.n
@@ -373,13 +383,13 @@ def boundary_complex(
     hp = HilbertPoincareComplex(
         ChainComplex(dims0, bnd), DualityOperator(tuple(restricted))
     )
-    report = verify_duality(hp, tol=tol)
+    report, halves, _ = _verify_duality(hp, tol)
     if not report.cone_invertible:
         raise DegenerateBoundaryDuality(
             f"boundary duality cone is singular "
             f"(smallest singular value {report.cone_min_singular_value:.3e})"
         )
-    return hp
+    return hp, halves
 
 
 def hyperbolic(
@@ -622,9 +632,12 @@ class BoundaryZeroReport:
 def boundary_signature_is_zero(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> BoundaryZeroReport:
-    """Compute the boundary complex and check its class is zero in K-theory."""
-    hp = boundary_complex(cwb, tol=tol)
-    rep = check_coincidence(hp, tol=tol)
+    """Compute the boundary complex and check its class is zero in K-theory.
+
+    The signature constructions reuse ``B + S`` and ``B - S`` as the boundary
+    complex's duality check diagonalised them.
+    """
+    rep = _coincidence(*_boundary_complex(cwb, tol), tol)
     group = rep.k0.group
     zero = k0_equal(rep.k0, k0_zero(group))
     return BoundaryZeroReport(

@@ -44,8 +44,10 @@ from .errors import (
     DegenerateDuality,
     DegenerateOperator,
     HpsigError,
+    IdentityViolated,
     ParseError,
     PreconditionViolated,
+    SplitInconsistent,
 )
 from .generate import generate_with_boundary, generate_with_signature
 from .groups import K0Class
@@ -251,7 +253,13 @@ def _cmd_bordism_check(args, out: _Output) -> int:
     tol = args.tol
     struct = verify_with_boundary(cwb, tol=tol)
     cone = verify_cone_identities(cwb, tol=tol)
-    zero = boundary_signature_is_zero(cwb, tol=tol)
+    try:
+        zero, why = boundary_signature_is_zero(cwb, tol=tol), None
+    except (SplitInconsistent, IdentityViolated) as exc:
+        # no boundary object exists; the structure lines show which gate
+        # failed, and stderr keeps the message the command has always printed
+        zero, why = None, str(exc)
+        print(f"failure: {why}", file=sys.stderr)
     out("structure:")
     _structure(out, struct, "structure")
     out("attaching construction:", attaching=_fields(
@@ -265,10 +273,13 @@ def _cmd_bordism_check(args, out: _Output) -> int:
     out(f"  four-term sequence exact:    {cone.sequence_exact}")
     out(f"  hyperbolic quotient valid:   {cone.hyperbolic_valid}")
     out("boundary class:")
-    for result in zero.coincidence.results:
-        out(f"  {result.method:<12s} {_fmt_class(result.k0)}")
-    out(f"  boundary class vanishes: {zero.is_zero}", boundary_class_zero=zero.is_zero)
-    passed = struct.passed and cone.passed and zero.passed
+    if zero is None:
+        out(f"  not computed: {why}", boundary_class_zero=None, boundary_class_error=why)
+    else:
+        for result in zero.coincidence.results:
+            out(f"  {result.method:<12s} {_fmt_class(result.k0)}")
+        out(f"  boundary class vanishes: {zero.is_zero}", boundary_class_zero=zero.is_zero)
+    passed = struct.passed and cone.passed and zero is not None and zero.passed
     out(f"bordism-check: {'PASS' if passed else 'FAIL'} (tol {tol:g})", passed=passed)
     return EXIT_OK if passed else EXIT_FAIL
 

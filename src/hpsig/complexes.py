@@ -24,15 +24,23 @@ as for every triangulation, and that is decided on ``S`` before any cone is
 assembled.  Then the spectrum of ``C`` is the union of the spectra of
 ``B + S`` and ``B - S``: :func:`verify_duality` runs the cone's chain-map check
 on the blocks of ``S`` and diagonalises the two halves, and the cone itself is
-never built.  Otherwise, e.g. when ``S`` is self-adjoint only up to rounding,
-the cone is assembled and ``C`` itself is diagonalised.  :class:`DoubledCone`
+never built.  For even ``n`` one eigensolve serves both halves: the grading
+``phi = (-1)^degree`` conjugates ``B - S`` into ``-(B + S)`` entry for entry,
+which is tested exactly, and ``B - S`` is then read off ``B + S``
+(:func:`_diagonalise_halves`).  When ``S`` is not self-adjoint entry for
+entry, e.g. self-adjoint only up to rounding, the cone is assembled and ``C``
+itself is diagonalised.  :class:`DoubledCone`
 holds the assembled cone with both views, for callers that need the cone.
 
 The signature constructions need the operators and spectra that the duality
 check forms.  :func:`_verify_duality` takes ``b`` and ``S`` from a caller that
 has assembled them and hands back the diagonalised halves and the
 anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
-``manifold`` command form each of them once per call.
+``manifold`` command form each of them once per call.  The check forms its
+products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
+anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
+two sides of the cone's chain-map condition, laid out by
+:func:`~hpsig.linalg.assemble_total`.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``.
@@ -63,6 +71,7 @@ from .linalg import (
     assemble_total,
     block_diag,
     is_invertible,
+    mirrored,
     residual_within,
     spectral_split,
     spectrum,
@@ -279,17 +288,24 @@ def _negated(chain: ChainComplex) -> ChainComplex:
     return ChainComplex(chain.dims, tuple(-b for b in chain.boundaries))
 
 
+def _chain_map_sides(
+    mats: Sequence[np.ndarray], source: ChainComplex, target: ChainComplex
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Both sides ``(b'_k A_k, A_{k-1} b_k)`` of the chain-map condition of
+    the degreewise ``mats`` from ``source`` (boundary ``b``) to ``target``
+    (boundary ``b'``), for ``k = 1..n``."""
+    return [
+        (target.boundary(k) @ mats[k], mats[k - 1] @ source.boundary(k))
+        for k in range(1, source.n + 1)
+    ]
+
+
 def _require_chain_map(
-    mats: Sequence[np.ndarray],
-    source: ChainComplex,
-    target: ChainComplex,
-    tol: float,
+    sides: Sequence[tuple[np.ndarray, np.ndarray]], tol: float
 ) -> None:
-    """Raise NotChainMap unless the degreewise ``mats`` intertwine the
-    boundaries of ``source`` and ``target`` within tolerance."""
-    for k in range(1, source.n + 1):
-        lhs = target.boundary(k) @ mats[k]
-        rhs = mats[k - 1] @ source.boundary(k)
+    """Raise NotChainMap unless both sides of the chain-map condition (from
+    :func:`_chain_map_sides`) agree within tolerance in every degree."""
+    for k, (lhs, rhs) in enumerate(sides, start=1):
         ok, res = residual_within(
             lhs - rhs, tol, lambda norm: max(norm(lhs), norm(rhs))
         )
@@ -323,7 +339,7 @@ def mapping_cone(
         as_matrix(a, rows=target.dims[k], cols=source.dims[k])
         for k, a in enumerate(blocks)
     ]
-    _require_chain_map(mats, source, target, tol)
+    _require_chain_map(_chain_map_sides(mats, source, target), tol)
     bnds = []
     for j in range(1, n + 2):
         src, tgt = -source.boundary(j - 1), target.boundary(j)
@@ -351,11 +367,67 @@ def _decoupled(s: np.ndarray) -> bool:
     return bool(np.array_equal(s, adjoint(s)))
 
 
+def _duality_sides(
+    chain: ChainComplex, blocks: Sequence[np.ndarray]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The chain-map sides of a duality family as a map ``(E, -b^*) -> (E, b)``:
+    ``(b_k S_k, -S_{k-1} b^*_{n-k+1})`` for ``k = 1..n``, both maps
+    ``E_{n-k} -> E_{k-1}``.  Their difference is the block of the
+    anticommutator ``b S + S b^*`` in that position (:func:`_anticommutator`),
+    and ``S`` has no other."""
+    return _chain_map_sides(blocks, _negated(dual_complex(chain)), chain)
+
+
+def _anticommutator(
+    chain: ChainComplex, sides: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """``b S + S b^*`` on the total space, laid out from its degree blocks."""
+    n = chain.n
+    entries = [(k - 1, n - k, lhs - rhs) for k, (lhs, rhs) in enumerate(sides, start=1)]
+    return assemble_total(chain.dims, chain.dims, entries)
+
+
+def _boundary_square(chain: ChainComplex) -> np.ndarray:
+    """``b b`` on the total space, laid out from the products ``b_k b_{k+1}``."""
+    entries = [
+        (k - 1, k + 1, chain.boundary(k) @ chain.boundary(k + 1)) for k in range(1, chain.n)
+    ]
+    return assemble_total(chain.dims, chain.dims, entries)
+
+
 def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
     """Raise NotChainMap exactly as :func:`duality_cone` does, without
     assembling the cone."""
-    source = _negated(dual_complex(hp.chain))
-    _require_chain_map(hp.duality.blocks, source, hp.chain, tol)
+    _require_chain_map(_duality_sides(hp.chain, hp.duality.blocks), tol)
+
+
+def _diagonalise_halves(
+    plus_op: np.ndarray, minus_op: np.ndarray, signs: np.ndarray, tol: float, split: bool
+) -> tuple[Spectrum, Spectrum]:
+    """``B + S`` and ``B - S`` diagonalised, by :func:`spectral_split` when
+    ``split`` and by :func:`spectrum` otherwise, with one eigensolve when the
+    grading ``phi = diag(signs)`` conjugates ``B - S`` into ``-(B + S)``.
+
+    That identity is tested entry for entry, with no tolerance.  It holds for
+    every even top degree: ``b`` lives in the blocks between degrees of
+    opposite parity and ``S`` in those between degrees of equal parity, so no
+    entry of ``B + S`` is a sum of two nonzero numbers.  Then ``B - S`` is
+    diagonalised as the mirror of ``B + S`` (:func:`~hpsig.linalg.mirrored`),
+    which is the spectrum of the same floating-point matrix; otherwise, e.g.
+    for an odd top degree, ``B - S`` is diagonalised itself.
+    """
+    diagonalise = spectral_split if split else spectrum
+    plus = diagonalise(plus_op, tol)
+    if np.array_equal(signs[:, None] * minus_op * signs, -plus_op):
+        return plus, mirrored(plus, signs)
+    return plus, diagonalise(minus_op, tol)
+
+
+def _halves_invertibility(plus: Spectrum, minus: Spectrum, tol: float) -> tuple[bool, float]:
+    """(flag, smallest |eigenvalue|) of ``(B + S) (+) (B - S)``, as
+    :func:`is_invertible` reads them."""
+    least = min(float(np.abs(h.eigenvalues).min(initial=np.inf)) for h in (plus, minus))
+    return least > tol, least
 
 
 @dataclass(frozen=True)
@@ -367,7 +439,8 @@ class DoubledCone:
     act on the total space of the complex, with ``v: x -> (x, x)/sqrt(2)`` and
     ``w: x -> (-x, x)/sqrt(2)`` (source copy first).  ``decoupled`` is true when
     the cross block ``w^* C v`` is exactly zero, so that the spectrum of ``C`` is
-    the union of the spectra of ``plus`` and ``minus``.
+    the union of the spectra of ``plus`` and ``minus``.  ``signs`` is the
+    diagonal of the complex's grading ``(-1)^degree``.
     """
 
     cone: ChainComplex
@@ -375,14 +448,15 @@ class DoubledCone:
     plus: np.ndarray
     minus: np.ndarray
     decoupled: bool
+    signs: np.ndarray
 
     def invertibility(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         """(flag, smallest |eigenvalue| of ``C``) as :func:`is_invertible` gives
         them for ``C``, read off the two halves when the cone is decoupled."""
         if not self.decoupled:
             return is_invertible(self.operator, tol=tol)
-        least = min(is_invertible(h, tol=tol)[1] for h in (self.plus, self.minus))
-        return least > tol, least
+        halves = _diagonalise_halves(self.plus, self.minus, self.signs, tol, split=False)
+        return _halves_invertibility(*halves, tol)
 
 
 def _doubling_order(dims: Sequence[int]) -> np.ndarray:
@@ -428,6 +502,7 @@ def doubled_duality_cone(
         plus=(diagonal + cross) / 2.0,
         minus=(diagonal - cross) / 2.0,
         decoupled=bool(np.array_equal(ss, tt) and np.array_equal(st, ts)),
+        signs=hp.degree_signs(),
     )
 
 
@@ -500,28 +575,28 @@ def _verify_duality(
     s = hp.total_duality() if s is None else s
     holds = {}  # whether each gate holds, by the report field it gates
 
-    holds["boundary_residual"], bres = residual_within(b @ b, tol, lambda norm: norm(b) ** 2)
+    holds["boundary_residual"], bres = residual_within(
+        _boundary_square(hp.chain), tol, lambda norm: norm(b) ** 2
+    )
     sa = s - adjoint(s)
     holds["selfadjoint_residual"], sares = residual_within(sa, tol, lambda norm: norm(s))
-    anti = b @ s + s @ adjoint(b)
+    # the cone's chain-map gate below reads the same degree blocks
+    sides = _duality_sides(hp.chain, hp.duality.blocks)
+    anti = _anticommutator(hp.chain, sides)
     holds["chain_residual"], cres = residual_within(anti, tol, lambda norm: norm(b) * norm(s))
 
     halves = None
     try:
         if _decoupled(s):
-            _require_duality_chain_map(hp, tol)
+            _require_chain_map(sides, tol)
             big_b = b + adjoint(b)
             plus_op, minus_op = big_b + s, big_b - s
-            diagonalise = spectral_split if split else spectrum
             halves = _Halves(
-                plus_op, minus_op, diagonalise(plus_op, tol), diagonalise(minus_op, tol)
+                plus_op,
+                minus_op,
+                *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, split),
             )
-            # the smallest |eigenvalue|, as is_invertible reads it
-            minsv = min(
-                float(np.abs(h.eigenvalues).min(initial=np.inf))
-                for h in (halves.plus, halves.minus)
-            )
-            inv = minsv > tol
+            inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
         else:
             inv, minsv = doubled_duality_cone(hp, tol=tol).invertibility(tol)
     except NotChainMap:

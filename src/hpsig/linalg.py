@@ -44,7 +44,11 @@ cross block ``X`` is exactly zero when ``S`` is self-adjoint entry for entry,
 which is decided on ``S`` itself before any cone is assembled; then the
 spectrum of ``C`` is the union of the spectra of ``B + S`` and ``B - S``, and
 those are diagonalised instead of ``C`` (:class:`~hpsig.complexes.DoubledCone`);
-otherwise the cone is assembled and ``C`` itself is diagonalised.
+otherwise the cone is assembled and ``C`` itself is diagonalised.  When a
+diagonal sign operator ``phi`` conjugates one half into minus the other, as
+the grading does in even degree, one eigensolve serves both:
+:func:`mirrored` reads the diagonalisation of ``-phi h phi`` off that of
+``h``.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ __all__ = [
     "frobenius_norm",
     "is_invertible",
     "min_singular_value",
+    "mirrored",
     "operator_dtype",
     "operator_norm",
     "residual_within",
@@ -287,6 +292,31 @@ def spectral_split(h: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSplit:
         return vecs @ adjoint(vecs)
 
     return SpectralSplit(**fields, p_plus=proj(plus), p_minus=proj(minus))
+
+
+def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
+    """The diagonalisation of ``-phi h phi`` read off that of ``h``, where
+    ``phi`` is the diagonal operator with the entries ``signs``, each +1 or -1.
+
+    ``-phi h phi`` is unitarily conjugate to ``-h``: its eigenvalues are those
+    of ``h`` negated (in ascending order again), its positive and negative
+    classes swap, and a split's projections become
+    ``p_+(-phi h phi) = phi p_-(h) phi`` and ``p_-(-phi h phi) = phi p_+(h) phi``,
+    which are entrywise sign changes.  The sign classes are those
+    :func:`spectrum` would give, since the threshold depends only on
+    ``max |lam|``.
+    """
+    fields = dict(
+        eigenvalues=-spec.eigenvalues[::-1],
+        rank_plus=spec.rank_minus,
+        rank_minus=spec.rank_plus,
+        rank_zero=spec.rank_zero,
+        min_abs_nonzero_eigenvalue=spec.min_abs_nonzero_eigenvalue,
+    )
+    if not isinstance(spec, SpectralSplit):
+        return Spectrum(**fields)
+    flip = signs[:, None] * signs
+    return SpectralSplit(**fields, p_plus=flip * spec.p_minus, p_minus=flip * spec.p_plus)
 
 
 def assemble_total(

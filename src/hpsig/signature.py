@@ -17,24 +17,30 @@ action is present) and agree; ``check_coincidence`` verifies that numerically
 together with the exact grading symmetry that conjugates ``B - S`` into
 ``-(B + S)``.
 
-``B + S`` and ``B - S`` are diagonalised once each per operation and all
-three constructions read those results.  ``check_coincidence`` diagonalises
-them itself.  ``manifold_signature`` and the ``manifold`` command have already
-diagonalised them in the duality check of the same operation, and hand those
-spectra to ``_coincidence``, which skips the cone's chain-map gate that the
-check has just passed on the same data at the same tolerance.  When ``S`` is
-self-adjoint entry for entry the cone decouples (see
-:class:`~hpsig.complexes.DoubledCone`): it is not assembled, Mishchenko's
-compression is ``B + S`` entry for entry, so it shares that spectrum and split
-(and hence the reduced class), and its cone spectrum is the union of the
-spectra of ``B + S`` and ``B - S``.  Otherwise
-Mishchenko's construction assembles and diagonalises its own cone.  Over the
-trivial group (no action) only eigenvalues are computed and every class is an
-inertia count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and
-Mishchenko are ``#pos(B + S) - #neg(B + S)``; with an action the classes are
-characters of spectral projections.  The comparison therefore checks the
-constructions' algebra, not the eigensolver; the independent check is an exact
-one, the intersection form on middle homology (ROADMAP Direction 2).
+Each operation diagonalises ``B + S`` once.  For even ``n`` the grading
+``phi = (-1)^degree`` conjugates ``B - S`` into ``-(B + S)`` entry for entry,
+and where that exact test holds ``B - S`` is read off ``B + S`` as its mirror
+(see :func:`~hpsig.complexes._diagonalise_halves`); all three constructions
+read those results.  ``check_coincidence`` diagonalises itself.
+``manifold_signature``, the ``manifold`` command and
+``boundary_signature_is_zero`` have already diagonalised in the duality check
+of the same operation, and hand the results to ``_coincidence``, which skips
+the cone's chain-map gate that the check has just passed on the same data at
+the same tolerance.  When ``S`` is self-adjoint entry for entry the cone
+decouples (see :class:`~hpsig.complexes.DoubledCone`): it is not assembled,
+Mishchenko's compression is ``B + S`` entry for entry, so it shares that
+spectrum and split (and hence the reduced class), and its cone spectrum is
+the union of the spectra of ``B + S`` and ``B - S``.  Otherwise Mishchenko's
+construction assembles and diagonalises its own cone.  Over the trivial group
+(no action) only eigenvalues are computed and every class is an inertia
+count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and Mishchenko
+are ``#pos(B + S) - #neg(B + S)``; with an action the classes are characters
+of spectral projections, and Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S)
+phi``, whose characters are those of ``p_-(B + S)`` exactly, so Higson-Roe
+and reduced agree to the last bit.  The comparison therefore checks the
+constructions' algebra and the gated grading identity, not the eigensolver;
+the independent check is an exact one, the intersection form on middle
+homology (ROADMAP Direction 2).
 """
 
 from __future__ import annotations
@@ -47,6 +53,7 @@ import numpy as np
 from .complexes import (
     HilbertPoincareComplex,
     _decoupled,
+    _diagonalise_halves,
     _Halves,
     _require_duality_chain_map,
     doubled_duality_cone,
@@ -120,12 +127,21 @@ def _diagonalise(hp: HilbertPoincareComplex, h: np.ndarray, tol: float) -> Spect
     return spectrum(h, tol) if hp.action is None else spectral_split(h, tol)
 
 
+def _halves(
+    hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
+) -> tuple[Spectrum, Spectrum]:
+    """``B + S`` and ``B - S`` diagonalised as :func:`_diagonalise` does, with
+    ``B - S`` read off ``B + S`` through the grading where that is exact."""
+    split = hp.action is not None
+    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, split)
+
+
 def _nondegenerate_halves(
     hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
 ) -> tuple[Spectrum, Spectrum]:
-    """``B + S`` and ``B - S``, each diagonalised once and checked in turn."""
-    plus = _nondegenerate(_diagonalise(hp, plus_op, tol), "B + S")
-    return plus, _nondegenerate(_diagonalise(hp, minus_op, tol), "B - S")
+    """``B + S`` and ``B - S``, diagonalised and checked in turn."""
+    plus, minus = _halves(hp, plus_op, minus_op, tol)
+    return _nondegenerate(plus, "B + S"), _nondegenerate(minus, "B - S")
 
 
 def _inertia_class(rank: int) -> K0Class:
@@ -217,9 +233,8 @@ def mishchenko_signature(
     if not _decoupled(s):
         return _mishchenko_full_cone(hp, tol)
     _require_duality_chain_map(hp, tol)
-    compression = _diagonalise(hp, big_b + s, tol)
-    cone = _cone_of_halves(compression, _diagonalise(hp, big_b - s, tol), tol)
-    return _mishchenko(hp, compression, cone, tol)
+    compression, minus = _halves(hp, big_b + s, big_b - s, tol)
+    return _mishchenko(hp, compression, _cone_of_halves(compression, minus, tol), tol)
 
 
 def reduced_signature(
@@ -276,8 +291,8 @@ def _coincidence(
     therefore not run again.
     """
     _require_even(hp)
-    # B + S and B - S are diagonalised once each and shared by all three
-    # constructions.
+    # B + S and B - S are diagonalised once, together, and shared by all
+    # three constructions.
     if halves is None:
         big_b, s = _total_operators(hp)
         plus_op, minus_op = big_b + s, big_b - s

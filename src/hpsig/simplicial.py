@@ -39,6 +39,8 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
+    _anticommutator,
+    _duality_sides,
     _Halves,
     _verify_duality,
 )
@@ -416,9 +418,12 @@ def _duality_from_cap(
         phased = _average_over_group(phased, rho)
     chain = chains.chain
     btot = chain.total_boundary()
-    ptot = DualityOperator(tuple(phased)).total(chain)
+    pdual = DualityOperator(tuple(phased))
+    ptot = pdual.total(chain)
     raw_ok, raw_res = residual_within(
-        btot @ ptot + ptot @ adjoint(btot), tol, lambda norm: norm(btot) * norm(ptot)
+        _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
+        tol,
+        lambda norm: norm(btot) * norm(ptot),
     )
     dual = DualityOperator(_symmetrize(phased))
     stot = dual.total(chain)

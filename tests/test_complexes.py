@@ -27,11 +27,13 @@ from hpsig import (
     k0_add,
     k0_equal,
     random_unitary,
+    spectral_split,
     to_hp_complex,
     twist,
     verify_complex,
     verify_duality,
 )
+from hpsig import complexes
 from hpsig.errors import (
     DimensionMismatch,
     GroupMismatch,
@@ -47,6 +49,7 @@ from hpsig.fixtures import (
     octahedron,
     octahedron_rotation,
 )
+from hpsig.linalg import spectrum
 
 
 def _interval() -> ChainComplex:
@@ -353,3 +356,80 @@ def test_self_adjoint_non_chain_map_fails_the_cone_gate():
     with pytest.raises(NotChainMap) as standalone:
         mishchenko_signature(hp)
     assert str(standalone.value) == str(full.value)
+
+
+def _even_complex(name):
+    """A triangulation of even dimension, or a generated complex with a group."""
+    if name == "cp2":
+        return to_hp_complex(cp2_nine_vertex())
+    if name == "octahedron-z4":
+        return to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+    profile, seed = name.rsplit("/", 1)
+    return generate_with_signature(int(seed), profile)[0]
+
+
+@pytest.mark.parametrize("name", ["cp2", "octahedron-z4", "n2-z4-d4/1", "n4-z3-d3/0"])
+def test_mirrored_halves_match_an_independent_diagonalisation(name):
+    hp = _even_complex(name)
+    b = hp.total_boundary()
+    big_b, s = b + adjoint(b), hp.total_duality()
+    signs = hp.degree_signs()
+    # in even top degree the grading conjugates B - S into -(B + S) exactly
+    assert np.array_equal(signs[:, None] * (big_b - s) * signs, -(big_b + s))
+    for split in (False, True):
+        plus, minus = complexes._diagonalise_halves(big_b + s, big_b - s, signs, 1e-9, split)
+        own = (spectral_split if split else spectrum)(big_b - s)
+        assert (minus.rank_plus, minus.rank_minus, minus.rank_zero) == (
+            own.rank_plus, own.rank_minus, own.rank_zero
+        )
+        scale = max(1.0, float(np.abs(own.eigenvalues).max()))
+        assert np.abs(minus.eigenvalues - own.eigenvalues).max() <= 1e-12 * scale
+        assert abs(minus.min_abs_nonzero_eigenvalue - own.min_abs_nonzero_eigenvalue) <= 1e-12 * scale
+        if split:
+            assert np.abs(minus.p_plus - own.p_plus).max() <= 1e-9
+            assert np.abs(minus.p_minus - own.p_minus).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name", ["cp2", "octahedron-z4", "n2-z4-d4/1", "n4-z3-d3/0", "n4-d6/3", "n2-d4/5"]
+)
+def test_degree_block_products_match_the_dense_products(name):
+    hp = _even_complex(name)
+    chain = hp.chain
+    b, s = hp.total_boundary(), hp.total_duality()
+    square = complexes._boundary_square(chain)
+    anti = complexes._anticommutator(chain, complexes._duality_sides(chain, hp.duality.blocks))
+    dense_square, dense_anti = b @ b, b @ s + s @ adjoint(b)
+    if "/" not in name:
+        # +-1 boundaries and dyadic caps: every product is exact
+        assert np.array_equal(square, dense_square)
+        assert np.array_equal(anti, dense_anti)
+    else:
+        nb, ns = operator_norm(b), operator_norm(s)
+        assert np.abs(square - dense_square).max() <= 1e-15 * max(1.0, nb * nb)
+        assert np.abs(anti - dense_anti).max() <= 1e-15 * max(1.0, nb * ns)
+
+
+@pytest.mark.parametrize("name", ["cp2", "n4-z3-d3/0"])
+def test_cone_chain_map_gate_reads_the_chain_condition_blocks(name, monkeypatch):
+    hp = _even_complex(name)
+    seen = []
+    gate = complexes._require_chain_map
+
+    def capture(sides, tol):
+        seen.append(list(sides))
+        return gate(sides, tol)
+
+    monkeypatch.setattr(complexes, "_require_chain_map", capture)
+    duality_cone(hp)
+    rep, _, anti = complexes._verify_duality(hp, 1e-9)
+    # the cone's gate, and the duality check's own run of it on decoupled
+    # input or its assembled cone otherwise, see the blocks of b S + S b*
+    # that the chain condition gates
+    assert len(seen) == 2
+    for sides in seen[1:]:
+        assert all(
+            np.array_equal(p, q) for pair, other in zip(sides, seen[0]) for p, q in zip(pair, other)
+        )
+    assert np.array_equal(complexes._anticommutator(hp.chain, seen[0]), anti)
+    assert rep.passed and rep.chain_residual == np.linalg.norm(anti)

@@ -268,6 +268,27 @@ def test_cli_bordism_check_failure_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("failure:")
 
 
+def test_cli_bordism_check_reports_a_structural_failure(tmp_path, capsys):
+    # a duality that is not self-adjoint fails structural gates, so no
+    # boundary object exists; the structure and attaching reports still print
+    cwb = generate_with_boundary(3, "n2-d6")
+    path = str(tmp_path / "mb.hpx")
+    write_hpx(ComplexWithBoundary(cwb.chain, _moved(cwb.duality), cwb.split), path)
+    assert main(["bordism-check", path]) == 1
+    out = capsys.readouterr().out
+    assert "duality-selfadjoint" in out and "FAIL" in out
+    assert "attaching cone squares" in out
+    assert "not computed: chain identities failed" in out
+    assert out.rstrip().endswith("bordism-check: FAIL (tol 1e-09)")
+    assert main(["bordism-check", path, "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert "duality-selfadjoint" in doc["structure"]["failures"]
+    assert not doc["attaching"]["hyperbolic_valid"]
+    assert doc["boundary_class_zero"] is None
+    assert doc["boundary_class_error"].startswith("chain identities failed")
+    assert doc["passed"] is False
+
+
 def test_cli_signature(tmp_path, capsys):
     hp, expected = generate_with_signature(5, "n2-d6")
     path = str(tmp_path / "c.hpx")

@@ -10,9 +10,11 @@ from hpsig import (
     DualityOperator,
     HilbertPoincareComplex,
     barycentric_subdivide,
+    boundary_signature_is_zero,
     check_coincidence,
     direct_sum,
     doubled_duality_cone,
+    generate_with_boundary,
     generate_with_signature,
     higson_roe_signature,
     adjoint,
@@ -24,6 +26,7 @@ from hpsig import (
     reduced_signature,
     spectral_split,
     to_hp_complex,
+    verify_duality,
     verify_equivariance,
     write_smf,
 )
@@ -176,14 +179,16 @@ def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
 
     # the cone's spectrum is classified from the halves when decoupled, and
     # computed from the full cone operator otherwise; over the trivial group
-    # the halves themselves are spectra
+    # the halves are spectra, and only B + S is diagonalised (B - S is its
+    # mirror under the grading)
     monkeypatch.setattr(signature, "classify_eigenvalues", record(signature.classify_eigenvalues))
     monkeypatch.setattr(signature, "spectrum", record(signature.spectrum))
+    monkeypatch.setattr(complexes, "spectrum", record(complexes.spectrum))
     mishchenko_signature(hp)
     doubled = doubled_duality_cone(hp)
     full = spectrum(doubled.operator)
     cone = seen[-1]
-    assert len(seen) == (3 if doubled.decoupled and hp.action is None else 1)
+    assert len(seen) == (2 if doubled.decoupled and hp.action is None else 1)
     assert cone.eigenvalues.size == full.eigenvalues.size
     assert (cone.rank_plus, cone.rank_minus, cone.rank_zero) == (
         full.rank_plus, full.rank_minus, full.rank_zero
@@ -212,37 +217,48 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     write_smf(m, path, act)
     cp2_hp = to_hp_complex(cp2)
     octa = to_hp_complex(m, act)
+    s3 = to_hp_complex(simplex_sphere(3))
+    cwb = generate_with_boundary(2, "n4-d6")
     solves = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
     cones = _count_calls(monkeypatch, complexes, ("mapping_cone",))
     boundaries = _count_calls(monkeypatch, complexes.ChainComplex, ("total_boundary",))
     totals = _count_calls(monkeypatch, complexes.DualityOperator, ("total",))
-    # B + S and B - S once each, in the duality check, eigenvalues only, and
-    # read again by the constructions; no cone; b once, and the phased and
-    # the symmetrized cap once each
+    # B + S once, in the duality check, eigenvalues only; B - S is its mirror
+    # under the grading, and both are read again by the constructions; no
+    # cone; b once, and the phased and the symmetrized cap once each
     assert manifold_signature(cp2).passed
-    assert solves == {"eigh": 0, "eigvalsh": 2}
+    assert solves == {"eigh": 0, "eigvalsh": 1}
     assert cones == {"mapping_cone": 0}
     assert boundaries == {"total_boundary": 1}
     assert totals == {"total": 2}
     solves.update(eigh=0, eigvalsh=0)
-    # check_coincidence alone diagonalises each half once: eigenvalues only
-    # over the trivial group, and with a group two spectral splits shared by
-    # all three constructions
+    # check_coincidence alone diagonalises B + S once: eigenvalues only over
+    # the trivial group, and with a group one spectral split, shared by all
+    # three constructions
     assert check_coincidence(cp2_hp).passed
-    assert solves == {"eigh": 0, "eigvalsh": 2}
+    assert solves == {"eigh": 0, "eigvalsh": 1}
     solves.update(eigh=0, eigvalsh=0)
     assert check_coincidence(octa).passed
-    assert solves == {"eigh": 2, "eigvalsh": 0}
+    assert solves == {"eigh": 1, "eigvalsh": 0}
     assert cones == {"mapping_cone": 0}
     solves.update(eigh=0, eigvalsh=0)
-    # the manifold command hands the duality check's splits on
+    # the manifold command hands the duality check's split on
     assert main(["manifold", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert solves == {"eigh": 2, "eigvalsh": 0}
+    assert solves == {"eigh": 1, "eigvalsh": 0}
     assert cones == {"mapping_cone": 0}
     solves.update(eigh=0, eigvalsh=0)
-    # the equivariance check needs no projections: spectra only
+    # the equivariance check needs no projections: a spectrum only
     verify_equivariance(m, act)
+    assert solves == {"eigh": 0, "eigvalsh": 1}
+    solves.update(eigh=0, eigvalsh=0)
+    # the boundary class reuses the boundary complex's duality check
+    assert boundary_signature_is_zero(cwb).passed
+    assert solves == {"eigh": 0, "eigvalsh": 1}
+    solves.update(eigh=0, eigvalsh=0)
+    # in odd top degree the grading does not relate B + S and B - S, and both
+    # are diagonalised
+    assert verify_duality(s3).passed
     assert solves == {"eigh": 0, "eigvalsh": 2}
 
 

@@ -1,5 +1,6 @@
 """Verdict sweep: run ``verify_duality`` and ``check_coincidence`` on a fixed
-set of complexes, as they are and perturbed, and compare two such runs.
+set of complexes, and the bordism checks on complexes with boundary, as they
+are and perturbed, and compare two such runs.
 
     PYTHONPATH=src python tools/verdict_sweep.py --seeds 12 --out new.jsonl
     python tools/verdict_sweep.py --compare old.jsonl new.jsonl
@@ -15,7 +16,14 @@ entrywise self-adjoint ``S`` entrywise self-adjoint) and once by an arbitrary
 one (``S_k += eps R_k``).  The perturbations are seeded by the case name, so
 two runs see the same inputs.
 
-Each case writes one JSON line: the ``verify_duality`` flags, failures and
+The complexes with boundary are ``generate_with_boundary`` on the benchmark's
+six profiles (n2, n2-d6, n2-d8, n4, n4-d6, n4-d8) for the same seeds, as they
+are and with their duality perturbed in the same way.  Each such case writes
+one JSON line holding, for ``verify_with_boundary``, ``verify_cone_identities``
+and ``boundary_signature_is_zero``, the flags, failures, residuals and cone
+value, the boundary class as the coincidence fields below, or the exception.
+
+Each closed case writes one JSON line: the ``verify_duality`` flags, failures and
 cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
 spectral gaps and grading residual, or the exception type and its message
 with floating-point numbers masked.  ``scale`` is the Frobenius norm of
@@ -63,7 +71,10 @@ PROFILES = (
     "n0-z3-d3", "n2-z3-d3", "n4-z3-d3",
     "n0-z4-d4", "n2-z4-d4", "n4-z4-d4",
 )
+BOUNDARY_PROFILES = ("n2", "n2-d6", "n2-d8", "n4", "n4-d6", "n4-d8")
 LEVELS = (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)
+CONE_IDENTITY_FLAGS = ("sequence_composes", "sequence_exact", "hyperbolic_valid")
+CONE_IDENTITY_FLOATS = ("cone_square_residual", "chain_map_residual", "boundary_formula_residual")
 EQUIVARIANCE_FIELDS = (
     "tol", "boundary_residual", "duality_residual", "raw_cap_residual", "passed",
 )
@@ -235,21 +246,81 @@ def record_triangulation(rec: dict, tri) -> None:
         rec["cli"] = cli_manifold(tri)
 
 
+def perturbed_with_boundary(cwb, name: str, kind: str, eps: float):
+    """``cwb`` with its duality moved as :func:`perturbed` moves a closed one."""
+    import hpsig
+
+    closed = hpsig.HilbertPoincareComplex(cwb.chain, cwb.duality)
+    return hpsig.ComplexWithBoundary(cwb.chain, perturbed(closed, name, kind, eps).duality,
+                                     cwb.split)
+
+
+def record_with_boundary(name: str, variant: str, cwb) -> dict:
+    """The three bordism checks of a complex with boundary; failure messages
+    have their floating-point numbers masked."""
+    import hpsig
+
+    b = cwb.chain.total_boundary()
+    scale = float(np.linalg.norm(b + b.conj().T + cwb.duality.total(cwb.chain)))
+    out = {"case": name, "variant": variant, "scale": scale, "bordism": {}}
+
+    def masked(failures):
+        return [_FLOAT.sub("<x>", f) for f in failures]
+
+    try:
+        rep = hpsig.verify_with_boundary(cwb)
+        out["bordism"]["structure"] = {
+            "passed": rep.passed,
+            "failures": masked(rep.failures),
+            "cone_invertible": rep.cone_invertible,
+            "cone_min_singular_value": rep.cone_min_singular_value,
+            "residuals": rep.residuals,
+        }
+    except Exception as exc:  # the sweep records every outcome and goes on
+        out["bordism"]["structure"] = _error(exc)
+    try:
+        rep = hpsig.verify_cone_identities(cwb)
+        out["bordism"]["cone_identities"] = {
+            "passed": rep.passed,
+            "failures": masked(rep.failures),
+            **{field: getattr(rep, field) for field in CONE_IDENTITY_FLAGS + CONE_IDENTITY_FLOATS},
+        }
+    except Exception as exc:  # the sweep records every outcome and goes on
+        out["bordism"]["cone_identities"] = _error(exc)
+    try:
+        rep = hpsig.boundary_signature_is_zero(cwb)
+        out["bordism"]["boundary_zero"] = {"is_zero": rep.is_zero, "zero_passed": rep.passed,
+                                           **_coincidence(rep.coincidence)}
+    except Exception as exc:  # the sweep records every outcome and goes on
+        out["bordism"]["boundary_zero"] = _error(exc)
+    return out
+
+
+def _variants(case, name: str, move):
+    yield "base", case
+    for kind in ("sa", "nsa"):
+        for eps in LEVELS:
+            yield f"{kind}-{eps:g}", move(case, name, kind, eps)
+
+
 def sweep(seeds: int, stream) -> int:
+    import hpsig
+
     count = 0
     for name, hp, tri in base_cases(seeds):
-        variants = [("base", hp)]
-        variants += [
-            (f"{kind}-{eps:g}", perturbed(hp, name, kind, eps))
-            for kind in ("sa", "nsa")
-            for eps in LEVELS
-        ]
-        for variant, case in variants:
+        for variant, case in _variants(hp, name, perturbed):
             rec = record(name, variant, case)
             if tri is not None and variant == "base":
                 record_triangulation(rec, tri)
             stream.write(json.dumps(rec) + "\n")
             count += 1
+    for seed in range(seeds):
+        for profile in BOUNDARY_PROFILES:
+            name = f"b-{profile}/{seed}"
+            cwb = hpsig.generate_with_boundary(seed, profile)
+            for variant, case in _variants(cwb, name, perturbed_with_boundary):
+                stream.write(json.dumps(record_with_boundary(name, variant, case)) + "\n")
+                count += 1
     return count
 
 
@@ -317,9 +388,7 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str]]:
     # a structural failure, and a quotient cone that is singular at the default
     # tolerance while every structural identity holds
     for name, kind, eps in (("b-n2-d6-3", "nsa", 1e-3), ("b-n2-0", "sa", 1e-9)):
-        cwb = bounded[name]
-        moved = perturbed(hpsig.HilbertPoincareComplex(cwb.chain, cwb.duality), name, kind, eps)
-        bounded[f"{name}-{kind}"] = hpsig.ComplexWithBoundary(cwb.chain, moved.duality, cwb.split)
+        bounded[f"{name}-{kind}"] = perturbed_with_boundary(bounded[name], name, kind, eps)
     hpx = []
     for name, obj in {**closed, **bounded}.items():
         hpx.append(os.path.join(tmp, f"{name}.hpx"))
@@ -424,7 +493,7 @@ def _load(path: str) -> dict:
 
 
 def _float_diff(a: float, b: float, scale: float) -> float:
-    if a == b:
+    if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
     if not (math.isfinite(a) and math.isfinite(b)):
         return math.inf
@@ -498,6 +567,31 @@ def compare(path_a: str, path_b: str, stream) -> int:
                 shown = [lines[i] if i < len(lines) else "<end>" for lines in (pl, ql)]
                 mismatches.append(f"{key}: {field} line {i + 1} {shown[0]!r} != {shown[1]!r}")
 
+    def compare_bordism(key, xa, xb, scale):
+        """Flags, failure lists, exceptions and classes exactly (classes at
+        1e-6), residuals and cone values as floats."""
+        for check in ("structure", "cone_identities", "boundary_zero"):
+            ca, cb = xa.get(check, {}), xb.get(check, {})
+            for field in ("error", "message", "passed", "failures", "cone_invertible",
+                          "is_zero", "zero_passed", *CONE_IDENTITY_FLAGS):
+                if ca.get(field) != cb.get(field):
+                    mismatches.append(
+                        f"{key}: {check} {field} {ca.get(field)!r} != {cb.get(field)!r}"
+                    )
+            floats = {f: (ca.get(f), cb.get(f)) for f in CONE_IDENTITY_FLOATS}
+            floats["cone_min_singular_value"] = (ca.get("cone_min_singular_value"),
+                                                 cb.get("cone_min_singular_value"))
+            res_a, res_b = ca.get("residuals") or {}, cb.get("residuals") or {}
+            if set(res_a) != set(res_b):
+                mismatches.append(f"{key}: {check} residual names differ")
+            floats.update({f"residual {n}": (res_a[n], res_b[n]) for n in set(res_a) & set(res_b)})
+            for field, (x, y) in floats.items():
+                if x is not None and y is not None:
+                    note_float(f"{check} {field}", key, x, y, scale)
+        za, zb = xa.get("boundary_zero", {}), xb.get("boundary_zero", {})
+        if "classes" in za and "classes" in zb:
+            compare_coincidence("boundary_zero", key, za, zb, scale)
+
     for key in sorted(set(a) | set(b)):
         if key not in a or key not in b:
             mismatches.append(f"{key}: only in {'B' if key in b else 'A'}")
@@ -505,6 +599,10 @@ def compare(path_a: str, path_b: str, stream) -> int:
         ra, rb = a[key], b[key]
         if "stdout" in ra or "stdout" in rb:
             compare_bytes(key, ra, rb)
+            continue
+        if "bordism" in ra or "bordism" in rb:
+            compare_bordism(key, ra.get("bordism", {}), rb.get("bordism", {}),
+                            max(ra["scale"], rb["scale"]))
             continue
         scale = max(ra["scale"], rb["scale"])
         va, vb = ra["verify"], rb["verify"]
