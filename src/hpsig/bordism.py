@@ -473,7 +473,12 @@ def hyperbolic(
 
 @dataclass(frozen=True)
 class ConeIdentitiesReport:
-    """Residuals of the attaching construction around a complex with boundary."""
+    """Residuals of the attaching construction around a complex with boundary.
+
+    ``chain_map_residual`` and ``boundary_formula_residual`` are NaN when
+    those checks did not run, because the quotient data is not hyperbolic
+    input (``hyperbolic_valid`` false); the CLI shows them as not run.
+    """
 
     tol: float
     cone_square_residual: float

@@ -19,7 +19,9 @@ module producing the report defines; no message text is copied here.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -107,9 +109,16 @@ class _Output:
         print(json.dumps(self.payload, indent=1) if as_json else "\n".join(self.lines))
 
 
+def _not_run(value) -> bool:
+    """Whether a report value is the NaN of a check that did not run."""
+    return isinstance(value, float) and math.isnan(value)
+
+
 def _fields(report, *names: str) -> dict:
-    """The named fields of a report, as a JSON section."""
-    return {name: getattr(report, name) for name in names}
+    """The named fields of a report, as a JSON section; the value of a check
+    that did not run is null."""
+    values = {name: getattr(report, name) for name in names}
+    return {name: None if _not_run(v) else v for name, v in values.items()}
 
 
 def _fmt_complex(z: complex) -> str:
@@ -147,6 +156,8 @@ def _fmt_class(k0: K0Class) -> str:
 
 
 def _check_line(name: str, value: float, ok: bool) -> str:
+    if _not_run(value):
+        return f"  {name:<24s} {'not run':>11s}"
     return f"  {name:<24s} {value:11.3e}  {'ok' if ok else 'FAIL'}"
 
 
@@ -319,7 +330,7 @@ def _cmd_manifold(args, out: _Output) -> int:
     if action is None:
         rep = manifold_signature(manifold, None, chains, tol=tol)
     else:
-        # the action, the duality and the spectral splits of B + S and B - S
+        # the action, the duality and the diagonalised B + S and B - S
         # are built once, for the equivariance residuals and for the signatures
         rho, dual, eq, halves = _equivariant_structure(manifold, action, chains, tol,
                                                        for_signatures=True)
@@ -394,7 +405,10 @@ def _default_tol() -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: parsing leaves it
+    unchanged, and every run of :func:`main` reads it."""
     parser = argparse.ArgumentParser(prog="hpsig",
                                      description="Signatures of algebraic duality complexes.")
     sub = parser.add_subparsers(dest="command", required=True)

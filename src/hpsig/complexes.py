@@ -40,10 +40,14 @@ anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
 products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
-:func:`~hpsig.linalg.assemble_total`.
+:func:`~hpsig.linalg.assemble_total`; the cone's chain-map gate reads those
+sides, also where the cone is assembled.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
-with both ``b`` and ``S``.
+with both ``b`` and ``S``.  The signature constructions diagonalise ``B + S``
+for classes over that group (:func:`_diagonalise`): per isotypic block when
+the action is by signed permutations and commutes with ``B + S`` entry for
+entry, and by dense spectral projections otherwise.
 """
 
 from __future__ import annotations
@@ -70,6 +74,7 @@ from .linalg import (
     as_matrix,
     assemble_total,
     block_diag,
+    block_spectrum,
     is_invertible,
     mirrored,
     residual_within,
@@ -340,6 +345,15 @@ def mapping_cone(
         for k, a in enumerate(blocks)
     ]
     _require_chain_map(_chain_map_sides(mats, source, target), tol)
+    return _cone_complex(mats, source, target)
+
+
+def _cone_complex(
+    mats: Sequence[np.ndarray], source: ChainComplex, target: ChainComplex
+) -> ChainComplex:
+    """The mapping cone of :func:`mapping_cone`, assembled from chain-map
+    blocks of checked shapes without the chain-map gate."""
+    n = source.n
     bnds = []
     for j in range(1, n + 2):
         src, tgt = -source.boundary(j - 1), target.boundary(j)
@@ -358,6 +372,17 @@ def duality_cone(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> ChainC
     """Mapping cone of the duality viewed as a chain map ``(E, -b^*) -> (E, b)``."""
     source = _negated(dual_complex(hp.chain))
     return mapping_cone(hp.duality.blocks, source, hp.chain, tol=tol)
+
+
+def _duality_cone_of_sides(
+    hp: HilbertPoincareComplex, sides: Sequence[tuple[np.ndarray, np.ndarray]], tol: float
+) -> ChainComplex:
+    """:func:`duality_cone`, with its chain-map gate run on the ``sides`` that
+    the caller formed with :func:`_duality_sides`, which are the sides
+    :func:`mapping_cone` would form; the blocks have the shapes that the
+    complex validated."""
+    _require_chain_map(sides, tol)
+    return _cone_complex(hp.duality.blocks, _negated(dual_complex(hp.chain)), hp.chain)
 
 
 def _decoupled(s: np.ndarray) -> bool:
@@ -401,26 +426,56 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
     _require_chain_map(_duality_sides(hp.chain, hp.duality.blocks), tol)
 
 
+def _diagonalise(
+    ops: Sequence[np.ndarray], tol: float, action: GroupAction | None
+) -> list[Spectrum]:
+    """Self-adjoint operators diagonalised for the signature classes over the
+    group of ``action``, all by the same route.
+
+    Over the trivial group (no action) every class is an inertia count and
+    :func:`spectrum` gives eigenvalues only.  When the action is by signed
+    permutations that commute with every operator entry for entry (an exact
+    test, with no tolerance; it holds on every triangulation with an action)
+    the operators are block diagonal in the action's isotypic bases, and
+    :func:`~hpsig.linalg.block_spectrum` gives each block's inertia with one
+    small ``eigvalsh`` per irreducible character.  Any other action, dense or
+    commuting only up to rounding, takes :func:`spectral_split`, whose
+    projections :func:`~hpsig.groups.k0_from_projections` reads.
+    """
+    if action is None:
+        return [spectrum(h, tol) for h in ops]
+    if all(map(action.commutes_exactly, ops)):
+        bases = action.isotypic_bases
+        if bases is not None:
+            return [block_spectrum(h, bases, tol) for h in ops]
+    return [spectral_split(h, tol) for h in ops]
+
+
 def _diagonalise_halves(
-    plus_op: np.ndarray, minus_op: np.ndarray, signs: np.ndarray, tol: float, split: bool
+    plus_op: np.ndarray,
+    minus_op: np.ndarray,
+    signs: np.ndarray,
+    tol: float,
+    action: GroupAction | None,
 ) -> tuple[Spectrum, Spectrum]:
-    """``B + S`` and ``B - S`` diagonalised, by :func:`spectral_split` when
-    ``split`` and by :func:`spectrum` otherwise, with one eigensolve when the
-    grading ``phi = diag(signs)`` conjugates ``B - S`` into ``-(B + S)``.
+    """``B + S`` and ``B - S`` diagonalised by :func:`_diagonalise`, with one
+    eigensolve when the grading ``phi = diag(signs)`` conjugates ``B - S``
+    into ``-(B + S)``.
 
     That identity is tested entry for entry, with no tolerance.  It holds for
     every even top degree: ``b`` lives in the blocks between degrees of
     opposite parity and ``S`` in those between degrees of equal parity, so no
     entry of ``B + S`` is a sum of two nonzero numbers.  Then ``B - S`` is
     diagonalised as the mirror of ``B + S`` (:func:`~hpsig.linalg.mirrored`),
-    which is the spectrum of the same floating-point matrix; otherwise, e.g.
-    for an odd top degree, ``B - S`` is diagonalised itself.
+    which is the spectrum of the same floating-point matrix; ``phi`` preserves
+    degree, so it commutes with the action and its isotypic projections.
+    Otherwise, e.g. for an odd top degree, ``B - S`` is diagonalised itself.
     """
-    diagonalise = spectral_split if split else spectrum
-    plus = diagonalise(plus_op, tol)
     if np.array_equal(signs[:, None] * minus_op * signs, -plus_op):
+        (plus,) = _diagonalise((plus_op,), tol, action)
         return plus, mirrored(plus, signs)
-    return plus, diagonalise(minus_op, tol)
+    plus, minus = _diagonalise((plus_op, minus_op), tol, action)
+    return plus, minus
 
 
 def _halves_invertibility(plus: Spectrum, minus: Spectrum, tol: float) -> tuple[bool, float]:
@@ -455,7 +510,7 @@ class DoubledCone:
         them for ``C``, read off the two halves when the cone is decoupled."""
         if not self.decoupled:
             return is_invertible(self.operator, tol=tol)
-        halves = _diagonalise_halves(self.plus, self.minus, self.signs, tol, split=False)
+        halves = _diagonalise_halves(self.plus, self.minus, self.signs, tol, None)
         return _halves_invertibility(*halves, tol)
 
 
@@ -487,7 +542,11 @@ def doubled_duality_cone(
 
     Raises NotChainMap as :func:`duality_cone` does.
     """
-    cone = duality_cone(hp, tol=tol)
+    return _doubled(hp, duality_cone(hp, tol=tol))
+
+
+def _doubled(hp: HilbertPoincareComplex, cone: ChainComplex) -> DoubledCone:
+    """:func:`doubled_duality_cone` on the assembled duality cone of ``hp``."""
     d = cone.total_boundary()
     c = d + adjoint(d)
     order = _doubling_order(hp.dims)
@@ -547,8 +606,7 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
 @dataclass(frozen=True)
 class _Halves:
     """``B + S`` and ``B - S`` of a decoupled duality with their
-    diagonalisations: spectra, or spectral splits when projections are
-    needed."""
+    diagonalisations (see :func:`_diagonalise`)."""
 
     plus_op: np.ndarray
     minus_op: np.ndarray
@@ -561,15 +619,17 @@ def _verify_duality(
     tol: float,
     b: np.ndarray | None = None,
     s: np.ndarray | None = None,
-    split: bool = False,
+    action: GroupAction | None = None,
 ) -> tuple[DualityReport, _Halves | None, np.ndarray]:
     """:func:`verify_duality` on the total boundary ``b`` and total duality
     ``s`` when the caller has them, also returning what it computed.
 
     The halves are returned when the duality is decoupled and passed the
-    cone's chain-map gate, diagonalised by :func:`spectrum`, or by
-    :func:`spectral_split` when ``split``; otherwise they are None.  The last
-    item is the anticommutator ``b S + S b^*``.
+    cone's chain-map gate, diagonalised by :func:`_diagonalise` for classes
+    over the group of ``action`` (over the trivial group when None, which
+    gives the spectra the check itself reads); ``hp``'s own action is gated,
+    not read for this.  Otherwise the halves are None.  The last item is the
+    anticommutator ``b S + S b^*``.
     """
     b = hp.total_boundary() if b is None else b
     s = hp.total_duality() if s is None else s
@@ -594,11 +654,12 @@ def _verify_duality(
             halves = _Halves(
                 plus_op,
                 minus_op,
-                *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, split),
+                *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, action),
             )
             inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
         else:
-            inv, minsv = doubled_duality_cone(hp, tol=tol).invertibility(tol)
+            cone = _duality_cone_of_sides(hp, sides, tol)
+            inv, minsv = _doubled(hp, cone).invertibility(tol)
     except NotChainMap:
         inv, minsv = False, 0.0
     holds["cone_min_singular_value"] = inv

@@ -10,6 +10,7 @@ from .simplicial import OrientedSimplicialManifold, SimplicialAction
 
 __all__ = [
     "cp2_nine_vertex",
+    "cp2_triple_s3",
     "circle_polygon",
     "disjoint_sphere_pair",
     "model_even_sphere",
@@ -146,6 +147,29 @@ def cp2_nine_vertex() -> OrientedSimplicialManifold:
     the solver-assigned orientation.
     """
     return OrientedSimplicialManifold.from_facets(_CP2_FACETS)
+
+
+def cp2_triple_s3() -> tuple[OrientedSimplicialManifold, SimplicialAction]:
+    """Three copies of :func:`cp2_nine_vertex`, copy ``c`` on the vertices
+    ``9c .. 9c + 8`` with the same orientation, and the symmetric group S_3
+    permuting the copies.
+
+    The chain dims are three times those of CP^2_9 (765 wide in all).  S_3
+    acts on H^2 by permuting three lines, the trivial plus the
+    two-dimensional irreducible character, so the signature class is
+    ``(3, 1, 0)`` on the identity, the transpositions and the 3-cycles.
+    """
+    import itertools
+
+    cp2 = cp2_nine_vertex()
+    facets = tuple(tuple(v + 9 * c for v in f) for c in range(3) for f in cp2.facets)
+    manifold = OrientedSimplicialManifold(facets, cp2.signs * 3)
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
+    group = FiniteGroup(tuple("".join(map(str, p)) for p in perms), table)
+    maps = tuple({v: 9 * p[v // 9] + v % 9 for v in range(27)} for p in perms)
+    return manifold, SimplicialAction(group, maps)
 
 
 def model_even_sphere(n: int = 2) -> HilbertPoincareComplex:

@@ -20,12 +20,31 @@ results equal the dense products bit for bit, up to the sign of zero; gates,
 residuals and verdicts are those of the dense path.  Any other action, e.g. a
 conjugate by dense unitaries, keeps the dense matrices.  Callers reach either
 implementation through :meth:`GroupAction.operator`.
+
+Irreducible characters and isotypic blocks.  :attr:`FiniteGroup.characters`
+computes the character table once, by Burnside-Dixon (common eigenvectors of
+the class-sum structure constants), and checks it.  For a signed-permutation
+action that composes exactly like the group, :attr:`GroupAction.isotypic_bases`
+gives an orthonormal basis of the image of each isotypic projection
+``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, built orbit by orbit of
+the coordinates without an ``N``-wide factorisation.  An operator that
+commutes with such an action entry for entry
+(:meth:`GroupAction.commutes_exactly`, an exact test) is block diagonal in
+those bases, so the image of each of its spectral projections in the block of
+``chi`` is a sum of copies of ``chi`` and its class is ``sum_chi m_chi chi``
+with integer multiplicities ``m_chi``: the count of eigenvalues of the sign
+in the block, divided by ``dim chi`` (:func:`k0_from_multiplicities`).  The
+signature constructions take that route wherever it applies (see
+:func:`~hpsig.complexes._diagonalise`); :func:`k0_from_projections` reads
+dense spectral projections for every other action.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -50,6 +69,7 @@ __all__ = [
     "K0Class",
     "k0_add",
     "k0_equal",
+    "k0_from_multiplicities",
     "k0_from_projections",
     "k0_negate",
     "k0_zero",
@@ -140,6 +160,97 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         return self._classes
 
+    @cached_property
+    def class_index(self) -> np.ndarray:
+        """The index in :attr:`conjugacy_classes` of each element's class."""
+        index = np.empty(self.order, dtype=np.intp)
+        for i, cls in enumerate(self._classes):
+            index[list(cls)] = i
+        return index
+
+    @cached_property
+    def characters(self) -> np.ndarray:
+        """The irreducible characters: row ``i`` holds the values of the
+        ``i``-th character on :attr:`conjugacy_classes`, in that order.
+
+        Burnside-Dixon (Dixon, Numer. Math. 10, 1967): the class sums span the
+        centre of C[G] and multiply as ``C_j C_k = sum_l a_jkl C_l``, where
+        ``a_jkl`` counts the ``x`` in ``C_j`` with ``x^-1 z_l`` in ``C_k`` for
+        a fixed ``z_l`` in ``C_l``.  The central character of each irreducible
+        ``chi``, ``omega(C_l) = |C_l| chi(z_l) / chi(1)``, is a common
+        eigenvector of the matrices ``(a_jkl)_kl``; these are found with one
+        ``eig`` of their combination with the weights ``log p_j`` of distinct
+        primes, whose eigenvalues must be distinct.  They are in exact
+        arithmetic: the ``log p_j`` are linearly independent over the
+        algebraic numbers (Baker), and distinct characters have distinct
+        central characters.  The degree follows from ``sum_l |C_l| |chi(z_l)|^2 =
+        |G|``.  Raises InvalidGroup unless the eigenvalues are distinct, the
+        degrees are integers and the table is orthonormal, each within
+        CHAR_TOL.  The values at elements whose order divides 4 and at
+        rational elements are then rounded to the Gaussian integers and
+        integers they are (:meth:`_exact_values`), so those entries are
+        exact; a character whose values all have imaginary part within
+        CHAR_TOL is stored real.  The rows are ordered by degree, the trivial
+        character first.
+        """
+        classes = self._classes
+        r, order = len(classes), self.order
+        sizes = np.array([len(c) for c in classes], dtype=float)
+        reps = [c[0] for c in classes]
+        table = np.asarray(self.table)
+        index = self.class_index
+        a = np.zeros((r, r, r))
+        # x in class j, x^-1 z_l in class k: one count per element and class l
+        np.add.at(a, (index[:, None], index[table[list(self._inverses)][:, reps]], np.arange(r)), 1.0)
+        mix = np.tensordot(np.log(_primes(r)), a, axes=1)
+        lam, vecs = np.linalg.eig(mix)
+        gaps = np.abs(lam[:, None] - lam[None, :]) + np.diag(np.full(r, np.inf))
+        if r > 1 and gaps.min() <= CHAR_TOL * max(1.0, float(np.abs(lam).max())):
+            raise InvalidGroup("class algebra eigenvalues are not distinct")
+        omega = vecs / vecs[index[self._identity]]
+        degrees = np.sqrt(order / (np.abs(omega) ** 2 / sizes[:, None]).sum(axis=0))
+        if np.abs(degrees - np.rint(degrees)).max() > CHAR_TOL:
+            raise InvalidGroup("character degrees are not integers")
+        chars = (np.rint(degrees)[:, None] * omega.T / sizes).astype(complex)
+        gram = (chars * sizes) @ chars.conj().T / order
+        if np.abs(gram - np.eye(r)).max() > CHAR_TOL:
+            raise InvalidGroup("character table is not orthonormal")
+        for column, z in zip(chars.T, reps):
+            column[:] = self._exact_values(z, column, index)
+        real = np.abs(chars.imag).max(axis=1) <= CHAR_TOL
+        chars[real] = chars[real].real
+        if real.all():
+            chars = chars.real
+        # by degree, then by the values, largest real and imaginary parts first
+        rounded = np.round(chars, 6)
+        keys = [k for column in rounded.T for k in (-column.real, -column.imag)]
+        chars = chars[np.lexsort([*reversed(keys), np.rint(degrees)])]
+        chars.setflags(write=False)
+        return chars
+
+    def _exact_values(self, z: int, values: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """The character values at ``z`` rounded to the ring they lie in,
+        where that ring is a lattice: ``Z[i]`` when the order ``o`` of ``z``
+        divides 4, since they are sums of ``o``-th roots of unity, and ``Z``
+        when ``z`` is rational, i.e. conjugate to every ``z^k`` with ``k``
+        prime to ``o``, since they are then fixed by the Galois group of
+        ``Q(zeta_o)``.  Other values are returned as they are."""
+        powers = [z]
+        while powers[-1] != self._identity:
+            powers.append(self.table[powers[-1]][z])
+        o = len(powers)
+        if 4 % o == 0:
+            return np.round(values.real) + 1j * np.round(values.imag)
+        if all(index[powers[k - 1]] == index[z] for k in range(1, o) if math.gcd(k, o) == 1):
+            return np.round(values.real) + 0j
+        return values
+
+    @property
+    def character_degrees(self) -> tuple[int, ...]:
+        """The degree ``chi(1)`` of each row of :attr:`characters`."""
+        column = self.characters[:, self.class_index[self._identity]]
+        return tuple(int(round(d.real)) for d in column)
+
     def same_group(self, other: "FiniteGroup") -> bool:
         return self.elements == other.elements and self.table == other.table
 
@@ -169,6 +280,17 @@ class FiniteGroup:
             for i in range(a.order * nb)
         )
         return cls(names, table)
+
+
+def _primes(count: int) -> list[int]:
+    """The first ``count`` primes."""
+    found: list[int] = []
+    p = 2
+    while len(found) < count:
+        if all(p % q for q in found if q * q <= p):
+            found.append(p)
+        p += 1
+    return found
 
 
 class _SignedPermutation:
@@ -363,8 +485,11 @@ class GroupAction:
     def _check_signed(self) -> None:
         """The dense checks, in the same order, with every identity that holds
         exactly skipped; a signed permutation is exactly unitary."""
+        # whether the index and sign arrays compose exactly like the group
+        self._exact = True
         for k, p in enumerate(self._signed[self.group.identity]):
             if not p.is_identity():
+                self._exact = False
                 self._require_identity(k)
         offsets = [0, *itertools.accumulate(self._dims)]
         src = np.stack([t.src for t in self._totals])
@@ -374,6 +499,7 @@ class GroupAction:
             # row h compares g h with the composition of g and h
             bad = (src[:, t.src] != src[table[g]]) | (t.sgn * sgn[:, t.src] != sgn[table[g]])
             for h in np.flatnonzero(bad.any(axis=1)):
+                self._exact = False
                 for k in range(len(self._dims)):
                     if bad[h, offsets[k]:offsets[k + 1]].any():
                         self._require_homomorphism(g, int(h), k)
@@ -410,6 +536,91 @@ class GroupAction:
             return _DenseElement(self.total(g) if k is None else self.blocks[g][k])
         return self._totals[g] if k is None else self._signed[g][k]
 
+    @cached_property
+    def _images(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per element (rows) and coordinate (columns) of the total space, the
+        coordinate that the element maps it to and the sign it carries."""
+        dst = np.stack([t.dst for t in self._totals])
+        return dst, np.stack([t.dsgn for t in self._totals]).real
+
+    def commutes_exactly(self, x: np.ndarray) -> bool:
+        """Whether ``x`` on the total space commutes with every element entry
+        for entry; false for an action that is not by signed permutations.
+
+        ``rho x = x rho`` holds exactly iff ``x[dst_i, dst_j] = dsgn_i dsgn_j
+        x[i, j]`` for all ``i, j``, where element ``rho`` maps coordinate ``i``
+        to ``dst_i`` with sign ``dsgn_i``.  It suffices to test the nonzero
+        entries: ``(i, j) -> (dst_i, dst_j)`` is a bijection that then maps
+        them onto nonzero entries, hence onto all of them, and the zero
+        entries onto the zero entries.
+        """
+        if self._signed is None:
+            return False
+        dst, sign = self._images
+        rows, cols = np.nonzero(x)
+        moved = x[dst[:, rows], dst[:, cols]]
+        return bool(np.array_equal(moved, sign[:, rows] * sign[:, cols] * x[rows, cols]))
+
+    @cached_property
+    def isotypic_bases(self) -> tuple[np.ndarray, ...] | None:
+        """Orthonormal bases ``Q_chi`` of the images of the isotypic
+        projections ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, one
+        per row of ``group.characters``, as ``(N, rank P_chi)`` matrices on the
+        total space; None unless the action is by signed permutations that
+        compose exactly like the group.
+
+        Such an action permutes the coordinates up to sign, so ``P_chi`` is
+        block diagonal over the orbits of the coordinates and each orbit
+        contributes its own columns.  Their number on an orbit ``O`` is
+        ``rank P_chi|O = (dim chi / |G|) sum_g conj(chi(g)) tr rho_O(g)``,
+        where ``tr rho_O(g)`` sums the signs of the coordinates of ``O`` that
+        ``g`` fixes, an integer; a value that is not an integer within
+        CHAR_TOL raises NotRepresentation.  For a one-dimensional ``chi`` that
+        rank is 0 or 1 and the column is the normalised orbit sum
+        ``P_chi e_o`` of the orbit's least coordinate ``o``; otherwise it is
+        the top eigenvectors of ``P_chi|O``, which is ``|O|`` wide.  No
+        ``N``-wide matrix is factorised.  A real character gives real
+        columns.
+        """
+        if self._signed is None or not self._exact:
+            return None
+        group = self.group
+        order = group.order
+        dst, sign = self._images
+        size = dst.shape[1]
+        # each coordinate's orbit is labelled by its least member
+        points, orbit = np.unique(dst.min(axis=0), return_inverse=True)
+        fixed = np.where(dst == np.arange(size), sign, 0.0)
+        traces = np.zeros((order, points.size))
+        np.add.at(traces, (slice(None), orbit), fixed)
+        chars = group.characters[:, group.class_index]  # per character and element
+        degrees = np.asarray(group.character_degrees)
+        ranks = (degrees[:, None] / order) * (chars.conj() @ traces)
+        rounded = np.rint(ranks.real).astype(int)
+        if np.abs(ranks - rounded).max(initial=0.0) > CHAR_TOL:
+            raise NotRepresentation("isotypic ranks of the action are not integers")
+        bases = []
+        for chi, d, rank in zip(chars, degrees, rounded):
+            coef = chi.conj() if chi.imag.any() else chi.real
+            if d == 1:
+                sums = np.zeros((size, points.size), dtype=coef.dtype)
+                np.add.at(sums, (dst[:, points], np.arange(points.size)), coef[:, None] * sign[:, points])
+                cols = sums[:, rank == 1]
+                bases.append(cols / np.linalg.norm(cols, axis=0))
+                continue
+            parts = []
+            for o in np.flatnonzero(rank):
+                members = np.flatnonzero(orbit == o)
+                local = np.searchsorted(members, dst[:, members])
+                proj = np.zeros((members.size, members.size), dtype=coef.dtype)
+                np.add.at(proj, (local, np.arange(members.size)), coef[:, None] * sign[:, members])
+                vecs = np.linalg.eigh(proj * (d / order))[1][:, members.size - rank[o]:]
+                part = np.zeros((size, rank[o]), dtype=vecs.dtype)
+                part[members] = vecs
+                parts.append(part)
+            bases.append(np.hstack(parts) if parts else np.zeros((size, 0), dtype=coef.dtype))
+        return tuple(bases)
+
     def conjugated(self, unitaries: Sequence[np.ndarray]) -> "GroupAction":
         fams = tuple(
             tuple(
@@ -443,11 +654,16 @@ class K0Class:
     """Element of K_0(C[G]) stored as a character, one value per conjugacy class.
 
     Class values are ordered like ``group.conjugacy_classes``.  The virtual
-    rank is the value at the class of the identity.
+    rank is the value at the class of the identity.  A class built from
+    integer counts (:func:`k0_from_multiplicities`) also keeps its coordinates
+    ``multiplicities`` on the irreducible characters, ordered like
+    ``group.characters``; they do not take part in comparisons, which read the
+    values.
     """
 
     group: FiniteGroup
     values: tuple[complex, ...]
+    multiplicities: tuple[int, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.values) != len(self.group.conjugacy_classes):
@@ -456,6 +672,8 @@ class K0Class:
                 f"got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        if self.multiplicities is not None:
+            object.__setattr__(self, "multiplicities", tuple(map(int, self.multiplicities)))
 
     @property
     def rank(self) -> int:
@@ -474,6 +692,17 @@ class K0Class:
 
 def k0_zero(group: FiniteGroup) -> K0Class:
     return K0Class(group, (0j,) * len(group.conjugacy_classes))
+
+
+def k0_from_multiplicities(group: FiniteGroup, multiplicities: Sequence[int]) -> K0Class:
+    """The class ``sum_chi m_chi chi`` of integer multiplicities ``m_chi``,
+    one per row of ``group.characters``."""
+    m = np.asarray(multiplicities, dtype=int)
+    if m.shape != (len(group.conjugacy_classes),):
+        raise ShapeMismatch(
+            f"need {len(group.conjugacy_classes)} multiplicities, got {m.shape}"
+        )
+    return K0Class(group, tuple(m @ group.characters), tuple(m))
 
 
 def k0_add(a: K0Class, b: K0Class) -> K0Class:

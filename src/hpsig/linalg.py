@@ -49,6 +49,12 @@ diagonal sign operator ``phi`` conjugates one half into minus the other, as
 the grading does in even degree, one eigensolve serves both:
 :func:`mirrored` reads the diagonalisation of ``-phi h phi`` off that of
 ``h``.
+
+When ``h`` leaves mutually orthogonal subspaces invariant that together span
+the space, such as the isotypic blocks of a group action that commutes with
+it, :func:`block_spectrum` reads its eigenvalues off one small ``eigvalsh``
+of each compression and keeps the inertia of each block at the threshold of
+the whole operator.
 """
 
 from __future__ import annotations
@@ -65,12 +71,14 @@ DEFAULT_TOL = 1e-9
 
 __all__ = [
     "DEFAULT_TOL",
+    "BlockSpectrum",
     "SpectralSplit",
     "Spectrum",
     "adjoint",
     "as_matrix",
     "assemble_total",
     "block_diag",
+    "block_spectrum",
     "classify_eigenvalues",
     "frobenius_norm",
     "is_invertible",
@@ -255,9 +263,26 @@ class SpectralSplit(Spectrum):
     p_minus: np.ndarray
 
 
+@dataclass(frozen=True)
+class BlockSpectrum(Spectrum):
+    """Spectrum of a self-adjoint operator read off its compressions to
+    mutually orthogonal invariant subspaces that span the space.
+
+    ``block_ranks[c]`` is ``(rank_plus, rank_minus)`` of the ``c``-th
+    compression, classified at the threshold of the whole operator.
+    """
+
+    block_ranks: tuple[tuple[int, int], ...]
+
+
+def _threshold(w: np.ndarray, tol: float) -> float:
+    """Eigenvalues within this bound of zero land in the zero class."""
+    return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+
+
 def _sign_classes(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:
     """Masks of the positive and negative eigenvalues and the Spectrum fields."""
-    thresh = tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+    thresh = _threshold(w, tol)
     plus = w > thresh
     minus = w < -thresh
     nonzero = np.abs(w[plus | minus])
@@ -294,6 +319,31 @@ def spectral_split(h: np.ndarray, tol: float = DEFAULT_TOL) -> SpectralSplit:
     return SpectralSplit(**fields, p_plus=proj(plus), p_minus=proj(minus))
 
 
+def block_spectrum(
+    h: np.ndarray, bases: Sequence[np.ndarray], tol: float = DEFAULT_TOL
+) -> BlockSpectrum:
+    """Sign classes of a self-adjoint matrix from one ``eigvalsh`` of each
+    compression ``Q^* h Q``, without eigenvectors.
+
+    The ``bases`` are orthonormal bases, as columns, of mutually orthogonal
+    subspaces that ``h`` leaves invariant; then ``h`` is block diagonal in
+    their union and its eigenvalues are those of the compressions.  The union
+    is classified as :func:`spectrum` classifies, at the threshold of the
+    largest ``|eigenvalue|`` of ``h``, and each block's counts at that same
+    threshold.  Raises ShapeMismatch unless the bases have as many columns in
+    all as ``h`` has, and NotSelfAdjoint as :func:`spectrum` does.
+    """
+    a = _hermitian_part(h, tol)
+    width = sum(q.shape[1] for q in bases)
+    if width != a.shape[0]:
+        raise ShapeMismatch(f"blocks have {width} columns in all, operator is {a.shape[0]} wide")
+    parts = [np.linalg.eigvalsh(adjoint(q) @ a @ q) for q in bases]
+    w = np.sort(np.concatenate(parts))
+    thresh = _threshold(w, tol)
+    ranks = tuple((int(np.count_nonzero(p > thresh)), int(np.count_nonzero(p < -thresh))) for p in parts)
+    return BlockSpectrum(**_sign_classes(w, tol)[2], block_ranks=ranks)
+
+
 def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
     """The diagonalisation of ``-phi h phi`` read off that of ``h``, where
     ``phi`` is the diagonal operator with the entries ``signs``, each +1 or -1.
@@ -304,7 +354,8 @@ def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
     ``p_+(-phi h phi) = phi p_-(h) phi`` and ``p_-(-phi h phi) = phi p_+(h) phi``,
     which are entrywise sign changes.  The sign classes are those
     :func:`spectrum` would give, since the threshold depends only on
-    ``max |lam|``.
+    ``max |lam|``.  A block spectrum's blocks keep their subspaces, which
+    ``phi`` must leave invariant, and swap their counts.
     """
     fields = dict(
         eigenvalues=-spec.eigenvalues[::-1],
@@ -313,6 +364,8 @@ def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
         rank_zero=spec.rank_zero,
         min_abs_nonzero_eigenvalue=spec.min_abs_nonzero_eigenvalue,
     )
+    if isinstance(spec, BlockSpectrum):
+        return BlockSpectrum(**fields, block_ranks=tuple((m, p) for p, m in spec.block_ranks))
     if not isinstance(spec, SpectralSplit):
         return Spectrum(**fields)
     flip = signs[:, None] * signs

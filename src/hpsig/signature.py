@@ -34,39 +34,54 @@ the union of the spectra of ``B + S`` and ``B - S``.  Otherwise Mishchenko's
 construction assembles and diagonalises its own cone.  Over the trivial group
 (no action) only eigenvalues are computed and every class is an inertia
 count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and Mishchenko
-are ``#pos(B + S) - #neg(B + S)``; with an action the classes are characters
-of spectral projections, and Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S)
-phi``, whose characters are those of ``p_-(B + S)`` exactly, so Higson-Roe
-and reduced agree to the last bit.  The comparison therefore checks the
-constructions' algebra and the gated grading identity, not the eigensolver;
-the independent check is an exact one, the intersection form on middle
-homology (ROADMAP Direction 2).
+are ``#pos(B + S) - #neg(B + S)``.  With an action that is by signed
+permutations and commutes with the operator entry for entry, as on every
+triangulation, the same counts are taken in each isotypic block, one small
+eigensolve per irreducible character ``chi``, and every class is
+``sum_chi m_chi chi`` with the integer ``m_chi = count_chi / dim chi``; a
+count that ``dim chi`` does not divide raises NonEquivariantProjection.  With
+any other action (dense, or commuting only up to rounding) the classes are
+characters of spectral projections (:func:`~hpsig.groups.k0_from_projections`).
+Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S) phi``, whose counts and
+characters are those of ``p_-(B + S)`` exactly, so Higson-Roe and reduced
+agree to the last bit.  The comparison therefore checks the constructions'
+algebra and the gated grading identity, not the eigensolver; the independent
+check is an exact one, the intersection form on middle homology (ROADMAP
+Direction 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TypeVar
+from typing import Sequence, TypeVar
 
 import numpy as np
 
 from .complexes import (
     HilbertPoincareComplex,
     _decoupled,
+    _diagonalise,
     _diagonalise_halves,
     _Halves,
     _require_duality_chain_map,
     doubled_duality_cone,
 )
-from .errors import DegenerateOperator, OddDimension
-from .groups import CHAR_TOL, FiniteGroup, K0Class, k0_equal, k0_from_projections
+from .errors import DegenerateOperator, NonEquivariantProjection, OddDimension
+from .groups import (
+    CHAR_TOL,
+    FiniteGroup,
+    K0Class,
+    k0_equal,
+    k0_from_multiplicities,
+    k0_from_projections,
+)
 from .linalg import (
     DEFAULT_TOL,
+    BlockSpectrum,
     Spectrum,
     adjoint,
     classify_eigenvalues,
     residual_within,
-    spectral_split,
     spectrum,
 )
 
@@ -121,19 +136,13 @@ def _total_operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, np.ndarray
     return b + adjoint(b), hp.total_duality()
 
 
-def _diagonalise(hp: HilbertPoincareComplex, h: np.ndarray, tol: float) -> Spectrum:
-    """Eigenvalues of ``h`` over the trivial group, where every class is an
-    inertia count; its spectral split when a group acts."""
-    return spectrum(h, tol) if hp.action is None else spectral_split(h, tol)
-
-
 def _halves(
     hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
 ) -> tuple[Spectrum, Spectrum]:
-    """``B + S`` and ``B - S`` diagonalised as :func:`_diagonalise` does, with
-    ``B - S`` read off ``B + S`` through the grading where that is exact."""
-    split = hp.action is not None
-    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, split)
+    """``B + S`` and ``B - S`` diagonalised for the classes over ``hp``'s
+    group, with ``B - S`` read off ``B + S`` through the grading where that is
+    exact (see :func:`~hpsig.complexes._diagonalise_halves`)."""
+    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, hp.action)
 
 
 def _nondegenerate_halves(
@@ -149,10 +158,34 @@ def _inertia_class(rank: int) -> K0Class:
     return K0Class(FiniteGroup.trivial(), (complex(rank),))
 
 
+def _isotypic_class(group: FiniteGroup, first: Sequence[int], second: Sequence[int]) -> K0Class:
+    """``[p_1] - [p_2]`` for spectral projections ``p_1`` and ``p_2`` whose
+    images meet the isotypic block of the ``c``-th irreducible character
+    ``chi`` in ``first[c]`` and ``second[c]`` dimensions.
+
+    Each such image is a sum of copies of ``chi``, so each count is a
+    multiple of ``dim chi``, and the class is ``sum_chi m_chi chi`` with the
+    integer ``m_chi = (first[c] - second[c]) / dim chi``.  A count that
+    ``dim chi`` does not divide raises NonEquivariantProjection.
+    """
+    multiplicities = []
+    for d, one, two in zip(group.character_degrees, first, second):
+        if one % d or two % d:
+            raise NonEquivariantProjection(
+                f"spectral projections have ranks ({one}, {two}) in the isotypic "
+                f"block of a character of degree {d}"
+            )
+        multiplicities.append((one - two) // d)
+    return k0_from_multiplicities(group, multiplicities)
+
+
 def _signed_class(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> K0Class:
     """Positive minus negative part of a nondegenerate self-adjoint operator."""
     if hp.action is None:
         return _inertia_class(split.rank_plus - split.rank_minus)
+    if isinstance(split, BlockSpectrum):
+        plus, minus = zip(*split.block_ranks)
+        return _isotypic_class(hp.action.group, plus, minus)
     return k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
 
 
@@ -162,6 +195,10 @@ def _higson_roe(
     """Higson-Roe class from the nondegenerate ``B + S`` and ``B - S``."""
     if hp.action is None:
         k0 = _inertia_class(plus.rank_plus - minus.rank_plus)
+    elif isinstance(plus, BlockSpectrum):
+        first = [p for p, _ in plus.block_ranks]
+        second = [p for p, _ in minus.block_ranks]
+        k0 = _isotypic_class(hp.action.group, first, second)
     else:
         k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
     gap = min(plus.min_abs_nonzero_eigenvalue, minus.min_abs_nonzero_eigenvalue)
@@ -204,7 +241,7 @@ def _mishchenko_full_cone(hp: HilbertPoincareComplex, tol: float) -> SignatureRe
     """Mishchenko's class from the assembled cone, for a duality that is not
     self-adjoint entry for entry."""
     doubled = doubled_duality_cone(hp, tol=tol)
-    compression = _diagonalise(hp, doubled.plus, tol)
+    (compression,) = _diagonalise((doubled.plus,), tol, hp.action)
     return _mishchenko(hp, compression, spectrum(doubled.operator, tol), tol)
 
 
@@ -243,7 +280,7 @@ def reduced_signature(
     """Signature of ``b + b^* + S`` on the total space."""
     _require_even(hp)
     big_b, s = _total_operators(hp)
-    return _reduced(hp, _diagonalise(hp, big_b + s, tol), tol)
+    return _reduced(hp, _diagonalise((big_b + s,), tol, hp.action)[0], tol)
 
 
 @dataclass(frozen=True)
@@ -285,8 +322,8 @@ def _coincidence(
     """:func:`check_coincidence`, reusing ``halves`` when given.
 
     ``halves`` must come from the duality check of ``hp``'s duality at the
-    same ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised as
-    spectral splits when ``hp`` has an action.  Such halves exist only for a
+    same ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for
+    the classes over ``hp``'s group.  Such halves exist only for a
     decoupled duality that passed the cone's chain-map gate, which is
     therefore not run again.
     """

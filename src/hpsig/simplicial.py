@@ -409,10 +409,10 @@ def _duality_from_cap(
 ) -> _CapDuality:
     """:func:`duality_operator` of a closed manifold from its phased cap.
 
-    The halves are kept only ``for_signatures``, diagonalised as
-    :func:`~hpsig.signature._coincidence` reads them with ``rho``: spectral
-    splits when a group acts, spectra over the trivial group.  Otherwise the
-    check computes spectra only and the halves are None.
+    The halves are kept only ``for_signatures``, diagonalised for the classes
+    over the group of ``rho`` (see :func:`~hpsig.complexes._diagonalise`), as
+    :func:`~hpsig.signature._coincidence` reads them.  Otherwise the check
+    computes spectra only and the halves are None.
     """
     if rho is not None:
         phased = _average_over_group(phased, rho)
@@ -428,9 +428,8 @@ def _duality_from_cap(
     dual = DualityOperator(_symmetrize(phased))
     stot = dual.total(chain)
     sym_res = frobenius_norm(ptot - stot)
-    split = for_signatures and rho is not None
     rep, halves, anti = _verify_duality(
-        HilbertPoincareComplex(chain, dual), tol, btot, stot, split
+        HilbertPoincareComplex(chain, dual), tol, btot, stot, rho if for_signatures else None
     )
     report = CapReport(
         tol=tol,
@@ -582,8 +581,8 @@ def _equivariant_structure(
 ) -> tuple[GroupAction, DualityOperator, EquivarianceReport, _Halves | None]:
     """Chain action, the duality operator the pipeline uses with it, their
     equivariance report, which is returned rather than raised, and, for the
-    signature constructions, the spectral splits of ``B + S`` and ``B - S``
-    that the duality check of a closed manifold computed (None with boundary
+    signature constructions, ``B + S`` and ``B - S`` as the duality check of
+    a closed manifold diagonalised them (None with boundary
     or when not ``for_signatures``).
 
     For a closed manifold the duality is :func:`duality_operator` with the

@@ -49,7 +49,7 @@ from hpsig.fixtures import (
     octahedron,
     octahedron_rotation,
 )
-from hpsig.linalg import spectrum
+from hpsig.linalg import BlockSpectrum, SpectralSplit, Spectrum
 
 
 def _interval() -> ChainComplex:
@@ -376,18 +376,27 @@ def test_mirrored_halves_match_an_independent_diagonalisation(name):
     signs = hp.degree_signs()
     # in even top degree the grading conjugates B - S into -(B + S) exactly
     assert np.array_equal(signs[:, None] * (big_b - s) * signs, -(big_b + s))
-    for split in (False, True):
-        plus, minus = complexes._diagonalise_halves(big_b + s, big_b - s, signs, 1e-9, split)
-        own = (spectral_split if split else spectrum)(big_b - s)
+    # over the trivial group, and over the action's group by its route: the
+    # isotypic blocks of the exactly commuting octahedron action, the spectral
+    # split of the dense generated one
+    routes = [(None, Spectrum)]
+    if hp.action is not None:
+        routes.append((hp.action, BlockSpectrum if name == "octahedron-z4" else SpectralSplit))
+    for action, kind in routes:
+        plus, minus = complexes._diagonalise_halves(big_b + s, big_b - s, signs, 1e-9, action)
+        (own,) = complexes._diagonalise((big_b - s,), 1e-9, action)
+        assert type(minus) is type(own) is kind
         assert (minus.rank_plus, minus.rank_minus, minus.rank_zero) == (
             own.rank_plus, own.rank_minus, own.rank_zero
         )
         scale = max(1.0, float(np.abs(own.eigenvalues).max()))
         assert np.abs(minus.eigenvalues - own.eigenvalues).max() <= 1e-12 * scale
         assert abs(minus.min_abs_nonzero_eigenvalue - own.min_abs_nonzero_eigenvalue) <= 1e-12 * scale
-        if split:
+        if kind is SpectralSplit:
             assert np.abs(minus.p_plus - own.p_plus).max() <= 1e-9
             assert np.abs(minus.p_minus - own.p_minus).max() <= 1e-9
+        if kind is BlockSpectrum:
+            assert minus.block_ranks == own.block_ranks
 
 
 @pytest.mark.parametrize(
@@ -420,13 +429,23 @@ def test_cone_chain_map_gate_reads_the_chain_condition_blocks(name, monkeypatch)
         seen.append(list(sides))
         return gate(sides, tol)
 
+    formed = []
+    sides_of = complexes._chain_map_sides
+
+    def count(*args):
+        formed.append(args)
+        return sides_of(*args)
+
     monkeypatch.setattr(complexes, "_require_chain_map", capture)
+    monkeypatch.setattr(complexes, "_chain_map_sides", count)
     duality_cone(hp)
+    assert len(seen) == len(formed) == 1
     rep, _, anti = complexes._verify_duality(hp, 1e-9)
     # the cone's gate, and the duality check's own run of it on decoupled
-    # input or its assembled cone otherwise, see the blocks of b S + S b*
-    # that the chain condition gates
-    assert len(seen) == 2
+    # input or on the cone it assembles otherwise, see the blocks of
+    # b S + S b* that the chain condition gates; the check forms those sides
+    # once and gates them once
+    assert len(seen) == len(formed) == 2
     for sides in seen[1:]:
         assert all(
             np.array_equal(p, q) for pair, other in zip(sides, seen[0]) for p, q in zip(pair, other)

@@ -30,7 +30,13 @@ from hpsig.errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from hpsig.fixtures import octahedron, octahedron_rotation
+from hpsig import barycentric_subdivide
+from hpsig.fixtures import (
+    octahedron,
+    octahedron_rotation,
+    octahedron_rotation_group,
+)
+from hpsig.groups import k0_from_multiplicities
 from hpsig.groups import CHAR_TOL
 
 
@@ -289,3 +295,83 @@ def test_dense_action_builds_each_element_once_per_call(monkeypatch):
     calls.clear()
     assert verify_duality(hp).passed
     assert calls == list(range(act.group.order))
+
+
+def _orthonormal(group: FiniteGroup) -> None:
+    """Both orthogonality relations of the character table, within rounding."""
+    chars = group.characters
+    sizes = np.array([len(c) for c in group.conjugacy_classes])
+    rows = (chars * sizes) @ chars.conj().T / group.order
+    columns = chars.conj().T @ chars * sizes / group.order
+    assert np.abs(rows - np.eye(len(sizes))).max() <= 1e-12
+    assert np.abs(columns - np.eye(len(sizes))).max() <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "group, degrees",
+    [
+        (FiniteGroup.trivial(), (1,)),
+        *[(FiniteGroup.cyclic(n), (1,) * n) for n in (2, 3, 4, 5, 6)],
+        (FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)), (1,) * 4),
+        (_s3(), (1, 1, 2)),
+        (octahedron_rotation_group().group, (1, 1, 2, 3, 3)),
+    ],
+)
+def test_character_tables(group, degrees):
+    _orthonormal(group)
+    assert group.character_degrees == degrees
+    assert sum(d * d for d in degrees) == group.order
+    # the trivial character comes first
+    assert np.abs(group.characters[0] - 1).max() <= 1e-12
+
+
+def test_character_values_are_exact_where_they_lie_in_a_lattice():
+    # orders dividing 4 give Gaussian integers, rational classes integers
+    assert np.array_equal(FiniteGroup.cyclic(4).characters[:, 1], [1, 1j, -1j, -1])
+    rotations = octahedron_rotation_group().group.characters
+    assert rotations.dtype == np.float64 and np.array_equal(rotations, np.round(rotations))
+    z2z2 = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)).characters
+    assert sorted(map(tuple, z2z2.tolist())) == sorted(
+        [(1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1), (1, -1, -1, 1)]
+    )
+
+
+@pytest.mark.parametrize("rotations", [octahedron_rotation, octahedron_rotation_group])
+def test_isotypic_bases_span_the_isotypic_images(rotations):
+    m, act = barycentric_subdivide(octahedron(), rotations())
+    rho = chain_action(m, act)
+    group = rho.group
+    bases = rho.isotypic_bases
+    assert len(bases) == len(group.conjugacy_classes)
+    assert sum(q.shape[1] for q in bases) == sum(rho.dims)
+    together = np.hstack(bases)
+    assert np.abs(adjoint(together) @ together - np.eye(together.shape[1])).max() <= 1e-12
+    chars = group.characters[:, group.class_index]
+    for q, chi, d in zip(bases, chars, group.character_degrees):
+        proj = sum(np.conj(chi[g]) * rho.total(g) for g in range(group.order)) * d / group.order
+        assert np.abs(q @ adjoint(q) - proj).max() <= 1e-12
+        assert q.shape[1] % d == 0
+        assert q.dtype == (np.float64 if not np.any(chi.imag) else np.complex128)
+
+
+def test_isotypic_route_needs_an_exact_signed_permutation_action():
+    hp, _ = generate_with_signature(0, "n2-z4-d4")
+    rho = hp.action
+    assert not rho.is_signed_permutation
+    assert rho.isotypic_bases is None
+    assert not rho.commutes_exactly(np.eye(sum(rho.dims)))
+    swap = GroupAction(FiniteGroup.cyclic(2), ((np.eye(2),), (np.array([[0, 1], [1, 0]]),)))
+    assert swap.commutes_exactly(np.ones((2, 2)))
+    assert not swap.commutes_exactly(np.diag([1.0, 2.0]))
+    assert [q.shape[1] for q in swap.isotypic_bases] == [1, 1]
+
+
+def test_k0_from_multiplicities():
+    group = FiniteGroup.cyclic(4)
+    cls = k0_from_multiplicities(group, [2, 0, 0, -1])
+    assert cls.multiplicities == (2, 0, 0, -1)
+    assert cls.values == (1, 3, 1, 3)
+    # comparisons read the values
+    assert cls == K0Class(group, (1, 3, 1, 3))
+    with pytest.raises(ShapeMismatch):
+        k0_from_multiplicities(group, [1, 0])

@@ -36,11 +36,15 @@ from hpsig.simplicial import manifold_signature
 from hpsig.errors import DegenerateOperator, OddDimension
 from hpsig.fixtures import (
     cp2_nine_vertex,
+    cp2_triple_s3,
+    disjoint_sphere_pair,
     model_even_sphere,
     model_projective_plane,
     octahedron,
     octahedron_rotation,
+    octahedron_rotation_group,
     simplex_sphere,
+    sphere_swap_action,
 )
 from hpsig.linalg import spectrum
 
@@ -220,6 +224,15 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     s3 = to_hp_complex(simplex_sphere(3))
     cwb = generate_with_boundary(2, "n4-d6")
     solves = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    widths = []
+    counted = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        widths.append(a.shape[0])
+        return counted(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    blocks = sorted(q.shape[1] for q in octa.action.isotypic_bases)
     cones = _count_calls(monkeypatch, complexes, ("mapping_cone",))
     boundaries = _count_calls(monkeypatch, complexes.ChainComplex, ("total_boundary",))
     totals = _count_calls(monkeypatch, complexes.DualityOperator, ("total",))
@@ -232,20 +245,25 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     assert boundaries == {"total_boundary": 1}
     assert totals == {"total": 2}
     solves.update(eigh=0, eigvalsh=0)
-    # check_coincidence alone diagonalises B + S once: eigenvalues only over
-    # the trivial group, and with a group one spectral split, shared by all
-    # three constructions
+    # check_coincidence alone diagonalises B + S once, shared by all three
+    # constructions: eigenvalues only over the trivial group, and with a group
+    # whose action commutes exactly one eigvalsh per irreducible character,
+    # each as wide as the character's isotypic block
     assert check_coincidence(cp2_hp).passed
     assert solves == {"eigh": 0, "eigvalsh": 1}
     solves.update(eigh=0, eigvalsh=0)
+    widths.clear()
     assert check_coincidence(octa).passed
-    assert solves == {"eigh": 1, "eigvalsh": 0}
+    assert solves == {"eigh": 0, "eigvalsh": 4}
+    assert sorted(widths) == blocks == [36, 36, 36, 38]
     assert cones == {"mapping_cone": 0}
     solves.update(eigh=0, eigvalsh=0)
-    # the manifold command hands the duality check's split on
+    widths.clear()
+    # the manifold command hands the duality check's block spectra on
     assert main(["manifold", path, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["passed"] is True
-    assert solves == {"eigh": 1, "eigvalsh": 0}
+    assert solves == {"eigh": 0, "eigvalsh": 4}
+    assert sorted(widths) == blocks
     assert cones == {"mapping_cone": 0}
     solves.update(eigh=0, eigvalsh=0)
     # the equivariance check needs no projections: a spectrum only
@@ -290,3 +308,84 @@ def test_inertia_classes_match_the_projection_classes(name):
     for r in rep.results:
         assert r.k0.group.same_group(want[r.method].group)
         assert r.k0.values == want[r.method].values
+
+
+def _triangulation_with_action(name):
+    if name == "octahedron-z4-coarse":
+        return octahedron(), octahedron_rotation()
+    if name == "octahedron-z4":
+        return barycentric_subdivide(octahedron(), octahedron_rotation())
+    if name == "octahedron-rot24":
+        return barycentric_subdivide(octahedron(), octahedron_rotation_group())
+    if name == "sphere-pair-swap":
+        return disjoint_sphere_pair(), sphere_swap_action()
+    return cp2_triple_s3()
+
+
+def _projection_classes(hp):
+    """The three classes by spectral projections, as before isotypic blocks."""
+    b = hp.total_boundary()
+    big_b, s = b + adjoint(b), hp.total_duality()
+    plus, minus = spectral_split(big_b + s), spectral_split(big_b - s)
+    return {
+        "higson-roe": k0_from_projections(plus.p_plus, minus.p_plus, hp.action),
+        "mishchenko": k0_from_projections(plus.p_plus, plus.p_minus, hp.action),
+        "reduced": k0_from_projections(plus.p_plus, plus.p_minus, hp.action),
+    }
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["octahedron-z4-coarse", "octahedron-z4", "octahedron-rot24", "sphere-pair-swap", "cp2-s3"],
+)
+def test_isotypic_classes_match_the_projection_classes(name, monkeypatch):
+    m, action = _triangulation_with_action(name)
+    hp = to_hp_complex(m, action)
+    # every triangulation's action commutes with B + S entry for entry
+    b = hp.total_boundary()
+    assert hp.action.commutes_exactly(b + adjoint(b) + hp.total_duality())
+    want = _projection_classes(hp)
+    projections = []
+    monkeypatch.setattr(signature, "k0_from_projections",
+                        lambda *args, **kwargs: projections.append(args))
+    for rep in (check_coincidence(hp), manifold_signature(m, action)):
+        assert rep.passed and rep.max_character_difference == 0.0
+        for r in rep.results:
+            assert np.abs(np.subtract(r.k0.values, want[r.method].values)).max() <= 1e-9
+            m_chi = r.k0.multiplicities
+            assert all(type(x) is int for x in m_chi)
+            assert r.k0.values == tuple(np.asarray(m_chi) @ hp.action.group.characters)
+    assert projections == []
+
+
+def test_cp2_triple_s3_has_exact_integer_multiplicities():
+    m, action = cp2_triple_s3()
+    hp = to_hp_complex(m, action)
+    group = hp.action.group
+    assert hp.total_dim() == 765
+    assert group.character_degrees == (1, 1, 2)
+    # each simplex orbit carries the trivial and the two-dimensional character
+    assert [q.shape[1] for q in hp.action.isotypic_bases] == [255, 0, 510]
+    rep = manifold_signature(m, action)
+    assert rep.passed
+    for r in rep.results:
+        # the trivial plus the standard character: (3, 1, 0) on the identity,
+        # the transpositions and the 3-cycles, exactly
+        assert r.k0.multiplicities == (1, 0, 1)
+        assert r.k0.values == (3, 1, 0)
+
+
+def test_inexactly_commuting_duality_takes_the_projection_route():
+    m, action = barycentric_subdivide(octahedron(), octahedron_rotation())
+    hp = to_hp_complex(m, action)
+    blocks = [blk.copy() for blk in hp.duality.blocks]
+    blocks[1][0, 0] += 1e-13  # within every gate, but no longer equivariant exactly
+    moved = HilbertPoincareComplex(hp.chain, DualityOperator(tuple(blocks)), hp.action)
+    b = moved.total_boundary()
+    assert not moved.action.commutes_exactly(b + adjoint(b) + moved.total_duality())
+    assert verify_duality(moved).passed
+    exact, fallback = check_coincidence(hp), check_coincidence(moved)
+    assert fallback.passed
+    for e, f in zip(exact.results, fallback.results):
+        assert f.k0.multiplicities is None
+        assert k0_equal(e.k0, f.k0, tol=1e-9)

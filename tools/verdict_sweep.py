@@ -8,8 +8,9 @@ are and perturbed, and compare two such runs.
 The cases are the acceptance suite's 12 generated profiles (n0/n2/n4 x no
 group, Z/2, Z/3, Z/4) for seeds ``0 .. seeds-1``, the 9-vertex CP^2 and its
 orientation flip, the octahedron with its Z/4 rotation, the once-subdivided
-octahedron with that rotation and with its 24-element rotation group, and the
-boundary of the 5-simplex (S^4).  Each case runs as it is and with its
+octahedron with that rotation and with its 24-element rotation group, three
+copies of the 9-vertex CP^2 permuted by S_3, and the boundary of the
+5-simplex (S^4).  Each case runs as it is and with its
 duality perturbed at relative sizes 1e-11, 1e-9, 1e-7, 1e-5 and 1e-3, once by
 a self-adjoint family (``S_k += eps (R_k + R_{n-k}^*) / 2``, which keeps an
 entrywise self-adjoint ``S`` entrywise self-adjoint) and once by an arbitrary
@@ -26,7 +27,10 @@ value, the boundary class as the coincidence fields below, or the exception.
 Each closed case writes one JSON line: the ``verify_duality`` flags, failures and
 cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
 spectral gaps and grading residual, or the exception type and its message
-with floating-point numbers masked.  ``scale`` is the Frobenius norm of
+with floating-point numbers masked.  A class that carries integer
+multiplicities of the irreducible characters (the isotypic route of a
+triangulation with an action) records them too; ``--compare`` does not read
+them.  ``scale`` is the Frobenius norm of
 ``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
 triangulation also holds the same fields for ``manifold_signature``, which
 reuses the spectra of its duality check; with a group action it further holds
@@ -107,6 +111,28 @@ def _octahedron_rotation_group():
     return hpsig.SimplicialAction(group, tuple(dict(enumerate(vm)) for vm in maps))
 
 
+def _cp2_triple_s3():
+    """Three copies of the 9-vertex CP^2 permuted by S_3, from
+    ``hpsig.fixtures`` when the package has them and built the same way
+    otherwise."""
+    import itertools
+
+    import hpsig
+    from hpsig import fixtures
+
+    if hasattr(fixtures, "cp2_triple_s3"):
+        return fixtures.cp2_triple_s3()
+    cp2 = fixtures.cp2_nine_vertex()
+    facets = tuple(tuple(v + 9 * c for v in f) for c in range(3) for f in cp2.facets)
+    manifold = hpsig.OrientedSimplicialManifold(facets, cp2.signs * 3)
+    perms = list(itertools.permutations(range(3)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
+    group = hpsig.FiniteGroup(tuple("".join(map(str, p)) for p in perms), table)
+    maps = tuple({v: 9 * p[v // 9] + v % 9 for v in range(27)} for p in perms)
+    return manifold, hpsig.SimplicialAction(group, maps)
+
+
 def base_cases(seeds: int):
     """(name, complex, triangulation) triples, built lazily; the triangulation
     is ``(manifold, action)`` for a triangulation, with action None when no
@@ -130,6 +156,8 @@ def base_cases(seeds: int):
     ):
         tri = hpsig.barycentric_subdivide(fixtures.octahedron(), action)
         yield name, hpsig.to_hp_complex(*tri), tri
+    tri = _cp2_triple_s3()
+    yield "cp2-s3", hpsig.to_hp_complex(*tri), tri
     s4 = fixtures.simplex_sphere(4)
     yield "s4", hpsig.to_hp_complex(s4), (s4, None)
     for seed in range(seeds):
@@ -200,7 +228,7 @@ def _error(exc: Exception) -> dict:
 
 
 def _coincidence(rep) -> dict:
-    return {
+    out = {
         "passed": rep.passed,
         "classes": {
             r.method: [[v.real, v.imag] for v in r.k0.values] for r in rep.results
@@ -208,6 +236,10 @@ def _coincidence(rep) -> dict:
         "gaps": {r.method: r.spectral_gap for r in rep.results},
         "grading_residual": rep.grading_conjugation_residual,
     }
+    multiplicities = {r.method: getattr(r.k0, "multiplicities", None) for r in rep.results}
+    if any(m is not None for m in multiplicities.values()):
+        out["multiplicities"] = {k: list(m) for k, m in multiplicities.items() if m is not None}
+    return out
 
 
 def record(name: str, variant: str, hp) -> dict:
