@@ -18,19 +18,18 @@ The cone operator ``C = D + D^*`` acts on two copies of the total space, one
 in the source summands of the cone and one in the target summands.  In the
 orthonormal basis of the doubling isometry ``v: x -> (x, x)/sqrt(2)`` and its
 complement ``w: x -> (-x, x)/sqrt(2)`` (the minus sign on the source copy) it
-is ``[[B + S, X^*], [X, B - S]]`` with ``B = b + b^*`` and ``X = +-(S - S^*)/2``.
-The cross block vanishes exactly when ``S`` is self-adjoint entry for entry,
-as for every triangulation, and that is decided on ``S`` before any cone is
-assembled.  Then the spectrum of ``C`` is the union of the spectra of
-``B + S`` and ``B - S``: :func:`verify_duality` runs the cone's chain-map check
-on the blocks of ``S`` and diagonalises the two halves, and the cone itself is
-never built.  For even ``n`` one eigensolve serves both halves: the grading
-``phi = (-1)^degree`` conjugates ``B - S`` into ``-(B + S)`` entry for entry,
-which is tested exactly, and ``B - S`` is then read off ``B + S``
-(:func:`_diagonalise_halves`).  When ``S`` is not self-adjoint entry for
-entry, e.g. self-adjoint only up to rounding, the cone is assembled and ``C``
-itself is diagonalised.  :class:`DoubledCone`
-holds the assembled cone with both views, for callers that need the cone.
+is ``[[B + S_h, X^*], [X, B - S_h]]`` with ``B = b + b^*``, the Hermitian part
+``S_h = (S + S^*)/2`` and ``X = (S - S^*)/2``.  Every input reads its cone
+off ``B + S_h`` and ``B - S_h``, and the cone is never built.  Within the
+self-adjointness gate, which runs on the given ``S``, the segment
+``S_t = S_h + (1 - t) X`` (``0 <= t <= 1``) is a path of dualities, and
+homotopic dualities have the same class while the cone stays invertible
+(Higson-Roe, *Mapping surgery to analysis I*).  The cone operator of ``S_t``
+moves by ``t |X|``, so the reported cone value, that of ``S_h``, is within
+``|S - S^*| / 2`` of ``S``'s (Weyl).  ``S_h`` is exactly self-adjoint, and is
+``S`` bit for bit when ``S`` is, as on every triangulation
+(:func:`~hpsig.linalg._hermitian_of`).  For even ``n`` one eigensolve serves
+both halves (:func:`_diagonalise_halves`).
 
 The signature constructions need the operators and spectra that the duality
 check forms.  :func:`_verify_duality` takes ``b`` and ``S`` from a caller that
@@ -41,7 +40,7 @@ products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
 :func:`~hpsig.linalg.assemble_total`; the cone's chain-map gate reads those
-sides, also where the cone is assembled.
+sides.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``.  The signature constructions diagonalise ``B + S``
@@ -52,7 +51,6 @@ entry, and by dense spectral projections otherwise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -69,13 +67,13 @@ from .errors import (
 from .groups import GroupAction
 from .linalg import (
     DEFAULT_TOL,
+    _hermitian_of,
     Spectrum,
     adjoint,
     as_matrix,
     assemble_total,
     block_diag,
     block_spectrum,
-    is_invertible,
     mirrored,
     residual_within,
     spectral_split,
@@ -345,15 +343,6 @@ def mapping_cone(
         for k, a in enumerate(blocks)
     ]
     _require_chain_map(_chain_map_sides(mats, source, target), tol)
-    return _cone_complex(mats, source, target)
-
-
-def _cone_complex(
-    mats: Sequence[np.ndarray], source: ChainComplex, target: ChainComplex
-) -> ChainComplex:
-    """The mapping cone of :func:`mapping_cone`, assembled from chain-map
-    blocks of checked shapes without the chain-map gate."""
-    n = source.n
     bnds = []
     for j in range(1, n + 2):
         src, tgt = -source.boundary(j - 1), target.boundary(j)
@@ -372,24 +361,6 @@ def duality_cone(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> ChainC
     """Mapping cone of the duality viewed as a chain map ``(E, -b^*) -> (E, b)``."""
     source = _negated(dual_complex(hp.chain))
     return mapping_cone(hp.duality.blocks, source, hp.chain, tol=tol)
-
-
-def _duality_cone_of_sides(
-    hp: HilbertPoincareComplex, sides: Sequence[tuple[np.ndarray, np.ndarray]], tol: float
-) -> ChainComplex:
-    """:func:`duality_cone`, with its chain-map gate run on the ``sides`` that
-    the caller formed with :func:`_duality_sides`, which are the sides
-    :func:`mapping_cone` would form; the blocks have the shapes that the
-    complex validated."""
-    _require_chain_map(sides, tol)
-    return _cone_complex(hp.duality.blocks, _negated(dual_complex(hp.chain)), hp.chain)
-
-
-def _decoupled(s: np.ndarray) -> bool:
-    """Whether the cone operator of a duality with total operator ``s`` is
-    ``B + S`` (+) ``B - S`` in the doubling basis: ``s == s^*`` entry for entry
-    (see :class:`DoubledCone`)."""
-    return bool(np.array_equal(s, adjoint(s)))
 
 
 def _duality_sides(
@@ -455,23 +426,22 @@ def _diagonalise_halves(
     plus_op: np.ndarray,
     minus_op: np.ndarray,
     signs: np.ndarray,
+    n: int,
     tol: float,
     action: GroupAction | None,
 ) -> tuple[Spectrum, Spectrum]:
-    """``B + S`` and ``B - S`` diagonalised by :func:`_diagonalise`, with one
-    eigensolve when the grading ``phi = diag(signs)`` conjugates ``B - S``
-    into ``-(B + S)``.
+    """``B + S`` and ``B - S`` of a duality of top degree ``n`` diagonalised by
+    :func:`_diagonalise`, with one eigensolve when ``n`` is even.
 
-    That identity is tested entry for entry, with no tolerance.  It holds for
-    every even top degree: ``b`` lives in the blocks between degrees of
-    opposite parity and ``S`` in those between degrees of equal parity, so no
-    entry of ``B + S`` is a sum of two nonzero numbers.  Then ``B - S`` is
-    diagonalised as the mirror of ``B + S`` (:func:`~hpsig.linalg.mirrored`),
-    which is the spectrum of the same floating-point matrix; ``phi`` preserves
-    degree, so it commutes with the action and its isotypic projections.
-    Otherwise, e.g. for an odd top degree, ``B - S`` is diagonalised itself.
+    For even ``n`` the grading ``phi = diag(signs)`` conjugates ``B - S``
+    into ``-(B + S)`` entry for entry: ``b`` lives in the blocks between
+    degrees of opposite parity and ``S`` in those between degrees of equal
+    parity, so no entry of ``B + S`` is a sum of two nonzero numbers.  Then
+    ``B - S`` is diagonalised as the mirror of ``B + S``
+    (:func:`~hpsig.linalg.mirrored`); ``phi`` preserves degree, so it
+    commutes with the action and its isotypic projections.
     """
-    if np.array_equal(signs[:, None] * minus_op * signs, -plus_op):
+    if n % 2 == 0:
         (plus,) = _diagonalise((plus_op,), tol, action)
         return plus, mirrored(plus, signs)
     plus, minus = _diagonalise((plus_op, minus_op), tol, action)
@@ -480,9 +450,19 @@ def _diagonalise_halves(
 
 def _halves_invertibility(plus: Spectrum, minus: Spectrum, tol: float) -> tuple[bool, float]:
     """(flag, smallest |eigenvalue|) of ``(B + S) (+) (B - S)``, as
-    :func:`is_invertible` reads them."""
+    :func:`~hpsig.linalg.is_invertible` reads them."""
     least = min(float(np.abs(h.eigenvalues).min(initial=np.inf)) for h in (plus, minus))
     return least > tol, least
+
+
+def _hermitian_halves(
+    b: np.ndarray, s: np.ndarray, skew: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``B + S_h`` and ``B - S_h`` for the total boundary ``b`` and the total
+    duality ``s`` with skew residual ``skew = s - s^*``."""
+    big_b = b + adjoint(b)
+    s_h = _hermitian_of(s, skew)
+    return big_b + s_h, big_b - s_h
 
 
 @dataclass(frozen=True)
@@ -490,12 +470,11 @@ class DoubledCone:
     """The duality cone, its self-adjoint operator and the operator's
     compressions by the doubling isometries.
 
-    ``operator`` is ``C = D + D^*``; ``plus = v^* C v`` and ``minus = w^* C w``
-    act on the total space of the complex, with ``v: x -> (x, x)/sqrt(2)`` and
-    ``w: x -> (-x, x)/sqrt(2)`` (source copy first).  ``decoupled`` is true when
-    the cross block ``w^* C v`` is exactly zero, so that the spectrum of ``C`` is
-    the union of the spectra of ``plus`` and ``minus``.  ``signs`` is the
-    diagonal of the complex's grading ``(-1)^degree``.
+    ``operator`` is ``C = D + D^*``; ``plus = v^* C v = B + S_h`` and
+    ``minus = w^* C w = B - S_h`` act on the total space of the complex (see
+    :mod:`hpsig.complexes`).  ``decoupled`` is true when ``S`` is self-adjoint
+    entry for entry, so that the cross block ``w^* C v`` is exactly zero.
+    ``signs`` is the diagonal of the complex's grading ``(-1)^degree``.
     """
 
     cone: ChainComplex
@@ -506,61 +485,31 @@ class DoubledCone:
     signs: np.ndarray
 
     def invertibility(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
-        """(flag, smallest |eigenvalue| of ``C``) as :func:`is_invertible` gives
-        them for ``C``, read off the two halves when the cone is decoupled."""
-        if not self.decoupled:
-            return is_invertible(self.operator, tol=tol)
-        halves = _diagonalise_halves(self.plus, self.minus, self.signs, tol, None)
+        """(flag, smallest |eigenvalue|) of the cone operator of ``S_h``, read
+        off the two halves."""
+        halves = _diagonalise_halves(self.plus, self.minus, self.signs, self.cone.n - 1, tol, None)
         return _halves_invertibility(*halves, tol)
-
-
-def _doubling_order(dims: Sequence[int]) -> np.ndarray:
-    """Permutation of the duality cone's total space that lists the source
-    copy of the complex's total space, then its target copy, each in the
-    complex's own order.
-
-    Cone degree ``j`` is ``E_{n-j+1} (+) E_j`` (source summand first), so
-    degree ``k`` of the total space sits in the target summand of cone degree
-    ``k`` and in the source summand of cone degree ``n - k + 1``.
-    """
-    n = len(dims) - 1
-    ext = (*dims, 0)
-    summand_dims = [d for j in range(n + 2) for d in (ext[n - j + 1], ext[j])]
-    start = [0, *itertools.accumulate(summand_dims)]
-    # summand 2j is the source summand of cone degree j, 2j + 1 its target
-    firsts = [start[2 * (n - k + 1)] for k in range(n + 1)]
-    firsts += [start[2 * k + 1] for k in range(n + 1)]
-    ranges = [range(f, f + d) for f, d in zip(firsts, (*dims, *dims))]
-    return np.fromiter(itertools.chain(*ranges), dtype=np.intp, count=2 * sum(dims))
 
 
 def doubled_duality_cone(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> DoubledCone:
     """Duality cone with ``C = D + D^*`` and its compressions ``v^* C v`` and
-    ``w^* C w``, gathered from the blocks of ``C`` without matrix products.
+    ``w^* C w``, formed as ``B + S_h`` and ``B - S_h``.
 
     Raises NotChainMap as :func:`duality_cone` does.
     """
-    return _doubled(hp, duality_cone(hp, tol=tol))
-
-
-def _doubled(hp: HilbertPoincareComplex, cone: ChainComplex) -> DoubledCone:
-    """:func:`doubled_duality_cone` on the assembled duality cone of ``hp``."""
+    cone = duality_cone(hp, tol=tol)
     d = cone.total_boundary()
-    c = d + adjoint(d)
-    order = _doubling_order(hp.dims)
-    half = order.size // 2
-    blocks = c[np.ix_(order, order)]
-    ss, st = blocks[:half, :half], blocks[:half, half:]
-    ts, tt = blocks[half:, :half], blocks[half:, half:]
-    diagonal, cross = ss + tt, st + ts
+    s = hp.total_duality()
+    skew = s - adjoint(s)
+    plus, minus = _hermitian_halves(hp.total_boundary(), s, skew)
     return DoubledCone(
         cone=cone,
-        operator=c,
-        plus=(diagonal + cross) / 2.0,
-        minus=(diagonal - cross) / 2.0,
-        decoupled=bool(np.array_equal(ss, tt) and np.array_equal(st, ts)),
+        operator=d + adjoint(d),
+        plus=plus,
+        minus=minus,
+        decoupled=not skew.any(),
         signs=hp.degree_signs(),
     )
 
@@ -569,11 +518,9 @@ def _doubled(hp: HilbertPoincareComplex, cone: ChainComplex) -> DoubledCone:
 class DualityReport:
     """Residuals of the duality axioms; ``passed`` applies the tolerance rule.
 
-    ``cone_min_singular_value`` is the smallest |eigenvalue| of the
-    self-adjoint cone operator ``D + D^*``, which is its smallest singular
-    value; when ``S`` is self-adjoint entry for entry it is read off
-    ``B + S`` and ``B - S`` without assembling the cone (see
-    :class:`DoubledCone`).
+    ``cone_min_singular_value`` is the smallest |eigenvalue| of ``B + S_h``
+    and ``B - S_h``, the smallest singular value of the cone operator of the
+    Hermitian part ``S_h`` of ``S`` (see :mod:`hpsig.complexes`).
     """
 
     tol: float
@@ -605,8 +552,8 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
 
 @dataclass(frozen=True)
 class _Halves:
-    """``B + S`` and ``B - S`` of a decoupled duality with their
-    diagonalisations (see :func:`_diagonalise`)."""
+    """``B + S_h`` and ``B - S_h`` of a duality with their diagonalisations
+    (see :func:`_diagonalise`)."""
 
     plus_op: np.ndarray
     minus_op: np.ndarray
@@ -624,12 +571,13 @@ def _verify_duality(
     """:func:`verify_duality` on the total boundary ``b`` and total duality
     ``s`` when the caller has them, also returning what it computed.
 
-    The halves are returned when the duality is decoupled and passed the
-    cone's chain-map gate, diagonalised by :func:`_diagonalise` for classes
-    over the group of ``action`` (over the trivial group when None, which
-    gives the spectra the check itself reads); ``hp``'s own action is gated,
-    not read for this.  Otherwise the halves are None.  The last item is the
-    anticommutator ``b S + S b^*``.
+    The gates run on the given ``S``.  Once it passes the cone's chain-map
+    gate, the cone is read off ``B + S_h`` and ``B - S_h``, diagonalised by
+    :func:`_diagonalise` for classes over the group of ``action`` (over the
+    trivial group when None, which gives the spectra the check itself reads);
+    ``hp``'s own action is gated, not read for this.  These halves are
+    returned when ``S`` also passed the self-adjointness gate, and None
+    otherwise.  The last item is the anticommutator ``b S + S b^*``.
     """
     b = hp.total_boundary() if b is None else b
     s = hp.total_duality() if s is None else s
@@ -647,19 +595,14 @@ def _verify_duality(
 
     halves = None
     try:
-        if _decoupled(s):
-            _require_chain_map(sides, tol)
-            big_b = b + adjoint(b)
-            plus_op, minus_op = big_b + s, big_b - s
-            halves = _Halves(
-                plus_op,
-                minus_op,
-                *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, action),
-            )
-            inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
-        else:
-            cone = _duality_cone_of_sides(hp, sides, tol)
-            inv, minsv = _doubled(hp, cone).invertibility(tol)
+        _require_chain_map(sides, tol)
+        plus_op, minus_op = _hermitian_halves(b, s, sa)
+        halves = _Halves(
+            plus_op,
+            minus_op,
+            *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), hp.n, tol, action),
+        )
+        inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
     except NotChainMap:
         inv, minsv = False, 0.0
     holds["cone_min_singular_value"] = inv
@@ -686,7 +629,7 @@ def _verify_duality(
         passed=not failures,
         failures=failures,
     )
-    return report, halves, anti
+    return report, halves if holds["selfadjoint_residual"] else None, anti
 
 
 def twist(

@@ -34,21 +34,11 @@ they do not enter ``passed``.
 Invertibility and spectral splitting read eigenvalues of self-adjoint
 operators.  For those the smallest ``|eigenvalue|`` equals the smallest
 singular value and the largest ``|eigenvalue|`` equals the spectral norm, so
-neither needs a singular value decomposition.  A report's
-``cone_min_singular_value`` is the smallest ``|eigenvalue|`` of the
-self-adjoint cone operator ``C = D + D^*`` of the duality cone.  In the
-orthonormal basis of the doubling isometry ``v: x -> (x, x)/sqrt(2)`` and its
-complement ``w: x -> (-x, x)/sqrt(2)`` (source copy first), ``C`` is
-``[[B + S, X^*], [X, B - S]]`` with ``X`` proportional to ``S - S^*``.  The
-cross block ``X`` is exactly zero when ``S`` is self-adjoint entry for entry,
-which is decided on ``S`` itself before any cone is assembled; then the
-spectrum of ``C`` is the union of the spectra of ``B + S`` and ``B - S``, and
-those are diagonalised instead of ``C`` (:class:`~hpsig.complexes.DoubledCone`);
-otherwise the cone is assembled and ``C`` itself is diagonalised.  When a
-diagonal sign operator ``phi`` conjugates one half into minus the other, as
-the grading does in even degree, one eigensolve serves both:
-:func:`mirrored` reads the diagonalisation of ``-phi h phi`` off that of
-``h``.
+neither needs a singular value decomposition.  When a diagonal sign operator
+``phi`` conjugates one self-adjoint operator into minus another, as the
+grading does with ``B - S`` and ``B + S`` in even degree (see
+:mod:`hpsig.complexes`), one eigensolve serves both: :func:`mirrored` reads
+the diagonalisation of ``-phi h phi`` off that of ``h``.
 
 When ``h`` leaves mutually orthogonal subspaces invariant that together span
 the space, such as the isotypic blocks of a group action that commutes with
@@ -199,26 +189,28 @@ def residual_within(
     return within(exact, tol, 1.0 if scale is None else scale(operator_norm)), exact
 
 
-def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
-    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint.
+def _hermitian_of(a: np.ndarray, skew: np.ndarray) -> np.ndarray:
+    """``(a + a*) / 2``, self-adjoint entry for entry, for a square ``a``
+    with skew residual ``skew = a - a*``, with no gate; ``a`` itself, which is
+    that bit for bit, when ``skew`` is exactly zero."""
+    return a if not skew.any() else (a + adjoint(a)) / 2.0
 
-    An ``h`` that is self-adjoint entry for entry is returned as it is, which
-    is ``(h + h*) / 2`` exactly, and its self-adjointness residual is exactly
-    zero.
-    """
+
+def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
+    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint
+    (:func:`_hermitian_of`); the residual of an ``h`` that is self-adjoint
+    entry for entry is exactly zero and is not gated."""
     a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
-    adj = adjoint(a)
-    skew = a - adj
-    if not skew.any():  # finite floats differ exactly when their difference is nonzero
-        return a
-    ok, herm = residual_within(skew, tol, lambda norm: norm(a))
-    if not ok:
-        raise NotSelfAdjoint(
-            f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
-        )
-    return (a + adj) / 2.0
+    skew = a - adjoint(a)
+    if skew.any():
+        ok, herm = residual_within(skew, tol, lambda norm: norm(a))
+        if not ok:
+            raise NotSelfAdjoint(
+                f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
+            )
+    return _hermitian_of(a, skew)
 
 
 def is_invertible(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

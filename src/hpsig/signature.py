@@ -19,22 +19,20 @@ together with the exact grading symmetry that conjugates ``B - S`` into
 
 Each operation diagonalises ``B + S`` once.  For even ``n`` the grading
 ``phi = (-1)^degree`` conjugates ``B - S`` into ``-(B + S)`` entry for entry,
-and where that exact test holds ``B - S`` is read off ``B + S`` as its mirror
-(see :func:`~hpsig.complexes._diagonalise_halves`); all three constructions
-read those results.  ``check_coincidence`` diagonalises itself.
+and ``B - S`` is read off ``B + S`` as its mirror (see
+:func:`~hpsig.complexes._diagonalise_halves`); all three constructions read
+those results.  ``check_coincidence`` diagonalises itself.
 ``manifold_signature``, the ``manifold`` command and
 ``boundary_signature_is_zero`` have already diagonalised in the duality check
 of the same operation, and hand the results to ``_coincidence``, which skips
 the cone's chain-map gate that the check has just passed on the same data at
-the same tolerance.  When ``S`` is self-adjoint entry for entry the cone
-decouples (see :class:`~hpsig.complexes.DoubledCone`): it is not assembled,
-Mishchenko's compression is ``B + S`` entry for entry, so it shares that
-spectrum and split (and hence the reduced class), and its cone spectrum is
-the union of the spectra of ``B + S`` and ``B - S``.  Otherwise Mishchenko's
-construction assembles and diagonalises its own cone.  Over the trivial group
-(no action) only eigenvalues are computed and every class is an inertia
-count: Higson-Roe is ``#pos(B + S) - #pos(B - S)``, reduced and Mishchenko
-are ``#pos(B + S) - #neg(B + S)``.  With an action that is by signed
+the same tolerance.  Mishchenko's cone is not assembled: its compression is
+``B + S_h``, whose spectrum and split (and hence the reduced class) it shares,
+and its cone spectrum is that of ``B + S_h`` and ``B - S_h`` (see
+:mod:`hpsig.complexes`).  Over the trivial group (no action) only
+eigenvalues are computed and every class is an inertia count: Higson-Roe is
+``#pos(B + S) - #pos(B - S)``, reduced and Mishchenko are
+``#pos(B + S) - #neg(B + S)``.  With an action that is by signed
 permutations and commutes with the operator entry for entry, as on every
 triangulation, the same counts are taken in each isotypic block, one small
 eigensolve per irreducible character ``chi``, and every class is
@@ -59,12 +57,11 @@ import numpy as np
 
 from .complexes import (
     HilbertPoincareComplex,
-    _decoupled,
     _diagonalise,
     _diagonalise_halves,
     _Halves,
+    _hermitian_halves,
     _require_duality_chain_map,
-    doubled_duality_cone,
 )
 from .errors import DegenerateOperator, NonEquivariantProjection, OddDimension
 from .groups import (
@@ -82,7 +79,6 @@ from .linalg import (
     adjoint,
     classify_eigenvalues,
     residual_within,
-    spectrum,
 )
 
 __all__ = [
@@ -140,9 +136,9 @@ def _halves(
     hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
 ) -> tuple[Spectrum, Spectrum]:
     """``B + S`` and ``B - S`` diagonalised for the classes over ``hp``'s
-    group, with ``B - S`` read off ``B + S`` through the grading where that is
-    exact (see :func:`~hpsig.complexes._diagonalise_halves`)."""
-    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), tol, hp.action)
+    group, with ``B - S`` read off ``B + S`` through the grading in even
+    degree (see :func:`~hpsig.complexes._diagonalise_halves`)."""
+    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), hp.n, tol, hp.action)
 
 
 def _nondegenerate_halves(
@@ -215,34 +211,18 @@ def _reduced(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> Signatu
     )
 
 
-def _cone_of_halves(plus: Spectrum, minus: Spectrum, tol: float) -> Spectrum:
-    """Spectrum of a decoupled cone operator, ``(B + S) (+) (B - S)``."""
-    return classify_eigenvalues(np.concatenate([plus.eigenvalues, minus.eigenvalues]), tol)
-
-
-def _mishchenko_gap(compression: Spectrum, cone: Spectrum) -> float:
-    """Check that the cone operator and its compression are nondegenerate."""
-    _nondegenerate(cone, "cone operator")
-    _nondegenerate(compression, "compressed cone operator")
-    return min(cone.min_abs_nonzero_eigenvalue, compression.min_abs_nonzero_eigenvalue)
-
-
 def _mishchenko(
-    hp: HilbertPoincareComplex, compression: Spectrum, cone: Spectrum, tol: float
+    hp: HilbertPoincareComplex, plus: Spectrum, minus: Spectrum, tol: float, k0: K0Class | None
 ) -> SignatureResult:
-    """Mishchenko's class from the spectra of the compression and the cone."""
-    gap = _mishchenko_gap(compression, cone)
-    return SignatureResult(
-        method="mishchenko", k0=_signed_class(hp, compression, tol), spectral_gap=gap
-    )
-
-
-def _mishchenko_full_cone(hp: HilbertPoincareComplex, tol: float) -> SignatureResult:
-    """Mishchenko's class from the assembled cone, for a duality that is not
-    self-adjoint entry for entry."""
-    doubled = doubled_duality_cone(hp, tol=tol)
-    (compression,) = _diagonalise((doubled.plus,), tol, hp.action)
-    return _mishchenko(hp, compression, spectrum(doubled.operator, tol), tol)
+    """Mishchenko's class from its compression ``B + S_h`` and ``B - S_h``,
+    whose spectra together are the cone's; ``k0`` is the compression's class
+    when the caller has it, and None otherwise."""
+    cone = classify_eigenvalues(np.concatenate([plus.eigenvalues, minus.eigenvalues]), tol)
+    _nondegenerate(cone, "cone operator")
+    _nondegenerate(plus, "compressed cone operator")
+    gap = min(cone.min_abs_nonzero_eigenvalue, plus.min_abs_nonzero_eigenvalue)
+    k0 = _signed_class(hp, plus, tol) if k0 is None else k0
+    return SignatureResult(method="mishchenko", k0=k0, spectral_gap=gap)
 
 
 def higson_roe_signature(
@@ -257,21 +237,13 @@ def higson_roe_signature(
 def mishchenko_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
-    """Signature through the duality cone and the diagonal compression.
-
-    The cone operator only has to be invertible, so its eigenvalues are
-    computed without eigenvectors.  When ``S`` is self-adjoint entry for entry
-    the cone decouples (see :class:`~hpsig.complexes.DoubledCone`): it is not
-    assembled, the compression is ``B + S`` and the cone's spectrum is the
-    union of the spectra of ``B + S`` and ``B - S``.
-    """
+    """Signature through the duality cone and the diagonal compression, both
+    read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`)."""
     _require_even(hp)
-    big_b, s = _total_operators(hp)
-    if not _decoupled(s):
-        return _mishchenko_full_cone(hp, tol)
     _require_duality_chain_map(hp, tol)
-    compression, minus = _halves(hp, big_b + s, big_b - s, tol)
-    return _mishchenko(hp, compression, _cone_of_halves(compression, minus, tol), tol)
+    s = hp.total_duality()
+    plus_op, minus_op = _hermitian_halves(hp.total_boundary(), s, s - adjoint(s))
+    return _mishchenko(hp, *_halves(hp, plus_op, minus_op, tol), tol, None)
 
 
 def reduced_signature(
@@ -323,36 +295,29 @@ def _coincidence(
 
     ``halves`` must come from the duality check of ``hp``'s duality at the
     same ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for
-    the classes over ``hp``'s group.  Such halves exist only for a
-    decoupled duality that passed the cone's chain-map gate, which is
-    therefore not run again.
+    the classes over ``hp``'s group.  Such halves exist only for a duality
+    that passed the self-adjointness gate and the cone's chain-map gate,
+    which is therefore not run again.  Otherwise ``B + S`` and ``B - S`` are
+    diagonalised here, and :func:`~hpsig.linalg.spectrum` reads them as
+    ``B + S_h`` and ``B - S_h`` bit for bit (``B`` and ``S`` share no entry).
     """
     _require_even(hp)
-    # B + S and B - S are diagonalised once, together, and shared by all
+    # B + S_h and B - S_h are diagonalised once, together, and shared by all
     # three constructions.
     if halves is None:
         big_b, s = _total_operators(hp)
         plus_op, minus_op = big_b + s, big_b - s
         plus, minus = _nondegenerate_halves(hp, plus_op, minus_op, tol)
-        decoupled = _decoupled(s)
     else:
         plus_op, minus_op = halves.plus_op, halves.minus_op
         plus = _nondegenerate(halves.plus, "B + S")
         minus = _nondegenerate(halves.minus, "B - S")
-        decoupled = True
     hr = _higson_roe(hp, plus, minus, tol)
-    if decoupled:
-        # Mishchenko's compression is B + S entry for entry, so its class is
-        # the reduced one.
-        if halves is None:
-            _require_duality_chain_map(hp, tol)
-        gap = _mishchenko_gap(plus, _cone_of_halves(plus, minus, tol))
-        re = _reduced(hp, plus, tol)
-        mi = SignatureResult(method="mishchenko", k0=re.k0, spectral_gap=gap)
-    else:
-        mi = _mishchenko_full_cone(hp, tol)
-        re = _reduced(hp, plus, tol)
-    results = (hr, mi, re)
+    if halves is None:
+        _require_duality_chain_map(hp, tol)
+    # Mishchenko's compression is B + S_h, so its class is the reduced one
+    re = _reduced(hp, plus, tol)
+    results = (hr, _mishchenko(hp, plus, minus, tol, re.k0), re)
     diffs = [0.0]
     for i in range(3):
         for j in range(i + 1, 3):

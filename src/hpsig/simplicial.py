@@ -372,7 +372,7 @@ class _CapDuality:
     """One pass of :func:`_duality_from_cap`: the duality and its report, the
     total boundary ``b`` and total duality ``s`` it was checked on, and, for
     the signature constructions, the halves ``B + S`` and ``B - S`` with their
-    diagonalisations when the duality is decoupled (see
+    diagonalisations when the duality check returned them (see
     :func:`~hpsig.complexes._verify_duality`)."""
 
     dual: DualityOperator

@@ -289,22 +289,10 @@ def test_cli_bordism_check_reports_a_structural_failure(tmp_path, capsys):
     assert doc["passed"] is False
 
 
-def _verdict_sweep():
-    """``tools/verdict_sweep.py``, which writes the CLI byte sweep's inputs."""
-    import importlib.util
-    from pathlib import Path
-
-    path = Path(__file__).resolve().parents[1] / "tools" / "verdict_sweep.py"
-    spec = importlib.util.spec_from_file_location("verdict_sweep", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_cli_bordism_check_prints_checks_that_did_not_run(tmp_path, capsys):
+def test_cli_bordism_check_prints_checks_that_did_not_run(tmp_path, capsys, verdict_sweep):
     # the byte sweep's b-n2-d6-3-nsa.hpx: its quotient data is not hyperbolic
     # input, so the coupling chain map and the boundary formula are not checked
-    cwb = _verdict_sweep().perturbed_with_boundary(
+    cwb = verdict_sweep.perturbed_with_boundary(
         generate_with_boundary(3, "n2-d6"), "b-n2-d6-3", "nsa", 1e-3
     )
     path = str(tmp_path / "b-n2-d6-3-nsa.hpx")

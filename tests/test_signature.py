@@ -181,18 +181,17 @@ def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
             return seen[-1]
         return wrapper
 
-    # the cone's spectrum is classified from the halves when decoupled, and
-    # computed from the full cone operator otherwise; over the trivial group
-    # the halves are spectra, and only B + S is diagonalised (B - S is its
-    # mirror under the grading)
+    # the cone's spectrum is classified from the halves B + S_h and B - S_h
+    # on every input, also where S is self-adjoint only up to rounding
+    # (n4-z4-d4), and the full cone operator is not diagonalised; over the
+    # trivial group the halves are spectra, and only B + S_h is diagonalised
+    # (B - S_h is its mirror under the grading)
     monkeypatch.setattr(signature, "classify_eigenvalues", record(signature.classify_eigenvalues))
-    monkeypatch.setattr(signature, "spectrum", record(signature.spectrum))
     monkeypatch.setattr(complexes, "spectrum", record(complexes.spectrum))
     mishchenko_signature(hp)
-    doubled = doubled_duality_cone(hp)
-    full = spectrum(doubled.operator)
     cone = seen[-1]
-    assert len(seen) == (2 if doubled.decoupled and hp.action is None else 1)
+    assert len(seen) == (2 if hp.action is None else 1)
+    full = spectrum(doubled_duality_cone(hp).operator)
     assert cone.eigenvalues.size == full.eigenvalues.size
     assert (cone.rank_plus, cone.rank_minus, cone.rank_zero) == (
         full.rank_plus, full.rank_minus, full.rank_zero
@@ -278,6 +277,17 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     # are diagonalised
     assert verify_duality(s3).passed
     assert solves == {"eigh": 0, "eigvalsh": 2}
+    solves.update(eigh=0, eigvalsh=0)
+    widths.clear()
+    # a duality that is self-adjoint only up to rounding takes the same route:
+    # B + S once, 4 wide, and no cone
+    rounded = generate_with_signature(2, "n2-d4")[0]
+    s = rounded.total_duality()
+    assert not np.array_equal(s, adjoint(s))
+    assert check_coincidence(rounded).passed
+    assert solves == {"eigh": 0, "eigvalsh": 1}
+    assert widths == [4]
+    assert cones == {"mapping_cone": 0}
 
 
 def _flipped(m):

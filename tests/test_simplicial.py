@@ -502,7 +502,7 @@ def _broken_phased_cap(m, chains):
 def test_shared_route_fails_as_the_public_route(name, build, error, message, monkeypatch):
     if name == "chain-map":
         # the symmetrized cap stays self-adjoint entry for entry, so the
-        # duality is decoupled, and the cone's chain-map gate fails
+        # self-adjointness gate passes, and the cone's chain-map gate fails
         monkeypatch.setattr(simplicial, "_phased_cap", _broken_phased_cap)
     m = build()
     with pytest.raises(error) as shared:
