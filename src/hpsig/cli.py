@@ -311,7 +311,7 @@ def _cmd_manifold(args, out: _Output) -> int:
     tol = args.tol
     chains = enumerate_and_boundaries(manifold)
     _describe(out, manifold, "triangulation: ")
-    out(f"  chain dims {chains.chain.dims}", chain_dims=chains.chain.dims)
+    out(f"  chain dims {chains.dims}", chain_dims=chains.dims)
     if args.stats:
         stats = geometry_stats(manifold, action, chains)
         out(f"  max closed star {stats.max_closed_star}, "

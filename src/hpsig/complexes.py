@@ -229,14 +229,11 @@ class HilbertPoincareComplex:
         return self.duality.total(self.chain)
 
     def degree_signs(self) -> np.ndarray:
-        """The diagonal of :meth:`degree_sign_operator`: ``(-1)^k`` on ``E_k``."""
+        """The grading ``phi = (-1)^k`` on ``E_k`` as the diagonal of the
+        total space, one sign per coordinate."""
         return np.concatenate(
             [np.full(d, (-1.0) ** k) for k, d in enumerate(self.dims)]
         )
-
-    def degree_sign_operator(self) -> np.ndarray:
-        """Diagonal operator acting by ``(-1)^k`` on ``E_k``."""
-        return np.diag(self.degree_signs())
 
     def total_dim(self) -> int:
         return self.chain.total_dim()

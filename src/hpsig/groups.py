@@ -17,9 +17,14 @@ traces and conjugations are gathers with signs, and the identity and
 homomorphism checks compare index and sign arrays exactly.  Every entry of a
 product with a signed permutation has exactly one nonzero term, so these
 results equal the dense products bit for bit, up to the sign of zero; gates,
-residuals and verdicts are those of the dense path.  Any other action, e.g. a
-conjugate by dense unitaries, keeps the dense matrices.  Callers reach either
-implementation through :meth:`GroupAction.operator`.
+residuals and verdicts are those of the dense path.  The simplicial layer
+builds its signed permutations from the vertex maps and hands them over as
+they are (:meth:`GroupAction._from_signed`): nothing is scanned, the same
+checks run, and the dense blocks are laid out only when they are read.
+Actions given by dense blocks (``.hpx`` files, generated complexes) are
+scanned once.  Any other action, e.g. a conjugate by dense unitaries, keeps
+the dense matrices.  Callers reach either implementation through
+:meth:`GroupAction.operator`.
 
 Irreducible characters and isotypic blocks.  :attr:`FiniteGroup.characters`
 computes the character table once, by Burnside-Dixon (common eigenvectors of
@@ -312,6 +317,18 @@ class _SignedPermutation:
         self.dsgn = sgn[self.dst]
 
     @classmethod
+    def from_images(cls, dst: np.ndarray, dsgn: np.ndarray) -> "_SignedPermutation":
+        """The signed permutation that sends coordinate ``j`` to ``dst[j]``
+        with the sign ``dsgn[j]``."""
+        m = cls.__new__(cls)
+        m.dst, m.dsgn = dst, dsgn
+        m.src = np.empty_like(dst)
+        m.src[dst] = np.arange(dst.size)
+        m.sgn = np.empty_like(dsgn)
+        m.sgn[dst] = dsgn
+        return m
+
+    @classmethod
     def detect(cls, m: np.ndarray) -> "_SignedPermutation | None":
         """``m`` as a signed permutation, or None when it is not one."""
         d = m.shape[0]
@@ -339,20 +356,29 @@ class _SignedPermutation:
         )
         return cls(src, np.concatenate([np.zeros(0), *(p.sgn for p in parts)]))
 
+    def dense(self) -> np.ndarray:
+        """The matrix, in the dtype of the signs."""
+        m = np.zeros((self.src.size, self.src.size), dtype=self.sgn.dtype)
+        m[np.arange(self.src.size), self.src] = self.sgn
+        return m
+
     def is_identity(self) -> bool:
         return bool(
             np.array_equal(self.src, np.arange(self.src.size)) and np.all(self.sgn == 1.0)
         )
 
-    def commutator(self, x: np.ndarray) -> np.ndarray:
-        """``m x - x m``."""
+    def commutator(self, x: np.ndarray, right: "_SignedPermutation | None" = None) -> np.ndarray:
+        """``m x - x right``, with ``right = m`` by default; for a block ``x``
+        from one degree to another, ``m`` acts on its rows and ``right`` on
+        its columns."""
+        right = self if right is None else right
         # in place on the two gathers: fresh arrays cost more than the sums
-        dtype = np.result_type(x, self.sgn)
+        dtype = np.result_type(x, self.sgn, right.sgn)
         out = np.take(x, self.src, axis=0).astype(dtype, copy=False)
         out *= self.sgn[:, None]
-        right = np.take(x, self.dst, axis=1).astype(dtype, copy=False)
-        right *= self.dsgn
-        out -= right
+        on_right = np.take(x, right.dst, axis=1).astype(dtype, copy=False)
+        on_right *= right.dsgn
+        out -= on_right
         return out
 
     def trace(self, x: np.ndarray):
@@ -373,8 +399,8 @@ class _DenseElement:
     def __init__(self, matrix: np.ndarray) -> None:
         self.matrix = matrix
 
-    def commutator(self, x: np.ndarray) -> np.ndarray:
-        return self.matrix @ x - x @ self.matrix
+    def commutator(self, x: np.ndarray, right: "_DenseElement | None" = None) -> np.ndarray:
+        return self.matrix @ x - x @ (self if right is None else right).matrix
 
     def trace(self, x: np.ndarray):
         # tr(m x) as an elementwise sum, without the matrix product
@@ -384,7 +410,6 @@ class _DenseElement:
         return adjoint(self.matrix) @ x @ right.matrix
 
 
-@dataclass(eq=False)
 class GroupAction:
     """Unitary representation on a graded space, one block per (element, degree).
 
@@ -399,22 +424,27 @@ class GroupAction:
     residual, so the verdict, the residual and the message are those of the
     dense checks for every nonnegative ``tol``.  :meth:`operator` gives the
     commutators, traces and conjugations of either kind of action;
-    :meth:`total` and :meth:`degree` give the dense blocks.
+    :meth:`total` and :meth:`degree` give the dense blocks.  An action built
+    from its signed permutations (:meth:`_from_signed`) lays the dense blocks
+    out only when ``blocks``, :meth:`degree` or :meth:`total` is read.
     """
 
-    group: FiniteGroup
-    blocks: tuple[tuple[np.ndarray, ...], ...]
-    tol: float = DEFAULT_TOL
-
-    def __post_init__(self) -> None:
-        if len(self.blocks) != self.group.order:
+    def __init__(
+        self,
+        group: FiniteGroup,
+        blocks: Sequence[Sequence[np.ndarray]],
+        tol: float = DEFAULT_TOL,
+    ) -> None:
+        self.group = group
+        self.tol = tol
+        if len(blocks) != group.order:
             raise ShapeMismatch(
                 f"need one block family per group element "
-                f"({self.group.order}), got {len(self.blocks)}"
+                f"({group.order}), got {len(blocks)}"
             )
         fams = []
         dims = None
-        for g, fam in enumerate(self.blocks):
+        for g, fam in enumerate(blocks):
             mats = tuple(as_matrix(m) for m in fam)
             if any(m.shape[0] != m.shape[1] for m in mats):
                 raise ShapeMismatch(f"action blocks of element {g} are not square")
@@ -426,7 +456,7 @@ class GroupAction:
                     f"element {g} acts on dimensions {d}, expected {dims}"
                 )
             fams.append(mats)
-        self.blocks = tuple(fams)
+        self._blocks = tuple(fams)
         self._dims = dims if dims is not None else ()
         self._signed = self._detect_signed()
         if self._signed is None:
@@ -434,6 +464,33 @@ class GroupAction:
         else:
             self._totals = tuple(map(_SignedPermutation.block_diag, self._signed))
             self._check_signed()
+
+    @classmethod
+    def _from_signed(
+        cls,
+        group: FiniteGroup,
+        signed: tuple[tuple[_SignedPermutation, ...], ...],
+        tol: float = DEFAULT_TOL,
+    ) -> "GroupAction":
+        """The action of ``signed[g][k]`` on degree ``k``, one family per
+        element, as the simplicial layer builds it: no dense block is scanned
+        (``detect``), the checks of :meth:`_check_signed` run, and the dense
+        blocks are laid out on first read."""
+        self = cls.__new__(cls)
+        self.group = group
+        self.tol = tol
+        self._blocks = None
+        self._dims = tuple(p.src.size for p in signed[group.identity])
+        self._signed = signed
+        self._totals = tuple(map(_SignedPermutation.block_diag, signed))
+        self._check_signed()
+        return self
+
+    @property
+    def blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        if self._blocks is None:
+            self._blocks = tuple(tuple(p.dense() for p in fam) for fam in self._signed)
+        return self._blocks
 
     def _detect_signed(self) -> tuple[tuple[_SignedPermutation, ...], ...] | None:
         """Every block as a signed permutation, or None at the first block

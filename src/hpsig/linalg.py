@@ -189,6 +189,30 @@ def residual_within(
     return within(exact, tol, 1.0 if scale is None else scale(operator_norm)), exact
 
 
+def _block_frobenius_norm(blocks: Sequence[np.ndarray]) -> float:
+    """Frobenius norm of a matrix whose nonzero entries lie in ``blocks``,
+    from the norms of the blocks."""
+    return float(np.linalg.norm([frobenius_norm(x) for x in blocks]))
+
+
+def _blocks_within(
+    blocks: Sequence[np.ndarray],
+    tol: float,
+    lower: float,
+    total: Callable[[], np.ndarray],
+    scale: Callable[[Callable[[np.ndarray], float]], float],
+) -> tuple[bool, float]:
+    """:func:`residual_within` of a residual whose nonzero entries lie in
+    ``blocks``, with ``lower = scale(_column_norm_bound)`` computed once by
+    the caller.  The Frobenius bound is summed over the blocks; only when it
+    fails is the residual laid out by ``total()`` and judged by
+    :func:`residual_within`."""
+    bound = _block_frobenius_norm(blocks)
+    if within(bound, tol * _BOUND_MARGIN, lower):
+        return True, bound
+    return residual_within(total(), tol, scale)
+
+
 def _hermitian_of(a: np.ndarray, skew: np.ndarray) -> np.ndarray:
     """``(a + a*) / 2``, self-adjoint entry for entry, for a square ``a``
     with skew residual ``skew = a - a*``, with no gate; ``a`` itself, which is
@@ -204,13 +228,20 @@ def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
     skew = a - adjoint(a)
+    _require_self_adjoint(a, skew, tol)
+    return _hermitian_of(a, skew)
+
+
+def _require_self_adjoint(a: np.ndarray, skew: np.ndarray, tol: float) -> None:
+    """Raise NotSelfAdjoint unless the skew residual ``skew = a - a*`` is
+    within ``tol`` at the scale of ``a``; a residual that is exactly zero is
+    not gated."""
     if skew.any():
         ok, herm = residual_within(skew, tol, lambda norm: norm(a))
         if not ok:
             raise NotSelfAdjoint(
                 f"operator is not self-adjoint: |h - h*| = {herm:.3e} exceeds tol"
             )
-    return _hermitian_of(a, skew)
 
 
 def is_invertible(h: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:

@@ -76,6 +76,7 @@ from .linalg import (
     DEFAULT_TOL,
     BlockSpectrum,
     Spectrum,
+    _require_self_adjoint,
     adjoint,
     classify_eigenvalues,
     residual_within,
@@ -238,11 +239,18 @@ def mishchenko_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Signature through the duality cone and the diagonal compression, both
-    read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`)."""
+    read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`).
+
+    ``B + S`` passes the self-adjointness gate that the other constructions
+    run on it before ``S_h`` is formed; its skew residual is that of ``S``,
+    since ``B`` is self-adjoint entry for entry and shares no entry with
+    ``S``."""
     _require_even(hp)
+    b, s = hp.total_boundary(), hp.total_duality()
+    skew = s - adjoint(s)
+    _require_self_adjoint(b + adjoint(b) + s, skew, tol)
     _require_duality_chain_map(hp, tol)
-    s = hp.total_duality()
-    plus_op, minus_op = _hermitian_halves(hp.total_boundary(), s, s - adjoint(s))
+    plus_op, minus_op = _hermitian_halves(b, s, skew)
     return _mishchenko(hp, *_halves(hp, plus_op, minus_op, tol), tol, None)
 
 

@@ -17,19 +17,32 @@ homotopy, so the exported duality is its self-adjoint average; the
 symmetrization residual is reported and nondegeneracy is re-checked
 afterwards.
 
+The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
+per degree the sorted simplices as rows of vertex numbers and their faces as
+indices, and the facets' (back, front, sign) cap triples.  Dense blocks are
+laid out only where a dense construction reads them: the boundary on first
+use of ``chain``, and the cap in :func:`cap_duality`.
+
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
 pointwise; one barycentric subdivision always repairs this), and orientation
-preserving.  For vertex maps that scramble the global order the cap matrices
-do not commute with the action on the nose (the split point of a facet moves
-with the sort), so equivariant duality operators are built by averaging the
-phased cap over the group; see :func:`_average_over_group`.
+preserving.  Every simplex is mapped under every element at once through a
+vertex lookup table, a row sort, an inversion count for the parity and a key
+lookup for the image (:func:`_simplex_images`), which the chain action, the
+isotropy count of :func:`geometry_stats` and :func:`barycentric_subdivide`
+share.  The chain action is handed to :class:`~hpsig.groups.GroupAction` as
+signed permutations, and its commutators with the boundary and the duality
+are gated block by block.  For vertex maps that scramble the global order the
+cap matrices do not commute with the action on the nose (the split point of a
+facet moves with the sort), so equivariant duality operators are built by
+averaging the phased cap over the group; see :func:`_average_over_group`.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -55,8 +68,16 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, GroupAction
-from .linalg import DEFAULT_TOL, adjoint, frobenius_norm, residual_within
+from .groups import FiniteGroup, GroupAction, _SignedPermutation
+from .linalg import (
+    DEFAULT_TOL,
+    _block_frobenius_norm,
+    _blocks_within,
+    _column_norm_bound,
+    adjoint,
+    frobenius_norm,
+    residual_within,
+)
 from .signature import CoincidenceReport, _coincidence
 
 __all__ = [
@@ -78,18 +99,6 @@ __all__ = [
     "to_hp_complex",
     "verify_equivariance",
 ]
-
-
-def _sort_with_sign(seq: Sequence[int]) -> tuple[tuple[int, ...], int]:
-    """Sort a tuple of distinct integers, returning the permutation parity."""
-    items = list(seq)
-    sign = 1
-    for i in range(len(items)):
-        for j in range(len(items) - 1 - i):
-            if items[j] > items[j + 1]:
-                items[j], items[j + 1] = items[j + 1], items[j]
-                sign = -sign
-    return tuple(items), sign
 
 
 @dataclass(eq=False)
@@ -193,38 +202,123 @@ class OrientedSimplicialManifold:
         return tuple(sorted(f for f, c in self._face_counts.items() if c == 1))
 
 
-@dataclass(eq=False)
 class SimplicialChainData:
-    """Simplices per degree, index maps, and the boundary complex."""
+    """The simplices of a triangulation as integer arrays, with their faces.
 
-    simplices: tuple[tuple[tuple[int, ...], ...], ...]
-    index: tuple[dict, ...]
-    chain: ChainComplex
+    Vertices are numbered ``0 .. V-1`` in increasing label order
+    (``vertices[r]`` is the label of vertex ``r``).  ``rows[p]`` lists the
+    ``p``-simplices in lexicographic order as sorted rows of vertex numbers,
+    shape ``(dim_p, p + 1)``.  ``faces[p]`` has the same shape for ``p >= 1``:
+    column ``i`` holds the index in degree ``p - 1`` of the face without the
+    ``i``-th vertex, which the boundary gives the sign ``(-1)^i``; degree 0 has
+    no faces.  ``facets`` holds the manifold's facets in its own order, as
+    rows of vertex numbers, and ``signs`` their signs.
+
+    A simplex is found by its key: its vertex number in degree 0 and, above,
+    ``index of the face without the last vertex * V + last vertex``, which
+    orders the keys like the rows (see :meth:`_locate`).
+
+    ``simplices`` (vertex label tuples), ``index`` (dicts from those tuples to
+    positions) and ``chain`` (the complex with its dense boundary blocks) are
+    built once, on first use.
+    """
+
+    def __init__(self, vertices: np.ndarray, facets: np.ndarray, signs: np.ndarray) -> None:
+        self.vertices = vertices
+        self.facets = facets
+        self.signs = signs
+        self.rows: list[np.ndarray] = [np.arange(vertices.size)[:, None]]
+        self.faces: list[np.ndarray] = [np.zeros((vertices.size, 0), dtype=np.intp)]
+        self._keys: list[np.ndarray] = [np.arange(vertices.size)]
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(r.shape[0] for r in self.rows)
+
+    def _locate(self, p: int, rows: np.ndarray) -> np.ndarray:
+        """The index in degree ``p`` of each sorted row of ``p + 1`` vertex
+        numbers (last axis), and -1 for a row that is not a simplex; a vertex
+        number -1 stands for a point that is not a vertex."""
+        index = rows[..., 0]
+        found = index >= 0
+        for j in range(1, p + 1):
+            last = rows[..., j]
+            key = index * self.vertices.size + last
+            keys = self._keys[j]
+            index = np.minimum(np.searchsorted(keys, key), keys.size - 1)
+            found &= (last >= 0) & (keys[index] == key)
+        return np.where(found, index, -1)
+
+    def simplex(self, p: int, i: int) -> tuple[int, ...]:
+        """The vertex labels of the ``i``-th ``p``-simplex."""
+        return tuple(self.vertices[self.rows[p][i]].tolist())
+
+    @cached_property
+    def simplices(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        return tuple(tuple(map(tuple, self.vertices[r].tolist())) for r in self.rows)
+
+    @cached_property
+    def index(self) -> tuple[dict, ...]:
+        return tuple({s: i for i, s in enumerate(degree)} for degree in self.simplices)
+
+    @cached_property
+    def chain(self) -> ChainComplex:
+        """The simplicial chain complex, its boundaries laid out densely."""
+        dims = self.dims
+        bnds = []
+        for p in range(1, len(dims)):
+            mat = np.zeros((dims[p - 1], dims[p]))
+            cols = np.arange(dims[p])
+            for i, face in enumerate(self.faces[p].T):
+                mat[face, cols] = (-1.0) ** i
+            bnds.append(mat)
+        return ChainComplex(dims, tuple(bnds))
+
+    @cached_property
+    def cap_triples(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per degree ``p``, the indices of the back faces
+        ``[v_{N-p} .. v_N]`` (degree ``p``) and the front faces
+        ``[v_0 .. v_{N-p}]`` (degree ``N - p``) of the facets, in the order of
+        ``facets``; with ``signs`` they are the cap's (back, front, sign)
+        triples."""
+        n = len(self.rows) - 1
+        return tuple(
+            (
+                self._locate(p, self.facets[:, n - p :]),
+                self._locate(n - p, self.facets[:, : n - p + 1]),
+            )
+            for p in range(n + 1)
+        )
 
 
 def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainData:
-    """List all simplices (sorted lexicographically per degree) and build the
-    alternating-sign boundary matrices."""
-    n = m.dim
-    per_degree: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    for f in m.facets:
-        for p in range(n + 1):
-            for sub in itertools.combinations(f, p + 1):
-                per_degree[p].add(sub)
-    simplices = tuple(tuple(sorted(s)) for s in per_degree)
-    index = tuple({s: i for i, s in enumerate(degree)} for degree in simplices)
-    dims = tuple(len(degree) for degree in simplices)
-    bnds = []
-    for p in range(1, n + 1):
-        mat = np.zeros((dims[p - 1], dims[p]))
-        for col, s in enumerate(simplices[p]):
-            for i in range(p + 1):
-                face = s[:i] + s[i + 1 :]
-                mat[index[p - 1][face], col] = (-1.0) ** i
-        bnds.append(mat)
-    return SimplicialChainData(
-        simplices=simplices, index=index, chain=ChainComplex(dims, tuple(bnds))
+    """List all simplices (sorted lexicographically per degree) and their
+    faces, as integer arrays; the dense boundary matrices are laid out on
+    first use of ``chain``.
+
+    Degree ``p`` takes every ``(p + 1)``-subset of every facet at once, keys
+    each by the index of its front ``p``-subset in degree ``p - 1``
+    (:meth:`SimplicialChainData._locate`), keeps one row per distinct key
+    (``np.unique`` sorts them), and locates the faces of the kept rows.
+    """
+    facets = np.array(m.facets, dtype=np.int64)
+    vertices = np.unique(facets)
+    data = SimplicialChainData(
+        vertices, np.searchsorted(vertices, facets), np.array(m.signs, dtype=float)
     )
+    n = m.dim
+    for p in range(1, n + 1):
+        subsets = list(itertools.combinations(range(n + 1), p + 1))
+        rows = data.facets[:, subsets].reshape(-1, p + 1)
+        keys, first = np.unique(
+            data._locate(p - 1, rows[:, :p]) * vertices.size + rows[:, p], return_index=True
+        )
+        rows = rows[first]
+        data._keys.append(keys)
+        data.rows.append(rows)
+        faces = [data._locate(p - 1, np.delete(rows, i, axis=1)) for i in range(p + 1)]
+        data.faces.append(np.stack(faces, axis=1))
+    return data
 
 
 def fundamental_cycle(
@@ -233,23 +327,25 @@ def fundamental_cycle(
     """Signed indicator vector of the facets; certifies orientation coherence.
 
     For a closed manifold the boundary of the cycle must vanish identically;
-    with boundary it may only hit the boundary faces.  Violations raise
-    IncoherentOrientation (the arithmetic is exact on small integers).
+    with boundary it may only hit the boundary faces, those that lie in one
+    facet.  Violations raise IncoherentOrientation (the arithmetic is exact on
+    small integers).
     """
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
-    z = np.zeros(chains.chain.dims[n])
-    for f, s in zip(m.facets, m.signs):
-        z[chains.index[n][f]] = s
+    facet, _ = chains.cap_triples[n]  # in degree N the back face is the facet
+    z = np.zeros(chains.dims[n])
+    z[facet] = chains.signs
     if n >= 1:
-        bz = chains.chain.boundary(n) @ z
-        allowed = {chains.index[n - 1][f] for f in m.boundary_faces()}
-        for row, val in enumerate(bz):
-            if abs(val) > 0.5 and row not in allowed:
-                raise IncoherentOrientation(
-                    f"facet signs are not coherent around face "
-                    f"{chains.simplices[n - 1][row]}"
-                )
+        faces = chains.faces[n]
+        weights = z[:, None] * (-1.0) ** np.arange(n + 1)
+        bz = np.bincount(faces.ravel(), weights.ravel(), minlength=chains.dims[n - 1])
+        allowed = np.bincount(faces.ravel(), minlength=chains.dims[n - 1]) == 1
+        row = _first((np.abs(bz) > 0.5) & ~allowed)
+        if row is not None:
+            raise IncoherentOrientation(
+                f"facet signs are not coherent around face {chains.simplex(n - 1, row)}"
+            )
     return z
 
 
@@ -260,18 +356,16 @@ def cap_duality(
 
     Entry ``p`` maps cochains on ``(N-p)``-simplices (identified with chains
     through the simplex basis) to ``p``-chains: each facet contributes its
-    facet sign at (back face, front face).
+    facet sign at (back face, front face).  A facet is the union of its two
+    faces, so no two facets share an entry.
     """
     chains = chains or enumerate_and_boundaries(m)
     fundamental_cycle(m, chains)
     n = m.dim
     out = []
-    for p in range(n + 1):
-        mat = np.zeros((chains.chain.dims[p], chains.chain.dims[n - p]))
-        for f, s in zip(m.facets, m.signs):
-            front = f[: n - p + 1]
-            back = f[n - p :]
-            mat[chains.index[p][back], chains.index[n - p][front]] += s
+    for p, (back, front) in enumerate(chains.cap_triples):
+        mat = np.zeros((chains.dims[p], chains.dims[n - p]))
+        mat[back, front] = chains.signs
         out.append(mat)
     return tuple(out)
 
@@ -472,6 +566,46 @@ class SimplicialAction:
         )
 
 
+def _first(mask: np.ndarray) -> int | None:
+    """The position of the first true entry of a vector, or None."""
+    hits = np.flatnonzero(mask)
+    return int(hits[0]) if hits.size else None
+
+
+def _parities(rows: np.ndarray) -> np.ndarray:
+    """The sign ``(-1)^inversions`` of the sort of each row (last axis) of
+    distinct integers."""
+    inversions = np.zeros(rows.shape[:-1], dtype=np.intp)
+    for i, j in itertools.combinations(range(rows.shape[-1]), 2):
+        inversions += rows[..., i] > rows[..., j]
+    return 1 - 2 * (inversions % 2)
+
+
+def _vertex_table(chains: SimplicialChainData, vertex_maps: Sequence[dict]) -> np.ndarray:
+    """Per map (rows) and vertex number (columns), the number of the vertex's
+    image, or -1 where the image is not a vertex.  A map that misses a vertex
+    raises KeyError."""
+    labels = chains.vertices.tolist()
+    images = np.array([[vm[v] for v in labels] for vm in vertex_maps], dtype=np.int64)
+    images = images.reshape(len(vertex_maps), len(labels))
+    at = np.minimum(np.searchsorted(chains.vertices, images), len(labels) - 1)
+    return np.where(chains.vertices[at] == images, at, -1)
+
+
+def _simplex_images(
+    chains: SimplicialChainData, table: np.ndarray, p: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``p``-simplices under each row of a vertex table, as
+    ``(elements, dim_p)`` arrays: whether the map fixes the simplex vertex by
+    vertex, the index of its image (-1 where that is not a ``p``-simplex) and
+    the parity of the sort that orders the image's vertices, counted as
+    inversions."""
+    rows = chains.rows[p]
+    mapped = table[:, rows]
+    index = chains._locate(p, np.sort(mapped, axis=-1))
+    return (mapped == rows).all(axis=-1), index, _parities(mapped).astype(float)
+
+
 def chain_action(
     m: OrientedSimplicialManifold,
     action: SimplicialAction,
@@ -480,55 +614,71 @@ def chain_action(
 ) -> GroupAction:
     """Signed permutation representation on the chain spaces.
 
-    Validates that every vertex map permutes the vertex set and the facet set
-    (NotSimplicial), acts regularly (a simplex mapped to itself must be fixed
-    vertexwise; NotSimplicial with a hint to subdivide), and preserves the
-    fundamental class (OrientationReversing).  The homomorphism property is
-    checked by the GroupAction constructor.
+    Validates, element by element and in this order, that every vertex map
+    permutes the vertex set and the facet set (NotSimplicial), acts regularly
+    (a simplex mapped to itself must be fixed vertexwise; NotSimplicial with a
+    hint to subdivide), and preserves the fundamental class
+    (OrientationReversing).  Every simplex of every degree is mapped under all
+    elements at once (:func:`_simplex_images`), and element ``g`` sends the
+    ``j``-th ``p``-simplex to its image with the parity of the sort as sign.
+    Those signed permutations are handed to the action as they are
+    (:meth:`~hpsig.groups.GroupAction._from_signed`), which checks
+    the homomorphism property and lays out dense blocks only when they are
+    read.
     """
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
+    group = action.group
     vset = set(m.vertices)
-    sign_of = {f: s for f, s in zip(m.facets, m.signs)}
-    fams = []
-    for g in range(action.group.order):
-        vm = action.vertex_maps[g]
-        name = action.group.elements[g]
-        if set(vm.keys()) != vset or set(vm.values()) != vset:
-            raise NotSimplicial(f"element {name} does not permute the vertex set")
-        # each simplex image sorted once, with its parity, for every check
-        # and for the matrix entries
-        images = [
-            [_sort_with_sign([vm[v] for v in s]) for s in chains.simplices[p]]
-            for p in range(n + 1)
-        ]
-        facet_images = [images[n][chains.index[n][f]] for f in m.facets]
-        for f, (image, _) in zip(m.facets, facet_images):
-            if image not in sign_of:
+    # the elements before the first that does not permute the vertex set
+    valid = next(
+        (
+            g
+            for g, vm in enumerate(action.vertex_maps)
+            if set(vm.keys()) != vset or set(vm.values()) != vset
+        ),
+        group.order,
+    )
+    table = _vertex_table(chains, action.vertex_maps[:valid])
+    images = [_simplex_images(chains, table, p) for p in range(n + 1)]
+    irregular = [
+        (index == np.arange(index.shape[1])) & ~fixed for fixed, index, _ in images
+    ]
+    facet, _ = chains.cap_triples[n]  # in degree N the back face is the facet
+    facet_image, facet_parity = images[n][1][:, facet], images[n][2][:, facet]
+    sign_at = np.zeros(chains.dims[n])
+    sign_at[facet] = chains.signs
+    for g in range(valid):
+        name = group.elements[g]
+        t = _first(facet_image[g] < 0)
+        if t is not None:
+            f = m.facets[t]
+            image = tuple(sorted(action.vertex_maps[g][v] for v in f))
+            raise NotSimplicial(
+                f"element {name} maps facet {f} to {image}, which is not a facet"
+            )
+        for p in range(n + 1):
+            i = _first(irregular[p][g])
+            if i is not None:
                 raise NotSimplicial(
-                    f"element {name} maps facet {f} to {image}, which is not a facet"
+                    f"element {name} fixes simplex {chains.simplex(p, i)} setwise but "
+                    f"not pointwise; subdivide barycentrically once to make the "
+                    f"action regular"
                 )
-        for p in range(n + 1):
-            for s, (image, _) in zip(chains.simplices[p], images[p]):
-                if image == s and any(vm[v] != v for v in s):
-                    raise NotSimplicial(
-                        f"element {name} fixes simplex {s} setwise but not "
-                        f"pointwise; subdivide barycentrically once to make the "
-                        f"action regular"
-                    )
-        for f, s, (image, flip) in zip(m.facets, m.signs, facet_images):
-            if sign_of[image] != s * flip:
-                raise OrientationReversing(
-                    f"element {name} reverses the orientation on facet {f}"
-                )
-        fam = []
-        for p in range(n + 1):
-            mat = np.zeros((chains.chain.dims[p], chains.chain.dims[p]))
-            rows = np.array([chains.index[p][image] for image, _ in images[p]], dtype=np.intp)
-            mat[rows, np.arange(rows.size)] = [flip for _, flip in images[p]]
-            fam.append(mat)
-        fams.append(tuple(fam))
-    return GroupAction(action.group, tuple(fams), tol=tol)
+        t = _first(sign_at[facet_image[g]] != chains.signs * facet_parity[g])
+        if t is not None:
+            raise OrientationReversing(
+                f"element {name} reverses the orientation on facet {m.facets[t]}"
+            )
+    if valid < group.order:
+        raise NotSimplicial(
+            f"element {group.elements[valid]} does not permute the vertex set"
+        )
+    signed = tuple(
+        tuple(_SignedPermutation.from_images(index[g], parity[g]) for _, index, parity in images)
+        for g in range(group.order)
+    )
+    return GroupAction._from_signed(group, signed, tol=tol)
 
 
 @dataclass(frozen=True)
@@ -572,6 +722,16 @@ def verify_equivariance(
     return report
 
 
+def _commutator_blocks(
+    rho: GroupAction, g: int, blocks: Sequence[tuple[int, int, np.ndarray]]
+) -> list[np.ndarray]:
+    """The nonzero degree blocks of ``rho(g) x - x rho(g)`` for the operator
+    ``x`` on the total space whose nonzero blocks are ``(row degree, column
+    degree, block)``: ``rho(g)`` preserves degree, so each block of ``x``
+    gives one block of the commutator."""
+    return [rho.operator(g, r).commutator(x, rho.operator(g, c)) for r, c, x in blocks]
+
+
 def _equivariant_structure(
     m: OrientedSimplicialManifold,
     action: SimplicialAction,
@@ -587,30 +747,54 @@ def _equivariant_structure(
 
     For a closed manifold the duality is :func:`duality_operator` with the
     action; with boundary it is the group averaged, symmetrized phased cap.
+
+    Each element's commutators with ``b`` and ``S`` are formed on their
+    nonzero degree blocks (:func:`_commutator_blocks`) and gated by
+    :func:`~hpsig.linalg._blocks_within`, against one column-norm scale for
+    all gates; a commutator on the total space is laid out only for a gate
+    whose block-summed Frobenius bound fails.  ``raw_cap_residual`` is the
+    block-summed Frobenius norm of the raw cap's commutators.
     """
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
     # one phased cap, for the raw residual and for the duality
     phased, phases = _phased_cap(m, chains)
-    raw_tot = DualityOperator(tuple(phased)).total(chain)
     if m.with_boundary:
         dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
         btot, stot, halves = chain.total_boundary(), dual.total(chain), None
     else:
         cap = _duality_from_cap(chains, phased, phases, tol, rho, for_signatures)
         dual, btot, stot, halves = cap.dual, cap.b, cap.s, cap.halves
+    n = chain.n
+    # (row degree, column degree, block) of b, S and the raw cap
+    b_blocks = [(k - 1, k, chain.boundary(k)) for k in range(1, n + 1)]
+    s_blocks = [(k, n - k, dual.blocks[k]) for k in range(n + 1)]
+    raw_blocks = [(k, n - k, phased[k]) for k in range(n + 1)]
 
     def scale(norm) -> float:
         return max(norm(btot), norm(stot))
 
-    ops = [rho.operator(g) for g in range(rho.group.order)]
-    b_gates = [residual_within(r.commutator(btot), tol, scale) for r in ops]
-    s_gates = [residual_within(r.commutator(stot), tol, scale) for r in ops]
+    lower = scale(_column_norm_bound)
+
+    def gate(g: int, blocks, total: np.ndarray) -> tuple[bool, float]:
+        return _blocks_within(
+            _commutator_blocks(rho, g, blocks),
+            tol,
+            lower,
+            lambda: rho.operator(g).commutator(total),
+            scale,
+        )
+
+    elements = range(rho.group.order)
+    b_gates = [gate(g, b_blocks, btot) for g in elements]
+    s_gates = [gate(g, s_blocks, stot) for g in elements]
     report = EquivarianceReport(
         tol=tol,
         boundary_residual=max(res for _, res in b_gates),
         duality_residual=max(res for _, res in s_gates),
-        raw_cap_residual=max(frobenius_norm(r.commutator(raw_tot)) for r in ops),
+        raw_cap_residual=max(
+            _block_frobenius_norm(_commutator_blocks(rho, g, raw_blocks)) for g in elements
+        ),
         passed=all(ok for ok, _ in b_gates + s_gates),
     )
     return rho, dual, report, halves
@@ -713,7 +897,12 @@ def geometry_stats(
     chains: SimplicialChainData | None = None,
 ) -> GeometryStats:
     """Simplex counts, the largest closed vertex star (counting simplices of
-    every dimension), and the largest simplex stabilizer order."""
+    every dimension), and the largest simplex stabilizer order.
+
+    A simplex's stabilizer is counted from the images of
+    :func:`_simplex_images`, which no regularity or simpliciality check
+    precedes, so any vertex maps defined on every vertex are read.
+    """
     chains = chains or enumerate_and_boundaries(m)
     star: dict[int, set] = {v: set() for v in m.vertices}
     for f in m.facets:
@@ -727,16 +916,13 @@ def geometry_stats(
     max_star = max(len(s) for s in star.values())
     max_iso = 1
     if action is not None:
+        table = _vertex_table(chains, action.vertex_maps)
         for p in range(m.dim + 1):
-            for s in chains.simplices[p]:
-                stab = sum(
-                    1
-                    for vm in action.vertex_maps
-                    if tuple(sorted(vm[v] for v in s)) == s
-                )
-                max_iso = max(max_iso, stab)
+            index = _simplex_images(chains, table, p)[1]
+            stab = np.count_nonzero(index == np.arange(index.shape[1]), axis=0)
+            max_iso = max(max_iso, int(stab.max(initial=0)))
     return GeometryStats(
-        simplex_counts=chains.chain.dims,
+        simplex_counts=chains.dims,
         max_closed_star=max_star,
         max_isotropy_order=max_iso,
     )
@@ -752,33 +938,42 @@ def barycentric_subdivide(
     (dimension, vertex tuple); each maximal flag of faces of a facet becomes a
     facet, signed by the facet sign times the permutation parity.  Any
     simplicial action becomes regular after one subdivision because the
-    vertices of a flag have pairwise distinct dimensions.
+    vertices of a flag have pairwise distinct dimensions.  Raises
+    NotSimplicial when a vertex map sends a simplex to a non-simplex.
     """
     chains = enumerate_and_boundaries(m)
-    all_simplices: list[tuple[int, ...]] = []
-    for p in range(m.dim + 1):
-        all_simplices.extend(chains.simplices[p])
-    new_id = {s: i for i, s in enumerate(all_simplices)}
-    new_facets = []
-    new_signs = []
-    for f, sgn in zip(m.facets, m.signs):
-        for perm in itertools.permutations(range(m.dim + 1)):
-            acc: list[int] = []
-            flag = []
-            for k in perm:
-                acc.append(f[k])
-                flag.append(new_id[tuple(sorted(acc))])
-            new_facets.append(tuple(flag))
-            new_signs.append(sgn * _sort_with_sign(perm)[1])
-    m2 = OrientedSimplicialManifold(tuple(new_facets), tuple(new_signs))
+    n = m.dim
+    offsets = np.cumsum((0, *chains.dims))
+    perms = np.array(list(itertools.permutations(range(n + 1))), dtype=np.intp)
+    # facet t, permutation q: flag vertex k is the face on the first k + 1
+    # vertices that q visits
+    flags = np.stack(
+        [
+            offsets[k] + chains._locate(k, np.sort(chains.facets[:, perms[:, : k + 1]], axis=-1))
+            for k in range(n + 1)
+        ],
+        axis=-1,
+    )
+    signs = np.multiply.outer(np.array(m.signs), _parities(perms))
+    m2 = OrientedSimplicialManifold(
+        tuple(map(tuple, flags.reshape(-1, n + 1).tolist())), tuple(signs.ravel().tolist())
+    )
     if action is None:
         return m2, None
-    new_maps = []
+    table = _vertex_table(chains, action.vertex_maps)
+    images = [_simplex_images(chains, table, p)[1] for p in range(n + 1)]
     for g in range(action.group.order):
-        vm = action.vertex_maps[g]
-        nm = {
-            new_id[s]: new_id[tuple(sorted(vm[v] for v in s))]
-            for s in all_simplices
-        }
-        new_maps.append(nm)
-    return m2, SimplicialAction(action.group, tuple(new_maps))
+        for p, index in enumerate(images):
+            i = _first(index[g] < 0)
+            if i is not None:
+                s = chains.simplex(p, i)
+                image = tuple(sorted(action.vertex_maps[g][v] for v in s))
+                raise NotSimplicial(
+                    f"element {action.group.elements[g]} maps simplex {s} to "
+                    f"{image}, which is not a simplex"
+                )
+    # old simplex i of degree p is new vertex offsets[p] + i
+    new_images = np.concatenate([off + index for off, index in zip(offsets, images)], axis=1)
+    new_ids = range(offsets[-1])
+    new_maps = tuple(dict(zip(new_ids, row)) for row in new_images.tolist())
+    return m2, SimplicialAction(action.group, new_maps)

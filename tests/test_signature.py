@@ -33,7 +33,7 @@ from hpsig import (
 from hpsig import complexes, signature
 from hpsig.cli import main
 from hpsig.simplicial import manifold_signature
-from hpsig.errors import DegenerateOperator, OddDimension
+from hpsig.errors import DegenerateOperator, NotSelfAdjoint, OddDimension
 from hpsig.fixtures import (
     cp2_nine_vertex,
     cp2_triple_s3,
@@ -79,6 +79,20 @@ def test_model_projective_plane_signature_one():
         res = method(hp)
         assert res.k0.rank == 1
         assert abs(res.k0.values[0] - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "construct",
+    [higson_roe_signature, mishchenko_signature, reduced_signature, check_coincidence],
+)
+def test_every_construction_gates_self_adjointness(construct):
+    hp = model_projective_plane()
+    hp.duality.blocks[0][...] += 1e-3
+    with pytest.raises(NotSelfAdjoint) as exc_info:
+        construct(hp)
+    assert str(exc_info.value) == (
+        "operator is not self-adjoint: |h - h*| = 1.000e-03 exceeds tol"
+    )
 
 
 @pytest.mark.parametrize("n", [2, 4])

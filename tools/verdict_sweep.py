@@ -40,7 +40,8 @@ gates on, and that command's ``--json`` payload and exit code.
 ``--cli`` runs the CLI byte sweep instead: every command, in text and with
 ``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
 temporary directory (passing, failing, degenerate and with-boundary complexes,
-triangulations with and without actions, unreadable files, bad tolerances).
+triangulations with and without actions, one action for each rejection of
+``chain_action``, unreadable files, bad tolerances).
 Each invocation writes one JSON line with its argv, exit code, stdout and
 stderr, the temporary directory masked as ``<dir>``.
 
@@ -375,6 +376,32 @@ SMF_COMMANDS = (
 )
 
 
+# The actions that ``chain_action`` rejects, one per check, run through the
+# commands that build the chain action or count isotropy.
+REJECTED_COMMANDS = SMF_COMMANDS[:3]
+
+
+def _rejected_actions() -> dict:
+    """Triangulations with a Z/2 action that ``chain_action`` rejects: a map
+    that is not a vertex permutation, one that sends a facet to a non-facet,
+    an irregular one and an orientation-reversing one."""
+    import hpsig
+    from hpsig import fixtures
+
+    def z2(m, vertex_map):
+        identity = {v: v for v in m.vertices}
+        return m, hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(2), (identity, vertex_map))
+
+    tetra, octa = fixtures.simplex_sphere(2), fixtures.octahedron()
+    pair = fixtures.disjoint_sphere_pair()
+    return {
+        "reject-not-permutation": z2(tetra, {v: 0 for v in range(4)}),
+        "reject-non-facet": z2(octa, {0: 0, 1: 2, 2: 1, 3: 3, 4: 4, 5: 5}),
+        "reject-irregular": z2(tetra, {0: 1, 1: 0, 2: 2, 3: 3}),
+        "reject-reversing": z2(pair, {0: 5, 1: 4, 2: 6, 3: 7, 4: 1, 5: 0, 6: 2, 7: 3}),
+    }
+
+
 def _zero_duality_chain():
     """Degrees 0..2 of dims (1, 0, 1) with zero boundaries and zero duality."""
     import hpsig
@@ -393,9 +420,10 @@ def _disk_rotation():
     return hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(3), maps)
 
 
-def cli_fixtures(tmp: str) -> tuple[list[str], list[str]]:
+def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str]]:
     """Write the byte sweep's input files to ``tmp``; return the ``.hpx`` and
-    the ``.smf`` paths, including one unwritten and one unparsable of each."""
+    the ``.smf`` paths, including one unwritten and one unparsable of each,
+    and the ``.smf`` paths of the rejected actions."""
     import hpsig
     from hpsig import fixtures
 
@@ -448,15 +476,20 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str]]:
         with open(paths[-1], "w") as f:
             f.write(text)
         paths.append(os.path.join(tmp, f"missing.{suffix}"))
-    return hpx, smf
+    rejected = []
+    for name, (m, action) in _rejected_actions().items():
+        rejected.append(os.path.join(tmp, f"{name}.smf"))
+        hpsig.write_smf(m, rejected[-1], action)
+    return hpx, smf, rejected
 
 
 def cli_invocations(tmp: str):
     """(argv, environment) pairs of the byte sweep, each argv once without and
     once with ``--json``; the environment holds ``HPSIG_TOL`` or is empty."""
-    hpx, smf = cli_fixtures(tmp)
+    hpx, smf, rejected = cli_fixtures(tmp)
     runs = [((*cmd, path), {}) for path in hpx for cmd in HPX_COMMANDS]
     runs += [((*cmd, path), {}) for path in smf for cmd in SMF_COMMANDS]
+    runs += [((*cmd, path), {}) for path in rejected for cmd in REJECTED_COMMANDS]
     runs += [(("manifold", hpx[0]), {}), (("verify", smf[0]), {})]
     runs += [
         (("verify", hpx[0], "--tol", tol), {}) for tol in ("-1", "0", "1e-3", "nan")
