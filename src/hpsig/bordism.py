@@ -19,7 +19,8 @@ restriction satisfies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,7 @@ from .complexes import (
     DualityOperator,
     HilbertPoincareComplex,
     _Halves,
+    _negated,
     _verify_duality,
     dual_complex,
     mapping_cone,
@@ -48,7 +50,6 @@ from .linalg import (
     adjoint,
     as_matrix,
     assemble_total,
-    block_diag,
     is_invertible,
     residual_within,
 )
@@ -77,6 +78,10 @@ class ComplexWithBoundary:
     distinguished subcomplex ``E_0``.  Construction validates shapes and the
     split indices; the structural conditions are checked by
     :func:`verify_with_boundary` and :func:`decompose`.
+
+    The complex must not be changed after construction: its index sets, total
+    operators, block decomposition, structure gates (per tolerance) and
+    restricted defect are computed on first use and shared by every check.
     """
 
     chain: ChainComplex
@@ -113,31 +118,60 @@ class ComplexWithBoundary:
 
     def quotient_indices(self, m: int) -> tuple[int, ...]:
         if 0 <= m <= self.chain.n:
-            keep = set(self.split[m])
-            return tuple(i for i in range(self.chain.dims[m]) if i not in keep)
+            return tuple(self._index_sets[1][m].tolist())
         return ()
 
+    @cached_property
+    def _index_sets(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        """The sub and the quotient coordinates of each degree."""
+        sub = tuple(np.array(idx, dtype=np.intp) for idx in self.split)
+        return sub, tuple(np.setdiff1d(np.arange(d), idx) for d, idx in zip(self.chain.dims, sub))
 
-def _take(m: np.ndarray, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    rows = np.asarray(list(rows), dtype=int)
-    cols = np.asarray(list(cols), dtype=int)
-    if m.size == 0 or rows.size == 0 or cols.size == 0:
-        return np.zeros((rows.size, cols.size), dtype=m.dtype)
-    return m[np.ix_(rows, cols)]
+    @cached_property
+    def _total_index_sets(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sub and the quotient coordinates of the total space."""
+        offsets = np.cumsum((0, *self.chain.dims[:-1]))
+        return tuple(
+            np.concatenate([off + idx for off, idx in zip(offsets, part)])
+            for part in self._index_sets
+        )
+
+    @cached_property
+    def _totals(self) -> tuple[np.ndarray, np.ndarray]:
+        """The total boundary ``b`` and the total duality ``S``."""
+        return self.chain.total_boundary(), self.duality.total(self.chain)
+
+    @cached_property
+    def _blocks(self) -> BlockDecomposition:
+        return _split_blocks(self)
+
+    @cached_property
+    def _restricted(self) -> tuple[np.ndarray, ...]:
+        return _restricted_defect(self)
+
+    @cached_property
+    def _gates_by_tol(self) -> dict[float, dict[str, tuple[bool, float]]]:
+        return {}
+
+    def _gates(self, tol: float) -> dict[str, tuple[bool, float]]:
+        """The structure gates at ``tol``, evaluated once per tolerance."""
+        if tol not in self._gates_by_tol:
+            self._gates_by_tol[tol] = _structure_gates(self, tol)
+        return self._gates_by_tol[tol]
 
 
-def _restricted_defect(cwb: ComplexWithBoundary) -> list[np.ndarray]:
+def _restricted_defect(cwb: ComplexWithBoundary) -> tuple[np.ndarray, ...]:
     """The defect ``R_k = b_{k+1} S_{k+1} + S_k b^*_{N-k}``, which maps
     ``E_{n-k} -> E_k``, restricted to ``(E_0)_{n-k} -> (E_0)_k``."""
     chain, s = cwb.chain, cwb.duality
     big_n = chain.n
+    sub = cwb._index_sets[0]
     out = []
     for k in range(big_n):
         term1 = chain.boundary(k + 1) @ s.block(k + 1)
         term2 = s.block(k) @ adjoint(chain.boundary(big_n - k))
-        sub_rows, sub_cols = cwb.sub_indices(k), cwb.sub_indices(big_n - 1 - k)
-        out.append(_take(term1 + term2, sub_rows, sub_cols))
-    return out
+        out.append((term1 + term2)[np.ix_(sub[k], sub[big_n - 1 - k])])
+    return tuple(out)
 
 
 @dataclass(eq=False)
@@ -167,30 +201,27 @@ class BlockDecomposition:
 def _split_blocks(cwb: ComplexWithBoundary) -> BlockDecomposition:
     chain, s = cwb.chain, cwb.duality
     big_n = chain.n
-    idx0 = [cwb.sub_indices(m) for m in range(big_n + 1)]
-    idx1 = [cwb.quotient_indices(m) for m in range(big_n + 1)]
-    dims0 = tuple(len(ix) for ix in idx0)
-    dims1 = tuple(len(ix) for ix in idx1)
+    idx0, idx1 = cwb._index_sets
     b0 = [np.zeros((0, 0))]
     b1 = [np.zeros((0, 0))]
     h = [np.zeros((0, 0))]
     f = [np.zeros((0, 0))]
     for m in range(1, big_n + 1):
         b = chain.boundary(m)
-        b0.append(_take(b, idx0[m - 1], idx0[m]))
-        b1.append(_take(b, idx1[m - 1], idx1[m]))
-        h.append(_take(b, idx0[m - 1], idx1[m]))
-        f.append(_take(b, idx1[m - 1], idx0[m]))
+        b0.append(b[np.ix_(idx0[m - 1], idx0[m])])
+        b1.append(b[np.ix_(idx1[m - 1], idx1[m])])
+        h.append(b[np.ix_(idx0[m - 1], idx1[m])])
+        f.append(b[np.ix_(idx1[m - 1], idx0[m])])
     s2, s1, fu, fl = [], [], [], []
     for k in range(big_n + 1):
         blk = s.block(k)
-        s2.append(_take(blk, idx0[k], idx0[big_n - k]))
-        s1.append(_take(blk, idx1[k], idx1[big_n - k]))
-        fu.append(_take(blk, idx0[k], idx1[big_n - k]))
-        fl.append(_take(blk, idx1[k], idx0[big_n - k]))
+        s2.append(blk[np.ix_(idx0[k], idx0[big_n - k])])
+        s1.append(blk[np.ix_(idx1[k], idx1[big_n - k])])
+        fu.append(blk[np.ix_(idx0[k], idx1[big_n - k])])
+        fl.append(blk[np.ix_(idx1[k], idx0[big_n - k])])
     return BlockDecomposition(
-        sub_dims=dims0,
-        quotient_dims=dims1,
+        sub_dims=tuple(ix.size for ix in idx0),
+        quotient_dims=tuple(ix.size for ix in idx1),
         b0=tuple(b0),
         b1=tuple(b1),
         h=tuple(h),
@@ -203,38 +234,19 @@ def _split_blocks(cwb: ComplexWithBoundary) -> BlockDecomposition:
     )
 
 
-def _boundary_total(
-    row_dims: Sequence[int], col_dims: Sequence[int], family: Sequence[np.ndarray]
-) -> np.ndarray:
-    entries = [(m - 1, m, family[m]) for m in range(1, len(family))]
-    return assemble_total(row_dims, col_dims, entries)
-
-
-def _duality_total(
-    row_dims: Sequence[int], col_dims: Sequence[int], family: Sequence[np.ndarray]
-) -> np.ndarray:
-    top = len(family) - 1
-    entries = [(k, top - k, family[k]) for k in range(top + 1)]
-    return assemble_total(row_dims, col_dims, entries)
-
-
 def _structure_gates(
-    cwb: ComplexWithBoundary, blocks: BlockDecomposition, tol: float
+    cwb: ComplexWithBoundary, tol: float
 ) -> dict[str, tuple[bool, float]]:
-    """Gate every structural identity at one common scale, by name."""
-    chain, s = cwb.chain, cwb.duality
-    dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
-    b0 = _boundary_total(dims0, dims0, blocks.b0)
-    b1 = _boundary_total(dims1, dims1, blocks.b1)
-    htot = _boundary_total(dims0, dims1, blocks.h)
-    ftot = _boundary_total(dims1, dims0, blocks.f)
-    s1 = _duality_total(dims1, dims1, blocks.s1)
-    s2 = _duality_total(dims0, dims0, blocks.s2)
-    fup = _duality_total(dims0, dims1, blocks.f_upper)
-    flo = _duality_total(dims1, dims0, blocks.f_lower)
+    """Gate every structural identity at one common scale, by name.
 
-    stot = s.total(chain)
-    btot = chain.total_boundary()
+    The totals of the blocks are read off ``b`` and ``S`` by the total-space
+    index sets: ``b0 = b[sub, sub]``, ``h = b[sub, quotient]`` and so on.
+    """
+    btot, stot = cwb._totals
+    sub, quo = cwb._total_index_sets
+    corners = ((sub, sub), (sub, quo), (quo, sub), (quo, quo))
+    b0, htot, ftot, b1 = (btot[np.ix_(rows, cols)] for rows, cols in corners)
+    s2, fup, flo, s1 = (stot[np.ix_(rows, cols)] for rows, cols in corners)
 
     def scale(norm) -> float:
         nb, ns = norm(btot), norm(stot)
@@ -253,21 +265,14 @@ def _structure_gates(
     return {name: residual_within(r, tol, scale) for name, r in residuals.items()}
 
 
-def _quotient_cone_min_sv(
-    cwb: ComplexWithBoundary, blocks: BlockDecomposition, tol: float
-) -> tuple[bool, float]:
+def _quotient_cone_min_sv(cwb: ComplexWithBoundary, tol: float) -> tuple[bool, float]:
     """Invertibility of the cone operator of the quotient duality family."""
-    chain = cwb.chain
-    big_n = chain.n
+    chain, blocks = cwb.chain, cwb._blocks
     quotient = ChainComplex(blocks.quotient_dims, tuple(blocks.b1[1:]))
-    dual = dual_complex(chain)
-    source = ChainComplex(dual.dims, tuple(-b for b in dual.boundaries))
-    js = [
-        _take(cwb.duality.block(p), cwb.quotient_indices(p), range(chain.dims[big_n - p]))
-        for p in range(big_n + 1)
-    ]
+    rows = cwb._index_sets[1]
+    js = [cwb.duality.block(p)[rows[p], :] for p in range(chain.n + 1)]
     try:
-        cone = mapping_cone(js, source, quotient, tol=tol)
+        cone = mapping_cone(js, _negated(dual_complex(chain)), quotient, tol=tol)
     except NotChainMap:
         return False, 0.0
     d = cone.total_boundary()
@@ -291,10 +296,9 @@ def verify_with_boundary(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> CwbReport:
     """Check every structural condition and report without raising."""
-    blocks = _split_blocks(cwb)
-    gates = _structure_gates(cwb, blocks, tol)
+    gates = cwb._gates(tol)
     failures = [name for name, (ok, _) in gates.items() if not ok]
-    inv, minsv = _quotient_cone_min_sv(cwb, blocks, tol)
+    inv, minsv = _quotient_cone_min_sv(cwb, tol)
     if not inv:
         failures.append("quotient cone operator is not invertible")
     return CwbReport(
@@ -312,10 +316,10 @@ def decompose(cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL) -> BlockDecomp
     """Split into sub/quotient blocks, raising if the structure is violated.
 
     Raises SplitInconsistent when the differential does not preserve the
-    subcomplex and IdentityViolated naming each failed chain identity.
+    subcomplex and IdentityViolated naming each failed chain identity.  The
+    blocks are those every check of ``cwb`` shares, with the residuals at ``tol``.
     """
-    blocks = _split_blocks(cwb)
-    gates = _structure_gates(cwb, blocks, tol)
+    gates = cwb._gates(tol)
     ok, res = gates["split-preserved"]
     if not ok:
         raise SplitInconsistent(
@@ -326,8 +330,7 @@ def decompose(cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL) -> BlockDecomp
         raise IdentityViolated(
             "chain identities failed: " + ", ".join(bad)
         )
-    blocks.residuals.update({name: res for name, (_, res) in gates.items()})
-    return blocks
+    return replace(cwb._blocks, residuals={name: res for name, (_, res) in gates.items()})
 
 
 def boundary_complex(
@@ -357,9 +360,8 @@ def _boundary_complex(
             f"subcomplex has dimension {blocks.sub_dims[big_n]} in top degree "
             f"{big_n}; the boundary object must live in degrees 0..{n}"
         )
-    restricted = _restricted_defect(cwb)
-    btot = chain.total_boundary()
-    stot = cwb.duality.total(chain)
+    restricted = cwb._restricted
+    btot, stot = cwb._totals
 
     def scale(norm) -> float:
         return norm(btot) * norm(stot)
@@ -381,7 +383,7 @@ def _boundary_complex(
     dims0 = blocks.sub_dims[: n + 1]
     bnd = tuple(1j * blocks.b0[m] for m in range(1, n + 1))
     hp = HilbertPoincareComplex(
-        ChainComplex(dims0, bnd), DualityOperator(tuple(restricted))
+        ChainComplex(dims0, bnd), DualityOperator(restricted)
     )
     report, halves, _ = _verify_duality(hp, tol)
     if not report.cone_invertible:
@@ -508,17 +510,18 @@ def verify_cone_identities(
     """Verify the cone, exact sequence, and boundary-formula identities.
 
     Builds (a) the attaching cone on ``E_m (+) (E_1)_{N+1-m}`` and checks that
-    its differential squares to zero, (b) the coordinate four-term sequence
-    relating sub, total and quotient spaces, checked for exactness by rank,
-    (c) the coupling chain map from the hyperbolic complex of the quotient data
-    to the boundary complex, and (d) the closed formula expressing the
-    restricted duality through that chain map.
+    its differential squares to zero, (b) the four-term sequence of coordinate
+    inclusions and projections relating sub, total and quotient spaces, whose
+    composition and exactness are read off the split's index sets, (c) the
+    coupling chain map from the hyperbolic complex of the quotient data to the
+    boundary complex, and (d) the closed formula expressing the restricted
+    duality through that chain map.
     """
-    blocks = _split_blocks(cwb)
+    blocks = cwb._blocks
     chain = cwb.chain
     big_n = chain.n
     dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
-    idx1 = [list(cwb.quotient_indices(m)) for m in range(big_n + 1)]
+    idx0, idx1 = cwb._index_sets
     quotient = ChainComplex(dims1, tuple(blocks.b1[1:]))
     failures: list[str] = []
 
@@ -545,29 +548,15 @@ def verify_cone_identities(
     if not ok:
         failures.append(_CONE_IDENTITY_FAILURES["cone_square_residual"])
 
-    # (b) four-term sequence on total spaces
-    eyes = [np.eye(d) for d in chain.dims]
-    imap = block_diag(*(e[:, list(cwb.sub_indices(m))] for m, e in enumerate(eyes)))
-    jmap = block_diag(*(e[idx1[m], :] for m, e in enumerate(eyes)))
-    d_e, d_0, d_1 = sum(chain.dims), sum(dims0), sum(dims1)
-    first = assemble_total((d_e, d_1), (d_0,), [(0, 0, imap)])
-    second = block_diag(jmap, adjoint(jmap))
-    third = assemble_total((d_0,), (d_1, d_e), [(0, 1, adjoint(imap))])
-    composes = all(
-        residual_within(r, tol)[0] for r in (second @ first, third @ second)
-    )
+    # (b) four-term sequence 0 -> E_0 -> E (+) E_1 -> E_1 (+) E -> E_0 -> 0 of
+    # [i; 0], diag(j, j*) and [0, i*], with i the inclusion of the sub
+    # coordinates and j the projection onto the quotient ones: j i = 0 when
+    # the index sets are disjoint, and as a coordinate map's rank is the size
+    # of its index set, the sequence is exact when they partition every degree
+    composes = all(np.intersect1d(s, q).size == 0 for s, q in zip(idx0, idx1))
     if not composes:
         failures.append(_CONE_IDENTITY_FAILURES["sequence_composes"])
-    rank_first = int(np.linalg.matrix_rank(first)) if first.size else 0
-    rank_second = int(np.linalg.matrix_rank(second)) if second.size else 0
-    rank_third = int(np.linalg.matrix_rank(third)) if third.size else 0
-    exact = (
-        rank_first == d_0
-        and (d_e + d_1) - rank_second == d_0
-        and rank_second == 2 * d_1
-        and (d_1 + d_e) - rank_third == rank_second
-        and rank_third == d_0
-    )
+    exact = composes and all(s.size + q.size == d for s, q, d in zip(idx0, idx1, chain.dims))
     if not exact:
         failures.append(_CONE_IDENTITY_FAILURES["sequence_exact"])
 
@@ -591,7 +580,9 @@ def verify_cone_identities(
             + [(m - 1, 2 * m + 1, blocks.f_upper[m - 1]) for m in range(1, top + 1)],
         )
         delta = hyp.total_boundary()
-        b0_raw = _boundary_total(dims0, dims0, blocks.b0)
+        btot, stot = cwb._totals
+        sub = cwb._total_index_sets[0]
+        b0_raw = btot[np.ix_(sub, sub)]
         b_bdry = 1j * b0_raw
         ok, chain_res = residual_within(
             ftot @ delta + b_bdry @ ftot,
@@ -602,9 +593,11 @@ def verify_cone_identities(
             failures.append(_CONE_IDENTITY_FAILURES["chain_map_residual"])
 
         # (d) restricted duality equals f T f* + b0 S2 + S2 b0*
-        s0_tot = _duality_total(dims0, dims0, _restricted_defect(cwb))
+        s0_tot = assemble_total(
+            dims0, dims0, [(k, big_n - 1 - k, r) for k, r in enumerate(cwb._restricted)]
+        )
         ttot = hyp.total_duality()
-        s2_tot = _duality_total(dims0, dims0, blocks.s2)
+        s2_tot = stot[np.ix_(sub, sub)]
         formula = ftot @ ttot @ adjoint(ftot) + b0_raw @ s2_tot + s2_tot @ adjoint(b0_raw)
         ok, formula_res = residual_within(
             s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))

@@ -848,10 +848,10 @@ def bordism_to_cwb(
 ) -> ComplexWithBoundary:
     """Complex-with-boundary of a triangulated manifold with boundary.
 
-    The distinguished subcomplex is spanned by the simplices of the boundary
-    (all faces of the codimension-one faces that lie in a single facet); the
-    duality family is the symmetrized phased cap of the relative fundamental
-    cycle.
+    The distinguished subcomplex is spanned by the simplices of the boundary:
+    the codimension-one faces that lie in a single facet, and all their faces.
+    The duality family is the symmetrized phased cap of the relative
+    fundamental cycle.
     """
     if not m.with_boundary:
         raise PreconditionViolated("manifold is closed; use to_hp_complex")
@@ -859,18 +859,12 @@ def bordism_to_cwb(
     phased, _ = _phased_cap(m, chains)
     sym = _symmetrize(phased)
     n = m.dim
-    boundary_simplices: list[set[tuple[int, ...]]] = [set() for _ in range(n + 1)]
-    for face in m.boundary_faces():
-        for p in range(len(face)):
-            for sub in itertools.combinations(face, p + 1):
-                boundary_simplices[p].add(sub)
-    split = tuple(
-        tuple(
-            sorted(chains.index[p][s] for s in boundary_simplices[p])
-        )
-        for p in range(n + 1)
-    )
-    cwb = ComplexWithBoundary(chains.chain, DualityOperator(sym), split)
+    split = [np.zeros(0, dtype=np.intp)] * (n + 1)
+    counts = np.bincount(chains.faces[n].ravel(), minlength=chains.dims[n - 1])
+    split[n - 1] = np.flatnonzero(counts == 1)
+    for p in range(n - 1, 0, -1):
+        split[p - 1] = np.unique(chains.faces[p][split[p]])
+    cwb = ComplexWithBoundary(chains.chain, DualityOperator(sym), tuple(split))
     rep = verify_with_boundary(cwb, tol=tol)
     if not rep.passed:
         exc = BoundaryConditionViolated(

@@ -15,3 +15,25 @@ def verdict_sweep():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, names)`` replaces each named attribute of ``owner``
+    by a wrapper that counts its calls for the rest of the test, and returns
+    the counts by name."""
+
+    def install(owner, names):
+        counts = dict.fromkeys(names, 0)
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in names:
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return counts
+
+    return install

@@ -7,6 +7,8 @@ from hpsig import (
     ChainComplex,
     ComplexWithBoundary,
     DualityOperator,
+    bordism,
+    bordism_to_cwb,
     boundary_complex,
     boundary_signature_is_zero,
     check_coincidence,
@@ -18,14 +20,17 @@ from hpsig import (
     verify_with_boundary,
 )
 from hpsig.errors import (
+    HpsigError,
     IdentityViolated,
     PreconditionViolated,
     ShapeMismatch,
     SplitInconsistent,
 )
-from hpsig.linalg import adjoint, operator_norm
+from hpsig.fixtures import simplex_disk
+from hpsig.linalg import adjoint, assemble_total, block_diag, operator_norm, residual_within
 
 PROFILES = ["n2", "n2-d6", "n4", "n4-d6"]
+BOUNDARY_PROFILES = ["n2", "n2-d6", "n2-d8", "n4", "n4-d6", "n4-d8"]
 
 
 @pytest.mark.parametrize("profile", PROFILES)
@@ -189,3 +194,89 @@ def test_hyperbolic_builder_rejects_bad_input():
     col = np.ones((2, 1), dtype=np.complex128)
     with pytest.raises(PreconditionViolated):
         hyperbolic(interval, (col, adjoint(col)))
+
+
+def test_one_split_gate_pass_and_defect_per_complex(count_calls):
+    cwb = generate_with_boundary(3, "n2-d6")
+    shared = count_calls(bordism, ("_split_blocks", "_structure_gates", "_restricted_defect"))
+    dense = count_calls(np.linalg, ("matrix_rank", "svd"))
+    assert verify_with_boundary(cwb).passed
+    assert boundary_signature_is_zero(cwb).passed
+    assert verify_cone_identities(cwb).passed
+    assert shared == {"_split_blocks": 1, "_structure_gates": 1, "_restricted_defect": 1}
+    assert dense == {"matrix_rank": 0, "svd": 0}
+
+
+@pytest.mark.parametrize("order", ["loose-first", "tight-first"])
+def test_shared_complex_reports_match_fresh_copies(verdict_sweep, order):
+    # a non-self-adjoint move of relative size 1e-7: the structure passes at
+    # 1e-6 and fails at 1e-9; at 4e-7 it passes on exact spectral norms, where
+    # 1e-6 passes on Frobenius bounds, so the residuals of the two differ
+    base = generate_with_boundary(3, "n2")
+    shared = verdict_sweep.perturbed_with_boundary(base, "b-n2/3", "nsa", 1e-7)
+    tols = [1e-6, 4e-7, 1e-9]
+    if order == "tight-first":
+        tols.reverse()
+
+    def reports(cwb, tol):
+        out = [verify_with_boundary(cwb, tol), verify_cone_identities(cwb, tol)]
+        for check in (decompose, boundary_signature_is_zero):
+            try:
+                out.append(check(cwb, tol))
+            except HpsigError as exc:
+                out.append((type(exc), str(exc)))
+        return out
+
+    got = {tol: reports(shared, tol) for tol in tols}
+    want = {
+        tol: reports(ComplexWithBoundary(shared.chain, shared.duality, shared.split), tol)
+        for tol in tols
+    }
+    assert got[1e-6][0].passed and not got[1e-9][0].passed
+    assert got[1e-6][2].residuals != got[4e-7][2].residuals
+    # the reports are compared after every tolerance ran on the shared
+    # complex, so a returned decomposition changed by a later call shows too
+    for tol in tols:
+        assert repr(got[tol]) == repr(want[tol])
+
+
+def _dense_sequence_flags(cwb):
+    """The four-term sequence gate on dense coordinate maps: compositions
+    gated as residuals, exactness from the ranks of three SVDs."""
+    chain = cwb.chain
+    idx0 = [list(cwb.sub_indices(m)) for m in range(chain.n + 1)]
+    idx1 = [list(cwb.quotient_indices(m)) for m in range(chain.n + 1)]
+    eyes = [np.eye(d) for d in chain.dims]
+    imap = block_diag(*(e[:, idx0[m]] for m, e in enumerate(eyes)))
+    jmap = block_diag(*(e[idx1[m], :] for m, e in enumerate(eyes)))
+    d_e, d_0, d_1 = sum(chain.dims), sum(map(len, idx0)), sum(map(len, idx1))
+    first = assemble_total((d_e, d_1), (d_0,), [(0, 0, imap)])
+    second = block_diag(jmap, adjoint(jmap))
+    third = assemble_total((d_0,), (d_1, d_e), [(0, 1, adjoint(imap))])
+    composes = all(residual_within(r, 1e-9)[0] for r in (second @ first, third @ second))
+    rank_first = int(np.linalg.matrix_rank(first)) if first.size else 0
+    rank_second = int(np.linalg.matrix_rank(second)) if second.size else 0
+    rank_third = int(np.linalg.matrix_rank(third)) if third.size else 0
+    exact = (
+        rank_first == d_0
+        and (d_e + d_1) - rank_second == d_0
+        and rank_second == 2 * d_1
+        and (d_1 + d_e) - rank_third == rank_second
+        and rank_third == d_0
+    )
+    return composes, exact
+
+
+@pytest.mark.parametrize(
+    "case",
+    [f"{p}/{s}" for p in BOUNDARY_PROFILES for s in (0, 1)]
+    + [f"disk{k}" for k in (1, 2, 3, 4)],
+)
+def test_sequence_gate_matches_dense_ranks(case):
+    if case.startswith("disk"):
+        cwb = bordism_to_cwb(simplex_disk(int(case[4:])))
+    else:
+        profile, seed = case.split("/")
+        cwb = generate_with_boundary(int(seed), profile)
+    rep = verify_cone_identities(cwb)
+    assert (rep.sequence_composes, rep.sequence_exact) == _dense_sequence_flags(cwb)

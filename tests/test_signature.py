@@ -213,21 +213,7 @@ def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
     assert abs(cone.min_abs_nonzero_eigenvalue - full.min_abs_nonzero_eigenvalue) <= 1e-12
 
 
-def _count_calls(monkeypatch, owner, names):
-    counts = dict.fromkeys(names, 0)
-
-    def counting(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in names:
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
-    return counts
-
-
-def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
+def test_eigensolve_budget(monkeypatch, tmp_path, capsys, count_calls):
     cp2 = cp2_nine_vertex()
     path = str(tmp_path / "octahedron-z4.smf")
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
@@ -236,7 +222,7 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
     octa = to_hp_complex(m, act)
     s3 = to_hp_complex(simplex_sphere(3))
     cwb = generate_with_boundary(2, "n4-d6")
-    solves = _count_calls(monkeypatch, np.linalg, ("eigh", "eigvalsh"))
+    solves = count_calls(np.linalg, ("eigh", "eigvalsh"))
     widths = []
     counted = np.linalg.eigvalsh
 
@@ -246,9 +232,9 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     blocks = sorted(q.shape[1] for q in octa.action.isotypic_bases)
-    cones = _count_calls(monkeypatch, complexes, ("mapping_cone",))
-    boundaries = _count_calls(monkeypatch, complexes.ChainComplex, ("total_boundary",))
-    totals = _count_calls(monkeypatch, complexes.DualityOperator, ("total",))
+    cones = count_calls(complexes, ("mapping_cone",))
+    boundaries = count_calls(complexes.ChainComplex, ("total_boundary",))
+    totals = count_calls(complexes.DualityOperator, ("total",))
     # B + S once, in the duality check, eigenvalues only; B - S is its mirror
     # under the grading, and both are read again by the constructions; no
     # cone; b once, and the phased and the symmetrized cap once each

@@ -5,7 +5,9 @@ layer replaced: simplices enumerated as sorted tuples, dense blocks written
 entry by entry, and every simplex image sorted by a bubble sort that counts
 its swaps.  On every triangulation fixture the array layer must give the same
 simplices and index maps, and dense boundary, cap and action blocks that are
-the same bit for bit, dtype included.
+the same bit for bit, dtype included.  On the simplex disks and their
+subdivisions, the boundary subcomplex read off the face arrays must be the
+one found by looking up every face of every boundary face in the index maps.
 """
 
 import itertools
@@ -19,6 +21,7 @@ from hpsig import (
     OrientedSimplicialManifold,
     SimplicialAction,
     barycentric_subdivide,
+    bordism_to_cwb,
     cap_duality,
     chain_action,
     enumerate_and_boundaries,
@@ -72,6 +75,16 @@ def _reference_enumerate(m):
                 mat[index[p - 1][face], col] = (-1.0) ** i
         bnds.append(mat)
     return simplices, index, bnds
+
+
+def _reference_boundary_split(m, index):
+    """The boundary subcomplex: every face of each codimension-one face that
+    lies in a single facet, as sorted indices per degree."""
+    per_degree = [set() for _ in range(m.dim + 1)]
+    for face in m.boundary_faces():
+        for p in range(len(face)):
+            per_degree[p].update(itertools.combinations(face, p + 1))
+    return tuple(tuple(sorted(index[p][s] for s in degree)) for p, degree in enumerate(per_degree))
 
 
 def _reference_cap(m, simplices, index):
@@ -197,6 +210,16 @@ def test_chain_action_matches_the_loops(name):
     assert geometry_stats(m, action).max_isotropy_order == _reference_isotropy(
         m, action, simplices
     )
+
+
+@pytest.mark.parametrize("k, subdivided", [(1, False), (2, False), (3, False), (4, False),
+                                           (1, True), (2, True), (3, True)])
+def test_boundary_split_matches_the_loops(k, subdivided):
+    m = simplex_disk(k)
+    if subdivided:
+        m = barycentric_subdivide(m)[0]
+    _, index, _ = _reference_enumerate(m)
+    assert bordism_to_cwb(m).split == _reference_boundary_split(m, index)
 
 
 def test_isotropy_reads_irregular_and_non_permuting_maps():

@@ -18,7 +18,8 @@ one (``S_k += eps R_k``).  The perturbations are seeded by the case name, so
 two runs see the same inputs.
 
 The complexes with boundary are ``generate_with_boundary`` on the benchmark's
-six profiles (n2, n2-d6, n2-d8, n4, n4-d6, n4-d8) for the same seeds, as they
+six profiles (n2, n2-d6, n2-d8, n4, n4-d6, n4-d8) for the same seeds, and
+``bordism_to_cwb`` of the 3-simplex and of its barycentric subdivision, as they
 are and with their duality perturbed in the same way.  Each such case writes
 one JSON line holding, for ``verify_with_boundary``, ``verify_cone_identities``
 and ``boundary_signature_is_zero``, the flags, failures, residuals and cone
@@ -336,9 +337,20 @@ def _variants(case, name: str, move):
             yield f"{kind}-{eps:g}", move(case, name, kind, eps)
 
 
-def sweep(seeds: int, stream) -> int:
+def boundary_cases(seeds: int):
+    """(name, complex with boundary) for every with-boundary case."""
     import hpsig
+    from hpsig import fixtures
 
+    for seed in range(seeds):
+        for profile in BOUNDARY_PROFILES:
+            yield f"b-{profile}/{seed}", hpsig.generate_with_boundary(seed, profile)
+    disk = fixtures.simplex_disk(3)
+    yield "b-disk3", hpsig.bordism_to_cwb(disk)
+    yield "b-sd-disk3", hpsig.bordism_to_cwb(hpsig.barycentric_subdivide(disk)[0])
+
+
+def sweep(seeds: int, stream) -> int:
     count = 0
     for name, hp, tri in base_cases(seeds):
         for variant, case in _variants(hp, name, perturbed):
@@ -347,13 +359,10 @@ def sweep(seeds: int, stream) -> int:
                 record_triangulation(rec, tri)
             stream.write(json.dumps(rec) + "\n")
             count += 1
-    for seed in range(seeds):
-        for profile in BOUNDARY_PROFILES:
-            name = f"b-{profile}/{seed}"
-            cwb = hpsig.generate_with_boundary(seed, profile)
-            for variant, case in _variants(cwb, name, perturbed_with_boundary):
-                stream.write(json.dumps(record_with_boundary(name, variant, case)) + "\n")
-                count += 1
+    for name, cwb in boundary_cases(seeds):
+        for variant, case in _variants(cwb, name, perturbed_with_boundary):
+            stream.write(json.dumps(record_with_boundary(name, variant, case)) + "\n")
+            count += 1
     return count
 
 
