@@ -385,7 +385,7 @@ def _boundary_complex(
     hp = HilbertPoincareComplex(
         ChainComplex(dims0, bnd), DualityOperator(restricted)
     )
-    report, halves, _ = _verify_duality(hp, tol)
+    report, halves, _, _ = _verify_duality(hp, tol)
     if not report.cone_invertible:
         raise DegenerateBoundaryDuality(
             f"boundary duality cone is singular "
@@ -480,6 +480,10 @@ class ConeIdentitiesReport:
     ``chain_map_residual`` and ``boundary_formula_residual`` are NaN when
     those checks did not run, because the quotient data is not hyperbolic
     input (``hyperbolic_valid`` false); the CLI shows them as not run.
+
+    ``sequence_composes`` and ``sequence_exact`` hold by construction for
+    every :class:`ComplexWithBoundary`, whose split and quotient indices are
+    complementary in each degree; they carry no information about the input.
     """
 
     tol: float

@@ -43,10 +43,10 @@ two sides of the cone's chain-map condition, laid out by
 sides.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
-with both ``b`` and ``S``.  The signature constructions diagonalise ``B + S``
-for classes over that group (:func:`_diagonalise`): per isotypic block when
-the action is by signed permutations and commutes with ``B + S`` entry for
-entry, and by dense spectral projections otherwise.
+with both ``b`` and ``S``, which one gate decides (:func:`_action_gates`).
+An action that passes it leaves ``B + S`` block diagonal in its isotypic bases
+up to an off-block part of the gate's order, and the classes over the group
+are read off the blocks' eigenvalue counts (:func:`_diagonalise`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    EquivarianceViolated,
     GroupMismatch,
     NotChainMap,
     NotSelfAdjoint,
@@ -67,6 +68,10 @@ from .errors import (
 from .groups import GroupAction
 from .linalg import (
     DEFAULT_TOL,
+    _BOUND_MARGIN,
+    BlockSpectrum,
+    _block_frobenius_norm,
+    _column_norm_bound,
     _hermitian_of,
     Spectrum,
     adjoint,
@@ -76,8 +81,8 @@ from .linalg import (
     block_spectrum,
     mirrored,
     residual_within,
-    spectral_split,
     spectrum,
+    within,
 )
 
 __all__ = [
@@ -396,51 +401,43 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
 
 def _diagonalise(
     ops: Sequence[np.ndarray], tol: float, action: GroupAction | None
-) -> list[Spectrum]:
+) -> list[BlockSpectrum]:
     """Self-adjoint operators diagonalised for the signature classes over the
-    group of ``action``, all by the same route.
-
-    Over the trivial group (no action) every class is an inertia count and
-    :func:`spectrum` gives eigenvalues only.  When the action is by signed
-    permutations that commute with every operator entry for entry (an exact
-    test, with no tolerance; it holds on every triangulation with an action)
-    the operators are block diagonal in the action's isotypic bases, and
-    :func:`~hpsig.linalg.block_spectrum` gives each block's inertia with one
-    small ``eigvalsh`` per irreducible character.  Any other action, dense or
-    commuting only up to rounding, takes :func:`spectral_split`, whose
-    projections :func:`~hpsig.groups.k0_from_projections` reads.
-    """
+    group of ``action``, which must have passed the action gate on them: one
+    block, the trivial group's only character, without an action, and one
+    small ``eigvalsh`` per irreducible character with one
+    (:func:`~hpsig.linalg.block_spectrum`)."""
     if action is None:
-        return [spectrum(h, tol) for h in ops]
-    if all(map(action.commutes_exactly, ops)):
-        bases = action.isotypic_bases
-        if bases is not None:
-            return [block_spectrum(h, bases, tol) for h in ops]
-    return [spectral_split(h, tol) for h in ops]
+        return [_one_block(spectrum(h, tol)) for h in ops]
+    return [block_spectrum(h, action.isotypic_bases, tol) for h in ops]
+
+
+def _one_block(spec: Spectrum) -> BlockSpectrum:
+    """``spec`` as the block spectrum of the whole space."""
+    return BlockSpectrum(**vars(spec), block_ranks=((spec.rank_plus, spec.rank_minus),))
 
 
 def _diagonalise_halves(
     plus_op: np.ndarray,
     minus_op: np.ndarray,
-    signs: np.ndarray,
     n: int,
     tol: float,
     action: GroupAction | None,
-) -> tuple[Spectrum, Spectrum]:
+) -> tuple[BlockSpectrum, BlockSpectrum]:
     """``B + S`` and ``B - S`` of a duality of top degree ``n`` diagonalised by
     :func:`_diagonalise`, with one eigensolve when ``n`` is even.
 
-    For even ``n`` the grading ``phi = diag(signs)`` conjugates ``B - S``
+    For even ``n`` the grading ``phi = (-1)^degree`` conjugates ``B - S``
     into ``-(B + S)`` entry for entry: ``b`` lives in the blocks between
     degrees of opposite parity and ``S`` in those between degrees of equal
     parity, so no entry of ``B + S`` is a sum of two nonzero numbers.  Then
-    ``B - S`` is diagonalised as the mirror of ``B + S``
-    (:func:`~hpsig.linalg.mirrored`); ``phi`` preserves degree, so it
-    commutes with the action and its isotypic projections.
+    ``B - S`` is read off ``B + S`` as its mirror
+    (:func:`~hpsig.linalg.mirrored`); every isotypic basis vector lies in
+    one degree, so ``phi`` leaves the blocks invariant.
     """
     if n % 2 == 0:
         (plus,) = _diagonalise((plus_op,), tol, action)
-        return plus, mirrored(plus, signs)
+        return plus, mirrored(plus)
     plus, minus = _diagonalise((plus_op, minus_op), tol, action)
     return plus, minus
 
@@ -471,7 +468,6 @@ class DoubledCone:
     ``minus = w^* C w = B - S_h`` act on the total space of the complex (see
     :mod:`hpsig.complexes`).  ``decoupled`` is true when ``S`` is self-adjoint
     entry for entry, so that the cross block ``w^* C v`` is exactly zero.
-    ``signs`` is the diagonal of the complex's grading ``(-1)^degree``.
     """
 
     cone: ChainComplex
@@ -479,12 +475,11 @@ class DoubledCone:
     plus: np.ndarray
     minus: np.ndarray
     decoupled: bool
-    signs: np.ndarray
 
     def invertibility(self, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
         """(flag, smallest |eigenvalue|) of the cone operator of ``S_h``, read
         off the two halves."""
-        halves = _diagonalise_halves(self.plus, self.minus, self.signs, self.cone.n - 1, tol, None)
+        halves = _diagonalise_halves(self.plus, self.minus, self.cone.n - 1, tol, None)
         return _halves_invertibility(*halves, tol)
 
 
@@ -507,7 +502,6 @@ def doubled_duality_cone(
         plus=plus,
         minus=minus,
         decoupled=not skew.any(),
-        signs=hp.degree_signs(),
     )
 
 
@@ -554,8 +548,68 @@ class _Halves:
 
     plus_op: np.ndarray
     minus_op: np.ndarray
-    plus: Spectrum
-    minus: Spectrum
+    plus: BlockSpectrum
+    minus: BlockSpectrum
+
+
+# The duality check's action gate, aggregated over the elements: (passed,
+# largest residual) of the commutators with b, and the same with S.
+_ActionGates = tuple[tuple[bool, float], tuple[bool, float]]
+
+
+def _commutator_blocks(
+    rho: GroupAction, g: int, blocks: Sequence[tuple[int, int, np.ndarray]]
+) -> list[np.ndarray]:
+    """The nonzero degree blocks of ``rho(g) x - x rho(g)`` for the operator
+    ``x`` on the total space whose nonzero blocks are ``(row degree, column
+    degree, block)``: ``rho(g)`` preserves degree, so each block of ``x``
+    gives one block of the commutator."""
+    return [rho.operator(g, r).commutator(x, rho.operator(g, c)) for r, c, x in blocks]
+
+
+def _action_gates(
+    hp: HilbertPoincareComplex, b: np.ndarray, s: np.ndarray, tol: float
+) -> _ActionGates:
+    """The action gate of ``hp``'s action against its total boundary ``b``
+    and total duality ``s``: every element's commutator with each within
+    ``tol`` at the scale ``max(|b|, |S|)``, by the rule of
+    :func:`~hpsig.linalg.residual_within`.  Each commutator's Frobenius bound
+    is summed over its degree blocks; it is laid out on the total space only
+    when that bound fails.  Without an action both gates pass with residual 0.
+    """
+    rho = hp.action
+    if rho is None:
+        return (True, 0.0), (True, 0.0)
+
+    def scale(norm) -> float:
+        return max(norm(b), norm(s))
+
+    lower = scale(_column_norm_bound)
+
+    def gate(blocks, total: np.ndarray) -> tuple[bool, float]:
+        verdicts = []
+        for g in range(rho.group.order):
+            bound = _block_frobenius_norm(_commutator_blocks(rho, g, blocks))
+            if within(bound, tol * _BOUND_MARGIN, lower):
+                verdicts.append((True, bound))
+            else:
+                verdicts.append(residual_within(rho.operator(g).commutator(total), tol, scale))
+        return all(ok for ok, _ in verdicts), max(res for _, res in verdicts)
+
+    # empty blocks (edge degrees, empty summands) are common and commute
+    return (
+        gate([(k - 1, k, x) for k, x in enumerate(hp.chain.boundaries, start=1) if x.size], b),
+        gate([(k, hp.n - k, x) for k, x in enumerate(hp.duality.blocks) if x.size], s),
+    )
+
+
+def _require_equivariant(gates: _ActionGates) -> None:
+    """Raise EquivarianceViolated unless the action gate passed."""
+    if not all(ok for ok, _ in gates):
+        raise EquivarianceViolated(
+            f"{_DUALITY_FAILURES['action_residual']}: residual "
+            f"{max(res for _, res in gates):.3e}"
+        )
 
 
 def _verify_duality(
@@ -564,17 +618,16 @@ def _verify_duality(
     b: np.ndarray | None = None,
     s: np.ndarray | None = None,
     action: GroupAction | None = None,
-) -> tuple[DualityReport, _Halves | None, np.ndarray]:
+) -> tuple[DualityReport, _Halves | None, np.ndarray, _ActionGates]:
     """:func:`verify_duality` on the total boundary ``b`` and total duality
     ``s`` when the caller has them, also returning what it computed.
 
-    The gates run on the given ``S``.  Once it passes the cone's chain-map
-    gate, the cone is read off ``B + S_h`` and ``B - S_h``, diagonalised by
-    :func:`_diagonalise` for classes over the group of ``action`` (over the
-    trivial group when None, which gives the spectra the check itself reads);
-    ``hp``'s own action is gated, not read for this.  These halves are
-    returned when ``S`` also passed the self-adjointness gate, and None
-    otherwise.  The last item is the anticommutator ``b S + S b^*``.
+    The gates run on the given ``S`` and on ``hp``'s action.  Once ``S``
+    passes the cone's chain-map gate, the cone is read off ``B + S_h`` and
+    ``B - S_h``, diagonalised for classes over the group of ``action`` (None
+    or ``hp``'s action) if the action gate passed, and over the trivial group
+    otherwise; they are returned if the self-adjointness and action gates
+    passed.  Then come the anticommutator ``b S + S b^*`` and the action gate.
     """
     b = hp.total_boundary() if b is None else b
     s = hp.total_duality() if s is None else s
@@ -589,6 +642,10 @@ def _verify_duality(
     sides = _duality_sides(hp.chain, hp.duality.blocks)
     anti = _anticommutator(hp.chain, sides)
     holds["chain_residual"], cres = residual_within(anti, tol, lambda norm: norm(b) * norm(s))
+    gates = _action_gates(hp, b, s, tol)
+    equivariant = all(ok for ok, _ in gates)
+    if hp.action is not None:
+        holds["action_residual"] = equivariant
 
     halves = None
     try:
@@ -597,22 +654,12 @@ def _verify_duality(
         halves = _Halves(
             plus_op,
             minus_op,
-            *_diagonalise_halves(plus_op, minus_op, hp.degree_signs(), hp.n, tol, action),
+            *_diagonalise_halves(plus_op, minus_op, hp.n, tol, action if equivariant else None),
         )
         inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
     except NotChainMap:
         inv, minsv = False, 0.0
     holds["cone_min_singular_value"] = inv
-
-    ares = 0.0
-    if hp.action is not None:
-        gates = [
-            residual_within(r, tol, lambda norm: max(norm(b), norm(s)))
-            for rho in map(hp.action.operator, range(hp.action.group.order))
-            for r in (rho.commutator(b), rho.commutator(s))
-        ]
-        ares = max(res for _, res in gates)
-        holds["action_residual"] = all(ok for ok, _ in gates)
     failures = tuple(m for field, m in _DUALITY_FAILURES.items() if not holds.get(field, True))
 
     report = DualityReport(
@@ -622,11 +669,12 @@ def _verify_duality(
         chain_residual=cres,
         cone_min_singular_value=minsv,
         cone_invertible=inv,
-        action_residual=ares,
+        action_residual=max(res for _, res in gates),
         passed=not failures,
         failures=failures,
     )
-    return report, halves if holds["selfadjoint_residual"] else None, anti
+    trusted = holds["selfadjoint_residual"] and equivariant
+    return report, halves if trusted else None, anti, gates
 
 
 def twist(

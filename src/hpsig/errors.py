@@ -55,7 +55,8 @@ class NotRepresentation(HpsigError):
 
 
 class NonEquivariantProjection(HpsigError):
-    """A projection handed to the K-theory layer does not commute with the action."""
+    """A projection handed to ``k0_from_projections`` is not equivariant, or
+    an isotypic block count is not a multiple of its character's degree."""
 
 
 class SplitInconsistent(HpsigError):

@@ -28,20 +28,20 @@ the dense matrices.  Callers reach either implementation through
 
 Irreducible characters and isotypic blocks.  :attr:`FiniteGroup.characters`
 computes the character table once, by Burnside-Dixon (common eigenvectors of
-the class-sum structure constants), and checks it.  For a signed-permutation
-action that composes exactly like the group, :attr:`GroupAction.isotypic_bases`
-gives an orthonormal basis of the image of each isotypic projection
-``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, built orbit by orbit of
-the coordinates without an ``N``-wide factorisation.  An operator that
-commutes with such an action entry for entry
-(:meth:`GroupAction.commutes_exactly`, an exact test) is block diagonal in
-those bases, so the image of each of its spectral projections in the block of
-``chi`` is a sum of copies of ``chi`` and its class is ``sum_chi m_chi chi``
-with integer multiplicities ``m_chi``: the count of eigenvalues of the sign
-in the block, divided by ``dim chi`` (:func:`k0_from_multiplicities`).  The
-signature constructions take that route wherever it applies (see
-:func:`~hpsig.complexes._diagonalise`); :func:`k0_from_projections` reads
-dense spectral projections for every other action.
+the class-sum structure constants), and checks it.  Every action has
+:attr:`GroupAction.isotypic_bases`: an orthonormal basis of the image of each
+isotypic projection ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``,
+built orbit by orbit of the coordinates for a signed-permutation action that
+composes exactly like the group, and degree by degree for any other.  An
+operator that commutes with the action is block diagonal in those bases, so
+the image of each of its spectral projections in the block of ``chi`` is a
+sum of copies of ``chi`` and its class is ``sum_chi m_chi chi`` with integer
+multiplicities ``m_chi``: the count of eigenvalues of the sign in the block,
+divided by ``dim chi`` (:func:`k0_from_multiplicities`).  Every class the
+signature constructions return is read that way (see
+:func:`~hpsig.complexes._diagonalise`), once the action has passed the
+duality check's action gate.  :func:`k0_from_projections` reads the class of
+given spectral projections; the tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -66,6 +66,9 @@ from .errors import (
 from .linalg import DEFAULT_TOL, adjoint, as_matrix, block_diag, residual_within
 
 CHAR_TOL = 1e-6
+
+# FiniteGroup.characters by multiplication table
+_CHARACTER_TABLES: dict[tuple[tuple[int, ...], ...], np.ndarray] = {}
 
 __all__ = [
     "CHAR_TOL",
@@ -196,8 +199,14 @@ class FiniteGroup:
         integers they are (:meth:`_exact_values`), so those entries are
         exact; a character whose values all have imaginary part within
         CHAR_TOL is stored real.  The rows are ordered by degree, the trivial
-        character first.
+        character first.  They are computed once per multiplication table.
         """
+        chars = _CHARACTER_TABLES.get(self.table)
+        if chars is None:
+            chars = _CHARACTER_TABLES[self.table] = self._burnside_dixon()
+        return chars
+
+    def _burnside_dixon(self) -> np.ndarray:
         classes = self._classes
         r, order = len(classes), self.order
         sizes = np.array([len(c) for c in classes], dtype=float)
@@ -600,47 +609,29 @@ class GroupAction:
         dst = np.stack([t.dst for t in self._totals])
         return dst, np.stack([t.dsgn for t in self._totals]).real
 
-    def commutes_exactly(self, x: np.ndarray) -> bool:
-        """Whether ``x`` on the total space commutes with every element entry
-        for entry; false for an action that is not by signed permutations.
-
-        ``rho x = x rho`` holds exactly iff ``x[dst_i, dst_j] = dsgn_i dsgn_j
-        x[i, j]`` for all ``i, j``, where element ``rho`` maps coordinate ``i``
-        to ``dst_i`` with sign ``dsgn_i``.  It suffices to test the nonzero
-        entries: ``(i, j) -> (dst_i, dst_j)`` is a bijection that then maps
-        them onto nonzero entries, hence onto all of them, and the zero
-        entries onto the zero entries.
-        """
-        if self._signed is None:
-            return False
-        dst, sign = self._images
-        rows, cols = np.nonzero(x)
-        moved = x[dst[:, rows], dst[:, cols]]
-        return bool(np.array_equal(moved, sign[:, rows] * sign[:, cols] * x[rows, cols]))
-
     @cached_property
-    def isotypic_bases(self) -> tuple[np.ndarray, ...] | None:
+    def isotypic_bases(self) -> tuple[np.ndarray, ...]:
         """Orthonormal bases ``Q_chi`` of the images of the isotypic
         projections ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, one
         per row of ``group.characters``, as ``(N, rank P_chi)`` matrices on the
-        total space; None unless the action is by signed permutations that
-        compose exactly like the group.
-
-        Such an action permutes the coordinates up to sign, so ``P_chi`` is
-        block diagonal over the orbits of the coordinates and each orbit
-        contributes its own columns.  Their number on an orbit ``O`` is
-        ``rank P_chi|O = (dim chi / |G|) sum_g conj(chi(g)) tr rho_O(g)``,
-        where ``tr rho_O(g)`` sums the signs of the coordinates of ``O`` that
-        ``g`` fixes, an integer; a value that is not an integer within
-        CHAR_TOL raises NotRepresentation.  For a one-dimensional ``chi`` that
-        rank is 0 or 1 and the column is the normalised orbit sum
-        ``P_chi e_o`` of the orbit's least coordinate ``o``; otherwise it is
-        the top eigenvectors of ``P_chi|O``, which is ``|O|`` wide.  No
-        ``N``-wide matrix is factorised.  A real character gives real
-        columns.
+        total space, piece by piece: the orbits of the coordinates for signed
+        permutations that compose exactly like the group, and the degrees
+        otherwise.  The rank on a piece is the trace of ``P_chi`` there; one
+        that is not an integer within CHAR_TOL raises NotRepresentation.
         """
-        if self._signed is None or not self._exact:
-            return None
+        if self._signed is not None and self._exact:
+            return self._orbit_bases()
+        return self._degree_bases()
+
+    def _orbit_bases(self) -> tuple[np.ndarray, ...]:
+        """On an orbit ``O`` the trace of ``P_chi`` is ``(dim chi / |G|)
+        sum_g conj(chi(g)) tr rho_O(g)``, where ``tr rho_O(g)`` sums the signs
+        of the coordinates of ``O`` that ``g`` fixes.  For a one-dimensional
+        ``chi`` the rank is 0 or 1 and the column is the normalised orbit sum
+        ``P_chi e_o`` of the orbit's least coordinate ``o``; otherwise it is
+        the top eigenvectors of the ``|O|``-wide ``P_chi|O``.  No ``N``-wide
+        matrix is factorised, and a real character gives real columns.
+        """
         group = self.group
         order = group.order
         dst, sign = self._images
@@ -652,10 +643,7 @@ class GroupAction:
         np.add.at(traces, (slice(None), orbit), fixed)
         chars = group.characters[:, group.class_index]  # per character and element
         degrees = np.asarray(group.character_degrees)
-        ranks = (degrees[:, None] / order) * (chars.conj() @ traces)
-        rounded = np.rint(ranks.real).astype(int)
-        if np.abs(ranks - rounded).max(initial=0.0) > CHAR_TOL:
-            raise NotRepresentation("isotypic ranks of the action are not integers")
+        rounded = _integer_ranks((degrees[:, None] / order) * (chars.conj() @ traces))
         bases = []
         for chi, d, rank in zip(chars, degrees, rounded):
             coef = chi.conj() if chi.imag.any() else chi.real
@@ -677,6 +665,26 @@ class GroupAction:
                 parts.append(part)
             bases.append(np.hstack(parts) if parts else np.zeros((size, 0), dtype=coef.dtype))
         return tuple(bases)
+
+    def _degree_bases(self) -> tuple[np.ndarray, ...]:
+        """On ``E_k``, the top eigenvectors of the Hermitian part of
+        ``P_chi``: one batched ``eigh`` per degree, over the characters."""
+        group = self.group
+        chars = group.characters[:, group.class_index]  # per character and element
+        coefs = chars.conj() * (np.asarray(group.character_degrees)[:, None] / group.order)
+        offsets = [0, *itertools.accumulate(self._dims)]
+        parts = [[np.zeros((offsets[-1], 0))] for _ in chars]
+        for k, width in enumerate(self._dims):
+            if not width:
+                continue
+            projs = np.tensordot(coefs, np.stack([fam[k] for fam in self.blocks]), axes=1)
+            ranks = _integer_ranks(np.trace(projs, axis1=1, axis2=2))
+            vecs = np.linalg.eigh((projs + projs.conj().transpose(0, 2, 1)) / 2.0)[1]
+            for part, v, rank in zip(parts, vecs, ranks):
+                column = np.zeros((offsets[-1], rank), dtype=v.dtype)
+                column[offsets[k]:offsets[k + 1]] = v[:, width - rank:]
+                part.append(column)
+        return tuple(np.hstack(part) for part in parts)
 
     def conjugated(self, unitaries: Sequence[np.ndarray]) -> "GroupAction":
         fams = tuple(
@@ -704,6 +712,15 @@ class GroupAction:
         group = FiniteGroup.trivial()
         fam = tuple(np.eye(int(d)) for d in dims)
         return cls(group, (fam,))
+
+
+def _integer_ranks(traces: np.ndarray) -> np.ndarray:
+    """The traces of isotypic projections rounded to the integer ranks they
+    are; raises NotRepresentation unless each is one within CHAR_TOL."""
+    rounded = np.rint(traces.real).astype(int)
+    if np.abs(traces - rounded).max(initial=0.0) > CHAR_TOL:
+        raise NotRepresentation("isotypic ranks of the action are not integers")
+    return rounded
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ neither needs a singular value decomposition.  When a diagonal sign operator
 ``phi`` conjugates one self-adjoint operator into minus another, as the
 grading does with ``B - S`` and ``B + S`` in even degree (see
 :mod:`hpsig.complexes`), one eigensolve serves both: :func:`mirrored` reads
-the diagonalisation of ``-phi h phi`` off that of ``h``.
+the spectrum of ``-phi h phi`` off that of ``h``.
 
 When ``h`` leaves mutually orthogonal subspaces invariant that together span
 the space, such as the isotypic blocks of a group action that commutes with
@@ -195,24 +195,6 @@ def _block_frobenius_norm(blocks: Sequence[np.ndarray]) -> float:
     return float(np.linalg.norm([frobenius_norm(x) for x in blocks]))
 
 
-def _blocks_within(
-    blocks: Sequence[np.ndarray],
-    tol: float,
-    lower: float,
-    total: Callable[[], np.ndarray],
-    scale: Callable[[Callable[[np.ndarray], float]], float],
-) -> tuple[bool, float]:
-    """:func:`residual_within` of a residual whose nonzero entries lie in
-    ``blocks``, with ``lower = scale(_column_norm_bound)`` computed once by
-    the caller.  The Frobenius bound is summed over the blocks; only when it
-    fails is the residual laid out by ``total()`` and judged by
-    :func:`residual_within`."""
-    bound = _block_frobenius_norm(blocks)
-    if within(bound, tol * _BOUND_MARGIN, lower):
-        return True, bound
-    return residual_within(total(), tol, scale)
-
-
 def _hermitian_of(a: np.ndarray, skew: np.ndarray) -> np.ndarray:
     """``(a + a*) / 2``, self-adjoint entry for entry, for a square ``a``
     with skew residual ``skew = a - a*``, with no gate; ``a`` itself, which is
@@ -367,18 +349,16 @@ def block_spectrum(
     return BlockSpectrum(**_sign_classes(w, tol)[2], block_ranks=ranks)
 
 
-def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
-    """The diagonalisation of ``-phi h phi`` read off that of ``h``, where
-    ``phi`` is the diagonal operator with the entries ``signs``, each +1 or -1.
+def mirrored(spec: Spectrum) -> Spectrum:
+    """The spectrum of ``-phi h phi`` read off that of ``h``, where ``phi`` is
+    a diagonal operator with entries +1 and -1.
 
     ``-phi h phi`` is unitarily conjugate to ``-h``: its eigenvalues are those
-    of ``h`` negated (in ascending order again), its positive and negative
-    classes swap, and a split's projections become
-    ``p_+(-phi h phi) = phi p_-(h) phi`` and ``p_-(-phi h phi) = phi p_+(h) phi``,
-    which are entrywise sign changes.  The sign classes are those
-    :func:`spectrum` would give, since the threshold depends only on
-    ``max |lam|``.  A block spectrum's blocks keep their subspaces, which
-    ``phi`` must leave invariant, and swap their counts.
+    of ``h`` negated (in ascending order again), and its positive and negative
+    classes swap.  The sign classes are those :func:`spectrum` would give,
+    since the threshold depends only on ``max |lam|``.  A block spectrum's
+    blocks keep their subspaces, which ``phi`` must leave invariant, and swap
+    their counts.
     """
     fields = dict(
         eigenvalues=-spec.eigenvalues[::-1],
@@ -389,10 +369,7 @@ def mirrored(spec: Spectrum, signs: np.ndarray) -> Spectrum:
     )
     if isinstance(spec, BlockSpectrum):
         return BlockSpectrum(**fields, block_ranks=tuple((m, p) for p, m in spec.block_ranks))
-    if not isinstance(spec, SpectralSplit):
-        return Spectrum(**fields)
-    flip = signs[:, None] * signs
-    return SpectralSplit(**fields, p_plus=flip * spec.p_minus, p_minus=flip * spec.p_plus)
+    return Spectrum(**fields)
 
 
 def assemble_total(

@@ -27,51 +27,49 @@ those results.  ``check_coincidence`` diagonalises itself.
 of the same operation, and hand the results to ``_coincidence``, which skips
 the cone's chain-map gate that the check has just passed on the same data at
 the same tolerance.  Mishchenko's cone is not assembled: its compression is
-``B + S_h``, whose spectrum and split (and hence the reduced class) it shares,
-and its cone spectrum is that of ``B + S_h`` and ``B - S_h`` (see
-:mod:`hpsig.complexes`).  Over the trivial group (no action) only
-eigenvalues are computed and every class is an inertia count: Higson-Roe is
-``#pos(B + S) - #pos(B - S)``, reduced and Mishchenko are
-``#pos(B + S) - #neg(B + S)``.  With an action that is by signed
-permutations and commutes with the operator entry for entry, as on every
-triangulation, the same counts are taken in each isotypic block, one small
-eigensolve per irreducible character ``chi``, and every class is
-``sum_chi m_chi chi`` with the integer ``m_chi = count_chi / dim chi``; a
-count that ``dim chi`` does not divide raises NonEquivariantProjection.  With
-any other action (dense, or commuting only up to rounding) the classes are
-characters of spectral projections (:func:`~hpsig.groups.k0_from_projections`).
-Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S) phi``, whose counts and
-characters are those of ``p_-(B + S)`` exactly, so Higson-Roe and reduced
-agree to the last bit.  The comparison therefore checks the constructions'
-algebra and the gated grading identity, not the eigensolver; the independent
-check is an exact one, the intersection form on middle homology (ROADMAP
-Direction 2).
+``B + S_h``, whose spectrum (and hence the reduced class) it shares, and its
+cone spectrum is that of ``B + S_h`` and ``B - S_h`` (see
+:mod:`hpsig.complexes`).
+
+Every class is read off eigenvalue counts: those of each sign in each
+isotypic block of the action, one small eigensolve per irreducible character
+``chi``, give ``sum_chi m_chi chi`` with the integer
+``m_chi = count_chi / dim chi``; a count that ``dim chi`` does not divide
+raises NonEquivariantProjection.  Without an action the space is one block
+and a class is an inertia count, e.g. ``#pos(B + S) - #pos(B - S)``.  The
+blocks are read only for an action that passes the duality check's action
+gate (:func:`~hpsig.complexes._action_gates`), which every construction runs
+after its self-adjointness and nondegeneracy gates, and ``check_coincidence``
+after the chain-map gate too; failing it raises EquivarianceViolated, so the
+constructions accept exactly the actions that ``verify_duality`` accepts.
+
+Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S) phi``, whose block counts
+are those of ``p_-(B + S)`` exactly, so Higson-Roe and reduced agree to the
+last bit.  The comparison therefore checks the constructions' algebra and
+the gated grading identity, not the eigensolver; the independent check is an
+exact one, the intersection form on middle homology (ROADMAP Direction 2).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence, TypeVar
+from typing import Iterable
 
 import numpy as np
 
 from .complexes import (
     HilbertPoincareComplex,
-    _diagonalise,
+    _action_gates,
+    _ActionGates,
     _diagonalise_halves,
     _Halves,
     _hermitian_halves,
     _require_duality_chain_map,
+    _require_equivariant,
 )
 from .errors import DegenerateOperator, NonEquivariantProjection, OddDimension
-from .groups import (
-    CHAR_TOL,
-    FiniteGroup,
-    K0Class,
-    k0_equal,
-    k0_from_multiplicities,
-    k0_from_projections,
-)
+from .groups import CHAR_TOL, FiniteGroup, K0Class, k0_equal, k0_from_multiplicities
 from .linalg import (
     DEFAULT_TOL,
     BlockSpectrum,
@@ -116,57 +114,51 @@ def _require_even(hp: HilbertPoincareComplex) -> None:
         )
 
 
-_S = TypeVar("_S", bound=Spectrum)
-
-
-def _nondegenerate(spec: _S, what: str) -> _S:
+def _nondegenerate(spec: Spectrum, what: str) -> None:
     if spec.rank_zero:
-        raise DegenerateOperator(
-            f"{what} has a {spec.rank_zero}-dimensional numerical kernel"
-        )
-    return spec
+        raise DegenerateOperator(f"{what} has a {spec.rank_zero}-dimensional numerical kernel")
 
 
-def _total_operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, np.ndarray]:
-    """``B = b + b^*`` and ``S`` on the total space."""
-    b = hp.total_boundary()
-    return b + adjoint(b), hp.total_duality()
+def _group(hp: HilbertPoincareComplex) -> FiniteGroup:
+    """The group whose K_0 holds ``hp``'s classes."""
+    return FiniteGroup.trivial() if hp.action is None else hp.action.group
 
 
-def _halves(
-    hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
-) -> tuple[Spectrum, Spectrum]:
+def _operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, ...]:
+    """``b``, ``S``, ``B + S`` and ``B - S`` on the total space."""
+    b, s = hp.total_boundary(), hp.total_duality()
+    big_b = b + adjoint(b)
+    return b, s, big_b + s, big_b - s
+
+
+def _gated_halves(
+    hp: HilbertPoincareComplex,
+    b: np.ndarray,
+    s: np.ndarray,
+    plus_op: np.ndarray,
+    minus_op: np.ndarray,
+    tol: float,
+) -> tuple[BlockSpectrum, BlockSpectrum, _ActionGates]:
     """``B + S`` and ``B - S`` diagonalised for the classes over ``hp``'s
-    group, with ``B - S`` read off ``B + S`` through the grading in even
-    degree (see :func:`~hpsig.complexes._diagonalise_halves`)."""
-    return _diagonalise_halves(plus_op, minus_op, hp.degree_signs(), hp.n, tol, hp.action)
+    group, and the action gate on ``b`` and ``S``; over the trivial group,
+    for the gates that precede the action's, when that gate fails."""
+    gates = _action_gates(hp, b, s, tol)
+    action = hp.action if all(ok for ok, _ in gates) else None
+    return (*_diagonalise_halves(plus_op, minus_op, hp.n, tol, action), gates)
 
 
-def _nondegenerate_halves(
-    hp: HilbertPoincareComplex, plus_op: np.ndarray, minus_op: np.ndarray, tol: float
-) -> tuple[Spectrum, Spectrum]:
-    """``B + S`` and ``B - S``, diagonalised and checked in turn."""
-    plus, minus = _halves(hp, plus_op, minus_op, tol)
-    return _nondegenerate(plus, "B + S"), _nondegenerate(minus, "B - S")
-
-
-def _inertia_class(rank: int) -> K0Class:
-    """A class over the trivial group, whose K_0 is the integers."""
-    return K0Class(FiniteGroup.trivial(), (complex(rank),))
-
-
-def _isotypic_class(group: FiniteGroup, first: Sequence[int], second: Sequence[int]) -> K0Class:
+def _isotypic_class(group: FiniteGroup, counts: Iterable[tuple[int, int]]) -> K0Class:
     """``[p_1] - [p_2]`` for spectral projections ``p_1`` and ``p_2`` whose
     images meet the isotypic block of the ``c``-th irreducible character
-    ``chi`` in ``first[c]`` and ``second[c]`` dimensions.
+    ``chi`` in ``counts[c] = (first, second)`` dimensions.
 
     Each such image is a sum of copies of ``chi``, so each count is a
     multiple of ``dim chi``, and the class is ``sum_chi m_chi chi`` with the
-    integer ``m_chi = (first[c] - second[c]) / dim chi``.  A count that
-    ``dim chi`` does not divide raises NonEquivariantProjection.
+    integer ``m_chi = (first - second) / dim chi``.  A count that ``dim chi``
+    does not divide raises NonEquivariantProjection.
     """
     multiplicities = []
-    for d, one, two in zip(group.character_degrees, first, second):
+    for d, (one, two) in zip(group.character_degrees, counts):
         if one % d or two % d:
             raise NonEquivariantProjection(
                 f"spectral projections have ranks ({one}, {two}) in the isotypic "
@@ -176,53 +168,30 @@ def _isotypic_class(group: FiniteGroup, first: Sequence[int], second: Sequence[i
     return k0_from_multiplicities(group, multiplicities)
 
 
-def _signed_class(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> K0Class:
-    """Positive minus negative part of a nondegenerate self-adjoint operator."""
-    if hp.action is None:
-        return _inertia_class(split.rank_plus - split.rank_minus)
-    if isinstance(split, BlockSpectrum):
-        plus, minus = zip(*split.block_ranks)
-        return _isotypic_class(hp.action.group, plus, minus)
-    return k0_from_projections(split.p_plus, split.p_minus, hp.action, tol=tol)
-
-
-def _higson_roe(
-    hp: HilbertPoincareComplex, plus: Spectrum, minus: Spectrum, tol: float
-) -> SignatureResult:
+def _higson_roe(group: FiniteGroup, plus: BlockSpectrum, minus: BlockSpectrum) -> SignatureResult:
     """Higson-Roe class from the nondegenerate ``B + S`` and ``B - S``."""
-    if hp.action is None:
-        k0 = _inertia_class(plus.rank_plus - minus.rank_plus)
-    elif isinstance(plus, BlockSpectrum):
-        first = [p for p, _ in plus.block_ranks]
-        second = [p for p, _ in minus.block_ranks]
-        k0 = _isotypic_class(hp.action.group, first, second)
-    else:
-        k0 = k0_from_projections(plus.p_plus, minus.p_plus, hp.action, tol=tol)
+    counts = [(p, q) for (p, _), (q, _) in zip(plus.block_ranks, minus.block_ranks)]
     gap = min(plus.min_abs_nonzero_eigenvalue, minus.min_abs_nonzero_eigenvalue)
-    return SignatureResult(method="higson-roe", k0=k0, spectral_gap=gap)
+    return SignatureResult(method="higson-roe", k0=_isotypic_class(group, counts), spectral_gap=gap)
 
 
-def _reduced(hp: HilbertPoincareComplex, split: Spectrum, tol: float) -> SignatureResult:
-    """Reduced class from ``b + b^* + S``."""
-    _nondegenerate(split, "b + b* + S")
-    return SignatureResult(
-        method="reduced",
-        k0=_signed_class(hp, split, tol),
-        spectral_gap=split.min_abs_nonzero_eigenvalue,
-    )
+def _reduced(group: FiniteGroup, split: BlockSpectrum) -> SignatureResult:
+    """Reduced class from the nondegenerate ``b + b^* + S``."""
+    k0 = _isotypic_class(group, split.block_ranks)
+    return SignatureResult(method="reduced", k0=k0, spectral_gap=split.min_abs_nonzero_eigenvalue)
 
 
-def _mishchenko(
-    hp: HilbertPoincareComplex, plus: Spectrum, minus: Spectrum, tol: float, k0: K0Class | None
-) -> SignatureResult:
-    """Mishchenko's class from its compression ``B + S_h`` and ``B - S_h``,
-    whose spectra together are the cone's; ``k0`` is the compression's class
-    when the caller has it, and None otherwise."""
-    cone = classify_eigenvalues(np.concatenate([plus.eigenvalues, minus.eigenvalues]), tol)
-    _nondegenerate(cone, "cone operator")
-    _nondegenerate(plus, "compressed cone operator")
+def _cone(plus: Spectrum, minus: Spectrum, tol: float) -> Spectrum:
+    """The spectrum of Mishchenko's cone operator, that of its compressions
+    ``B + S_h`` and ``B - S_h`` together."""
+    return classify_eigenvalues(np.concatenate([plus.eigenvalues, minus.eigenvalues]), tol)
+
+
+def _mishchenko(group: FiniteGroup, plus: BlockSpectrum, cone: Spectrum) -> SignatureResult:
+    """Mishchenko's class from the nondegenerate compression ``B + S_h`` and
+    the cone's spectrum (:func:`_cone`)."""
     gap = min(cone.min_abs_nonzero_eigenvalue, plus.min_abs_nonzero_eigenvalue)
-    k0 = _signed_class(hp, plus, tol) if k0 is None else k0
+    k0 = _isotypic_class(group, plus.block_ranks)
     return SignatureResult(method="mishchenko", k0=k0, spectral_gap=gap)
 
 
@@ -231,8 +200,11 @@ def higson_roe_signature(
 ) -> SignatureResult:
     """Difference class of the positive parts of ``B + S`` and ``B - S``."""
     _require_even(hp)
-    big_b, s = _total_operators(hp)
-    return _higson_roe(hp, *_nondegenerate_halves(hp, big_b + s, big_b - s, tol), tol)
+    plus, minus, gates = _gated_halves(hp, *_operators(hp), tol)
+    _nondegenerate(plus, "B + S")
+    _nondegenerate(minus, "B - S")
+    _require_equivariant(gates)
+    return _higson_roe(_group(hp), plus, minus)
 
 
 def mishchenko_signature(
@@ -250,8 +222,12 @@ def mishchenko_signature(
     skew = s - adjoint(s)
     _require_self_adjoint(b + adjoint(b) + s, skew, tol)
     _require_duality_chain_map(hp, tol)
-    plus_op, minus_op = _hermitian_halves(b, s, skew)
-    return _mishchenko(hp, *_halves(hp, plus_op, minus_op, tol), tol, None)
+    plus, minus, gates = _gated_halves(hp, b, s, *_hermitian_halves(b, s, skew), tol)
+    cone = _cone(plus, minus, tol)
+    _nondegenerate(cone, "cone operator")
+    _nondegenerate(plus, "compressed cone operator")
+    _require_equivariant(gates)
+    return _mishchenko(_group(hp), plus, cone)
 
 
 def reduced_signature(
@@ -259,8 +235,11 @@ def reduced_signature(
 ) -> SignatureResult:
     """Signature of ``b + b^* + S`` on the total space."""
     _require_even(hp)
-    big_b, s = _total_operators(hp)
-    return _reduced(hp, _diagonalise((big_b + s,), tol, hp.action)[0], tol)
+    # in even degree B - S costs nothing: it is the mirror of B + S
+    plus, _, gates = _gated_halves(hp, *_operators(hp), tol)
+    _nondegenerate(plus, "b + b* + S")
+    _require_equivariant(gates)
+    return _reduced(_group(hp), plus)
 
 
 @dataclass(frozen=True)
@@ -301,53 +280,50 @@ def _coincidence(
 ) -> CoincidenceReport:
     """:func:`check_coincidence`, reusing ``halves`` when given.
 
-    ``halves`` must come from the duality check of ``hp``'s duality at the
-    same ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for
-    the classes over ``hp``'s group.  Such halves exist only for a duality
-    that passed the self-adjointness gate and the cone's chain-map gate,
-    which is therefore not run again.  Otherwise ``B + S`` and ``B - S`` are
-    diagonalised here, and :func:`~hpsig.linalg.spectrum` reads them as
-    ``B + S_h`` and ``B - S_h`` bit for bit (``B`` and ``S`` share no entry).
+    ``halves`` must come from the duality check of ``hp`` at the same
+    ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for the
+    classes over ``hp``'s group.  Such halves exist only for a duality that
+    passed the self-adjointness, chain-map and action gates, which are
+    therefore not run again.  Otherwise ``B + S`` and ``B - S`` are
+    diagonalised here, read as ``B + S_h`` and ``B - S_h`` bit for bit (``B``
+    and ``S`` share no entry), and the chain-map and action gates follow the
+    nondegeneracy gates.  ``B - S`` is the mirror of ``B + S``, so the cone
+    and the compression are nondegenerate with them.
     """
     _require_even(hp)
     # B + S_h and B - S_h are diagonalised once, together, and shared by all
     # three constructions.
     if halves is None:
-        big_b, s = _total_operators(hp)
-        plus_op, minus_op = big_b + s, big_b - s
-        plus, minus = _nondegenerate_halves(hp, plus_op, minus_op, tol)
+        b, s, plus_op, minus_op = _operators(hp)
+        plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
     else:
         plus_op, minus_op = halves.plus_op, halves.minus_op
-        plus = _nondegenerate(halves.plus, "B + S")
-        minus = _nondegenerate(halves.minus, "B - S")
-    hr = _higson_roe(hp, plus, minus, tol)
+        plus, minus = halves.plus, halves.minus
+    _nondegenerate(plus, "B + S")
+    _nondegenerate(minus, "B - S")
     if halves is None:
         _require_duality_chain_map(hp, tol)
+        _require_equivariant(gates)
+    group = _group(hp)
     # Mishchenko's compression is B + S_h, so its class is the reduced one
-    re = _reduced(hp, plus, tol)
-    results = (hr, _mishchenko(hp, plus, minus, tol, re.k0), re)
-    diffs = [0.0]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            diffs.extend(
-                abs(x - y)
-                for x, y in zip(results[i].k0.values, results[j].k0.values)
-            )
-    max_diff = max(diffs)
+    results = (
+        _higson_roe(group, plus, minus),
+        _mishchenko(group, plus, _cone(plus, minus, tol)),
+        _reduced(group, plus),
+    )
+    pairs = list(itertools.combinations(results, 2))
+    max_diff = max(
+        [0.0, *(abs(x - y) for p, q in pairs for x, y in zip(p.k0.values, q.k0.values))]
+    )
     signs = hp.degree_signs()
     graded, residual = residual_within(
         signs[:, None] * minus_op * signs + plus_op,
         tol,
         lambda norm: max(norm(plus_op), norm(minus_op)),
     )
-    all_equal = all(
-        k0_equal(results[i].k0, results[j].k0, tol=char_tol)
-        for i in range(3)
-        for j in range(i + 1, 3)
-    )
     return CoincidenceReport(
         results=results,
         max_character_difference=max_diff,
         grading_conjugation_residual=residual,
-        passed=all_equal and graded,
+        passed=graded and all(k0_equal(p.k0, q.k0, tol=char_tol) for p, q in pairs),
     )

@@ -32,10 +32,11 @@ lookup for the image (:func:`_simplex_images`), which the chain action, the
 isotropy count of :func:`geometry_stats` and :func:`barycentric_subdivide`
 share.  The chain action is handed to :class:`~hpsig.groups.GroupAction` as
 signed permutations, and its commutators with the boundary and the duality
-are gated block by block.  For vertex maps that scramble the global order the
-cap matrices do not commute with the action on the nose (the split point of a
-facet moves with the sort), so equivariant duality operators are built by
-averaging the phased cap over the group; see :func:`_average_over_group`.
+are gated block by block by the duality check's action gate.  For vertex maps
+that scramble the global order the cap matrices do not commute with the
+action on the nose (the split point of a facet moves with the sort), so
+equivariant duality operators are built by averaging the phased cap over the
+group; see :func:`_average_over_group`.
 """
 
 from __future__ import annotations
@@ -52,7 +53,10 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
+    _action_gates,
+    _ActionGates,
     _anticommutator,
+    _commutator_blocks,
     _duality_sides,
     _Halves,
     _verify_duality,
@@ -72,8 +76,6 @@ from .groups import FiniteGroup, GroupAction, _SignedPermutation
 from .linalg import (
     DEFAULT_TOL,
     _block_frobenius_norm,
-    _blocks_within,
-    _column_norm_bound,
     adjoint,
     frobenius_norm,
     residual_within,
@@ -429,8 +431,8 @@ class CapReport:
     (Frobenius bounds); ``chain_residual`` is the Frobenius norm of the
     anticommutator ``b S + S b^*`` that the duality check forms for its own
     chain gate.  ``passed`` is the verdict of :func:`verify_duality` on the
-    symmetrized family, whose cone operator's smallest |eigenvalue| is
-    ``cone_min_singular_value``.
+    symmetrized family, with the action when one is given, and the cone
+    operator's smallest |eigenvalue| is ``cone_min_singular_value``.
     """
 
     tol: float
@@ -464,15 +466,14 @@ def duality_operator(
 @dataclass(frozen=True)
 class _CapDuality:
     """One pass of :func:`_duality_from_cap`: the duality and its report, the
-    total boundary ``b`` and total duality ``s`` it was checked on, and, for
-    the signature constructions, the halves ``B + S`` and ``B - S`` with their
-    diagonalisations when the duality check returned them (see
+    action gate of the duality check, and, for the signature constructions,
+    the halves ``B + S`` and ``B - S`` with their diagonalisations when the
+    duality check returned them (see
     :func:`~hpsig.complexes._verify_duality`)."""
 
     dual: DualityOperator
     report: CapReport
-    b: np.ndarray
-    s: np.ndarray
+    gates: _ActionGates
     halves: _Halves | None
 
 
@@ -503,8 +504,10 @@ def _duality_from_cap(
 ) -> _CapDuality:
     """:func:`duality_operator` of a closed manifold from its phased cap.
 
-    The halves are kept only ``for_signatures``, diagonalised for the classes
-    over the group of ``rho`` (see :func:`~hpsig.complexes._diagonalise`), as
+    The duality check gates ``rho`` when it is given, so ``passed`` holds
+    only for an action that commutes with ``b`` and ``S``.  The halves are
+    kept only ``for_signatures``, diagonalised for the classes over the group
+    of ``rho`` (see :func:`~hpsig.complexes._diagonalise`), as
     :func:`~hpsig.signature._coincidence` reads them.  Otherwise the check
     computes spectra only and the halves are None.
     """
@@ -522,8 +525,8 @@ def _duality_from_cap(
     dual = DualityOperator(_symmetrize(phased))
     stot = dual.total(chain)
     sym_res = frobenius_norm(ptot - stot)
-    rep, halves, anti = _verify_duality(
-        HilbertPoincareComplex(chain, dual), tol, btot, stot, rho if for_signatures else None
+    rep, halves, anti, gates = _verify_duality(
+        HilbertPoincareComplex(chain, dual, rho), tol, btot, stot, rho if for_signatures else None
     )
     report = CapReport(
         tol=tol,
@@ -545,7 +548,7 @@ def _duality_from_cap(
             f"(residual {raw_res:.3e}); the phase normalization does not fit "
             f"this complex"
         )
-    return _CapDuality(dual, report, btot, stot, halves if for_signatures else None)
+    return _CapDuality(dual, report, gates, halves if for_signatures else None)
 
 
 @dataclass(eq=False)
@@ -722,16 +725,6 @@ def verify_equivariance(
     return report
 
 
-def _commutator_blocks(
-    rho: GroupAction, g: int, blocks: Sequence[tuple[int, int, np.ndarray]]
-) -> list[np.ndarray]:
-    """The nonzero degree blocks of ``rho(g) x - x rho(g)`` for the operator
-    ``x`` on the total space whose nonzero blocks are ``(row degree, column
-    degree, block)``: ``rho(g)`` preserves degree, so each block of ``x``
-    gives one block of the commutator."""
-    return [rho.operator(g, r).commutator(x, rho.operator(g, c)) for r, c, x in blocks]
-
-
 def _equivariant_structure(
     m: OrientedSimplicialManifold,
     action: SimplicialAction,
@@ -746,14 +739,11 @@ def _equivariant_structure(
     or when not ``for_signatures``).
 
     For a closed manifold the duality is :func:`duality_operator` with the
-    action; with boundary it is the group averaged, symmetrized phased cap.
-
-    Each element's commutators with ``b`` and ``S`` are formed on their
-    nonzero degree blocks (:func:`_commutator_blocks`) and gated by
-    :func:`~hpsig.linalg._blocks_within`, against one column-norm scale for
-    all gates; a commutator on the total space is laid out only for a gate
-    whose block-summed Frobenius bound fails.  ``raw_cap_residual`` is the
-    block-summed Frobenius norm of the raw cap's commutators.
+    action, and the report reads the action gate of its duality check; with
+    boundary it is the group averaged, symmetrized phased cap, gated here by
+    the same rule (:func:`~hpsig.complexes._action_gates`).
+    ``raw_cap_residual`` is the block-summed Frobenius norm of the raw cap's
+    commutators.
     """
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
@@ -761,41 +751,23 @@ def _equivariant_structure(
     phased, phases = _phased_cap(m, chains)
     if m.with_boundary:
         dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
-        btot, stot, halves = chain.total_boundary(), dual.total(chain), None
+        hp = HilbertPoincareComplex(chain, dual, rho)
+        gates, halves = _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
     else:
         cap = _duality_from_cap(chains, phased, phases, tol, rho, for_signatures)
-        dual, btot, stot, halves = cap.dual, cap.b, cap.s, cap.halves
+        dual, gates, halves = cap.dual, cap.gates, cap.halves
     n = chain.n
-    # (row degree, column degree, block) of b, S and the raw cap
-    b_blocks = [(k - 1, k, chain.boundary(k)) for k in range(1, n + 1)]
-    s_blocks = [(k, n - k, dual.blocks[k]) for k in range(n + 1)]
     raw_blocks = [(k, n - k, phased[k]) for k in range(n + 1)]
-
-    def scale(norm) -> float:
-        return max(norm(btot), norm(stot))
-
-    lower = scale(_column_norm_bound)
-
-    def gate(g: int, blocks, total: np.ndarray) -> tuple[bool, float]:
-        return _blocks_within(
-            _commutator_blocks(rho, g, blocks),
-            tol,
-            lower,
-            lambda: rho.operator(g).commutator(total),
-            scale,
-        )
-
-    elements = range(rho.group.order)
-    b_gates = [gate(g, b_blocks, btot) for g in elements]
-    s_gates = [gate(g, s_blocks, stot) for g in elements]
+    (b_ok, b_res), (s_ok, s_res) = gates
     report = EquivarianceReport(
         tol=tol,
-        boundary_residual=max(res for _, res in b_gates),
-        duality_residual=max(res for _, res in s_gates),
+        boundary_residual=b_res,
+        duality_residual=s_res,
         raw_cap_residual=max(
-            _block_frobenius_norm(_commutator_blocks(rho, g, raw_blocks)) for g in elements
+            _block_frobenius_norm(_commutator_blocks(rho, g, raw_blocks))
+            for g in range(rho.group.order)
         ),
-        passed=all(ok for ok, _ in b_gates + s_gates),
+        passed=b_ok and s_ok,
     )
     return rho, dual, report, halves
 

@@ -49,7 +49,7 @@ from hpsig.fixtures import (
     octahedron,
     octahedron_rotation,
 )
-from hpsig.linalg import BlockSpectrum, SpectralSplit, Spectrum
+from hpsig.linalg import BlockSpectrum
 
 
 def _interval() -> ChainComplex:
@@ -387,7 +387,7 @@ def test_the_grading_mirrors_b_minus_s_on_every_even_sweep_case(verdict_sweep):
     for name, hp, _ in verdict_sweep.base_cases(2):
         for variant, case in verdict_sweep._variants(hp, name, verdict_sweep.perturbed):
             count += _mirrors(case, f"{name} {variant}")
-    assert count == (7 + 2 * 12) * 11
+    assert count == (8 + 2 * 12) * 11
 
 
 def _mirrors(hp, name):
@@ -462,29 +462,23 @@ def test_mirrored_halves_match_an_independent_diagonalisation(name):
     signs = hp.degree_signs()
     # in even top degree the grading conjugates B - S into -(B + S) exactly
     assert np.array_equal(signs[:, None] * (big_b - s) * signs, -(big_b + s))
-    # over the trivial group, and over the action's group by its route: the
-    # isotypic blocks of the exactly commuting octahedron action, the spectral
-    # split of the dense generated one
-    routes = [(None, Spectrum)]
-    if hp.action is not None:
-        routes.append((hp.action, BlockSpectrum if name == "octahedron-z4" else SpectralSplit))
-    for action, kind in routes:
-        plus, minus = complexes._diagonalise_halves(
-            big_b + s, big_b - s, signs, hp.n, 1e-9, action
-        )
+    # over the trivial group, one block, and over the action's group, one
+    # block per irreducible character: from the orbits of the exactly
+    # commuting octahedron action, and degree by degree for the dense
+    # generated ones
+    actions = [None] if hp.action is None else [None, hp.action]
+    for action in actions:
+        plus, minus = complexes._diagonalise_halves(big_b + s, big_b - s, hp.n, 1e-9, action)
         (own,) = complexes._diagonalise((big_b - s,), 1e-9, action)
-        assert type(minus) is type(own) is kind
+        assert type(minus) is type(own) is BlockSpectrum
         assert (minus.rank_plus, minus.rank_minus, minus.rank_zero) == (
             own.rank_plus, own.rank_minus, own.rank_zero
         )
         scale = max(1.0, float(np.abs(own.eigenvalues).max()))
         assert np.abs(minus.eigenvalues - own.eigenvalues).max() <= 1e-12 * scale
         assert abs(minus.min_abs_nonzero_eigenvalue - own.min_abs_nonzero_eigenvalue) <= 1e-12 * scale
-        if kind is SpectralSplit:
-            assert np.abs(minus.p_plus - own.p_plus).max() <= 1e-9
-            assert np.abs(minus.p_minus - own.p_minus).max() <= 1e-9
-        if kind is BlockSpectrum:
-            assert minus.block_ranks == own.block_ranks
+        assert minus.block_ranks == own.block_ranks
+        assert len(own.block_ranks) == (1 if action is None else len(action.group.characters))
 
 
 @pytest.mark.parametrize(
@@ -528,7 +522,7 @@ def test_cone_chain_map_gate_reads_the_chain_condition_blocks(name, monkeypatch)
     monkeypatch.setattr(complexes, "_chain_map_sides", count)
     duality_cone(hp)
     assert len(seen) == len(formed) == 1
-    rep, _, anti = complexes._verify_duality(hp, 1e-9)
+    rep, _, anti, _ = complexes._verify_duality(hp, 1e-9)
     # the cone's gate, and the duality check's own run of it, see the blocks
     # of b S + S b* that the chain condition gates; the check forms those
     # sides once and gates them once

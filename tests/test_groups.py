@@ -293,8 +293,10 @@ def test_dense_action_builds_each_element_once_per_call(monkeypatch):
     k0_from_projections(split.p_plus, split.p_minus, act)
     assert calls == list(range(act.group.order))
     calls.clear()
+    # the action gate forms its commutators on the degree blocks, and a passing
+    # gate lays out no element on the total space
     assert verify_duality(hp).passed
-    assert calls == list(range(act.group.order))
+    assert calls == []
 
 
 def _orthonormal(group: FiniteGroup) -> None:
@@ -336,34 +338,57 @@ def test_character_values_are_exact_where_they_lie_in_a_lattice():
     )
 
 
-@pytest.mark.parametrize("rotations", [octahedron_rotation, octahedron_rotation_group])
-def test_isotypic_bases_span_the_isotypic_images(rotations):
-    m, act = barycentric_subdivide(octahedron(), rotations())
-    rho = chain_action(m, act)
+def _assert_spans_the_isotypic_images(rho, tol):
+    """``rho``'s isotypic bases are orthonormal, each column lies in one
+    degree, and each basis spans the image of its isotypic projection."""
     group = rho.group
     bases = rho.isotypic_bases
     assert len(bases) == len(group.conjugacy_classes)
     assert sum(q.shape[1] for q in bases) == sum(rho.dims)
     together = np.hstack(bases)
-    assert np.abs(adjoint(together) @ together - np.eye(together.shape[1])).max() <= 1e-12
+    assert np.abs(adjoint(together) @ together - np.eye(together.shape[1])).max() <= tol
+    degree = np.repeat(np.arange(len(rho.dims)), rho.dims)
+    for column in together.T:
+        assert np.unique(degree[np.flatnonzero(column)]).size == 1
     chars = group.characters[:, group.class_index]
     for q, chi, d in zip(bases, chars, group.character_degrees):
         proj = sum(np.conj(chi[g]) * rho.total(g) for g in range(group.order)) * d / group.order
-        assert np.abs(q @ adjoint(q) - proj).max() <= 1e-12
+        assert np.abs(q @ adjoint(q) - proj).max() <= tol
         assert q.shape[1] % d == 0
+    return bases
+
+
+@pytest.mark.parametrize("rotations", [octahedron_rotation, octahedron_rotation_group])
+def test_isotypic_bases_span_the_isotypic_images(rotations):
+    m, act = barycentric_subdivide(octahedron(), rotations())
+    rho = chain_action(m, act)
+    group = rho.group
+    bases = _assert_spans_the_isotypic_images(rho, 1e-12)
+    chars = group.characters[:, group.class_index]
+    for q, chi in zip(bases, chars):
         assert q.dtype == (np.float64 if not np.any(chi.imag) else np.complex128)
 
 
-def test_isotypic_route_needs_an_exact_signed_permutation_action():
-    hp, _ = generate_with_signature(0, "n2-z4-d4")
-    rho = hp.action
-    assert not rho.is_signed_permutation
-    assert rho.isotypic_bases is None
-    assert not rho.commutes_exactly(np.eye(sum(rho.dims)))
+def test_dense_actions_get_bases_that_span_the_isotypic_images():
+    # a generated Z/4 action, and the 24 rotations of the subdivided
+    # octahedron conjugated by random unitaries, whose characters have
+    # degrees 1, 1, 2, 3 and 3: both take the degree-by-degree route
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation_group())
+    rotations = chain_action(m, act)
+    rng = np.random.default_rng(11)
+    twisted = rotations.conjugated([random_unitary(rng, d) for d in rotations.dims])
+    for rho in (generate_with_signature(0, "n2-z4-d4")[0].action, twisted):
+        assert not rho.is_signed_permutation
+        _assert_spans_the_isotypic_images(rho, 1e-12)
+    # the same ranks as the orbit route's
+    assert [q.shape[1] for q in twisted.isotypic_bases] == [
+        q.shape[1] for q in rotations.isotypic_bases
+    ]
+    # a signed-permutation action that composes exactly takes the orbit route
     swap = GroupAction(FiniteGroup.cyclic(2), ((np.eye(2),), (np.array([[0, 1], [1, 0]]),)))
-    assert swap.commutes_exactly(np.ones((2, 2)))
-    assert not swap.commutes_exactly(np.diag([1.0, 2.0]))
     assert [q.shape[1] for q in swap.isotypic_bases] == [1, 1]
+    orbit_sums = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+    assert np.abs(np.hstack(swap.isotypic_bases) - orbit_sums).max() <= 1e-15
 
 
 def test_k0_from_multiplicities():

@@ -23,17 +23,19 @@ from hpsig import (
     mishchenko_signature,
     opposite,
     OrientedSimplicialManifold,
+    random_unitary,
     reduced_signature,
     spectral_split,
     to_hp_complex,
+    twist,
     verify_duality,
     verify_equivariance,
     write_smf,
 )
-from hpsig import complexes, signature
+from hpsig import complexes, groups, linalg, signature, simplicial
 from hpsig.cli import main
 from hpsig.simplicial import manifold_signature
-from hpsig.errors import DegenerateOperator, NotSelfAdjoint, OddDimension
+from hpsig.errors import DegenerateOperator, EquivarianceViolated, NotSelfAdjoint, OddDimension
 from hpsig.fixtures import (
     cp2_nine_vertex,
     cp2_triple_s3,
@@ -294,8 +296,33 @@ def _flipped(m):
     return OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
 
 
+def _forbid_the_projection_route(monkeypatch):
+    """Record every call of ``spectral_split`` and ``k0_from_projections``
+    through their modules from here on; returns the list of calls."""
+    calls = []
+    for module, name in ((linalg, "spectral_split"), (groups, "k0_from_projections")):
+        monkeypatch.setattr(module, name, lambda *args, name=name, **kwargs: calls.append(name))
+    return calls
+
+
+def _four_entry_points(hp):
+    """The classes of the three constructions, alone and in the coincidence
+    check, by method."""
+    rep = check_coincidence(hp)
+    assert rep.passed and rep.max_character_difference == 0.0
+    alone = [f(hp) for f in (higson_roe_signature, mishchenko_signature, reduced_signature)]
+    return [*rep.results, *alone]
+
+
+def _assert_integer_classes(results, group):
+    for r in results:
+        m_chi = r.k0.multiplicities
+        assert all(type(x) is int for x in m_chi)
+        assert r.k0.values == tuple(np.asarray(m_chi) @ group.characters)
+
+
 @pytest.mark.parametrize("name", ["cp2", "cp2-flip", "s4", "n0", "n2", "n4"])
-def test_inertia_classes_match_the_projection_classes(name):
+def test_inertia_classes_match_the_projection_classes(name, monkeypatch):
     if name.startswith("cp2"):
         m = cp2_nine_vertex()
         hp = to_hp_complex(_flipped(m) if name == "cp2-flip" else m)
@@ -313,11 +340,14 @@ def test_inertia_classes_match_the_projection_classes(name):
         "mishchenko": k0_from_projections(compression.p_plus, compression.p_minus),
         "reduced": k0_from_projections(plus.p_plus, plus.p_minus),
     }
-    rep = check_coincidence(hp)
-    assert rep.passed
-    for r in rep.results:
+    projections = _forbid_the_projection_route(monkeypatch)
+    results = _four_entry_points(hp)
+    assert projections == []
+    for r in results:
         assert r.k0.group.same_group(want[r.method].group)
         assert r.k0.values == want[r.method].values
+    # over the trivial group the one multiplicity is the inertia difference
+    _assert_integer_classes(results, want["reduced"].group)
 
 
 def _triangulation_with_action(name):
@@ -344,28 +374,55 @@ def _projection_classes(hp):
     }
 
 
+def _twisted_rotations():
+    """The subdivided octahedron with its 24 rotations, conjugated degree by
+    degree by seeded random unitaries: a dense action with characters of
+    degrees 1, 1, 2, 3 and 3."""
+    hp = to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
+    rng = np.random.default_rng(24)
+    return twist(hp, [random_unitary(rng, d) for d in hp.dims])
+
+
 @pytest.mark.parametrize(
     "name",
-    ["octahedron-z4-coarse", "octahedron-z4", "octahedron-rot24", "sphere-pair-swap", "cp2-s3"],
+    [
+        "octahedron-z4-coarse",
+        "octahedron-z4",
+        "octahedron-rot24",
+        "sphere-pair-swap",
+        "cp2-s3",
+        "n0-z2-d4/1",
+        "n2-z2-d4/2",
+        "n4-z3-d3/0",
+        "n2-z3-d6/4",
+        "n2-z4-d4/1",
+        "n4-z4-d8/3",
+        "octahedron-rot24-twisted",
+    ],
 )
 def test_isotypic_classes_match_the_projection_classes(name, monkeypatch):
-    m, action = _triangulation_with_action(name)
-    hp = to_hp_complex(m, action)
-    # every triangulation's action commutes with B + S entry for entry
-    b = hp.total_boundary()
-    assert hp.action.commutes_exactly(b + adjoint(b) + hp.total_duality())
+    if name == "octahedron-rot24-twisted":
+        m, hp = None, _twisted_rotations()
+    elif "/" in name:
+        profile, seed = name.rsplit("/", 1)
+        m, hp = None, generate_with_signature(int(seed), profile)[0]
+    else:
+        m, action = _triangulation_with_action(name)
+        hp = to_hp_complex(m, action)
+    # triangulations take the orbit route, generated and twisted complexes
+    # the dense one
+    assert hp.action.is_signed_permutation == (m is not None)
     want = _projection_classes(hp)
-    projections = []
-    monkeypatch.setattr(signature, "k0_from_projections",
-                        lambda *args, **kwargs: projections.append(args))
-    for rep in (check_coincidence(hp), manifold_signature(m, action)):
+    projections = _forbid_the_projection_route(monkeypatch)
+    results = _four_entry_points(hp)
+    if m is not None:
+        rep = manifold_signature(m, action)
         assert rep.passed and rep.max_character_difference == 0.0
-        for r in rep.results:
-            assert np.abs(np.subtract(r.k0.values, want[r.method].values)).max() <= 1e-9
-            m_chi = r.k0.multiplicities
-            assert all(type(x) is int for x in m_chi)
-            assert r.k0.values == tuple(np.asarray(m_chi) @ hp.action.group.characters)
+        results.extend(rep.results)
     assert projections == []
+    for r in results:
+        assert np.abs(np.subtract(r.k0.values, want[r.method].values)).max() <= 1e-9
+    _assert_integer_classes(results, hp.action.group)
 
 
 def test_cp2_triple_s3_has_exact_integer_multiplicities():
@@ -385,17 +442,65 @@ def test_cp2_triple_s3_has_exact_integer_multiplicities():
         assert r.k0.values == (3, 1, 0)
 
 
-def test_inexactly_commuting_duality_takes_the_projection_route():
+def test_inexactly_commuting_duality_keeps_the_integer_classes():
     m, action = barycentric_subdivide(octahedron(), octahedron_rotation())
     hp = to_hp_complex(m, action)
     blocks = [blk.copy() for blk in hp.duality.blocks]
     blocks[1][0, 0] += 1e-13  # within every gate, but no longer equivariant exactly
     moved = HilbertPoincareComplex(hp.chain, DualityOperator(tuple(blocks)), hp.action)
-    b = moved.total_boundary()
-    assert not moved.action.commutes_exactly(b + adjoint(b) + moved.total_duality())
-    assert verify_duality(moved).passed
-    exact, fallback = check_coincidence(hp), check_coincidence(moved)
-    assert fallback.passed
-    for e, f in zip(exact.results, fallback.results):
-        assert f.k0.multiplicities is None
-        assert k0_equal(e.k0, f.k0, tol=1e-9)
+    rep = verify_duality(moved)
+    assert rep.passed and 0.0 < rep.action_residual <= 1e-12
+    # the off-block part of B + S moves no eigenvalue across the threshold
+    for e, f in zip(_four_entry_points(hp), _four_entry_points(moved)):
+        assert e.method == f.method
+        assert f.k0.multiplicities == e.k0.multiplicities
+        assert f.k0.values == e.k0.values
+
+
+def _noncommuting(name, monkeypatch):
+    """A complex whose action fails the duality check's action gate, and the
+    triangulation it comes from (None for a generated complex)."""
+    if name == "unaveraged-cap":
+        # the coarse octahedron's rotation scrambles the vertex order, so the
+        # phased cap commutes with it only after the group average
+        monkeypatch.setattr(simplicial, "_average_over_group", lambda blocks, rho: list(blocks))
+        m, action = octahedron(), octahedron_rotation()
+        return to_hp_complex(m, action), (m, action)
+    hp = generate_with_signature(1, "n2-z3-d4")[0]
+    rng = np.random.default_rng(3)
+    moved = hp.action.conjugated([random_unitary(rng, d) for d in hp.dims])
+    return HilbertPoincareComplex(hp.chain, hp.duality, moved), None
+
+
+@pytest.mark.parametrize("name", ["unaveraged-cap", "conjugated-action"])
+def test_actions_that_fail_the_duality_checks_action_gate_are_rejected(name, monkeypatch):
+    hp, tri = _noncommuting(name, monkeypatch)
+    rep = verify_duality(hp)
+    assert rep.failures == ("action does not commute with the structure maps",)
+    message = f"action does not commute with the structure maps: residual {rep.action_residual:.3e}"
+    entry_points = [higson_roe_signature, mishchenko_signature, reduced_signature, check_coincidence]
+    if tri is not None:
+        entry_points.append(lambda _: manifold_signature(*tri))
+    for construction in entry_points:
+        with pytest.raises(EquivarianceViolated) as exc:
+            construction(hp)
+        assert str(exc.value) == message
+
+
+def test_the_manifold_command_gates_each_element_once(monkeypatch, tmp_path, capsys):
+    path = str(tmp_path / "octahedron-z4.smf")
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    write_smf(m, path, act)
+    checks, elements = [], []
+    gates, blocks = complexes._action_gates, complexes._commutator_blocks
+    monkeypatch.setattr(complexes, "_action_gates", lambda *args: checks.append(1) or gates(*args))
+    monkeypatch.setattr(
+        complexes, "_commutator_blocks", lambda rho, g, x: elements.append(g) or blocks(rho, g, x)
+    )
+    assert main(["manifold", path, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["passed"] is True and payload["equivariance"]["passed"] is True
+    # one action gate, in the duality check: each element's commutator with b
+    # and with S is formed once, and the equivariance report reads them
+    assert checks == [1]
+    assert sorted(elements) == sorted(2 * list(range(act.group.order)))

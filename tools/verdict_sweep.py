@@ -8,8 +8,10 @@ are and perturbed, and compare two such runs.
 The cases are the acceptance suite's 12 generated profiles (n0/n2/n4 x no
 group, Z/2, Z/3, Z/4) for seeds ``0 .. seeds-1``, the 9-vertex CP^2 and its
 orientation flip, the octahedron with its Z/4 rotation, the once-subdivided
-octahedron with that rotation and with its 24-element rotation group, three
-copies of the 9-vertex CP^2 permuted by S_3, and the boundary of the
+octahedron with that rotation and with its 24-element rotation group, the
+latter conjugated degree by degree by seeded random unitaries (a dense
+action with characters of degree 2 and 3, built here from the public API),
+three copies of the 9-vertex CP^2 permuted by S_3, and the boundary of the
 5-simplex (S^4).  Each case runs as it is and with its
 duality perturbed at relative sizes 1e-11, 1e-9, 1e-7, 1e-5 and 1e-3, once by
 a self-adjoint family (``S_k += eps (R_k + R_{n-k}^*) / 2``, which keeps an
@@ -29,9 +31,10 @@ Each closed case writes one JSON line: the ``verify_duality`` flags, failures an
 cone value, and either the ``check_coincidence`` ``passed`` flag, classes,
 spectral gaps and grading residual, or the exception type and its message
 with floating-point numbers masked.  A class that carries integer
-multiplicities of the irreducible characters (the isotypic route of a
-triangulation with an action) records them too; ``--compare`` does not read
-them.  ``scale`` is the Frobenius norm of
+multiplicities of the irreducible characters records them too (every class
+does once all are read off isotypic block counts; a tree that still reads
+characters of spectral projections has none for them); ``--compare`` does
+not read them.  ``scale`` is the Frobenius norm of
 ``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
 triangulation also holds the same fields for ``manifold_signature``, which
 reuses the spectra of its duality check; with a group action it further holds
@@ -52,7 +55,9 @@ stderr, the temporary directory masked as ``<dir>``.
 exception types and messages, classes beyond 1e-6, exit codes and the
 non-float fields of the CLI payload, missing cases; for CLI byte records any
 difference in exit code, stdout or stderr) and the worst float difference
-relative to ``max(1, scale)``; it exits 1 when a discrete mismatch exists.
+relative to ``max(1, scale)``, and ends with one line that tallies the
+discrete mismatches by the ``verify_duality`` failures that run A recorded
+for each case; it exits 1 when a discrete mismatch exists.
 Needs only the standard library, numpy and the ``hpsig`` package on the path.
 """
 
@@ -158,6 +163,12 @@ def base_cases(seeds: int):
     ):
         tri = hpsig.barycentric_subdivide(fixtures.octahedron(), action)
         yield name, hpsig.to_hp_complex(*tri), tri
+    # the last one conjugated by random unitaries: the same classes from a
+    # dense action, which is no longer a triangulation's
+    rng = np.random.default_rng(zlib.crc32(b"octahedron-rot24-twisted"))
+    hp = hpsig.to_hp_complex(*tri)
+    yield ("octahedron-rot24-twisted",
+           hpsig.twist(hp, [hpsig.random_unitary(rng, d) for d in hp.dims]), None)
     tri = _cp2_triple_s3()
     yield "cp2-s3", hpsig.to_hp_complex(*tri), tri
     s4 = fixtures.simplex_sphere(4)
@@ -666,18 +677,18 @@ def compare(path_a: str, path_b: str, stream) -> int:
         if "classes" in za and "classes" in zb:
             compare_coincidence("boundary_zero", key, za, zb, scale)
 
-    for key in sorted(set(a) | set(b)):
+    def compare_case(key):
         if key not in a or key not in b:
             mismatches.append(f"{key}: only in {'B' if key in b else 'A'}")
-            continue
+            return
         ra, rb = a[key], b[key]
         if "stdout" in ra or "stdout" in rb:
             compare_bytes(key, ra, rb)
-            continue
+            return
         if "bordism" in ra or "bordism" in rb:
             compare_bordism(key, ra.get("bordism", {}), rb.get("bordism", {}),
                             max(ra["scale"], rb["scale"]))
-            continue
+            return
         scale = max(ra["scale"], rb["scale"])
         va, vb = ra["verify"], rb["verify"]
         for field in ("error", "message", "passed", "failures", "cone_invertible"):
@@ -700,11 +711,29 @@ def compare(path_a: str, path_b: str, stream) -> int:
         if "cli" in ra or "cli" in rb:
             compare_payload(f"{key}: cli", ra.get("cli"), rb.get("cli"), key, scale)
 
+    def verify_failures(key) -> str:
+        """Run A's ``verify_duality`` failures for a case, as one label."""
+        verify = a.get(key, {}).get("verify")
+        if verify is None:
+            return "no verify record"
+        if "error" in verify:
+            return f"verify raised {verify['error']}"
+        return " + ".join(verify["failures"]) or "verify passed"
+
+    tally = {}  # discrete mismatches by A's verify failures
+    for key in sorted(set(a) | set(b)):
+        before = len(mismatches)
+        compare_case(key)
+        group = verify_failures(key)
+        tally[group] = tally.get(group, 0) + len(mismatches) - before
+
     for line in mismatches:
         stream.write(line + "\n")
     stream.write(f"{len(set(a) | set(b))} cases, {len(mismatches)} discrete mismatches\n")
     for field, (d, key) in sorted(worst.items()):
         stream.write(f"worst relative {field} difference {d:.3e} at {key}\n")
+    stream.write("discrete mismatches by A's verify failures: "
+                 + "; ".join(f"[{group}] {n}" for group, n in sorted(tally.items())) + "\n")
     return len(mismatches)
 
 
