@@ -32,10 +32,12 @@ moves by ``t |X|``, so the reported cone value, that of ``S_h``, is within
 both halves (:func:`_diagonalise_halves`).
 
 The signature constructions need the operators and spectra that the duality
-check forms.  :func:`_verify_duality` takes ``b`` and ``S`` from a caller that
-has assembled them and hands back the diagonalised halves and the
-anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
-``manifold`` command form each of them once per call.  The check forms its
+check forms.  :func:`_verify_duality` hands back the diagonalised halves and
+the anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
+``manifold`` command form each of them once per call.  A triangulation's
+structural identities are decided exactly on its integer arrays and their
+gates are not run; ``B + S`` is then the one operator laid out on the total
+space (:func:`_half_of_blocks`).  The other gates form their
 products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
@@ -52,7 +54,7 @@ are read off the blocks' eigenvalue counts (:func:`_diagonalise`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -71,17 +73,17 @@ from .linalg import (
     _BOUND_MARGIN,
     BlockSpectrum,
     _block_frobenius_norm,
+    _block_spectrum,
     _column_norm_bound,
-    _hermitian_of,
+    _shared_bounds,
     Spectrum,
     adjoint,
     as_matrix,
     assemble_total,
     block_diag,
-    block_spectrum,
+    classify_eigenvalues,
     mirrored,
     residual_within,
-    spectrum,
     within,
 )
 
@@ -402,14 +404,15 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
 def _diagonalise(
     ops: Sequence[np.ndarray], tol: float, action: GroupAction | None
 ) -> list[BlockSpectrum]:
-    """Self-adjoint operators diagonalised for the signature classes over the
-    group of ``action``, which must have passed the action gate on them: one
-    block, the trivial group's only character, without an action, and one
-    small ``eigvalsh`` per irreducible character with one
-    (:func:`~hpsig.linalg.block_spectrum`)."""
+    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`
+    and :func:`_half_of_blocks` lay them out (not checked again),
+    diagonalised for the signature classes over the group of ``action``,
+    which must have passed the action gate on them: one block, the trivial
+    group's only character, without an action, and one small ``eigvalsh`` per
+    irreducible character with one (:func:`~hpsig.linalg.block_spectrum`)."""
     if action is None:
-        return [_one_block(spectrum(h, tol)) for h in ops]
-    return [block_spectrum(h, action.isotypic_bases, tol) for h in ops]
+        return [_one_block(classify_eigenvalues(np.linalg.eigvalsh(h), tol)) for h in ops]
+    return [_block_spectrum(h, action.isotypic_bases, tol) for h in ops]
 
 
 def _one_block(spec: Spectrum) -> BlockSpectrum:
@@ -419,7 +422,7 @@ def _one_block(spec: Spectrum) -> BlockSpectrum:
 
 def _diagonalise_halves(
     plus_op: np.ndarray,
-    minus_op: np.ndarray,
+    minus_op: np.ndarray | None,
     n: int,
     tol: float,
     action: GroupAction | None,
@@ -432,8 +435,9 @@ def _diagonalise_halves(
     degrees of opposite parity and ``S`` in those between degrees of equal
     parity, so no entry of ``B + S`` is a sum of two nonzero numbers.  Then
     ``B - S`` is read off ``B + S`` as its mirror
-    (:func:`~hpsig.linalg.mirrored`); every isotypic basis vector lies in
-    one degree, so ``phi`` leaves the blocks invariant.
+    (:func:`~hpsig.linalg.mirrored`), and ``minus_op`` may be None; every
+    isotypic basis vector lies in one degree, so ``phi`` leaves the blocks
+    invariant.
     """
     if n % 2 == 0:
         (plus,) = _diagonalise((plus_op,), tol, action)
@@ -455,8 +459,19 @@ def _hermitian_halves(
     """``B + S_h`` and ``B - S_h`` for the total boundary ``b`` and the total
     duality ``s`` with skew residual ``skew = s - s^*``."""
     big_b = b + adjoint(b)
-    s_h = _hermitian_of(s, skew)
+    s_h = s if not skew.any() else (s + adjoint(s)) / 2.0
     return big_b + s_h, big_b - s_h
+
+
+def _half_of_blocks(hp: HilbertPoincareComplex, sign: float) -> np.ndarray:
+    """``B + sign S`` from the degree blocks, for an ``S`` self-adjoint entry for
+    entry: the sum of the totals bit for bit, as no two blocks of ``b``,
+    ``b^*`` and ``S`` share an entry in even degree, nor three in odd."""
+    n, bnds = hp.n, hp.chain.boundaries
+    entries = [(k - 1, k, x) for k, x in enumerate(bnds, start=1)]
+    entries += [(k, k - 1, adjoint(x)) for k, x in enumerate(bnds, start=1)]
+    entries += [(k, n - k, x if sign > 0 else -x) for k, x in enumerate(hp.duality.blocks)]
+    return assemble_total(hp.dims, hp.dims, entries)
 
 
 @dataclass(frozen=True)
@@ -541,15 +556,8 @@ def verify_duality(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> Dual
     return _verify_duality(hp, tol)[0]
 
 
-@dataclass(frozen=True)
-class _Halves:
-    """``B + S_h`` and ``B - S_h`` of a duality with their diagonalisations
-    (see :func:`_diagonalise`)."""
-
-    plus_op: np.ndarray
-    minus_op: np.ndarray
-    plus: BlockSpectrum
-    minus: BlockSpectrum
+# B + S_h and B - S_h of a duality, diagonalised (see _diagonalise).
+_Halves = tuple[BlockSpectrum, BlockSpectrum]
 
 
 # The duality check's action gate, aggregated over the elements: (passed,
@@ -568,22 +576,24 @@ def _commutator_blocks(
 
 
 def _action_gates(
-    hp: HilbertPoincareComplex, b: np.ndarray, s: np.ndarray, tol: float
+    hp: HilbertPoincareComplex,
+    b: np.ndarray,
+    s: np.ndarray,
+    tol: float,
+    shared: Callable[[Callable], Callable] | None = None,
 ) -> _ActionGates:
     """The action gate of ``hp``'s action against its total boundary ``b``
     and total duality ``s``: every element's commutator with each within
     ``tol`` at the scale ``max(|b|, |S|)``, by the rule of
-    :func:`~hpsig.linalg.residual_within`.  Each commutator's Frobenius bound
-    is summed over its degree blocks; it is laid out on the total space only
-    when that bound fails.  Without an action both gates pass with residual 0.
+    :func:`~hpsig.linalg.residual_within` (with the caller's ``shared``
+    column-norm bounds).  Each commutator's Frobenius bound is summed over its
+    degree blocks; it is laid out on the total space only when that bound
+    fails.  Without an action both gates pass with residual 0.
     """
     rho = hp.action
     if rho is None:
         return (True, 0.0), (True, 0.0)
-
-    def scale(norm) -> float:
-        return max(norm(b), norm(s))
-
+    scale = (shared or _shared_bounds())(lambda norm: max(norm(b), norm(s)))
     lower = scale(_column_norm_bound)
 
     def gate(blocks, total: np.ndarray) -> tuple[bool, float]:
@@ -615,65 +625,73 @@ def _require_equivariant(gates: _ActionGates) -> None:
 def _verify_duality(
     hp: HilbertPoincareComplex,
     tol: float,
-    b: np.ndarray | None = None,
-    s: np.ndarray | None = None,
     action: GroupAction | None = None,
-) -> tuple[DualityReport, _Halves | None, np.ndarray, _ActionGates]:
-    """:func:`verify_duality` on the total boundary ``b`` and total duality
-    ``s`` when the caller has them, also returning what it computed.
+    decided: frozenset[str] = frozenset(),
+) -> tuple[DualityReport, _Halves | None, np.ndarray | None, _ActionGates]:
+    """:func:`verify_duality`, also returning what it computed.
 
-    The gates run on the given ``S`` and on ``hp``'s action.  Once ``S``
-    passes the cone's chain-map gate, the cone is read off ``B + S_h`` and
-    ``B - S_h``, diagonalised for classes over the group of ``action`` (None
-    or ``hp``'s action) if the action gate passed, and over the trivial group
-    otherwise; they are returned if the self-adjointness and action gates
-    passed.  Then come the anticommutator ``b S + S b^*`` and the action gate.
+    ``decided`` names, by report field, the gates whose identity the caller
+    has shown to hold exactly, as the simplicial layer does on its integer
+    arrays: they report 0.0 and do not run, and a decided chain condition
+    settles the cone's chain-map gate, whose sides are its blocks.  The
+    others run on the given ``S``, its total and ``b``'s (one column-norm
+    bound of each), and ``hp``'s action.  Once ``S`` passes the cone's
+    chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``,
+    diagonalised over the group of ``action`` (None or ``hp``'s action) if
+    the action gate passed and over the trivial group otherwise; they are
+    returned if the self-adjointness and action gates passed.  Then come the
+    anticommutator ``b S + S b^*`` (None when decided) and the action gate.
     """
-    b = hp.total_boundary() if b is None else b
-    s = hp.total_duality() if s is None else s
-    holds = {}  # whether each gate holds, by the report field it gates
-
-    holds["boundary_residual"], bres = residual_within(
-        _boundary_square(hp.chain), tol, lambda norm: norm(b) ** 2
-    )
-    sa = s - adjoint(s)
-    holds["selfadjoint_residual"], sares = residual_within(sa, tol, lambda norm: norm(s))
-    # the cone's chain-map gate below reads the same degree blocks
-    sides = _duality_sides(hp.chain, hp.duality.blocks)
-    anti = _anticommutator(hp.chain, sides)
-    holds["chain_residual"], cres = residual_within(anti, tol, lambda norm: norm(b) * norm(s))
-    gates = _action_gates(hp, b, s, tol)
+    gated = dict.fromkeys(decided, (True, 0.0))  # (holds, residual) by the report field
+    pending = {"boundary_residual", "selfadjoint_residual", "chain_residual"} - decided
+    acting = hp.action is not None and "action_residual" not in decided
+    totals = pending or acting
+    if totals:
+        b, s = hp.total_boundary(), hp.total_duality()
+        sa = s - adjoint(s)
+        shared = _shared_bounds()
+    if "boundary_residual" in pending:
+        gated["boundary_residual"] = residual_within(
+            _boundary_square(hp.chain), tol, shared(lambda norm: norm(b) ** 2)
+        )
+    if "selfadjoint_residual" in pending:
+        gated["selfadjoint_residual"] = residual_within(sa, tol, shared(lambda norm: norm(s)))
+    sides = anti = None
+    if "chain_residual" in pending:
+        # the cone's chain-map gate below reads the same degree blocks
+        sides = _duality_sides(hp.chain, hp.duality.blocks)
+        anti = _anticommutator(hp.chain, sides)
+        gated["chain_residual"] = residual_within(
+            anti, tol, shared(lambda norm: norm(b) * norm(s))
+        )
+    gates = _action_gates(hp, b, s, tol, shared) if acting else ((True, 0.0), (True, 0.0))
     equivariant = all(ok for ok, _ in gates)
     if hp.action is not None:
-        holds["action_residual"] = equivariant
+        gated["action_residual"] = (equivariant, max(r for _, r in gates))
 
     halves = None
     try:
-        _require_chain_map(sides, tol)
-        plus_op, minus_op = _hermitian_halves(b, s, sa)
-        halves = _Halves(
-            plus_op,
-            minus_op,
-            *_diagonalise_halves(plus_op, minus_op, hp.n, tol, action if equivariant else None),
-        )
-        inv, minsv = _halves_invertibility(halves.plus, halves.minus, tol)
+        if sides is not None:
+            _require_chain_map(sides, tol)
+        if totals:
+            plus_op, minus_op = _hermitian_halves(b, s, sa)
+        else:  # S is self-adjoint by construction; B - S is its mirror in even degree
+            plus_op = _half_of_blocks(hp, 1.0)
+            minus_op = _half_of_blocks(hp, -1.0) if hp.n % 2 else None
+        halves = _diagonalise_halves(plus_op, minus_op, hp.n, tol, action if equivariant else None)
+        gated["cone_min_singular_value"] = _halves_invertibility(*halves, tol)
     except NotChainMap:
-        inv, minsv = False, 0.0
-    holds["cone_min_singular_value"] = inv
-    failures = tuple(m for field, m in _DUALITY_FAILURES.items() if not holds.get(field, True))
-
+        gated["cone_min_singular_value"] = (False, 0.0)
+    holds = {field: gated.get(field, (True, 0.0)) for field in _DUALITY_FAILURES}
+    failures = tuple(m for field, m in _DUALITY_FAILURES.items() if not holds[field][0])
     report = DualityReport(
         tol=tol,
-        boundary_residual=bres,
-        selfadjoint_residual=sares,
-        chain_residual=cres,
-        cone_min_singular_value=minsv,
-        cone_invertible=inv,
-        action_residual=max(res for _, res in gates),
+        **{field: residual for field, (_, residual) in holds.items()},
+        cone_invertible=holds["cone_min_singular_value"][0],
         passed=not failures,
         failures=failures,
     )
-    trusted = holds["selfadjoint_residual"] and equivariant
+    trusted = holds["selfadjoint_residual"][0] and equivariant
     return report, halves if trusted else None, anti, gates
 
 

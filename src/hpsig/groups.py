@@ -480,11 +480,13 @@ class GroupAction:
         group: FiniteGroup,
         signed: tuple[tuple[_SignedPermutation, ...], ...],
         tol: float = DEFAULT_TOL,
+        composes: bool = False,
     ) -> "GroupAction":
         """The action of ``signed[g][k]`` on degree ``k``, one family per
         element, as the simplicial layer builds it: no dense block is scanned
-        (``detect``), the checks of :meth:`_check_signed` run, and the dense
-        blocks are laid out on first read."""
+        (``detect``), the checks of :meth:`_check_signed` run unless the
+        arrays are known to compose exactly like the group (``composes``),
+        and the dense blocks are laid out on first read."""
         self = cls.__new__(cls)
         self.group = group
         self.tol = tol
@@ -492,7 +494,9 @@ class GroupAction:
         self._dims = tuple(p.src.size for p in signed[group.identity])
         self._signed = signed
         self._totals = tuple(map(_SignedPermutation.block_diag, signed))
-        self._check_signed()
+        self._exact = True
+        if not composes:
+            self._check_signed()
         return self
 
     @property

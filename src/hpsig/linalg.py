@@ -29,7 +29,9 @@ the spectral norm when the gate passed, and the exact spectral norm when it
 failed.  Residuals that gate nothing are diagnostic and store the Frobenius
 bound (:func:`frobenius_norm`); these are ``CapReport.symmetrization_residual``,
 ``CapReport.chain_residual`` and ``EquivarianceReport.raw_cap_residual``, and
-they do not enter ``passed``.
+they do not enter ``passed``.  A triangulation's duality check decides its
+structural identities exactly on integer arrays (:mod:`hpsig.simplicial`) and
+runs none of these gates for them: its 0.0 is the exact integer residual.
 
 Invertibility and spectral splitting read eigenvalues of self-adjoint
 operators.  For those the smallest ``|eigenvalue|`` equals the smallest
@@ -189,29 +191,35 @@ def residual_within(
     return within(exact, tol, 1.0 if scale is None else scale(operator_norm)), exact
 
 
+def _shared_bounds() -> Callable[[Callable], Callable]:
+    """Wraps the scale formulas (:func:`residual_within`) of one pass of gates
+    over fixed operands so that each operand's column-norm bound is computed once."""
+    bounds: dict[int, tuple[np.ndarray, float]] = {}  # keeping the operand keeps its id
+
+    def bound(m: np.ndarray) -> float:
+        if id(m) not in bounds:
+            bounds[id(m)] = (m, _column_norm_bound(m))
+        return bounds[id(m)][1]
+
+    return lambda scale: lambda norm: scale(bound if norm is _column_norm_bound else norm)
+
+
 def _block_frobenius_norm(blocks: Sequence[np.ndarray]) -> float:
     """Frobenius norm of a matrix whose nonzero entries lie in ``blocks``,
     from the norms of the blocks."""
     return float(np.linalg.norm([frobenius_norm(x) for x in blocks]))
 
 
-def _hermitian_of(a: np.ndarray, skew: np.ndarray) -> np.ndarray:
-    """``(a + a*) / 2``, self-adjoint entry for entry, for a square ``a``
-    with skew residual ``skew = a - a*``, with no gate; ``a`` itself, which is
-    that bit for bit, when ``skew`` is exactly zero."""
-    return a if not skew.any() else (a + adjoint(a)) / 2.0
-
-
 def _hermitian_part(h: np.ndarray, tol: float) -> np.ndarray:
-    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint
-    (:func:`_hermitian_of`); the residual of an ``h`` that is self-adjoint
-    entry for entry is exactly zero and is not gated."""
+    """``(h + h*) / 2`` after checking that ``h`` is square and self-adjoint;
+    an ``h`` that is self-adjoint entry for entry is returned as it is, which
+    is that bit for bit, and its residual, exactly zero, is not gated."""
     a = as_matrix(h)
     if a.shape[0] != a.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got {a.shape}")
     skew = a - adjoint(a)
     _require_self_adjoint(a, skew, tol)
-    return _hermitian_of(a, skew)
+    return a if not skew.any() else (a + adjoint(a)) / 2.0
 
 
 def _require_self_adjoint(a: np.ndarray, skew: np.ndarray, tol: float) -> None:
@@ -338,7 +346,12 @@ def block_spectrum(
     threshold.  Raises ShapeMismatch unless the bases have as many columns in
     all as ``h`` has, and NotSelfAdjoint as :func:`spectrum` does.
     """
-    a = _hermitian_part(h, tol)
+    return _block_spectrum(_hermitian_part(h, tol), bases, tol)
+
+
+def _block_spectrum(a: np.ndarray, bases: Sequence[np.ndarray], tol: float) -> BlockSpectrum:
+    """:func:`block_spectrum` of an ``a`` that is self-adjoint entry for
+    entry, without the check."""
     width = sum(q.shape[1] for q in bases)
     if width != a.shape[0]:
         raise ShapeMismatch(f"blocks have {width} columns in all, operator is {a.shape[0]} wide")

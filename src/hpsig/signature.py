@@ -124,11 +124,15 @@ def _group(hp: HilbertPoincareComplex) -> FiniteGroup:
     return FiniteGroup.trivial() if hp.action is None else hp.action.group
 
 
-def _operators(hp: HilbertPoincareComplex) -> tuple[np.ndarray, ...]:
-    """``b``, ``S``, ``B + S`` and ``B - S`` on the total space."""
+def _operators(hp: HilbertPoincareComplex, tol: float) -> tuple[np.ndarray, ...]:
+    """``b``, ``S``, ``B + S_h`` and ``B - S_h`` on the total space, once
+    ``B + S`` passes the self-adjointness gate, whose skew residual is that
+    of ``S``: ``B`` is self-adjoint entry for entry and shares no entry with
+    ``S`` in even degree."""
     b, s = hp.total_boundary(), hp.total_duality()
-    big_b = b + adjoint(b)
-    return b, s, big_b + s, big_b - s
+    skew = s - adjoint(s)
+    _require_self_adjoint(b + adjoint(b) + s, skew, tol)
+    return (b, s, *_hermitian_halves(b, s, skew))
 
 
 def _gated_halves(
@@ -200,7 +204,7 @@ def higson_roe_signature(
 ) -> SignatureResult:
     """Difference class of the positive parts of ``B + S`` and ``B - S``."""
     _require_even(hp)
-    plus, minus, gates = _gated_halves(hp, *_operators(hp), tol)
+    plus, minus, gates = _gated_halves(hp, *_operators(hp, tol), tol)
     _nondegenerate(plus, "B + S")
     _nondegenerate(minus, "B - S")
     _require_equivariant(gates)
@@ -211,18 +215,11 @@ def mishchenko_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Signature through the duality cone and the diagonal compression, both
-    read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`).
-
-    ``B + S`` passes the self-adjointness gate that the other constructions
-    run on it before ``S_h`` is formed; its skew residual is that of ``S``,
-    since ``B`` is self-adjoint entry for entry and shares no entry with
-    ``S``."""
+    read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`)."""
     _require_even(hp)
-    b, s = hp.total_boundary(), hp.total_duality()
-    skew = s - adjoint(s)
-    _require_self_adjoint(b + adjoint(b) + s, skew, tol)
+    b, s, plus_op, minus_op = _operators(hp, tol)
     _require_duality_chain_map(hp, tol)
-    plus, minus, gates = _gated_halves(hp, b, s, *_hermitian_halves(b, s, skew), tol)
+    plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
     cone = _cone(plus, minus, tol)
     _nondegenerate(cone, "cone operator")
     _nondegenerate(plus, "compressed cone operator")
@@ -236,7 +233,7 @@ def reduced_signature(
     """Signature of ``b + b^* + S`` on the total space."""
     _require_even(hp)
     # in even degree B - S costs nothing: it is the mirror of B + S
-    plus, _, gates = _gated_halves(hp, *_operators(hp), tol)
+    plus, _, gates = _gated_halves(hp, *_operators(hp, tol), tol)
     _nondegenerate(plus, "b + b* + S")
     _require_equivariant(gates)
     return _reduced(_group(hp), plus)
@@ -284,26 +281,35 @@ def _coincidence(
     ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for the
     classes over ``hp``'s group.  Such halves exist only for a duality that
     passed the self-adjointness, chain-map and action gates, which are
-    therefore not run again.  Otherwise ``B + S`` and ``B - S`` are
-    diagonalised here, read as ``B + S_h`` and ``B - S_h`` bit for bit (``B``
-    and ``S`` share no entry), and the chain-map and action gates follow the
-    nondegeneracy gates.  ``B - S`` is the mirror of ``B + S``, so the cone
-    and the compression are nondegenerate with them.
+    therefore not run again; nor is the grading gate, whose identity holds
+    entry for entry for the halves the check laid out in even degree (see
+    :func:`~hpsig.complexes._diagonalise_halves`), so its residual is
+    exactly 0.  Otherwise ``B + S`` and ``B - S`` are diagonalised here,
+    read as ``B + S_h`` and ``B - S_h`` bit for bit (``B`` and ``S`` share
+    no entry), and the chain-map and action gates follow the nondegeneracy
+    gates.  ``B - S`` is the mirror of ``B + S``, so the cone and the
+    compression are nondegenerate with them.
     """
     _require_even(hp)
     # B + S_h and B - S_h are diagonalised once, together, and shared by all
     # three constructions.
     if halves is None:
-        b, s, plus_op, minus_op = _operators(hp)
+        b, s, plus_op, minus_op = _operators(hp, tol)
         plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
     else:
-        plus_op, minus_op = halves.plus_op, halves.minus_op
-        plus, minus = halves.plus, halves.minus
+        plus, minus = halves
     _nondegenerate(plus, "B + S")
     _nondegenerate(minus, "B - S")
+    graded, residual = True, 0.0
     if halves is None:
         _require_duality_chain_map(hp, tol)
         _require_equivariant(gates)
+        signs = hp.degree_signs()
+        graded, residual = residual_within(
+            signs[:, None] * minus_op * signs + plus_op,
+            tol,
+            lambda norm: max(norm(plus_op), norm(minus_op)),
+        )
     group = _group(hp)
     # Mishchenko's compression is B + S_h, so its class is the reduced one
     results = (
@@ -314,12 +320,6 @@ def _coincidence(
     pairs = list(itertools.combinations(results, 2))
     max_diff = max(
         [0.0, *(abs(x - y) for p, q in pairs for x, y in zip(p.k0.values, q.k0.values))]
-    )
-    signs = hp.degree_signs()
-    graded, residual = residual_within(
-        signs[:, None] * minus_op * signs + plus_op,
-        tol,
-        lambda norm: max(norm(plus_op), norm(minus_op)),
     )
     return CoincidenceReport(
         results=results,

@@ -19,9 +19,11 @@ afterwards.
 
 The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
-indices, and the facets' (back, front, sign) cap triples.  Dense blocks are
-laid out only where a dense construction reads them: the boundary on first
-use of ``chain``, and the cap in :func:`cap_duality`.
+indices, and the facets' (back, front, sign) cap triples.  The duality
+check's structural identities are decided on them exactly
+(:func:`_exact_identities`).  Dense blocks are laid out only where a dense
+construction reads them: the boundary on first use of ``chain``, and the cap
+in :func:`cap_duality`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -430,9 +432,12 @@ class CapReport:
     ``symmetrization_residual`` and ``chain_residual`` are diagnostic only
     (Frobenius bounds); ``chain_residual`` is the Frobenius norm of the
     anticommutator ``b S + S b^*`` that the duality check forms for its own
-    chain gate.  ``passed`` is the verdict of :func:`verify_duality` on the
-    symmetrized family, with the action when one is given, and the cone
-    operator's smallest |eigenvalue| is ``cone_min_singular_value``.
+    chain gate.  Both chain residuals are 0.0, that of the exact integer
+    operator, when the chain condition holds on the integer arrays, which
+    then decide it (:func:`_exact_identities`).  ``passed`` is the verdict of
+    :func:`verify_duality` on the symmetrized family, with the action when
+    one is given, and the cone operator's smallest |eigenvalue| is
+    ``cone_min_singular_value``.
     """
 
     tol: float
@@ -504,36 +509,40 @@ def _duality_from_cap(
 ) -> _CapDuality:
     """:func:`duality_operator` of a closed manifold from its phased cap.
 
-    The duality check gates ``rho`` when it is given, so ``passed`` holds
-    only for an action that commutes with ``b`` and ``S``.  The halves are
-    kept only ``for_signatures``, diagonalised for the classes over the group
-    of ``rho`` (see :func:`~hpsig.complexes._diagonalise`), as
+    Identities that hold exactly (:func:`_exact_identities`) report 0.0 and
+    skip their float gates.  The duality check gates ``rho`` when it is
+    given, so ``passed`` holds only for an action that commutes with ``b``
+    and ``S``.  The halves are kept only ``for_signatures``, diagonalised
+    for the classes over the group of ``rho`` (see
+    :func:`~hpsig.complexes._diagonalise`), as
     :func:`~hpsig.signature._coincidence` reads them.  Otherwise the check
     computes spectra only and the halves are None.
     """
+    holds = _exact_identities(chains, rho)
     if rho is not None:
         phased = _average_over_group(phased, rho)
     chain = chains.chain
-    btot = chain.total_boundary()
-    pdual = DualityOperator(tuple(phased))
-    ptot = pdual.total(chain)
-    raw_ok, raw_res = residual_within(
-        _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
-        tol,
-        lambda norm: norm(btot) * norm(ptot),
-    )
-    dual = DualityOperator(_symmetrize(phased))
-    stot = dual.total(chain)
-    sym_res = frobenius_norm(ptot - stot)
+    raw_ok, raw_res = True, 0.0
+    if "raw_chain_residual" not in holds:
+        pdual = DualityOperator(tuple(phased))
+        btot, ptot = chain.total_boundary(), pdual.total(chain)
+        raw_ok, raw_res = residual_within(
+            _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
+            tol,
+            lambda norm: norm(btot) * norm(ptot),
+        )
+    sym = _symmetrize(phased)
+    dual = DualityOperator(sym)
+    sym_res = frobenius_norm(np.concatenate([(p - s).ravel() for p, s in zip(phased, sym)]))
     rep, halves, anti, gates = _verify_duality(
-        HilbertPoincareComplex(chain, dual, rho), tol, btot, stot, rho if for_signatures else None
+        HilbertPoincareComplex(chain, dual, rho), tol, rho if for_signatures else None, holds
     )
     report = CapReport(
         tol=tol,
         phases=phases,
         raw_chain_residual=raw_res,
         symmetrization_residual=sym_res,
-        chain_residual=frobenius_norm(anti),
+        chain_residual=0.0 if anti is None else frobenius_norm(anti),
         cone_min_singular_value=rep.cone_min_singular_value,
         passed=rep.passed,
     )
@@ -549,6 +558,103 @@ def _duality_from_cap(
             f"this complex"
         )
     return _CapDuality(dual, report, gates, halves if for_signatures else None)
+
+
+def _exact_identities(chains: SimplicialChainData, rho: GroupAction | None) -> frozenset[str]:
+    """The identities of the duality check of the symmetrized phased cap
+    (averaged over ``rho``) that hold exactly, by the report field that gates
+    each (``raw_chain_residual`` for the phased cap's chain condition).
+
+    ``b_k`` has the entry ``(-1)^i`` at ``(faces[k][j, i], j)`` and ``P_k``
+    is ``i^{e(k)} / |G|`` times the integer entries of :func:`_cap_entries`,
+    so each identity is a list of (row, column, integer) entries whose sums
+    by position must vanish: ``b b = 0``; ``b P + P b^* = 0``, which carries
+    over to ``P^*`` (take adjoints), to ``S = (P + P^*) / 2`` and to the
+    cone's chain-map gate; and ``rho(g)`` commutes with ``b`` and ``|G| P``,
+    hence with ``P^*`` and ``S`` (``rho(g)^* = rho(g)^{-1}``).  ``S`` is
+    self-adjoint by construction, in floating point too.  Without signed
+    permutations only ``b b`` and self-adjointness are decided here.
+    """
+    n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
+
+    def signed(vals, k):  # once per face of a k-simplex, times the sign (-1)^i
+        return (vals[:, None] * (1 - 2 * (np.arange(k + 1) % 2))).ravel()
+
+    def left(k, rows, cols, vals):  # b_k x
+        return faces[k][rows].ravel(), np.repeat(cols, k + 1), signed(vals, k)
+
+    def right(k, rows, cols, vals):  # x b_k^*
+        return np.repeat(rows, k + 1), faces[k][cols].ravel(), signed(vals, k)
+
+    def commutes(x, one, other, width):  # one x = x other, by signed permutations
+        rows, cols, vals = x
+        return _vanishes(
+            one.dst[rows], cols, vals * one.dsgn.real[rows].astype(np.int64), width,
+            (rows, other.src[cols], -vals * other.sgn.real[cols].astype(np.int64)),
+        )
+
+    eye = {k: (np.arange(d), np.arange(d), np.ones(d, np.int64)) for k, d in enumerate(dims) if k}
+    bnd = {k: left(k, *x) for k, x in eye.items()}  # b_k as entries
+    holds = {"selfadjoint_residual"}
+    if all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
+        holds.add("boundary_residual")
+    if rho is not None and not rho.is_signed_permutation:
+        return frozenset(holds)
+    cap = _cap_entries(chains, rho)
+
+    def anticommutes(k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
+        one, other = left(k, *cap[k]), right(n - k + 1, *cap[k - 1])
+        u = (_phase_exponent(n, k - 1) - _phase_exponent(n, k)) % 4  # P_{k-1} : P_k
+        if u % 2:  # a real and an imaginary integer matrix
+            return _vanishes(*one, dims[n - k]) and _vanishes(*other, dims[n - k])
+        return _vanishes(*one, dims[n - k], (*other[:2], other[2] * (1 - u)))
+
+    if all(anticommutes(k) for k in range(1, n + 1)):
+        holds |= {"raw_chain_residual", "chain_residual"}
+
+    def equivariant(g: int) -> bool:  # rho(g) commutes with b and with |G| P
+        op = [rho.operator(g, k) for k in range(n + 1)]
+        return all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for k in bnd) and all(
+            commutes(x, op[k], op[n - k], dims[n - k]) for k, x in enumerate(cap)
+        )
+
+    if rho is not None and all(equivariant(g) for g in range(rho.group.order)):
+        holds.add("action_residual")
+    return frozenset(holds)
+
+
+def _cap_entries(chains: SimplicialChainData, rho: GroupAction | None) -> list[tuple]:
+    """Per degree, ``|G|`` times the raw cap averaged over ``rho`` (the raw
+    cap itself without ``rho``) as (rows, columns, integers): conjugating by
+    the signed permutation ``rho(g)`` moves each facet's (back, front) entry
+    to the images of back and front under ``rho(g)^{-1}``, times the signs."""
+    n = len(chains.rows) - 1
+    cap = []
+    for k, (back, front) in enumerate(chains.cap_triples):
+        parts = [(back, front, chains.signs)]
+        if rho is not None:
+            parts = []
+            for g in range(rho.group.order):
+                one, other = rho.operator(g, k), rho.operator(g, n - k)
+                signs = chains.signs * one.sgn[back].real * other.sgn[front].real
+                parts.append((one.src[back], other.src[front], signs))
+        rows, cols, vals = map(np.concatenate, zip(*parts))
+        cap.append((rows, cols, vals.astype(np.int64)))
+    return cap
+
+
+def _vanishes(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()) -> bool:
+    """Whether the integer entries ``vals`` at ``(rows, cols)``, and those in
+    ``more``, of a matrix ``width`` columns wide sum to zero at every position."""
+    if more:
+        rows, cols, vals = (np.concatenate(x) for x in zip((rows, cols, vals), more))
+    if not rows.size:
+        return True
+    keys = rows * width + cols
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
+    return not np.add.reduceat(vals[order], np.concatenate(([0], starts))).any()
 
 
 @dataclass(eq=False)
@@ -625,9 +731,10 @@ def chain_action(
     elements at once (:func:`_simplex_images`), and element ``g`` sends the
     ``j``-th ``p``-simplex to its image with the parity of the sort as sign.
     Those signed permutations are handed to the action as they are
-    (:meth:`~hpsig.groups.GroupAction._from_signed`), which checks
-    the homomorphism property and lays out dense blocks only when they are
-    read.
+    (:meth:`~hpsig.groups.GroupAction._from_signed`), which lays out dense
+    blocks only when they are read.  The identity and the homomorphism
+    property are checked on the vertex maps (``|G|^2 V`` comparisons), and
+    on the chain spaces only when the vertex maps fail them.
     """
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
@@ -681,7 +788,12 @@ def chain_action(
         tuple(_SignedPermutation.from_images(index[g], parity[g]) for _, index, parity in images)
         for g in range(group.order)
     )
-    return GroupAction._from_signed(group, signed, tol=tol)
+    # the chain action composes exactly like the group when the vertex maps
+    # do, since the parity of a sort is multiplicative
+    composes = np.array_equal(table[group.identity], np.arange(table.shape[1])) and np.array_equal(
+        table[np.asarray(group.table)], table[np.arange(group.order)[:, None, None], table]
+    )
+    return GroupAction._from_signed(group, signed, tol=tol, composes=composes)
 
 
 @dataclass(frozen=True)

@@ -462,14 +462,17 @@ def test_mirrored_halves_match_an_independent_diagonalisation(name):
     signs = hp.degree_signs()
     # in even top degree the grading conjugates B - S into -(B + S) exactly
     assert np.array_equal(signs[:, None] * (big_b - s) * signs, -(big_b + s))
+    # the operators diagonalised are B + S_h and B - S_h, self-adjoint entry
+    # for entry
+    plus_op, minus_op = complexes._hermitian_halves(b, s, s - adjoint(s))
     # over the trivial group, one block, and over the action's group, one
     # block per irreducible character: from the orbits of the exactly
     # commuting octahedron action, and degree by degree for the dense
     # generated ones
     actions = [None] if hp.action is None else [None, hp.action]
     for action in actions:
-        plus, minus = complexes._diagonalise_halves(big_b + s, big_b - s, hp.n, 1e-9, action)
-        (own,) = complexes._diagonalise((big_b - s,), 1e-9, action)
+        plus, minus = complexes._diagonalise_halves(plus_op, minus_op, hp.n, 1e-9, action)
+        (own,) = complexes._diagonalise((minus_op,), 1e-9, action)
         assert type(minus) is type(own) is BlockSpectrum
         assert (minus.rank_plus, minus.rank_minus, minus.rank_zero) == (
             own.rank_plus, own.rank_minus, own.rank_zero

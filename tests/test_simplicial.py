@@ -33,13 +33,14 @@ from hpsig import (
     verify_duality,
     verify_equivariance,
 )
-from hpsig import simplicial
+from hpsig import complexes, simplicial
 from hpsig.errors import (
     BoundaryConditionViolated,
     DegenerateDuality,
     EquivarianceViolated,
     IncoherentOrientation,
     InvalidFacet,
+    NotRepresentation,
     NotSimplicial,
     OddDimension,
     OrientationReversing,
@@ -48,6 +49,7 @@ from hpsig.errors import (
 from hpsig.fixtures import (
     circle_polygon,
     cp2_nine_vertex,
+    cp2_triple_s3,
     disjoint_sphere_pair,
     octahedron,
     octahedron_rotation,
@@ -328,7 +330,10 @@ def test_equivariance_sphere_pair_swap():
 def test_equivariance_violation_raises(monkeypatch):
     import hpsig.simplicial as sim
 
+    # the cap is not averaged, neither densely nor in the exact gates' entries
     monkeypatch.setattr(sim, "_average_over_group", lambda blocks, rho: list(blocks))
+    entries = sim._cap_entries
+    monkeypatch.setattr(sim, "_cap_entries", lambda chains, rho: entries(chains, None))
     with pytest.raises(EquivarianceViolated) as exc_info:
         verify_equivariance(octahedron(), octahedron_rotation())
     assert exc_info.value.report.duality_residual > 1.0
@@ -475,15 +480,20 @@ def test_shared_route_matches_the_public_route(name):
             assert got == expected, field.name
 
 
-_PHASED_CAP = simplicial._phased_cap
+_CAP_TRIPLES = simplicial.SimplicialChainData.cap_triples.func
 
 
-def _broken_phased_cap(m, chains):
-    phased, phases = _PHASED_CAP(m, chains)
-    rng = np.random.default_rng(0)
-    k = len(phased) // 2
-    phased[k] = phased[k] + 0.1 * rng.standard_normal(phased[k].shape)
-    return phased, phases
+def _moved_cap_triples(chains):
+    """The cap triples with the first front face of the middle degree moved
+    to the next simplex: the dense cap and the integer arrays that the exact
+    gates read both change."""
+    triples = list(_CAP_TRIPLES(chains))
+    k = len(triples) // 2
+    back, front = triples[k]
+    front = front.copy()
+    front[0] = (front[0] + 1) % chains.dims[len(triples) - 1 - k]
+    triples[k] = (back, front)
+    return tuple(triples)
 
 
 @pytest.mark.parametrize(
@@ -503,10 +513,132 @@ def test_shared_route_fails_as_the_public_route(name, build, error, message, mon
     if name == "chain-map":
         # the symmetrized cap stays self-adjoint entry for entry, so the
         # self-adjointness gate passes, and the cone's chain-map gate fails
-        monkeypatch.setattr(simplicial, "_phased_cap", _broken_phased_cap)
+        monkeypatch.setattr(
+            simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
+        )
     m = build()
     with pytest.raises(error) as shared:
         manifold_signature(m)
     with pytest.raises(error) as public:
         check_coincidence(to_hp_complex(m))
     assert str(shared.value) == str(public.value) == message
+
+
+_EXACT_CASES = {
+    "cp2": lambda: (cp2_nine_vertex(), None),
+    "cp2-flip": lambda: (_flipped(cp2_nine_vertex()), None),
+    "sphere-pair-swap": lambda: (disjoint_sphere_pair(), sphere_swap_action()),
+    "octahedron-z4": lambda: (octahedron(), octahedron_rotation()),
+    "octahedron-sd-z4": lambda: barycentric_subdivide(octahedron(), octahedron_rotation()),
+    "octahedron-sd-rot24": lambda: barycentric_subdivide(
+        octahedron(), octahedron_rotation_group()
+    ),
+    "cp2-s3": cp2_triple_s3,
+    "s4": lambda: (simplex_sphere(4), None),
+    # odd degree: B - S is laid out and diagonalised too
+    "s3": lambda: (simplex_sphere(3), None),
+}
+
+_ALL_IDENTITIES = {
+    "boundary_residual", "selfadjoint_residual", "chain_residual", "raw_chain_residual",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EXACT_CASES))
+def test_exact_gates_agree_with_the_float_gates(name):
+    m, act = _EXACT_CASES[name]()
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains) if act is not None else None
+    decided = simplicial._exact_identities(chains, rho)
+    # every identity holds exactly, so the duality check runs no float gate
+    assert decided == _ALL_IDENTITIES | ({"action_residual"} if rho is not None else set())
+    cap = simplicial._closed_duality(m, chains, 1e-9, rho, for_signatures=False)
+    hp = HilbertPoincareComplex(chains.chain, cap.dual, rho)
+    # the float gates: verify_duality on the same complex, nothing decided
+    plain = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(hp.duality.blocks), rho))
+    exact, halves, _, _ = complexes._verify_duality(hp, 1e-9, None, decided)
+    assert exact == plain
+    assert plain.failures == () and plain.action_residual == 0.0
+    # B + S and B - S laid out from the blocks are those of the totals, bit
+    # for bit, zero signs included, and so are their eigenvalues
+    b, s = hp.total_boundary(), hp.total_duality()
+    totals = complexes._hermitian_halves(b, s, s - adjoint(s))
+    for sign, want in zip((1.0, -1.0), totals):
+        got = complexes._half_of_blocks(hp, sign)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+    for got, want in zip(halves, complexes._verify_duality(hp, 1e-9)[1]):
+        assert np.array_equal(got.eigenvalues, want.eigenvalues)
+    phased = simplicial._phased_cap(m, chains)[0]
+    if rho is not None:
+        phased = simplicial._average_over_group(phased, rho)
+    raw = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(tuple(phased))))
+    assert cap.report.raw_chain_residual == raw.chain_residual == 0.0
+    assert cap.report.chain_residual == plain.chain_residual
+    assert cap.report.cone_min_singular_value == plain.cone_min_singular_value
+    assert cap.report.passed == plain.passed
+    # the diagnostic symmetrization residual, from the blocks, against the
+    # totals: the same sum of squares, exact unless the average divides by
+    # an order that is not a power of two
+    want = np.linalg.norm(DualityOperator(tuple(phased)).total(hp.chain) - hp.total_duality())
+    order = 1 if rho is None else rho.group.order
+    if order & (order - 1) == 0:
+        assert cap.report.symmetrization_residual == want
+    else:
+        assert abs(cap.report.symmetrization_residual - want) <= 1e-14 * want
+
+
+def _moved_face(chains):
+    """Move the first face of the first 2-simplex to the next edge: ``b b``
+    and the chain condition then fail exactly, on the face arrays and on the
+    dense boundary, which is laid out from them."""
+    assert "chain" not in vars(chains)
+    chains.faces[2][0, 0] = (chains.faces[2][0, 0] + 1) % chains.dims[1]
+
+
+@pytest.mark.parametrize("broken", ["cap-triple", "face-index"])
+def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch):
+    m = cp2_nine_vertex()
+    if broken == "cap-triple":
+        monkeypatch.setattr(
+            simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
+        )
+    chains = enumerate_and_boundaries(m)
+    if broken == "face-index":
+        _moved_face(chains)
+    decided = simplicial._exact_identities(chains, None)
+    declined = {"chain_residual", "raw_chain_residual"}
+    if broken == "face-index":
+        declined.add("boundary_residual")
+    assert not decided & declined
+    phased = simplicial._phased_cap(m, chains)[0]
+    hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)))
+    exact = complexes._verify_duality(hp, 1e-9, None, decided)[0]
+    assert exact == verify_duality(hp)
+    assert "duality does not anticommute with the boundary" in exact.failures
+    assert exact.chain_residual > 0.1
+    # the same message as when every gate is a float gate
+    with pytest.raises(DegenerateDuality) as fallback:
+        duality_operator(m, chains)
+    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho: frozenset())
+    with pytest.raises(DegenerateDuality) as plain:
+        duality_operator(m, chains)
+    assert str(fallback.value) == str(plain.value)
+
+
+def test_chain_action_checks_the_homomorphism_on_the_vertex_maps(monkeypatch):
+    calls = []
+    check = GroupAction._check_signed
+    monkeypatch.setattr(GroupAction, "_check_signed", lambda self: calls.append(1) or check(self))
+    rho = chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
+    assert calls == [] and rho._exact
+    # a rotation of the triangle's vertices is not an involution: the vertex
+    # maps fail, and the chain-level check names the first failure as before
+    m = circle_polygon(3)
+    act = SimplicialAction(
+        FiniteGroup.cyclic(2), ({v: v for v in range(3)}, {v: (v + 1) % 3 for v in range(3)})
+    )
+    with pytest.raises(NotRepresentation) as exc:
+        chain_action(m, act)
+    assert calls == [1]
+    assert str(exc.value) == "homomorphism fails for elements (1, 1) at degree 0: residual 1.732e+00"

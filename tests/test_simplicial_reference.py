@@ -28,6 +28,7 @@ from hpsig import (
     fundamental_cycle,
     geometry_stats,
 )
+from hpsig import simplicial
 from hpsig.errors import IncoherentOrientation, NotSimplicial, OrientationReversing
 from hpsig.fixtures import (
     circle_polygon,
@@ -296,6 +297,29 @@ def test_subdivided_cp2_triple_forms_no_dense_block():
     assert rho.dims == chains.dims and rho.is_signed_permutation
     # neither the boundary blocks nor the action's dense blocks were laid out:
     # one 27432 x 32400 boundary block alone would take 6.6 GiB
+    assert "chain" not in vars(chains)
+    assert rho._blocks is None
+    assert peak < 200 * 2**20
+
+
+def test_subdivided_cp2_triple_decides_its_duality_gates_with_no_dense_block():
+    m, action = barycentric_subdivide(*cp2_triple_s3())
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, action, chains)
+    tracemalloc.start()
+    try:
+        holds = simplicial._exact_identities(chains, rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # b b = 0, the chain condition of the averaged phased cap and of its
+    # symmetrization, self-adjointness and the action gate, all exact
+    assert holds == {
+        "boundary_residual", "selfadjoint_residual", "chain_residual",
+        "raw_chain_residual", "action_residual",
+    }
+    # on the face arrays, the cap triples and the signed permutations alone:
+    # one dense 27432 x 32400 boundary block would take 6.6 GiB
     assert "chain" not in vars(chains)
     assert rho._blocks is None
     assert peak < 200 * 2**20
