@@ -32,12 +32,13 @@ the class-sum structure constants), and checks it.  Every action has
 :attr:`GroupAction.isotypic_bases`: an orthonormal basis of the image of each
 isotypic projection ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``,
 built orbit by orbit of the coordinates for a signed-permutation action that
-composes exactly like the group, and degree by degree for any other.  An
-operator that commutes with the action is block diagonal in those bases, so
-the image of each of its spectral projections in the block of ``chi`` is a
-sum of copies of ``chi`` and its class is ``sum_chi m_chi chi`` with integer
-multiplicities ``m_chi``: the count of eigenvalues of the sign in the block,
-divided by ``dim chi`` (:func:`k0_from_multiplicities`).  Every class the
+composes exactly like the group, where it is kept row by row, and degree by
+degree for any other.  An operator that commutes with the action is block
+diagonal in those bases, so the image of each of its spectral projections in
+the block of ``chi`` is a sum of copies of ``chi`` and its class is
+``sum_chi m_chi chi`` with integer multiplicities ``m_chi``: the count of
+eigenvalues of the sign in the block, divided by ``dim chi``
+(:func:`k0_from_multiplicities`).  Every class the
 signature constructions return is read that way (see
 :func:`~hpsig.complexes._diagonalise`), once the action has passed the
 duality check's action gate.  :func:`k0_from_projections` reads the class of
@@ -63,7 +64,15 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .linalg import DEFAULT_TOL, adjoint, as_matrix, block_diag, residual_within
+from .linalg import (
+    DEFAULT_TOL,
+    _SparseBasis,
+    _sum_by_key,
+    adjoint,
+    as_matrix,
+    block_diag,
+    residual_within,
+)
 
 CHAR_TOL = 1e-6
 
@@ -258,6 +267,24 @@ class FiniteGroup:
         if all(index[powers[k - 1]] == index[z] for k in range(1, o) if math.gcd(k, o) == 1):
             return np.round(values.real) + 0j
         return values
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set: each element, in index order, that the elements
+        taken before it do not generate.  Each one at least doubles the
+        subgroup generated so far, so there are at most ``log2 |G|``."""
+        found: list[int] = []
+        span = {self._identity}
+        for g in range(self.order):
+            if g in span:
+                continue
+            found.append(g)
+            frontier = list(span)
+            while frontier:  # close under right multiplication by the set
+                new = {self.table[x][s] for x in frontier for s in found} - span
+                span |= new
+                frontier = list(new)
+        return tuple(found)
 
     @property
     def character_degrees(self) -> tuple[int, ...]:
@@ -467,6 +494,7 @@ class GroupAction:
             fams.append(mats)
         self._blocks = tuple(fams)
         self._dims = dims if dims is not None else ()
+        self._gathers = False
         self._signed = self._detect_signed()
         if self._signed is None:
             self._check_dense()
@@ -486,7 +514,10 @@ class GroupAction:
         element, as the simplicial layer builds it: no dense block is scanned
         (``detect``), the checks of :meth:`_check_signed` run unless the
         arrays are known to compose exactly like the group (``composes``),
-        and the dense blocks are laid out on first read."""
+        and the dense blocks are laid out on first read.  If the arrays
+        compose exactly, the isotypic compressions of operators are gathered
+        over :attr:`_orbit_columns` (``_gathers``); an action given by dense
+        blocks keeps dense products with dense bases, whatever its blocks."""
         self = cls.__new__(cls)
         self.group = group
         self.tol = tol
@@ -497,6 +528,7 @@ class GroupAction:
         self._exact = True
         if not composes:
             self._check_signed()
+        self._gathers = self._exact
         return self
 
     @property
@@ -607,6 +639,13 @@ class GroupAction:
         return self._totals[g] if k is None else self._signed[g][k]
 
     @cached_property
+    def _sources(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per element (rows) and coordinate (columns) of the total space, the
+        coordinate whose entry the element moves there and its sign."""
+        src = np.stack([t.src for t in self._totals])
+        return src, np.stack([t.sgn for t in self._totals]).real
+
+    @cached_property
     def _images(self) -> tuple[np.ndarray, np.ndarray]:
         """Per element (rows) and coordinate (columns) of the total space, the
         coordinate that the element maps it to and the sign it carries."""
@@ -622,19 +661,30 @@ class GroupAction:
         permutations that compose exactly like the group, and the degrees
         otherwise.  The rank on a piece is the trace of ``P_chi`` there; one
         that is not an integer within CHAR_TOL raises NotRepresentation.
+
+        For such signed permutations the bases are kept row by row
+        (:attr:`_orbit_columns`), and these matrices are laid out from them
+        when read; the duality check of a triangulation compresses ``B + S``
+        with the rows themselves and never reads them.
         """
         if self._signed is not None and self._exact:
-            return self._orbit_bases()
+            return tuple(q.dense() for q in self._orbit_columns)
         return self._degree_bases()
 
-    def _orbit_bases(self) -> tuple[np.ndarray, ...]:
-        """On an orbit ``O`` the trace of ``P_chi`` is ``(dim chi / |G|)
-        sum_g conj(chi(g)) tr rho_O(g)``, where ``tr rho_O(g)`` sums the signs
-        of the coordinates of ``O`` that ``g`` fixes.  For a one-dimensional
-        ``chi`` the rank is 0 or 1 and the column is the normalised orbit sum
-        ``P_chi e_o`` of the orbit's least coordinate ``o``; otherwise it is
-        the top eigenvectors of the ``|O|``-wide ``P_chi|O``.  No ``N``-wide
-        matrix is factorised, and a real character gives real columns.
+    @cached_property
+    def _orbit_columns(self) -> tuple[_SparseBasis, ...]:
+        """:attr:`isotypic_bases` of a signed-permutation action that
+        composes exactly, row by row: each column lies on one orbit ``O`` of
+        the coordinates, so a coordinate has a slot per column of its orbit.
+
+        On ``O`` the trace of ``P_chi`` is ``(dim chi / |G|) sum_g conj(chi(g))
+        tr rho_O(g)``, where ``tr rho_O(g)`` sums the signs of the coordinates
+        of ``O`` that ``g`` fixes.  For a one-dimensional ``chi`` the rank is 0
+        or 1 and the column is the normalised orbit sum ``P_chi e_o`` of the
+        orbit's least coordinate ``o``; otherwise it is the top eigenvectors
+        of the ``|O|``-wide ``P_chi|O``, one stacked ``eigh`` per orbit size.
+        No ``N``-wide matrix is formed, and a real character gives real
+        columns.
         """
         group = self.group
         order = group.order
@@ -648,26 +698,43 @@ class GroupAction:
         chars = group.characters[:, group.class_index]  # per character and element
         degrees = np.asarray(group.character_degrees)
         rounded = _integer_ranks((degrees[:, None] / order) * (chars.conj() @ traces))
+        # the coordinates orbit by orbit, each orbit in increasing order, and
+        # each coordinate's place in its orbit
+        by_orbit = np.argsort(orbit, kind="stable")
+        sizes = np.bincount(orbit)
+        starts = np.cumsum(sizes) - sizes
+        place = np.empty(size, dtype=np.intp)
+        place[by_orbit] = np.arange(size) - np.repeat(starts, sizes)
         bases = []
         for chi, d, rank in zip(chars, degrees, rounded):
             coef = chi.conj() if chi.imag.any() else chi.real
             if d == 1:
-                sums = np.zeros((size, points.size), dtype=coef.dtype)
-                np.add.at(sums, (dst[:, points], np.arange(points.size)), coef[:, None] * sign[:, points])
-                cols = sums[:, rank == 1]
-                bases.append(cols / np.linalg.norm(cols, axis=0))
+                bases.append(_orbit_sums(coef, dst, sign, points, orbit, rank))
                 continue
-            parts = []
-            for o in np.flatnonzero(rank):
-                members = np.flatnonzero(orbit == o)
-                local = np.searchsorted(members, dst[:, members])
-                proj = np.zeros((members.size, members.size), dtype=coef.dtype)
-                np.add.at(proj, (local, np.arange(members.size)), coef[:, None] * sign[:, members])
-                vecs = np.linalg.eigh(proj * (d / order))[1][:, members.size - rank[o]:]
-                part = np.zeros((size, rank[o]), dtype=vecs.dtype)
-                part[members] = vecs
-                parts.append(part)
-            bases.append(np.hstack(parts) if parts else np.zeros((size, 0), dtype=coef.dtype))
+            kept = np.flatnonzero(rank)
+            first = np.cumsum(rank[kept]) - rank[kept]  # each kept orbit's first column
+            width = int(rank.sum())
+            index = np.full((size, rank.max(initial=0)), width)
+            values = np.zeros(index.shape, dtype=coef.dtype)
+            for s in np.unique(sizes[kept]):
+                batch = np.flatnonzero(sizes[kept] == s)
+                orbits = kept[batch]
+                members = by_orbit[starts[orbits][:, None] + np.arange(s)]  # (orbits, s)
+                proj = np.zeros((orbits.size, s, s), dtype=coef.dtype)
+                np.add.at(
+                    proj,
+                    (np.arange(orbits.size)[:, None], place[dst[:, members]], np.arange(s)),
+                    coef[:, None, None] * sign[:, members],
+                )
+                vecs = np.linalg.eigh(proj * (d / order))[1]
+                # slot j of orbit o holds eigenvector s - rank[o] + j
+                slots = np.arange(index.shape[1])
+                used = slots < rank[orbits][:, None]
+                pick = np.minimum(s - rank[orbits][:, None] + slots, s - 1)
+                index[members] = np.where(used, first[batch][:, None] + slots, width)[:, None, :]
+                picked = np.take_along_axis(vecs, pick[:, None, :], axis=2)
+                values[members] = np.where(used[:, None, :], picked, 0)
+            bases.append(_SparseBasis(index, values, width))
         return tuple(bases)
 
     def _degree_bases(self) -> tuple[np.ndarray, ...]:
@@ -716,6 +783,31 @@ class GroupAction:
         group = FiniteGroup.trivial()
         fam = tuple(np.eye(int(d)) for d in dims)
         return cls(group, (fam,))
+
+
+def _orbit_sums(
+    coef: np.ndarray,
+    dst: np.ndarray,
+    sign: np.ndarray,
+    points: np.ndarray,
+    orbit: np.ndarray,
+    rank: np.ndarray,
+) -> _SparseBasis:
+    """The basis of a one-dimensional character whose conjugate values are
+    ``coef``: for each orbit of rank 1 the orbit sum ``P_chi e_o`` of its
+    least coordinate ``o`` (``coef[g] sign[g]`` added at the image of ``o``
+    under each element ``g`` in turn), divided by its norm (its squares
+    summed over the coordinates in increasing order).  A coordinate has one
+    slot."""
+    kept = np.flatnonzero(rank == 1)
+    column = np.full(points.size, kept.size)
+    column[kept] = np.arange(kept.size)
+    column = column[orbit]
+    terms = coef[:, None] * sign[:, points[kept]]
+    sums = _sum_by_key(dst[:, points[kept]].ravel(), terms.ravel(), orbit.size)
+    norms = np.sqrt(np.bincount(column, (sums.conj() * sums).real, kept.size + 1))
+    norms[-1] = 1.0  # the coordinates of no kept orbit, whose sums are 0
+    return _SparseBasis(column[:, None], (sums / norms[column])[:, None], kept.size)
 
 
 def _integer_ranks(traces: np.ndarray) -> np.ndarray:

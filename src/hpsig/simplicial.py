@@ -21,9 +21,11 @@ The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples.  The duality
 check's structural identities are decided on them exactly
-(:func:`_exact_identities`).  Dense blocks are laid out only where a dense
-construction reads them: the boundary on first use of ``chain``, and the cap
-in :func:`cap_duality`.
+(:func:`_exact_identities`), and the duality's degree blocks are read off
+the same cap entries (:func:`_cap_blocks`).  Dense blocks are laid out only
+where a dense construction reads them: the boundary on first use of
+``chain``, the duality's degree blocks, and the raw cap in
+:func:`cap_duality`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -38,7 +40,7 @@ are gated block by block by the duality check's action gate.  For vertex maps
 that scramble the global order the cap matrices do not commute with the
 action on the nose (the split point of a facet moves with the sort), so
 equivariant duality operators are built by averaging the phased cap over the
-group; see :func:`_average_over_group`.
+group; see :func:`_cap_blocks`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .complexes import (
     _action_gates,
     _ActionGates,
     _anticommutator,
-    _commutator_blocks,
     _duality_sides,
     _Halves,
     _verify_duality,
@@ -77,7 +78,6 @@ from .errors import (
 from .groups import FiniteGroup, GroupAction, _SignedPermutation
 from .linalg import (
     DEFAULT_TOL,
-    _block_frobenius_norm,
     adjoint,
     frobenius_norm,
     residual_within,
@@ -119,37 +119,42 @@ class OrientedSimplicialManifold:
     signs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        facets = tuple(tuple(int(v) for v in f) for f in self.facets)
-        if not facets:
+        if not len(self.facets):
             raise InvalidFacet("a manifold needs at least one facet")
-        size = len(facets[0])
-        for f in facets:
-            if len(f) != size:
-                raise InvalidFacet(f"facet {f} has {len(f)} vertices, expected {size}")
-            if any(f[i] >= f[i + 1] for i in range(len(f) - 1)):
-                raise InvalidFacet(f"facet {f} is not a sorted tuple of distinct vertices")
-        if len(set(facets)) != len(facets):
+        size = len(self.facets[0])
+        # the facets before the first of another size, as rows
+        same = next((t for t, f in enumerate(self.facets) if len(f) != size), len(self.facets))
+        rows = np.array(self.facets[:same], dtype=np.int64).reshape(same, size)
+        t = _first((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
+        if t is not None:
+            raise InvalidFacet(
+                f"facet {tuple(rows[t].tolist())} is not a sorted tuple of distinct vertices"
+            )
+        if same < len(self.facets):
+            f = tuple(int(v) for v in self.facets[same])
+            raise InvalidFacet(f"facet {f} has {len(f)} vertices, expected {size}")
+        if _unique_rows(rows)[0].shape[0] != same:
             raise InvalidFacet("duplicate facets")
         signs = tuple(int(s) for s in self.signs)
-        if len(signs) != len(facets) or any(s not in (-1, 1) for s in signs):
+        if len(signs) != same or any(s not in (-1, 1) for s in signs):
             raise InvalidFacet("signs must be +1 or -1, one per facet")
-        counts: dict[tuple[int, ...], int] = {}
-        if size >= 2:
-            for f in facets:
-                for i in range(size):
-                    face = f[:i] + f[i + 1 :]
-                    counts[face] = counts.get(face, 0) + 1
-            bad = [face for face, c in counts.items() if c > 2]
-            if bad:
-                raise InvalidFacet(
-                    f"face {bad[0]} lies in {counts[bad[0]]} facets; at most 2 allowed"
-                )
-        self.facets = facets
+        # every codimension-one face, facet by facet, the face without
+        # vertex i at i
+        faces = rows[:, [[j for j in range(size) if j != i] for i in range(size)]]
+        faces, first, counts = _unique_rows(faces.reshape(same * size, size - 1))
+        bad = np.flatnonzero(counts > 2)
+        if bad.size:
+            face = bad[np.argmin(first[bad])]  # the first to appear
+            raise InvalidFacet(
+                f"face {tuple(faces[face].tolist())} lies in {counts[face]} facets; "
+                f"at most 2 allowed"
+            )
+        self.facets = tuple(map(tuple, rows.tolist()))
         self.signs = signs
-        self._face_counts = counts
-        self.vertices = tuple(sorted({v for f in facets for v in f}))
+        self._boundary = faces[counts == 1]
+        self.vertices = tuple(np.unique(rows).tolist())
         self.dim = size - 1
-        self.with_boundary = any(c == 1 for c in counts.values())
+        self.with_boundary = bool(self._boundary.shape[0])
 
     @classmethod
     def from_facets(
@@ -203,7 +208,19 @@ class OrientedSimplicialManifold:
 
     def boundary_faces(self) -> tuple[tuple[int, ...], ...]:
         """Codimension-one faces lying in exactly one facet."""
-        return tuple(sorted(f for f, c in self._face_counts.items() if c == 1))
+        return tuple(map(tuple, self._boundary.tolist()))
+
+
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of an integer array in lexicographic order, the
+    position of each one's first occurrence and its count.  Rows of width 0
+    (the faces of points) are no rows at all."""
+    if not rows.shape[1]:
+        return rows[:0], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
+    ranked = rows[order]
+    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
+    return ranked[starts], order[starts], np.diff(np.append(starts, rows.shape[0]))
 
 
 class SimplicialChainData:
@@ -383,11 +400,16 @@ def _phase_exponent(n: int, p: int) -> int:
     return (base + 2 * p * n - p * (p + 1)) % 4
 
 
+def _roots(n: int) -> list:
+    """The phase ``i^{e(p)}`` of each degree ``p`` of an ``n``-dimensional cap."""
+    return [_FOURTH_ROOTS[_phase_exponent(n, p)] for p in range(n + 1)]
+
+
 def _phased_cap(
     m: OrientedSimplicialManifold, chains: SimplicialChainData
 ) -> tuple[list[np.ndarray], tuple[complex, ...]]:
     raw = cap_duality(m, chains)
-    roots = [_FOURTH_ROOTS[_phase_exponent(m.dim, p)] for p in range(m.dim + 1)]
+    roots = _roots(m.dim)
     return [r * raw[p] for p, r in enumerate(roots)], tuple(complex(r) for r in roots)
 
 
@@ -396,32 +418,6 @@ def _symmetrize(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     return tuple(
         (blocks[k] + adjoint(blocks[n - k])) / 2.0 for k in range(n + 1)
     )
-
-
-def _average_over_group(
-    blocks: Sequence[np.ndarray], rho: GroupAction
-) -> list[np.ndarray]:
-    """Group average of a duality family under conjugation by the action.
-
-    The cap matrices are written in the basis of sorted vertex tuples, and a
-    vertex permutation that scrambles that order moves the front/back split
-    point, so the matrices themselves only commute with the action when every
-    vertex map is order preserving.  Averaging over the group repairs this:
-    the average commutes with the action by construction, still anticommutes
-    with the boundary because the action does, and induces the same map on
-    homology as every conjugate (the action fixes the fundamental class), so
-    nondegeneracy survives.
-    """
-    n = len(blocks) - 1
-    order = rho.group.order
-    return [
-        sum(
-            rho.operator(g, k).conjugate(blocks[k], rho.operator(g, n - k))
-            for g in range(order)
-        )
-        / order
-        for k in range(n + 1)
-    ]
 
 
 @dataclass(frozen=True)
@@ -457,12 +453,13 @@ def duality_operator(
 ) -> tuple[DualityOperator, CapReport]:
     """Symmetrized phased cap of a closed manifold, with its residual report.
 
-    When a chain-level group action is supplied the phased family is averaged
-    over the group before symmetrization, so the result commutes with the
-    action (see :func:`_average_over_group`).  Raises DegenerateDuality if the
-    symmetrized family fails invertibility on the cone, and
-    PreconditionViolated for manifolds with boundary (those go through
-    :func:`bordism_to_cwb`).
+    When a chain-level group action by signed permutations is supplied (as
+    :func:`chain_action` builds it; another raises PreconditionViolated) the
+    phased family is averaged over the group before symmetrization, so the
+    result commutes with the action (see :func:`_cap_blocks`).  Raises
+    DegenerateDuality if the symmetrized family fails invertibility on the
+    cone, and PreconditionViolated for manifolds with boundary (those go
+    through :func:`bordism_to_cwb`).
     """
     cap = _closed_duality(m, chains, tol, rho, for_signatures=False)
     return cap.dual, cap.report
@@ -496,18 +493,19 @@ def _closed_duality(
             "manifolds with boundary use bordism_to_cwb"
         )
     chains = chains or enumerate_and_boundaries(m)
-    return _duality_from_cap(chains, *_phased_cap(m, chains), tol, rho, for_signatures)
+    fundamental_cycle(m, chains)
+    return _duality_from_cap(chains, tol, rho, for_signatures)
 
 
 def _duality_from_cap(
     chains: SimplicialChainData,
-    phased: Sequence[np.ndarray],
-    phases: tuple[complex, ...],
     tol: float,
     rho: GroupAction | None,
     for_signatures: bool,
 ) -> _CapDuality:
-    """:func:`duality_operator` of a closed manifold from its phased cap.
+    """:func:`duality_operator` of a closed manifold with a coherent
+    fundamental cycle, from its cap entries (:func:`_cap_entries`), which the
+    exact identities and the phased cap's blocks both read.
 
     Identities that hold exactly (:func:`_exact_identities`) report 0.0 and
     skip their float gates.  The duality check gates ``rho`` when it is
@@ -518,9 +516,11 @@ def _duality_from_cap(
     :func:`~hpsig.signature._coincidence` reads them.  Otherwise the check
     computes spectra only and the halves are None.
     """
-    holds = _exact_identities(chains, rho)
-    if rho is not None:
-        phased = _average_over_group(phased, rho)
+    roots = _roots(len(chains.rows) - 1)
+    phases = tuple(complex(r) for r in roots)
+    cap, count = _cap_entries(chains, rho)
+    holds = _exact_identities(chains, rho, cap)
+    phased = _cap_blocks(chains, cap, count, roots)
     chain = chains.chain
     raw_ok, raw_res = True, 0.0
     if "raw_chain_residual" not in holds:
@@ -560,20 +560,25 @@ def _duality_from_cap(
     return _CapDuality(dual, report, gates, halves if for_signatures else None)
 
 
-def _exact_identities(chains: SimplicialChainData, rho: GroupAction | None) -> frozenset[str]:
+def _exact_identities(
+    chains: SimplicialChainData, rho: GroupAction | None, cap: Sequence[tuple]
+) -> frozenset[str]:
     """The identities of the duality check of the symmetrized phased cap
     (averaged over ``rho``) that hold exactly, by the report field that gates
     each (``raw_chain_residual`` for the phased cap's chain condition).
 
     ``b_k`` has the entry ``(-1)^i`` at ``(faces[k][j, i], j)`` and ``P_k``
-    is ``i^{e(k)} / |G|`` times the integer entries of :func:`_cap_entries`,
-    so each identity is a list of (row, column, integer) entries whose sums
-    by position must vanish: ``b b = 0``; ``b P + P b^* = 0``, which carries
-    over to ``P^*`` (take adjoints), to ``S = (P + P^*) / 2`` and to the
-    cone's chain-map gate; and ``rho(g)`` commutes with ``b`` and ``|G| P``,
-    hence with ``P^*`` and ``S`` (``rho(g)^* = rho(g)^{-1}``).  ``S`` is
-    self-adjoint by construction, in floating point too.  Without signed
-    permutations only ``b b`` and self-adjointness are decided here.
+    is ``i^{e(k)}`` times the integer entries ``cap`` of
+    :func:`_cap_entries` divided by their count, so each identity is a list
+    of (row, column, integer) entries whose sums by position must vanish:
+    ``b b = 0``; ``b P + P b^* = 0``, which carries over to ``P^*`` (take
+    adjoints), to ``S = (P + P^*) / 2`` and to the cone's chain-map gate; and
+    ``rho(g)`` commutes with ``b`` and ``|G| P``, hence with ``P^*`` and
+    ``S`` (``rho(g)^* = rho(g)^{-1}``).  For an action that composes exactly
+    like the group, the last is decided on the group's generators: if
+    ``rho(g)`` and ``rho(h)`` commute with ``x``, so does ``rho(gh) = rho(g)
+    rho(h)``.  Any other action is decided on every element.  ``S`` is
+    self-adjoint by construction, in floating point too.
     """
     n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
 
@@ -598,9 +603,6 @@ def _exact_identities(chains: SimplicialChainData, rho: GroupAction | None) -> f
     holds = {"selfadjoint_residual"}
     if all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
         holds.add("boundary_residual")
-    if rho is not None and not rho.is_signed_permutation:
-        return frozenset(holds)
-    cap = _cap_entries(chains, rho)
 
     def anticommutes(k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
         one, other = left(k, *cap[k]), right(n - k + 1, *cap[k - 1])
@@ -618,43 +620,93 @@ def _exact_identities(chains: SimplicialChainData, rho: GroupAction | None) -> f
             commutes(x, op[k], op[n - k], dims[n - k]) for k, x in enumerate(cap)
         )
 
-    if rho is not None and all(equivariant(g) for g in range(rho.group.order)):
-        holds.add("action_residual")
+    if rho is not None:
+        elements = rho.group.generators if rho._exact else range(rho.group.order)
+        if all(map(equivariant, elements)):
+            holds.add("action_residual")
     return frozenset(holds)
 
 
-def _cap_entries(chains: SimplicialChainData, rho: GroupAction | None) -> list[tuple]:
-    """Per degree, ``|G|`` times the raw cap averaged over ``rho`` (the raw
-    cap itself without ``rho``) as (rows, columns, integers): conjugating by
-    the signed permutation ``rho(g)`` moves each facet's (back, front) entry
-    to the images of back and front under ``rho(g)^{-1}``, times the signs."""
+def _cap_entries(
+    chains: SimplicialChainData, rho: GroupAction | None
+) -> tuple[list[tuple], int]:
+    """Per degree, the raw cap summed over its conjugates by ``rho`` (the raw
+    cap itself without ``rho``) as (rows, columns, integers), and the number
+    of terms summed, ``|G|`` or 1, which divides the sums into the group
+    average: conjugating by the signed permutation ``rho(g)`` moves each
+    facet's (back, front) entry to the images of back and front under
+    ``rho(g)^{-1}``, times the signs.  Raises PreconditionViolated for an
+    action that is not by signed permutations, as :func:`chain_action`'s
+    are."""
     n = len(chains.rows) - 1
+    signs = chains.signs.astype(np.int64)
+    if rho is None:
+        return [(back, front, signs) for back, front in chains.cap_triples], 1
+    if not rho.is_signed_permutation:
+        raise PreconditionViolated(
+            "the cap is averaged over an action by signed permutations of the simplices"
+        )
+    offsets = np.cumsum((0, *chains.dims))
+    src, sgn = rho._sources
+    sgn = sgn.astype(np.int64)
     cap = []
     for k, (back, front) in enumerate(chains.cap_triples):
-        parts = [(back, front, chains.signs)]
-        if rho is not None:
-            parts = []
-            for g in range(rho.group.order):
-                one, other = rho.operator(g, k), rho.operator(g, n - k)
-                signs = chains.signs * one.sgn[back].real * other.sgn[front].real
-                parts.append((one.src[back], other.src[front], signs))
-        rows, cols, vals = map(np.concatenate, zip(*parts))
-        cap.append((rows, cols, vals.astype(np.int64)))
-    return cap
+        back, front = offsets[k] + back, offsets[n - k] + front  # on the total space
+        cap.append((
+            (src[:, back] - offsets[k]).ravel(),
+            (src[:, front] - offsets[n - k]).ravel(),
+            (signs * sgn[:, back] * sgn[:, front]).ravel(),
+        ))
+    return cap, rho.group.order
+
+
+def _cap_blocks(
+    chains: SimplicialChainData, cap: Sequence[tuple], count: int, roots: Sequence[complex]
+) -> list[np.ndarray]:
+    """The phased cap's degree blocks from the cap entries and their count
+    (:func:`_cap_entries`): the sums by position times the phase ``roots[k]``,
+    divided by the count.  With a group this is the group average of the
+    phased cap under conjugation by the action, equal to the dense average
+    up to the sign of zero: each of its entries is a sum of ``|G|`` terms
+    ``0`` or ``±i^{e(k)}``, an exact integer multiple of the phase.
+
+    The cap matrices are written in the basis of sorted vertex tuples, and a
+    vertex permutation that scrambles that order moves the front/back split
+    point, so the matrices themselves only commute with the action when every
+    vertex map is order preserving.  Averaging over the group repairs this:
+    the average commutes with the action by construction, still anticommutes
+    with the boundary because the action does, and induces the same map on
+    homology as every conjugate (the action fixes the fundamental class), so
+    nondegeneracy survives.
+    """
+    n, dims = len(chains.rows) - 1, chains.dims
+    blocks = []
+    for k, (rows, cols, vals) in enumerate(cap):
+        shape = (dims[k], dims[n - k])
+        sums = np.bincount(rows * shape[1] + cols, vals, shape[0] * shape[1]).reshape(shape)
+        blocks.append(roots[k] * sums / count)
+    return blocks
 
 
 def _vanishes(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()) -> bool:
     """Whether the integer entries ``vals`` at ``(rows, cols)``, and those in
     ``more``, of a matrix ``width`` columns wide sum to zero at every position."""
+    return not _position_sums(rows, cols, vals, width, more)[1].any()
+
+
+def _position_sums(
+    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``row * width + col`` that the entries ``vals`` at
+    ``(rows, cols)``, and those in ``more``, of a matrix ``width`` columns
+    wide occupy, each once and in increasing order, and the sums there."""
     if more:
         rows, cols, vals = (np.concatenate(x) for x in zip((rows, cols, vals), more))
-    if not rows.size:
-        return True
     keys = rows * width + cols
     order = np.argsort(keys)
     keys = keys[order]
-    starts = np.flatnonzero(keys[1:] != keys[:-1]) + 1
-    return not np.add.reduceat(vals[order], np.concatenate(([0], starts))).any()
+    first = np.flatnonzero(np.diff(keys, prepend=-1))
+    return keys[first], np.add.reduceat(vals[order], first)
 
 
 @dataclass(eq=False)
@@ -855,33 +907,59 @@ def _equivariant_structure(
     boundary it is the group averaged, symmetrized phased cap, gated here by
     the same rule (:func:`~hpsig.complexes._action_gates`).
     ``raw_cap_residual`` is the block-summed Frobenius norm of the raw cap's
-    commutators.
+    commutators (:func:`_raw_cap_residual`).
     """
     rho = chain_action(m, action, chains, tol=tol)
     chain = chains.chain
-    # one phased cap, for the raw residual and for the duality
-    phased, phases = _phased_cap(m, chains)
+    fundamental_cycle(m, chains)
     if m.with_boundary:
-        dual = DualityOperator(_symmetrize(_average_over_group(phased, rho)))
+        averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
+        dual = DualityOperator(_symmetrize(averaged))
         hp = HilbertPoincareComplex(chain, dual, rho)
         gates, halves = _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
     else:
-        cap = _duality_from_cap(chains, phased, phases, tol, rho, for_signatures)
+        cap = _duality_from_cap(chains, tol, rho, for_signatures)
         dual, gates, halves = cap.dual, cap.gates, cap.halves
-    n = chain.n
-    raw_blocks = [(k, n - k, phased[k]) for k in range(n + 1)]
     (b_ok, b_res), (s_ok, s_res) = gates
     report = EquivarianceReport(
         tol=tol,
         boundary_residual=b_res,
         duality_residual=s_res,
-        raw_cap_residual=max(
-            _block_frobenius_norm(_commutator_blocks(rho, g, raw_blocks))
-            for g in range(rho.group.order)
-        ),
+        raw_cap_residual=_raw_cap_residual(chains, rho),
         passed=b_ok and s_ok,
     )
     return rho, dual, report, halves
+
+
+def _raw_cap_residual(chains: SimplicialChainData, rho: GroupAction) -> float:
+    """The largest Frobenius norm over the elements ``g`` of the raw phased
+    cap's commutators ``rho(g) P - P rho(g)``, summed over the degree blocks
+    as :func:`~hpsig.linalg._block_frobenius_norm` sums them, from the raw
+    cap's integer entries, with the commutators of all elements stacked in
+    one matrix per degree.  The phase has modulus 1, so each block's sum of
+    squares is the exact integer that its dense commutator gives."""
+    n, dims, order = len(chains.rows) - 1, chains.dims, rho.group.order
+    offsets = np.cumsum((0, *dims))
+    (dst, dsgn), (src, sgn) = rho._images, rho._sources
+    stacked = np.arange(order)[:, None] * np.array(dims)  # element g's first row, per degree
+    squares = np.zeros((order, n + 1))
+    vals = chains.signs
+    for k, (rows, cols) in enumerate(chains.cap_triples):
+        r, c = offsets[k] + rows, offsets[n - k] + cols  # on the total space
+        top = stacked[:, [k]]
+        keys, sums = _position_sums(
+            (top + dst[:, r] - offsets[k]).ravel(),  # rho(g) P
+            np.tile(cols, order),
+            (vals * dsgn[:, r]).ravel(),
+            dims[n - k],
+            (  # P rho(g)
+                (top + rows).ravel(),
+                (src[:, c] - offsets[n - k]).ravel(),
+                (-vals * sgn[:, c]).ravel(),
+            ),
+        )
+        squares[:, k] = np.bincount(keys // (dims[k] * dims[n - k]), sums**2, order)
+    return float(max(np.linalg.norm(np.sqrt(row)) for row in squares))
 
 
 def to_hp_complex(

@@ -32,6 +32,7 @@ from hpsig.errors import (
 )
 from hpsig import barycentric_subdivide
 from hpsig.fixtures import (
+    cp2_triple_s3,
     octahedron,
     octahedron_rotation,
     octahedron_rotation_group,
@@ -389,6 +390,46 @@ def test_dense_actions_get_bases_that_span_the_isotypic_images():
     assert [q.shape[1] for q in swap.isotypic_bases] == [1, 1]
     orbit_sums = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     assert np.abs(np.hstack(swap.isotypic_bases) - orbit_sums).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "name, group",
+    [
+        *((f"Z/{n}", FiniteGroup.cyclic(n)) for n in (1, 2, 3, 4, 6)),
+        ("Z/2xZ/2", FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))),
+        ("S3", _s3()),
+        ("rotations", octahedron_rotation_group().group),
+    ],
+)
+def test_generators_generate_the_group(name, group):
+    gens = group.generators
+    assert len(gens) <= np.log2(group.order)
+    assert group.identity not in gens
+    # the closure under left multiplication by the set, from the identity
+    closure, frontier = {group.identity}, [group.identity]
+    while frontier:
+        new = {group.multiply(s, x) for x in frontier for s in gens} - closure
+        closure |= new
+        frontier = list(new)
+    assert closure == set(range(group.order))
+
+
+def test_orbit_columns_take_one_eigh_per_orbit_size(count_calls):
+    # S3 permutes the three copies of CP^2_9, so every orbit holds three
+    # simplices: the degree-2 character's 255 orbits share one stacked eigh
+    # (one per orbit would be 255)
+    rho = chain_action(*cp2_triple_s3())
+    solves = count_calls(np.linalg, ("eigh",))
+    columns = rho._orbit_columns
+    assert solves == {"eigh": 1}
+    assert [q.width for q in columns] == [255, 0, 510]
+    # each of the 24 rotations' characters of degree 2 and 3 needs one per
+    # size of the orbits on which it has rank; one per orbit would be 22
+    rotations = chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
+    solves["eigh"] = 0
+    columns = rotations._orbit_columns
+    assert solves == {"eigh": 10}
+    assert [q.width for q in columns] == [8, 6, 24, 54, 54]
 
 
 def test_k0_from_multiplicities():

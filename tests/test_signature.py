@@ -465,9 +465,9 @@ def _noncommuting(name, monkeypatch):
     triangulation it comes from (None for a generated complex)."""
     if name == "unaveraged-cap":
         # the coarse octahedron's rotation scrambles the vertex order, so the
-        # phased cap commutes with it only after the group average; the cap is
-        # not averaged, neither densely nor in the exact gates' entries
-        monkeypatch.setattr(simplicial, "_average_over_group", lambda blocks, rho: list(blocks))
+        # phased cap commutes with it only after the group average; the cap's
+        # entries, which the exact gates and the duality's blocks read, are
+        # not averaged
         entries = simplicial._cap_entries
         monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
         m, action = octahedron(), octahedron_rotation()

@@ -33,7 +33,7 @@ from hpsig import (
     verify_duality,
     verify_equivariance,
 )
-from hpsig import complexes, simplicial
+from hpsig import complexes, linalg, signature, simplicial
 from hpsig.errors import (
     BoundaryConditionViolated,
     DegenerateDuality,
@@ -58,6 +58,7 @@ from hpsig.fixtures import (
     simplex_sphere,
     sphere_swap_action,
 )
+from hpsig.generate import random_unitary
 from hpsig.cli import main
 from hpsig.io import write_smf
 from hpsig.linalg import adjoint, operator_norm
@@ -79,6 +80,57 @@ def test_facet_validation():
         OrientedSimplicialManifold(
             ((0, 1, 2), (0, 1, 3), (0, 1, 4)), (1, 1, 1)
         )
+
+
+@pytest.mark.parametrize(
+    "facets, signs, message",
+    [
+        ((), (), "a manifold needs at least one facet"),
+        (((0, 1, 2), (0, 1)), (1, 1), "facet (0, 1) has 2 vertices, expected 3"),
+        (((2, 1, 0),), (1,), "facet (2, 1, 0) is not a sorted tuple of distinct vertices"),
+        (((0, 1, 1),), (1,), "facet (0, 1, 1) is not a sorted tuple of distinct vertices"),
+        # facet by facet, whichever check fails first
+        (
+            ((0, 1, 2), (2, 1, 0), (0, 1)),
+            (1, 1, 1),
+            "facet (2, 1, 0) is not a sorted tuple of distinct vertices",
+        ),
+        (((0, 1, 2), (0, 1), (2, 1, 0)), (1, 1, 1), "facet (0, 1) has 2 vertices, expected 3"),
+        (((0, 1, 2), (0, 1, 3), (0, 1, 2)), (1, 1, 1), "duplicate facets"),
+        (((0, 1, 2),), (2,), "signs must be +1 or -1, one per facet"),
+        (((0, 1, 2), (0, 1, 3)), (1,), "signs must be +1 or -1, one per facet"),
+        (
+            ((0, 1, 2), (0, 1, 3), (0, 1, 4)),
+            (1, 1, 1),
+            "face (0, 1) lies in 3 facets; at most 2 allowed",
+        ),
+        # the face named is the first to appear, not the least
+        (
+            ((1, 2, 3), (1, 2, 4), (1, 2, 5), (0, 1, 6), (0, 1, 7), (0, 1, 8), (0, 1, 9)),
+            (1,) * 7,
+            "face (1, 2) lies in 3 facets; at most 2 allowed",
+        ),
+        (((0,), (1,), (2,)), (1, 1, 1), None),
+    ],
+)
+def test_facet_validation_messages(facets, signs, message):
+    if message is None:  # points have no codimension-one faces to count
+        m = OrientedSimplicialManifold(facets, signs)
+        assert m.dim == 0 and not m.with_boundary and m.boundary_faces() == ()
+        return
+    with pytest.raises(InvalidFacet) as exc:
+        OrientedSimplicialManifold(facets, signs)
+    assert str(exc.value) == message
+
+
+def test_face_counts_give_the_boundary():
+    disk = simplex_disk(2)
+    assert disk.with_boundary and disk.boundary_faces() == ((0, 1), (0, 2), (1, 2))
+    # two triangles sharing an edge: the other four edges, sorted
+    m = OrientedSimplicialManifold(((0, 2, 3), (0, 1, 2)), (1, -1))
+    assert m.facets == ((0, 2, 3), (0, 1, 2)) and m.vertices == (0, 1, 2, 3)
+    assert m.boundary_faces() == ((0, 1), (0, 3), (1, 2), (2, 3))
+    assert not octahedron().with_boundary and octahedron().boundary_faces() == ()
 
 
 @pytest.mark.parametrize(
@@ -330,8 +382,8 @@ def test_equivariance_sphere_pair_swap():
 def test_equivariance_violation_raises(monkeypatch):
     import hpsig.simplicial as sim
 
-    # the cap is not averaged, neither densely nor in the exact gates' entries
-    monkeypatch.setattr(sim, "_average_over_group", lambda blocks, rho: list(blocks))
+    # the cap is not averaged: its entries, which both the exact gates and
+    # the duality's blocks read, are the raw cap's
     entries = sim._cap_entries
     monkeypatch.setattr(sim, "_cap_entries", lambda chains, rho: entries(chains, None))
     with pytest.raises(EquivarianceViolated) as exc_info:
@@ -549,7 +601,7 @@ def test_exact_gates_agree_with_the_float_gates(name):
     m, act = _EXACT_CASES[name]()
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains) if act is not None else None
-    decided = simplicial._exact_identities(chains, rho)
+    decided = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
     # every identity holds exactly, so the duality check runs no float gate
     assert decided == _ALL_IDENTITIES | ({"action_residual"} if rho is not None else set())
     cap = simplicial._closed_duality(m, chains, 1e-9, rho, for_signatures=False)
@@ -571,7 +623,7 @@ def test_exact_gates_agree_with_the_float_gates(name):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
     phased = simplicial._phased_cap(m, chains)[0]
     if rho is not None:
-        phased = simplicial._average_over_group(phased, rho)
+        phased = _dense_group_average(phased, rho)
     raw = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(tuple(phased))))
     assert cap.report.raw_chain_residual == raw.chain_residual == 0.0
     assert cap.report.chain_residual == plain.chain_residual
@@ -586,6 +638,129 @@ def test_exact_gates_agree_with_the_float_gates(name):
         assert cap.report.symmetrization_residual == want
     else:
         assert abs(cap.report.symmetrization_residual - want) <= 1e-14 * want
+
+
+def _dense_group_average(blocks, rho):
+    """The group average of a duality family under conjugation by the
+    action, by dense conjugations: the reference for the average that the
+    simplicial layer reads off the cap entries."""
+    n, order = len(blocks) - 1, rho.group.order
+    return [
+        sum(rho.operator(g, k).conjugate(blocks[k], rho.operator(g, n - k)) for g in range(order))
+        / order
+        for k in range(n + 1)
+    ]
+
+
+def _circle_rotation():
+    """The square with its Z/4 rotation: a one-dimensional case, whose
+    ``B - S`` is not the mirror of ``B + S``."""
+    act = tuple({v: (v + k) % 4 for v in range(4)} for k in range(4))
+    return circle_polygon(4), SimplicialAction(FiniteGroup.cyclic(4), act)
+
+
+_ACTION_CASES = {
+    "octahedron-z4": lambda: (octahedron(), octahedron_rotation()),
+    "octahedron-sd-z4": lambda: barycentric_subdivide(octahedron(), octahedron_rotation()),
+    "octahedron-sd-rot24": lambda: barycentric_subdivide(octahedron(), octahedron_rotation_group()),
+    "sphere-pair-swap": lambda: (disjoint_sphere_pair(), sphere_swap_action()),
+    "cp2-triple-s3": cp2_triple_s3,
+    "circle-z4": _circle_rotation,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ACTION_CASES))
+def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
+    m, act = _ACTION_CASES[name]()
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    assert rho._gathers
+    # the group average read off the cap entries is the dense one, up to
+    # the sign of zero
+    cap, count = simplicial._cap_entries(chains, rho)
+    phased = simplicial._cap_blocks(chains, cap, count, simplicial._roots(m.dim))
+    dense = _dense_group_average(simplicial._phased_cap(m, chains)[0], rho)
+    for got, want in zip(phased, dense):
+        assert got.dtype == want.dtype and np.array_equal(got + 0.0, want + 0.0)
+    hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)), rho)
+    for sign in (1.0, -1.0):
+        # B ± S as entries read off the degree blocks are those of the
+        # layout, in its order
+        entries = complexes._half_entries(hp, sign)
+        h = complexes._half_of_blocks(hp, sign)
+        for got, expected in zip(entries, linalg._Entries.of(h)):
+            assert np.array_equal(got, expected)
+        # each gathered compression is the dense one, and so are the counts
+        # and the classes they give
+        scale = np.linalg.norm(h)
+        for q, columns in zip(rho.isotypic_bases, rho._orbit_columns):
+            assert np.array_equal(columns.dense(), q)
+            difference = columns.compress(entries) - adjoint(q) @ h @ q
+            assert np.abs(difference).max(initial=0.0) <= 1e-12 * scale
+        gathered = linalg._block_spectrum(entries, rho._orbit_columns, 1e-9)
+        products = linalg._block_spectrum(h, rho.isotypic_bases, 1e-9)
+        assert gathered.block_ranks == products.block_ranks
+        classes = [signature._isotypic_class(rho.group, x.block_ranks) for x in (gathered, products)]
+        assert classes[0].multiplicities == classes[1].multiplicities
+
+
+@pytest.mark.parametrize("name", sorted(set(_ACTION_CASES) - {"circle-z4"}))
+def test_the_action_route_lays_out_no_n_wide_operator(
+    name, monkeypatch, tmp_path, capsys, count_calls
+):
+    m, act = _ACTION_CASES[name]()
+    want = manifold_signature(m, act)
+
+    def refuse(*args):
+        raise AssertionError("an N-wide operator was laid out")
+
+    monkeypatch.setattr(complexes, "_half_of_blocks", refuse)
+    monkeypatch.setattr(GroupAction, "isotypic_bases", property(refuse))
+    layouts = count_calls(complexes, ("assemble_total",))
+    rep = manifold_signature(m, act)
+    assert rep.passed and want.passed
+    for got, expected in zip(rep.results, want.results):
+        assert got.k0.multiplicities == expected.k0.multiplicities
+    path = str(tmp_path / f"{name}.smf")
+    write_smf(m, path, act)
+    assert main(["manifold", path, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+    assert layouts == {"assemble_total": 0}
+
+
+def test_an_action_that_does_not_compose_exactly_is_gated_on_every_element(monkeypatch):
+    # the square's four rotations labelled by Z/2 x Z/2: no quarter turn is
+    # an involution, so the chain action passes the homomorphism check only
+    # at a tolerance above its residuals (2.0) and does not compose exactly;
+    # its matrices are still a group, so the averaged cap commutes with each
+    klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
+    turns = tuple({v: (v + k) % 4 for v in range(4)} for k in range(4))
+    cases = [
+        (circle_polygon(4), SimplicialAction(klein, turns), 3.0),
+        (*barycentric_subdivide(octahedron(), octahedron_rotation_group()), 1e-9),
+    ]
+    for m, act, tol in cases:
+        chains = enumerate_and_boundaries(m)
+        rho = chain_action(m, act, chains, tol=tol)
+        cap = simplicial._cap_entries(chains, rho)[0]
+        seen = set()
+        operator = rho.operator
+        monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
+        assert "action_residual" in simplicial._exact_identities(chains, rho, cap)
+        if rho._exact:  # an exact homomorphism: its generators only
+            assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
+        else:
+            assert seen == set(range(rho.group.order))
+
+
+def test_the_cap_is_averaged_over_signed_permutations_only():
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    rng = np.random.default_rng(5)
+    twisted = rho.conjugated([random_unitary(rng, d) for d in rho.dims])
+    with pytest.raises(PreconditionViolated, match="signed permutations"):
+        duality_operator(m, chains, rho=twisted)
 
 
 def _moved_face(chains):
@@ -606,7 +781,7 @@ def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch
     chains = enumerate_and_boundaries(m)
     if broken == "face-index":
         _moved_face(chains)
-    decided = simplicial._exact_identities(chains, None)
+    decided = simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0])
     declined = {"chain_residual", "raw_chain_residual"}
     if broken == "face-index":
         declined.add("boundary_residual")
@@ -620,7 +795,7 @@ def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch
     # the same message as when every gate is a float gate
     with pytest.raises(DegenerateDuality) as fallback:
         duality_operator(m, chains)
-    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho: frozenset())
+    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: frozenset())
     with pytest.raises(DegenerateDuality) as plain:
         duality_operator(m, chains)
     assert str(fallback.value) == str(plain.value)

@@ -308,7 +308,7 @@ def test_subdivided_cp2_triple_decides_its_duality_gates_with_no_dense_block():
     rho = chain_action(m, action, chains)
     tracemalloc.start()
     try:
-        holds = simplicial._exact_identities(chains, rho)
+        holds = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
