@@ -53,7 +53,7 @@ from .linalg import (
     is_invertible,
     residual_within,
 )
-from .signature import CoincidenceReport, _coincidence
+from .signature import CoincidenceReport, _coincidence, check_coincidence
 
 __all__ = [
     "BlockDecomposition",
@@ -639,7 +639,8 @@ def boundary_signature_is_zero(
     The signature constructions reuse ``B + S`` and ``B - S`` as the boundary
     complex's duality check diagonalised them.
     """
-    rep = _coincidence(*_boundary_complex(cwb, tol), tol)
+    hp, halves = _boundary_complex(cwb, tol)
+    rep = check_coincidence(hp, tol) if halves is None else _coincidence(hp.n, None, halves, tol)
     group = rep.k0.group
     zero = k0_equal(rep.k0, k0_zero(group))
     return BoundaryZeroReport(

@@ -36,7 +36,6 @@ from .bordism import (
 )
 from .complexes import (
     _DUALITY_FAILURES,
-    HilbertPoincareComplex,
     doubled_duality_cone,
     homology_ranks,
     verify_duality,
@@ -330,17 +329,17 @@ def _cmd_manifold(args, out: _Output) -> int:
     if action is None:
         rep = manifold_signature(manifold, None, chains, tol=tol)
     else:
-        # the action, the duality and the diagonalised B + S and B - S
-        # are built once, for the equivariance residuals and for the signatures
-        rho, dual, eq, halves = _equivariant_structure(manifold, action, chains, tol,
-                                                       for_signatures=True)
-        out(f"  equivariance residuals: boundary {eq.boundary_residual:.3e}, "
-            f"duality {eq.duality_residual:.3e}",
-            equivariance=_fields(eq, "boundary_residual", "duality_residual", "passed"))
-        if not eq.passed:
+        # the action gate and the diagonalised B + S and B - S are built
+        # once, for the equivariance residuals and for the signatures
+        rho, ((b_ok, b_res), (s_ok, s_res)), halves = _equivariant_structure(
+            manifold, action, chains, tol)
+        out(f"  equivariance residuals: boundary {b_res:.3e}, duality {s_res:.3e}",
+            equivariance={"boundary_residual": b_res, "duality_residual": s_res,
+                          "passed": b_ok and s_ok})
+        if not (b_ok and s_ok):
             out("manifold: FAIL (action does not commute)")
             return EXIT_FAIL
-        rep = _coincidence(HilbertPoincareComplex(chains.chain, dual, rho), halves, tol)
+        rep = _coincidence(manifold.dim, rho.group, halves, tol)
     out(methods={r.method: _class_dict(r.k0) for r in rep.results})
     for result in rep.results:
         out(f"  {result.method:<12s} {_fmt_class(result.k0)}")

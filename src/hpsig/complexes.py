@@ -35,11 +35,12 @@ The signature constructions need the operators and spectra that the duality
 check forms.  :func:`_verify_duality` hands back the diagonalised halves and
 the anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
 ``manifold`` command form each of them once per call.  A triangulation's
-structural identities are decided exactly on its integer arrays and their
-gates are not run; ``B + S`` then reaches the isotypic blocks as its entries
-when the triangulation's action composes exactly (:func:`_half_entries`), and
-is otherwise the one operator laid out on the total space
-(:func:`_half_of_blocks`).  The other gates form their products from the
+structural identities are decided exactly on its integer arrays; when all
+hold, no gate runs and ``B + S`` is read off those arrays as its nonzero
+entries (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
+blocks as gathers when the triangulation's action composes exactly, and are
+otherwise laid out as the one operator on the total space
+(:func:`_diagonalise`).  The other gates form their products from the
 degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
@@ -86,7 +87,6 @@ from .linalg import (
     block_diag,
     classify_eigenvalues,
     mirrored,
-    operator_dtype,
     residual_within,
     within,
 )
@@ -408,8 +408,8 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
 def _diagonalise(
     ops: Sequence[np.ndarray | _Entries], tol: float, action: GroupAction | None
 ) -> list[BlockSpectrum]:
-    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`,
-    :func:`_half_of_blocks` and :func:`_half_entries` give them (not checked
+    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`
+    and :func:`~hpsig.simplicial._half_entries` give them (not checked
     again), diagonalised for the signature classes over the group of
     ``action``, which must have passed the action gate on them: one block,
     the trivial group's only character, without an action, and one small
@@ -417,16 +417,18 @@ def _diagonalise(
     (:func:`~hpsig.linalg.block_spectrum`).  The compressions are gathers
     over the orbit columns of an action whose ``_gathers`` is set, which read
     a dense operator off its nonzero entries, and dense products with the
-    dense ``isotypic_bases`` for any other action."""
-    if action is None:
-        return [_one_block(classify_eigenvalues(np.linalg.eigvalsh(h), tol)) for h in ops]
-    if action._gathers:
+    dense ``isotypic_bases`` for any other action, which lay out an operator
+    given as entries."""
+    if action is not None and action._gathers:
         return [
             _block_spectrum(
                 h if isinstance(h, _Entries) else _Entries.of(h), action._orbit_columns, tol
             )
             for h in ops
         ]
+    ops = [h.dense() if isinstance(h, _Entries) else h for h in ops]
+    if action is None:
+        return [_one_block(classify_eigenvalues(np.linalg.eigvalsh(h), tol)) for h in ops]
     return [_block_spectrum(h, action.isotypic_bases, tol) for h in ops]
 
 
@@ -476,45 +478,6 @@ def _hermitian_halves(
     big_b = b + adjoint(b)
     s_h = s if not skew.any() else (s + adjoint(s)) / 2.0
     return big_b + s_h, big_b - s_h
-
-
-def _half_blocks(hp: HilbertPoincareComplex, sign: float) -> list[tuple[int, int, np.ndarray]]:
-    """The degree blocks of ``B + sign S``, as :func:`_half_of_blocks` sums them."""
-    n, bnds = hp.n, hp.chain.boundaries
-    entries = [(k - 1, k, x) for k, x in enumerate(bnds, start=1)]
-    entries += [(k, k - 1, adjoint(x)) for k, x in enumerate(bnds, start=1)]
-    entries += [(k, n - k, x if sign > 0 else -x) for k, x in enumerate(hp.duality.blocks)]
-    return entries
-
-
-def _half_of_blocks(hp: HilbertPoincareComplex, sign: float) -> np.ndarray:
-    """``B + sign S`` from the degree blocks, for an ``S`` self-adjoint entry for
-    entry: the sum of the totals bit for bit, as no two blocks of ``b``,
-    ``b^*`` and ``S`` share an entry in even degree, nor three in odd."""
-    return assemble_total(hp.dims, hp.dims, _half_blocks(hp, sign))
-
-
-def _half_entries(hp: HilbertPoincareComplex, sign: float) -> _Entries:
-    """The nonzero entries of :func:`_half_of_blocks` in row-major order, as
-    :meth:`~hpsig.linalg._Entries.of` reads them off it, bit for bit: the
-    blocks that share a position are summed as it sums them, each position
-    of the total once, and no ``N``-wide matrix is formed."""
-    blocks = _half_blocks(hp, sign)
-    dtype = operator_dtype(*(x for _, _, x in blocks))
-    sums: dict[tuple[int, int], np.ndarray] = {}
-    for r, c, x in blocks:
-        total = sums.setdefault((r, c), np.zeros(x.shape, dtype))
-        total += x
-    offsets = np.cumsum((0, *hp.dims))
-    rows, cols, vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0, dtype)]
-    for (r, c), total in sums.items():
-        i, j = np.nonzero(total)
-        rows.append(offsets[r] + i)
-        cols.append(offsets[c] + j)
-        vals.append(total[i, j])
-    rows, cols, vals = map(np.concatenate, (rows, cols, vals))
-    order = np.argsort(rows * offsets[-1] + cols)
-    return _Entries(rows[order], cols[order], vals[order], int(offsets[-1]))
 
 
 @dataclass(frozen=True)
@@ -675,27 +638,25 @@ def _verify_duality(
 
     ``decided`` names, by report field, the gates whose identity the caller
     has shown to hold exactly, as the simplicial layer does on its integer
-    arrays: they report 0.0 and do not run, and a decided chain condition
-    settles the cone's chain-map gate, whose sides are its blocks.  The
-    others run on the given ``S``, its total and ``b``'s (one column-norm
-    bound of each), and ``hp``'s action.  Once ``S`` passes the cone's
-    chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``,
-    diagonalised over the group of ``action`` (None or ``hp``'s action) if
-    the action gate passed and over the trivial group otherwise; they are
-    returned if the self-adjointness and action gates passed.  Then come the
-    anticommutator ``b S + S b^*`` (None when decided) and the action gate.
-    When every gate is decided, ``B ± S`` is read off the degree blocks: as
-    entries for an ``action`` whose compressions are gathers, so that no
-    ``N``-wide matrix is formed, and laid out otherwise.
+    arrays when some identity fails there: they report 0.0 and do not run,
+    and a decided chain condition settles the cone's chain-map gate, whose
+    sides are its blocks.  The others run on the given ``S``, its total and
+    ``b``'s (one column-norm bound of each), and ``hp``'s action.  Once ``S``
+    passes the cone's chain-map gate, the cone is read off ``B + S_h`` and
+    ``B - S_h`` on the total space, diagonalised over the group of
+    ``action`` (None or ``hp``'s action) if the action gate passed and over
+    the trivial group otherwise; they are returned if the self-adjointness
+    and action gates passed.  Then come the anticommutator ``b S + S b^*``
+    (None when decided) and the action gate.  A triangulation whose
+    identities all hold exactly does not come here: its ``B ± S`` is read
+    off its integer arrays (:func:`~hpsig.simplicial._duality_from_cap`).
     """
     gated = dict.fromkeys(decided, (True, 0.0))  # (holds, residual) by the report field
     pending = {"boundary_residual", "selfadjoint_residual", "chain_residual"} - decided
     acting = hp.action is not None and "action_residual" not in decided
-    totals = pending or acting
-    if totals:
-        b, s = hp.total_boundary(), hp.total_duality()
-        sa = s - adjoint(s)
-        shared = _shared_bounds()
+    b, s = hp.total_boundary(), hp.total_duality()
+    sa = s - adjoint(s)
+    shared = _shared_bounds()
     if "boundary_residual" in pending:
         gated["boundary_residual"] = residual_within(
             _boundary_square(hp.chain), tol, shared(lambda norm: norm(b) ** 2)
@@ -719,13 +680,9 @@ def _verify_duality(
     try:
         if sides is not None:
             _require_chain_map(sides, tol)
-        if totals:
-            plus_op, minus_op = _hermitian_halves(b, s, sa)
-        else:  # S is self-adjoint by construction; B - S is its mirror in even degree
-            half = _half_entries if action is not None and action._gathers else _half_of_blocks
-            plus_op = half(hp, 1.0)
-            minus_op = half(hp, -1.0) if hp.n % 2 else None
-        halves = _diagonalise_halves(plus_op, minus_op, hp.n, tol, action if equivariant else None)
+        halves = _diagonalise_halves(
+            *_hermitian_halves(b, s, sa), hp.n, tol, action if equivariant else None
+        )
         gated["cone_min_singular_value"] = _halves_invertibility(*halves, tol)
     except NotChainMap:
         gated["cone_min_singular_value"] = (False, 0.0)

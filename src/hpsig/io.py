@@ -9,6 +9,7 @@ boundary is an .hpx document with the extra ``boundary_split`` key.
 
 from __future__ import annotations
 
+import itertools
 import json
 from typing import Any
 
@@ -82,6 +83,16 @@ def _int_list(x: Any, where: str) -> list[int]:
     ):
         raise ParseError(f"{where}: expected a list of integers")
     return list(x)
+
+
+def _int_lists(lists: list, width: int | None = None) -> bool:
+    """:func:`_int_list` of every item of ``lists`` at once, each ``width``
+    long when given, as a verdict only."""
+    return (
+        set(map(type, lists)) <= {list}
+        and set(map(type, itertools.chain.from_iterable(lists))) <= {int}
+        and (width is None or set(map(len, lists)) <= {width})
+    )
 
 
 def _load_json(path: str) -> dict:
@@ -248,17 +259,20 @@ def read_smf(
     if doc.get("format") != "smf":
         raise ParseError(f"{path}: format key must be 'smf'")
     fraw = _need(doc, "facets", list, path)
-    facets = []
-    signs = []
-    for i, entry in enumerate(fraw):
-        if not isinstance(entry, dict):
-            raise ParseError(f"{path}: facets[{i}] must be an object")
-        verts = _int_list(_need(entry, "verts", list, f"{path}: facets[{i}]"),
-                          f"{path}: facets[{i}].verts")
-        sign = _need(entry, "sign", int, f"{path}: facets[{i}]")
-        facets.append(tuple(verts))
-        signs.append(int(sign))
-    manifold = OrientedSimplicialManifold(tuple(facets), tuple(signs))
+    try:  # every facet at once; the loop below names the first bad one
+        facets, signs = [entry["verts"] for entry in fraw], [entry["sign"] for entry in fraw]
+        valid = _int_lists(facets) and set(map(type, signs)) <= {int, bool}
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:
+        facets, signs = [], []
+        for i, entry in enumerate(fraw):
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: facets[{i}] must be an object")
+            facets.append(_int_list(_need(entry, "verts", list, f"{path}: facets[{i}]"),
+                                    f"{path}: facets[{i}].verts"))
+            signs.append(_need(entry, "sign", int, f"{path}: facets[{i}]"))
+    manifold = OrientedSimplicialManifold(tuple(map(tuple, facets)), tuple(map(int, signs)))
     if "dim" in doc and doc["dim"] != manifold.dim:
         raise ParseError(
             f"{path}: dim key says {doc['dim']} but facets have dimension "
@@ -280,18 +294,15 @@ def read_smf(
             raise ParseError(
                 f"{path}: vertex_maps must hold {len(elements)} maps"
             )
-        maps = []
-        for g, pairs in enumerate(vraw):
-            if not isinstance(pairs, list):
-                raise ParseError(f"{path}: vertex_maps[{g}] must be a list of pairs")
-            vm = {}
-            for pair in pairs:
-                pair = _int_list(pair, f"{path}: vertex_maps[{g}] entry")
-                if len(pair) != 2:
-                    raise ParseError(
-                        f"{path}: vertex_maps[{g}] entries must be [vertex, image]"
-                    )
-                vm[pair[0]] = pair[1]
-            maps.append(vm)
-        action = SimplicialAction(group, tuple(maps))
+        # every pair at once; the loop names the first bad map or pair
+        if not (set(map(type, vraw)) <= {list} and _int_lists([*itertools.chain(*vraw)], 2)):
+            for g, pairs in enumerate(vraw):
+                if not isinstance(pairs, list):
+                    raise ParseError(f"{path}: vertex_maps[{g}] must be a list of pairs")
+                for pair in pairs:
+                    if len(_int_list(pair, f"{path}: vertex_maps[{g}] entry")) != 2:
+                        raise ParseError(
+                            f"{path}: vertex_maps[{g}] entries must be [vertex, image]"
+                        )
+        action = SimplicialAction(group, tuple(dict(pairs) for pairs in vraw))
     return manifold, action

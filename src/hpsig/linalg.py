@@ -361,7 +361,7 @@ def block_spectrum(
 
 class _Entries(NamedTuple):
     """A ``size``-wide square operator as the values ``vals`` at the
-    positions ``(rows, cols)``, summed where a position repeats."""
+    positions ``(rows, cols)``, each position once."""
 
     rows: np.ndarray
     cols: np.ndarray
@@ -377,6 +377,12 @@ class _Entries(NamedTuple):
         """The nonzero entries of the square matrix ``h``, in row-major order."""
         rows, cols = np.nonzero(h)
         return cls(rows, cols, h[rows, cols], h.shape[0])
+
+    def dense(self) -> np.ndarray:
+        """The matrix, in the dtype of the values."""
+        h = np.zeros(self.shape, dtype=self.vals.dtype)
+        h[self.rows, self.cols] = self.vals
+        return h
 
 
 @dataclass(frozen=True)

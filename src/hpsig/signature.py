@@ -13,9 +13,10 @@ For an even top degree ``n`` the three constructions are:
   ``B + S`` directly.
 
 All three land in K_0 of the group algebra (of the trivial group when no
-action is present) and agree; ``check_coincidence`` verifies that numerically
-together with the exact grading symmetry that conjugates ``B - S`` into
-``-(B + S)``.
+action is present) and agree; ``check_coincidence`` compares them.  The
+algebraic reason is the grading symmetry that conjugates ``B - S`` into
+``-(B + S)``, which holds entry for entry in even degree, so its reported
+residual is exactly 0.
 
 Each operation diagonalises ``B + S`` once.  For even ``n`` the grading
 ``phi = (-1)^degree`` conjugates ``B - S`` into ``-(B + S)`` entry for entry,
@@ -24,12 +25,12 @@ and ``B - S`` is read off ``B + S`` as its mirror (see
 those results.  ``check_coincidence`` diagonalises itself.
 ``manifold_signature``, the ``manifold`` command and
 ``boundary_signature_is_zero`` have already diagonalised in the duality check
-of the same operation, and hand the results to ``_coincidence``, which skips
-the cone's chain-map gate that the check has just passed on the same data at
-the same tolerance.  Mishchenko's cone is not assembled: its compression is
-``B + S_h``, whose spectrum (and hence the reduced class) it shares, and its
-cone spectrum is that of ``B + S_h`` and ``B - S_h`` (see
-:mod:`hpsig.complexes`).
+of the same operation, and hand the results to ``_coincidence``, which
+reads only them, the top degree and the group: the check has just passed the
+cone's chain-map gate on the same data at the same tolerance.  Mishchenko's
+cone is not assembled: its compression is ``B + S_h``, whose spectrum (and
+hence the reduced class) it shares, and its cone spectrum is that of
+``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`).
 
 Every class is read off eigenvalue counts: those of each sign in each
 isotypic block of the action, one small eigensolve per irreducible character
@@ -45,9 +46,9 @@ constructions accept exactly the actions that ``verify_duality`` accepts.
 
 Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S) phi``, whose block counts
 are those of ``p_-(B + S)`` exactly, so Higson-Roe and reduced agree to the
-last bit.  The comparison therefore checks the constructions' algebra and
-the gated grading identity, not the eigensolver; the independent check is an
-exact one, the intersection form on middle homology (ROADMAP Direction 2).
+last bit.  The comparison therefore checks the constructions' algebra, not
+the eigensolver; the independent check is an exact one, the intersection
+form on middle homology (ROADMAP Direction 2).
 """
 
 from __future__ import annotations
@@ -77,7 +78,6 @@ from .linalg import (
     _require_self_adjoint,
     adjoint,
     classify_eigenvalues,
-    residual_within,
 )
 
 __all__ = [
@@ -107,11 +107,9 @@ class SignatureResult:
         return self.k0.rank
 
 
-def _require_even(hp: HilbertPoincareComplex) -> None:
-    if hp.n % 2 != 0:
-        raise OddDimension(
-            f"signature constructions need even top degree, got {hp.n}"
-        )
+def _require_even(n: int) -> None:
+    if n % 2 != 0:
+        raise OddDimension(f"signature constructions need even top degree, got {n}")
 
 
 def _nondegenerate(spec: Spectrum, what: str) -> None:
@@ -203,7 +201,7 @@ def higson_roe_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Difference class of the positive parts of ``B + S`` and ``B - S``."""
-    _require_even(hp)
+    _require_even(hp.n)
     plus, minus, gates = _gated_halves(hp, *_operators(hp, tol), tol)
     _nondegenerate(plus, "B + S")
     _nondegenerate(minus, "B - S")
@@ -216,7 +214,7 @@ def mishchenko_signature(
 ) -> SignatureResult:
     """Signature through the duality cone and the diagonal compression, both
     read off ``B + S_h`` and ``B - S_h`` (see :mod:`hpsig.complexes`)."""
-    _require_even(hp)
+    _require_even(hp.n)
     b, s, plus_op, minus_op = _operators(hp, tol)
     _require_duality_chain_map(hp, tol)
     plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
@@ -231,7 +229,7 @@ def reduced_signature(
     hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL
 ) -> SignatureResult:
     """Signature of ``b + b^* + S`` on the total space."""
-    _require_even(hp)
+    _require_even(hp.n)
     # in even degree B - S costs nothing: it is the mirror of B + S
     plus, _, gates = _gated_halves(hp, *_operators(hp, tol), tol)
     _nondegenerate(plus, "b + b* + S")
@@ -243,8 +241,10 @@ def reduced_signature(
 class CoincidenceReport:
     """Joint result of the three constructions on one complex.
 
-    ``passed`` requires equal classes and a grading conjugation residual
-    within tolerance.
+    ``passed`` requires equal classes.  ``grading_conjugation_residual`` is
+    that of the grading symmetry ``phi (B - S) phi = -(B + S)``, which holds
+    entry for entry by construction in even degree (see
+    :func:`~hpsig.complexes._diagonalise_halves`), so it is 0.0.
     """
 
     results: tuple[SignatureResult, ...]
@@ -262,55 +262,47 @@ def check_coincidence(
 ) -> CoincidenceReport:
     """Run all three constructions and compare the resulting classes.
 
-    Also gates the residual of the exact symmetry ``phi (B - S) phi = -(B + S)``
-    with ``phi = (-1)^degree``, which is the algebraic reason the classes agree
-    for even ``n``, at the scale of ``B + S`` and ``B - S``.
+    ``B + S`` and ``B - S`` are diagonalised once, together, and shared by
+    all three constructions, read as ``B + S_h`` and ``B - S_h`` bit for bit
+    (``B`` and ``S`` share no entry); the chain-map and action gates follow
+    the nondegeneracy gates.  ``B - S`` is the mirror of ``B + S``, so the
+    cone and the compression are nondegenerate with them.  The grading
+    symmetry ``phi (B - S) phi = -(B + S)`` with ``phi = (-1)^degree``, the
+    algebraic reason the classes agree, holds entry for entry.
     """
-    return _coincidence(hp, None, tol, char_tol)
+    _require_even(hp.n)
+    b, s, plus_op, minus_op = _operators(hp, tol)
+    plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
+    _nondegenerate(plus, "B + S")
+    _nondegenerate(minus, "B - S")
+    _require_duality_chain_map(hp, tol)
+    _require_equivariant(gates)
+    return _coincidence(hp.n, _group(hp), (plus, minus), tol, char_tol)
 
 
 def _coincidence(
-    hp: HilbertPoincareComplex,
-    halves: _Halves | None,
+    n: int,
+    group: FiniteGroup | None,
+    halves: _Halves,
     tol: float,
     char_tol: float = CHAR_TOL,
 ) -> CoincidenceReport:
-    """:func:`check_coincidence`, reusing ``halves`` when given.
+    """:func:`check_coincidence` of a complex of top degree ``n`` with classes
+    over ``group`` (None for the trivial group) from ``halves``, ``B + S``
+    and ``B - S`` diagonalised for those classes.
 
-    ``halves`` must come from the duality check of ``hp`` at the same
-    ``tol`` (:func:`~hpsig.complexes._verify_duality`), diagonalised for the
-    classes over ``hp``'s group.  Such halves exist only for a duality that
-    passed the self-adjointness, chain-map and action gates, which are
-    therefore not run again; nor is the grading gate, whose identity holds
-    entry for entry for the halves the check laid out in even degree (see
-    :func:`~hpsig.complexes._diagonalise_halves`), so its residual is
-    exactly 0.  Otherwise ``B + S`` and ``B - S`` are diagonalised here,
-    read as ``B + S_h`` and ``B - S_h`` bit for bit (``B`` and ``S`` share
-    no entry), and the chain-map and action gates follow the nondegeneracy
-    gates.  ``B - S`` is the mirror of ``B + S``, so the cone and the
-    compression are nondegenerate with them.
+    ``halves`` come from :func:`check_coincidence` or from the duality check
+    of the complex at the same ``tol``
+    (:func:`~hpsig.complexes._verify_duality`,
+    :func:`~hpsig.simplicial._duality_from_cap`).  The check returns halves
+    only for a duality that passed the self-adjointness, chain-map and action
+    gates, which are therefore not run again.
     """
-    _require_even(hp)
-    # B + S_h and B - S_h are diagonalised once, together, and shared by all
-    # three constructions.
-    if halves is None:
-        b, s, plus_op, minus_op = _operators(hp, tol)
-        plus, minus, gates = _gated_halves(hp, b, s, plus_op, minus_op, tol)
-    else:
-        plus, minus = halves
+    _require_even(n)
+    plus, minus = halves
     _nondegenerate(plus, "B + S")
     _nondegenerate(minus, "B - S")
-    graded, residual = True, 0.0
-    if halves is None:
-        _require_duality_chain_map(hp, tol)
-        _require_equivariant(gates)
-        signs = hp.degree_signs()
-        graded, residual = residual_within(
-            signs[:, None] * minus_op * signs + plus_op,
-            tol,
-            lambda norm: max(norm(plus_op), norm(minus_op)),
-        )
-    group = _group(hp)
+    group = group or FiniteGroup.trivial()
     # Mishchenko's compression is B + S_h, so its class is the reduced one
     results = (
         _higson_roe(group, plus, minus),
@@ -324,6 +316,6 @@ def _coincidence(
     return CoincidenceReport(
         results=results,
         max_character_difference=max_diff,
-        grading_conjugation_residual=residual,
-        passed=graded and all(k0_equal(p.k0, q.k0, tol=char_tol) for p, q in pairs),
+        grading_conjugation_residual=0.0,
+        passed=all(k0_equal(p.k0, q.k0, tol=char_tol) for p, q in pairs),
     )

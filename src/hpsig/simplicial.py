@@ -21,11 +21,13 @@ The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples.  The duality
 check's structural identities are decided on them exactly
-(:func:`_exact_identities`), and the duality's degree blocks are read off
-the same cap entries (:func:`_cap_blocks`).  Dense blocks are laid out only
-where a dense construction reads them: the boundary on first use of
-``chain``, the duality's degree blocks, and the raw cap in
-:func:`cap_duality`.
+(:func:`_exact_identities`), and when all hold, ``B + S`` and ``B - S`` are
+read off the same arrays as their nonzero entries (:func:`_half_entries`),
+which the signature route diagonalises without laying out a degree block.
+Dense blocks are laid out only where a public function returns them or a
+float gate reads them: the boundary on first use of ``chain``, the duality's
+degree blocks (:func:`_cap_blocks`) for :func:`duality_operator` and
+:func:`to_hp_complex`, and the raw cap in :func:`cap_duality`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -60,8 +62,10 @@ from .complexes import (
     _action_gates,
     _ActionGates,
     _anticommutator,
+    _diagonalise_halves,
     _duality_sides,
     _Halves,
+    _halves_invertibility,
     _verify_duality,
 )
 from .errors import (
@@ -78,11 +82,12 @@ from .errors import (
 from .groups import FiniteGroup, GroupAction, _SignedPermutation
 from .linalg import (
     DEFAULT_TOL,
+    _Entries,
     adjoint,
     frobenius_norm,
     residual_within,
 )
-from .signature import CoincidenceReport, _coincidence
+from .signature import CoincidenceReport, _coincidence, check_coincidence
 
 __all__ = [
     "CapReport",
@@ -433,7 +438,8 @@ class CapReport:
     then decide it (:func:`_exact_identities`).  ``passed`` is the verdict of
     :func:`verify_duality` on the symmetrized family, with the action when
     one is given, and the cone operator's smallest |eigenvalue| is
-    ``cone_min_singular_value``.
+    ``cone_min_singular_value``, read off the isotypic blocks of an action
+    (:func:`_duality_from_cap`).
     """
 
     tol: float
@@ -461,22 +467,50 @@ def duality_operator(
     cone, and PreconditionViolated for manifolds with boundary (those go
     through :func:`bordism_to_cwb`).
     """
-    cap = _closed_duality(m, chains, tol, rho, for_signatures=False)
+    cap = _closed_duality(m, chains, tol, rho)
     return cap.dual, cap.report
 
 
-@dataclass(frozen=True)
 class _CapDuality:
-    """One pass of :func:`_duality_from_cap`: the duality and its report, the
-    action gate of the duality check, and, for the signature constructions,
-    the halves ``B + S`` and ``B - S`` with their diagonalisations when the
-    duality check returned them (see
-    :func:`~hpsig.complexes._verify_duality`)."""
+    """The duality check of a closed manifold's symmetrized phased cap, as
+    :func:`_duality_from_cap` decides it: the report's residuals and verdict,
+    the check's action gate, and ``B + S`` and ``B - S`` diagonalised over
+    the group of the action (None unless the self-adjointness and action
+    gates passed).  The phased cap's degree blocks, and with them the duality
+    (:attr:`dual`) and the report's symmetrization residual, are laid out
+    from the cap entries on first read."""
 
-    dual: DualityOperator
-    report: CapReport
-    gates: _ActionGates
+    raw_chain_residual = chain_residual = 0.0
+    gates: _ActionGates = ((True, 0.0), (True, 0.0))
     halves: _Halves | None
+    cone_min_singular_value: float
+    passed: bool
+
+    def __init__(self, chains: SimplicialChainData, tol: float, rho: GroupAction | None) -> None:
+        self.chains, self.tol = chains, tol
+        self.roots = _roots(len(chains.rows) - 1)
+        self.cap, self.count = _cap_entries(chains, rho)
+
+    @cached_property
+    def phased(self) -> list[np.ndarray]:
+        return _cap_blocks(self.chains, self.cap, self.count, self.roots)
+
+    @cached_property
+    def dual(self) -> DualityOperator:
+        return DualityOperator(_symmetrize(self.phased))
+
+    @property
+    def report(self) -> CapReport:
+        diff = [(p - s).ravel() for p, s in zip(self.phased, self.dual.blocks)]
+        return CapReport(
+            tol=self.tol,
+            phases=tuple(complex(r) for r in self.roots),
+            raw_chain_residual=self.raw_chain_residual,
+            symmetrization_residual=frobenius_norm(np.concatenate(diff)),
+            chain_residual=self.chain_residual,
+            cone_min_singular_value=self.cone_min_singular_value,
+            passed=self.passed,
+        )
 
 
 def _closed_duality(
@@ -484,7 +518,6 @@ def _closed_duality(
     chains: SimplicialChainData | None,
     tol: float,
     rho: GroupAction | None,
-    for_signatures: bool,
 ) -> _CapDuality:
     """:func:`duality_operator` with everything its duality check computed."""
     if m.with_boundary:
@@ -494,70 +527,112 @@ def _closed_duality(
         )
     chains = chains or enumerate_and_boundaries(m)
     fundamental_cycle(m, chains)
-    return _duality_from_cap(chains, tol, rho, for_signatures)
+    return _duality_from_cap(chains, tol, rho)
 
 
 def _duality_from_cap(
-    chains: SimplicialChainData,
-    tol: float,
-    rho: GroupAction | None,
-    for_signatures: bool,
+    chains: SimplicialChainData, tol: float, rho: GroupAction | None
 ) -> _CapDuality:
     """:func:`duality_operator` of a closed manifold with a coherent
-    fundamental cycle, from its cap entries (:func:`_cap_entries`), which the
-    exact identities and the phased cap's blocks both read.
+    fundamental cycle, from its cap entries (:func:`_cap_entries`).
 
-    Identities that hold exactly (:func:`_exact_identities`) report 0.0 and
-    skip their float gates.  The duality check gates ``rho`` when it is
-    given, so ``passed`` holds only for an action that commutes with ``b``
-    and ``S``.  The halves are kept only ``for_signatures``, diagonalised
-    for the classes over the group of ``rho`` (see
-    :func:`~hpsig.complexes._diagonalise`), as
-    :func:`~hpsig.signature._coincidence` reads them.  Otherwise the check
-    computes spectra only and the halves are None.
+    When every identity, the action gate's included, holds exactly
+    (:func:`_exact_identities`), no gate runs and no degree block is laid
+    out: ``B + S`` and, in odd degree, ``B - S`` are read off the face arrays
+    and the cap entries (:func:`_half_entries`) and diagonalised over the
+    group of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), which
+    gathers them over the orbit columns of an action that composes exactly
+    and lays each out as one ``N``-wide matrix otherwise; the cone value is
+    their smallest |eigenvalue|.  Otherwise the phased cap's blocks are laid
+    out, identities that hold exactly report 0.0, and the others take their
+    float gates in :func:`~hpsig.complexes._verify_duality`, which gates
+    ``rho`` too, so ``passed`` holds only for an action that commutes with
+    ``b`` and ``S``.
     """
-    roots = _roots(len(chains.rows) - 1)
-    phases = tuple(complex(r) for r in roots)
-    cap, count = _cap_entries(chains, rho)
-    holds = _exact_identities(chains, rho, cap)
-    phased = _cap_blocks(chains, cap, count, roots)
-    chain = chains.chain
-    raw_ok, raw_res = True, 0.0
-    if "raw_chain_residual" not in holds:
-        pdual = DualityOperator(tuple(phased))
-        btot, ptot = chain.total_boundary(), pdual.total(chain)
-        raw_ok, raw_res = residual_within(
-            _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
-            tol,
-            lambda norm: norm(btot) * norm(ptot),
+    out = _CapDuality(chains, tol, rho)
+    n = len(chains.rows) - 1
+    holds = _exact_identities(chains, rho, out.cap)
+    raw_ok = True
+    every = {"boundary_residual", "chain_residual", "raw_chain_residual"}
+    if holds >= every | ({"action_residual"} if rho is not None else set()):
+        halves = _half_entries(chains, out.cap, out.count, out.roots)
+        out.halves = _diagonalise_halves(*halves, n, tol, rho)
+        invertible, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
+        out.passed = invertible
+    else:
+        chain = chains.chain
+        if "raw_chain_residual" not in holds:
+            pdual = DualityOperator(tuple(out.phased))
+            btot, ptot = chain.total_boundary(), pdual.total(chain)
+            raw_ok, out.raw_chain_residual = residual_within(
+                _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
+                tol,
+                lambda norm: norm(btot) * norm(ptot),
+            )
+        rep, out.halves, anti, out.gates = _verify_duality(
+            HilbertPoincareComplex(chain, out.dual, rho), tol, rho, holds
         )
-    sym = _symmetrize(phased)
-    dual = DualityOperator(sym)
-    sym_res = frobenius_norm(np.concatenate([(p - s).ravel() for p, s in zip(phased, sym)]))
-    rep, halves, anti, gates = _verify_duality(
-        HilbertPoincareComplex(chain, dual, rho), tol, rho if for_signatures else None, holds
-    )
-    report = CapReport(
-        tol=tol,
-        phases=phases,
-        raw_chain_residual=raw_res,
-        symmetrization_residual=sym_res,
-        chain_residual=0.0 if anti is None else frobenius_norm(anti),
-        cone_min_singular_value=rep.cone_min_singular_value,
-        passed=rep.passed,
-    )
-    if not rep.cone_invertible:
+        out.chain_residual = 0.0 if anti is None else frobenius_norm(anti)
+        out.cone_min_singular_value, out.passed = rep.cone_min_singular_value, rep.passed
+        invertible = rep.cone_invertible
+    if not invertible:
         raise DegenerateDuality(
             f"symmetrized cap duality is degenerate (smallest cone singular "
-            f"value {rep.cone_min_singular_value:.3e})"
+            f"value {out.cone_min_singular_value:.3e})"
         )
     if not raw_ok:
         raise DegenerateDuality(
             f"phased cap does not anticommute with the boundary "
-            f"(residual {raw_res:.3e}); the phase normalization does not fit "
-            f"this complex"
+            f"(residual {out.raw_chain_residual:.3e}); the phase normalization "
+            f"does not fit this complex"
         )
-    return _CapDuality(dual, report, gates, halves if for_signatures else None)
+    return out
+
+
+def _half_entries(
+    chains: SimplicialChainData, cap: Sequence[tuple], count: int, roots: Sequence[complex]
+) -> tuple[_Entries, _Entries | None]:
+    """The nonzero entries of ``B + S`` and, in odd degree, of ``B - S`` (None
+    in even degree) for the symmetrized phased cap ``S`` of the cap entries
+    and their count (:func:`_cap_entries`), read off the face arrays and the
+    cap entries position by position, without forming a block: in row-major
+    order and with the values, bit for bit, of laying out ``b``, ``b^*`` and
+    ``S`` (:func:`_cap_blocks`, :func:`_symmetrize`) and adding them to a
+    zero in that order, so that a part that is zero is +0.0."""
+    n, dims = len(chains.rows) - 1, chains.dims
+    offsets = np.cumsum((0, *dims))
+    size = int(offsets[-1])
+    b_keys, b_back, b_vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
+    for k in range(1, n + 1):  # b_k has (-1)^i at (faces[k][j, i], j)
+        rows = offsets[k - 1] + chains.faces[k]
+        cols = offsets[k] + np.arange(dims[k])[:, None]
+        b_keys.append((rows * size + cols).ravel())
+        b_back.append((cols * size + rows).ravel())  # of b^*
+        b_vals.append(np.tile(1.0 - 2.0 * (np.arange(k + 1) % 2), dims[k]))
+    # P_k at (back, front) on the total space and P^* at (front, back), each
+    # entry of the cap once
+    p_rows = np.concatenate([offsets[k] + x[0] for k, x in enumerate(cap)])
+    p_cols = np.concatenate([offsets[n - k] + x[1] for k, x in enumerate(cap)])
+    keys = np.concatenate([*b_keys, *b_back, p_rows * size + p_cols, p_cols * size + p_rows])
+    union, at = np.unique(keys, return_inverse=True)
+    rows, cols = np.divmod(union, size)
+    b_vals = np.concatenate(b_vals)
+    at_b, at_p, at_q = np.split(at, np.cumsum([2 * b_vals.size, p_rows.size]))
+    p_vals = np.concatenate([x[2] for x in cap]).astype(float)
+    # each position's integer sum times the phase of the degree of its row
+    # for P_k and of its column for P^*_k
+    phase = np.asarray(roots)[np.searchsorted(offsets, [rows, cols], side="right") - 1]
+    p = phase[0] * np.bincount(at_p, p_vals, union.size) / count
+    q = (phase[1] * np.bincount(at_q, p_vals, union.size) / count).conj()
+    s = (p + q) / 2.0
+    base = np.zeros(union.size, s.dtype)
+    base[at_b] = np.concatenate([b_vals, b_vals])
+
+    def entries(vals: np.ndarray) -> _Entries:
+        kept = vals != 0
+        return _Entries(rows[kept], cols[kept], vals[kept], size)
+
+    return entries(base + s), entries(base - s) if n % 2 else None
 
 
 def _exact_identities(
@@ -577,8 +652,11 @@ def _exact_identities(
     ``S`` (``rho(g)^* = rho(g)^{-1}``).  For an action that composes exactly
     like the group, the last is decided on the group's generators: if
     ``rho(g)`` and ``rho(h)`` commute with ``x``, so does ``rho(gh) = rho(g)
-    rho(h)``.  Any other action is decided on every element.  ``S`` is
-    self-adjoint by construction, in floating point too.
+    rho(h)``.  Any other action is decided on every element.  Once every
+    ``rho(g)`` commutes with ``b``, the chain condition of the group average
+    is decided on the raw cap first, ``|G|`` times fewer entries: each
+    conjugate ``rho(g)^* P rho(g)`` anticommutes with ``b`` when ``P`` does.
+    ``S`` is self-adjoint by construction, in floating point too.
     """
     n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
 
@@ -604,26 +682,24 @@ def _exact_identities(
     if all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
         holds.add("boundary_residual")
 
-    def anticommutes(k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
-        one, other = left(k, *cap[k]), right(n - k + 1, *cap[k - 1])
+    def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
+        one, other = left(k, *x[k]), right(n - k + 1, *x[k - 1])
         u = (_phase_exponent(n, k - 1) - _phase_exponent(n, k)) % 4  # P_{k-1} : P_k
         if u % 2:  # a real and an imaginary integer matrix
             return _vanishes(*one, dims[n - k]) and _vanishes(*other, dims[n - k])
         return _vanishes(*one, dims[n - k], (*other[:2], other[2] * (1 - u)))
 
-    if all(anticommutes(k) for k in range(1, n + 1)):
+    elements = () if rho is None else rho.group.generators if rho._exact else range(rho.group.order)
+    ops = [[rho.operator(g, k) for k in range(n + 1)] for g in elements]
+    commutes_with_b = all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd)
+    # the raw cap first once rho commutes with b; without rho it is cap
+    tried = [_cap_entries(chains, None)[0], cap] if rho is not None and commutes_with_b else [cap]
+    if any(all(anticommutes(x, k) for k in range(1, n + 1)) for x in tried):
         holds |= {"raw_chain_residual", "chain_residual"}
-
-    def equivariant(g: int) -> bool:  # rho(g) commutes with b and with |G| P
-        op = [rho.operator(g, k) for k in range(n + 1)]
-        return all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for k in bnd) and all(
-            commutes(x, op[k], op[n - k], dims[n - k]) for k, x in enumerate(cap)
-        )
-
-    if rho is not None:
-        elements = rho.group.generators if rho._exact else range(rho.group.order)
-        if all(map(equivariant, elements)):
-            holds.add("action_residual")
+    if rho is not None and commutes_with_b and all(
+        commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)
+    ):
+        holds.add("action_residual")
     return frozenset(holds)
 
 
@@ -853,9 +929,12 @@ class EquivarianceReport:
     """Commutation residuals of a chain action with the structure maps.
 
     ``duality_residual`` measures the duality operator the pipeline actually
-    uses (group averaged when the action scrambles the vertex order);
-    ``raw_cap_residual`` measures the unaveraged phased cap and is diagnostic
-    only (a Frobenius bound), since that family is order sensitive.
+    uses (group averaged when the action scrambles the vertex order), and
+    both it and ``boundary_residual`` are read off the action gate of that
+    duality's check.  ``raw_cap_residual`` measures the unaveraged phased cap
+    and is diagnostic only (a Frobenius bound), since that family is order
+    sensitive; only :func:`verify_equivariance` computes it
+    (:func:`_raw_cap_residual`).
     """
 
     tol: float
@@ -877,7 +956,14 @@ def verify_equivariance(
     the report is attached to the exception as ``report``.
     """
     chains = chains or enumerate_and_boundaries(m)
-    report = _equivariant_structure(m, action, chains, tol)[2]
+    rho, ((b_ok, b_res), (s_ok, s_res)), _ = _equivariant_structure(m, action, chains, tol)
+    report = EquivarianceReport(
+        tol=tol,
+        boundary_residual=b_res,
+        duality_residual=s_res,
+        raw_cap_residual=_raw_cap_residual(chains, rho),
+        passed=b_ok and s_ok,
+    )
     if not report.passed:
         exc = EquivarianceViolated(
             f"action does not commute with the structure maps "
@@ -894,41 +980,26 @@ def _equivariant_structure(
     action: SimplicialAction,
     chains: SimplicialChainData,
     tol: float,
-    for_signatures: bool = False,
-) -> tuple[GroupAction, DualityOperator, EquivarianceReport, _Halves | None]:
-    """Chain action, the duality operator the pipeline uses with it, their
-    equivariance report, which is returned rather than raised, and, for the
-    signature constructions, ``B + S`` and ``B - S`` as the duality check of
-    a closed manifold diagonalised them (None with boundary
-    or when not ``for_signatures``).
+) -> tuple[GroupAction, _ActionGates, _Halves | None]:
+    """The chain action, the action gate of the duality the pipeline uses
+    with it, which is returned rather than raised, and ``B + S`` and
+    ``B - S`` as the duality check of a closed manifold diagonalised them
+    (None with boundary).
 
     For a closed manifold the duality is :func:`duality_operator` with the
-    action, and the report reads the action gate of its duality check; with
-    boundary it is the group averaged, symmetrized phased cap, gated here by
-    the same rule (:func:`~hpsig.complexes._action_gates`).
-    ``raw_cap_residual`` is the block-summed Frobenius norm of the raw cap's
-    commutators (:func:`_raw_cap_residual`).
+    action, and the gate is its duality check's (:func:`_duality_from_cap`);
+    with boundary it is the group averaged, symmetrized phased cap, gated
+    here by the same rule (:func:`~hpsig.complexes._action_gates`).
     """
     rho = chain_action(m, action, chains, tol=tol)
-    chain = chains.chain
     fundamental_cycle(m, chains)
-    if m.with_boundary:
-        averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
-        dual = DualityOperator(_symmetrize(averaged))
-        hp = HilbertPoincareComplex(chain, dual, rho)
-        gates, halves = _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
-    else:
-        cap = _duality_from_cap(chains, tol, rho, for_signatures)
-        dual, gates, halves = cap.dual, cap.gates, cap.halves
-    (b_ok, b_res), (s_ok, s_res) = gates
-    report = EquivarianceReport(
-        tol=tol,
-        boundary_residual=b_res,
-        duality_residual=s_res,
-        raw_cap_residual=_raw_cap_residual(chains, rho),
-        passed=b_ok and s_ok,
-    )
-    return rho, dual, report, halves
+    if not m.with_boundary:
+        cap = _duality_from_cap(chains, tol, rho)
+        return rho, cap.gates, cap.halves
+    averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
+    chain, dual = chains.chain, DualityOperator(_symmetrize(averaged))
+    hp = HilbertPoincareComplex(chain, dual, rho)
+    return rho, _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
 
 
 def _raw_cap_residual(chains: SimplicialChainData, rho: GroupAction) -> float:
@@ -969,22 +1040,9 @@ def to_hp_complex(
     tol: float = DEFAULT_TOL,
 ) -> HilbertPoincareComplex:
     """Duality complex of a closed oriented triangulated manifold."""
-    return _hp_with_halves(m, action, chains, tol, for_signatures=False)[0]
-
-
-def _hp_with_halves(
-    m: OrientedSimplicialManifold,
-    action: SimplicialAction | None,
-    chains: SimplicialChainData | None,
-    tol: float,
-    for_signatures: bool,
-) -> tuple[HilbertPoincareComplex, _Halves | None]:
-    """:func:`to_hp_complex` with the halves its duality check diagonalised
-    (see :func:`_duality_from_cap`)."""
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol) if action is not None else None
-    cap = _closed_duality(m, chains, tol, rho, for_signatures)
-    return HilbertPoincareComplex(chains.chain, cap.dual, rho), cap.halves
+    return HilbertPoincareComplex(chains.chain, _closed_duality(m, chains, tol, rho).dual, rho)
 
 
 def manifold_signature(
@@ -997,10 +1055,16 @@ def manifold_signature(
 
     The same as ``check_coincidence(to_hp_complex(m, action, chains, tol),
     tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the duality
-    check, and read again by the constructions.
+    check, and read again by the constructions: when every identity holds
+    exactly they are read off the integer arrays, and no degree block of
+    ``b`` or ``S`` is laid out (see :func:`_duality_from_cap`).
     """
-    hp, halves = _hp_with_halves(m, action, chains, tol, for_signatures=True)
-    return _coincidence(hp, halves, tol)
+    chains = chains or enumerate_and_boundaries(m)
+    rho = chain_action(m, action, chains, tol=tol) if action is not None else None
+    cap = _closed_duality(m, chains, tol, rho)
+    if cap.halves is None:  # the action gate failed, which check_coincidence raises
+        return check_coincidence(HilbertPoincareComplex(chains.chain, cap.dual, rho), tol)
+    return _coincidence(m.dim, None if rho is None else rho.group, cap.halves, tol)
 
 
 def bordism_to_cwb(

@@ -184,6 +184,55 @@ def test_read_smf_rejects_malformed(tmp_path):
         read_smf(str(path))
 
 
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# (where the bad value goes, the value, the message); a second bad entry
+# further on must not be the one named
+_NOT_INTEGERS = "facets[1].verts: expected a list of integers"
+_BAD_SMF = {
+    "verts-bool": (("facets", 1, "verts", 2), True, _NOT_INTEGERS),
+    "verts-float": (("facets", 1, "verts", 0), 1.0, _NOT_INTEGERS),
+    "verts-string": (("facets", 1, "verts", 1), "3", _NOT_INTEGERS),
+    "verts-not-list": (("facets", 1, "verts"), "0 1 2",
+                       "facets[1]: key 'verts' has the wrong type"),
+    "facet-not-object": (("facets", 1), [0, 1, 2], "facets[1] must be an object"),
+    "sign-float": (("facets", 1, "sign"), 1.0, "facets[1]: key 'sign' has the wrong type"),
+    "pair-bool": (("action", "vertex_maps", 1, 2, 1), False,
+                  "vertex_maps[1] entry: expected a list of integers"),
+    "pair-float": (("action", "vertex_maps", 1, 2, 0), 2.0,
+                   "vertex_maps[1] entry: expected a list of integers"),
+    "pair-string": (("action", "vertex_maps", 1, 0), "0 1",
+                    "vertex_maps[1] entry: expected a list of integers"),
+    "pair-length": (("action", "vertex_maps", 1, 3), [3, 4, 5],
+                    "vertex_maps[1] entries must be [vertex, image]"),
+    "map-not-list": (("action", "vertex_maps", 1), {"0": 1},
+                     "vertex_maps[1] must be a list of pairs"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_SMF))
+def test_read_smf_names_the_first_bad_entry(kind, tmp_path):
+    path = str(tmp_path / "bad.smf")
+    write_smf(octahedron(), path, octahedron_rotation())
+    with open(path) as f:
+        doc = json.load(f)
+    keys, value, message = _BAD_SMF[kind]
+    if keys[0] == "facets":
+        _set(doc, ("facets", 3, "verts", 0), 0.5)
+    else:
+        _set(doc, ("action", "vertex_maps", 2, 0), [0])
+    _set(doc, keys, value)
+    with open(path, "w") as f:
+        json.dump(doc, f)
+    with pytest.raises(ParseError) as exc:
+        read_smf(path)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 def test_cli_verify_pass_and_json(tmp_path, capsys):
     hp, _ = generate_with_signature(0, "n2-z2")
     path = str(tmp_path / "c.hpx")

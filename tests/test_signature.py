@@ -145,6 +145,21 @@ def test_coincidence_without_action(seed, profile):
     assert k0_equal(rep.k0, expected)
 
 
+@pytest.mark.parametrize(
+    "profile", [f"n{n}{g}-d{d}" for g, d in (("", 4), ("-z2", 4), ("-z3", 3), ("-z4", 4))
+                for n in (0, 2, 4)]
+)
+def test_the_grading_identity_holds_entry_for_entry(profile):
+    # in even degree b and S share no entry, so phi (B - S) phi = -(B + S)
+    # holds to the bit, and check_coincidence reports its residual as 0.0
+    for seed in range(4):
+        hp = generate_with_signature(seed, profile)[0]
+        _, _, plus, minus = signature._operators(hp, 1e-9)
+        signs = hp.degree_signs()
+        assert np.array_equal(signs[:, None] * minus * signs, -plus)
+        assert check_coincidence(hp).grading_conjugation_residual == 0.0
+
+
 @pytest.mark.parametrize("profile", ["n2-z2", "n2-z3-d6", "n4-z4-d8", "n0-z3"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_coincidence_with_action(seed, profile):
@@ -241,13 +256,14 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys, count_calls):
     # B + S once, in the duality check, eigenvalues only; B - S is its mirror
     # under the grading, and both are read again by the constructions; no
     # cone; the structural identities are decided on the integer arrays, so
-    # no total b, phased or symmetrized cap, and B + S is the one layout
+    # no total b, phased or symmetrized cap, and B + S is read off them and
+    # laid out from its entries, with no block layout
     assert manifold_signature(cp2).passed
     assert solves == {"eigh": 0, "eigvalsh": 1}
     assert cones == {"mapping_cone": 0}
     assert boundaries == {"total_boundary": 0}
     assert totals == {"total": 0}
-    assert layouts == {"assemble_total": 1}
+    assert layouts == {"assemble_total": 0}
     solves.update(eigh=0, eigvalsh=0)
     # check_coincidence alone diagonalises B + S once, shared by all three
     # constructions: eigenvalues only over the trivial group, and with a group
@@ -270,9 +286,11 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys, count_calls):
     assert sorted(widths) == blocks
     assert cones == {"mapping_cone": 0}
     solves.update(eigh=0, eigvalsh=0)
-    # the equivariance check needs no projections: a spectrum only
+    widths.clear()
+    # the equivariance check reads the cone value off the isotypic blocks
     verify_equivariance(m, act)
-    assert solves == {"eigh": 0, "eigvalsh": 1}
+    assert solves == {"eigh": 0, "eigvalsh": 4}
+    assert sorted(widths) == blocks
     solves.update(eigh=0, eigvalsh=0)
     # the boundary class reuses the boundary complex's duality check
     assert boundary_signature_is_zero(cwb).passed

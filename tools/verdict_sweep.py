@@ -38,8 +38,9 @@ not read them.  ``scale`` is the Frobenius norm of
 ``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
 triangulation also holds the same fields for ``manifold_signature``, which
 reuses the spectra of its duality check; with a group action it further holds
-every field of the ``EquivarianceReport`` that the CLI ``manifold`` command
-gates on, and that command's ``--json`` payload and exit code.
+every field of the ``EquivarianceReport`` of ``verify_equivariance``, whose
+gates the CLI ``manifold`` command reads, and that command's ``--json``
+payload and exit code.
 
 ``--cli`` runs the CLI byte sweep instead: every command, in text and with
 ``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
@@ -180,16 +181,17 @@ def base_cases(seeds: int):
 
 def equivariance(tri) -> dict:
     """Every field of the equivariance report of a triangulation with an
-    action, as the CLI ``manifold`` command computes it."""
-    from hpsig import simplicial
+    action: the report ``verify_equivariance`` returns, or the one it
+    attaches to the EquivarianceViolated it raises when a gate fails."""
+    import hpsig
 
     m, action = tri
     try:
-        chains = simplicial.enumerate_and_boundaries(m)
-        # the report is the third item whatever else the helper returns
-        rep = simplicial._equivariant_structure(m, action, chains, 1e-9)[2]
+        rep = hpsig.verify_equivariance(m, action, tol=1e-9)
     except Exception as exc:  # the sweep records every outcome and goes on
-        return _error(exc)
+        rep = getattr(exc, "report", None)
+        if not isinstance(exc, hpsig.EquivarianceViolated) or rep is None:
+            return _error(exc)
     return {field: getattr(rep, field) for field in EQUIVARIANCE_FIELDS}
 
 
