@@ -274,13 +274,11 @@ def _cmd_bordism_check(args, out: _Output) -> int:
     _structure(out, struct, "structure")
     out("attaching construction:", attaching=_fields(
         cone, *(field for field, _ in _ATTACHING_GATES),
-        "sequence_composes", "sequence_exact", "hyperbolic_valid", "failures",
+        "hyperbolic_valid", "failures",
     ))
     for field, label in _ATTACHING_GATES:
         ok = _CONE_IDENTITY_FAILURES[field] not in cone.failures
         out(_check_line(label, getattr(cone, field), ok))
-    out(f"  four-term sequence composes: {cone.sequence_composes}")
-    out(f"  four-term sequence exact:    {cone.sequence_exact}")
     out(f"  hyperbolic quotient valid:   {cone.hyperbolic_valid}")
     out("boundary class:")
     if zero is None:

@@ -40,12 +40,12 @@ hold, no gate runs and ``B + S`` is read off those arrays as its nonzero
 entries (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
 blocks as gathers when the triangulation's action composes exactly, and are
 otherwise laid out as the one operator on the total space
-(:func:`_diagonalise`).  The other gates form their products from the
-degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
-anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
-two sides of the cone's chain-map condition, laid out by
-:func:`~hpsig.linalg.assemble_total`; the cone's chain-map gate reads those
-sides.
+(:func:`_diagonalise`).  When one fails, every gate runs, as on any other
+input.  The gates form their products from the degree blocks: ``b b`` from
+``b_k b_{k+1}`` and the anticommutator from
+``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the two sides of the
+cone's chain-map condition, laid out by :func:`~hpsig.linalg.assemble_total`;
+the cone's chain-map gate reads those sides.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``, which one gate decides (:func:`_action_gates`).
@@ -629,57 +629,42 @@ def _require_equivariant(gates: _ActionGates) -> None:
 
 
 def _verify_duality(
-    hp: HilbertPoincareComplex,
-    tol: float,
-    action: GroupAction | None = None,
-    decided: frozenset[str] = frozenset(),
-) -> tuple[DualityReport, _Halves | None, np.ndarray | None, _ActionGates]:
+    hp: HilbertPoincareComplex, tol: float, action: GroupAction | None = None
+) -> tuple[DualityReport, _Halves | None, np.ndarray, _ActionGates]:
     """:func:`verify_duality`, also returning what it computed.
 
-    ``decided`` names, by report field, the gates whose identity the caller
-    has shown to hold exactly, as the simplicial layer does on its integer
-    arrays when some identity fails there: they report 0.0 and do not run,
-    and a decided chain condition settles the cone's chain-map gate, whose
-    sides are its blocks.  The others run on the given ``S``, its total and
-    ``b``'s (one column-norm bound of each), and ``hp``'s action.  Once ``S``
-    passes the cone's chain-map gate, the cone is read off ``B + S_h`` and
-    ``B - S_h`` on the total space, diagonalised over the group of
-    ``action`` (None or ``hp``'s action) if the action gate passed and over
-    the trivial group otherwise; they are returned if the self-adjointness
-    and action gates passed.  Then come the anticommutator ``b S + S b^*``
-    (None when decided) and the action gate.  A triangulation whose
-    identities all hold exactly does not come here: its ``B ± S`` is read
-    off its integer arrays (:func:`~hpsig.simplicial._duality_from_cap`).
+    Every gate runs on the given ``S``, its total and ``b``'s (one
+    column-norm bound of each), and ``hp``'s action.  Once ``S`` passes the
+    cone's chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``
+    on the total space, diagonalised over the group of ``action`` (None or
+    ``hp``'s action) if the action gate passed and over the trivial group
+    otherwise; they are returned if the self-adjointness and action gates
+    passed.  Then come the anticommutator ``b S + S b^*`` and the action
+    gate.  A triangulation whose identities all hold exactly on its integer
+    arrays does not come here: its ``B ± S`` is read off those arrays
+    (:func:`~hpsig.simplicial._duality_from_cap`).
     """
-    gated = dict.fromkeys(decided, (True, 0.0))  # (holds, residual) by the report field
-    pending = {"boundary_residual", "selfadjoint_residual", "chain_residual"} - decided
-    acting = hp.action is not None and "action_residual" not in decided
     b, s = hp.total_boundary(), hp.total_duality()
     sa = s - adjoint(s)
     shared = _shared_bounds()
-    if "boundary_residual" in pending:
-        gated["boundary_residual"] = residual_within(
+    # the cone's chain-map gate below reads the same degree blocks
+    sides = _duality_sides(hp.chain, hp.duality.blocks)
+    anti = _anticommutator(hp.chain, sides)
+    gated = {  # (holds, residual) by the report field
+        "boundary_residual": residual_within(
             _boundary_square(hp.chain), tol, shared(lambda norm: norm(b) ** 2)
-        )
-    if "selfadjoint_residual" in pending:
-        gated["selfadjoint_residual"] = residual_within(sa, tol, shared(lambda norm: norm(s)))
-    sides = anti = None
-    if "chain_residual" in pending:
-        # the cone's chain-map gate below reads the same degree blocks
-        sides = _duality_sides(hp.chain, hp.duality.blocks)
-        anti = _anticommutator(hp.chain, sides)
-        gated["chain_residual"] = residual_within(
-            anti, tol, shared(lambda norm: norm(b) * norm(s))
-        )
-    gates = _action_gates(hp, b, s, tol, shared) if acting else ((True, 0.0), (True, 0.0))
+        ),
+        "selfadjoint_residual": residual_within(sa, tol, shared(lambda norm: norm(s))),
+        "chain_residual": residual_within(anti, tol, shared(lambda norm: norm(b) * norm(s))),
+    }
+    gates = _action_gates(hp, b, s, tol, shared)
     equivariant = all(ok for ok, _ in gates)
     if hp.action is not None:
         gated["action_residual"] = (equivariant, max(r for _, r in gates))
 
     halves = None
     try:
-        if sides is not None:
-            _require_chain_map(sides, tol)
+        _require_chain_map(sides, tol)
         halves = _diagonalise_halves(
             *_hermitian_halves(b, s, sa), hp.n, tol, action if equivariant else None
         )

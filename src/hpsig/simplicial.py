@@ -19,15 +19,15 @@ afterwards.
 
 The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
-indices, and the facets' (back, front, sign) cap triples.  The duality
-check's structural identities are decided on them exactly
-(:func:`_exact_identities`), and when all hold, ``B + S`` and ``B - S`` are
-read off the same arrays as their nonzero entries (:func:`_half_entries`),
-which the signature route diagonalises without laying out a degree block.
-Dense blocks are laid out only where a public function returns them or a
-float gate reads them: the boundary on first use of ``chain``, the duality's
-degree blocks (:func:`_cap_blocks`) for :func:`duality_operator` and
-:func:`to_hp_complex`, and the raw cap in :func:`cap_duality`.
+indices, and the facets' (back, front, sign) cap triples, gathered from the
+faces.  The duality check's structural identities are decided on them
+exactly (:func:`_exact_identities`).  When all hold, ``B + S`` and ``B - S``
+are read off the same arrays as their nonzero entries (:func:`_half_entries`),
+which the signature route diagonalises without laying out a degree block;
+when one fails, the complex takes the float gates that every other input
+takes.  Dense blocks are laid out only where a public function returns them
+or a float gate reads them: the boundary on first use of ``chain``, and the
+cap's degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -306,15 +306,16 @@ class SimplicialChainData:
         ``[v_{N-p} .. v_N]`` (degree ``p``) and the front faces
         ``[v_0 .. v_{N-p}]`` (degree ``N - p``) of the facets, in the order of
         ``facets``; with ``signs`` they are the cap's (back, front, sign)
-        triples."""
+        triples.  From the facets' indices down, a back face one degree
+        lower is the face without the first vertex (``faces[k][:, 0]``) and
+        a front face the face without the last (``faces[k][:, k]``)."""
         n = len(self.rows) - 1
-        return tuple(
-            (
-                self._locate(p, self.facets[:, n - p :]),
-                self._locate(n - p, self.facets[:, : n - p + 1]),
-            )
-            for p in range(n + 1)
-        )
+        facet = self._locate(n, self.facets)
+        back, front = [facet], [facet]  # by degree, from N down
+        for k in range(n, 0, -1):
+            back.append(self.faces[k][back[-1], 0])
+            front.append(self.faces[k][front[-1], k])
+        return tuple((back[n - p], front[p]) for p in range(n + 1))
 
 
 def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainData:
@@ -387,13 +388,7 @@ def cap_duality(
     """
     chains = chains or enumerate_and_boundaries(m)
     fundamental_cycle(m, chains)
-    n = m.dim
-    out = []
-    for p, (back, front) in enumerate(chains.cap_triples):
-        mat = np.zeros((chains.dims[p], chains.dims[n - p]))
-        mat[back, front] = chains.signs
-        out.append(mat)
-    return tuple(out)
+    return tuple(_cap_blocks(chains, _cap_entries(chains, None)[0], 1, [1.0] * (m.dim + 1)))
 
 
 # Real phases stay real, so a 4k-dimensional cap stays real.
@@ -408,14 +403,6 @@ def _phase_exponent(n: int, p: int) -> int:
 def _roots(n: int) -> list:
     """The phase ``i^{e(p)}`` of each degree ``p`` of an ``n``-dimensional cap."""
     return [_FOURTH_ROOTS[_phase_exponent(n, p)] for p in range(n + 1)]
-
-
-def _phased_cap(
-    m: OrientedSimplicialManifold, chains: SimplicialChainData
-) -> tuple[list[np.ndarray], tuple[complex, ...]]:
-    raw = cap_duality(m, chains)
-    roots = _roots(m.dim)
-    return [r * raw[p] for p, r in enumerate(roots)], tuple(complex(r) for r in roots)
 
 
 def _symmetrize(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
@@ -434,8 +421,8 @@ class CapReport:
     (Frobenius bounds); ``chain_residual`` is the Frobenius norm of the
     anticommutator ``b S + S b^*`` that the duality check forms for its own
     chain gate.  Both chain residuals are 0.0, that of the exact integer
-    operator, when the chain condition holds on the integer arrays, which
-    then decide it (:func:`_exact_identities`).  ``passed`` is the verdict of
+    operator, when every identity holds on the integer arrays, which then
+    decide them (:func:`_exact_identities`).  ``passed`` is the verdict of
     :func:`verify_duality` on the symmetrized family, with the action when
     one is given, and the cone operator's smallest |eigenvalue| is
     ``cone_min_singular_value``, read off the isotypic blocks of an action
@@ -544,35 +531,32 @@ def _duality_from_cap(
     gathers them over the orbit columns of an action that composes exactly
     and lays each out as one ``N``-wide matrix otherwise; the cone value is
     their smallest |eigenvalue|.  Otherwise the phased cap's blocks are laid
-    out, identities that hold exactly report 0.0, and the others take their
-    float gates in :func:`~hpsig.complexes._verify_duality`, which gates
-    ``rho`` too, so ``passed`` holds only for an action that commutes with
-    ``b`` and ``S``.
+    out, its chain condition takes its float gate, and the symmetrized cap
+    takes every gate of :func:`~hpsig.complexes._verify_duality`, as
+    ``.hpx`` input does, ``rho``'s included, so ``passed`` holds only for an
+    action that commutes with ``b`` and ``S``.
     """
     out = _CapDuality(chains, tol, rho)
     n = len(chains.rows) - 1
-    holds = _exact_identities(chains, rho, out.cap)
     raw_ok = True
-    every = {"boundary_residual", "chain_residual", "raw_chain_residual"}
-    if holds >= every | ({"action_residual"} if rho is not None else set()):
+    if _exact_identities(chains, rho, out.cap):
         halves = _half_entries(chains, out.cap, out.count, out.roots)
         out.halves = _diagonalise_halves(*halves, n, tol, rho)
         invertible, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
         out.passed = invertible
     else:
         chain = chains.chain
-        if "raw_chain_residual" not in holds:
-            pdual = DualityOperator(tuple(out.phased))
-            btot, ptot = chain.total_boundary(), pdual.total(chain)
-            raw_ok, out.raw_chain_residual = residual_within(
-                _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
-                tol,
-                lambda norm: norm(btot) * norm(ptot),
-            )
-        rep, out.halves, anti, out.gates = _verify_duality(
-            HilbertPoincareComplex(chain, out.dual, rho), tol, rho, holds
+        pdual = DualityOperator(tuple(out.phased))
+        btot, ptot = chain.total_boundary(), pdual.total(chain)
+        raw_ok, out.raw_chain_residual = residual_within(
+            _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
+            tol,
+            lambda norm: norm(btot) * norm(ptot),
         )
-        out.chain_residual = 0.0 if anti is None else frobenius_norm(anti)
+        rep, out.halves, anti, out.gates = _verify_duality(
+            HilbertPoincareComplex(chain, out.dual, rho), tol, rho
+        )
+        out.chain_residual = frobenius_norm(anti)
         out.cone_min_singular_value, out.passed = rep.cone_min_singular_value, rep.passed
         invertible = rep.cone_invertible
     if not invertible:
@@ -637,10 +621,10 @@ def _half_entries(
 
 def _exact_identities(
     chains: SimplicialChainData, rho: GroupAction | None, cap: Sequence[tuple]
-) -> frozenset[str]:
-    """The identities of the duality check of the symmetrized phased cap
-    (averaged over ``rho``) that hold exactly, by the report field that gates
-    each (``raw_chain_residual`` for the phased cap's chain condition).
+) -> bool:
+    """Whether every identity of the duality check of the symmetrized phased
+    cap (averaged over ``rho``), and the phased cap's chain condition, holds
+    exactly; False at the first that fails.
 
     ``b_k`` has the entry ``(-1)^i`` at ``(faces[k][j, i], j)`` and ``P_k``
     is ``i^{e(k)}`` times the integer entries ``cap`` of
@@ -678,9 +662,8 @@ def _exact_identities(
 
     eye = {k: (np.arange(d), np.arange(d), np.ones(d, np.int64)) for k, d in enumerate(dims) if k}
     bnd = {k: left(k, *x) for k, x in eye.items()}  # b_k as entries
-    holds = {"selfadjoint_residual"}
-    if all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
-        holds.add("boundary_residual")
+    if not all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
+        return False
 
     def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
         one, other = left(k, *x[k]), right(n - k + 1, *x[k - 1])
@@ -691,16 +674,13 @@ def _exact_identities(
 
     elements = () if rho is None else rho.group.generators if rho._exact else range(rho.group.order)
     ops = [[rho.operator(g, k) for k in range(n + 1)] for g in elements]
-    commutes_with_b = all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd)
-    # the raw cap first once rho commutes with b; without rho it is cap
-    tried = [_cap_entries(chains, None)[0], cap] if rho is not None and commutes_with_b else [cap]
-    if any(all(anticommutes(x, k) for k in range(1, n + 1)) for x in tried):
-        holds |= {"raw_chain_residual", "chain_residual"}
-    if rho is not None and commutes_with_b and all(
-        commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)
-    ):
-        holds.add("action_residual")
-    return frozenset(holds)
+    if not all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd):
+        return False
+    # the raw cap first, as rho commutes with b; without rho it is cap
+    tried = [cap] if rho is None else [_cap_entries(chains, None)[0], cap]
+    if not any(all(anticommutes(x, k) for k in range(1, n + 1)) for x in tried):
+        return False
+    return all(commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap))
 
 
 def _cap_entries(
@@ -741,7 +721,8 @@ def _cap_blocks(
 ) -> list[np.ndarray]:
     """The phased cap's degree blocks from the cap entries and their count
     (:func:`_cap_entries`): the sums by position times the phase ``roots[k]``,
-    divided by the count.  With a group this is the group average of the
+    divided by the count; with phases 1.0 and no group, the raw cap, bit for
+    bit its scatter into zeros.  With a group this is the group average of the
     phased cap under conjugation by the action, equal to the dense average
     up to the sign of zero: each of its entries is a sum of ``|G|`` terms
     ``0`` or ``±i^{e(k)}``, an exact integer multiple of the phase.
@@ -767,22 +748,12 @@ def _cap_blocks(
 def _vanishes(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()) -> bool:
     """Whether the integer entries ``vals`` at ``(rows, cols)``, and those in
     ``more``, of a matrix ``width`` columns wide sum to zero at every position."""
-    return not _position_sums(rows, cols, vals, width, more)[1].any()
-
-
-def _position_sums(
-    rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()
-) -> tuple[np.ndarray, np.ndarray]:
-    """The positions ``row * width + col`` that the entries ``vals`` at
-    ``(rows, cols)``, and those in ``more``, of a matrix ``width`` columns
-    wide occupy, each once and in increasing order, and the sums there."""
     if more:
         rows, cols, vals = (np.concatenate(x) for x in zip((rows, cols, vals), more))
     keys = rows * width + cols
     order = np.argsort(keys)
-    keys = keys[order]
-    first = np.flatnonzero(np.diff(keys, prepend=-1))
-    return keys[first], np.add.reduceat(vals[order], first)
+    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
+    return not np.add.reduceat(vals[order], first).any()
 
 
 @dataclass(eq=False)
@@ -931,16 +902,12 @@ class EquivarianceReport:
     ``duality_residual`` measures the duality operator the pipeline actually
     uses (group averaged when the action scrambles the vertex order), and
     both it and ``boundary_residual`` are read off the action gate of that
-    duality's check.  ``raw_cap_residual`` measures the unaveraged phased cap
-    and is diagnostic only (a Frobenius bound), since that family is order
-    sensitive; only :func:`verify_equivariance` computes it
-    (:func:`_raw_cap_residual`).
+    duality's check.
     """
 
     tol: float
     boundary_residual: float
     duality_residual: float
-    raw_cap_residual: float
     passed: bool
 
 
@@ -956,12 +923,11 @@ def verify_equivariance(
     the report is attached to the exception as ``report``.
     """
     chains = chains or enumerate_and_boundaries(m)
-    rho, ((b_ok, b_res), (s_ok, s_res)), _ = _equivariant_structure(m, action, chains, tol)
+    _, ((b_ok, b_res), (s_ok, s_res)), _ = _equivariant_structure(m, action, chains, tol)
     report = EquivarianceReport(
         tol=tol,
         boundary_residual=b_res,
         duality_residual=s_res,
-        raw_cap_residual=_raw_cap_residual(chains, rho),
         passed=b_ok and s_ok,
     )
     if not report.passed:
@@ -1000,37 +966,6 @@ def _equivariant_structure(
     chain, dual = chains.chain, DualityOperator(_symmetrize(averaged))
     hp = HilbertPoincareComplex(chain, dual, rho)
     return rho, _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
-
-
-def _raw_cap_residual(chains: SimplicialChainData, rho: GroupAction) -> float:
-    """The largest Frobenius norm over the elements ``g`` of the raw phased
-    cap's commutators ``rho(g) P - P rho(g)``, summed over the degree blocks
-    as :func:`~hpsig.linalg._block_frobenius_norm` sums them, from the raw
-    cap's integer entries, with the commutators of all elements stacked in
-    one matrix per degree.  The phase has modulus 1, so each block's sum of
-    squares is the exact integer that its dense commutator gives."""
-    n, dims, order = len(chains.rows) - 1, chains.dims, rho.group.order
-    offsets = np.cumsum((0, *dims))
-    (dst, dsgn), (src, sgn) = rho._images, rho._sources
-    stacked = np.arange(order)[:, None] * np.array(dims)  # element g's first row, per degree
-    squares = np.zeros((order, n + 1))
-    vals = chains.signs
-    for k, (rows, cols) in enumerate(chains.cap_triples):
-        r, c = offsets[k] + rows, offsets[n - k] + cols  # on the total space
-        top = stacked[:, [k]]
-        keys, sums = _position_sums(
-            (top + dst[:, r] - offsets[k]).ravel(),  # rho(g) P
-            np.tile(cols, order),
-            (vals * dsgn[:, r]).ravel(),
-            dims[n - k],
-            (  # P rho(g)
-                (top + rows).ravel(),
-                (src[:, c] - offsets[n - k]).ravel(),
-                (-vals * sgn[:, c]).ravel(),
-            ),
-        )
-        squares[:, k] = np.bincount(keys // (dims[k] * dims[n - k]), sums**2, order)
-    return float(max(np.linalg.norm(np.sqrt(row)) for row in squares))
 
 
 def to_hp_complex(
@@ -1082,9 +1017,9 @@ def bordism_to_cwb(
     if not m.with_boundary:
         raise PreconditionViolated("manifold is closed; use to_hp_complex")
     chains = chains or enumerate_and_boundaries(m)
-    phased, _ = _phased_cap(m, chains)
-    sym = _symmetrize(phased)
+    fundamental_cycle(m, chains)
     n = m.dim
+    sym = _symmetrize(_cap_blocks(chains, _cap_entries(chains, None)[0], 1, _roots(n)))
     split = [np.zeros(0, dtype=np.intp)] * (n + 1)
     counts = np.bincount(chains.faces[n].ravel(), minlength=chains.dims[n - 1])
     split[n - 1] = np.flatnonzero(counts == 1)

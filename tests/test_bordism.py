@@ -148,8 +148,6 @@ def test_cone_identities(seed, profile):
     assert rep.cone_square_residual <= 1e-9
     assert rep.chain_map_residual <= 1e-9
     assert rep.boundary_formula_residual <= 1e-9
-    assert rep.sequence_composes
-    assert rep.sequence_exact
     assert rep.hyperbolic_valid
 
 
@@ -241,8 +239,9 @@ def test_shared_complex_reports_match_fresh_copies(verdict_sweep, order):
 
 
 def _dense_sequence_flags(cwb):
-    """The four-term sequence gate on dense coordinate maps: compositions
-    gated as residuals, exactness from the ranks of three SVDs."""
+    """Whether the four-term sequence of coordinate maps composes to zero and
+    is exact, on dense matrices: compositions gated as residuals, exactness
+    from the ranks of three SVDs."""
     chain = cwb.chain
     idx0 = [list(cwb.sub_indices(m)) for m in range(chain.n + 1)]
     idx1 = [list(cwb.quotient_indices(m)) for m in range(chain.n + 1)]
@@ -272,11 +271,12 @@ def _dense_sequence_flags(cwb):
     [f"{p}/{s}" for p in BOUNDARY_PROFILES for s in (0, 1)]
     + [f"disk{k}" for k in (1, 2, 3, 4)],
 )
-def test_sequence_gate_matches_dense_ranks(case):
+def test_every_split_gives_an_exact_four_term_sequence(case):
+    # why verify_cone_identities does not check the sequence: a split that
+    # ComplexWithBoundary accepts partitions every degree with its quotient
     if case.startswith("disk"):
         cwb = bordism_to_cwb(simplex_disk(int(case[4:])))
     else:
         profile, seed = case.split("/")
         cwb = generate_with_boundary(int(seed), profile)
-    rep = verify_cone_identities(cwb)
-    assert (rep.sequence_composes, rep.sequence_exact) == _dense_sequence_flags(cwb)
+    assert _dense_sequence_flags(cwb) == (True, True)

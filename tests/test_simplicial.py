@@ -363,13 +363,24 @@ def test_equivariance_identity_action():
     assert rep.duality_residual == 0.0
 
 
+def _phased(m, chains):
+    """The phased cap laid out densely, each raw cap block times its phase:
+    the reference for the cap blocks that the simplicial layer scatters."""
+    return [r * x for r, x in zip(simplicial._roots(m.dim), cap_duality(m, chains))]
+
+
 def test_equivariance_octahedron_rotation():
-    rep = verify_equivariance(octahedron(), octahedron_rotation())
+    m, act = octahedron(), octahedron_rotation()
+    rep = verify_equivariance(m, act)
     assert rep.passed
     # averaging makes the pipeline duality commute exactly, while the raw
     # phased cap is order sensitive and visibly fails to commute
     assert rep.duality_residual == 0.0
-    assert rep.raw_cap_residual > 1.0
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    raw = DualityOperator(tuple(_phased(m, chains))).total(chains.chain)
+    commutators = [rho.operator(g).commutator(raw) for g in range(rho.group.order)]
+    assert max(np.linalg.norm(x) for x in commutators) > 1.0
 
 
 def test_equivariance_sphere_pair_swap():
@@ -523,7 +534,7 @@ def test_shared_route_matches_the_public_route(name):
     rho = chain_action(m, act, chains) if act is not None else None
     exact = duality_operator(m, chains, rho=rho)[1]
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: frozenset())
+        patch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
         assert duality_operator(m, chains, rho=rho)[1] == exact
 
 
@@ -586,25 +597,18 @@ _EXACT_CASES = {
     "s3": lambda: (simplex_sphere(3), None),
 }
 
-_ALL_IDENTITIES = {
-    "boundary_residual", "selfadjoint_residual", "chain_residual", "raw_chain_residual",
-}
-
-
 @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
 def test_exact_gates_agree_with_the_float_gates(name):
     m, act = _EXACT_CASES[name]()
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains) if act is not None else None
-    decided = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
+    holds = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
     # every identity holds exactly, so the duality check runs no float gate
-    assert decided == _ALL_IDENTITIES | ({"action_residual"} if rho is not None else set())
+    assert holds is True
     cap = simplicial._closed_duality(m, chains, 1e-9, rho)
     hp = HilbertPoincareComplex(chains.chain, cap.dual, rho)
-    # the float gates: verify_duality on the same complex, nothing decided
+    # the float gates pass on the same complex
     plain = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(hp.duality.blocks), rho))
-    exact = complexes._verify_duality(hp, 1e-9, None, decided)[0]
-    assert exact == plain
     assert plain.failures == () and plain.action_residual == 0.0
     # B + S and B - S read off the integer arrays and laid out are those of
     # the totals, bit for bit, zero signs included, and so are their
@@ -622,7 +626,7 @@ def test_exact_gates_agree_with_the_float_gates(name):
     for got, want in zip(cap.halves, halves):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert got.block_ranks == want.block_ranks
-    phased = simplicial._phased_cap(m, chains)[0]
+    phased = _phased(m, chains)
     if rho is not None:
         phased = _dense_group_average(phased, rho)
     raw = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(tuple(phased))))
@@ -682,7 +686,7 @@ def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
     # the sign of zero
     cap, count = simplicial._cap_entries(chains, rho)
     phased = simplicial._cap_blocks(chains, cap, count, simplicial._roots(m.dim))
-    dense = _dense_group_average(simplicial._phased_cap(m, chains)[0], rho)
+    dense = _dense_group_average(_phased(m, chains), rho)
     for got, want in zip(phased, dense):
         assert got.dtype == want.dtype and np.array_equal(got + 0.0, want + 0.0)
     hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)), rho)
@@ -763,10 +767,10 @@ def test_the_action_route_lays_out_no_n_wide_operator(
     def refuse(*args):
         raise AssertionError("an N-wide operator or a degree block was laid out")
 
-    # no dense degree block of b or S and no unread diagnostic; with an
-    # action no N-wide B + S either, which the trivial group lays out once
+    # no dense degree block of b or S; with an action no N-wide B + S
+    # either, which the trivial group lays out once
     monkeypatch.setattr(simplicial.SimplicialChainData, "chain", property(refuse))
-    for helper in ("_cap_blocks", "_symmetrize", "_raw_cap_residual"):
+    for helper in ("_cap_blocks", "_symmetrize"):
         monkeypatch.setattr(simplicial, helper, refuse)
     if act is not None:
         monkeypatch.setattr(linalg._Entries, "dense", refuse)
@@ -801,7 +805,7 @@ def test_an_action_that_does_not_compose_exactly_is_gated_on_every_element(monke
         seen = set()
         operator = rho.operator
         monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
-        assert "action_residual" in simplicial._exact_identities(chains, rho, cap)
+        assert simplicial._exact_identities(chains, rho, cap) is True
         if rho._exact:  # an exact homomorphism: its generators only
             assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
         else:
@@ -836,21 +840,21 @@ def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch
     chains = enumerate_and_boundaries(m)
     if broken == "face-index":
         _moved_face(chains)
-    decided = simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0])
-    declined = {"chain_residual", "raw_chain_residual"}
+    assert simplicial._exact_identities(
+        chains, None, simplicial._cap_entries(chains, None)[0]
+    ) is False
+    hp = HilbertPoincareComplex(
+        chains.chain, DualityOperator(simplicial._symmetrize(_phased(m, chains)))
+    )
+    rep = verify_duality(hp)
+    assert "duality does not anticommute with the boundary" in rep.failures
     if broken == "face-index":
-        declined.add("boundary_residual")
-    assert not decided & declined
-    phased = simplicial._phased_cap(m, chains)[0]
-    hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)))
-    exact = complexes._verify_duality(hp, 1e-9, None, decided)[0]
-    assert exact == verify_duality(hp)
-    assert "duality does not anticommute with the boundary" in exact.failures
-    assert exact.chain_residual > 0.1
-    # the same message as when every gate is a float gate
+        assert "boundary squares to a nonzero operator" in rep.failures
+    assert rep.chain_residual > 0.1
+    # the same message as when the exact decision is skipped
     with pytest.raises(DegenerateDuality) as fallback:
         duality_operator(m, chains)
-    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: frozenset())
+    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
     with pytest.raises(DegenerateDuality) as plain:
         duality_operator(m, chains)
     assert str(fallback.value) == str(plain.value)

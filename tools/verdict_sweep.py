@@ -85,11 +85,9 @@ PROFILES = (
 )
 BOUNDARY_PROFILES = ("n2", "n2-d6", "n2-d8", "n4", "n4-d6", "n4-d8")
 LEVELS = (1e-11, 1e-9, 1e-7, 1e-5, 1e-3)
-CONE_IDENTITY_FLAGS = ("sequence_composes", "sequence_exact", "hyperbolic_valid")
+CONE_IDENTITY_FLAGS = ("hyperbolic_valid",)
 CONE_IDENTITY_FLOATS = ("cone_square_residual", "chain_map_residual", "boundary_formula_residual")
-EQUIVARIANCE_FIELDS = (
-    "tol", "boundary_residual", "duality_residual", "raw_cap_residual", "passed",
-)
+EQUIVARIANCE_FIELDS = ("tol", "boundary_residual", "duality_residual", "passed")
 CLASS_TOL = 1e-6
 _FLOAT = re.compile(r"[-+]?\d+\.\d+(?:e[-+]?\d+)?")
 
@@ -703,7 +701,7 @@ def compare(path_a: str, path_b: str, stream) -> int:
         for field in ("error", "message", "tol", "passed"):
             if ea.get(field) != eb.get(field):
                 mismatches.append(f"{key}: equivariance {field} {ea.get(field)!r} != {eb.get(field)!r}")
-        for field in ("boundary_residual", "duality_residual", "raw_cap_residual"):
+        for field in ("boundary_residual", "duality_residual"):
             if field in ea and field in eb:
                 note_float(field, key, ea[field], eb[field], scale)
         compare_coincidence("coincidence", key, ra["coincidence"], rb["coincidence"], scale)
