@@ -36,10 +36,11 @@ check forms.  :func:`_verify_duality` hands back the diagonalised halves and
 the anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
 ``manifold`` command form each of them once per call.  A triangulation's
 structural identities are decided exactly on its integer arrays; when all
-hold, no gate runs and ``B + S`` is read off those arrays as its nonzero
-entries (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
-blocks as gathers when the triangulation's action composes exactly, and are
-otherwise laid out as the one operator on the total space
+hold, no gate runs and ``B + S`` is that of the chain equivalent Morse
+complex without an action (:mod:`hpsig.reduce`), and read off those arrays
+as its nonzero entries with one (:func:`~hpsig.simplicial._half_entries`),
+which reach the isotypic blocks as gathers when the action composes
+exactly, and are otherwise laid out on the total space
 (:func:`_diagonalise`).  When one fails, every gate runs, as on any other
 input.  The gates form their products from the degree blocks: ``b b`` from
 ``b_k b_{k+1}`` and the anticommutator from
@@ -408,8 +409,9 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
 def _diagonalise(
     ops: Sequence[np.ndarray | _Entries], tol: float, action: GroupAction | None
 ) -> list[BlockSpectrum]:
-    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`
-    and :func:`~hpsig.simplicial._half_entries` give them (not checked
+    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`,
+    :func:`~hpsig.reduce.reduced_halves` and
+    :func:`~hpsig.simplicial._half_entries` give them (not checked
     again), diagonalised for the signature classes over the group of
     ``action``, which must have passed the action gate on them: one block,
     the trivial group's only character, without an action, and one small
@@ -629,22 +631,26 @@ def _require_equivariant(gates: _ActionGates) -> None:
 
 
 def _verify_duality(
-    hp: HilbertPoincareComplex, tol: float, action: GroupAction | None = None
+    hp: HilbertPoincareComplex,
+    tol: float,
+    action: GroupAction | None = None,
+    b: np.ndarray | None = None,
 ) -> tuple[DualityReport, _Halves | None, np.ndarray, _ActionGates]:
     """:func:`verify_duality`, also returning what it computed.
 
     Every gate runs on the given ``S``, its total and ``b``'s (one
-    column-norm bound of each), and ``hp``'s action.  Once ``S`` passes the
+    column-norm bound of each; ``b`` is laid out here unless the caller
+    passes it), and ``hp``'s action.  Once ``S`` passes the
     cone's chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``
     on the total space, diagonalised over the group of ``action`` (None or
     ``hp``'s action) if the action gate passed and over the trivial group
     otherwise; they are returned if the self-adjointness and action gates
     passed.  Then come the anticommutator ``b S + S b^*`` and the action
     gate.  A triangulation whose identities all hold exactly on its integer
-    arrays does not come here: its ``B ± S`` is read off those arrays
-    (:func:`~hpsig.simplicial._duality_from_cap`).
+    arrays does not come here (:func:`~hpsig.simplicial._duality_from_cap`).
     """
-    b, s = hp.total_boundary(), hp.total_duality()
+    b = hp.total_boundary() if b is None else b
+    s = hp.total_duality()
     sa = s - adjoint(s)
     shared = _shared_bounds()
     # the cone's chain-map gate below reads the same degree blocks

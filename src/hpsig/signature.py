@@ -95,7 +95,9 @@ class SignatureResult:
     """A K-theory class computed by one named construction.
 
     ``spectral_gap`` is the smallest absolute eigenvalue met along the way;
-    a small gap warns that the verdict is tolerance-sensitive.
+    a small gap warns that the verdict is tolerance-sensitive.  For a
+    triangulation without an action whose identities hold exactly it is that
+    of its Morse complex (:mod:`hpsig.reduce`), which has the same classes.
     """
 
     method: str

@@ -21,13 +21,17 @@ The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples, gathered from the
 faces.  The duality check's structural identities are decided on them
-exactly (:func:`_exact_identities`).  When all hold, ``B + S`` and ``B - S``
-are read off the same arrays as their nonzero entries (:func:`_half_entries`),
-which the signature route diagonalises without laying out a degree block;
-when one fails, the complex takes the float gates that every other input
-takes.  Dense blocks are laid out only where a public function returns them
-or a float gate reads them: the boundary on first use of ``chain``, and the
-cap's degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
+exactly (:func:`_exact_identities`).  When all hold, the signature route
+lays out no degree block: without an action it diagonalises ``B + S`` and
+``B - S`` of the Morse complex of an acyclic matching on the simplices
+(:mod:`hpsig.reduce`; Forman 1998, Jonsson, LNM 1928), chain equivalent to
+the simplicial complex and much smaller, so the cone value and the spectral
+gaps are that complex's; with an action it reads them off the same arrays as
+their nonzero entries (:func:`_half_entries`).  When one fails, the complex
+takes the float gates that every other input takes.  Dense blocks are laid
+out only where a public function returns them or a float gate reads them:
+the boundary on first use of ``chain``, and the cap's degree blocks, raw,
+phased or averaged, all by :func:`_cap_blocks`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -87,6 +91,7 @@ from .linalg import (
     frobenius_norm,
     residual_within,
 )
+from .reduce import reduced_halves
 from .signature import CoincidenceReport, _coincidence, check_coincidence
 
 __all__ = [
@@ -426,7 +431,8 @@ class CapReport:
     :func:`verify_duality` on the symmetrized family, with the action when
     one is given, and the cone operator's smallest |eigenvalue| is
     ``cone_min_singular_value``, read off the isotypic blocks of an action
-    (:func:`_duality_from_cap`).
+    and, when every identity holds exactly and no group acts, the cone value
+    of the chain equivalent Morse complex (:func:`_duality_from_cap`).
     """
 
     tol: float
@@ -525,12 +531,14 @@ def _duality_from_cap(
 
     When every identity, the action gate's included, holds exactly
     (:func:`_exact_identities`), no gate runs and no degree block is laid
-    out: ``B + S`` and, in odd degree, ``B - S`` are read off the face arrays
-    and the cap entries (:func:`_half_entries`) and diagonalised over the
-    group of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), which
-    gathers them over the orbit columns of an action that composes exactly
-    and lays each out as one ``N``-wide matrix otherwise; the cone value is
-    their smallest |eigenvalue|.  Otherwise the phased cap's blocks are laid
+    out: ``B + S`` and, in odd degree, ``B - S`` are diagonalised over the
+    group of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), and the
+    cone value is their smallest |eigenvalue|.  Without ``rho`` they are
+    those of the Morse complex, chain equivalent and much smaller
+    (:func:`~hpsig.reduce.reduced_halves`); with it they are read off the
+    face arrays and the cap entries (:func:`_half_entries`), gathered over
+    the orbit columns of an action that composes exactly and laid out as one
+    ``N``-wide matrix otherwise.  Otherwise the phased cap's blocks are laid
     out, its chain condition takes its float gate, and the symmetrized cap
     takes every gate of :func:`~hpsig.complexes._verify_duality`, as
     ``.hpx`` input does, ``rho``'s included, so ``passed`` holds only for an
@@ -540,7 +548,10 @@ def _duality_from_cap(
     n = len(chains.rows) - 1
     raw_ok = True
     if _exact_identities(chains, rho, out.cap):
-        halves = _half_entries(chains, out.cap, out.count, out.roots)
+        if rho is None:
+            halves = reduced_halves(chains, out.cap, out.roots)
+        else:
+            halves = _half_entries(chains, out.cap, out.count, out.roots)
         out.halves = _diagonalise_halves(*halves, n, tol, rho)
         invertible, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
         out.passed = invertible
@@ -554,7 +565,7 @@ def _duality_from_cap(
             lambda norm: norm(btot) * norm(ptot),
         )
         rep, out.halves, anti, out.gates = _verify_duality(
-            HilbertPoincareComplex(chain, out.dual, rho), tol, rho
+            HilbertPoincareComplex(chain, out.dual, rho), tol, rho, btot
         )
         out.chain_residual = frobenius_norm(anti)
         out.cone_min_singular_value, out.passed = rep.cone_min_singular_value, rep.passed
@@ -988,11 +999,12 @@ def manifold_signature(
 ) -> CoincidenceReport:
     """Signature classes of a closed manifold through all three constructions.
 
-    The same as ``check_coincidence(to_hp_complex(m, action, chains, tol),
-    tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the duality
-    check, and read again by the constructions: when every identity holds
-    exactly they are read off the integer arrays, and no degree block of
-    ``b`` or ``S`` is laid out (see :func:`_duality_from_cap`).
+    The classes of ``check_coincidence(to_hp_complex(m, action, chains,
+    tol), tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the
+    duality check, and read again by the constructions: when every identity
+    holds exactly they are read off the integer arrays, those of the Morse
+    complex without an action, whose spectral gaps are reported, and no
+    degree block of ``b`` or ``S`` is laid out (see :func:`_duality_from_cap`).
     """
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol) if action is not None else None

@@ -1,5 +1,6 @@
 """Tests for triangulated manifolds, the cap duality, and group actions."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -32,7 +33,7 @@ from hpsig import (
     verify_duality,
     verify_equivariance,
 )
-from hpsig import complexes, linalg, signature, simplicial
+from hpsig import complexes, linalg, reduce, signature, simplicial
 from hpsig.errors import (
     BoundaryConditionViolated,
     DegenerateDuality,
@@ -516,26 +517,60 @@ _ROUTE_CASES = {
 }
 
 
+def _morse_hp(m, chains):
+    """The Morse complex of a triangulation without an action and its
+    transported duality, laid out from their degree blocks as a
+    :class:`HilbertPoincareComplex`: the complex whose ``B + S`` the route
+    read off the integer arrays diagonalises."""
+    cap = simplicial._cap_entries(chains, None)[0]
+    morse = reduce.morse_complex(chains, cap, simplicial._roots(m.dim))
+    s, at, n = morse.duality, np.cumsum((0, *morse.dims)), m.dim
+
+    def block(x, r, c):
+        return x[at[r] : at[r + 1], at[c] : at[c + 1]]
+
+    chain = ChainComplex(morse.dims, tuple(block(morse.boundary, k - 1, k) for k in range(1, n + 1)))
+    return HilbertPoincareComplex(chain, DualityOperator(tuple(block(s, k, n - k) for k in range(n + 1))))
+
+
 @pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
 def test_shared_route_matches_the_public_route(name):
     m, act = _ROUTE_CASES[name]()
+    chains = enumerate_and_boundaries(m)
     shared = manifold_signature(m, act)
     public = check_coincidence(to_hp_complex(m, act))
-    assert shared.passed and public.passed
+    # over the trivial group the spectra are those of the Morse complex
+    spectral = public if act is not None else check_coincidence(_morse_hp(m, chains))
+    assert shared.passed and public.passed and spectral.passed
     assert [r.method for r in shared.results] == [r.method for r in public.results]
-    for a, b in zip(shared.results, public.results):
-        assert a.k0.values == b.k0.values
-        assert a.spectral_gap == b.spectral_gap
+    for a, b, c in zip(shared.results, public.results, spectral.results):
+        assert a.k0.values == b.k0.values == c.k0.values
+        assert a.spectral_gap == c.spectral_gap
     assert shared.max_character_difference == public.max_character_difference
     assert shared.grading_conjugation_residual == public.grading_conjugation_residual == 0.0
     # the CapReport of the route read off the integer arrays, against the one
-    # that runs every float gate on the laid-out blocks
-    chains = enumerate_and_boundaries(m)
+    # that runs every float gate on the laid-out blocks, whose cone value is
+    # that of the full complex
     rho = chain_action(m, act, chains) if act is not None else None
     exact = duality_operator(m, chains, rho=rho)[1]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
-        assert duality_operator(m, chains, rho=rho)[1] == exact
+        floated = duality_operator(m, chains, rho=rho)[1]
+    if act is None:
+        reduced = verify_duality(_morse_hp(m, chains)).cone_min_singular_value
+        assert exact.cone_min_singular_value == reduced
+        exact = dataclasses.replace(exact, cone_min_singular_value=floated.cone_min_singular_value)
+    assert floated == exact
+
+
+def test_float_route_lays_out_the_total_boundary_once(monkeypatch):
+    calls = []
+    laid_out = ChainComplex.total_boundary
+    monkeypatch.setattr(ChainComplex, "total_boundary", lambda self: calls.append(self) or laid_out(self))
+    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
+    _, report = duality_operator(cp2_nine_vertex())
+    assert report.passed
+    assert len(calls) == 1
 
 
 _CAP_TRIPLES = simplicial.SimplicialChainData.cap_triples.func
@@ -622,7 +657,10 @@ def test_exact_gates_agree_with_the_float_gates(name):
             got = got.dense()
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
-    floated, halves, _, _ = complexes._verify_duality(hp, 1e-9, rho)
+    # over the trivial group the halves diagonalised are those of the Morse
+    # complex (reduce.py), and so is the cone value
+    spectral = hp if rho is not None else _morse_hp(m, chains)
+    floated, halves, _, _ = complexes._verify_duality(spectral, 1e-9, rho)
     for got, want in zip(cap.halves, halves):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert got.block_ranks == want.block_ranks
@@ -633,8 +671,9 @@ def test_exact_gates_agree_with_the_float_gates(name):
     assert cap.report.raw_chain_residual == raw.chain_residual == 0.0
     assert cap.report.chain_residual == plain.chain_residual
     assert cap.report.cone_min_singular_value == floated.cone_min_singular_value
-    # over the trivial group the cone value is read off one eigensolve
-    assert abs(cap.report.cone_min_singular_value - plain.cone_min_singular_value) <= 1e-12
+    # and it is the plain check's cone value of the complex diagonalised
+    reference = plain if rho is not None else verify_duality(spectral)
+    assert abs(cap.report.cone_min_singular_value - reference.cone_min_singular_value) <= 1e-12
     assert cap.report.passed == plain.passed
     # the diagnostic symmetrization residual, from the blocks, against the
     # totals: the same sum of squares, exact unless the average divides by
