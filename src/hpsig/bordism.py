@@ -385,7 +385,7 @@ def _boundary_complex(
     hp = HilbertPoincareComplex(
         ChainComplex(dims0, bnd), DualityOperator(restricted)
     )
-    report, halves, _, _ = _verify_duality(hp, tol)
+    report, halves = _verify_duality(hp, tol)
     if not report.cone_invertible:
         raise DegenerateBoundaryDuality(
             f"boundary duality cone is singular "

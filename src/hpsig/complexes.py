@@ -31,22 +31,22 @@ moves by ``t |X|``, so the reported cone value, that of ``S_h``, is within
 (:func:`~hpsig.linalg._hermitian_of`).  For even ``n`` one eigensolve serves
 both halves (:func:`_diagonalise_halves`).
 
-The signature constructions need the operators and spectra that the duality
-check forms.  :func:`_verify_duality` hands back the diagonalised halves and
-the anticommutator ``b S + S b^*``, so that ``manifold_signature`` and the
-``manifold`` command form each of them once per call.  A triangulation's
-structural identities are decided exactly on its integer arrays; when all
-hold, no gate runs and ``B + S`` is that of the chain equivalent Morse
-complex without an action (:mod:`hpsig.reduce`), and read off those arrays
-as its nonzero entries with one (:func:`~hpsig.simplicial._half_entries`),
-which reach the isotypic blocks as gathers when the action composes
-exactly, and are otherwise laid out on the total space
-(:func:`_diagonalise`).  When one fails, every gate runs, as on any other
-input.  The gates form their products from the degree blocks: ``b b`` from
-``b_k b_{k+1}`` and the anticommutator from
-``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the two sides of the
-cone's chain-map condition, laid out by :func:`~hpsig.linalg.assemble_total`;
-the cone's chain-map gate reads those sides.
+The signature constructions need the spectra that the duality check forms.
+:func:`_verify_duality` hands back the diagonalised halves, which the
+boundary class reads again
+(:func:`~hpsig.bordism.boundary_signature_is_zero`).  A triangulation takes
+no gate here: its structural identities are integer theorems, decided
+exactly on its integer arrays, and one that fails is refused.  Its ``B + S``
+is that of the chain equivalent Morse complex without an action
+(:mod:`hpsig.reduce`), and read off those arrays as its nonzero entries with
+one (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
+blocks as gathers when the action composes exactly, and are otherwise laid
+out on the total space (:func:`_diagonalise`).  The gates form their
+products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
+anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
+two sides of the cone's chain-map condition, laid out by
+:func:`~hpsig.linalg.assemble_total`; the cone's chain-map gate reads those
+sides.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
 with both ``b`` and ``S``, which one gate decides (:func:`_action_gates`).
@@ -631,37 +631,33 @@ def _require_equivariant(gates: _ActionGates) -> None:
 
 
 def _verify_duality(
-    hp: HilbertPoincareComplex,
-    tol: float,
-    action: GroupAction | None = None,
-    b: np.ndarray | None = None,
-) -> tuple[DualityReport, _Halves | None, np.ndarray, _ActionGates]:
-    """:func:`verify_duality`, also returning what it computed.
+    hp: HilbertPoincareComplex, tol: float
+) -> tuple[DualityReport, _Halves | None]:
+    """:func:`verify_duality`, also returning ``B + S_h`` and ``B - S_h``
+    diagonalised.
 
     Every gate runs on the given ``S``, its total and ``b``'s (one
-    column-norm bound of each; ``b`` is laid out here unless the caller
-    passes it), and ``hp``'s action.  Once ``S`` passes the
+    column-norm bound of each), and ``hp``'s action.  Once ``S`` passes the
     cone's chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``
-    on the total space, diagonalised over the group of ``action`` (None or
-    ``hp``'s action) if the action gate passed and over the trivial group
-    otherwise; they are returned if the self-adjointness and action gates
-    passed.  Then come the anticommutator ``b S + S b^*`` and the action
-    gate.  A triangulation whose identities all hold exactly on its integer
-    arrays does not come here (:func:`~hpsig.simplicial._duality_from_cap`).
+    on the total space, diagonalised over the trivial group; they are
+    returned if the self-adjointness and action gates passed.  A
+    triangulation does not come here: its identities are decided exactly on
+    its integer arrays (:func:`~hpsig.simplicial._duality_from_cap`).
     """
-    b = hp.total_boundary() if b is None else b
+    b = hp.total_boundary()
     s = hp.total_duality()
     sa = s - adjoint(s)
     shared = _shared_bounds()
     # the cone's chain-map gate below reads the same degree blocks
     sides = _duality_sides(hp.chain, hp.duality.blocks)
-    anti = _anticommutator(hp.chain, sides)
     gated = {  # (holds, residual) by the report field
         "boundary_residual": residual_within(
             _boundary_square(hp.chain), tol, shared(lambda norm: norm(b) ** 2)
         ),
         "selfadjoint_residual": residual_within(sa, tol, shared(lambda norm: norm(s))),
-        "chain_residual": residual_within(anti, tol, shared(lambda norm: norm(b) * norm(s))),
+        "chain_residual": residual_within(
+            _anticommutator(hp.chain, sides), tol, shared(lambda norm: norm(b) * norm(s))
+        ),
     }
     gates = _action_gates(hp, b, s, tol, shared)
     equivariant = all(ok for ok, _ in gates)
@@ -671,9 +667,7 @@ def _verify_duality(
     halves = None
     try:
         _require_chain_map(sides, tol)
-        halves = _diagonalise_halves(
-            *_hermitian_halves(b, s, sa), hp.n, tol, action if equivariant else None
-        )
+        halves = _diagonalise_halves(*_hermitian_halves(b, s, sa), hp.n, tol, None)
         gated["cone_min_singular_value"] = _halves_invertibility(*halves, tol)
     except NotChainMap:
         gated["cone_min_singular_value"] = (False, 0.0)
@@ -687,7 +681,7 @@ def _verify_duality(
         failures=failures,
     )
     trusted = holds["selfadjoint_residual"][0] and equivariant
-    return report, halves if trusted else None, anti, gates
+    return report, halves if trusted else None
 
 
 def twist(

@@ -27,12 +27,11 @@ Only otherwise are the exact norms computed, and they decide.  A residual
 stored in a report is therefore the number its gate used: an upper bound on
 the spectral norm when the gate passed, and the exact spectral norm when it
 failed.  Residuals that gate nothing are diagnostic and store the Frobenius
-bound (:func:`frobenius_norm`); these are ``CapReport.symmetrization_residual``
-and ``CapReport.chain_residual``, and they do not enter ``passed``.  A
-triangulation's duality check decides its structural identities exactly on
-integer arrays (:mod:`hpsig.simplicial`): when all hold it runs none of these
-gates and its 0.0 is the exact integer residual; when one fails it runs all
-of them.
+bound (:func:`frobenius_norm`), as ``CapReport.symmetrization_residual``
+does, and do not enter ``passed``.  A triangulation's duality check runs
+none of these gates: it decides its structural identities exactly on integer
+arrays and refuses a triangulation on which one fails
+(:mod:`hpsig.simplicial`).
 
 Invertibility and spectral splitting read eigenvalues of self-adjoint
 operators.  For those the smallest ``|eigenvalue|`` equals the smallest

@@ -298,7 +298,8 @@ def _coincidence(
     (:func:`~hpsig.complexes._verify_duality`,
     :func:`~hpsig.simplicial._duality_from_cap`).  The check returns halves
     only for a duality that passed the self-adjointness, chain-map and action
-    gates, which are therefore not run again.
+    gates, or whose identities hold exactly, which are therefore not run
+    again.
     """
     _require_even(n)
     plus, minus = halves

@@ -20,18 +20,18 @@ afterwards.
 The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples, gathered from the
-faces.  The duality check's structural identities are decided on them
-exactly (:func:`_exact_identities`).  When all hold, the signature route
-lays out no degree block: without an action it diagonalises ``B + S`` and
-``B - S`` of the Morse complex of an acyclic matching on the simplices
-(:mod:`hpsig.reduce`; Forman 1998, Jonsson, LNM 1928), chain equivalent to
-the simplicial complex and much smaller, so the cone value and the spectral
-gaps are that complex's; with an action it reads them off the same arrays as
-their nonzero entries (:func:`_half_entries`).  When one fails, the complex
-takes the float gates that every other input takes.  Dense blocks are laid
-out only where a public function returns them or a float gate reads them:
-the boundary on first use of ``chain``, and the cap's degree blocks, raw,
-phased or averaged, all by :func:`_cap_blocks`.
+faces.  The duality check's structural identities are integer theorems,
+decided on them exactly (:func:`_exact_identities`); a triangulation on which
+one fails is refused, as degenerate or, for its action, as not equivariant.
+No float gate runs and the signature route lays out no degree block: without
+an action it diagonalises ``B + S`` and ``B - S`` of the Morse complex of an
+acyclic matching on the simplices (:mod:`hpsig.reduce`; Forman 1998,
+Jonsson, LNM 1928), chain equivalent to the simplicial complex and much
+smaller, so the cone value and the spectral gaps are that complex's; with an
+action it reads them off the same arrays as their nonzero entries
+(:func:`_half_entries`).  Dense blocks are laid out only where a public
+function returns them: the boundary on first use of ``chain``, and the cap's
+degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
@@ -42,7 +42,7 @@ lookup for the image (:func:`_simplex_images`), which the chain action, the
 isotropy count of :func:`geometry_stats` and :func:`barycentric_subdivide`
 share.  The chain action is handed to :class:`~hpsig.groups.GroupAction` as
 signed permutations, and its commutators with the boundary and the duality
-are gated block by block by the duality check's action gate.  For vertex maps
+are decided exactly with the other identities.  For vertex maps
 that scramble the global order the cap matrices do not commute with the
 action on the nose (the split point of a facet moves with the sort), so
 equivariant duality operators are built by averaging the phased cap over the
@@ -60,17 +60,14 @@ import numpy as np
 
 from .bordism import ComplexWithBoundary, verify_with_boundary
 from .complexes import (
+    _DUALITY_FAILURES,
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
     _action_gates,
-    _ActionGates,
-    _anticommutator,
     _diagonalise_halves,
-    _duality_sides,
     _Halves,
     _halves_invertibility,
-    _verify_duality,
 )
 from .errors import (
     BoundaryConditionViolated,
@@ -84,15 +81,9 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import FiniteGroup, GroupAction, _SignedPermutation
-from .linalg import (
-    DEFAULT_TOL,
-    _Entries,
-    adjoint,
-    frobenius_norm,
-    residual_within,
-)
+from .linalg import DEFAULT_TOL, _Entries, adjoint, frobenius_norm
 from .reduce import reduced_halves
-from .signature import CoincidenceReport, _coincidence, check_coincidence
+from .signature import CoincidenceReport, _coincidence
 
 __all__ = [
     "CapReport",
@@ -421,25 +412,19 @@ def _symmetrize(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
 class CapReport:
     """Residuals of the cap-product duality construction.
 
-    ``raw_chain_residual`` gates the phase normalization.
-    ``symmetrization_residual`` and ``chain_residual`` are diagnostic only
-    (Frobenius bounds); ``chain_residual`` is the Frobenius norm of the
-    anticommutator ``b S + S b^*`` that the duality check forms for its own
-    chain gate.  Both chain residuals are 0.0, that of the exact integer
-    operator, when every identity holds on the integer arrays, which then
-    decide them (:func:`_exact_identities`).  ``passed`` is the verdict of
-    :func:`verify_duality` on the symmetrized family, with the action when
-    one is given, and the cone operator's smallest |eigenvalue| is
-    ``cone_min_singular_value``, read off the isotypic blocks of an action
-    and, when every identity holds exactly and no group acts, the cone value
-    of the chain equivalent Morse complex (:func:`_duality_from_cap`).
+    The structural identities hold exactly, or the construction raises
+    (:func:`_duality_from_cap`), so no chain residual is reported.
+    ``symmetrization_residual`` is diagnostic only (a Frobenius bound).
+    ``passed`` is the verdict of :func:`verify_duality` on the symmetrized
+    family, with the action when one is given, and the cone operator's
+    smallest |eigenvalue| is ``cone_min_singular_value``, read off the
+    isotypic blocks of an action and, without one, the cone value of the
+    chain equivalent Morse complex.
     """
 
     tol: float
     phases: tuple[complex, ...]
-    raw_chain_residual: float
     symmetrization_residual: float
-    chain_residual: float
     cone_min_singular_value: float
     passed: bool
 
@@ -456,9 +441,10 @@ def duality_operator(
     :func:`chain_action` builds it; another raises PreconditionViolated) the
     phased family is averaged over the group before symmetrization, so the
     result commutes with the action (see :func:`_cap_blocks`).  Raises
-    DegenerateDuality if the symmetrized family fails invertibility on the
-    cone, and PreconditionViolated for manifolds with boundary (those go
-    through :func:`bordism_to_cwb`).
+    DegenerateDuality if an identity of the duality fails exactly or the
+    symmetrized family fails invertibility on the cone, EquivarianceViolated
+    if the action fails to commute exactly, and PreconditionViolated for
+    manifolds with boundary (those go through :func:`bordism_to_cwb`).
     """
     cap = _closed_duality(m, chains, tol, rho)
     return cap.dual, cap.report
@@ -466,16 +452,13 @@ def duality_operator(
 
 class _CapDuality:
     """The duality check of a closed manifold's symmetrized phased cap, as
-    :func:`_duality_from_cap` decides it: the report's residuals and verdict,
-    the check's action gate, and ``B + S`` and ``B - S`` diagonalised over
-    the group of the action (None unless the self-adjointness and action
-    gates passed).  The phased cap's degree blocks, and with them the duality
-    (:attr:`dual`) and the report's symmetrization residual, are laid out
-    from the cap entries on first read."""
+    :func:`_duality_from_cap` decides it: the verdict, the cone value, and
+    ``B + S`` and ``B - S`` diagonalised over the group of the action.  The
+    phased cap's degree blocks, and with them the duality (:attr:`dual`) and
+    the report's symmetrization residual, are laid out from the cap entries
+    on first read."""
 
-    raw_chain_residual = chain_residual = 0.0
-    gates: _ActionGates = ((True, 0.0), (True, 0.0))
-    halves: _Halves | None
+    halves: _Halves
     cone_min_singular_value: float
     passed: bool
 
@@ -498,9 +481,7 @@ class _CapDuality:
         return CapReport(
             tol=self.tol,
             phases=tuple(complex(r) for r in self.roots),
-            raw_chain_residual=self.raw_chain_residual,
             symmetrization_residual=frobenius_norm(np.concatenate(diff)),
-            chain_residual=self.chain_residual,
             cone_min_singular_value=self.cone_min_singular_value,
             passed=self.passed,
         )
@@ -529,57 +510,34 @@ def _duality_from_cap(
     """:func:`duality_operator` of a closed manifold with a coherent
     fundamental cycle, from its cap entries (:func:`_cap_entries`).
 
-    When every identity, the action gate's included, holds exactly
-    (:func:`_exact_identities`), no gate runs and no degree block is laid
-    out: ``B + S`` and, in odd degree, ``B - S`` are diagonalised over the
-    group of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), and the
-    cone value is their smallest |eigenvalue|.  Without ``rho`` they are
-    those of the Morse complex, chain equivalent and much smaller
+    Every identity, the action gate's included, is decided exactly
+    (:func:`_exact_identities`); the first that fails is refused, an action
+    that does not commute with EquivarianceViolated and any other with
+    DegenerateDuality.  No float gate runs and no degree block is laid out:
+    ``B + S`` and, in odd degree, ``B - S`` are diagonalised over the group
+    of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), and the cone
+    value is their smallest |eigenvalue|.  Without ``rho`` they are those of
+    the Morse complex, chain equivalent and much smaller
     (:func:`~hpsig.reduce.reduced_halves`); with it they are read off the
     face arrays and the cap entries (:func:`_half_entries`), gathered over
     the orbit columns of an action that composes exactly and laid out as one
-    ``N``-wide matrix otherwise.  Otherwise the phased cap's blocks are laid
-    out, its chain condition takes its float gate, and the symmetrized cap
-    takes every gate of :func:`~hpsig.complexes._verify_duality`, as
-    ``.hpx`` input does, ``rho``'s included, so ``passed`` holds only for an
-    action that commutes with ``b`` and ``S``.
+    ``N``-wide matrix otherwise.
     """
     out = _CapDuality(chains, tol, rho)
-    n = len(chains.rows) - 1
-    raw_ok = True
-    if _exact_identities(chains, rho, out.cap):
-        if rho is None:
-            halves = reduced_halves(chains, out.cap, out.roots)
-        else:
-            halves = _half_entries(chains, out.cap, out.count, out.roots)
-        out.halves = _diagonalise_halves(*halves, n, tol, rho)
-        invertible, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
-        out.passed = invertible
+    failed = _exact_identities(chains, rho, out.cap)
+    if failed is not None:
+        error = EquivarianceViolated if failed == "action_residual" else DegenerateDuality
+        raise error(f"{_DUALITY_FAILURES[failed]} on the integer arrays")
+    if rho is None:
+        halves = reduced_halves(chains, out.cap, out.roots)
     else:
-        chain = chains.chain
-        pdual = DualityOperator(tuple(out.phased))
-        btot, ptot = chain.total_boundary(), pdual.total(chain)
-        raw_ok, out.raw_chain_residual = residual_within(
-            _anticommutator(chain, _duality_sides(chain, pdual.blocks)),
-            tol,
-            lambda norm: norm(btot) * norm(ptot),
-        )
-        rep, out.halves, anti, out.gates = _verify_duality(
-            HilbertPoincareComplex(chain, out.dual, rho), tol, rho, btot
-        )
-        out.chain_residual = frobenius_norm(anti)
-        out.cone_min_singular_value, out.passed = rep.cone_min_singular_value, rep.passed
-        invertible = rep.cone_invertible
-    if not invertible:
+        halves = _half_entries(chains, out.cap, out.count, out.roots)
+    out.halves = _diagonalise_halves(*halves, len(chains.rows) - 1, tol, rho)
+    out.passed, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
+    if not out.passed:
         raise DegenerateDuality(
             f"symmetrized cap duality is degenerate (smallest cone singular "
             f"value {out.cone_min_singular_value:.3e})"
-        )
-    if not raw_ok:
-        raise DegenerateDuality(
-            f"phased cap does not anticommute with the boundary "
-            f"(residual {out.raw_chain_residual:.3e}); the phase normalization "
-            f"does not fit this complex"
         )
     return out
 
@@ -632,26 +590,30 @@ def _half_entries(
 
 def _exact_identities(
     chains: SimplicialChainData, rho: GroupAction | None, cap: Sequence[tuple]
-) -> bool:
-    """Whether every identity of the duality check of the symmetrized phased
-    cap (averaged over ``rho``), and the phased cap's chain condition, holds
-    exactly; False at the first that fails.
+) -> str | None:
+    """The first identity of the duality check of the symmetrized phased
+    cap (averaged over ``rho``) that fails exactly, as the
+    :class:`~hpsig.complexes.DualityReport` field that gates it, or None
+    when every one holds.
 
     ``b_k`` has the entry ``(-1)^i`` at ``(faces[k][j, i], j)`` and ``P_k``
     is ``i^{e(k)}`` times the integer entries ``cap`` of
     :func:`_cap_entries` divided by their count, so each identity is a list
     of (row, column, integer) entries whose sums by position must vanish:
-    ``b b = 0``; ``b P + P b^* = 0``, which carries over to ``P^*`` (take
-    adjoints), to ``S = (P + P^*) / 2`` and to the cone's chain-map gate; and
-    ``rho(g)`` commutes with ``b`` and ``|G| P``, hence with ``P^*`` and
-    ``S`` (``rho(g)^* = rho(g)^{-1}``).  For an action that composes exactly
-    like the group, the last is decided on the group's generators: if
-    ``rho(g)`` and ``rho(h)`` commute with ``x``, so does ``rho(gh) = rho(g)
-    rho(h)``.  Any other action is decided on every element.  Once every
-    ``rho(g)`` commutes with ``b``, the chain condition of the group average
-    is decided on the raw cap first, ``|G|`` times fewer entries: each
-    conjugate ``rho(g)^* P rho(g)`` anticommutes with ``b`` when ``P`` does.
-    ``S`` is self-adjoint by construction, in floating point too.
+    ``b b = 0`` (``boundary_residual``), the only check of the face arrays
+    on this route; ``rho(g)`` commutes with ``b``
+    (``action_residual``); ``b P + P b^* = 0`` (``chain_residual``), which
+    carries over to ``P^*`` (take adjoints), to ``S = (P + P^*) / 2`` and to
+    the cone's chain-map gate; and ``rho(g)`` commutes with ``|G| P``, hence
+    with ``P^*`` and ``S`` (``rho(g)^* = rho(g)^{-1}``).  The chain
+    condition is decided on the raw cap, ``|G|`` times fewer entries than
+    the group average: once every ``rho(g)`` commutes with ``b``, each
+    conjugate ``rho(g)^* P rho(g)`` anticommutes with ``b`` when ``P``
+    does.  For an action that composes exactly like the group, the action's
+    identities are decided on the group's generators: if ``rho(g)`` and
+    ``rho(h)`` commute with ``x``, so does ``rho(gh) = rho(g) rho(h)``.  Any
+    other action is decided on every element.  ``S`` is self-adjoint by
+    construction, in floating point too.
     """
     n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
 
@@ -674,7 +636,7 @@ def _exact_identities(
     eye = {k: (np.arange(d), np.arange(d), np.ones(d, np.int64)) for k, d in enumerate(dims) if k}
     bnd = {k: left(k, *x) for k, x in eye.items()}  # b_k as entries
     if not all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
-        return False
+        return "boundary_residual"
 
     def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
         one, other = left(k, *x[k]), right(n - k + 1, *x[k - 1])
@@ -686,12 +648,13 @@ def _exact_identities(
     elements = () if rho is None else rho.group.generators if rho._exact else range(rho.group.order)
     ops = [[rho.operator(g, k) for k in range(n + 1)] for g in elements]
     if not all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd):
-        return False
-    # the raw cap first, as rho commutes with b; without rho it is cap
-    tried = [cap] if rho is None else [_cap_entries(chains, None)[0], cap]
-    if not any(all(anticommutes(x, k) for k in range(1, n + 1)) for x in tried):
-        return False
-    return all(commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap))
+        return "action_residual"
+    raw = cap if rho is None else _cap_entries(chains, None)[0]
+    if not all(anticommutes(raw, k) for k in range(1, n + 1)):
+        return "chain_residual"
+    if not all(commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)):
+        return "action_residual"
+    return None
 
 
 def _cap_entries(
@@ -911,9 +874,9 @@ class EquivarianceReport:
     """Commutation residuals of a chain action with the structure maps.
 
     ``duality_residual`` measures the duality operator the pipeline actually
-    uses (group averaged when the action scrambles the vertex order), and
-    both it and ``boundary_residual`` are read off the action gate of that
-    duality's check.
+    uses (group averaged when the action scrambles the vertex order).  On a
+    closed manifold both commutators are decided exactly and both residuals
+    are 0.0; with boundary they are read off the float action gate.
     """
 
     tol: float
@@ -930,11 +893,26 @@ def verify_equivariance(
 ) -> EquivarianceReport:
     """Largest commutator norms of the action against boundary and duality.
 
-    Raises EquivarianceViolated when either residual exceeds the tolerance;
-    the report is attached to the exception as ``report``.
+    A closed manifold's duality check (:func:`_closed_duality`) decides both
+    commutators exactly on the integer arrays and raises
+    EquivarianceViolated when one fails.  With boundary the group averaged,
+    symmetrized phased cap takes the float action gate
+    (:func:`~hpsig.complexes._action_gates`), and EquivarianceViolated is
+    raised when either residual exceeds the tolerance, with the report
+    attached as ``report``.
     """
     chains = chains or enumerate_and_boundaries(m)
-    _, ((b_ok, b_res), (s_ok, s_res)), _ = _equivariant_structure(m, action, chains, tol)
+    rho = chain_action(m, action, chains, tol=tol)
+    if not m.with_boundary:
+        _closed_duality(m, chains, tol, rho)
+        return EquivarianceReport(tol=tol, boundary_residual=0.0, duality_residual=0.0, passed=True)
+    fundamental_cycle(m, chains)
+    averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
+    chain, dual = chains.chain, DualityOperator(_symmetrize(averaged))
+    hp = HilbertPoincareComplex(chain, dual, rho)
+    (b_ok, b_res), (s_ok, s_res) = _action_gates(
+        hp, chain.total_boundary(), dual.total(chain), tol
+    )
     report = EquivarianceReport(
         tol=tol,
         boundary_residual=b_res,
@@ -950,33 +928,6 @@ def verify_equivariance(
         exc.report = report
         raise exc
     return report
-
-
-def _equivariant_structure(
-    m: OrientedSimplicialManifold,
-    action: SimplicialAction,
-    chains: SimplicialChainData,
-    tol: float,
-) -> tuple[GroupAction, _ActionGates, _Halves | None]:
-    """The chain action, the action gate of the duality the pipeline uses
-    with it, which is returned rather than raised, and ``B + S`` and
-    ``B - S`` as the duality check of a closed manifold diagonalised them
-    (None with boundary).
-
-    For a closed manifold the duality is :func:`duality_operator` with the
-    action, and the gate is its duality check's (:func:`_duality_from_cap`);
-    with boundary it is the group averaged, symmetrized phased cap, gated
-    here by the same rule (:func:`~hpsig.complexes._action_gates`).
-    """
-    rho = chain_action(m, action, chains, tol=tol)
-    fundamental_cycle(m, chains)
-    if not m.with_boundary:
-        cap = _duality_from_cap(chains, tol, rho)
-        return rho, cap.gates, cap.halves
-    averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
-    chain, dual = chains.chain, DualityOperator(_symmetrize(averaged))
-    hp = HilbertPoincareComplex(chain, dual, rho)
-    return rho, _action_gates(hp, chain.total_boundary(), dual.total(chain), tol), None
 
 
 def to_hp_complex(
@@ -1001,16 +952,15 @@ def manifold_signature(
 
     The classes of ``check_coincidence(to_hp_complex(m, action, chains,
     tol), tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the
-    duality check, and read again by the constructions: when every identity
-    holds exactly they are read off the integer arrays, those of the Morse
-    complex without an action, whose spectral gaps are reported, and no
-    degree block of ``b`` or ``S`` is laid out (see :func:`_duality_from_cap`).
+    duality check, and read again by the constructions.  They are read off
+    the integer arrays, those of the Morse complex without an action, whose
+    spectral gaps are reported, and no degree block of ``b`` or ``S`` is
+    laid out; an identity that fails exactly is refused (see
+    :func:`_duality_from_cap`).
     """
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol) if action is not None else None
     cap = _closed_duality(m, chains, tol, rho)
-    if cap.halves is None:  # the action gate failed, which check_coincidence raises
-        return check_coincidence(HilbertPoincareComplex(chains.chain, cap.dual, rho), tol)
     return _coincidence(m.dim, None if rho is None else rho.group, cap.halves, tol)
 
 

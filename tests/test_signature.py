@@ -11,9 +11,11 @@ from hpsig import (
     HilbertPoincareComplex,
     barycentric_subdivide,
     boundary_signature_is_zero,
+    chain_action,
     check_coincidence,
     direct_sum,
     doubled_duality_cone,
+    enumerate_and_boundaries,
     generate_with_boundary,
     generate_with_signature,
     higson_roe_signature,
@@ -483,13 +485,17 @@ def _noncommuting(name, monkeypatch):
     triangulation it comes from (None for a generated complex)."""
     if name == "unaveraged-cap":
         # the coarse octahedron's rotation scrambles the vertex order, so the
-        # phased cap commutes with it only after the group average; the cap's
-        # entries, which the exact gates and the duality's blocks read, are
-        # not averaged
+        # phased cap commutes with it only after the group average; the
+        # duality's blocks and the cap's entries, which the exact identities
+        # read, are not averaged
         entries = simplicial._cap_entries
         monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
         m, action = octahedron(), octahedron_rotation()
-        return to_hp_complex(m, action), (m, action)
+        chains = enumerate_and_boundaries(m)
+        raw = entries(chains, None)[0]
+        dual = simplicial._symmetrize(simplicial._cap_blocks(chains, raw, 1, simplicial._roots(2)))
+        rho = chain_action(m, action, chains)
+        return HilbertPoincareComplex(chains.chain, DualityOperator(dual), rho), (m, action)
     hp = generate_with_signature(1, "n2-z3-d4")[0]
     rng = np.random.default_rng(3)
     moved = hp.action.conjugated([random_unitary(rng, d) for d in hp.dims])
@@ -503,12 +509,18 @@ def test_actions_that_fail_the_duality_checks_action_gate_are_rejected(name, mon
     assert rep.failures == ("action does not commute with the structure maps",)
     message = f"action does not commute with the structure maps: residual {rep.action_residual:.3e}"
     entry_points = [higson_roe_signature, mishchenko_signature, reduced_signature, check_coincidence]
-    if tri is not None:
-        entry_points.append(lambda _: manifold_signature(*tri))
     for construction in entry_points:
         with pytest.raises(EquivarianceViolated) as exc:
             construction(hp)
         assert str(exc.value) == message
+    if tri is not None:
+        # the triangulation's own route decides the commutator exactly and
+        # refuses it
+        with pytest.raises(EquivarianceViolated) as exc:
+            manifold_signature(*tri)
+        assert str(exc.value) == (
+            "action does not commute with the structure maps on the integer arrays"
+        )
 
 
 def test_the_manifold_command_gates_each_element_once(monkeypatch, tmp_path, capsys):

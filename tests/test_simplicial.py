@@ -1,6 +1,5 @@
 """Tests for triangulated manifolds, the cap duality, and group actions."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -203,9 +202,12 @@ def test_phased_cap_anticommutes_exactly(build):
     m = build(2)
     dual, rep = duality_operator(m)
     assert rep.passed
-    # alternating-sign orderings cancel exactly in integer arithmetic
-    assert rep.raw_chain_residual == 0.0
-    assert rep.chain_residual == 0.0
+    # alternating-sign orderings cancel exactly in integer arithmetic, and
+    # in floating point on the laid-out phased cap
+    chains = enumerate_and_boundaries(m)
+    assert simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0]) is None
+    phased = HilbertPoincareComplex(chains.chain, DualityOperator(tuple(_phased(m, chains))))
+    assert verify_duality(phased).chain_residual == 0.0
     assert rep.cone_min_singular_value > 1e-3
 
 
@@ -391,15 +393,15 @@ def test_equivariance_sphere_pair_swap():
 
 
 def test_equivariance_violation_raises(monkeypatch):
-    import hpsig.simplicial as sim
-
-    # the cap is not averaged: its entries, which both the exact gates and
-    # the duality's blocks read, are the raw cap's
-    entries = sim._cap_entries
-    monkeypatch.setattr(sim, "_cap_entries", lambda chains, rho: entries(chains, None))
+    # the cap is not averaged: its entries, which the exact identities read,
+    # are the raw cap's, which the quarter turn does not commute with
+    entries = simplicial._cap_entries
+    monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
     with pytest.raises(EquivarianceViolated) as exc_info:
         verify_equivariance(octahedron(), octahedron_rotation())
-    assert exc_info.value.report.duality_residual > 1.0
+    assert str(exc_info.value) == (
+        "action does not commute with the structure maps on the integer arrays"
+    )
 
 
 def test_equivariant_complex_and_character():
@@ -548,29 +550,18 @@ def test_shared_route_matches_the_public_route(name):
         assert a.spectral_gap == c.spectral_gap
     assert shared.max_character_difference == public.max_character_difference
     assert shared.grading_conjugation_residual == public.grading_conjugation_residual == 0.0
-    # the CapReport of the route read off the integer arrays, against the one
-    # that runs every float gate on the laid-out blocks, whose cone value is
-    # that of the full complex
+    # the CapReport of the route read off the integer arrays, against every
+    # float gate of the public check on the laid-out blocks, whose cone value
+    # is that of the full complex
     rho = chain_action(m, act, chains) if act is not None else None
     exact = duality_operator(m, chains, rho=rho)[1]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
-        floated = duality_operator(m, chains, rho=rho)[1]
+    floated = verify_duality(to_hp_complex(m, act, chains))
+    assert exact.passed and floated.passed and floated.chain_residual == 0.0
     if act is None:
         reduced = verify_duality(_morse_hp(m, chains)).cone_min_singular_value
         assert exact.cone_min_singular_value == reduced
-        exact = dataclasses.replace(exact, cone_min_singular_value=floated.cone_min_singular_value)
-    assert floated == exact
-
-
-def test_float_route_lays_out_the_total_boundary_once(monkeypatch):
-    calls = []
-    laid_out = ChainComplex.total_boundary
-    monkeypatch.setattr(ChainComplex, "total_boundary", lambda self: calls.append(self) or laid_out(self))
-    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
-    _, report = duality_operator(cp2_nine_vertex())
-    assert report.passed
-    assert len(calls) == 1
+    else:
+        assert abs(exact.cone_min_singular_value - floated.cone_min_singular_value) <= 1e-12
 
 
 _CAP_TRIPLES = simplicial.SimplicialChainData.cap_triples.func
@@ -598,14 +589,13 @@ def _moved_cap_triples(chains):
          "duality_operator needs a closed manifold; "
          "manifolds with boundary use bordism_to_cwb"),
         ("chain-map", cp2_nine_vertex, DegenerateDuality,
-         "symmetrized cap duality is degenerate "
-         "(smallest cone singular value 0.000e+00)"),
+         "duality does not anticommute with the boundary on the integer arrays"),
     ],
 )
 def test_shared_route_fails_as_the_public_route(name, build, error, message, monkeypatch):
     if name == "chain-map":
-        # the symmetrized cap stays self-adjoint entry for entry, so the
-        # self-adjointness gate passes, and the cone's chain-map gate fails
+        # the moved cap triple fails the chain condition exactly, which both
+        # routes decide on the integer arrays and refuse
         monkeypatch.setattr(
             simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
         )
@@ -637,9 +627,9 @@ def test_exact_gates_agree_with_the_float_gates(name):
     m, act = _EXACT_CASES[name]()
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains) if act is not None else None
-    holds = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
+    failed = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
     # every identity holds exactly, so the duality check runs no float gate
-    assert holds is True
+    assert failed is None
     cap = simplicial._closed_duality(m, chains, 1e-9, rho)
     hp = HilbertPoincareComplex(chains.chain, cap.dual, rho)
     # the float gates pass on the same complex
@@ -660,7 +650,10 @@ def test_exact_gates_agree_with_the_float_gates(name):
     # over the trivial group the halves diagonalised are those of the Morse
     # complex (reduce.py), and so is the cone value
     spectral = hp if rho is not None else _morse_hp(m, chains)
-    floated, halves, _, _ = complexes._verify_duality(spectral, 1e-9, rho)
+    b, s = spectral.total_boundary(), spectral.total_duality()
+    halves = complexes._diagonalise_halves(
+        *complexes._hermitian_halves(b, s, s - adjoint(s)), m.dim, 1e-9, rho
+    )
     for got, want in zip(cap.halves, halves):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert got.block_ranks == want.block_ranks
@@ -668,9 +661,9 @@ def test_exact_gates_agree_with_the_float_gates(name):
     if rho is not None:
         phased = _dense_group_average(phased, rho)
     raw = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(tuple(phased))))
-    assert cap.report.raw_chain_residual == raw.chain_residual == 0.0
-    assert cap.report.chain_residual == plain.chain_residual
-    assert cap.report.cone_min_singular_value == floated.cone_min_singular_value
+    assert raw.chain_residual == plain.chain_residual == 0.0
+    least = complexes._halves_invertibility(*halves, 1e-9)[1]
+    assert cap.report.cone_min_singular_value == least
     # and it is the plain check's cone value of the complex diagonalised
     reference = plain if rho is not None else verify_duality(spectral)
     assert abs(cap.report.cone_min_singular_value - reference.cone_min_singular_value) <= 1e-12
@@ -844,7 +837,7 @@ def test_an_action_that_does_not_compose_exactly_is_gated_on_every_element(monke
         seen = set()
         operator = rho.operator
         monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
-        assert simplicial._exact_identities(chains, rho, cap) is True
+        assert simplicial._exact_identities(chains, rho, cap) is None
         if rho._exact:  # an exact homomorphism: its generators only
             assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
         else:
@@ -870,7 +863,7 @@ def _moved_face(chains):
 
 
 @pytest.mark.parametrize("broken", ["cap-triple", "face-index"])
-def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch):
+def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
     m = cp2_nine_vertex()
     if broken == "cap-triple":
         monkeypatch.setattr(
@@ -879,24 +872,90 @@ def test_an_identity_that_fails_exactly_takes_the_float_gate(broken, monkeypatch
     chains = enumerate_and_boundaries(m)
     if broken == "face-index":
         _moved_face(chains)
-    assert simplicial._exact_identities(
-        chains, None, simplicial._cap_entries(chains, None)[0]
-    ) is False
+    failed = simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0])
+    # the public float gates on the laid-out blocks catch the same fault
     hp = HilbertPoincareComplex(
         chains.chain, DualityOperator(simplicial._symmetrize(_phased(m, chains)))
     )
     rep = verify_duality(hp)
     assert "duality does not anticommute with the boundary" in rep.failures
-    if broken == "face-index":
-        assert "boundary squares to a nonzero operator" in rep.failures
     assert rep.chain_residual > 0.1
-    # the same message as when the exact decision is skipped
-    with pytest.raises(DegenerateDuality) as fallback:
+    if broken == "face-index":
+        assert failed == "boundary_residual"
+        assert "boundary squares to a nonzero operator" in rep.failures
+    else:
+        assert failed == "chain_residual"
+    with pytest.raises(DegenerateDuality) as exc:
         duality_operator(m, chains)
-    monkeypatch.setattr(simplicial, "_exact_identities", lambda chains, rho, cap: False)
-    with pytest.raises(DegenerateDuality) as plain:
-        duality_operator(m, chains)
-    assert str(fallback.value) == str(plain.value)
+    assert str(exc.value) == f"{complexes._DUALITY_FAILURES[failed]} on the integer arrays"
+
+
+def test_the_manifold_command_refuses_an_identity_that_fails_exactly(
+    tmp_path, capsys, monkeypatch
+):
+    cp2, octa = str(tmp_path / "cp2.smf"), str(tmp_path / "octahedron-z4.smf")
+    write_smf(cp2_nine_vertex(), cp2)
+    write_smf(octahedron(), octa, octahedron_rotation())
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
+        )
+        assert main(["manifold", cp2]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "degenerate: duality does not anticommute with the boundary on the integer arrays\n"
+    # an unaveraged cap does not commute with the quarter turn
+    entries = simplicial._cap_entries
+    monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
+    assert main(["manifold", octa, "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "failure: action does not commute with the structure maps on the integer arrays\n"
+    )
+
+
+def _relabelled(m, act, seed):
+    """The triangulation and its action pushed forward along the seed's
+    random vertex bijection, carrying the orientation (the benchmark's
+    relabelling)."""
+    verts = list(m.vertices)
+    perm = dict(zip(verts, (verts[i] for i in np.random.default_rng(seed).permutation(len(verts)))))
+    facets = [[perm[v] for v in f] for f in m.facets]
+    signs = [s * simplicial._parities(np.array(f)) for f, s in zip(facets, m.signs)]
+    moved = OrientedSimplicialManifold.from_facets(facets, [int(s) for s in signs])
+    if act is None:
+        return moved, None
+    inverse = {w: v for v, w in perm.items()}
+    maps = tuple({w: perm[vm[inverse[w]]] for w in inverse} for vm in act.vertex_maps)
+    return moved, SimplicialAction(act.group, maps)
+
+
+_CLOSED_FIXTURES = {
+    "circle": lambda: (circle_polygon(5), None),
+    "s2": lambda: (simplex_sphere(2), None),
+    "s3": lambda: (simplex_sphere(3), None),
+    "s4": lambda: (simplex_sphere(4), None),
+    "cp2": lambda: (cp2_nine_vertex(), None),
+    "octahedron-z4": lambda: (octahedron(), octahedron_rotation()),
+    "octahedron-sd-rot24": lambda: barycentric_subdivide(octahedron(), octahedron_rotation_group()),
+    "octahedron-sd-z4": lambda: barycentric_subdivide(octahedron(), octahedron_rotation()),
+    "sphere-pair-swap": lambda: (disjoint_sphere_pair(), sphere_swap_action()),
+    "cp2-s3": cp2_triple_s3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED_FIXTURES))
+def test_the_refusal_never_fires_on_valid_input(name):
+    base, base_act = _CLOSED_FIXTURES[name]()
+    for seed in range(10):
+        m, act = _relabelled(base, base_act, seed)
+        for oriented in (m, _flipped(m)):
+            chains = enumerate_and_boundaries(oriented)
+            rhos = [None] if act is None else [None, chain_action(oriented, act, chains)]
+            for rho in rhos:
+                cap = simplicial._cap_entries(chains, rho)[0]
+                assert simplicial._exact_identities(chains, rho, cap) is None
 
 
 def test_chain_action_checks_the_homomorphism_on_the_vertex_maps(monkeypatch):

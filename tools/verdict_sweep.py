@@ -38,15 +38,16 @@ not read them.  ``scale`` is the Frobenius norm of
 ``B + S``, an upper bound on its spectral norm.  The unperturbed line of a
 triangulation also holds the same fields for ``manifold_signature``, which
 reuses the spectra of its duality check; with a group action it further holds
-every field of the ``EquivarianceReport`` of ``verify_equivariance``, whose
-gates the CLI ``manifold`` command reads, and that command's ``--json``
-payload and exit code.
+every field of the ``EquivarianceReport`` of ``verify_equivariance``, which
+reports the exact verdict of the duality check that the CLI ``manifold``
+command also reads, and that command's ``--json`` payload and exit code.
 
 ``--cli`` runs the CLI byte sweep instead: every command, in text and with
 ``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
 temporary directory (passing, failing, degenerate and with-boundary complexes,
 triangulations with and without actions, one action for each rejection of
-``chain_action``, unreadable files, bad tolerances).
+``chain_action``, one that it accepts only at ``--tol 3`` and the duality
+check refuses, unreadable files, bad tolerances).
 Each invocation writes one JSON line with its argv, exit code, stdout and
 stderr, the temporary directory masked as ``<dir>``.
 
@@ -440,10 +441,11 @@ def _disk_rotation():
     return hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(3), maps)
 
 
-def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str]]:
+def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str], str]:
     """Write the byte sweep's input files to ``tmp``; return the ``.hpx`` and
     the ``.smf`` paths, including one unwritten and one unparsable of each,
-    and the ``.smf`` paths of the rejected actions."""
+    the ``.smf`` paths of the rejected actions, and that of the refused
+    action."""
     import hpsig
     from hpsig import fixtures
 
@@ -500,13 +502,19 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str]]:
     for name, (m, action) in _rejected_actions().items():
         rejected.append(os.path.join(tmp, f"{name}.smf"))
         hpsig.write_smf(m, rejected[-1], action)
-    return hpx, smf, rejected
+    # Z/2 labelling the identity and the quarter turn: no homomorphism, which
+    # chain_action accepts at --tol 3, and the cap averaged over those two
+    # maps does not commute with the quarter turn
+    refused = os.path.join(tmp, "octahedron-z2-quarter-turn.smf")
+    quarter = hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(2), rot.vertex_maps[:2])
+    hpsig.write_smf(octa, refused, quarter)
+    return hpx, smf, rejected, refused
 
 
 def cli_invocations(tmp: str):
     """(argv, environment) pairs of the byte sweep, each argv once without and
     once with ``--json``; the environment holds ``HPSIG_TOL`` or is empty."""
-    hpx, smf, rejected = cli_fixtures(tmp)
+    hpx, smf, rejected, refused = cli_fixtures(tmp)
     runs = [((*cmd, path), {}) for path in hpx for cmd in HPX_COMMANDS]
     runs += [((*cmd, path), {}) for path in smf for cmd in SMF_COMMANDS]
     runs += [((*cmd, path), {}) for path in rejected for cmd in REJECTED_COMMANDS]
@@ -515,6 +523,7 @@ def cli_invocations(tmp: str):
         (("verify", hpx[0], "--tol", tol), {}) for tol in ("-1", "0", "1e-3", "nan")
     ]
     runs += [(("manifold", smf[1], "--tol", "-1"), {})]
+    runs += [(("manifold", refused, "--tol", "3"), {})]
     runs += [(("verify", hpx[0]), {"HPSIG_TOL": tol}) for tol in ("banana", "-2", "1e-3")]
     for seed, profile in ((1, "n2"), (9, "n2-z2-d6"), (3, "n4-z3-d3"), (2, "n0-z4")):
         for extra in ((), ("--with-boundary",), ("-o", "{dir}/gen.hpx")):
