@@ -40,8 +40,8 @@ exactly on its integer arrays, and one that fails is refused.  Its ``B + S``
 is that of the chain equivalent Morse complex without an action
 (:mod:`hpsig.reduce`), and read off those arrays as its nonzero entries with
 one (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
-blocks as gathers when the action composes exactly, and are otherwise laid
-out on the total space (:func:`_diagonalise`).  The gates form their
+blocks as gathers over the orbits of its signed permutations
+(:func:`_diagonalise`).  The gates form their
 products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
@@ -417,11 +417,11 @@ def _diagonalise(
     the trivial group's only character, without an action, and one small
     ``eigvalsh`` per irreducible character with one
     (:func:`~hpsig.linalg.block_spectrum`).  The compressions are gathers
-    over the orbit columns of an action whose ``_gathers`` is set, which read
-    a dense operator off its nonzero entries, and dense products with the
-    dense ``isotypic_bases`` for any other action, which lay out an operator
-    given as entries."""
-    if action is not None and action._gathers:
+    over the orbit columns of an action by signed permutations, which read a
+    dense operator off its nonzero entries, and dense products with the dense
+    ``isotypic_bases`` for a dense action, which lay out an operator given as
+    entries."""
+    if action is not None and action.is_signed_permutation:
         return [
             _block_spectrum(
                 h if isinstance(h, _Entries) else _Entries.of(h), action._orbit_columns, tol
@@ -640,7 +640,7 @@ def _verify_duality(
     column-norm bound of each), and ``hp``'s action.  Once ``S`` passes the
     cone's chain-map gate, the cone is read off ``B + S_h`` and ``B - S_h``
     on the total space, diagonalised over the trivial group; they are
-    returned if the self-adjointness and action gates passed.  A
+    returned if the self-adjointness gate passed.  A
     triangulation does not come here: its identities are decided exactly on
     its integer arrays (:func:`~hpsig.simplicial._duality_from_cap`).
     """
@@ -659,10 +659,9 @@ def _verify_duality(
             _anticommutator(hp.chain, sides), tol, shared(lambda norm: norm(b) * norm(s))
         ),
     }
-    gates = _action_gates(hp, b, s, tol, shared)
-    equivariant = all(ok for ok, _ in gates)
     if hp.action is not None:
-        gated["action_residual"] = (equivariant, max(r for _, r in gates))
+        gates = _action_gates(hp, b, s, tol, shared)
+        gated["action_residual"] = (all(ok for ok, _ in gates), max(r for _, r in gates))
 
     halves = None
     try:
@@ -680,8 +679,7 @@ def _verify_duality(
         passed=not failures,
         failures=failures,
     )
-    trusted = holds["selfadjoint_residual"][0] and equivariant
-    return report, halves if trusted else None
+    return report, halves if holds["selfadjoint_residual"][0] else None
 
 
 def twist(

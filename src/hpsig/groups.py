@@ -9,37 +9,32 @@ because character values of finite groups are algebraic integers separated by
 gaps far larger than roundoff at the sizes this package handles.
 
 A group acting on a triangulation moves simplices to simplices, so every
-element acts on the chains by a signed permutation matrix.  :class:`GroupAction`
-recognises such blocks (every row and every column holds exactly one nonzero
-entry, and that entry is exactly +1 or -1; a complex entry with zero imaginary
-part counts) and then does its group work by index arithmetic: commutators,
-traces and conjugations are gathers with signs, and the identity and
-homomorphism checks compare index and sign arrays exactly.  Every entry of a
-product with a signed permutation has exactly one nonzero term, so these
-results equal the dense products bit for bit, up to the sign of zero; gates,
-residuals and verdicts are those of the dense path.  The simplicial layer
-builds its signed permutations from the vertex maps and hands them over as
-they are (:meth:`GroupAction._from_signed`): nothing is scanned, the same
-checks run, and the dense blocks are laid out only when they are read.
-Actions given by dense blocks (``.hpx`` files, generated complexes) are
-scanned once.  Any other action, e.g. a conjugate by dense unitaries, keeps
-the dense matrices.  Callers reach either implementation through
-:meth:`GroupAction.operator`.
+element acts on the chains by a signed permutation matrix.  The simplicial
+layer builds those from the vertex maps and hands them over as index and sign
+arrays (:meth:`GroupAction._from_signed`), the one source of such actions.
+They must compose exactly like the group, or they are refused, whatever the
+tolerance; the group work is then index arithmetic: commutators, traces and
+conjugations are gathers with signs.  Every entry of a product with a signed
+permutation has exactly one nonzero term, so these results equal the dense
+products bit for bit, up to the sign of zero.  The dense blocks are laid out
+only when they are read.  An action given by dense blocks (``.hpx`` files,
+generated and twisted complexes) stays dense, whatever its entries, and its
+identities are checked within the tolerance.  Callers reach either
+implementation through :meth:`GroupAction.operator`.
 
 Irreducible characters and isotypic blocks.  :attr:`FiniteGroup.characters`
 computes the character table once, by Burnside-Dixon (common eigenvectors of
 the class-sum structure constants), and checks it.  Every action has
 :attr:`GroupAction.isotypic_bases`: an orthonormal basis of the image of each
 isotypic projection ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``,
-built orbit by orbit of the coordinates for a signed-permutation action that
-composes exactly like the group, where it is kept row by row, and degree by
-degree for any other.  An operator that commutes with the action is block
-diagonal in those bases, so the image of each of its spectral projections in
-the block of ``chi`` is a sum of copies of ``chi`` and its class is
-``sum_chi m_chi chi`` with integer multiplicities ``m_chi``: the count of
-eigenvalues of the sign in the block, divided by ``dim chi``
-(:func:`k0_from_multiplicities`).  Every class the
-signature constructions return is read that way (see
+built orbit by orbit of the coordinates for a signed-permutation action, where
+it is kept row by row, and degree by degree for a dense one.  An operator that
+commutes with the action is block diagonal in those bases, so the image of
+each of its spectral projections in the block of ``chi`` is a sum of copies
+of ``chi`` and its class is ``sum_chi m_chi chi`` with integer multiplicities
+``m_chi``: the count of eigenvalues of the sign in the block, divided by
+``dim chi`` (:func:`k0_from_multiplicities`).  Every class the signature
+constructions return is read that way (see
 :func:`~hpsig.complexes._diagonalise`), once the action has passed the
 duality check's action gate.  :func:`k0_from_projections` reads the class of
 given spectral projections; the tests use it as the reference.
@@ -339,8 +334,8 @@ class _SignedPermutation:
 
     Products with it are gathers: ``(m x)[i, :] = sgn[i] x[src[i], :]`` and
     ``(x m)[:, j] = x[:, dst[j]] dsgn[j]``, where ``dst`` is the inverse of
-    ``src`` and ``dsgn = sgn[dst]``.  The signs keep the dtype of the block
-    they were read from, so results have the dtype of the dense products.
+    ``src`` and ``dsgn = sgn[dst]``.  The signs are floats, so results have
+    the dtype of the dense products.
     """
 
     __slots__ = ("src", "sgn", "dst", "dsgn")
@@ -363,25 +358,6 @@ class _SignedPermutation:
         m.sgn = np.empty_like(dsgn)
         m.sgn[dst] = dsgn
         return m
-
-    @classmethod
-    def detect(cls, m: np.ndarray) -> "_SignedPermutation | None":
-        """``m`` as a signed permutation, or None when it is not one."""
-        d = m.shape[0]
-        # a dense block fails the count, so detection costs it one pass
-        if np.count_nonzero(m) != d or (m.dtype.kind == "c" and np.any(m.imag)):
-            return None
-        rows, cols = np.nonzero(m)  # row-major order: rows are sorted
-        sgn = m[rows, cols]
-        hit = np.zeros(d, dtype=bool)
-        hit[cols] = True
-        if not (
-            np.array_equal(rows, np.arange(d))
-            and hit.all()
-            and np.all(np.abs(sgn) == 1.0)
-        ):
-            return None
-        return cls(cols, sgn)
 
     @classmethod
     def block_diag(cls, parts: Sequence["_SignedPermutation"]) -> "_SignedPermutation":
@@ -450,19 +426,14 @@ class GroupAction:
     """Unitary representation on a graded space, one block per (element, degree).
 
     ``blocks[g][k]`` acts on degree ``k``.  Construction checks unitarity, the
-    identity, and the homomorphism property degreewise.
+    identity, and the homomorphism property degreewise, each within ``tol``.
 
-    When every block is a signed permutation (see the module docstring) the
-    action also keeps an index array and a sign array per element and degree.
-    Then unitarity holds exactly, and the identity and the homomorphism
-    property are decided by exact composition: ``src_gh == src_h[src_g]`` and
-    ``sgn_gh == sgn_g * sgn_h[src_g]``.  A mismatch is judged by the dense
-    residual, so the verdict, the residual and the message are those of the
-    dense checks for every nonnegative ``tol``.  :meth:`operator` gives the
-    commutators, traces and conjugations of either kind of action;
-    :meth:`total` and :meth:`degree` give the dense blocks.  An action built
-    from its signed permutations (:meth:`_from_signed`) lays the dense blocks
-    out only when ``blocks``, :meth:`degree` or :meth:`total` is read.
+    An action built from its signed permutations (:meth:`_from_signed`, see
+    the module docstring) keeps an index array and a sign array per element
+    and degree instead, decides its identities exactly and lays the dense
+    blocks out only when ``blocks``, :meth:`degree` or :meth:`total` is read.
+    :meth:`operator` gives the commutators, traces and conjugations of either
+    kind of action.
     """
 
     def __init__(
@@ -494,13 +465,8 @@ class GroupAction:
             fams.append(mats)
         self._blocks = tuple(fams)
         self._dims = dims if dims is not None else ()
-        self._gathers = False
-        self._signed = self._detect_signed()
-        if self._signed is None:
-            self._check_dense()
-        else:
-            self._totals = tuple(map(_SignedPermutation.block_diag, self._signed))
-            self._check_signed()
+        self._signed = None
+        self._check_dense()
 
     @classmethod
     def _from_signed(
@@ -511,13 +477,12 @@ class GroupAction:
         composes: bool = False,
     ) -> "GroupAction":
         """The action of ``signed[g][k]`` on degree ``k``, one family per
-        element, as the simplicial layer builds it: no dense block is scanned
-        (``detect``), the checks of :meth:`_check_signed` run unless the
-        arrays are known to compose exactly like the group (``composes``),
-        and the dense blocks are laid out on first read.  If the arrays
-        compose exactly, the isotypic compressions of operators are gathered
-        over :attr:`_orbit_columns` (``_gathers``); an action given by dense
-        blocks keeps dense products with dense bases, whatever its blocks."""
+        element, as the simplicial layer builds it; the dense blocks are laid
+        out on first read.  The arrays must compose exactly like the group:
+        :meth:`_check_signed` decides that unless it is known (``composes``),
+        and refuses them otherwise, whatever ``tol``.  The isotypic
+        compressions of operators are then gathered over
+        :attr:`_orbit_columns`."""
         self = cls.__new__(cls)
         self.group = group
         self.tol = tol
@@ -525,10 +490,8 @@ class GroupAction:
         self._dims = tuple(p.src.size for p in signed[group.identity])
         self._signed = signed
         self._totals = tuple(map(_SignedPermutation.block_diag, signed))
-        self._exact = True
         if not composes:
             self._check_signed()
-        self._gathers = self._exact
         return self
 
     @property
@@ -537,31 +500,15 @@ class GroupAction:
             self._blocks = tuple(tuple(p.dense() for p in fam) for fam in self._signed)
         return self._blocks
 
-    def _detect_signed(self) -> tuple[tuple[_SignedPermutation, ...], ...] | None:
-        """Every block as a signed permutation, or None at the first block
-        that is not one.  The identity's blocks come last: they qualify in
-        every valid action, and a dense action fails on another element."""
-        e = self.group.identity
-        found: list = [None] * self.group.order
-        for g in [*range(e), *range(e + 1, self.group.order), e]:
-            fam = []
-            for m in self.blocks[g]:
-                p = _SignedPermutation.detect(m)
-                if p is None:
-                    return None
-                fam.append(p)
-            found[g] = tuple(fam)
-        return tuple(found)
-
-    def _require_identity(self, k: int) -> None:
+    def _require_identity(self, k: int, tol: float) -> None:
         m = self.blocks[self.group.identity][k]
-        if not residual_within(m - np.eye(m.shape[0]), self.tol)[0]:
+        if not residual_within(m - np.eye(m.shape[0]), tol)[0]:
             raise NotRepresentation(f"identity element is not the identity at degree {k}")
 
-    def _require_homomorphism(self, g: int, h: int, k: int) -> None:
+    def _require_homomorphism(self, g: int, h: int, k: int, tol: float) -> None:
         gh = self.group.multiply(g, h)
         ok, res = residual_within(
-            self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], self.tol
+            self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], tol
         )
         if not ok:
             raise NotRepresentation(
@@ -571,7 +518,7 @@ class GroupAction:
 
     def _check_dense(self) -> None:
         for k in range(len(self._dims)):
-            self._require_identity(k)
+            self._require_identity(k, self.tol)
         for g, fam in enumerate(self.blocks):
             for k, m in enumerate(fam):
                 ok, res = residual_within(m @ adjoint(m) - np.eye(m.shape[0]), self.tol)
@@ -582,29 +529,28 @@ class GroupAction:
         for g in range(self.group.order):
             for h in range(self.group.order):
                 for k in range(len(self._dims)):
-                    self._require_homomorphism(g, h, k)
+                    self._require_homomorphism(g, h, k, self.tol)
 
     def _check_signed(self) -> None:
-        """The dense checks, in the same order, with every identity that holds
-        exactly skipped; a signed permutation is exactly unitary."""
-        # whether the index and sign arrays compose exactly like the group
-        self._exact = True
+        """The dense checks, in the same order and with the same messages,
+        decided exactly on the index and sign arrays: a signed permutation is
+        exactly unitary, the identity must be the identity permutation, and
+        ``g h`` must have ``src_gh == src_h[src_g]`` and ``sgn_gh == sgn_g *
+        sgn_h[src_g]``.  The first identity that fails raises
+        NotRepresentation with its exact residual, at every ``tol``."""
         for k, p in enumerate(self._signed[self.group.identity]):
             if not p.is_identity():
-                self._exact = False
-                self._require_identity(k)
+                self._require_identity(k, 0.0)
         offsets = [0, *itertools.accumulate(self._dims)]
-        src = np.stack([t.src for t in self._totals])
-        sgn = np.stack([t.sgn for t in self._totals])
+        src, sgn = self._sources
         table = np.asarray(self.group.table)
         for g, t in enumerate(self._totals):
             # row h compares g h with the composition of g and h
             bad = (src[:, t.src] != src[table[g]]) | (t.sgn * sgn[:, t.src] != sgn[table[g]])
-            for h in np.flatnonzero(bad.any(axis=1)):
-                self._exact = False
-                for k in range(len(self._dims)):
-                    if bad[h, offsets[k]:offsets[k + 1]].any():
-                        self._require_homomorphism(g, int(h), k)
+            if bad.any():
+                h, j = np.argwhere(bad)[0]  # the first h, at its lowest degree
+                k = int(np.searchsorted(offsets, j, side="right")) - 1
+                self._require_homomorphism(g, int(h), k, 0.0)
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -618,8 +564,9 @@ class GroupAction:
 
     @property
     def is_signed_permutation(self) -> bool:
-        """Whether every block is a signed permutation, so that
-        :meth:`operator` works by index arithmetic."""
+        """Whether the action was built from its signed permutations
+        (:meth:`_from_signed`), so that :meth:`operator` works by index
+        arithmetic."""
         return self._signed is not None
 
     def operator(
@@ -658,23 +605,22 @@ class GroupAction:
         projections ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, one
         per row of ``group.characters``, as ``(N, rank P_chi)`` matrices on the
         total space, piece by piece: the orbits of the coordinates for signed
-        permutations that compose exactly like the group, and the degrees
-        otherwise.  The rank on a piece is the trace of ``P_chi`` there; one
+        permutations, and the degrees for dense blocks.  The rank on a piece is the trace of ``P_chi`` there; one
         that is not an integer within CHAR_TOL raises NotRepresentation.
 
-        For such signed permutations the bases are kept row by row
+        For signed permutations the bases are kept row by row
         (:attr:`_orbit_columns`), and these matrices are laid out from them
         when read; the duality check of a triangulation compresses ``B + S``
         with the rows themselves and never reads them.
         """
-        if self._signed is not None and self._exact:
+        if self._signed is not None:
             return tuple(q.dense() for q in self._orbit_columns)
         return self._degree_bases()
 
     @cached_property
     def _orbit_columns(self) -> tuple[_SparseBasis, ...]:
-        """:attr:`isotypic_bases` of a signed-permutation action that
-        composes exactly, row by row: each column lies on one orbit ``O`` of
+        """:attr:`isotypic_bases` of a signed-permutation action, row by
+        row: each column lies on one orbit ``O`` of
         the coordinates, so a coordinate has a slot per column of its orbit.
 
         On ``O`` the trace of ``P_chi`` is ``(dim chi / |G|) sum_g conj(chi(g))

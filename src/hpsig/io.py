@@ -261,7 +261,7 @@ def read_smf(
     fraw = _need(doc, "facets", list, path)
     try:  # every facet at once; the loop below names the first bad one
         facets, signs = [entry["verts"] for entry in fraw], [entry["sign"] for entry in fraw]
-        valid = _int_lists(facets) and set(map(type, signs)) <= {int, bool}
+        valid = _int_lists(facets) and set(map(type, signs)) <= {int}
     except (KeyError, TypeError):
         valid = False
     if not valid:
@@ -272,6 +272,8 @@ def read_smf(
             facets.append(_int_list(_need(entry, "verts", list, f"{path}: facets[{i}]"),
                                     f"{path}: facets[{i}].verts"))
             signs.append(_need(entry, "sign", int, f"{path}: facets[{i}]"))
+            if isinstance(signs[-1], bool):
+                raise ParseError(f"{path}: facets[{i}]: key 'sign' has the wrong type")
     manifold = OrientedSimplicialManifold(tuple(map(tuple, facets)), tuple(map(int, signs)))
     if "dim" in doc and doc["dim"] != manifold.dim:
         raise ParseError(

@@ -28,10 +28,10 @@ stored in a report is therefore the number its gate used: an upper bound on
 the spectral norm when the gate passed, and the exact spectral norm when it
 failed.  Residuals that gate nothing are diagnostic and store the Frobenius
 bound (:func:`frobenius_norm`), as ``CapReport.symmetrization_residual``
-does, and do not enter ``passed``.  A triangulation's duality check runs
-none of these gates: it decides its structural identities exactly on integer
-arrays and refuses a triangulation on which one fails
-(:mod:`hpsig.simplicial`).
+does, and do not enter ``passed``.  A triangulation's duality check and its
+equivariance check run none of these gates: they decide their identities
+exactly on integer arrays and refuse a triangulation or an action on which
+one fails (:mod:`hpsig.simplicial`).
 
 Invertibility and spectral splitting read eigenvalues of self-adjoint
 operators.  For those the smallest ``|eigenvalue|`` equals the smallest
@@ -46,10 +46,11 @@ When ``h`` leaves mutually orthogonal subspaces invariant that together span
 the space, such as the isotypic blocks of a group action that commutes with
 it, :func:`block_spectrum` reads its eigenvalues off one small ``eigvalsh``
 of each compression and keeps the inertia of each block at the threshold of
-the whole operator.  A dense ``h`` is compressed by dense products with dense
-bases; an ``h`` given by its entries (:class:`_Entries`) is compressed by a
-gather over bases given row by row (:class:`_SparseBasis`), and no
-``N``-wide matrix is formed.
+the whole operator.  A dense ``h`` is compressed by dense products with the
+dense bases of an action given by dense blocks; for a triangulation's
+signed-permutation action, ``h`` is read as its entries (:class:`_Entries`)
+and compressed by a gather over bases given row by row
+(:class:`_SparseBasis`), and no ``N``-wide matrix is formed.
 """
 
 from __future__ import annotations

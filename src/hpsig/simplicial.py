@@ -36,14 +36,17 @@ degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed
 pointwise; one barycentric subdivision always repairs this), and orientation
-preserving.  Every simplex is mapped under every element at once through a
-vertex lookup table, a row sort, an inversion count for the parity and a key
-lookup for the image (:func:`_simplex_images`), which the chain action, the
-isotropy count of :func:`geometry_stats` and :func:`barycentric_subdivide`
-share.  The chain action is handed to :class:`~hpsig.groups.GroupAction` as
-signed permutations, and its commutators with the boundary and the duality
-are decided exactly with the other identities.  For vertex maps
-that scramble the global order the cap matrices do not commute with the
+preserving, and they must compose exactly like the group.  Every simplex is
+mapped under every element at once through a vertex lookup table, a row
+sort, an inversion count for the parity and a key lookup for the image
+(:func:`_simplex_images`), which the chain action, the isotropy count of
+:func:`geometry_stats` and :func:`barycentric_subdivide` share.  The chain
+action is handed to :class:`~hpsig.groups.GroupAction` as signed
+permutations, and its commutators with the boundary and the duality are
+decided exactly on the group's generators (:func:`_action_commutes`), with
+the other identities by the duality check and alone by
+:func:`verify_equivariance`, closed or with boundary.  For vertex maps that
+scramble the global order the cap matrices do not commute with the
 action on the nose (the split point of a facet moves with the sort), so
 equivariant duality operators are built by averaging the phased cap over the
 group; see :func:`_cap_blocks`.
@@ -64,7 +67,6 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
-    _action_gates,
     _diagonalise_halves,
     _Halves,
     _halves_invertibility,
@@ -412,14 +414,13 @@ def _symmetrize(blocks: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
 class CapReport:
     """Residuals of the cap-product duality construction.
 
-    The structural identities hold exactly, or the construction raises
-    (:func:`_duality_from_cap`), so no chain residual is reported.
-    ``symmetrization_residual`` is diagnostic only (a Frobenius bound).
-    ``passed`` is the verdict of :func:`verify_duality` on the symmetrized
-    family, with the action when one is given, and the cone operator's
-    smallest |eigenvalue| is ``cone_min_singular_value``, read off the
-    isotypic blocks of an action and, without one, the cone value of the
-    chain equivalent Morse complex.
+    The structural identities hold exactly and the cone is invertible, or
+    the construction raises (:func:`_duality_from_cap`), so no chain
+    residual is reported and a returned report always passes.
+    ``symmetrization_residual`` is diagnostic only (a Frobenius bound).  The
+    cone operator's smallest |eigenvalue| is ``cone_min_singular_value``,
+    read off the isotypic blocks of an action and, without one, the cone
+    value of the chain equivalent Morse complex.
     """
 
     tol: float
@@ -519,9 +520,8 @@ def _duality_from_cap(
     value is their smallest |eigenvalue|.  Without ``rho`` they are those of
     the Morse complex, chain equivalent and much smaller
     (:func:`~hpsig.reduce.reduced_halves`); with it they are read off the
-    face arrays and the cap entries (:func:`_half_entries`), gathered over
-    the orbit columns of an action that composes exactly and laid out as one
-    ``N``-wide matrix otherwise.
+    face arrays and the cap entries (:func:`_half_entries`) and gathered over
+    the orbit columns of the action.
     """
     out = _CapDuality(chains, tol, rho)
     failed = _exact_identities(chains, rho, out.cap)
@@ -601,30 +601,65 @@ def _exact_identities(
     :func:`_cap_entries` divided by their count, so each identity is a list
     of (row, column, integer) entries whose sums by position must vanish:
     ``b b = 0`` (``boundary_residual``), the only check of the face arrays
-    on this route; ``rho(g)`` commutes with ``b``
-    (``action_residual``); ``b P + P b^* = 0`` (``chain_residual``), which
-    carries over to ``P^*`` (take adjoints), to ``S = (P + P^*) / 2`` and to
-    the cone's chain-map gate; and ``rho(g)`` commutes with ``|G| P``, hence
-    with ``P^*`` and ``S`` (``rho(g)^* = rho(g)^{-1}``).  The chain
+    on this route; the action's identities (``action_residual``,
+    :func:`_action_commutes`); and ``b P + P b^* = 0``
+    (``chain_residual``), which carries over to ``P^*`` (take adjoints), to
+    ``S = (P + P^*) / 2`` and to the cone's chain-map gate.  The chain
     condition is decided on the raw cap, ``|G|`` times fewer entries than
     the group average: once every ``rho(g)`` commutes with ``b``, each
     conjugate ``rho(g)^* P rho(g)`` anticommutes with ``b`` when ``P``
-    does.  For an action that composes exactly like the group, the action's
-    identities are decided on the group's generators: if ``rho(g)`` and
-    ``rho(h)`` commute with ``x``, so does ``rho(gh) = rho(g) rho(h)``.  Any
-    other action is decided on every element.  ``S`` is self-adjoint by
-    construction, in floating point too.
+    does.  ``S`` is self-adjoint by construction, in floating point too.
     """
     n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
+    bnd = _boundary_entries(chains)
+    if not all(_vanishes(*_times_boundary(faces, k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
+        return "boundary_residual"
+    if rho is not None and not _action_commutes(chains, rho, cap, bnd):
+        return "action_residual"
 
-    def signed(vals, k):  # once per face of a k-simplex, times the sign (-1)^i
-        return (vals[:, None] * (1 - 2 * (np.arange(k + 1) % 2))).ravel()
+    def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
+        one = _times_boundary(faces, k, *x[k])
+        rows, cols, vals = x[k - 1]
+        cols, rows, vals = _times_boundary(faces, n - k + 1, cols, rows, vals)  # x b^* = (b x^T)^T
+        u = (_phase_exponent(n, k - 1) - _phase_exponent(n, k)) % 4  # P_{k-1} : P_k
+        if u % 2:  # a real and an imaginary integer matrix
+            return _vanishes(*one, dims[n - k]) and _vanishes(rows, cols, vals, dims[n - k])
+        return _vanishes(*one, dims[n - k], (rows, cols, vals * (1 - u)))
 
-    def left(k, rows, cols, vals):  # b_k x
-        return faces[k][rows].ravel(), np.repeat(cols, k + 1), signed(vals, k)
+    raw = cap if rho is None else _cap_entries(chains, None)[0]
+    if not all(anticommutes(raw, k) for k in range(1, n + 1)):
+        return "chain_residual"
+    return None
 
-    def right(k, rows, cols, vals):  # x b_k^*
-        return np.repeat(rows, k + 1), faces[k][cols].ravel(), signed(vals, k)
+
+def _boundary_entries(chains: SimplicialChainData) -> dict[int, tuple]:
+    """``b_k`` for every degree ``k >= 1`` as (rows, columns, integers): ``b_k``
+    times the identity."""
+    return {
+        k: _times_boundary(chains.faces, k, np.arange(d), np.arange(d), np.ones(d, np.int64))
+        for k, d in enumerate(chains.dims)
+        if k
+    }
+
+
+def _times_boundary(faces: Sequence[np.ndarray], k: int, rows, cols, vals) -> tuple:
+    """``b_k x`` for the integer entries ``(rows, cols, vals)`` of ``x``: one
+    entry per face of each row's ``k``-simplex, times its sign ``(-1)^i``."""
+    signs = 1 - 2 * (np.arange(k + 1) % 2)
+    return faces[k][rows].ravel(), np.repeat(cols, k + 1), (vals[:, None] * signs).ravel()
+
+
+def _action_commutes(
+    chains: SimplicialChainData, rho: GroupAction, cap: Sequence[tuple], bnd: dict[int, tuple]
+) -> bool:
+    """Whether every ``rho(g)`` commutes exactly with ``b`` (its entries
+    ``bnd``, :func:`_boundary_entries`) and with the cap entries ``cap``
+    (:func:`_cap_entries`), hence with ``P``, ``P^*`` and ``S``
+    (``rho(g)^* = rho(g)^{-1}``).  It is decided on the group's generators:
+    if ``rho(g)`` and ``rho(h)`` commute with ``x``, so does ``rho(gh) =
+    rho(g) rho(h)``, which holds exactly for every action
+    :func:`chain_action` returns."""
+    n, dims = len(chains.rows) - 1, chains.dims
 
     def commutes(x, one, other, width):  # one x = x other, by signed permutations
         rows, cols, vals = x
@@ -633,28 +668,10 @@ def _exact_identities(
             (rows, other.src[cols], -vals * other.sgn.real[cols].astype(np.int64)),
         )
 
-    eye = {k: (np.arange(d), np.arange(d), np.ones(d, np.int64)) for k, d in enumerate(dims) if k}
-    bnd = {k: left(k, *x) for k, x in eye.items()}  # b_k as entries
-    if not all(_vanishes(*left(k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
-        return "boundary_residual"
-
-    def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
-        one, other = left(k, *x[k]), right(n - k + 1, *x[k - 1])
-        u = (_phase_exponent(n, k - 1) - _phase_exponent(n, k)) % 4  # P_{k-1} : P_k
-        if u % 2:  # a real and an imaginary integer matrix
-            return _vanishes(*one, dims[n - k]) and _vanishes(*other, dims[n - k])
-        return _vanishes(*one, dims[n - k], (*other[:2], other[2] * (1 - u)))
-
-    elements = () if rho is None else rho.group.generators if rho._exact else range(rho.group.order)
-    ops = [[rho.operator(g, k) for k in range(n + 1)] for g in elements]
-    if not all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd):
-        return "action_residual"
-    raw = cap if rho is None else _cap_entries(chains, None)[0]
-    if not all(anticommutes(raw, k) for k in range(1, n + 1)):
-        return "chain_residual"
-    if not all(commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)):
-        return "action_residual"
-    return None
+    ops = [[rho.operator(g, k) for k in range(n + 1)] for g in rho.group.generators]
+    return all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd) and all(
+        commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)
+    )
 
 
 def _cap_entries(
@@ -763,13 +780,20 @@ def _parities(rows: np.ndarray) -> np.ndarray:
     return 1 - 2 * (inversions % 2)
 
 
-def _vertex_table(chains: SimplicialChainData, vertex_maps: Sequence[dict]) -> np.ndarray:
-    """Per map (rows) and vertex number (columns), the number of the vertex's
-    image, or -1 where the image is not a vertex.  A map that misses a vertex
-    raises KeyError."""
+def _vertex_table(chains: SimplicialChainData, action: SimplicialAction, count: int) -> np.ndarray:
+    """Per element of the first ``count`` (rows) and vertex number
+    (columns), the number of the vertex's image, or -1 where the image is not
+    a vertex.  A map that leaves out a vertex does not permute the vertex set
+    and raises NotSimplicial."""
     labels = chains.vertices.tolist()
-    images = np.array([[vm[v] for v in labels] for vm in vertex_maps], dtype=np.int64)
-    images = images.reshape(len(vertex_maps), len(labels))
+    try:
+        images = np.array([[vm[v] for v in labels] for vm in action.vertex_maps[:count]], np.int64)
+    except KeyError:
+        g = next(g for g, vm in enumerate(action.vertex_maps) if not vm.keys() >= set(labels))
+        raise NotSimplicial(
+            f"element {action.group.elements[g]} does not permute the vertex set"
+        ) from None
+    images = images.reshape(count, len(labels))
     at = np.minimum(np.searchsorted(chains.vertices, images), len(labels) - 1)
     return np.where(chains.vertices[at] == images, at, -1)
 
@@ -806,8 +830,9 @@ def chain_action(
     Those signed permutations are handed to the action as they are
     (:meth:`~hpsig.groups.GroupAction._from_signed`), which lays out dense
     blocks only when they are read.  The identity and the homomorphism
-    property are checked on the vertex maps (``|G|^2 V`` comparisons), and
-    on the chain spaces only when the vertex maps fail them.
+    property are checked on the vertex maps (``|G|^2 V`` comparisons); when
+    those fail, the chain spaces name the first failure, and the action is
+    refused with NotRepresentation at every ``tol``.
     """
     chains = chains or enumerate_and_boundaries(m)
     n = m.dim
@@ -822,7 +847,7 @@ def chain_action(
         ),
         group.order,
     )
-    table = _vertex_table(chains, action.vertex_maps[:valid])
+    table = _vertex_table(chains, action, valid)
     images = [_simplex_images(chains, table, p) for p in range(n + 1)]
     irregular = [
         (index == np.arange(index.shape[1])) & ~fixed for fixed, index, _ in images
@@ -874,9 +899,9 @@ class EquivarianceReport:
     """Commutation residuals of a chain action with the structure maps.
 
     ``duality_residual`` measures the duality operator the pipeline actually
-    uses (group averaged when the action scrambles the vertex order).  On a
-    closed manifold both commutators are decided exactly and both residuals
-    are 0.0; with boundary they are read off the float action gate.
+    uses (group averaged when the action scrambles the vertex order).  Both
+    commutators are decided exactly on the integer arrays, and a failure
+    raises, so a returned report always has residuals 0.0 and passes.
     """
 
     tol: float
@@ -891,43 +916,20 @@ def verify_equivariance(
     chains: SimplicialChainData | None = None,
     tol: float = DEFAULT_TOL,
 ) -> EquivarianceReport:
-    """Largest commutator norms of the action against boundary and duality.
+    """Commutators of the action with the boundary and with the group
+    averaged cap, closed or with boundary.
 
-    A closed manifold's duality check (:func:`_closed_duality`) decides both
-    commutators exactly on the integer arrays and raises
-    EquivarianceViolated when one fails.  With boundary the group averaged,
-    symmetrized phased cap takes the float action gate
-    (:func:`~hpsig.complexes._action_gates`), and EquivarianceViolated is
-    raised when either residual exceeds the tolerance, with the report
-    attached as ``report``.
+    Both are decided exactly on the integer arrays
+    (:func:`_action_commutes`): no eigensolve runs and no block is laid out.
+    Raises EquivarianceViolated when one fails, and the errors of
+    :func:`chain_action` and :func:`fundamental_cycle`.
     """
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol)
-    if not m.with_boundary:
-        _closed_duality(m, chains, tol, rho)
-        return EquivarianceReport(tol=tol, boundary_residual=0.0, duality_residual=0.0, passed=True)
     fundamental_cycle(m, chains)
-    averaged = _cap_blocks(chains, *_cap_entries(chains, rho), _roots(m.dim))
-    chain, dual = chains.chain, DualityOperator(_symmetrize(averaged))
-    hp = HilbertPoincareComplex(chain, dual, rho)
-    (b_ok, b_res), (s_ok, s_res) = _action_gates(
-        hp, chain.total_boundary(), dual.total(chain), tol
-    )
-    report = EquivarianceReport(
-        tol=tol,
-        boundary_residual=b_res,
-        duality_residual=s_res,
-        passed=b_ok and s_ok,
-    )
-    if not report.passed:
-        exc = EquivarianceViolated(
-            f"action does not commute with the structure maps "
-            f"(boundary residual {report.boundary_residual:.3e}, "
-            f"duality residual {report.duality_residual:.3e})"
-        )
-        exc.report = report
-        raise exc
-    return report
+    if not _action_commutes(chains, rho, _cap_entries(chains, rho)[0], _boundary_entries(chains)):
+        raise EquivarianceViolated(f"{_DUALITY_FAILURES['action_residual']} on the integer arrays")
+    return EquivarianceReport(tol=tol, boundary_residual=0.0, duality_residual=0.0, passed=True)
 
 
 def to_hp_complex(
@@ -1016,24 +1018,20 @@ def geometry_stats(
     """Simplex counts, the largest closed vertex star (counting simplices of
     every dimension), and the largest simplex stabilizer order.
 
+    The closed star of ``v`` is its star ``St(v)``, the simplices that
+    contain ``v``, and its link, which ``tau -> tau + {v}`` maps one to one
+    onto ``St(v)`` without ``{v}``: it holds ``2 |St(v)| - 1`` simplices.
     A simplex's stabilizer is counted from the images of
     :func:`_simplex_images`, which no regularity or simpliciality check
-    precedes, so any vertex maps defined on every vertex are read.
+    precedes, so any vertex maps defined on every vertex are read; a map
+    that leaves out a vertex raises NotSimplicial.
     """
     chains = chains or enumerate_and_boundaries(m)
-    star: dict[int, set] = {v: set() for v in m.vertices}
-    for f in m.facets:
-        faces = [
-            sub
-            for p in range(len(f))
-            for sub in itertools.combinations(f, p + 1)
-        ]
-        for v in f:
-            star[v].update(faces)
-    max_star = max(len(s) for s in star.values())
+    star = sum(np.bincount(r.ravel(), minlength=chains.vertices.size) for r in chains.rows)
+    max_star = 2 * int(star.max()) - 1
     max_iso = 1
     if action is not None:
-        table = _vertex_table(chains, action.vertex_maps)
+        table = _vertex_table(chains, action, action.group.order)
         for p in range(m.dim + 1):
             index = _simplex_images(chains, table, p)[1]
             stab = np.count_nonzero(index == np.arange(index.shape[1]), axis=0)
@@ -1056,7 +1054,8 @@ def barycentric_subdivide(
     facet, signed by the facet sign times the permutation parity.  Any
     simplicial action becomes regular after one subdivision because the
     vertices of a flag have pairwise distinct dimensions.  Raises
-    NotSimplicial when a vertex map sends a simplex to a non-simplex.
+    NotSimplicial when a vertex map leaves out a vertex or sends a simplex to
+    a non-simplex.
     """
     chains = enumerate_and_boundaries(m)
     n = m.dim
@@ -1077,7 +1076,7 @@ def barycentric_subdivide(
     )
     if action is None:
         return m2, None
-    table = _vertex_table(chains, action.vertex_maps)
+    table = _vertex_table(chains, action, action.group.order)
     images = [_simplex_images(chains, table, p)[1] for p in range(n + 1)]
     for g in range(action.group.order):
         for p, index in enumerate(images):

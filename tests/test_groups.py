@@ -249,8 +249,8 @@ def test_signed_family_that_is_not_a_homomorphism():
     assert str(exc_info.value) == (
         "homomorphism fails for elements (1, 1) at degree 1: residual 1.732e+00"
     )
-    # the mismatch is judged by the dense residual, which passes at tol 2
-    assert GroupAction(g, fams, tol=2.0).is_signed_permutation
+    # dense blocks are checked within the tolerance, which passes at tol 2
+    GroupAction(g, fams, tol=2.0)
 
 
 def test_signed_identity_that_is_not_the_identity():
@@ -261,21 +261,17 @@ def test_signed_identity_that_is_not_the_identity():
     assert str(exc_info.value) == "identity element is not the identity at degree 1"
 
 
-def test_signed_permutation_detection():
+def test_dense_blocks_stay_dense():
     g = FiniteGroup.cyclic(2)
     swap = np.eye(2)[::-1]
-    near = swap.copy()
-    near[0, 1] = 1.0 + 1e-12
-    act = GroupAction(g, ((np.eye(2),), (near,)), tol=1e-9)
-    assert not act.is_signed_permutation
-    cplx = GroupAction(g, ((np.eye(2),), (-swap + 0j,)))
-    assert cplx.is_signed_permutation
+    # signed permutations given as dense blocks are not scanned for them
+    for block in (swap, -swap + 0j):
+        act = GroupAction(g, ((np.eye(2),), (block,)))
+        assert not act.is_signed_permutation
+        assert np.array_equal(act.total(1), block)
     p = np.diag([1.0, 0.0])
     # the operator keeps the dtype of the complex block
-    assert cplx.operator(1).commutator(p).dtype == np.complex128
-    # a diagonal phase is unitary but not a signed permutation
-    phase = np.array([[-1.0 + 1e-16j]])
-    assert not GroupAction(g, ((np.eye(1),), (phase,))).is_signed_permutation
+    assert act.operator(1).commutator(p).dtype == np.complex128
     # two entries in one row and none in another
     bad = np.array([[1.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NotUnitary):
@@ -385,11 +381,12 @@ def test_dense_actions_get_bases_that_span_the_isotypic_images():
     assert [q.shape[1] for q in twisted.isotypic_bases] == [
         q.shape[1] for q in rotations.isotypic_bases
     ]
-    # a signed-permutation action that composes exactly takes the orbit route
+    # a swap given by dense blocks takes the degree route too, with the ranks
+    # of its orbit sums
     swap = GroupAction(FiniteGroup.cyclic(2), ((np.eye(2),), (np.array([[0, 1], [1, 0]]),)))
+    assert not swap.is_signed_permutation
     assert [q.shape[1] for q in swap.isotypic_bases] == [1, 1]
-    orbit_sums = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    assert np.abs(np.hstack(swap.isotypic_bases) - orbit_sums).max() <= 1e-15
+    _assert_spans_the_isotypic_images(swap, 1e-12)
 
 
 @pytest.mark.parametrize(

@@ -11,12 +11,18 @@ from hpsig import (
     ChainComplex,
     ComplexWithBoundary,
     DualityOperator,
+    FiniteGroup,
     HilbertPoincareComplex,
+    SimplicialAction,
+    barycentric_subdivide,
+    check_coincidence,
     generate_with_boundary,
     generate_with_signature,
     read_hpx,
     read_smf,
     reduced_signature,
+    to_hp_complex,
+    verify_duality,
     verify_equivariance,
     verify_with_boundary,
     write_hpx,
@@ -201,6 +207,7 @@ _BAD_SMF = {
                        "facets[1]: key 'verts' has the wrong type"),
     "facet-not-object": (("facets", 1), [0, 1, 2], "facets[1] must be an object"),
     "sign-float": (("facets", 1, "sign"), 1.0, "facets[1]: key 'sign' has the wrong type"),
+    "sign-bool": (("facets", 1, "sign"), True, "facets[1]: key 'sign' has the wrong type"),
     "pair-bool": (("action", "vertex_maps", 1, 2, 1), False,
                   "vertex_maps[1] entry: expected a list of integers"),
     "pair-float": (("action", "vertex_maps", 1, 2, 0), 2.0,
@@ -492,6 +499,33 @@ def test_cli_subdivide(tmp_path, capsys):
     assert act2 is not None
     assert main(["manifold", dst]) == 0
     capsys.readouterr()
+
+
+def test_cli_refuses_a_vertex_map_that_leaves_out_a_vertex(tmp_path, capsys):
+    path = str(tmp_path / "missing-vertex.smf")
+    maps = ({v: v for v in range(6)}, {v: v for v in range(5)})
+    write_smf(octahedron(), path, SimplicialAction(FiniteGroup.cyclic(2), maps))
+    for argv in (
+        ["manifold", path],
+        ["manifold", path, "--stats"],
+        ["stats", path],
+        ["subdivide", path, "-o", str(tmp_path / "sd.smf")],
+    ):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "failure: element g does not permute the vertex set\n")
+
+
+def test_hpx_round_trip_of_a_triangulation_reads_a_dense_action(tmp_path):
+    hp = to_hp_complex(*barycentric_subdivide(octahedron(), octahedron_rotation()))
+    path = str(tmp_path / "octahedron-sd-z4.hpx")
+    write_hpx(hp, path)
+    back = read_hpx(path)
+    assert hp.action.is_signed_permutation and not back.action.is_signed_permutation
+    assert verify_duality(back).failures == verify_duality(hp).failures == ()
+    want, got = check_coincidence(hp), check_coincidence(back)
+    assert got.passed and want.passed
+    for a, b in zip(want.results, got.results):
+        assert a.method == b.method and a.k0.multiplicities == b.k0.multiplicities
 
 
 def test_cli_parse_error_exit_code(tmp_path, capsys):

@@ -404,6 +404,30 @@ def test_equivariance_violation_raises(monkeypatch):
     )
 
 
+def test_equivariance_with_boundary_is_decided_on_the_integer_arrays(monkeypatch, count_calls):
+    # the 2-disk with Z/3 rotating its vertices, subdivided to be regular and
+    # relabelled so that the rotation scrambles the vertex order
+    rotation = SimplicialAction(
+        FiniteGroup.cyclic(3), tuple({v: (v + k) % 3 for v in range(3)} for k in range(3))
+    )
+    m, act = _relabelled(*barycentric_subdivide(simplex_disk(2), rotation), 0)
+    assert m.with_boundary
+    solves = count_calls(np.linalg, ("eigh", "eigvalsh", "svd"))
+    layouts = count_calls(linalg, ("assemble_total",))
+    rep = verify_equivariance(m, act)
+    assert (rep.boundary_residual, rep.duality_residual, rep.passed) == (0.0, 0.0, True)
+    assert solves == {"eigh": 0, "eigvalsh": 0, "svd": 0}
+    assert layouts == {"assemble_total": 0}
+    # an unaveraged cap does not commute with the rotation
+    entries = simplicial._cap_entries
+    monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
+    with pytest.raises(EquivarianceViolated) as exc_info:
+        verify_equivariance(m, act)
+    assert str(exc_info.value) == (
+        "action does not commute with the structure maps on the integer arrays"
+    )
+
+
 def test_equivariant_complex_and_character():
     hp = to_hp_complex(octahedron(), octahedron_rotation())
     assert hp.action is not None
@@ -713,7 +737,7 @@ def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
     m, act = _ACTION_CASES[name]()
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains)
-    assert rho._gathers
+    assert rho.is_signed_permutation
     # the group average read off the cap entries is the dense one, up to
     # the sign of zero
     cap, count = simplicial._cap_entries(chains, rho)
@@ -819,29 +843,29 @@ def test_the_action_route_lays_out_no_n_wide_operator(
     assert layouts == {"assemble_total": 0}
 
 
-def test_an_action_that_does_not_compose_exactly_is_gated_on_every_element(monkeypatch):
+def test_an_action_that_does_not_compose_exactly_is_refused(monkeypatch):
     # the square's four rotations labelled by Z/2 x Z/2: no quarter turn is
-    # an involution, so the chain action passes the homomorphism check only
-    # at a tolerance above its residuals (2.0) and does not compose exactly;
-    # its matrices are still a group, so the averaged cap commutes with each
+    # an involution, so the chain action is refused at every tolerance, with
+    # the exact residual of the first product that fails
     klein = FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2))
     turns = tuple({v: (v + k) % 4 for v in range(4)} for k in range(4))
-    cases = [
-        (circle_polygon(4), SimplicialAction(klein, turns), 3.0),
-        (*barycentric_subdivide(octahedron(), octahedron_rotation_group()), 1e-9),
-    ]
-    for m, act, tol in cases:
-        chains = enumerate_and_boundaries(m)
-        rho = chain_action(m, act, chains, tol=tol)
-        cap = simplicial._cap_entries(chains, rho)[0]
-        seen = set()
-        operator = rho.operator
-        monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
-        assert simplicial._exact_identities(chains, rho, cap) is None
-        if rho._exact:  # an exact homomorphism: its generators only
-            assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
-        else:
-            assert seen == set(range(rho.group.order))
+    for tol in (1e-9, 3.0):
+        with pytest.raises(NotRepresentation) as exc:
+            chain_action(circle_polygon(4), SimplicialAction(klein, turns), tol=tol)
+        assert str(exc.value) == (
+            "homomorphism fails for elements (1, 1) at degree 0: residual 2.000e+00"
+        )
+    # every action that chain_action returns composes exactly, so its
+    # identities are decided on the group's generators
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation_group())
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    cap = simplicial._cap_entries(chains, rho)[0]
+    seen = set()
+    operator = rho.operator
+    monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
+    assert simplicial._exact_identities(chains, rho, cap) is None
+    assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
 
 
 def test_the_cap_is_averaged_over_signed_permutations_only():
@@ -962,8 +986,8 @@ def test_chain_action_checks_the_homomorphism_on_the_vertex_maps(monkeypatch):
     calls = []
     check = GroupAction._check_signed
     monkeypatch.setattr(GroupAction, "_check_signed", lambda self: calls.append(1) or check(self))
-    rho = chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
-    assert calls == [] and rho._exact
+    chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
+    assert calls == []
     # a rotation of the triangle's vertices is not an involution: the vertex
     # maps fail, and the chain-level check names the first failure as before
     m = circle_polygon(3)

@@ -123,6 +123,17 @@ def _reference_isotropy(m, action, simplices):
     return max_iso
 
 
+def _reference_closed_star(m):
+    """The largest closed vertex star: every face of every facet at each of
+    its vertices, gathered as sets of vertex tuples."""
+    star = {v: set() for v in m.vertices}
+    for f in m.facets:
+        faces = [sub for p in range(len(f)) for sub in itertools.combinations(f, p + 1)]
+        for v in f:
+            star[v].update(faces)
+    return max(len(s) for s in star.values())
+
+
 def _reference_subdivide(m, action):
     simplices = _reference_enumerate(m)[0]
     all_simplices = [s for degree in simplices for s in degree]
@@ -237,6 +248,19 @@ def test_boundary_split_matches_the_loops(k, subdivided):
         m = barycentric_subdivide(m)[0]
     _, index, _ = _reference_enumerate(m)
     assert bordism_to_cwb(m).split == _reference_boundary_split(m, index)
+
+
+_STAR_SIZES = {"octahedron": 17, "cp2": 193, "point": 1, "sd-disk4": 1081}
+
+
+@pytest.mark.parametrize("name", sorted([*FIXTURES, "sd-disk4"]))
+def test_closed_star_matches_the_loops(name):
+    if name == "sd-disk4":
+        m = barycentric_subdivide(simplex_disk(4))[0]
+    else:
+        m = FIXTURES[name]()[0]
+    star = geometry_stats(m).max_closed_star
+    assert star == _reference_closed_star(m) == _STAR_SIZES.get(name, star)
 
 
 def test_isotropy_reads_irregular_and_non_permuting_maps():

@@ -45,9 +45,13 @@ command also reads, and that command's ``--json`` payload and exit code.
 ``--cli`` runs the CLI byte sweep instead: every command, in text and with
 ``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
 temporary directory (passing, failing, degenerate and with-boundary complexes,
-triangulations with and without actions, one action for each rejection of
-``chain_action``, one that it accepts only at ``--tol 3`` and the duality
-check refuses, unreadable files, bad tolerances).
+the ``.hpx`` of a triangulation with its action, which is read back as dense
+blocks, triangulations with and without actions, one action for each
+rejection of ``chain_action`` and a vertex map that leaves out a vertex, a
+labelling that does not compose like its group, which ``chain_action``
+refuses at every tolerance and is run at ``--tol 3``, unreadable files, bad
+tolerances).  An exception that escapes the CLI is recorded as the
+interpreter reports it, with exit code 1 and the traceback's last line.
 Each invocation writes one JSON line with its argv, exit code, stdout and
 stderr, the temporary directory masked as ``<dir>``.
 
@@ -74,6 +78,7 @@ import os
 import re
 import sys
 import tempfile
+import traceback
 import zlib
 
 import numpy as np
@@ -180,17 +185,14 @@ def base_cases(seeds: int):
 
 def equivariance(tri) -> dict:
     """Every field of the equivariance report of a triangulation with an
-    action: the report ``verify_equivariance`` returns, or the one it
-    attaches to the EquivarianceViolated it raises when a gate fails."""
+    action, or the exception ``verify_equivariance`` raises."""
     import hpsig
 
     m, action = tri
     try:
         rep = hpsig.verify_equivariance(m, action, tol=1e-9)
     except Exception as exc:  # the sweep records every outcome and goes on
-        rep = getattr(exc, "report", None)
-        if not isinstance(exc, hpsig.EquivarianceViolated) or rep is None:
-            return _error(exc)
+        return _error(exc)
     return {field: getattr(rep, field) for field in EQUIVARIANCE_FIELDS}
 
 
@@ -404,8 +406,9 @@ REJECTED_COMMANDS = SMF_COMMANDS[:3]
 
 def _rejected_actions() -> dict:
     """Triangulations with a Z/2 action that ``chain_action`` rejects: a map
-    that is not a vertex permutation, one that sends a facet to a non-facet,
-    an irregular one and an orientation-reversing one."""
+    that is not a vertex permutation, one that leaves out a vertex, one that
+    sends a facet to a non-facet, an irregular one and an
+    orientation-reversing one."""
     import hpsig
     from hpsig import fixtures
 
@@ -417,6 +420,7 @@ def _rejected_actions() -> dict:
     pair = fixtures.disjoint_sphere_pair()
     return {
         "reject-not-permutation": z2(tetra, {v: 0 for v in range(4)}),
+        "reject-missing-vertex": z2(tetra, {v: v for v in range(3)}),
         "reject-non-facet": z2(octa, {0: 0, 1: 2, 2: 1, 3: 3, 4: 4, 5: 5}),
         "reject-irregular": z2(tetra, {0: 1, 1: 0, 2: 2, 3: 3}),
         "reject-reversing": z2(pair, {0: 5, 1: 4, 2: 6, 3: 7, 4: 1, 5: 0, 6: 2, 7: 3}),
@@ -457,6 +461,9 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str], str]:
         "n0-z4-d4-2": hpsig.generate_with_signature(2, "n0-z4-d4")[0],
         "model-cp2": fixtures.model_projective_plane(),
         "zero-duality": hpsig.HilbertPoincareComplex(chain, zero),
+        "octahedron-sd-z4": hpsig.to_hp_complex(
+            *hpsig.barycentric_subdivide(fixtures.octahedron(), fixtures.octahedron_rotation())
+        ),
     }
     closed["n2-d6-5-nsa"] = perturbed(closed["n2-d6-5"], "n2-d6-5", "nsa", 1e-3)
     closed["n2-z2-0-sa"] = perturbed(closed["n2-z2-0"], "n2-z2-0", "sa", 1e-3)
@@ -503,8 +510,7 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str], str]:
         rejected.append(os.path.join(tmp, f"{name}.smf"))
         hpsig.write_smf(m, rejected[-1], action)
     # Z/2 labelling the identity and the quarter turn: no homomorphism, which
-    # chain_action accepts at --tol 3, and the cap averaged over those two
-    # maps does not commute with the quarter turn
+    # chain_action refuses, --tol 3 included
     refused = os.path.join(tmp, "octahedron-z2-quarter-turn.smf")
     quarter = hpsig.SimplicialAction(hpsig.FiniteGroup.cyclic(2), rot.vertex_maps[:2])
     hpsig.write_smf(octa, refused, quarter)
@@ -554,6 +560,10 @@ def cli_record(argv, env: dict, tmp: str) -> dict:
                 code = hpsig.cli.main(argv)
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
+            except Exception as exc:  # escapes the CLI: the interpreter's report
+                code = 1
+                print("Traceback (most recent call last):", file=sys.stderr)
+                print("".join(traceback.format_exception_only(exc)), end="", file=sys.stderr)
     finally:
         os.environ.pop("HPSIG_TOL", None)
         if saved is not None:
