@@ -28,7 +28,7 @@ homotopic dualities have the same class while the cone stays invertible
 moves by ``t |X|``, so the reported cone value, that of ``S_h``, is within
 ``|S - S^*| / 2`` of ``S``'s (Weyl).  ``S_h`` is exactly self-adjoint, and is
 ``S`` bit for bit when ``S`` is, as on every triangulation
-(:func:`~hpsig.linalg._hermitian_of`).  For even ``n`` one eigensolve serves
+(:func:`~hpsig.linalg._hermitian_part`).  For even ``n`` one eigensolve serves
 both halves (:func:`_diagonalise_halves`).
 
 The signature constructions need the spectra that the duality check forms.
@@ -37,11 +37,9 @@ boundary class reads again
 (:func:`~hpsig.bordism.boundary_signature_is_zero`).  A triangulation takes
 no gate here: its structural identities are integer theorems, decided
 exactly on its integer arrays, and one that fails is refused.  Its ``B + S``
-is that of the chain equivalent Morse complex without an action
-(:mod:`hpsig.reduce`), and read off those arrays as its nonzero entries with
-one (:func:`~hpsig.simplicial._half_entries`), which reach the isotypic
-blocks as gathers over the orbits of its signed permutations
-(:func:`_diagonalise`).  The gates form their
+is that of the chain equivalent Morse complex (:mod:`hpsig.reduce`), with
+the action restricted to the critical simplices when one is given, and is
+diagonalised as any other (:func:`_diagonalise`).  The gates form their
 products from the degree blocks: ``b b`` from ``b_k b_{k+1}`` and the
 anticommutator from ``b_k S_k + S_{k-1} b^*_{n-k+1}``, which are also the
 two sides of the cone's chain-map condition, laid out by
@@ -76,7 +74,6 @@ from .linalg import (
     DEFAULT_TOL,
     _BOUND_MARGIN,
     BlockSpectrum,
-    _Entries,
     _block_frobenius_norm,
     _block_spectrum,
     _column_norm_bound,
@@ -407,28 +404,15 @@ def _require_duality_chain_map(hp: HilbertPoincareComplex, tol: float) -> None:
 
 
 def _diagonalise(
-    ops: Sequence[np.ndarray | _Entries], tol: float, action: GroupAction | None
+    ops: Sequence[np.ndarray], tol: float, action: GroupAction | None
 ) -> list[BlockSpectrum]:
-    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`,
-    :func:`~hpsig.reduce.reduced_halves` and
-    :func:`~hpsig.simplicial._half_entries` give them (not checked
-    again), diagonalised for the signature classes over the group of
-    ``action``, which must have passed the action gate on them: one block,
-    the trivial group's only character, without an action, and one small
-    ``eigvalsh`` per irreducible character with one
-    (:func:`~hpsig.linalg.block_spectrum`).  The compressions are gathers
-    over the orbit columns of an action by signed permutations, which read a
-    dense operator off its nonzero entries, and dense products with the dense
-    ``isotypic_bases`` for a dense action, which lay out an operator given as
-    entries."""
-    if action is not None and action.is_signed_permutation:
-        return [
-            _block_spectrum(
-                h if isinstance(h, _Entries) else _Entries.of(h), action._orbit_columns, tol
-            )
-            for h in ops
-        ]
-    ops = [h.dense() if isinstance(h, _Entries) else h for h in ops]
+    """Operators self-adjoint entry for entry, as :func:`_hermitian_halves`
+    and :func:`~hpsig.reduce.reduced_halves` give them (not checked again),
+    diagonalised for the signature classes over the group of ``action``,
+    which must have passed the action gate on them: one block, the trivial
+    group's only character, without an action, and one small ``eigvalsh``
+    per irreducible character with one, compressed by dense products with
+    its ``isotypic_bases`` (:func:`~hpsig.linalg.block_spectrum`)."""
     if action is None:
         return [_one_block(classify_eigenvalues(np.linalg.eigvalsh(h), tol)) for h in ops]
     return [_block_spectrum(h, action.isotypic_bases, tol) for h in ops]
@@ -440,8 +424,8 @@ def _one_block(spec: Spectrum) -> BlockSpectrum:
 
 
 def _diagonalise_halves(
-    plus_op: np.ndarray | _Entries,
-    minus_op: np.ndarray | _Entries | None,
+    plus_op: np.ndarray,
+    minus_op: np.ndarray | None,
     n: int,
     tol: float,
     action: GroupAction | None,

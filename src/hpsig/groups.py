@@ -13,8 +13,8 @@ element acts on the chains by a signed permutation matrix.  The simplicial
 layer builds those from the vertex maps and hands them over as index and sign
 arrays (:meth:`GroupAction._from_signed`), the one source of such actions.
 They must compose exactly like the group, or they are refused, whatever the
-tolerance; the group work is then index arithmetic: commutators, traces and
-conjugations are gathers with signs.  Every entry of a product with a signed
+tolerance; the group work is then index arithmetic: commutators and traces
+are gathers with signs.  Every entry of a product with a signed
 permutation has exactly one nonzero term, so these results equal the dense
 products bit for bit, up to the sign of zero.  The dense blocks are laid out
 only when they are read.  An action given by dense blocks (``.hpx`` files,
@@ -27,8 +27,10 @@ computes the character table once, by Burnside-Dixon (common eigenvectors of
 the class-sum structure constants), and checks it.  Every action has
 :attr:`GroupAction.isotypic_bases`: an orthonormal basis of the image of each
 isotypic projection ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``,
-built orbit by orbit of the coordinates for a signed-permutation action, where
-it is kept row by row, and degree by degree for a dense one.  An operator that
+built degree by degree from the dense blocks.  A triangulation's action
+reaches it only on the critical simplices of its Morse complex
+(:mod:`hpsig.reduce`), a few of them, so no basis is as wide as the
+triangulation.  An operator that
 commutes with the action is block diagonal in those bases, so the image of
 each of its spectral projections in the block of ``chi`` is a sum of copies
 of ``chi`` and its class is ``sum_chi m_chi chi`` with integer multiplicities
@@ -61,8 +63,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    _SparseBasis,
-    _sum_by_key,
     adjoint,
     as_matrix,
     block_diag,
@@ -397,10 +397,6 @@ class _SignedPermutation:
         """``tr(m x)``."""
         return np.sum(self.sgn * x[self.src, np.arange(self.src.size)])
 
-    def conjugate(self, x: np.ndarray, right: "_SignedPermutation") -> np.ndarray:
-        """``m^* x right``; the signs are real, so ``m^*`` has the signs of ``m``."""
-        return x[np.ix_(self.dst, right.dst)] * (self.dsgn[:, None] * right.dsgn)
-
 
 class _DenseElement:
     """A group element acting by its dense matrix, with the interface of
@@ -418,9 +414,6 @@ class _DenseElement:
         # tr(m x) as an elementwise sum, without the matrix product
         return np.sum(self.matrix.T * x)
 
-    def conjugate(self, x: np.ndarray, right: "_DenseElement") -> np.ndarray:
-        return adjoint(self.matrix) @ x @ right.matrix
-
 
 class GroupAction:
     """Unitary representation on a graded space, one block per (element, degree).
@@ -432,8 +425,8 @@ class GroupAction:
     the module docstring) keeps an index array and a sign array per element
     and degree instead, decides its identities exactly and lays the dense
     blocks out only when ``blocks``, :meth:`degree` or :meth:`total` is read.
-    :meth:`operator` gives the commutators, traces and conjugations of either
-    kind of action.
+    :meth:`operator` gives the commutators and traces of either kind of
+    action.
     """
 
     def __init__(
@@ -480,16 +473,13 @@ class GroupAction:
         element, as the simplicial layer builds it; the dense blocks are laid
         out on first read.  The arrays must compose exactly like the group:
         :meth:`_check_signed` decides that unless it is known (``composes``),
-        and refuses them otherwise, whatever ``tol``.  The isotypic
-        compressions of operators are then gathered over
-        :attr:`_orbit_columns`."""
+        and refuses them otherwise, whatever ``tol``."""
         self = cls.__new__(cls)
         self.group = group
         self.tol = tol
         self._blocks = None
         self._dims = tuple(p.src.size for p in signed[group.identity])
         self._signed = signed
-        self._totals = tuple(map(_SignedPermutation.block_diag, signed))
         if not composes:
             self._check_signed()
         return self
@@ -573,9 +563,8 @@ class GroupAction:
         self, g: int, k: int | None = None
     ) -> "_SignedPermutation | _DenseElement":
         """Element ``g`` on degree ``k``, or on the total space when ``k`` is
-        None: an object with ``commutator(x)`` (``rho x - x rho``),
-        ``trace(x)`` (``tr(rho x)``) and ``conjugate(x, right)``
-        (``rho^* x right`` for another such object ``right``).
+        None: an object with ``commutator(x)`` (``rho x - x rho``) and
+        ``trace(x)`` (``tr(rho x)``).
 
         For a signed-permutation action these are gathers and equal the dense
         products bit for bit, up to the sign of zero; otherwise the dense
@@ -584,6 +573,11 @@ class GroupAction:
         if self._signed is None:
             return _DenseElement(self.total(g) if k is None else self.blocks[g][k])
         return self._totals[g] if k is None else self._signed[g][k]
+
+    @cached_property
+    def _totals(self) -> tuple[_SignedPermutation, ...]:
+        """Each element's signed permutation of the total space."""
+        return tuple(map(_SignedPermutation.block_diag, self._signed))
 
     @cached_property
     def _sources(self) -> tuple[np.ndarray, np.ndarray]:
@@ -604,88 +598,17 @@ class GroupAction:
         """Orthonormal bases ``Q_chi`` of the images of the isotypic
         projections ``P_chi = (dim chi / |G|) sum_g conj(chi(g)) rho(g)``, one
         per row of ``group.characters``, as ``(N, rank P_chi)`` matrices on the
-        total space, piece by piece: the orbits of the coordinates for signed
-        permutations, and the degrees for dense blocks.  The rank on a piece is the trace of ``P_chi`` there; one
-        that is not an integer within CHAR_TOL raises NotRepresentation.
-
-        For signed permutations the bases are kept row by row
-        (:attr:`_orbit_columns`), and these matrices are laid out from them
-        when read; the duality check of a triangulation compresses ``B + S``
-        with the rows themselves and never reads them.
+        total space, degree by degree (:meth:`_degree_bases`).  The rank on
+        ``E_k`` is the trace of ``P_chi`` there; one that is not an integer
+        within CHAR_TOL raises NotRepresentation.
         """
-        if self._signed is not None:
-            return tuple(q.dense() for q in self._orbit_columns)
         return self._degree_bases()
-
-    @cached_property
-    def _orbit_columns(self) -> tuple[_SparseBasis, ...]:
-        """:attr:`isotypic_bases` of a signed-permutation action, row by
-        row: each column lies on one orbit ``O`` of
-        the coordinates, so a coordinate has a slot per column of its orbit.
-
-        On ``O`` the trace of ``P_chi`` is ``(dim chi / |G|) sum_g conj(chi(g))
-        tr rho_O(g)``, where ``tr rho_O(g)`` sums the signs of the coordinates
-        of ``O`` that ``g`` fixes.  For a one-dimensional ``chi`` the rank is 0
-        or 1 and the column is the normalised orbit sum ``P_chi e_o`` of the
-        orbit's least coordinate ``o``; otherwise it is the top eigenvectors
-        of the ``|O|``-wide ``P_chi|O``, one stacked ``eigh`` per orbit size.
-        No ``N``-wide matrix is formed, and a real character gives real
-        columns.
-        """
-        group = self.group
-        order = group.order
-        dst, sign = self._images
-        size = dst.shape[1]
-        # each coordinate's orbit is labelled by its least member
-        points, orbit = np.unique(dst.min(axis=0), return_inverse=True)
-        fixed = np.where(dst == np.arange(size), sign, 0.0)
-        traces = np.zeros((order, points.size))
-        np.add.at(traces, (slice(None), orbit), fixed)
-        chars = group.characters[:, group.class_index]  # per character and element
-        degrees = np.asarray(group.character_degrees)
-        rounded = _integer_ranks((degrees[:, None] / order) * (chars.conj() @ traces))
-        # the coordinates orbit by orbit, each orbit in increasing order, and
-        # each coordinate's place in its orbit
-        by_orbit = np.argsort(orbit, kind="stable")
-        sizes = np.bincount(orbit)
-        starts = np.cumsum(sizes) - sizes
-        place = np.empty(size, dtype=np.intp)
-        place[by_orbit] = np.arange(size) - np.repeat(starts, sizes)
-        bases = []
-        for chi, d, rank in zip(chars, degrees, rounded):
-            coef = chi.conj() if chi.imag.any() else chi.real
-            if d == 1:
-                bases.append(_orbit_sums(coef, dst, sign, points, orbit, rank))
-                continue
-            kept = np.flatnonzero(rank)
-            first = np.cumsum(rank[kept]) - rank[kept]  # each kept orbit's first column
-            width = int(rank.sum())
-            index = np.full((size, rank.max(initial=0)), width)
-            values = np.zeros(index.shape, dtype=coef.dtype)
-            for s in np.unique(sizes[kept]):
-                batch = np.flatnonzero(sizes[kept] == s)
-                orbits = kept[batch]
-                members = by_orbit[starts[orbits][:, None] + np.arange(s)]  # (orbits, s)
-                proj = np.zeros((orbits.size, s, s), dtype=coef.dtype)
-                np.add.at(
-                    proj,
-                    (np.arange(orbits.size)[:, None], place[dst[:, members]], np.arange(s)),
-                    coef[:, None, None] * sign[:, members],
-                )
-                vecs = np.linalg.eigh(proj * (d / order))[1]
-                # slot j of orbit o holds eigenvector s - rank[o] + j
-                slots = np.arange(index.shape[1])
-                used = slots < rank[orbits][:, None]
-                pick = np.minimum(s - rank[orbits][:, None] + slots, s - 1)
-                index[members] = np.where(used, first[batch][:, None] + slots, width)[:, None, :]
-                picked = np.take_along_axis(vecs, pick[:, None, :], axis=2)
-                values[members] = np.where(used[:, None, :], picked, 0)
-            bases.append(_SparseBasis(index, values, width))
-        return tuple(bases)
 
     def _degree_bases(self) -> tuple[np.ndarray, ...]:
         """On ``E_k``, the top eigenvectors of the Hermitian part of
-        ``P_chi``: one batched ``eigh`` per degree, over the characters."""
+        ``P_chi``: one batched ``eigh`` per degree, over the characters.  A
+        part whose imaginary part is exactly zero, as for a real character of
+        a real action, is kept real."""
         group = self.group
         chars = group.characters[:, group.class_index]  # per character and element
         coefs = chars.conj() * (np.asarray(group.character_degrees)[:, None] / group.order)
@@ -694,12 +617,16 @@ class GroupAction:
         for k, width in enumerate(self._dims):
             if not width:
                 continue
-            projs = np.tensordot(coefs, np.stack([fam[k] for fam in self.blocks]), axes=1)
+            # np.tensordot's product, without its overhead
+            stack = np.stack([fam[k] for fam in self.blocks]).reshape(group.order, -1)
+            projs = np.dot(coefs, stack).reshape(-1, width, width)
             ranks = _integer_ranks(np.trace(projs, axis1=1, axis2=2))
             vecs = np.linalg.eigh((projs + projs.conj().transpose(0, 2, 1)) / 2.0)[1]
             for part, v, rank in zip(parts, vecs, ranks):
+                v = v[:, width - rank:]
+                v = v if v.imag.any() else v.real
                 column = np.zeros((offsets[-1], rank), dtype=v.dtype)
-                column[offsets[k]:offsets[k + 1]] = v[:, width - rank:]
+                column[offsets[k]:offsets[k + 1]] = v
                 part.append(column)
         return tuple(np.hstack(part) for part in parts)
 
@@ -729,31 +656,6 @@ class GroupAction:
         group = FiniteGroup.trivial()
         fam = tuple(np.eye(int(d)) for d in dims)
         return cls(group, (fam,))
-
-
-def _orbit_sums(
-    coef: np.ndarray,
-    dst: np.ndarray,
-    sign: np.ndarray,
-    points: np.ndarray,
-    orbit: np.ndarray,
-    rank: np.ndarray,
-) -> _SparseBasis:
-    """The basis of a one-dimensional character whose conjugate values are
-    ``coef``: for each orbit of rank 1 the orbit sum ``P_chi e_o`` of its
-    least coordinate ``o`` (``coef[g] sign[g]`` added at the image of ``o``
-    under each element ``g`` in turn), divided by its norm (its squares
-    summed over the coordinates in increasing order).  A coordinate has one
-    slot."""
-    kept = np.flatnonzero(rank == 1)
-    column = np.full(points.size, kept.size)
-    column[kept] = np.arange(kept.size)
-    column = column[orbit]
-    terms = coef[:, None] * sign[:, points[kept]]
-    sums = _sum_by_key(dst[:, points[kept]].ravel(), terms.ravel(), orbit.size)
-    norms = np.sqrt(np.bincount(column, (sums.conj() * sums).real, kept.size + 1))
-    norms[-1] = 1.0  # the coordinates of no kept orbit, whose sums are 0
-    return _SparseBasis(column[:, None], (sums / norms[column])[:, None], kept.size)
 
 
 def _integer_ranks(traces: np.ndarray) -> np.ndarray:

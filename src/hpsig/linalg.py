@@ -45,19 +45,17 @@ the spectrum of ``-phi h phi`` off that of ``h``.
 When ``h`` leaves mutually orthogonal subspaces invariant that together span
 the space, such as the isotypic blocks of a group action that commutes with
 it, :func:`block_spectrum` reads its eigenvalues off one small ``eigvalsh``
-of each compression and keeps the inertia of each block at the threshold of
-the whole operator.  A dense ``h`` is compressed by dense products with the
-dense bases of an action given by dense blocks; for a triangulation's
-signed-permutation action, ``h`` is read as its entries (:class:`_Entries`)
-and compressed by a gather over bases given row by row
-(:class:`_SparseBasis`), and no ``N``-wide matrix is formed.
+of each compression, a dense product with the block's basis, and keeps the
+inertia of each block at the threshold of the whole operator.  A
+triangulation reaches it on its Morse complex (:mod:`hpsig.reduce`), a few
+critical simplices wide, so no ``N``-wide operator is formed there.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -349,100 +347,17 @@ def block_spectrum(
     largest ``|eigenvalue|`` of ``h``, and each block's counts at that same
     threshold.  Raises ShapeMismatch unless the bases have as many columns in
     all as ``h`` has, and NotSelfAdjoint as :func:`spectrum` does.
-
-    The compressions are dense products here.  The package's exactly
-    equivariant triangulations take the private form instead: there ``h``
-    arrives as its entries and each basis row by row, every column on one
-    orbit of the coordinates, and each compression is gathered by one
-    ``bincount`` over the pairs of columns that the entries meet
-    (:meth:`_SparseBasis.compress`).
     """
     return _block_spectrum(_hermitian_part(h, tol), bases, tol)
 
 
-class _Entries(NamedTuple):
-    """A ``size``-wide square operator as the values ``vals`` at the
-    positions ``(rows, cols)``, each position once."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    size: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.size, self.size
-
-    @classmethod
-    def of(cls, h: np.ndarray) -> "_Entries":
-        """The nonzero entries of the square matrix ``h``, in row-major order."""
-        rows, cols = np.nonzero(h)
-        return cls(rows, cols, h[rows, cols], h.shape[0])
-
-    def dense(self) -> np.ndarray:
-        """The matrix, in the dtype of the values."""
-        h = np.zeros(self.shape, dtype=self.vals.dtype)
-        h[self.rows, self.cols] = self.vals
-        return h
-
-
-@dataclass(frozen=True)
-class _SparseBasis:
-    """An ``(N, width)`` matrix of columns given row by row: row ``i`` holds
-    ``coef[i, j]`` in column ``index[i, j]`` for each slot ``j``, and a slot
-    whose index is ``width`` is empty.  No row names a column twice."""
-
-    index: np.ndarray
-    coef: np.ndarray
-    width: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.index.shape[0], self.width
-
-    def dense(self) -> np.ndarray:
-        """The matrix, in the dtype of the coefficients."""
-        rows, slots = np.nonzero(self.index < self.width)
-        q = np.zeros(self.shape, dtype=self.coef.dtype)
-        q[rows, self.index[rows, slots]] = self.coef[rows, slots]
-        return q
-
-    def compress(self, h: _Entries) -> np.ndarray:
-        """``Q^* h Q``: every entry ``h[r, c]`` adds ``conj(Q[r, a]) h[r, c]
-        Q[c, b]`` at ``(a, b)`` for each slot of row ``r`` and of row ``c``,
-        summed by one ``bincount`` over the pairs ``(a, b)``; the pairs with
-        an empty slot land in a last row or column, which is dropped."""
-        side = self.width + 1
-        keys = self.index[h.rows][:, :, None] * side + self.index[h.cols][:, None, :]
-        left, right = self.coef[h.rows].conj(), self.coef[h.cols]
-        terms = left[:, :, None] * (h.vals[:, None, None] * right[:, None, :])
-        sums = _sum_by_key(keys.ravel(), terms.ravel(), side * side)
-        return sums.reshape(side, side)[:-1, :-1]
-
-
-def _sum_by_key(keys: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
-    """The sums of ``values`` at each key ``0 .. size - 1`` by ``np.bincount``,
-    complex values included, each part summed in the order given."""
-    sums = np.bincount(keys, values.real, size)
-    if values.dtype.kind == "c":
-        sums = sums + 1j * np.bincount(keys, values.imag, size)
-    return sums
-
-
-def _block_spectrum(
-    a: np.ndarray | _Entries, bases: Sequence[np.ndarray | _SparseBasis], tol: float
-) -> BlockSpectrum:
+def _block_spectrum(a: np.ndarray, bases: Sequence[np.ndarray], tol: float) -> BlockSpectrum:
     """:func:`block_spectrum` of an ``a`` that is self-adjoint entry for
-    entry, without the check: by dense products for a dense ``a`` and dense
-    bases, by gathers for ``a`` as :class:`_Entries` and bases as
-    :class:`_SparseBasis`."""
+    entry, without the check."""
     width = sum(q.shape[1] for q in bases)
     if width != a.shape[0]:
         raise ShapeMismatch(f"blocks have {width} columns in all, operator is {a.shape[0]} wide")
-    if isinstance(a, _Entries):
-        compressions = (q.compress(a) for q in bases)
-    else:
-        compressions = (adjoint(q) @ a @ q for q in bases)
+    compressions = (adjoint(q) @ a @ q for q in bases)
     parts = [np.linalg.eigvalsh(c) for c in compressions]
     w = np.sort(np.concatenate(parts))
     thresh = _threshold(w, tol)

@@ -1,23 +1,29 @@
-"""The Morse complex of a closed triangulation, with its duality.
+"""The Morse complex of a closed triangulation, with its duality and action.
 
 Homotopy equivalent Hilbert-Poincare complexes have the same signature
 (Higson-Roe, *Mapping surgery to analysis I*, K-Theory 2005), so a
 triangulation's classes can be read off the Morse complex of an acyclic
 matching on its simplices, spanned by the unmatched (critical) ones, with an
 integral chain equivalence ``pi`` onto it (Forman, *Morse theory for cell
-complexes*, Adv. Math. 1998).  The matching pairs ``s`` with ``s + {v}``
-vertex by vertex among the simplices left unmatched; iterated element
-matchings are acyclic (Jonsson, *Simplicial Complexes of Graphs*, LNM 1928,
-ch. 4).  With ``C``, ``U`` and ``D`` the critical simplices and those
-matched with a coface and with a face, ``A = b_k[U_{k-1}, D_k]`` is unit
-triangular in the order of the matching, and
+complexes*, Adv. Math. 1998).  Without an action the matching pairs ``s``
+with ``s + {v}`` vertex by vertex among the simplices left unmatched;
+iterated element matchings are acyclic (Jonsson, *Simplicial Complexes of
+Graphs*, LNM 1928, ch. 4).  With a group acting by signed permutations it is
+a coreduction that decides on orbits only, so the group maps it to itself
+(:func:`_coreduction`).  With ``C``, ``U`` and ``D`` the critical simplices
+and those matched with a coface and with a face, ``A = b_k[U_{k-1}, D_k]``
+is unit triangular in the order of the matching, and
 
     b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C],
     pi_p = [1 on C_p, -b_{p+1}[C_p, D_{p+1}] A^{-1} on U_p, 0 on D_p]
 
 are solved for in integers along the gradient paths from the critical
 simplices (:func:`_walk`) and checked exactly.  The cap is carried over as
-``pi P pi^T``, which anticommutes with ``b'`` as ``P`` does with ``b``.  No
+``pi P pi^T``, which anticommutes with ``b'`` as ``P`` does with ``b``.  An
+invariant matching has invariant critical simplices, on which the action
+restricts to signed permutations ``rho'`` with ``pi rho = rho' pi`` (Freij,
+*Equivariant discrete Morse theory*, Discrete Math. 2009); the averaged cap
+``P`` commutes with ``rho``, so ``pi P pi^T`` commutes with ``rho'``.  No
 array is wider than the critical simplices times the simplices.
 """
 
@@ -26,6 +32,8 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 import numpy as np
+
+from .groups import GroupAction, _SignedPermutation
 
 
 class _Incidence(NamedTuple):
@@ -60,36 +68,109 @@ def _face_signs(k: int) -> np.ndarray:
     return 1 - 2 * (np.arange(k + 1) % 2)
 
 
-def _matching(chains) -> tuple[_Incidence, np.ndarray, np.ndarray]:
+def _faces(chains) -> _Incidence:
     """``b^T`` on the total space of ``chains`` (a
-    :class:`~hpsig.simplicial.SimplicialChainData`), the faces of each
-    simplex in the order of its face array, and the iterated element
-    matching read off it: vertex by vertex, each unmatched simplex that holds
-    the vertex is matched with its face without it if that face is
-    unmatched.  With each simplex's partner (-1 for none) and the pair's
-    boundary entry, +1 or -1."""
+    :class:`~hpsig.simplicial.SimplicialChainData`): the faces of each
+    simplex in the order of its face array, with their signs."""
     dims, none = chains.dims, np.zeros(0, np.intp)
     offsets = np.cumsum((0, *dims))
-    faces = _Incidence(
+    return _Incidence(
         np.concatenate(([0], np.cumsum(np.repeat([f.shape[1] for f in chains.faces], dims)))),
         np.concatenate([none, *(offsets[k] + f.ravel() for k, f in enumerate(chains.faces[1:]))]),
         np.concatenate([none, *(np.tile(_face_signs(k), d) for k, d in enumerate(dims[1:], 1))]),
     )
+
+
+def _mates(size: int, upper: np.ndarray, lower: np.ndarray, signs: np.ndarray):
+    """Each simplex's partner (-1 for none) and the pair's boundary entry, +1
+    or -1, for the pairs of the simplices ``upper`` with their faces
+    ``lower``."""
+    mate, sign = np.full(size, -1), np.zeros(size, np.int64)
+    mate[upper], mate[lower] = lower, upper
+    sign[upper] = sign[lower] = signs
+    return mate, sign
+
+
+def _element_matching(chains, faces: _Incidence) -> tuple[np.ndarray, np.ndarray]:
+    """The iterated element matching of ``chains``, read off its faces
+    (:func:`_faces`): vertex by vertex, each unmatched simplex that holds the
+    vertex is matched with its face without it if that face is unmatched.
+    As :func:`_mates`."""
+    size = faces.indptr.size - 1
     # the vertex that each face leaves out, in the same order
-    vertex = np.concatenate([none, *(r.ravel() for r in chains.rows[1:])])
+    vertex = np.concatenate([np.zeros(0, np.intp), *(r.ravel() for r in chains.rows[1:])])
     order = np.argsort(vertex, kind="stable")
     upper, lower = faces.rows[order], faces.cols[order]
     bounds = np.searchsorted(vertex[order], np.arange(chains.vertices.size + 1)).tolist()
-    free, matched = np.ones(offsets[-1], bool), np.zeros(order.size, bool)
+    free, matched = np.ones(size, bool), np.zeros(order.size, bool)
     for start, stop in zip(bounds[:-1], bounds[1:]):
         one, other = upper[start:stop], lower[start:stop]
         pairs = matched[start:stop] = free[one] & free[other]
         free[one[pairs]] = free[other[pairs]] = False
-    upper, lower = upper[matched], lower[matched]
-    mate, sign = np.full(offsets[-1], -1), np.zeros(offsets[-1], np.int64)
-    mate[upper], mate[lower] = lower, upper
-    sign[upper] = sign[lower] = faces.signs[order[matched]]
-    return faces, mate, sign
+    return _mates(size, upper[matched], lower[matched], faces.signs[order[matched]])
+
+
+def _coreduction(chains, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A coreduction (Mrozek-Batko, *Coreduction homology algorithm*,
+    Discrete Comput. Geom. 2009) of the simplices of ``chains`` that a group
+    maps to itself, read off the face arrays and ``images``, the simplex that
+    each element (row) sends each simplex (column) to.  As :func:`_mates`.
+
+    Every simplex starts alive.  Each round, every alive ``s`` with exactly
+    one alive face ``t`` is a candidate, and the pair ``(s, t)`` is kept when
+    ``t`` has exactly one candidate coface in the orbit of ``s``, that orbit
+    is the least such orbit for ``t``, and ``t`` is not a candidate itself;
+    the kept pairs die.  A round that keeps no pair makes the smallest orbit
+    of the lowest alive degree critical, the least label breaking ties, and
+    it dies.  An orbit is labelled by its least member.  Every decision reads
+    only orbit labels and counts, which the group keeps, so the matching is
+    invariant (Freij, *Equivariant discrete Morse theory*, Discrete Math.
+    2009).  A kept pair's other faces died in earlier rounds, so every
+    gradient path runs back in time and the matching is acyclic."""
+    dims = chains.dims
+    offsets, size = np.cumsum((0, *dims)), sum(dims)
+    degree = np.repeat(np.arange(len(dims)), dims)
+    orbit = images.min(axis=0)
+    orbit_size = np.bincount(orbit, minlength=size)[orbit]
+    # the faces of each simplex in its total-space row, padded with a dead
+    # simplex past the end
+    table = np.full((size, len(dims)), size)
+    for k, f in enumerate(chains.faces[1:], 1):
+        table[offsets[k] : offsets[k + 1], : k + 1] = offsets[k - 1] + f
+    alive = np.ones(size + 1, bool)
+    alive[size] = False
+    pairs = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
+    while alive.any():
+        live = alive[table].sum(axis=1)  # alive faces of each simplex
+        candidates = np.flatnonzero(alive[:size] & (live == 1))
+        rows = table[candidates]
+        t = rows[alive[rows]]  # each candidate's alive face
+        # the least orbit with one candidate coface: trivially so for a face
+        # with one candidate coface in all
+        chosen = np.bincount(t, minlength=size)[t] == 1
+        crowded = np.flatnonzero(~chosen)
+        if crowded.size:
+            keys = t[crowded] * size + orbit[candidates[crowded]]  # by face, then orbit
+            order = np.argsort(keys)
+            edge = np.ones(keys.size + 1, bool)
+            edge[1:-1] = keys[order[1:]] != keys[order[:-1]]
+            single = crowded[order[edge[:-1] & edge[1:]]]
+            first = np.ones(single.size, bool)
+            first[1:] = t[single[1:]] != t[single[:-1]]
+            chosen[single[first]] = True
+        kept = chosen & (live[t] != 1)
+        if kept.any():
+            pairs.append((candidates[kept], t[kept]))
+            dead = np.concatenate(pairs[-1])
+        else:
+            cells = np.flatnonzero(alive)  # by degree, so the lowest comes first
+            low = cells[degree[cells] == degree[cells[0]]]
+            dead = np.flatnonzero(orbit == orbit[low[np.lexsort((orbit[low], orbit_size[low]))[0]]])
+        alive[dead] = False
+    upper, lower = (np.concatenate(x) for x in zip(*pairs))
+    # b[t, s] = (-1)^i for the face t of s without its i-th vertex
+    place = np.argmax(table[upper] == lower[:, None], axis=1)
+    return _mates(size, upper, lower, 1 - 2 * (place % 2))
 
 
 def _walk(
@@ -123,23 +204,40 @@ def _walk(
 class MorseComplex(NamedTuple):
     """The number of critical simplices of each degree and, on the total
     spaces, the boundary ``b'`` and projection ``pi``, integer matrices of
-    shapes ``(|C|, |C|)`` and ``(|C|, N)``, and the duality ``S'``."""
+    shapes ``(|C|, |C|)`` and ``(|C|, N)``, the duality ``S'``, and the
+    action ``rho'`` on the critical simplices (None without an action)."""
 
     dims: tuple[int, ...]
     boundary: np.ndarray
     projection: np.ndarray
     duality: np.ndarray
+    action: GroupAction | None = None
 
 
-def morse_complex(chains, cap: Sequence[tuple], roots: Sequence[complex]) -> MorseComplex:
-    """The Morse complex of the iterated element matching of ``chains`` (a
+def morse_complex(
+    chains,
+    cap: Sequence[tuple],
+    roots: Sequence[complex],
+    rho: GroupAction | None = None,
+    count: int = 1,
+) -> MorseComplex:
+    """The Morse complex of ``chains`` (a
     :class:`~hpsig.simplicial.SimplicialChainData`) with the symmetrized
     phased cap ``S' = (Q + Q^*) / 2``, ``Q_k = roots[k] pi_k P_k pi_{n-k}^T``
-    for the raw cap ``P`` of the entries ``cap`` (those of
-    :func:`~hpsig.simplicial._cap_entries` without an action).  Raises
-    ArithmeticError unless ``b' b' = 0`` and ``pi b = b' pi`` hold exactly,
-    which integer arithmetic guarantees short of an overflow."""
-    faces, mate, sign = _matching(chains)
+    for ``P`` the sums of the cap entries ``cap`` divided by their ``count``
+    (:func:`~hpsig.simplicial._cap_entries`: the raw cap without an action,
+    the group average with one).  Without an action the matching is the
+    iterated element matching (:func:`_element_matching`); with the
+    signed-permutation action ``rho`` it is the invariant coreduction
+    (:func:`_coreduction`), and ``rho' = rho`` restricted to the critical
+    simplices.  Raises ArithmeticError unless ``b' b' = 0``, ``pi b = b' pi``
+    and, on the group's generators, ``pi rho = rho' pi`` hold exactly, which
+    integer arithmetic guarantees short of an overflow."""
+    faces = _faces(chains)
+    if rho is None:
+        mate, sign = _element_matching(chains, faces)
+    else:
+        mate, sign = _coreduction(chains, rho._images[0])
     index, critical = np.arange(mate.size), np.flatnonzero(mate < 0)
     # b'_k is left of a source's faces once the paths down turn at U, and
     # b[C_p, D_{p+1}] A^{-1} is solved for once those up turn at D
@@ -157,20 +255,52 @@ def morse_complex(chains, cap: Sequence[tuple], roots: Sequence[complex]) -> Mor
         certified &= np.array_equal(pi[k - 1][:, chains.faces[k]] @ _face_signs(k), b_pi)
     if not certified:
         raise ArithmeticError("the Morse complex fails b' b' = 0 or pi b = b' pi")
+    action = None if rho is None else _restricted(rho, critical, projection, at)
     raw = np.zeros((at[-1],) * 2, np.int64)
     for k, (back, front, vals) in enumerate(cap):
         raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = (pi[k][:, back] * vals) @ pi[n - k][:, front].T
-    phased = np.repeat(np.asarray(roots), dims)[:, None] * raw
-    return MorseComplex(tuple(dims.tolist()), boundary, projection, (phased + phased.conj().T) / 2.0)
+    phased = np.repeat(np.asarray(roots), dims)[:, None] * raw / count
+    duality = (phased + phased.conj().T) / 2.0
+    return MorseComplex(tuple(dims.tolist()), boundary, projection, duality, action)
 
 
-def reduced_halves(
-    chains, cap: Sequence[tuple], roots: Sequence[complex]
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """``B' + S'`` and, in odd degree, ``B' - S'`` (None in even degree) of
-    :func:`morse_complex`: bit for bit those the duality check lays out from
-    the complex's degree blocks, which it adds to zeros, so a zero is +0.0."""
-    morse, n = morse_complex(chains, cap, roots), len(cap) - 1
+def _restricted(
+    rho: GroupAction, critical: np.ndarray, projection: np.ndarray, at: np.ndarray
+) -> GroupAction:
+    """``rho`` restricted to the ``critical`` simplices, which it permutes
+    with signs when the matching is invariant, as an action on the Morse
+    complex (degree ``k`` is ``at[k] .. at[k + 1]``).  Raises ArithmeticError
+    unless it maps critical simplices to critical ones and ``pi rho(g) =
+    rho'(g) pi`` holds exactly for the group's generators, hence for every
+    element."""
+    dst, dsgn = rho._images
+    where = np.full(dst.shape[1], -1)
+    where[critical] = np.arange(critical.size)
+    image, signs = where[dst[:, critical]], dsgn[:, critical].astype(np.int64)
+
+    def commutes(g: int) -> bool:
+        # pi rho(g) e_j = dsgn[j] pi e_{dst[j]}, and rho'(g) moves row i to image[i]
+        moved = np.empty_like(projection)
+        moved[image[g]] = projection * signs[g, :, None]
+        return np.array_equal(projection[:, dst[g]] * dsgn[g].astype(np.int64), moved)
+
+    if not ((image >= 0).all() and all(commutes(g) for g in rho.group.generators)):
+        raise ArithmeticError("the Morse complex fails pi rho = rho' pi")
+    signed = tuple(
+        tuple(
+            _SignedPermutation.from_images(image[g, a:b] - a, dsgn[g, critical[a:b]])
+            for a, b in zip(at[:-1], at[1:])
+        )
+        for g in range(rho.group.order)
+    )
+    return GroupAction._from_signed(rho.group, signed, tol=rho.tol, composes=True)
+
+
+def reduced_halves(morse: MorseComplex) -> tuple[np.ndarray, np.ndarray | None]:
+    """``B' + S'`` and, in odd degree, ``B' - S'`` (None in even degree) of a
+    Morse complex: bit for bit those the duality check lays out from the
+    complex's degree blocks, which it adds to zeros, so a zero is +0.0."""
+    n = len(morse.dims) - 1
     b, s = morse.boundary.astype(float), np.zeros_like(morse.duality) + morse.duality
     big_b = b + b.T
     return big_b + s, big_b - s if n % 2 else None

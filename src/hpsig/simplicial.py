@@ -23,13 +23,14 @@ indices, and the facets' (back, front, sign) cap triples, gathered from the
 faces.  The duality check's structural identities are integer theorems,
 decided on them exactly (:func:`_exact_identities`); a triangulation on which
 one fails is refused, as degenerate or, for its action, as not equivariant.
-No float gate runs and the signature route lays out no degree block: without
-an action it diagonalises ``B + S`` and ``B - S`` of the Morse complex of an
-acyclic matching on the simplices (:mod:`hpsig.reduce`; Forman 1998,
-Jonsson, LNM 1928), chain equivalent to the simplicial complex and much
-smaller, so the cone value and the spectral gaps are that complex's; with an
-action it reads them off the same arrays as their nonzero entries
-(:func:`_half_entries`).  Dense blocks are laid out only where a public
+No float gate runs and the signature route lays out no degree block: it
+diagonalises ``B + S`` and ``B - S`` of the Morse complex of an acyclic
+matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
+equivalent to the simplicial complex and much smaller, so the cone value and
+the spectral gaps are that complex's.  The matching is an iterated element
+matching without an action (Jonsson, LNM 1928) and a coreduction that the
+group maps to itself with one (Freij 2009), whose critical simplices the
+action permutes with signs.  Dense blocks are laid out only where a public
 function returns them: the boundary on first use of ``chain``, and the cap's
 degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
 
@@ -83,8 +84,8 @@ from .errors import (
     ShapeMismatch,
 )
 from .groups import FiniteGroup, GroupAction, _SignedPermutation
-from .linalg import DEFAULT_TOL, _Entries, adjoint, frobenius_norm
-from .reduce import reduced_halves
+from .linalg import DEFAULT_TOL, adjoint, frobenius_norm
+from .reduce import morse_complex, reduced_halves
 from .signature import CoincidenceReport, _coincidence
 
 __all__ = [
@@ -419,8 +420,8 @@ class CapReport:
     residual is reported and a returned report always passes.
     ``symmetrization_residual`` is diagnostic only (a Frobenius bound).  The
     cone operator's smallest |eigenvalue| is ``cone_min_singular_value``,
-    read off the isotypic blocks of an action and, without one, the cone
-    value of the chain equivalent Morse complex.
+    the cone value of the chain equivalent Morse complex, read off the
+    isotypic blocks of its action when there is one.
     """
 
     tol: float
@@ -515,24 +516,20 @@ def _duality_from_cap(
     (:func:`_exact_identities`); the first that fails is refused, an action
     that does not commute with EquivarianceViolated and any other with
     DegenerateDuality.  No float gate runs and no degree block is laid out:
-    ``B + S`` and, in odd degree, ``B - S`` are diagonalised over the group
-    of ``rho`` (:func:`~hpsig.complexes._diagonalise_halves`), and the cone
-    value is their smallest |eigenvalue|.  Without ``rho`` they are those of
-    the Morse complex, chain equivalent and much smaller
-    (:func:`~hpsig.reduce.reduced_halves`); with it they are read off the
-    face arrays and the cap entries (:func:`_half_entries`) and gathered over
-    the orbit columns of the action.
+    ``B + S`` and, in odd degree, ``B - S`` of the Morse complex, chain
+    equivalent and much smaller (:func:`~hpsig.reduce.morse_complex`, with
+    or without ``rho``), are diagonalised over the group of its action
+    (:func:`~hpsig.complexes._diagonalise_halves`), and the cone value is
+    their smallest |eigenvalue|.
     """
     out = _CapDuality(chains, tol, rho)
     failed = _exact_identities(chains, rho, out.cap)
     if failed is not None:
         error = EquivarianceViolated if failed == "action_residual" else DegenerateDuality
         raise error(f"{_DUALITY_FAILURES[failed]} on the integer arrays")
-    if rho is None:
-        halves = reduced_halves(chains, out.cap, out.roots)
-    else:
-        halves = _half_entries(chains, out.cap, out.count, out.roots)
-    out.halves = _diagonalise_halves(*halves, len(chains.rows) - 1, tol, rho)
+    morse = morse_complex(chains, out.cap, out.roots, rho, out.count)
+    n = len(chains.rows) - 1
+    out.halves = _diagonalise_halves(*reduced_halves(morse), n, tol, morse.action)
     out.passed, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)
     if not out.passed:
         raise DegenerateDuality(
@@ -540,52 +537,6 @@ def _duality_from_cap(
             f"value {out.cone_min_singular_value:.3e})"
         )
     return out
-
-
-def _half_entries(
-    chains: SimplicialChainData, cap: Sequence[tuple], count: int, roots: Sequence[complex]
-) -> tuple[_Entries, _Entries | None]:
-    """The nonzero entries of ``B + S`` and, in odd degree, of ``B - S`` (None
-    in even degree) for the symmetrized phased cap ``S`` of the cap entries
-    and their count (:func:`_cap_entries`), read off the face arrays and the
-    cap entries position by position, without forming a block: in row-major
-    order and with the values, bit for bit, of laying out ``b``, ``b^*`` and
-    ``S`` (:func:`_cap_blocks`, :func:`_symmetrize`) and adding them to a
-    zero in that order, so that a part that is zero is +0.0."""
-    n, dims = len(chains.rows) - 1, chains.dims
-    offsets = np.cumsum((0, *dims))
-    size = int(offsets[-1])
-    b_keys, b_back, b_vals = [np.zeros(0, np.intp)], [np.zeros(0, np.intp)], [np.zeros(0)]
-    for k in range(1, n + 1):  # b_k has (-1)^i at (faces[k][j, i], j)
-        rows = offsets[k - 1] + chains.faces[k]
-        cols = offsets[k] + np.arange(dims[k])[:, None]
-        b_keys.append((rows * size + cols).ravel())
-        b_back.append((cols * size + rows).ravel())  # of b^*
-        b_vals.append(np.tile(1.0 - 2.0 * (np.arange(k + 1) % 2), dims[k]))
-    # P_k at (back, front) on the total space and P^* at (front, back), each
-    # entry of the cap once
-    p_rows = np.concatenate([offsets[k] + x[0] for k, x in enumerate(cap)])
-    p_cols = np.concatenate([offsets[n - k] + x[1] for k, x in enumerate(cap)])
-    keys = np.concatenate([*b_keys, *b_back, p_rows * size + p_cols, p_cols * size + p_rows])
-    union, at = np.unique(keys, return_inverse=True)
-    rows, cols = np.divmod(union, size)
-    b_vals = np.concatenate(b_vals)
-    at_b, at_p, at_q = np.split(at, np.cumsum([2 * b_vals.size, p_rows.size]))
-    p_vals = np.concatenate([x[2] for x in cap]).astype(float)
-    # each position's integer sum times the phase of the degree of its row
-    # for P_k and of its column for P^*_k
-    phase = np.asarray(roots)[np.searchsorted(offsets, [rows, cols], side="right") - 1]
-    p = phase[0] * np.bincount(at_p, p_vals, union.size) / count
-    q = (phase[1] * np.bincount(at_q, p_vals, union.size) / count).conj()
-    s = (p + q) / 2.0
-    base = np.zeros(union.size, s.dtype)
-    base[at_b] = np.concatenate([b_vals, b_vals])
-
-    def entries(vals: np.ndarray) -> _Entries:
-        kept = vals != 0
-        return _Entries(rows[kept], cols[kept], vals[kept], size)
-
-    return entries(base + s), entries(base - s) if n % 2 else None
 
 
 def _exact_identities(
@@ -954,11 +905,10 @@ def manifold_signature(
 
     The classes of ``check_coincidence(to_hp_complex(m, action, chains,
     tol), tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the
-    duality check, and read again by the constructions.  They are read off
-    the integer arrays, those of the Morse complex without an action, whose
-    spectral gaps are reported, and no degree block of ``b`` or ``S`` is
-    laid out; an identity that fails exactly is refused (see
-    :func:`_duality_from_cap`).
+    duality check, and read again by the constructions.  They are those of
+    the Morse complex, with or without an action, whose spectral gaps are
+    reported, and no degree block of ``b`` or ``S`` is laid out; an identity
+    that fails exactly is refused (see :func:`_duality_from_cap`).
     """
     chains = chains or enumerate_and_boundaries(m)
     rho = chain_action(m, action, chains, tol=tol) if action is not None else None

@@ -32,7 +32,6 @@ from hpsig.errors import (
 )
 from hpsig import barycentric_subdivide
 from hpsig.fixtures import (
-    cp2_triple_s3,
     octahedron,
     octahedron_rotation,
     octahedron_rotation_group,
@@ -219,7 +218,7 @@ def test_element_operators_match_the_dense_products(kind, complex_data):
         act = generate_with_signature(5, "n2-z3-d4")[0].action
         assert not act.is_signed_permutation
     rng = np.random.default_rng(11)
-    size, n = sum(act.dims), len(act.dims) - 1
+    size = sum(act.dims)
     x = _random_matrix(rng, size, size, complex_data)
     for g in range(act.group.order):
         rho, op = act.total(g), act.operator(g)
@@ -227,13 +226,6 @@ def test_element_operators_match_the_dense_products(kind, complex_data):
         # term, so the gathers reproduce the dense products bit for bit
         assert np.array_equal(op.commutator(x) + 0.0, rho @ x - x @ rho + 0.0)
         assert op.trace(x) == pytest.approx(np.trace(rho @ x), abs=1e-12)
-        for k in range(n + 1):
-            y = _random_matrix(rng, act.dims[k], act.dims[n - k], complex_data)
-            left, right = act.degree(g, k), act.degree(g, n - k)
-            assert np.array_equal(
-                act.operator(g, k).conjugate(y, act.operator(g, n - k)) + 0.0,
-                adjoint(left) @ y @ right + 0.0,
-            )
 
 
 def _cycle(d: int) -> np.ndarray:
@@ -377,12 +369,11 @@ def test_dense_actions_get_bases_that_span_the_isotypic_images():
     for rho in (generate_with_signature(0, "n2-z4-d4")[0].action, twisted):
         assert not rho.is_signed_permutation
         _assert_spans_the_isotypic_images(rho, 1e-12)
-    # the same ranks as the orbit route's
+    # the same ranks as the signed permutations' own
     assert [q.shape[1] for q in twisted.isotypic_bases] == [
         q.shape[1] for q in rotations.isotypic_bases
     ]
-    # a swap given by dense blocks takes the degree route too, with the ranks
-    # of its orbit sums
+    # a swap given by dense blocks, with the ranks of its orbit sums
     swap = GroupAction(FiniteGroup.cyclic(2), ((np.eye(2),), (np.array([[0, 1], [1, 0]]),)))
     assert not swap.is_signed_permutation
     assert [q.shape[1] for q in swap.isotypic_bases] == [1, 1]
@@ -409,24 +400,6 @@ def test_generators_generate_the_group(name, group):
         closure |= new
         frontier = list(new)
     assert closure == set(range(group.order))
-
-
-def test_orbit_columns_take_one_eigh_per_orbit_size(count_calls):
-    # S3 permutes the three copies of CP^2_9, so every orbit holds three
-    # simplices: the degree-2 character's 255 orbits share one stacked eigh
-    # (one per orbit would be 255)
-    rho = chain_action(*cp2_triple_s3())
-    solves = count_calls(np.linalg, ("eigh",))
-    columns = rho._orbit_columns
-    assert solves == {"eigh": 1}
-    assert [q.width for q in columns] == [255, 0, 510]
-    # each of the 24 rotations' characters of degree 2 and 3 needs one per
-    # size of the orbits on which it has rank; one per orbit would be 22
-    rotations = chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
-    solves["eigh"] = 0
-    columns = rotations._orbit_columns
-    assert solves == {"eigh": 10}
-    assert [q.width for q in columns] == [8, 6, 24, 54, 54]
 
 
 def test_k0_from_multiplicities():

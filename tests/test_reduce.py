@@ -7,9 +7,12 @@ import pytest
 
 from hpsig import (
     DualityOperator,
+    FiniteGroup,
     HilbertPoincareComplex,
     OrientedSimplicialManifold,
+    SimplicialAction,
     barycentric_subdivide,
+    chain_action,
     check_coincidence,
     duality_operator,
     enumerate_and_boundaries,
@@ -20,7 +23,6 @@ from hpsig import (
     verify_duality,
 )
 from hpsig.cli import main
-from hpsig.complexes import _diagonalise_halves
 from hpsig.errors import DegenerateDuality, OddDimension
 from hpsig.fixtures import (
     circle_polygon,
@@ -28,10 +30,12 @@ from hpsig.fixtures import (
     cp2_triple_s3,
     disjoint_sphere_pair,
     octahedron,
+    octahedron_rotation,
+    octahedron_rotation_group,
     simplex_sphere,
+    sphere_swap_action,
 )
 from hpsig.io import write_smf
-from hpsig.signature import _coincidence
 
 
 def _flipped(m):
@@ -146,14 +150,11 @@ def test_relabelled_cp2_keeps_few_critical_simplices():
     assert counts == {3: 187, 7: 12, 11: 1}
 
 
-def _unreduced_classes(m):
-    """The classes read off ``B + S`` of the full simplicial complex: the
-    integer arrays' entries diagonalised in one eigensolve."""
-    chains = enumerate_and_boundaries(m)
-    cap, count = simplicial._cap_entries(chains, None)
-    halves = simplicial._half_entries(chains, cap, count, simplicial._roots(m.dim))
-    spectra = _diagonalise_halves(*halves, m.dim, 1e-9, None)
-    return _coincidence(m.dim, None, spectra, 1e-9)
+def _unreduced_classes(m, act=None):
+    """The classes of the public dense route: ``B + S`` of the full
+    simplicial complex, laid out from its degree blocks, diagonalised over
+    the group of its action."""
+    return check_coincidence(to_hp_complex(m, act))
 
 
 @pytest.mark.parametrize("name", sorted(_CLOSED))
@@ -223,3 +224,105 @@ def test_first_subdivision_of_cp2(tmp_path, capsys):
     assert payload["chain_dims"] == [255, 2916, 9144, 10800, 4320]
     for k0 in payload["methods"].values():
         assert [c["value"] for c in k0["classes"]] == [[1.0, 0.0]]
+
+
+def _relabel_action(act, perm):
+    """The action moved along the vertex bijection ``perm`` with its
+    triangulation (:func:`_relabel`)."""
+    inverse = {w: v for v, w in perm.items()}
+    maps = tuple({w: perm[vm[inverse[w]]] for w in inverse} for vm in act.vertex_maps)
+    return SimplicialAction(act.group, maps)
+
+
+def _circle_rotation():
+    """The square with its Z/4 rotation: one-dimensional, so its ``B - S`` is
+    diagonalised too."""
+    act = tuple({v: (v + k) % 4 for v in range(4)} for k in range(4))
+    return circle_polygon(4), SimplicialAction(FiniteGroup.cyclic(4), act)
+
+
+# every closed fixture with an action
+_ACTING = {
+    "octahedron-z4": lambda: (octahedron(), octahedron_rotation()),
+    "octahedron-sd-z4": lambda: barycentric_subdivide(octahedron(), octahedron_rotation()),
+    "octahedron-sd-rot24": lambda: barycentric_subdivide(octahedron(), octahedron_rotation_group()),
+    "cp2-triple-s3": cp2_triple_s3,
+    "sphere-pair-swap": lambda: (disjoint_sphere_pair(), sphere_swap_action()),
+    "circle-z4": _circle_rotation,
+}
+
+
+def _reduce_with(m, act):
+    """The chains, the chain action and the Morse complex with its action."""
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    cap, count = simplicial._cap_entries(chains, rho)
+    return chains, rho, reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
+
+
+@pytest.mark.parametrize("name", sorted(_ACTING))
+def test_the_orbit_reduction_is_invariant_and_exact_on_relabellings(name):
+    base, base_act = _ACTING[name]()
+    for seed in range(10):
+        perm = _random_relabelling(base, seed)
+        m, act = _relabel(base, perm), _relabel_action(base_act, perm)
+        for oriented in (m, _flipped(m)):
+            chains, rho, morse = _reduce_with(oriented, act)
+            # the matching commutes with every element: mate[g x] = g mate[x]
+            mate, _ = reduce._coreduction(chains, rho._images[0])
+            for dst in rho._images[0]:
+                assert np.array_equal(mate[dst], np.where(mate >= 0, dst[mate], -1))
+            assert sum(morse.dims) == np.count_nonzero(mate < 0)
+            # b' b' = 0, pi b = b' pi and pi rho(g) = rho'(g) pi, against the
+            # dense boundary and the dense action, on every element
+            b, pi, bp = chains.chain.total_boundary(), morse.projection, morse.boundary
+            assert not (bp @ bp).any()
+            assert np.array_equal(pi @ b.astype(np.int64), bp @ pi)
+            for g in range(rho.group.order):
+                assert np.array_equal(pi @ rho.total(g), morse.action.total(g) @ pi)
+            # and the classes are those of the public dense route
+            if oriented.dim % 2:
+                with pytest.raises(OddDimension):
+                    manifold_signature(oriented, act)
+                continue
+            reduced, full = manifold_signature(oriented, act), _unreduced_classes(oriented, act)
+            assert reduced.passed and full.passed
+            for a, c in zip(reduced.results, full.results):
+                assert a.method == c.method
+                assert a.k0.multiplicities == c.k0.multiplicities
+
+
+def test_orbit_reductions_of_the_action_fixtures():
+    dims = {name: _reduce_with(*build())[2].dims for name, build in _ACTING.items()}
+    assert dims["octahedron-sd-z4"] == (2, 4, 4)
+    assert dims["cp2-triple-s3"] == (3, 0, 3, 0, 3)
+    assert dims["sphere-pair-swap"] == (2, 0, 2)
+    # the 24 rotations' orbits with unequal stabilisers do not pair
+    assert dims["octahedron-sd-rot24"] == (26, 48, 24)
+
+
+def test_the_matching_is_picked_by_whether_an_action_is_given(monkeypatch):
+    calls = []
+    for name in ("_element_matching", "_coreduction"):
+        real = getattr(reduce, name)
+        monkeypatch.setattr(reduce, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
+    m, act = cp2_triple_s3()
+    assert manifold_signature(m).passed
+    assert calls == ["_element_matching"]
+    # the trivial group given as an action still takes the coreduction
+    trivial = SimplicialAction(FiniteGroup.trivial(), ({v: v for v in m.vertices},))
+    assert manifold_signature(m, act).passed and manifold_signature(m, trivial).passed
+    assert calls == ["_element_matching", "_coreduction", "_coreduction"]
+
+
+def test_a_matching_that_is_not_invariant_is_refused(monkeypatch):
+    # the element matching ignores the action: on the subdivided octahedron
+    # it keeps critical simplices that the quarter turn does not permute
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    cap, count = simplicial._cap_entries(chains, rho)
+    element = reduce._element_matching
+    monkeypatch.setattr(reduce, "_coreduction", lambda chains, images: element(chains, reduce._faces(chains)))
+    with pytest.raises(ArithmeticError, match="pi rho = rho' pi"):
+        reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)

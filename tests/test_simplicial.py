@@ -1,6 +1,7 @@
 """Tests for triangulated manifolds, the cap duality, and group actions."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,7 @@ from hpsig import (
     verify_duality,
     verify_equivariance,
 )
-from hpsig import complexes, linalg, reduce, signature, simplicial
+from hpsig import complexes, linalg, reduce, simplicial
 from hpsig.errors import (
     BoundaryConditionViolated,
     DegenerateDuality,
@@ -543,30 +544,33 @@ _ROUTE_CASES = {
 }
 
 
-def _morse_hp(m, chains):
-    """The Morse complex of a triangulation without an action and its
-    transported duality, laid out from their degree blocks as a
+def _morse_hp(m, chains, rho=None):
+    """The Morse complex of a triangulation, with its transported duality and
+    its action when ``rho`` is given, laid out from their degree blocks as a
     :class:`HilbertPoincareComplex`: the complex whose ``B + S`` the route
     read off the integer arrays diagonalises."""
-    cap = simplicial._cap_entries(chains, None)[0]
-    morse = reduce.morse_complex(chains, cap, simplicial._roots(m.dim))
+    cap, count = simplicial._cap_entries(chains, rho)
+    morse = reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
     s, at, n = morse.duality, np.cumsum((0, *morse.dims)), m.dim
 
     def block(x, r, c):
         return x[at[r] : at[r + 1], at[c] : at[c + 1]]
 
     chain = ChainComplex(morse.dims, tuple(block(morse.boundary, k - 1, k) for k in range(1, n + 1)))
-    return HilbertPoincareComplex(chain, DualityOperator(tuple(block(s, k, n - k) for k in range(n + 1))))
+    dual = DualityOperator(tuple(block(s, k, n - k) for k in range(n + 1)))
+    return HilbertPoincareComplex(chain, dual, morse.action)
 
 
 @pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
 def test_shared_route_matches_the_public_route(name):
     m, act = _ROUTE_CASES[name]()
     chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains) if act is not None else None
     shared = manifold_signature(m, act)
     public = check_coincidence(to_hp_complex(m, act))
-    # over the trivial group the spectra are those of the Morse complex
-    spectral = public if act is not None else check_coincidence(_morse_hp(m, chains))
+    # the spectra are those of the Morse complex, with its action
+    morse = _morse_hp(m, chains, rho)
+    spectral = check_coincidence(morse)
     assert shared.passed and public.passed and spectral.passed
     assert [r.method for r in shared.results] == [r.method for r in public.results]
     for a, b, c in zip(shared.results, public.results, spectral.results):
@@ -575,17 +579,17 @@ def test_shared_route_matches_the_public_route(name):
     assert shared.max_character_difference == public.max_character_difference
     assert shared.grading_conjugation_residual == public.grading_conjugation_residual == 0.0
     # the CapReport of the route read off the integer arrays, against every
-    # float gate of the public check on the laid-out blocks, whose cone value
-    # is that of the full complex
-    rho = chain_action(m, act, chains) if act is not None else None
+    # float gate of the public check on the laid-out blocks, and its cone
+    # value against that of the Morse complex, which the public check reads
+    # over the trivial group and the route, with an action, block by block
     exact = duality_operator(m, chains, rho=rho)[1]
     floated = verify_duality(to_hp_complex(m, act, chains))
     assert exact.passed and floated.passed and floated.chain_residual == 0.0
+    reduced = verify_duality(morse).cone_min_singular_value
     if act is None:
-        reduced = verify_duality(_morse_hp(m, chains)).cone_min_singular_value
         assert exact.cone_min_singular_value == reduced
     else:
-        assert abs(exact.cone_min_singular_value - floated.cone_min_singular_value) <= 1e-12
+        assert abs(exact.cone_min_singular_value - reduced) <= 1e-12
 
 
 _CAP_TRIPLES = simplicial.SimplicialChainData.cap_triples.func
@@ -659,25 +663,19 @@ def test_exact_gates_agree_with_the_float_gates(name):
     # the float gates pass on the same complex
     plain = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(hp.duality.blocks), rho))
     assert plain.failures == () and plain.action_residual == 0.0
-    # B + S and B - S read off the integer arrays and laid out are those of
-    # the totals, bit for bit, zero signs included, and so are their
-    # eigenvalues over the group
-    b, s = hp.total_boundary(), hp.total_duality()
+    # B + S and B - S are those of the Morse complex with its action, whose
+    # totals they are bit for bit, zero signs included, and so are their
+    # eigenvalues over the group, and the cone value
+    spectral = _morse_hp(m, chains, rho)
+    b, s = spectral.total_boundary(), spectral.total_duality()
     totals = complexes._hermitian_halves(b, s, s - adjoint(s))
-    entries = simplicial._half_entries(chains, cap.cap, cap.count, cap.roots)
-    assert (entries[1] is None) == (m.dim % 2 == 0)
-    for got, want in zip(entries, totals):
+    reduced = reduce.reduced_halves(reduce.morse_complex(chains, cap.cap, cap.roots, rho, cap.count))
+    assert (reduced[1] is None) == (m.dim % 2 == 0)
+    for got, want in zip(reduced, totals):
         if got is not None:
-            got = got.dense()
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
-    # over the trivial group the halves diagonalised are those of the Morse
-    # complex (reduce.py), and so is the cone value
-    spectral = hp if rho is not None else _morse_hp(m, chains)
-    b, s = spectral.total_boundary(), spectral.total_duality()
-    halves = complexes._diagonalise_halves(
-        *complexes._hermitian_halves(b, s, s - adjoint(s)), m.dim, 1e-9, rho
-    )
+    halves = complexes._diagonalise_halves(*totals, m.dim, 1e-9, spectral.action)
     for got, want in zip(cap.halves, halves):
         assert np.array_equal(got.eigenvalues, want.eigenvalues)
         assert got.block_ranks == want.block_ranks
@@ -689,7 +687,8 @@ def test_exact_gates_agree_with_the_float_gates(name):
     least = complexes._halves_invertibility(*halves, 1e-9)[1]
     assert cap.report.cone_min_singular_value == least
     # and it is the plain check's cone value of the complex diagonalised
-    reference = plain if rho is not None else verify_duality(spectral)
+    reference = verify_duality(spectral)
+    assert reference.passed and reference.action_residual == 0.0
     assert abs(cap.report.cone_min_singular_value - reference.cone_min_singular_value) <= 1e-12
     assert cap.report.passed == plain.passed
     # the diagnostic symmetrization residual, from the blocks, against the
@@ -709,8 +708,7 @@ def _dense_group_average(blocks, rho):
     simplicial layer reads off the cap entries."""
     n, order = len(blocks) - 1, rho.group.order
     return [
-        sum(rho.operator(g, k).conjugate(blocks[k], rho.operator(g, n - k)) for g in range(order))
-        / order
+        sum(adjoint(rho.degree(g, k)) @ blocks[k] @ rho.degree(g, n - k) for g in range(order)) / order
         for k in range(n + 1)
     ]
 
@@ -741,28 +739,27 @@ def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
     # the group average read off the cap entries is the dense one, up to
     # the sign of zero
     cap, count = simplicial._cap_entries(chains, rho)
-    phased = simplicial._cap_blocks(chains, cap, count, simplicial._roots(m.dim))
+    roots = simplicial._roots(m.dim)
+    phased = simplicial._cap_blocks(chains, cap, count, roots)
     dense = _dense_group_average(_phased(m, chains), rho)
     for got, want in zip(phased, dense):
         assert got.dtype == want.dtype and np.array_equal(got + 0.0, want + 0.0)
     hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)), rho)
-    halves = simplicial._half_entries(chains, cap, count, simplicial._roots(m.dim))
-    for sign, entries in zip((1.0, -1.0), halves):
-        if entries is None:  # B - S is the mirror of B + S in even degree
-            continue
-        h = _half_of_blocks(hp, sign)
-        # each gathered compression is the dense one, and so are the counts
-        # and the classes they give
-        scale = np.linalg.norm(h)
-        for q, columns in zip(rho.isotypic_bases, rho._orbit_columns):
-            assert np.array_equal(columns.dense(), q)
-            difference = columns.compress(entries) - adjoint(q) @ h @ q
-            assert np.abs(difference).max(initial=0.0) <= 1e-12 * scale
-        gathered = linalg._block_spectrum(entries, rho._orbit_columns, 1e-9)
-        products = linalg._block_spectrum(h, rho.isotypic_bases, 1e-9)
-        assert gathered.block_ranks == products.block_ranks
-        classes = [signature._isotypic_class(rho.group, x.block_ranks) for x in (gathered, products)]
-        assert classes[0].multiplicities == classes[1].multiplicities
+    # the Morse complex's duality is the compression pi S pi^T of the dense
+    # one, up to the rounding of the average, and its action rho' is rho on
+    # the critical simplices, so its classes are the dense route's
+    morse = reduce.morse_complex(chains, cap, roots, rho, count)
+    pi = morse.projection
+    s = hp.total_duality()
+    assert np.abs(morse.duality - pi @ s @ pi.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(s).max())
+    for g in range(rho.group.order):
+        assert np.array_equal(pi @ rho.total(g), morse.action.total(g) @ pi)
+    reduced = _morse_hp(m, chains, rho)
+    assert verify_duality(reduced).passed and verify_duality(hp).passed
+    if m.dim % 2 == 0:
+        classes = [check_coincidence(x).results for x in (reduced, hp)]
+        for a, b in zip(*classes):
+            assert a.k0.multiplicities == b.k0.multiplicities
 
 
 def _half_of_blocks(hp, sign):
@@ -794,23 +791,16 @@ def test_b_plus_minus_s_read_off_the_integer_arrays_are_the_block_layout(name, a
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains) if acting else None
     cap, count = simplicial._cap_entries(chains, rho)
-    roots = simplicial._roots(m.dim)
-    sym = simplicial._symmetrize(simplicial._cap_blocks(chains, cap, count, roots))
-    hp = HilbertPoincareComplex(chains.chain, DualityOperator(sym))
-    halves = simplicial._half_entries(chains, cap, count, roots)
+    halves = reduce.reduced_halves(reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count))
     assert (halves[1] is None) == (m.dim % 2 == 0)
-    for sign, entries in zip((1.0, -1.0), halves):
-        if entries is None:
+    hp = _morse_hp(m, chains, rho)
+    for sign, h in zip((1.0, -1.0), halves):
+        if h is None:
             continue
-        h = _half_of_blocks(hp, sign)
-        want = linalg._Entries.of(h)
-        assert entries.size == want.size and entries.vals.dtype == want.vals.dtype
-        for got, expected in zip(entries[:3], want[:3]):
-            assert np.array_equal(got, expected)
-        # and laid out, the matrix of the blocks, zero signs included
-        laid = entries.dense()
-        assert np.array_equal(laid, h)
-        assert np.array_equal(np.signbit(laid.view(np.float64)), np.signbit(h.view(np.float64)))
+        # the matrix of the Morse complex's blocks, zero signs included
+        want = _half_of_blocks(hp, sign)
+        assert h.dtype == want.dtype and np.array_equal(h, want)
+        assert np.array_equal(np.signbit(h.view(np.float64)), np.signbit(want.view(np.float64)))
 
 
 @pytest.mark.parametrize("name", sorted(set(_ACTION_CASES) - {"circle-z4"}) + ["cp2"])
@@ -819,23 +809,44 @@ def test_the_action_route_lays_out_no_n_wide_operator(
 ):
     m, act = _ACTION_CASES[name]() if name in _ACTION_CASES else (cp2_nine_vertex(), None)
     want = manifold_signature(m, act)
+    chains = enumerate_and_boundaries(m)
+    width = sum(chains.dims)
 
     def refuse(*args):
         raise AssertionError("an N-wide operator or a degree block was laid out")
 
-    # no dense degree block of b or S; with an action no N-wide B + S
-    # either, which the trivial group lays out once
+    # no dense degree block of b or S, and no dense block or isotypic basis
+    # of the triangulation's action: only those of the Morse complex, on its
+    # critical simplices
     monkeypatch.setattr(simplicial.SimplicialChainData, "chain", property(refuse))
     for helper in ("_cap_blocks", "_symmetrize"):
         monkeypatch.setattr(simplicial, helper, refuse)
-    if act is not None:
-        monkeypatch.setattr(linalg._Entries, "dense", refuse)
-        monkeypatch.setattr(GroupAction, "isotypic_bases", property(refuse))
+    blocks = GroupAction.blocks.fget
+    monkeypatch.setattr(
+        GroupAction, "blocks", property(lambda self: refuse() if sum(self.dims) == width else blocks(self))
+    )
+    widths = []
+    for solver in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, solver)
+        monkeypatch.setattr(
+            np.linalg, solver, lambda a, *args, real=real: widths.append(a.shape[-1]) or real(a, *args)
+        )
     layouts = count_calls(complexes, ("assemble_total",))
-    rep = manifold_signature(m, act)
+    tracemalloc.start()
+    try:
+        rep = manifold_signature(m, act, chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rep.passed and want.passed
     for got, expected in zip(rep.results, want.results):
         assert got.k0.multiplicities == expected.k0.multiplicities
+    # every eigensolve is on the Morse complex, and where an N x N float64
+    # array would outweigh the route's arrays, which are at most critical
+    # simplices x simplices, none was allocated
+    assert 0 < max(widths) < width
+    if width * width * 8 > 2**18:
+        assert peak < width * width * 8
     path = str(tmp_path / f"{name}.smf")
     write_smf(m, path, act)
     assert main(["manifold", path, "--json"]) == 0

@@ -27,6 +27,7 @@ from hpsig import (
     enumerate_and_boundaries,
     fundamental_cycle,
     geometry_stats,
+    manifold_signature,
 )
 from hpsig import simplicial
 from hpsig.errors import IncoherentOrientation, NotSimplicial, OrientationReversing
@@ -360,3 +361,20 @@ def test_subdivided_cp2_triple_decides_its_duality_gates_with_no_dense_block():
     assert "chain" not in vars(chains)
     assert rho._blocks is None
     assert peak < 200 * 2**20
+
+
+def test_subdivided_cp2_triple_has_its_signature_class():
+    m, action = barycentric_subdivide(*cp2_triple_s3())
+    tracemalloc.start()
+    try:
+        rep = manifold_signature(m, action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # S_3 acts on H^2 by permuting three lines: (3, 1, 0) on the identity,
+    # the transpositions and the 3-cycles, through all three constructions,
+    # read off the Morse complex of an invariant coreduction; the 82,305
+    # simplices would need 54 GB for one dense N x N array
+    assert rep.passed
+    assert [r.k0.values for r in rep.results] == [(3, 1, 0)] * 3
+    assert peak < 300 * 2**20

@@ -1,18 +1,22 @@
-"""The largest triangulation: ``hpsig manifold --json`` on sd(CP^2_9).
+"""The largest triangulations: ``hpsig manifold --json`` on sd(CP^2_9) and on
+sd(S_3 x 3 CP^2_9).
 
     PYTHONPATH=src python tools/large_triangulation.py
 
 Builds the first barycentric subdivision of the 9-vertex CP^2 (27,435
-simplices) and its orientation flip, writes each to an ``.smf`` file in a
-temporary directory, and runs ``hpsig.cli.main(["manifold", path,
-"--json"])`` on each in-process.  Prints one JSON line: per case the exit
-code, ``passed``, the class of each construction (+1 and -1 are expected),
-the chain dimensions and the wall time of the command (``time.perf_counter``),
-and the process's peak resident set size (``ru_maxrss``, which covers the
-build as well).  Exits 1 unless both commands exit 0 with the expected
-classes.  Run with BLAS pinned to one thread
-(``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``) for figures comparable with
-the benchmark's.
+simplices), its orientation flip, and the first barycentric subdivision of
+three copies of it with S_3 permuting them (82,305 simplices, the action
+transported), writes each to an ``.smf`` file in a temporary directory, and
+runs ``hpsig.cli.main(["manifold", path, "--json"])`` on each in-process.
+Prints one JSON line: per case the exit code, ``passed``, the class of each
+construction (+1 and -1 are expected over the trivial group, and the values
+3, 1 and 0 on the identity, the transpositions and the 3-cycles over S_3),
+the chain dimensions and the wall time of the command
+(``time.perf_counter``), and the process's peak resident set size
+(``ru_maxrss``, which covers the builds as well).  Exits 1 unless every
+command exits 0 with the expected classes.  Run with BLAS pinned to one
+thread (``OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1``) for figures comparable
+with the benchmark's.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import time
 
 import hpsig
 from hpsig.cli import main as cli_main
-from hpsig.fixtures import cp2_nine_vertex
+from hpsig.fixtures import cp2_nine_vertex, cp2_triple_s3
 
 
 def run(path: str) -> dict:
@@ -52,15 +56,19 @@ def run(path: str) -> dict:
 def main() -> int:
     m, _ = hpsig.barycentric_subdivide(cp2_nine_vertex())
     flipped = hpsig.OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
+    triple, action = hpsig.barycentric_subdivide(*cp2_triple_s3())
+    one, minus_one, s3 = [[1.0, 0.0]], [[-1.0, 0.0]], [[3.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
     cases, ok = {}, True
     with tempfile.TemporaryDirectory() as tmp:
-        for name, manifold, sign in (("sd-cp2", m, 1.0), ("sd-cp2-flip", flipped, -1.0)):
+        for name, manifold, act, want in (
+            ("sd-cp2", m, None, one),
+            ("sd-cp2-flip", flipped, None, minus_one),
+            ("sd-cp2-triple-s3", triple, action, s3),
+        ):
             path = os.path.join(tmp, f"{name}.smf")
-            hpsig.write_smf(manifold, path)
+            hpsig.write_smf(manifold, path, act)
             cases[name] = case = run(path)
-            ok &= case["exit_code"] == 0 and all(
-                v == [[sign, 0.0]] for v in case["classes"].values()
-            )
+            ok &= case["exit_code"] == 0 and all(v == want for v in case["classes"].values())
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # KiB on Linux
     print(json.dumps({"cases": cases, "peak_rss_mib": round(peak, 1), "passed": ok}))
     return 0 if ok else 1
