@@ -47,7 +47,9 @@ two sides of the cone's chain-map condition, laid out by
 sides.
 
 If a finite group acts, the action must be by degreewise unitaries commuting
-with both ``b`` and ``S``, which one gate decides (:func:`_action_gates`).
+with both ``b`` and ``S``, which one gate decides (:func:`_action_gates`) by
+multiplying the action's dense degree blocks, a triangulation's too on the
+dense reference route (:func:`~hpsig.simplicial.to_hp_complex`).
 An action that passes it leaves ``B + S`` block diagonal in its isotypic bases
 up to an off-block part of the gate's order, and the classes over the group
 are read off the blocks' eigenvalue counts (:func:`_diagonalise`).
@@ -564,7 +566,7 @@ def _commutator_blocks(
     ``x`` on the total space whose nonzero blocks are ``(row degree, column
     degree, block)``: ``rho(g)`` preserves degree, so each block of ``x``
     gives one block of the commutator."""
-    return [rho.operator(g, r).commutator(x, rho.operator(g, c)) for r, c, x in blocks]
+    return [rho.degree(g, r) @ x - x @ rho.degree(g, c) for r, c, x in blocks]
 
 
 def _action_gates(
@@ -595,7 +597,8 @@ def _action_gates(
             if within(bound, tol * _BOUND_MARGIN, lower):
                 verdicts.append((True, bound))
             else:
-                verdicts.append(residual_within(rho.operator(g).commutator(total), tol, scale))
+                m = rho.total(g)
+                verdicts.append(residual_within(m @ total - total @ m, tol, scale))
         return all(ok for ok, _ in verdicts), max(res for _, res in verdicts)
 
     # empty blocks (edge degrees, empty summands) are common and commute

@@ -10,17 +10,16 @@ gaps far larger than roundoff at the sizes this package handles.
 
 A group acting on a triangulation moves simplices to simplices, so every
 element acts on the chains by a signed permutation matrix.  The simplicial
-layer builds those from the vertex maps and hands them over as index and sign
-arrays (:meth:`GroupAction._from_signed`), the one source of such actions.
-They must compose exactly like the group, or they are refused, whatever the
-tolerance; the group work is then index arithmetic: commutators and traces
-are gathers with signs.  Every entry of a product with a signed
-permutation has exactly one nonzero term, so these results equal the dense
-products bit for bit, up to the sign of zero.  The dense blocks are laid out
-only when they are read.  An action given by dense blocks (``.hpx`` files,
-generated and twisted complexes) stays dense, whatever its entries, and its
-identities are checked within the tolerance.  Callers reach either
-implementation through :meth:`GroupAction.operator`.
+layer reads those off the vertex maps and hands them over as two arrays on
+the total space, the image of each simplex under each element and the sign
++-1 it carries (:meth:`GroupAction._from_images`), the one source of such
+actions.  They must compose exactly like the group, or they are refused,
+whatever the tolerance, and the simplicial layer decides the action's
+commutators on those arrays.  The dense blocks are laid out only when they
+are read, and every operation of an action multiplies them.  An action given
+by dense blocks (``.hpx`` files, generated and twisted complexes) has only
+those, whatever its entries, and its identities are checked within the
+tolerance.
 
 Irreducible characters and isotypic blocks.  :attr:`FiniteGroup.characters`
 computes the character table once, by Burnside-Dixon (common eigenvectors of
@@ -329,104 +328,17 @@ def _primes(count: int) -> list[int]:
     return found
 
 
-class _SignedPermutation:
-    """The signed permutation matrix with entry ``sgn[i]`` at ``(i, src[i])``.
-
-    Products with it are gathers: ``(m x)[i, :] = sgn[i] x[src[i], :]`` and
-    ``(x m)[:, j] = x[:, dst[j]] dsgn[j]``, where ``dst`` is the inverse of
-    ``src`` and ``dsgn = sgn[dst]``.  The signs are floats, so results have
-    the dtype of the dense products.
-    """
-
-    __slots__ = ("src", "sgn", "dst", "dsgn")
-
-    def __init__(self, src: np.ndarray, sgn: np.ndarray) -> None:
-        self.src = src
-        self.sgn = sgn
-        self.dst = np.empty_like(src)
-        self.dst[src] = np.arange(src.size)
-        self.dsgn = sgn[self.dst]
-
-    @classmethod
-    def from_images(cls, dst: np.ndarray, dsgn: np.ndarray) -> "_SignedPermutation":
-        """The signed permutation that sends coordinate ``j`` to ``dst[j]``
-        with the sign ``dsgn[j]``."""
-        m = cls.__new__(cls)
-        m.dst, m.dsgn = dst, dsgn
-        m.src = np.empty_like(dst)
-        m.src[dst] = np.arange(dst.size)
-        m.sgn = np.empty_like(dsgn)
-        m.sgn[dst] = dsgn
-        return m
-
-    @classmethod
-    def block_diag(cls, parts: Sequence["_SignedPermutation"]) -> "_SignedPermutation":
-        """The block diagonal sum of ``parts``."""
-        offsets = itertools.accumulate((p.src.size for p in parts), initial=0)
-        src = np.concatenate(
-            [np.zeros(0, dtype=np.intp), *(p.src + off for p, off in zip(parts, offsets))]
-        )
-        return cls(src, np.concatenate([np.zeros(0), *(p.sgn for p in parts)]))
-
-    def dense(self) -> np.ndarray:
-        """The matrix, in the dtype of the signs."""
-        m = np.zeros((self.src.size, self.src.size), dtype=self.sgn.dtype)
-        m[np.arange(self.src.size), self.src] = self.sgn
-        return m
-
-    def is_identity(self) -> bool:
-        return bool(
-            np.array_equal(self.src, np.arange(self.src.size)) and np.all(self.sgn == 1.0)
-        )
-
-    def commutator(self, x: np.ndarray, right: "_SignedPermutation | None" = None) -> np.ndarray:
-        """``m x - x right``, with ``right = m`` by default; for a block ``x``
-        from one degree to another, ``m`` acts on its rows and ``right`` on
-        its columns."""
-        right = self if right is None else right
-        # in place on the two gathers: fresh arrays cost more than the sums
-        dtype = np.result_type(x, self.sgn, right.sgn)
-        out = np.take(x, self.src, axis=0).astype(dtype, copy=False)
-        out *= self.sgn[:, None]
-        on_right = np.take(x, right.dst, axis=1).astype(dtype, copy=False)
-        on_right *= right.dsgn
-        out -= on_right
-        return out
-
-    def trace(self, x: np.ndarray):
-        """``tr(m x)``."""
-        return np.sum(self.sgn * x[self.src, np.arange(self.src.size)])
-
-
-class _DenseElement:
-    """A group element acting by its dense matrix, with the interface of
-    :class:`_SignedPermutation`."""
-
-    __slots__ = ("matrix",)
-
-    def __init__(self, matrix: np.ndarray) -> None:
-        self.matrix = matrix
-
-    def commutator(self, x: np.ndarray, right: "_DenseElement | None" = None) -> np.ndarray:
-        return self.matrix @ x - x @ (self if right is None else right).matrix
-
-    def trace(self, x: np.ndarray):
-        # tr(m x) as an elementwise sum, without the matrix product
-        return np.sum(self.matrix.T * x)
-
-
 class GroupAction:
     """Unitary representation on a graded space, one block per (element, degree).
 
     ``blocks[g][k]`` acts on degree ``k``.  Construction checks unitarity, the
     identity, and the homomorphism property degreewise, each within ``tol``.
 
-    An action built from its signed permutations (:meth:`_from_signed`, see
-    the module docstring) keeps an index array and a sign array per element
-    and degree instead, decides its identities exactly and lays the dense
-    blocks out only when ``blocks``, :meth:`degree` or :meth:`total` is read.
-    :meth:`operator` gives the commutators and traces of either kind of
-    action.
+    An action by signed permutations of the simplices (:meth:`_from_images`,
+    see the module docstring) keeps two ``(|G|, N)`` arrays on the total space
+    instead, ``_images``: where each element sends each coordinate and with
+    which sign.  Its dense blocks are laid out only when ``blocks``,
+    :meth:`degree` or :meth:`total` is read.
     """
 
     def __init__(
@@ -458,36 +370,42 @@ class GroupAction:
             fams.append(mats)
         self._blocks = tuple(fams)
         self._dims = dims if dims is not None else ()
-        self._signed = None
+        self._images = None
         self._check_dense()
 
     @classmethod
-    def _from_signed(
+    def _from_images(
         cls,
         group: FiniteGroup,
-        signed: tuple[tuple[_SignedPermutation, ...], ...],
+        dims: Sequence[int],
+        dst: np.ndarray,
+        sign: np.ndarray,
         tol: float = DEFAULT_TOL,
-        composes: bool = False,
     ) -> "GroupAction":
-        """The action of ``signed[g][k]`` on degree ``k``, one family per
-        element, as the simplicial layer builds it; the dense blocks are laid
-        out on first read.  The arrays must compose exactly like the group:
-        :meth:`_check_signed` decides that unless it is known (``composes``),
-        and refuses them otherwise, whatever ``tol``."""
+        """The action on degrees of widths ``dims`` in which element ``g``
+        sends coordinate ``j`` of the total space to ``dst[g, j]``, in the same
+        degree, with the float sign ``sign[g, j]``.  Nothing is checked here:
+        the caller knows that the arrays compose exactly like the group, or
+        refuses them with :meth:`_check_images`.  The dense blocks are laid out
+        on first read."""
         self = cls.__new__(cls)
-        self.group = group
-        self.tol = tol
-        self._blocks = None
-        self._dims = tuple(p.src.size for p in signed[group.identity])
-        self._signed = signed
-        if not composes:
-            self._check_signed()
+        self.group, self.tol, self._dims = group, tol, tuple(int(d) for d in dims)
+        self._blocks, self._images = None, (dst, sign)
         return self
 
     @property
     def blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         if self._blocks is None:
-            self._blocks = tuple(tuple(p.dense() for p in fam) for fam in self._signed)
+            dst, sign = self._images
+            offsets = [0, *itertools.accumulate(self._dims)]
+            # column j of a block holds sign[j] in row dst[j]
+            self._blocks = tuple(
+                tuple(
+                    np.where(dst[g, a:b] == np.arange(a, b)[:, None], sign[g, a:b], 0.0)
+                    for a, b in zip(offsets, offsets[1:])
+                )
+                for g in range(self.group.order)
+            )
         return self._blocks
 
     def _require_identity(self, k: int, tol: float) -> None:
@@ -521,22 +439,24 @@ class GroupAction:
                 for k in range(len(self._dims)):
                     self._require_homomorphism(g, h, k, self.tol)
 
-    def _check_signed(self) -> None:
+    def _check_images(self) -> None:
         """The dense checks, in the same order and with the same messages,
-        decided exactly on the index and sign arrays: a signed permutation is
-        exactly unitary, the identity must be the identity permutation, and
-        ``g h`` must have ``src_gh == src_h[src_g]`` and ``sgn_gh == sgn_g *
-        sgn_h[src_g]``.  The first identity that fails raises
+        decided exactly on the image arrays: a signed permutation is exactly
+        unitary, the identity must fix every coordinate with sign +1, and
+        ``g h`` must have ``dst_gh == dst_g[dst_h]`` and ``sign_gh == sign_h *
+        sign_g[dst_h]``.  The first identity that fails raises
         NotRepresentation with its exact residual, at every ``tol``."""
-        for k, p in enumerate(self._signed[self.group.identity]):
-            if not p.is_identity():
-                self._require_identity(k, 0.0)
+        dst, sign = self._images
         offsets = [0, *itertools.accumulate(self._dims)]
-        src, sgn = self._sources
+        e = self.group.identity
+        fixed = (dst[e] == np.arange(dst.shape[1])) & (sign[e] == 1.0)
+        for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            if not fixed[a:b].all():
+                self._require_identity(k, 0.0)
         table = np.asarray(self.group.table)
-        for g, t in enumerate(self._totals):
+        for g in range(self.group.order):
             # row h compares g h with the composition of g and h
-            bad = (src[:, t.src] != src[table[g]]) | (t.sgn * sgn[:, t.src] != sgn[table[g]])
+            bad = (dst[g, dst] != dst[table[g]]) | (sign * sign[g, dst] != sign[table[g]])
             if bad.any():
                 h, j = np.argwhere(bad)[0]  # the first h, at its lowest degree
                 k = int(np.searchsorted(offsets, j, side="right")) - 1
@@ -554,44 +474,9 @@ class GroupAction:
 
     @property
     def is_signed_permutation(self) -> bool:
-        """Whether the action was built from its signed permutations
-        (:meth:`_from_signed`), so that :meth:`operator` works by index
-        arithmetic."""
-        return self._signed is not None
-
-    def operator(
-        self, g: int, k: int | None = None
-    ) -> "_SignedPermutation | _DenseElement":
-        """Element ``g`` on degree ``k``, or on the total space when ``k`` is
-        None: an object with ``commutator(x)`` (``rho x - x rho``) and
-        ``trace(x)`` (``tr(rho x)``).
-
-        For a signed-permutation action these are gathers and equal the dense
-        products bit for bit, up to the sign of zero; otherwise the dense
-        block is built once here and multiplied.
-        """
-        if self._signed is None:
-            return _DenseElement(self.total(g) if k is None else self.blocks[g][k])
-        return self._totals[g] if k is None else self._signed[g][k]
-
-    @cached_property
-    def _totals(self) -> tuple[_SignedPermutation, ...]:
-        """Each element's signed permutation of the total space."""
-        return tuple(map(_SignedPermutation.block_diag, self._signed))
-
-    @cached_property
-    def _sources(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per element (rows) and coordinate (columns) of the total space, the
-        coordinate whose entry the element moves there and its sign."""
-        src = np.stack([t.src for t in self._totals])
-        return src, np.stack([t.sgn for t in self._totals]).real
-
-    @cached_property
-    def _images(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per element (rows) and coordinate (columns) of the total space, the
-        coordinate that the element maps it to and the sign it carries."""
-        dst = np.stack([t.dst for t in self._totals])
-        return dst, np.stack([t.dsgn for t in self._totals]).real
+        """Whether the action was built from its image arrays
+        (:meth:`_from_images`), so that its identities are decided exactly."""
+        return self._images is not None
 
     @cached_property
     def isotypic_bases(self) -> tuple[np.ndarray, ...]:
@@ -695,17 +580,12 @@ class K0Class:
 
     @property
     def rank(self) -> int:
-        idx = self._class_index(self.group.identity)
-        return int(round(self.values[idx].real))
+        return int(round(self.value_at(self.group.identity).real))
 
     def value_at(self, g: int) -> complex:
-        return self.values[self._class_index(g)]
-
-    def _class_index(self, g: int) -> int:
-        for i, cls in enumerate(self.group.conjugacy_classes):
-            if g in cls:
-                return i
-        raise GroupMismatch(f"element {g} not in any conjugacy class")
+        if not 0 <= g < self.group.order:
+            raise GroupMismatch(f"element {g} not in any conjugacy class")
+        return self.values[self.group.class_index[g]]
 
 
 def k0_zero(group: FiniteGroup) -> K0Class:
@@ -777,14 +657,15 @@ def k0_from_projections(
         )
     per_element = []
     for g in range(action.group.order):
-        rho = action.operator(g)
+        rho = action.total(g)
         for name, p in (("p_plus", pp), ("p_minus", pm)):
-            ok, res = residual_within(rho.commutator(p), tol)
+            ok, res = residual_within(rho @ p - p @ rho, tol)
             if not ok:
                 raise NonEquivariantProjection(
                     f"{name} does not commute with element {g}: residual {res:.3e}"
                 )
-        per_element.append(complex(rho.trace(pp) - rho.trace(pm)))
+        # tr(rho p) as an elementwise sum, without the matrix product
+        per_element.append(complex(np.sum(rho.T * pp) - np.sum(rho.T * pm)))
     values = []
     for cls in action.group.conjugacy_classes:
         vals = [per_element[g] for g in cls]

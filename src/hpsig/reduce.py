@@ -22,7 +22,8 @@ simplices (:func:`_walk`) and checked exactly.  The cap is carried over as
 ``pi P pi^T``, which anticommutes with ``b'`` as ``P`` does with ``b``.  An
 invariant matching has invariant critical simplices, on which the action
 restricts to signed permutations ``rho'`` with ``pi rho = rho' pi`` (Freij,
-*Equivariant discrete Morse theory*, Discrete Math. 2009); the averaged cap
+*Equivariant discrete Morse theory*, Discrete Math. 2009), whose image arrays
+are those of ``rho`` at the critical simplices, renumbered; the averaged cap
 ``P`` commutes with ``rho``, so ``pi P pi^T`` commutes with ``rho'``.  No
 array is wider than the critical simplices times the simplices.
 """
@@ -33,7 +34,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .groups import GroupAction, _SignedPermutation
+from .groups import GroupAction
 
 
 class _Incidence(NamedTuple):
@@ -286,14 +287,7 @@ def _restricted(
 
     if not ((image >= 0).all() and all(commutes(g) for g in rho.group.generators)):
         raise ArithmeticError("the Morse complex fails pi rho = rho' pi")
-    signed = tuple(
-        tuple(
-            _SignedPermutation.from_images(image[g, a:b] - a, dsgn[g, critical[a:b]])
-            for a, b in zip(at[:-1], at[1:])
-        )
-        for g in range(rho.group.order)
-    )
-    return GroupAction._from_signed(rho.group, signed, tol=rho.tol, composes=True)
+    return GroupAction._from_images(rho.group, np.diff(at), image, dsgn[:, critical], rho.tol)
 
 
 def reduced_halves(morse: MorseComplex) -> tuple[np.ndarray, np.ndarray | None]:

@@ -42,11 +42,14 @@ mapped under every element at once through a vertex lookup table, a row
 sort, an inversion count for the parity and a key lookup for the image
 (:func:`_simplex_images`), which the chain action, the isotropy count of
 :func:`geometry_stats` and :func:`barycentric_subdivide` share.  The chain
-action is handed to :class:`~hpsig.groups.GroupAction` as signed
-permutations, and its commutators with the boundary and the duality are
-decided exactly on the group's generators (:func:`_action_commutes`), with
-the other identities by the duality check and alone by
-:func:`verify_equivariance`, closed or with boundary.  For vertex maps that
+action is handed to :class:`~hpsig.groups.GroupAction` as two arrays on the
+total space, each simplex's image under each element and its sign.  The
+group average of the cap moves the cap's entries through them
+(:func:`_cap_entries`), and the action's commutators with the boundary and
+the duality are decided exactly on the group's generators by moving the
+entries of each through them (:func:`_action_commutes`), with the other
+identities by the duality check and alone by :func:`verify_equivariance`,
+closed or with boundary.  For vertex maps that
 scramble the global order the cap matrices do not commute with the
 action on the nose (the split point of a facet moves with the sort), so
 equivariant duality operators are built by averaging the phased cap over the
@@ -83,7 +86,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .groups import FiniteGroup, GroupAction, _SignedPermutation
+from .groups import FiniteGroup, GroupAction
 from .linalg import DEFAULT_TOL, adjoint, frobenius_norm
 from .reduce import morse_complex, reduced_halves
 from .signature import CoincidenceReport, _coincidence
@@ -606,23 +609,26 @@ def _action_commutes(
     """Whether every ``rho(g)`` commutes exactly with ``b`` (its entries
     ``bnd``, :func:`_boundary_entries`) and with the cap entries ``cap``
     (:func:`_cap_entries`), hence with ``P``, ``P^*`` and ``S``
-    (``rho(g)^* = rho(g)^{-1}``).  It is decided on the group's generators:
-    if ``rho(g)`` and ``rho(h)`` commute with ``x``, so does ``rho(gh) =
-    rho(g) rho(h)``, which holds exactly for every action
-    :func:`chain_action` returns."""
-    n, dims = len(chains.rows) - 1, chains.dims
+    (``rho(g)^* = rho(g)^{-1}``): whether ``rho(g) x rho(g)^{-1} = x``, block
+    by block on the total space, where ``rho(g)`` moves the entry ``(r, c,
+    v)`` of ``x`` to ``(dst[r], dst[c], v sign[r] sign[c])``.  It is decided
+    on the group's generators: if ``rho(g)`` and ``rho(h)`` commute with
+    ``x``, so does ``rho(gh) = rho(g) rho(h)``, which holds exactly for every
+    action :func:`chain_action` returns."""
+    n, width = len(chains.rows) - 1, sum(chains.dims)
+    offsets = np.cumsum((0, *chains.dims))
+    dst, sign = rho._images
+    # (row degree, column degree, entries); for odd n a boundary block and a
+    # cap block share their position, so each block is decided alone
+    blocks = [(k - 1, k, x) for k, x in bnd.items()] + [(k, n - k, x) for k, x in enumerate(cap)]
 
-    def commutes(x, one, other, width):  # one x = x other, by signed permutations
+    def fixed(g: int, r: int, c: int, x: tuple) -> bool:
         rows, cols, vals = x
-        return _vanishes(
-            one.dst[rows], cols, vals * one.dsgn.real[rows].astype(np.int64), width,
-            (rows, other.src[cols], -vals * other.sgn.real[cols].astype(np.int64)),
-        )
+        rows, cols = rows + offsets[r], cols + offsets[c]
+        moved = vals * (sign[g, rows] * sign[g, cols]).astype(np.int64)
+        return _vanishes(dst[g, rows], dst[g, cols], moved, width, (rows, cols, -vals))
 
-    ops = [[rho.operator(g, k) for k in range(n + 1)] for g in rho.group.generators]
-    return all(commutes(bnd[k], op[k - 1], op[k], dims[k]) for op in ops for k in bnd) and all(
-        commutes(x, op[k], op[n - k], dims[n - k]) for op in ops for k, x in enumerate(cap)
-    )
+    return all(fixed(g, r, c, x) for g in rho.group.generators for r, c, x in blocks)
 
 
 def _cap_entries(
@@ -633,9 +639,9 @@ def _cap_entries(
     of terms summed, ``|G|`` or 1, which divides the sums into the group
     average: conjugating by the signed permutation ``rho(g)`` moves each
     facet's (back, front) entry to the images of back and front under
-    ``rho(g)^{-1}``, times the signs.  Raises PreconditionViolated for an
-    action that is not by signed permutations, as :func:`chain_action`'s
-    are."""
+    ``rho(g)``, times their signs, and ``rho(g)`` runs over the group as
+    ``rho(g)^{-1}`` does.  Raises PreconditionViolated for an action that is
+    not by signed permutations, as :func:`chain_action`'s are."""
     n = len(chains.rows) - 1
     signs = chains.signs.astype(np.int64)
     if rho is None:
@@ -645,15 +651,15 @@ def _cap_entries(
             "the cap is averaged over an action by signed permutations of the simplices"
         )
     offsets = np.cumsum((0, *chains.dims))
-    src, sgn = rho._sources
-    sgn = sgn.astype(np.int64)
+    dst, sign = rho._images
+    sign = sign.astype(np.int64)
     cap = []
     for k, (back, front) in enumerate(chains.cap_triples):
         back, front = offsets[k] + back, offsets[n - k] + front  # on the total space
         cap.append((
-            (src[:, back] - offsets[k]).ravel(),
-            (src[:, front] - offsets[n - k]).ravel(),
-            (signs * sgn[:, back] * sgn[:, front]).ravel(),
+            (dst[:, back] - offsets[k]).ravel(),
+            (dst[:, front] - offsets[n - k]).ravel(),
+            (signs * sign[:, back] * sign[:, front]).ravel(),
         ))
     return cap, rho.group.order
 
@@ -778,11 +784,13 @@ def chain_action(
     (OrientationReversing).  Every simplex of every degree is mapped under all
     elements at once (:func:`_simplex_images`), and element ``g`` sends the
     ``j``-th ``p``-simplex to its image with the parity of the sort as sign.
-    Those signed permutations are handed to the action as they are
-    (:meth:`~hpsig.groups.GroupAction._from_signed`), which lays out dense
+    Those images and parities, laid side by side at the degree offsets, are
+    the action's two ``(|G|, N)`` arrays on the total space
+    (:meth:`~hpsig.groups.GroupAction._from_images`), which lays out dense
     blocks only when they are read.  The identity and the homomorphism
     property are checked on the vertex maps (``|G|^2 V`` comparisons); when
-    those fail, the chain spaces name the first failure, and the action is
+    those fail, the arrays name the first failure
+    (:meth:`~hpsig.groups.GroupAction._check_images`), and the action is
     refused with NotRepresentation at every ``tol``.
     """
     chains = chains or enumerate_and_boundaries(m)
@@ -833,16 +841,19 @@ def chain_action(
         raise NotSimplicial(
             f"element {group.elements[valid]} does not permute the vertex set"
         )
-    signed = tuple(
-        tuple(_SignedPermutation.from_images(index[g], parity[g]) for _, index, parity in images)
-        for g in range(group.order)
-    )
-    # the chain action composes exactly like the group when the vertex maps
-    # do, since the parity of a sort is multiplicative
-    composes = np.array_equal(table[group.identity], np.arange(table.shape[1])) and np.array_equal(
-        table[np.asarray(group.table)], table[np.arange(group.order)[:, None, None], table]
-    )
-    return GroupAction._from_signed(group, signed, tol=tol, composes=composes)
+    offsets = np.cumsum((0, *chains.dims))
+    dst = np.concatenate([off + index for off, (_, index, _) in zip(offsets, images)], axis=1)
+    sign = np.concatenate([parity for *_, parity in images], axis=1)
+    rho = GroupAction._from_images(group, chains.dims, dst, sign, tol)
+    # the chain action is a homomorphism when the vertex maps are one, since
+    # the parity of a sort is multiplicative
+    products = table[np.arange(group.order)[:, None, None], table]
+    if not (
+        np.array_equal(table[group.identity], np.arange(table.shape[1]))
+        and np.array_equal(table[np.asarray(group.table)], products)
+    ):
+        rho._check_images()
+    return rho
 
 
 @dataclass(frozen=True)

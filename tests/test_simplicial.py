@@ -383,7 +383,7 @@ def test_equivariance_octahedron_rotation():
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains)
     raw = DualityOperator(tuple(_phased(m, chains))).total(chains.chain)
-    commutators = [rho.operator(g).commutator(raw) for g in range(rho.group.order)]
+    commutators = [rho.total(g) @ raw - raw @ rho.total(g) for g in range(rho.group.order)]
     assert max(np.linalg.norm(x) for x in commutators) > 1.0
 
 
@@ -873,10 +873,38 @@ def test_an_action_that_does_not_compose_exactly_is_refused(monkeypatch):
     rho = chain_action(m, act, chains)
     cap = simplicial._cap_entries(chains, rho)[0]
     seen = set()
-    operator = rho.operator
-    monkeypatch.setattr(rho, "operator", lambda g, k=None: seen.add(g) or operator(g, k))
+    dst, sign = rho._images
+
+    class Rows(np.ndarray):  # records the element of each row it is read at
+        def __getitem__(self, key):
+            seen.add(int(key[0] if isinstance(key, tuple) else key))
+            return np.asarray(self)[key]
+
+    monkeypatch.setattr(rho, "_images", (dst.view(Rows), sign.view(Rows)))
     assert simplicial._exact_identities(chains, rho, cap) is None
     assert seen == set(rho.group.generators) and len(seen) < rho.group.order - 1
+
+
+def test_the_action_gate_reads_the_boundary_half(monkeypatch):
+    # one flipped sign of a generator on an edge breaks rho(g) b = b rho(g),
+    # which the boundary entries alone decide, before any cap entry is read
+    m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
+    chains = enumerate_and_boundaries(m)
+    rho = chain_action(m, act, chains)
+    dst, sign = rho._images
+    g = rho.group.generators[0]
+    flipped = sign.copy()
+    flipped[g, chains.dims[0]] *= -1
+    bad = GroupAction._from_images(rho.group, rho.dims, dst, flipped, rho.tol)
+    bnd = simplicial._boundary_entries(chains)
+    assert simplicial._action_commutes(chains, rho, [], bnd)
+    assert not simplicial._action_commutes(chains, bad, [], bnd)
+    monkeypatch.setattr(simplicial, "chain_action", lambda *args, **kwargs: bad)
+    with pytest.raises(EquivarianceViolated) as exc:
+        verify_equivariance(m, act, chains)
+    assert str(exc.value) == (
+        "action does not commute with the structure maps on the integer arrays"
+    )
 
 
 def test_the_cap_is_averaged_over_signed_permutations_only():
@@ -995,8 +1023,8 @@ def test_the_refusal_never_fires_on_valid_input(name):
 
 def test_chain_action_checks_the_homomorphism_on_the_vertex_maps(monkeypatch):
     calls = []
-    check = GroupAction._check_signed
-    monkeypatch.setattr(GroupAction, "_check_signed", lambda self: calls.append(1) or check(self))
+    check = GroupAction._check_images
+    monkeypatch.setattr(GroupAction, "_check_images", lambda self: calls.append(1) or check(self))
     chain_action(*barycentric_subdivide(octahedron(), octahedron_rotation_group()))
     assert calls == []
     # a rotation of the triangle's vertices is not an involution: the vertex
