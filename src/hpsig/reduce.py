@@ -5,14 +5,13 @@ Homotopy equivalent Hilbert-Poincare complexes have the same signature
 triangulation's classes can be read off the Morse complex of an acyclic
 matching on its simplices, spanned by the unmatched (critical) ones, with an
 integral chain equivalence ``pi`` onto it (Forman, *Morse theory for cell
-complexes*, Adv. Math. 1998).  Without an action the matching pairs ``s``
-with ``s + {v}`` vertex by vertex among the simplices left unmatched;
-iterated element matchings are acyclic (Jonsson, *Simplicial Complexes of
-Graphs*, LNM 1928, ch. 4).  With a group acting by signed permutations it is
-a coreduction that decides on orbits only, so the group maps it to itself
-(:func:`_coreduction`).  With ``C``, ``U`` and ``D`` the critical simplices
-and those matched with a coface and with a face, ``A = b_k[U_{k-1}, D_k]``
-is unit triangular in the order of the matching, and
+complexes*, Adv. Math. 1998).  The matching is a coreduction that decides on
+orbit labels only (:func:`_coreduction`): without an action every simplex is
+its own orbit, and with a group acting by signed permutations the orbits are
+the group's, so the group maps the matching to itself.  With ``C``, ``U``
+and ``D`` the critical simplices and those matched with a coface and with a
+face, ``A = b_k[U_{k-1}, D_k]`` is unit triangular in the order of the
+matching, and
 
     b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C],
     pi_p = [1 on C_p, -b_{p+1}[C_p, D_{p+1}] A^{-1} on U_p, 0 on D_p]
@@ -69,17 +68,25 @@ def _face_signs(k: int) -> np.ndarray:
     return 1 - 2 * (np.arange(k + 1) % 2)
 
 
-def _faces(chains) -> _Incidence:
-    """``b^T`` on the total space of ``chains`` (a
-    :class:`~hpsig.simplicial.SimplicialChainData`): the faces of each
-    simplex in the order of its face array, with their signs."""
-    dims, none = chains.dims, np.zeros(0, np.intp)
-    offsets = np.cumsum((0, *dims))
-    return _Incidence(
-        np.concatenate(([0], np.cumsum(np.repeat([f.shape[1] for f in chains.faces], dims)))),
-        np.concatenate([none, *(offsets[k] + f.ravel() for k, f in enumerate(chains.faces[1:]))]),
-        np.concatenate([none, *(np.tile(_face_signs(k), d) for k, d in enumerate(dims[1:], 1))]),
-    )
+def _face_table(chains) -> np.ndarray:
+    """The faces of each simplex of ``chains`` (a
+    :class:`~hpsig.simplicial.SimplicialChainData`) in its total-space row,
+    the face without vertex ``i`` in column ``i``, padded with ``N``, a dead
+    simplex past the end."""
+    offsets = np.cumsum((0, *chains.dims))
+    table = np.full((offsets[-1], offsets.size - 1), offsets[-1])
+    for k, f in enumerate(chains.faces[1:], 1):
+        table[offsets[k] : offsets[k + 1], : k + 1] = offsets[k - 1] + f
+    return table
+
+
+def _faces(table: np.ndarray) -> _Incidence:
+    """``b^T`` on the total space, read off the face ``table``
+    (:func:`_face_table`): the faces of each simplex in the order of its
+    row, with their signs."""
+    present = table < table.shape[0]
+    signs = np.broadcast_to(_face_signs(table.shape[1] - 1), table.shape)
+    return _Incidence(np.concatenate(([0], np.cumsum(present.sum(axis=1)))), table[present], signs[present])
 
 
 def _mates(size: int, upper: np.ndarray, lower: np.ndarray, signs: np.ndarray):
@@ -92,30 +99,13 @@ def _mates(size: int, upper: np.ndarray, lower: np.ndarray, signs: np.ndarray):
     return mate, sign
 
 
-def _element_matching(chains, faces: _Incidence) -> tuple[np.ndarray, np.ndarray]:
-    """The iterated element matching of ``chains``, read off its faces
-    (:func:`_faces`): vertex by vertex, each unmatched simplex that holds the
-    vertex is matched with its face without it if that face is unmatched.
-    As :func:`_mates`."""
-    size = faces.indptr.size - 1
-    # the vertex that each face leaves out, in the same order
-    vertex = np.concatenate([np.zeros(0, np.intp), *(r.ravel() for r in chains.rows[1:])])
-    order = np.argsort(vertex, kind="stable")
-    upper, lower = faces.rows[order], faces.cols[order]
-    bounds = np.searchsorted(vertex[order], np.arange(chains.vertices.size + 1)).tolist()
-    free, matched = np.ones(size, bool), np.zeros(order.size, bool)
-    for start, stop in zip(bounds[:-1], bounds[1:]):
-        one, other = upper[start:stop], lower[start:stop]
-        pairs = matched[start:stop] = free[one] & free[other]
-        free[one[pairs]] = free[other[pairs]] = False
-    return _mates(size, upper[matched], lower[matched], faces.signs[order[matched]])
-
-
-def _coreduction(chains, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A coreduction (Mrozek-Batko, *Coreduction homology algorithm*,
-    Discrete Comput. Geom. 2009) of the simplices of ``chains`` that a group
-    maps to itself, read off the face arrays and ``images``, the simplex that
-    each element (row) sends each simplex (column) to.  As :func:`_mates`.
+    Discrete Comput. Geom. 2009) of the simplices of ``chains``, read off
+    their face ``table`` (:func:`_face_table`) and ``orbit``, each simplex's
+    orbit label under a group that maps the simplices to themselves: the
+    least member of its orbit, or the simplex itself without a group.  As
+    :func:`_mates`.
 
     Every simplex starts alive.  Each round, every alive ``s`` with exactly
     one alive face ``t`` is a candidate, and the pair ``(s, t)`` is kept when
@@ -123,21 +113,14 @@ def _coreduction(chains, images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     is the least such orbit for ``t``, and ``t`` is not a candidate itself;
     the kept pairs die.  A round that keeps no pair makes the smallest orbit
     of the lowest alive degree critical, the least label breaking ties, and
-    it dies.  An orbit is labelled by its least member.  Every decision reads
-    only orbit labels and counts, which the group keeps, so the matching is
-    invariant (Freij, *Equivariant discrete Morse theory*, Discrete Math.
-    2009).  A kept pair's other faces died in earlier rounds, so every
-    gradient path runs back in time and the matching is acyclic."""
-    dims = chains.dims
-    offsets, size = np.cumsum((0, *dims)), sum(dims)
-    degree = np.repeat(np.arange(len(dims)), dims)
-    orbit = images.min(axis=0)
+    it dies.  Every decision reads only orbit labels and counts, which the
+    group keeps, so the matching is invariant (Freij, *Equivariant discrete
+    Morse theory*, Discrete Math. 2009).  A kept pair's other faces died in
+    earlier rounds, so every gradient path runs back in time and the
+    matching is acyclic."""
+    size = table.shape[0]
+    degree = np.repeat(np.arange(len(chains.dims)), chains.dims)
     orbit_size = np.bincount(orbit, minlength=size)[orbit]
-    # the faces of each simplex in its total-space row, padded with a dead
-    # simplex past the end
-    table = np.full((size, len(dims)), size)
-    for k, f in enumerate(chains.faces[1:], 1):
-        table[offsets[k] : offsets[k + 1], : k + 1] = offsets[k - 1] + f
     alive = np.ones(size + 1, bool)
     alive[size] = False
     pairs = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
@@ -227,18 +210,17 @@ def morse_complex(
     phased cap ``S' = (Q + Q^*) / 2``, ``Q_k = roots[k] pi_k P_k pi_{n-k}^T``
     for ``P`` the sums of the cap entries ``cap`` divided by their ``count``
     (:func:`~hpsig.simplicial._cap_entries`: the raw cap without an action,
-    the group average with one).  Without an action the matching is the
-    iterated element matching (:func:`_element_matching`); with the
-    signed-permutation action ``rho`` it is the invariant coreduction
-    (:func:`_coreduction`), and ``rho' = rho`` restricted to the critical
-    simplices.  Raises ArithmeticError unless ``b' b' = 0``, ``pi b = b' pi``
-    and, on the group's generators, ``pi rho = rho' pi`` hold exactly, which
-    integer arithmetic guarantees short of an overflow."""
-    faces = _faces(chains)
-    if rho is None:
-        mate, sign = _element_matching(chains, faces)
-    else:
-        mate, sign = _coreduction(chains, rho._images[0])
+    the group average with one).  The matching is the coreduction
+    (:func:`_coreduction`) on singleton orbits without an action and on the
+    orbits of the signed-permutation action ``rho`` with one, and then
+    ``rho' = rho`` restricted to the critical simplices.  Raises
+    ArithmeticError unless ``b' b' = 0``, ``pi b = b' pi`` and, on the
+    group's generators, ``pi rho = rho' pi`` hold exactly, which integer
+    arithmetic guarantees short of an overflow."""
+    table = _face_table(chains)
+    orbit = np.arange(table.shape[0]) if rho is None else rho._images[0].min(axis=0)
+    mate, sign = _coreduction(chains, table, orbit)
+    faces = _faces(table)
     index, critical = np.arange(mate.size), np.flatnonzero(mate < 0)
     # b'_k is left of a source's faces once the paths down turn at U, and
     # b[C_p, D_{p+1}] A^{-1} is solved for once those up turn at D

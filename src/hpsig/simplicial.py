@@ -27,12 +27,12 @@ No float gate runs and the signature route lays out no degree block: it
 diagonalises ``B + S`` and ``B - S`` of the Morse complex of an acyclic
 matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
 equivalent to the simplicial complex and much smaller, so the cone value and
-the spectral gaps are that complex's.  The matching is an iterated element
-matching without an action (Jonsson, LNM 1928) and a coreduction that the
-group maps to itself with one (Freij 2009), whose critical simplices the
-action permutes with signs.  Dense blocks are laid out only where a public
-function returns them: the boundary on first use of ``chain``, and the cap's
-degree blocks, raw, phased or averaged, all by :func:`_cap_blocks`.
+the spectral gaps are that complex's.  The matching is a coreduction on
+orbit labels, singleton orbits without an action, so that a group maps it to
+itself (Freij 2009) and permutes its critical simplices with signs.  Dense
+blocks are laid out only where a public function returns them: the boundary
+on first use of ``chain``, and the cap's degree blocks, raw, phased or
+averaged, all by :func:`_cap_blocks`.
 
 Group actions are given by vertex permutations.  They must be simplicial
 (simplices map to simplices), regular (a simplex fixed setwise is fixed

@@ -146,8 +146,7 @@ def test_relabelled_cp2_keeps_few_critical_simplices():
         # the Euler characteristic of CP^2 is 3
         assert sum((-1) ** k * d for k, d in enumerate(dims)) == 3
         counts[sum(dims)] = counts.get(sum(dims), 0) + 1
-    assert max(counts) <= 11
-    assert counts == {3: 187, 7: 12, 11: 1}
+    assert counts == {3: 200}
 
 
 def _unreduced_classes(m, act=None):
@@ -212,6 +211,7 @@ def test_odd_degree_keeps_its_verdicts(build):
 
 def test_first_subdivision_of_cp2(tmp_path, capsys):
     m, _ = barycentric_subdivide(cp2_nine_vertex())
+    assert _morse(enumerate_and_boundaries(m)).dims == (1, 0, 1, 0, 1)
     for manifold, sign in ((m, 1), (_flipped(m), -1)):
         rep = manifold_signature(manifold)
         assert rep.passed
@@ -269,7 +269,8 @@ def test_the_orbit_reduction_is_invariant_and_exact_on_relabellings(name):
         for oriented in (m, _flipped(m)):
             chains, rho, morse = _reduce_with(oriented, act)
             # the matching commutes with every element: mate[g x] = g mate[x]
-            mate, _ = reduce._coreduction(chains, rho._images[0])
+            table = reduce._face_table(chains)
+            mate, _ = reduce._coreduction(chains, table, rho._images[0].min(axis=0))
             for dst in rho._images[0]:
                 assert np.array_equal(mate[dst], np.where(mate >= 0, dst[mate], -1))
             assert sum(morse.dims) == np.count_nonzero(mate < 0)
@@ -301,28 +302,28 @@ def test_orbit_reductions_of_the_action_fixtures():
     assert dims["octahedron-sd-rot24"] == (26, 48, 24)
 
 
-def test_the_matching_is_picked_by_whether_an_action_is_given(monkeypatch):
-    calls = []
-    for name in ("_element_matching", "_coreduction"):
-        real = getattr(reduce, name)
-        monkeypatch.setattr(reduce, name, lambda *a, name=name, real=real: calls.append(name) or real(*a))
-    m, act = cp2_triple_s3()
-    assert manifold_signature(m).passed
-    assert calls == ["_element_matching"]
-    # the trivial group given as an action still takes the coreduction
+@pytest.mark.parametrize("name", sorted(_CLOSED))
+def test_no_action_and_the_trivial_group_give_the_same_morse_complex(name):
+    m = _CLOSED[name]()
     trivial = SimplicialAction(FiniteGroup.trivial(), ({v: v for v in m.vertices},))
-    assert manifold_signature(m, act).passed and manifold_signature(m, trivial).passed
-    assert calls == ["_element_matching", "_coreduction", "_coreduction"]
+    alone, acted = _morse(enumerate_and_boundaries(m)), _reduce_with(m, trivial)[2]
+    assert alone.dims == acted.dims
+    for field in ("boundary", "projection", "duality"):
+        a, b = getattr(alone, field), getattr(acted, field)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 def test_a_matching_that_is_not_invariant_is_refused(monkeypatch):
-    # the element matching ignores the action: on the subdivided octahedron
-    # it keeps critical simplices that the quarter turn does not permute
+    # the coreduction on singleton orbits ignores the action: on the
+    # subdivided octahedron it keeps critical simplices that the quarter turn
+    # does not permute
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains)
     cap, count = simplicial._cap_entries(chains, rho)
-    element = reduce._element_matching
-    monkeypatch.setattr(reduce, "_coreduction", lambda chains, images: element(chains, reduce._faces(chains)))
+    real = reduce._coreduction
+    monkeypatch.setattr(
+        reduce, "_coreduction", lambda chains, table, orbit: real(chains, table, np.arange(orbit.size))
+    )
     with pytest.raises(ArithmeticError, match="pi rho = rho' pi"):
         reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)

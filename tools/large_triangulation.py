@@ -1,11 +1,12 @@
-"""The largest triangulations: ``hpsig manifold --json`` on sd(CP^2_9) and on
-sd(S_3 x 3 CP^2_9).
+"""The largest triangulations: ``hpsig manifold --json`` on sd(CP^2_9), on
+sd^2(CP^2_9) and on sd(S_3 x 3 CP^2_9).
 
     PYTHONPATH=src python tools/large_triangulation.py
 
 Builds the first barycentric subdivision of the 9-vertex CP^2 (27,435
-simplices), its orientation flip, and the first barycentric subdivision of
-three copies of it with S_3 permuting them (82,305 simplices, the action
+simplices), its orientation flip, its second barycentric subdivision
+(3,274,995 simplices), and the first barycentric subdivision of three copies
+of CP^2_9 with S_3 permuting them (82,305 simplices, the action
 transported), writes each to an ``.smf`` file in a temporary directory, and
 runs ``hpsig.cli.main(["manifold", path, "--json"])`` on each in-process.
 Prints one JSON line: per case the exit code, ``passed``, the class of each
@@ -56,6 +57,7 @@ def run(path: str) -> dict:
 def main() -> int:
     m, _ = hpsig.barycentric_subdivide(cp2_nine_vertex())
     flipped = hpsig.OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
+    twice, _ = hpsig.barycentric_subdivide(m)
     triple, action = hpsig.barycentric_subdivide(*cp2_triple_s3())
     one, minus_one, s3 = [[1.0, 0.0]], [[-1.0, 0.0]], [[3.0, 0.0], [1.0, 0.0], [0.0, 0.0]]
     cases, ok = {}, True
@@ -63,6 +65,7 @@ def main() -> int:
         for name, manifold, act, want in (
             ("sd-cp2", m, None, one),
             ("sd-cp2-flip", flipped, None, minus_one),
+            ("sd2-cp2", twice, None, one),
             ("sd-cp2-triple-s3", triple, action, s3),
         ):
             path = os.path.join(tmp, f"{name}.smf")
