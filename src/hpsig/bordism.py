@@ -44,7 +44,6 @@ from .errors import (
     ShapeMismatch,
     SplitInconsistent,
 )
-from .groups import k0_equal, k0_zero
 from .linalg import (
     DEFAULT_TOL,
     adjoint,
@@ -613,15 +612,15 @@ class BoundaryZeroReport:
 def boundary_signature_is_zero(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> BoundaryZeroReport:
-    """Compute the boundary complex and check its class is zero in K-theory.
+    """Compute the boundary complex and check its class is zero in K-theory,
+    exactly: every integer multiplicity of the class is 0.
 
     The signature constructions reuse ``B + S`` and ``B - S`` as the boundary
     complex's duality check diagonalised them.
     """
     hp, halves = _boundary_complex(cwb, tol)
     rep = check_coincidence(hp, tol) if halves is None else _coincidence(hp.n, None, halves, tol)
-    group = rep.k0.group
-    zero = k0_equal(rep.k0, k0_zero(group))
+    zero = not any(rep.k0.multiplicities)
     return BoundaryZeroReport(
         coincidence=rep, is_zero=zero, passed=zero and rep.passed
     )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .complexes import ChainComplex, DualityOperator, HilbertPoincareComplex
@@ -9,6 +11,7 @@ from .groups import FiniteGroup
 from .simplicial import OrientedSimplicialManifold, SimplicialAction
 
 __all__ = [
+    "cp2_automorphisms",
     "cp2_nine_vertex",
     "cp2_triple_s3",
     "circle_polygon",
@@ -33,8 +36,6 @@ def simplex_disk(k: int) -> OrientedSimplicialManifold:
 
 def simplex_sphere(k: int) -> OrientedSimplicialManifold:
     """Boundary of the (k+1)-simplex: the minimal triangulated k-sphere."""
-    import itertools
-
     facets = list(itertools.combinations(range(k + 2), k + 1))
     return OrientedSimplicialManifold.from_facets(facets)
 
@@ -79,8 +80,6 @@ def octahedron_rotation_group() -> SimplicialAction:
     vertex maps: ``g h`` maps ``v`` to ``g(h(v))``.  The action fixes faces
     setwise but not pointwise, so it acts regularly only on a subdivision.
     """
-    import itertools
-
     where = {axis: v for v, axis in enumerate(_OCTAHEDRON_AXES)}
     maps = []
     for perm in itertools.permutations(range(3)):
@@ -91,13 +90,16 @@ def octahedron_rotation_group() -> SimplicialAction:
             maps.append(tuple(
                 where[(perm[a], s * signs[a])] for a, s in _OCTAHEDRON_AXES
             ))
+    return SimplicialAction(_permutation_group(maps), tuple(dict(enumerate(vm)) for vm in maps))
+
+
+def _permutation_group(maps: list[tuple[int, ...]]) -> FiniteGroup:
+    """The group of the permutations ``maps`` of ``0, 1, ...``, closed under
+    composition, each a tuple of images and named by it: ``g h`` maps ``v``
+    to ``g(h(v))``."""
     index = {vm: i for i, vm in enumerate(maps)}
-    table = tuple(
-        tuple(index[tuple(g[v] for v in h)] for h in maps) for g in maps
-    )
-    names = tuple("".join(map(str, vm)) for vm in maps)
-    group = FiniteGroup(names, table)
-    return SimplicialAction(group, tuple(dict(enumerate(vm)) for vm in maps))
+    table = tuple(tuple(index[tuple(g[v] for v in h)] for h in maps) for g in maps)
+    return FiniteGroup(tuple("".join(map(str, vm)) for vm in maps), table)
 
 
 # (axis, sign) of each octahedron vertex: the equator 0-1-2-3 is +x, +y, -x,
@@ -107,8 +109,6 @@ _OCTAHEDRON_AXES = ((0, 1), (1, 1), (0, -1), (1, -1), (2, 1), (2, -1))
 
 def disjoint_sphere_pair() -> OrientedSimplicialManifold:
     """Two copies of the boundary of the 3-simplex, on vertices 0-3 and 4-7."""
-    import itertools
-
     facets = list(itertools.combinations(range(4), 3))
     facets += [tuple(v + 4 for v in f) for f in itertools.combinations(range(4), 3)]
     return OrientedSimplicialManifold.from_facets(facets)
@@ -149,6 +149,22 @@ def cp2_nine_vertex() -> OrientedSimplicialManifold:
     return OrientedSimplicialManifold.from_facets(_CP2_FACETS)
 
 
+def cp2_automorphisms() -> SimplicialAction:
+    """The 54 automorphisms of :func:`cp2_nine_vertex`, all orientation
+    preserving: the closure under composition of the vertex maps
+    ``(0, 1, 8, 6, 7, 5, 3, 4, 2)`` and ``(1, 2, 0, 4, 5, 3, 7, 8, 6)`` (as in
+    :func:`octahedron_rotation_group`, ``g h`` maps ``v`` to ``g(h(v))``).
+    They fix faces setwise but not pointwise, so they act regularly only on a
+    subdivision."""
+    generators = ((0, 1, 8, 6, 7, 5, 3, 4, 2), (1, 2, 0, 4, 5, 3, 7, 8, 6))
+    maps = [tuple(range(9))]
+    for g in maps:  # the list grows while it is read
+        for h in generators:
+            if (gh := tuple(g[v] for v in h)) not in maps:
+                maps.append(gh)
+    return SimplicialAction(_permutation_group(maps), tuple(dict(enumerate(vm)) for vm in maps))
+
+
 def cp2_triple_s3() -> tuple[OrientedSimplicialManifold, SimplicialAction]:
     """Three copies of :func:`cp2_nine_vertex`, copy ``c`` on the vertices
     ``9c .. 9c + 8`` with the same orientation, and the symmetric group S_3
@@ -159,17 +175,12 @@ def cp2_triple_s3() -> tuple[OrientedSimplicialManifold, SimplicialAction]:
     two-dimensional irreducible character, so the signature class is
     ``(3, 1, 0)`` on the identity, the transpositions and the 3-cycles.
     """
-    import itertools
-
     cp2 = cp2_nine_vertex()
     facets = tuple(tuple(v + 9 * c for v in f) for c in range(3) for f in cp2.facets)
     manifold = OrientedSimplicialManifold(facets, cp2.signs * 3)
     perms = list(itertools.permutations(range(3)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = tuple(tuple(index[tuple(p[q[i]] for i in range(3))] for q in perms) for p in perms)
-    group = FiniteGroup(tuple("".join(map(str, p)) for p in perms), table)
     maps = tuple({v: 9 * p[v // 9] + v % 9 for v in range(27)} for p in perms)
-    return manifold, SimplicialAction(group, maps)
+    return manifold, SimplicialAction(_permutation_group(perms), maps)
 
 
 def model_even_sphere(n: int = 2) -> HilbertPoincareComplex:

@@ -396,28 +396,32 @@ class GroupAction:
     @property
     def blocks(self) -> tuple[tuple[np.ndarray, ...], ...]:
         if self._blocks is None:
-            dst, sign = self._images
-            offsets = [0, *itertools.accumulate(self._dims)]
-            # column j of a block holds sign[j] in row dst[j]
             self._blocks = tuple(
-                tuple(
-                    np.where(dst[g, a:b] == np.arange(a, b)[:, None], sign[g, a:b], 0.0)
-                    for a, b in zip(offsets, offsets[1:])
-                )
+                tuple(self._block(g, k) for k in range(len(self._dims)))
                 for g in range(self.group.order)
             )
         return self._blocks
 
+    def _block(self, g: int, k: int) -> np.ndarray:
+        """The dense block of element ``g`` at degree ``k``; of an action
+        built from its image arrays, laid out alone until :attr:`blocks` is
+        read."""
+        if self._blocks is not None:
+            return self._blocks[g][k]
+        dst, sign = self._images
+        a = sum(self._dims[:k])
+        b = a + self._dims[k]
+        # column j of the block holds sign[j] in row dst[j]
+        return np.where(dst[g, a:b] == np.arange(a, b)[:, None], sign[g, a:b], 0.0)
+
     def _require_identity(self, k: int, tol: float) -> None:
-        m = self.blocks[self.group.identity][k]
+        m = self._block(self.group.identity, k)
         if not residual_within(m - np.eye(m.shape[0]), tol)[0]:
             raise NotRepresentation(f"identity element is not the identity at degree {k}")
 
     def _require_homomorphism(self, g: int, h: int, k: int, tol: float) -> None:
         gh = self.group.multiply(g, h)
-        ok, res = residual_within(
-            self.blocks[g][k] @ self.blocks[h][k] - self.blocks[gh][k], tol
-        )
+        ok, res = residual_within(self._block(g, k) @ self._block(h, k) - self._block(gh, k), tol)
         if not ok:
             raise NotRepresentation(
                 f"homomorphism fails for elements ({g}, {h}) "
@@ -445,7 +449,8 @@ class GroupAction:
         unitary, the identity must fix every coordinate with sign +1, and
         ``g h`` must have ``dst_gh == dst_g[dst_h]`` and ``sign_gh == sign_h *
         sign_g[dst_h]``.  The first identity that fails raises
-        NotRepresentation with its exact residual, at every ``tol``."""
+        NotRepresentation with its exact residual, at every ``tol``, read off
+        the degree blocks of the elements it names alone."""
         dst, sign = self._images
         offsets = [0, *itertools.accumulate(self._dims)]
         e = self.group.identity

@@ -95,6 +95,16 @@ def _int_lists(lists: list, width: int | None = None) -> bool:
     )
 
 
+def _read_group(raw: dict, where: str) -> FiniteGroup:
+    """The group of an .hpx ``group`` or .smf ``action`` block ``raw``, its
+    ``elements`` and ``table``; errors name ``where``, the path and the key."""
+    elements = _need(raw, "elements", list, where)
+    if not all(isinstance(e, str) for e in elements):
+        raise ParseError(f"{where} elements must be strings")
+    table = tuple(tuple(_int_list(row, f"{where} table row")) for row in _need(raw, "table", list, where))
+    return FiniteGroup(tuple(elements), table)
+
+
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -176,18 +186,11 @@ def read_hpx(path: str) -> HilbertPoincareComplex | ComplexWithBoundary:
     action = None
     if "group" in doc:
         graw = _need(doc, "group", dict, path)
-        elements = _need(graw, "elements", list, f"{path}: group")
-        if not all(isinstance(e, str) for e in elements):
-            raise ParseError(f"{path}: group elements must be strings")
-        table_raw = _need(graw, "table", list, f"{path}: group")
-        table = tuple(
-            tuple(_int_list(row, f"{path}: group table row")) for row in table_raw
-        )
-        group = FiniteGroup(tuple(elements), table)
+        group = _read_group(graw, f"{path}: group")
         araw = _need(graw, "action", list, f"{path}: group")
-        if len(araw) != len(elements):
+        if len(araw) != group.order:
             raise ParseError(
-                f"{path}: group action must hold {len(elements)} matrix families"
+                f"{path}: group action must hold {group.order} matrix families"
             )
         fams = []
         for g, fam in enumerate(araw):
@@ -283,19 +286,10 @@ def read_smf(
     action = None
     if "action" in doc:
         araw = _need(doc, "action", dict, path)
-        elements = _need(araw, "elements", list, f"{path}: action")
-        if not all(isinstance(e, str) for e in elements):
-            raise ParseError(f"{path}: action elements must be strings")
-        table = tuple(
-            tuple(_int_list(row, f"{path}: action table row"))
-            for row in _need(araw, "table", list, f"{path}: action")
-        )
-        group = FiniteGroup(tuple(elements), table)
+        group = _read_group(araw, f"{path}: action")
         vraw = _need(araw, "vertex_maps", list, f"{path}: action")
-        if len(vraw) != len(elements):
-            raise ParseError(
-                f"{path}: vertex_maps must hold {len(elements)} maps"
-            )
+        if len(vraw) != group.order:
+            raise ParseError(f"{path}: vertex_maps must hold {group.order} maps")
         # every pair at once; the loop names the first bad map or pair
         if not (set(map(type, vraw)) <= {list} and _int_lists([*itertools.chain(*vraw)], 2)):
             for g, pairs in enumerate(vraw):

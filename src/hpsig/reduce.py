@@ -13,18 +13,21 @@ and ``D`` the critical simplices and those matched with a coface and with a
 face, ``A = b_k[U_{k-1}, D_k]`` is unit triangular in the order of the
 matching, and
 
-    b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C],
     pi_p = [1 on C_p, -b_{p+1}[C_p, D_{p+1}] A^{-1} on U_p, 0 on D_p]
 
-are solved for in integers along the gradient paths from the critical
-simplices (:func:`_walk`) and checked exactly.  The cap is carried over as
-``pi P pi^T``, which anticommutes with ``b'`` as ``P`` does with ``b``.  An
-invariant matching has invariant critical simplices, on which the action
-restricts to signed permutations ``rho'`` with ``pi rho = rho' pi`` (Freij,
-*Equivariant discrete Morse theory*, Discrete Math. 2009), whose image arrays
-are those of ``rho`` at the critical simplices, renumbered; the averaged cap
-``P`` commutes with ``rho``, so ``pi P pi^T`` commutes with ``rho'``.  No
-array is wider than the critical simplices times the simplices.
+is solved for in integers along the gradient paths up from the critical
+simplices (:func:`_walk`).  It is the identity on ``C``, so the Morse boundary
+``b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C]`` is ``pi b`` at the critical
+columns, and ``b' b' = 0`` and ``pi b = b' pi`` are checked exactly.  The raw
+cap ``P`` is carried over as ``pi P pi^T``, which anticommutes with ``b'`` as
+``P`` does with ``b``.  An invariant matching has invariant critical
+simplices, on which the action restricts to signed permutations ``rho'``
+with ``pi rho = rho' pi`` (Freij, *Equivariant discrete Morse theory*,
+Discrete Math. 2009), whose image arrays are those of ``rho`` at the critical
+simplices, renumbered.  The group average is taken there: ``sum_g rho'(g) pi P
+pi^T rho'(g)^T / |G|`` is ``pi`` times the averaged cap times ``pi^T``, and
+commutes with ``rho'``.  No array is wider than the critical simplices times
+the simplices.
 """
 
 from __future__ import annotations
@@ -44,11 +47,6 @@ class _Incidence(NamedTuple):
     cols: np.ndarray
     signs: np.ndarray
 
-    @property
-    def rows(self) -> np.ndarray:
-        """The row of each entry."""
-        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
-
     def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The entries of ``rows``: each one's position in ``rows``, its
         column and its sign."""
@@ -56,11 +54,6 @@ class _Incidence(NamedTuple):
         owner = np.repeat(np.arange(rows.size), counts)
         at = np.arange(owner.size) + np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
         return owner, self.cols[at], self.signs[at]
-
-    def transpose(self) -> "_Incidence":
-        order = np.argsort(self.cols, kind="stable")
-        counts = np.bincount(self.cols, minlength=self.indptr.size - 1)
-        return _Incidence(np.concatenate(([0], np.cumsum(counts))), self.rows[order], self.signs[order])
 
 
 def _face_signs(k: int) -> np.ndarray:
@@ -80,23 +73,15 @@ def _face_table(chains) -> np.ndarray:
     return table
 
 
-def _faces(table: np.ndarray) -> _Incidence:
-    """``b^T`` on the total space, read off the face ``table``
-    (:func:`_face_table`): the faces of each simplex in the order of its
-    row, with their signs."""
-    present = table < table.shape[0]
-    signs = np.broadcast_to(_face_signs(table.shape[1] - 1), table.shape)
-    return _Incidence(np.concatenate(([0], np.cumsum(present.sum(axis=1)))), table[present], signs[present])
-
-
-def _mates(size: int, upper: np.ndarray, lower: np.ndarray, signs: np.ndarray):
-    """Each simplex's partner (-1 for none) and the pair's boundary entry, +1
-    or -1, for the pairs of the simplices ``upper`` with their faces
-    ``lower``."""
-    mate, sign = np.full(size, -1), np.zeros(size, np.int64)
-    mate[upper], mate[lower] = lower, upper
-    sign[upper] = sign[lower] = signs
-    return mate, sign
+def _cofaces(table: np.ndarray) -> _Incidence:
+    """``b`` on the total space, read off the face ``table``
+    (:func:`_face_table`): the cofaces of each simplex in the order of their
+    rows, each with the sign ``(-1)^i`` of the face without its vertex ``i``."""
+    cofaces, place = np.nonzero(table < table.shape[0])
+    faces = table[cofaces, place]
+    order = np.argsort(faces, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=table.shape[0]))))
+    return _Incidence(indptr, cofaces[order], _face_signs(table.shape[1] - 1)[place[order]])
 
 
 def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -104,8 +89,9 @@ def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarr
     Discrete Comput. Geom. 2009) of the simplices of ``chains``, read off
     their face ``table`` (:func:`_face_table`) and ``orbit``, each simplex's
     orbit label under a group that maps the simplices to themselves: the
-    least member of its orbit, or the simplex itself without a group.  As
-    :func:`_mates`.
+    least member of its orbit, or the simplex itself without a group.
+    Returns each simplex's partner (-1 for none) and the pair's boundary
+    entry, +1 or -1.
 
     Every simplex starts alive.  Each round, every alive ``s`` with exactly
     one alive face ``t`` is a candidate, and the pair ``(s, t)`` is kept when
@@ -152,20 +138,21 @@ def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarr
             dead = np.flatnonzero(orbit == orbit[low[np.lexsort((orbit[low], orbit_size[low]))[0]]])
         alive[dead] = False
     upper, lower = (np.concatenate(x) for x in zip(*pairs))
+    mate, sign = np.full(size, -1), np.zeros(size, np.int64)
+    mate[upper], mate[lower] = lower, upper
     # b[t, s] = (-1)^i for the face t of s without its i-th vertex
     place = np.argmax(table[upper] == lower[:, None], axis=1)
-    return _mates(size, upper, lower, 1 - 2 * (place % 2))
+    sign[upper] = sign[lower] = _face_signs(table.shape[1] - 1)[place]
+    return mate, sign
 
 
-def _walk(
-    inc: _Incidence, sources: np.ndarray, mate: np.ndarray, sign: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows ``sources`` of ``inc`` cleared of their columns ``c`` with
-    ``mate[c] >= 0``, and the solution, over the rows, that clears them:
-    every round, each nonzero ``z[c]`` on such a column takes ``z[c] sign[c]``
-    times the row ``mate[c]``, whose entry at ``c`` is ``sign[c]``, off ``z``
-    and onto the solution at ``mate[c]``: one step along every gradient
-    path, so it ends after as many rounds as the longest path."""
+def _walk(inc: _Incidence, sources: np.ndarray, mate: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """The solution, over the rows of ``inc``, that clears the rows
+    ``sources`` of their columns ``c`` with ``mate[c] >= 0``: every round,
+    each nonzero ``z[c]`` on such a column takes ``z[c] sign[c]`` times the
+    row ``mate[c]``, whose entry at ``c`` is ``sign[c]``, off ``z`` and onto
+    the solution at ``mate[c]``: one step along every gradient path, so it
+    ends after as many rounds as the longest path."""
     z = np.zeros((sources.size, inc.indptr.size - 1), np.int64)
     owner, cols, vals = inc.gather(sources)
     z[owner, cols] = vals
@@ -174,7 +161,7 @@ def _walk(
         keep = (mate[cols] >= 0) & (z[owner, cols] != 0)
         owner, cols = owner[keep], cols[keep]
         if not owner.size:
-            return z, solution
+            return solution
         steps, rows = z[owner, cols] * sign[cols], mate[cols]
         solution[owner, rows] += steps
         at, cols, vals = inc.gather(rows)
@@ -198,50 +185,48 @@ class MorseComplex(NamedTuple):
     action: GroupAction | None = None
 
 
-def morse_complex(
-    chains,
-    cap: Sequence[tuple],
-    roots: Sequence[complex],
-    rho: GroupAction | None = None,
-    count: int = 1,
-) -> MorseComplex:
+def morse_complex(chains, roots: Sequence[complex], rho: GroupAction | None = None) -> MorseComplex:
     """The Morse complex of ``chains`` (a
     :class:`~hpsig.simplicial.SimplicialChainData`) with the symmetrized
     phased cap ``S' = (Q + Q^*) / 2``, ``Q_k = roots[k] pi_k P_k pi_{n-k}^T``
-    for ``P`` the sums of the cap entries ``cap`` divided by their ``count``
-    (:func:`~hpsig.simplicial._cap_entries`: the raw cap without an action,
-    the group average with one).  The matching is the coreduction
+    for ``P`` the raw cap (``chains.cap_triples`` and ``chains.signs``), and
+    with an action ``Q`` averaged over ``rho'`` as ``sum_g rho'(g) Q
+    rho'(g)^T / |G|``.  The matching is the coreduction
     (:func:`_coreduction`) on singleton orbits without an action and on the
     orbits of the signed-permutation action ``rho`` with one, and then
-    ``rho' = rho`` restricted to the critical simplices.  Raises
-    ArithmeticError unless ``b' b' = 0``, ``pi b = b' pi`` and, on the
-    group's generators, ``pi rho = rho' pi`` hold exactly, which integer
-    arithmetic guarantees short of an overflow."""
+    ``rho' = rho`` restricted to the critical simplices.  ``pi`` comes from
+    one walk up the cofaces (:func:`_walk`) and ``b'`` is ``pi b`` at the
+    critical columns.  Raises ArithmeticError unless ``b' b' = 0``, ``pi b =
+    b' pi`` and, on the group's generators, ``pi rho = rho' pi`` hold
+    exactly, which integer arithmetic guarantees short of an overflow."""
     table = _face_table(chains)
     orbit = np.arange(table.shape[0]) if rho is None else rho._images[0].min(axis=0)
     mate, sign = _coreduction(chains, table, orbit)
-    faces = _faces(table)
     index, critical = np.arange(mate.size), np.flatnonzero(mate < 0)
-    # b'_k is left of a source's faces once the paths down turn at U, and
-    # b[C_p, D_{p+1}] A^{-1} is solved for once those up turn at D
-    z, _ = _walk(faces, critical, np.where(mate > index, mate, -1), sign)
-    _, solution = _walk(faces.transpose(), critical, np.where(mate < index, mate, -1), sign)
-    boundary, projection = z[:, critical].T, -solution
+    # b[C_p, D_{p+1}] A^{-1} is solved for once the paths up turn at D
+    projection = -_walk(_cofaces(table), critical, np.where(mate < index, mate, -1), sign)
     projection[np.arange(critical.size), critical] = 1
     offsets = np.cumsum((0, *chains.dims))
     dims = np.bincount(np.searchsorted(offsets[1:], critical, "right"), minlength=offsets.size - 1)
     at, n = np.cumsum((0, *dims)), dims.size - 1
     pi = [projection[at[k] : at[k + 1], offsets[k] : offsets[k + 1]] for k in range(n + 1)]
-    certified = not (boundary @ boundary).any()
+    boundary, certified = np.zeros((at[-1],) * 2, np.int64), True
     for k in range(1, n + 1):
-        b_pi = boundary[at[k - 1] : at[k], at[k] : at[k + 1]] @ pi[k]
-        certified &= np.array_equal(pi[k - 1][:, chains.faces[k]] @ _face_signs(k), b_pi)
-    if not certified:
+        pi_b = pi[k - 1][:, chains.faces[k]] @ _face_signs(k)
+        b = pi_b[:, critical[at[k] : at[k + 1]] - offsets[k]]
+        boundary[at[k - 1] : at[k], at[k] : at[k + 1]] = b
+        certified &= np.array_equal(pi_b, b @ pi[k])
+    if not (certified and not (boundary @ boundary).any()):
         raise ArithmeticError("the Morse complex fails b' b' = 0 or pi b = b' pi")
-    action = None if rho is None else _restricted(rho, critical, projection, at)
-    raw = np.zeros((at[-1],) * 2, np.int64)
-    for k, (back, front, vals) in enumerate(cap):
-        raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = (pi[k][:, back] * vals) @ pi[n - k][:, front].T
+    raw, signs = np.zeros_like(boundary), chains.signs.astype(np.int64)
+    for k, (back, front) in enumerate(chains.cap_triples):
+        raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = (pi[k][:, back] * signs) @ pi[n - k][:, front].T
+    action, count = None, 1
+    if rho is not None:
+        action, count = _restricted(rho, critical, projection, at), rho.group.order
+        # summed over g as over g^{-1}: (rho'(g)^T x rho'(g))[i, j] = s_i x[image_i, image_j] s_j
+        image, flips = action._images
+        raw = sum(s[:, None] * raw[np.ix_(im, im)] * s for im, s in zip(image, flips.astype(np.int64)))
     phased = np.repeat(np.asarray(roots), dims)[:, None] * raw / count
     duality = (phased + phased.conj().T) / 2.0
     return MorseComplex(tuple(dims.tolist()), boundary, projection, duality, action)

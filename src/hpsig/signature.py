@@ -46,7 +46,8 @@ constructions accept exactly the actions that ``verify_duality`` accepts.
 
 Higson-Roe's ``p_+(B - S)`` is ``phi p_-(B + S) phi``, whose block counts
 are those of ``p_-(B + S)`` exactly, so Higson-Roe and reduced agree to the
-last bit.  The comparison therefore checks the constructions' algebra, not
+last bit.  ``check_coincidence`` compares the classes on their integer
+multiplicities, exactly.  The comparison therefore checks the constructions' algebra, not
 the eigensolver; the independent check is an exact one, the intersection
 form on middle homology (ROADMAP Direction 2).
 """
@@ -70,7 +71,7 @@ from .complexes import (
     _require_equivariant,
 )
 from .errors import DegenerateOperator, NonEquivariantProjection, OddDimension
-from .groups import CHAR_TOL, FiniteGroup, K0Class, k0_equal, k0_from_multiplicities
+from .groups import FiniteGroup, K0Class, k0_from_multiplicities
 from .linalg import (
     DEFAULT_TOL,
     BlockSpectrum,
@@ -243,7 +244,9 @@ def reduced_signature(
 class CoincidenceReport:
     """Joint result of the three constructions on one complex.
 
-    ``passed`` requires equal classes.  ``grading_conjugation_residual`` is
+    ``passed`` requires equal classes, decided exactly on their integer
+    multiplicities; ``max_character_difference``, the largest difference of
+    their character values, is diagnostic.  ``grading_conjugation_residual`` is
     that of the grading symmetry ``phi (B - S) phi = -(B + S)``, which holds
     entry for entry by construction in even degree (see
     :func:`~hpsig.complexes._diagonalise_halves`), so it is 0.0.
@@ -259,9 +262,7 @@ class CoincidenceReport:
         return self.results[0].k0
 
 
-def check_coincidence(
-    hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL, char_tol: float = CHAR_TOL
-) -> CoincidenceReport:
+def check_coincidence(hp: HilbertPoincareComplex, tol: float = DEFAULT_TOL) -> CoincidenceReport:
     """Run all three constructions and compare the resulting classes.
 
     ``B + S`` and ``B - S`` are diagonalised once, together, and shared by
@@ -279,16 +280,10 @@ def check_coincidence(
     _nondegenerate(minus, "B - S")
     _require_duality_chain_map(hp, tol)
     _require_equivariant(gates)
-    return _coincidence(hp.n, _group(hp), (plus, minus), tol, char_tol)
+    return _coincidence(hp.n, _group(hp), (plus, minus), tol)
 
 
-def _coincidence(
-    n: int,
-    group: FiniteGroup | None,
-    halves: _Halves,
-    tol: float,
-    char_tol: float = CHAR_TOL,
-) -> CoincidenceReport:
+def _coincidence(n: int, group: FiniteGroup | None, halves: _Halves, tol: float) -> CoincidenceReport:
     """:func:`check_coincidence` of a complex of top degree ``n`` with classes
     over ``group`` (None for the trivial group) from ``halves``, ``B + S``
     and ``B - S`` diagonalised for those classes.
@@ -320,5 +315,5 @@ def _coincidence(
         results=results,
         max_character_difference=max_diff,
         grading_conjugation_residual=0.0,
-        passed=all(k0_equal(p.k0, q.k0, tol=char_tol) for p, q in pairs),
+        passed=all(p.k0.multiplicities == q.k0.multiplicities for p, q in pairs),
     )

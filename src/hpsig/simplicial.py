@@ -29,7 +29,12 @@ matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
 equivalent to the simplicial complex and much smaller, so the cone value and
 the spectral gaps are that complex's.  The matching is a coreduction on
 orbit labels, singleton orbits without an action, so that a group maps it to
-itself (Freij 2009) and permutes its critical simplices with signs.  Dense
+itself (Freij 2009) and permutes its critical simplices with signs.  One
+walk up the gradient paths gives the chain equivalence ``pi``, the Morse
+boundary is read off ``pi b``, and the raw cap is carried through ``pi`` and
+averaged over the group on the critical simplices, so the group-averaged cap
+entries (:func:`_cap_entries`) are read only by the action gate and by the
+public functions that lay out dense blocks.  Dense
 blocks are laid out only where a public function returns them: the boundary
 on first use of ``chain``, and the cap's degree blocks, raw, phased or
 averaged, all by :func:`_cap_blocks`.
@@ -521,7 +526,8 @@ def _duality_from_cap(
     DegenerateDuality.  No float gate runs and no degree block is laid out:
     ``B + S`` and, in odd degree, ``B - S`` of the Morse complex, chain
     equivalent and much smaller (:func:`~hpsig.reduce.morse_complex`, with
-    or without ``rho``), are diagonalised over the group of its action
+    or without ``rho``, which carries the raw cap over and averages it
+    there), are diagonalised over the group of its action
     (:func:`~hpsig.complexes._diagonalise_halves`), and the cone value is
     their smallest |eigenvalue|.
     """
@@ -530,7 +536,7 @@ def _duality_from_cap(
     if failed is not None:
         error = EquivarianceViolated if failed == "action_residual" else DegenerateDuality
         raise error(f"{_DUALITY_FAILURES[failed]} on the integer arrays")
-    morse = morse_complex(chains, out.cap, out.roots, rho, out.count)
+    morse = morse_complex(chains, out.roots, rho)
     n = len(chains.rows) - 1
     out.halves = _diagonalise_halves(*reduced_halves(morse), n, tol, morse.action)
     out.passed, out.cone_min_singular_value = _halves_invertibility(*out.halves, tol)

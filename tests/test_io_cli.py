@@ -240,6 +240,39 @@ def test_read_smf_names_the_first_bad_entry(kind, tmp_path):
     assert str(exc.value) == f"{path}: {message}"
 
 
+# (the group block's key, its bad value or None to drop it, the message
+# after the block's name)
+_BAD_GROUP = {
+    "elements-not-list": ("elements", "e", ": key 'elements' has the wrong type"),
+    "element-not-string": ("elements", ["e", 1], " elements must be strings"),
+    "table-missing": ("table", None, ": missing key 'table'"),
+    "table-row": ("table", [[0, 1], [1, 0.0]], " table row: expected a list of integers"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BAD_GROUP))
+def test_hpx_and_smf_read_their_group_blocks_alike(kind, tmp_path):
+    key, value, message = _BAD_GROUP[kind]
+    hp, _ = generate_with_signature(0, "n2-z2")
+    m, act = octahedron(), octahedron_rotation()
+    for path, write, read, block in (
+        (str(tmp_path / "c.hpx"), lambda p: write_hpx(hp, p), read_hpx, "group"),
+        (str(tmp_path / "m.smf"), lambda p: write_smf(m, p, act), read_smf, "action"),
+    ):
+        write(path)
+        with open(path) as f:
+            doc = json.load(f)
+        if value is None:
+            del doc[block][key]
+        else:
+            doc[block][key] = value
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        with pytest.raises(ParseError) as exc:
+            read(path)
+        assert str(exc.value) == f"{path}: {block}{message}"
+
+
 def test_cli_verify_pass_and_json(tmp_path, capsys):
     hp, _ = generate_with_signature(0, "n2-z2")
     path = str(tmp_path / "c.hpx")

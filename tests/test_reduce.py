@@ -69,8 +69,7 @@ def _random_relabelling(m, seed):
 
 def _morse(chains):
     """The Morse complex of a triangulation with its transported cap."""
-    cap = simplicial._cap_entries(chains, None)[0]
-    return reduce.morse_complex(chains, cap, simplicial._roots(len(chains.dims) - 1))
+    return reduce.morse_complex(chains, simplicial._roots(len(chains.dims) - 1))
 
 
 # every closed fixture without an action
@@ -256,8 +255,7 @@ def _reduce_with(m, act):
     """The chains, the chain action and the Morse complex with its action."""
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains)
-    cap, count = simplicial._cap_entries(chains, rho)
-    return chains, rho, reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
+    return chains, rho, reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
 
 
 @pytest.mark.parametrize("name", sorted(_ACTING))
@@ -293,6 +291,38 @@ def test_the_orbit_reduction_is_invariant_and_exact_on_relabellings(name):
                 assert a.k0.multiplicities == c.k0.multiplicities
 
 
+def _transported_average(chains, rho, morse):
+    """``pi P_avg pi^T`` for the group-averaged cap ``P_avg`` of
+    :func:`simplicial._cap_entries`, ``|G|`` times more entries than the raw
+    cap, phased, divided by ``|G|`` and symmetrized: the duality of the Morse
+    complex as the average taken before the transport gives it."""
+    cap, count = simplicial._cap_entries(chains, rho)
+    n, pi = len(chains.dims) - 1, morse.projection
+    offsets, at = np.cumsum((0, *chains.dims)), np.cumsum((0, *morse.dims))
+    raw = np.zeros((at[-1],) * 2, np.int64)
+    for k, (back, front, vals) in enumerate(cap):
+        rows, cols = slice(at[k], at[k + 1]), slice(at[n - k], at[n - k + 1])
+        raw[rows, cols] = (pi[rows, offsets[k] + back] * vals) @ pi[cols, offsets[n - k] + front].T
+    phased = np.repeat(np.asarray(simplicial._roots(n)), morse.dims)[:, None] * raw / count
+    return (phased + phased.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("name", sorted(_ACTING))
+def test_the_average_on_the_critical_simplices_is_the_transported_average(name):
+    # as given, and relabelled so that the raw cap does not commute with the
+    # action and the average has work to do
+    base, base_act = _ACTING[name]()
+    for seed in (None, 0, 1, 2):
+        perm = {v: v for v in base.vertices} if seed is None else _random_relabelling(base, seed)
+        chains, rho, morse = _reduce_with(_relabel(base, perm), _relabel_action(base_act, perm))
+        want = _transported_average(chains, rho, morse)
+        assert morse.duality.dtype == want.dtype and morse.duality.tobytes() == want.tobytes()
+        # b' is pi b at the critical columns
+        mate, _ = reduce._coreduction(chains, reduce._face_table(chains), rho._images[0].min(axis=0))
+        pi_b = morse.projection @ chains.chain.total_boundary().astype(np.int64)
+        assert np.array_equal(morse.boundary, pi_b[:, mate < 0])
+
+
 def test_orbit_reductions_of_the_action_fixtures():
     dims = {name: _reduce_with(*build())[2].dims for name, build in _ACTING.items()}
     assert dims["octahedron-sd-z4"] == (2, 4, 4)
@@ -320,10 +350,9 @@ def test_a_matching_that_is_not_invariant_is_refused(monkeypatch):
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains)
-    cap, count = simplicial._cap_entries(chains, rho)
     real = reduce._coreduction
     monkeypatch.setattr(
         reduce, "_coreduction", lambda chains, table, orbit: real(chains, table, np.arange(orbit.size))
     )
     with pytest.raises(ArithmeticError, match="pi rho = rho' pi"):
-        reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
+        reduce.morse_complex(chains, simplicial._roots(m.dim), rho)

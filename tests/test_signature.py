@@ -198,6 +198,22 @@ def test_report_exposes_first_result_class():
     assert {r.method for r in rep.results} == {"higson-roe", "mishchenko", "reduced"}
 
 
+def test_coincidence_is_decided_on_the_integer_multiplicities():
+    group = groups.FiniteGroup.cyclic(2)
+    both = vars(linalg.classify_eigenvalues(np.array([2.0, 1.0, -1.0, -3.0])))
+
+    def halves(plus_ranks, minus_ranks):
+        return tuple(linalg.BlockSpectrum(**both, block_ranks=r) for r in (plus_ranks, minus_ranks))
+
+    agree = signature._coincidence(2, group, halves(((1, 1), (1, 1)), ((1, 1), (1, 1))), 1e-9)
+    assert agree.passed and agree.max_character_difference == 0.0
+    # Higson-Roe counts the positive eigenvalues of both halves in each
+    # block, Mishchenko and reduced the signs of B + S
+    split = signature._coincidence(2, group, halves(((2, 0), (0, 2)), ((1, 1), (1, 1))), 1e-9)
+    assert [r.k0.multiplicities for r in split.results] == [(1, -1), (2, -2), (2, -2)]
+    assert not split.passed and split.max_character_difference == 2.0
+
+
 @pytest.mark.parametrize("name", ["cp2", "octahedron-z4", "n4-z4-d4"])
 def test_mishchenko_cone_sign_counts_match_the_full_cone(name, monkeypatch):
     if name == "cp2":
@@ -245,8 +261,7 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys, count_calls):
     blocks = sorted(q.shape[1] for q in octa.action.isotypic_bases)
     chains = simplicial.enumerate_and_boundaries(m)
     rho = simplicial.chain_action(m, act, chains)
-    cap, count = simplicial._cap_entries(chains, rho)
-    morse = reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
+    morse = reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
     reduced = sorted(q.shape[1] for q in morse.action.isotypic_bases)
     solves = count_calls(np.linalg, ("eigh", "eigvalsh"))
     widths = []

@@ -48,6 +48,7 @@ from hpsig.errors import (
 )
 from hpsig.fixtures import (
     circle_polygon,
+    cp2_automorphisms,
     cp2_nine_vertex,
     cp2_triple_s3,
     disjoint_sphere_pair,
@@ -529,6 +530,20 @@ def test_octahedral_rotation_group_on_the_subdivided_octahedron(tmp_path, capsys
         assert all(abs(complex(*c["value"])) < 1e-6 for c in k0["classes"])
 
 
+def test_the_automorphisms_of_cp2_act_on_its_subdivision():
+    act = cp2_automorphisms()
+    group = act.group
+    assert group.order == 54
+    assert sorted(map(len, group.conjugacy_classes)) == [1, 2, 3, 3, 6, 6, 6, 9, 9, 9]
+    assert sorted(group.character_degrees) == [1, 1, 1, 1, 1, 1, 2, 2, 2, 6]
+    cp2 = cp2_nine_vertex()
+    with pytest.raises(NotSimplicial, match="setwise but not pointwise"):
+        chain_action(cp2, act)
+    # simplicial, regular and orientation preserving once subdivided
+    m, sd_act = barycentric_subdivide(cp2, act)
+    assert chain_action(m, sd_act).is_signed_permutation
+
+
 def _flipped(m):
     return OrientedSimplicialManifold(m.facets, tuple(-s for s in m.signs))
 
@@ -549,8 +564,7 @@ def _morse_hp(m, chains, rho=None):
     its action when ``rho`` is given, laid out from their degree blocks as a
     :class:`HilbertPoincareComplex`: the complex whose ``B + S`` the route
     read off the integer arrays diagonalises."""
-    cap, count = simplicial._cap_entries(chains, rho)
-    morse = reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count)
+    morse = reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
     s, at, n = morse.duality, np.cumsum((0, *morse.dims)), m.dim
 
     def block(x, r, c):
@@ -669,7 +683,7 @@ def test_exact_gates_agree_with_the_float_gates(name):
     spectral = _morse_hp(m, chains, rho)
     b, s = spectral.total_boundary(), spectral.total_duality()
     totals = complexes._hermitian_halves(b, s, s - adjoint(s))
-    reduced = reduce.reduced_halves(reduce.morse_complex(chains, cap.cap, cap.roots, rho, cap.count))
+    reduced = reduce.reduced_halves(reduce.morse_complex(chains, cap.roots, rho))
     assert (reduced[1] is None) == (m.dim % 2 == 0)
     for got, want in zip(reduced, totals):
         if got is not None:
@@ -748,7 +762,7 @@ def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
     # the Morse complex's duality is the compression pi S pi^T of the dense
     # one, up to the rounding of the average, and its action rho' is rho on
     # the critical simplices, so its classes are the dense route's
-    morse = reduce.morse_complex(chains, cap, roots, rho, count)
+    morse = reduce.morse_complex(chains, roots, rho)
     pi = morse.projection
     s = hp.total_duality()
     assert np.abs(morse.duality - pi @ s @ pi.T).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(s).max())
@@ -790,8 +804,7 @@ def test_b_plus_minus_s_read_off_the_integer_arrays_are_the_block_layout(name, a
     m, act = _HALF_CASES[name]()
     chains = enumerate_and_boundaries(m)
     rho = chain_action(m, act, chains) if acting else None
-    cap, count = simplicial._cap_entries(chains, rho)
-    halves = reduce.reduced_halves(reduce.morse_complex(chains, cap, simplicial._roots(m.dim), rho, count))
+    halves = reduce.reduced_halves(reduce.morse_complex(chains, simplicial._roots(m.dim), rho))
     assert (halves[1] is None) == (m.dim % 2 == 0)
     hp = _morse_hp(m, chains, rho)
     for sign, h in zip((1.0, -1.0), halves):
@@ -1037,3 +1050,23 @@ def test_chain_action_checks_the_homomorphism_on_the_vertex_maps(monkeypatch):
         chain_action(m, act)
     assert calls == [1]
     assert str(exc.value) == "homomorphism fails for elements (1, 1) at degree 0: residual 1.732e+00"
+
+
+def test_the_refusal_of_a_labelling_lays_out_only_the_blocks_it_names():
+    # S_3's elements 1 and 2 with their vertex maps swapped: the message and
+    # residual are read off the degree-0 blocks of 1, 2 and their product,
+    # not off every element's dense blocks (7.6 MiB on this input)
+    m, act = cp2_triple_s3()
+    maps = list(act.vertex_maps)
+    maps[1], maps[2] = maps[2], maps[1]
+    chains = enumerate_and_boundaries(m)
+    chains.cap_triples  # located before the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(NotRepresentation) as exc:
+            chain_action(m, SimplicialAction(act.group, tuple(maps)), chains)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == "homomorphism fails for elements (1, 2) at degree 0: residual 1.732e+00"
+    assert peak < 1 << 20
