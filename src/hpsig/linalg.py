@@ -18,7 +18,8 @@ actions, isometries and the bordism constructions) goes through them.
 Residual gates.  An identity is accepted when the spectral norm of its
 residual ``r`` satisfies ``|r| <= tol * max(1, scale)`` (:func:`within`), where
 ``scale`` is built from the spectral norms of the data entering the identity,
-so that tolerances behave uniformly across magnitudes.  :func:`residual_within`
+so that tolerances behave uniformly across magnitudes; a tolerance must be
+a number >= 0.  :func:`residual_within`
 decides that rule without a singular value decomposition in the common case:
 the Frobenius norm of ``r`` bounds its spectral norm from above and the largest
 column norm of each operand bounds the operand's spectral norm from below, so
@@ -59,7 +60,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import NotSelfAdjoint, ShapeMismatch
+from .errors import NotSelfAdjoint, PreconditionViolated, ShapeMismatch
 
 DEFAULT_TOL = 1e-9
 
@@ -166,9 +167,18 @@ def _column_norm_bound(m: np.ndarray) -> float:
 _BOUND_MARGIN = 1.0 - 1e-10
 
 
+def _checked(tol: float) -> float:
+    """``tol``; raises PreconditionViolated unless it is a number >= 0: a
+    negative or NaN tolerance fails every residual and miscounts the sign
+    classes."""
+    if not tol >= 0:
+        raise PreconditionViolated(f"tolerance must be a number >= 0, got {tol!r}")
+    return tol
+
+
 def within(residual: float, tol: float, scale: float = 1.0) -> bool:
     """Residual acceptance rule used across the package."""
-    return residual <= tol * max(1.0, scale)
+    return residual <= _checked(tol) * max(1.0, scale)
 
 
 def residual_within(
@@ -292,7 +302,7 @@ class BlockSpectrum(Spectrum):
 
 def _threshold(w: np.ndarray, tol: float) -> float:
     """Eigenvalues within this bound of zero land in the zero class."""
-    return tol * max(1.0, float(np.abs(w).max(initial=0.0)))
+    return _checked(tol) * max(1.0, float(np.abs(w).max(initial=0.0)))
 
 
 def _sign_classes(w: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, dict]:

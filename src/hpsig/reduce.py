@@ -15,8 +15,9 @@ matching, and
 
     pi_p = [1 on C_p, -b_{p+1}[C_p, D_{p+1}] A^{-1} on U_p, 0 on D_p]
 
-is solved for in integers along the gradient paths up from the critical
-simplices (:func:`_walk`).  It is the identity on ``C``, so the Morse boundary
+is solved for in integers by substitution, pair by pair in the order in which
+the coreduction kills them (:func:`morse_complex`).  It is the identity on
+``C``, so the Morse boundary
 ``b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C]`` is ``pi b`` at the critical
 columns, and ``b' b' = 0`` and ``pi b = b' pi`` are checked exactly.  The raw
 cap ``P`` is carried over as ``pi P pi^T``, which anticommutes with ``b'`` as
@@ -39,23 +40,6 @@ import numpy as np
 from .groups import GroupAction
 
 
-class _Incidence(NamedTuple):
-    """A square integer matrix row by row: row ``i`` holds ``signs[j]`` in
-    column ``cols[j]`` for ``indptr[i] <= j < indptr[i + 1]``."""
-
-    indptr: np.ndarray
-    cols: np.ndarray
-    signs: np.ndarray
-
-    def gather(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``rows``: each one's position in ``rows``, its
-        column and its sign."""
-        counts = self.indptr[rows + 1] - self.indptr[rows]
-        owner = np.repeat(np.arange(rows.size), counts)
-        at = np.arange(owner.size) + np.repeat(self.indptr[rows] - np.cumsum(counts) + counts, counts)
-        return owner, self.cols[at], self.signs[at]
-
-
 def _face_signs(k: int) -> np.ndarray:
     """``(-1)^i`` at the face without vertex ``i`` of a ``k``-simplex."""
     return 1 - 2 * (np.arange(k + 1) % 2)
@@ -73,25 +57,17 @@ def _face_table(chains) -> np.ndarray:
     return table
 
 
-def _cofaces(table: np.ndarray) -> _Incidence:
-    """``b`` on the total space, read off the face ``table``
-    (:func:`_face_table`): the cofaces of each simplex in the order of their
-    rows, each with the sign ``(-1)^i`` of the face without its vertex ``i``."""
-    cofaces, place = np.nonzero(table < table.shape[0])
-    faces = table[cofaces, place]
-    order = np.argsort(faces, kind="stable")
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(faces, minlength=table.shape[0]))))
-    return _Incidence(indptr, cofaces[order], _face_signs(table.shape[1] - 1)[place[order]])
-
-
-def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _coreduction(
+    chains, table: np.ndarray, orbit: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
     """A coreduction (Mrozek-Batko, *Coreduction homology algorithm*,
     Discrete Comput. Geom. 2009) of the simplices of ``chains``, read off
     their face ``table`` (:func:`_face_table`) and ``orbit``, each simplex's
     orbit label under a group that maps the simplices to themselves: the
     least member of its orbit, or the simplex itself without a group.
-    Returns each simplex's partner (-1 for none) and the pair's boundary
-    entry, +1 or -1.
+    Returns the pairs ``(s, t)`` it keeps, the simplices ``s`` and their
+    faces ``t`` as two arrays per round, in the order of the rounds; the
+    simplices in no pair are critical.
 
     Every simplex starts alive.  Each round, every alive ``s`` with exactly
     one alive face ``t`` is a candidate, and the pair ``(s, t)`` is kept when
@@ -102,14 +78,14 @@ def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarr
     it dies.  Every decision reads only orbit labels and counts, which the
     group keeps, so the matching is invariant (Freij, *Equivariant discrete
     Morse theory*, Discrete Math. 2009).  A kept pair's other faces died in
-    earlier rounds, so every gradient path runs back in time and the
-    matching is acyclic."""
+    earlier rounds, so every gradient path runs back in time, the matching
+    is acyclic, and ``pi`` is solved for round by round in this order."""
     size = table.shape[0]
     degree = np.repeat(np.arange(len(chains.dims)), chains.dims)
     orbit_size = np.bincount(orbit, minlength=size)[orbit]
     alive = np.ones(size + 1, bool)
     alive[size] = False
-    pairs = [(np.zeros(0, np.intp), np.zeros(0, np.intp))]
+    pairs = []
     while alive.any():
         live = alive[table].sum(axis=1)  # alive faces of each simplex
         candidates = np.flatnonzero(alive[:size] & (live == 1))
@@ -137,45 +113,14 @@ def _coreduction(chains, table: np.ndarray, orbit: np.ndarray) -> tuple[np.ndarr
             low = cells[degree[cells] == degree[cells[0]]]
             dead = np.flatnonzero(orbit == orbit[low[np.lexsort((orbit[low], orbit_size[low]))[0]]])
         alive[dead] = False
-    upper, lower = (np.concatenate(x) for x in zip(*pairs))
-    mate, sign = np.full(size, -1), np.zeros(size, np.int64)
-    mate[upper], mate[lower] = lower, upper
-    # b[t, s] = (-1)^i for the face t of s without its i-th vertex
-    place = np.argmax(table[upper] == lower[:, None], axis=1)
-    sign[upper] = sign[lower] = _face_signs(table.shape[1] - 1)[place]
-    return mate, sign
-
-
-def _walk(inc: _Incidence, sources: np.ndarray, mate: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """The solution, over the rows of ``inc``, that clears the rows
-    ``sources`` of their columns ``c`` with ``mate[c] >= 0``: every round,
-    each nonzero ``z[c]`` on such a column takes ``z[c] sign[c]`` times the
-    row ``mate[c]``, whose entry at ``c`` is ``sign[c]``, off ``z`` and onto
-    the solution at ``mate[c]``: one step along every gradient path, so it
-    ends after as many rounds as the longest path."""
-    z = np.zeros((sources.size, inc.indptr.size - 1), np.int64)
-    owner, cols, vals = inc.gather(sources)
-    z[owner, cols] = vals
-    solution = np.zeros_like(z)
-    for _ in range(mate.size + 1):
-        keep = (mate[cols] >= 0) & (z[owner, cols] != 0)
-        owner, cols = owner[keep], cols[keep]
-        if not owner.size:
-            return solution
-        steps, rows = z[owner, cols] * sign[cols], mate[cols]
-        solution[owner, rows] += steps
-        at, cols, vals = inc.gather(rows)
-        owner, steps = owner[at], steps[at]
-        np.add.at(z, (owner, cols), -steps * vals)
-        # the positions touched, each once, are the next round's candidates
-        owner, cols = np.divmod(np.unique(owner * z.shape[1] + cols), z.shape[1])
-    raise ArithmeticError("the matching has a closed gradient path")
+    return pairs
 
 
 class MorseComplex(NamedTuple):
     """The number of critical simplices of each degree and, on the total
     spaces, the boundary ``b'`` and projection ``pi``, integer matrices of
-    shapes ``(|C|, |C|)`` and ``(|C|, N)``, the duality ``S'``, and the
+    shapes ``(|C|, |C|)`` and ``(|C|, N)`` (``pi`` the transpose of an array
+    held a row per simplex), the duality ``S'``, and the
     action ``rho'`` on the critical simplices (None without an action)."""
 
     dims: tuple[int, ...]
@@ -194,63 +139,81 @@ def morse_complex(chains, roots: Sequence[complex], rho: GroupAction | None = No
     rho'(g)^T / |G|``.  The matching is the coreduction
     (:func:`_coreduction`) on singleton orbits without an action and on the
     orbits of the signed-permutation action ``rho`` with one, and then
-    ``rho' = rho`` restricted to the critical simplices.  ``pi`` comes from
-    one walk up the cofaces (:func:`_walk`) and ``b'`` is ``pi b`` at the
-    critical columns.  Raises ArithmeticError unless ``b' b' = 0``, ``pi b =
-    b' pi`` and, on the group's generators, ``pi rho = rho' pi`` hold
-    exactly, which integer arithmetic guarantees short of an overflow."""
+    ``rho' = rho`` restricted to the critical simplices.  ``pi`` is solved
+    for by substitution in the coreduction's round order: at the face ``t``
+    of each pair ``(s, t)``, ``(pi b)[:, s] = 0`` gives ``pi[:, t] =
+    -b[t, s] sum_{f != t} b[f, s] pi[:, f]``, every such ``f`` dead in an
+    earlier round.  ``b'`` is ``pi b`` at the critical columns.  Raises
+    ArithmeticError unless ``b' b' = 0``, ``pi b = b' pi`` and, on the
+    group's generators, ``pi rho = rho' pi`` hold exactly, which integer
+    arithmetic guarantees short of an overflow or a pair solved for out of
+    order."""
     table = _face_table(chains)
-    orbit = np.arange(table.shape[0]) if rho is None else rho._images[0].min(axis=0)
-    mate, sign = _coreduction(chains, table, orbit)
-    index, critical = np.arange(mate.size), np.flatnonzero(mate < 0)
-    # b[C_p, D_{p+1}] A^{-1} is solved for once the paths up turn at D
-    projection = -_walk(_cofaces(table), critical, np.where(mate < index, mate, -1), sign)
-    projection[np.arange(critical.size), critical] = 1
+    size = table.shape[0]
+    orbit = np.arange(size) if rho is None else rho._images[0].min(axis=0)
+    rounds = _coreduction(chains, table, orbit)
+    matched = np.zeros(size, bool)
+    for s, t in rounds:
+        matched[s] = matched[t] = True
+    critical = np.flatnonzero(~matched)
+    # pi^T, a row per simplex and the pad row N zero: the identity on C and
+    # zero on D, whose rows stay zero while the rows of U are solved for
+    rows = np.zeros((size + 1, critical.size), np.int64)
+    rows[critical, np.arange(critical.size)] = 1
+    signs = _face_signs(table.shape[1] - 1)
+    for s, t in rounds:
+        # b[t, s] pi[:, t] + sum_{f != t} b[f, s] pi[:, f] = 0, the row of t
+        # still zero in the sum
+        faces = table[s]
+        b_ts = signs[np.argmax(faces == t[:, None], axis=1)]
+        rows[t] = -b_ts[:, None] * (signs @ rows[faces])
     offsets = np.cumsum((0, *chains.dims))
     dims = np.bincount(np.searchsorted(offsets[1:], critical, "right"), minlength=offsets.size - 1)
     at, n = np.cumsum((0, *dims)), dims.size - 1
-    pi = [projection[at[k] : at[k + 1], offsets[k] : offsets[k + 1]] for k in range(n + 1)]
+    pi_t = [rows[offsets[k] : offsets[k + 1], at[k] : at[k + 1]] for k in range(n + 1)]
     boundary, certified = np.zeros((at[-1],) * 2, np.int64), True
     for k in range(1, n + 1):
-        pi_b = pi[k - 1][:, chains.faces[k]] @ _face_signs(k)
-        b = pi_b[:, critical[at[k] : at[k + 1]] - offsets[k]]
-        boundary[at[k - 1] : at[k], at[k] : at[k + 1]] = b
-        certified &= np.array_equal(pi_b, b @ pi[k])
+        pi_b = _face_signs(k) @ pi_t[k - 1][chains.faces[k]]  # (pi b_k)^T
+        b = pi_b[critical[at[k] : at[k + 1]] - offsets[k]]
+        boundary[at[k - 1] : at[k], at[k] : at[k + 1]] = b.T
+        certified &= np.array_equal(pi_b, pi_t[k] @ b)
     if not (certified and not (boundary @ boundary).any()):
         raise ArithmeticError("the Morse complex fails b' b' = 0 or pi b = b' pi")
-    raw, signs = np.zeros_like(boundary), chains.signs.astype(np.int64)
+    raw, cap_signs = np.zeros_like(boundary), chains.signs.astype(np.int64)[:, None]
     for k, (back, front) in enumerate(chains.cap_triples):
-        raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = (pi[k][:, back] * signs) @ pi[n - k][:, front].T
+        signed = pi_t[k][back] * cap_signs
+        raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = signed.T @ pi_t[n - k][front]
     action, count = None, 1
     if rho is not None:
-        action, count = _restricted(rho, critical, projection, at), rho.group.order
+        action, count = _restricted(rho, critical, rows[:size], at), rho.group.order
         # summed over g as over g^{-1}: (rho'(g)^T x rho'(g))[i, j] = s_i x[image_i, image_j] s_j
         image, flips = action._images
         raw = sum(s[:, None] * raw[np.ix_(im, im)] * s for im, s in zip(image, flips.astype(np.int64)))
     phased = np.repeat(np.asarray(roots), dims)[:, None] * raw / count
     duality = (phased + phased.conj().T) / 2.0
-    return MorseComplex(tuple(dims.tolist()), boundary, projection, duality, action)
+    return MorseComplex(tuple(dims.tolist()), boundary, rows[:size].T, duality, action)
 
 
 def _restricted(
-    rho: GroupAction, critical: np.ndarray, projection: np.ndarray, at: np.ndarray
+    rho: GroupAction, critical: np.ndarray, pi_t: np.ndarray, at: np.ndarray
 ) -> GroupAction:
     """``rho`` restricted to the ``critical`` simplices, which it permutes
     with signs when the matching is invariant, as an action on the Morse
     complex (degree ``k`` is ``at[k] .. at[k + 1]``).  Raises ArithmeticError
     unless it maps critical simplices to critical ones and ``pi rho(g) =
-    rho'(g) pi`` holds exactly for the group's generators, hence for every
-    element."""
+    rho'(g) pi`` holds exactly, on ``pi^T`` (``pi_t``), for the group's
+    generators, hence for every element."""
     dst, dsgn = rho._images
     where = np.full(dst.shape[1], -1)
     where[critical] = np.arange(critical.size)
     image, signs = where[dst[:, critical]], dsgn[:, critical].astype(np.int64)
 
     def commutes(g: int) -> bool:
-        # pi rho(g) e_j = dsgn[j] pi e_{dst[j]}, and rho'(g) moves row i to image[i]
-        moved = np.empty_like(projection)
-        moved[image[g]] = projection * signs[g, :, None]
-        return np.array_equal(projection[:, dst[g]] * dsgn[g].astype(np.int64), moved)
+        # (pi rho(g))^T has row j dsgn[j] pi^T[dst[j]], and rho'(g) moves
+        # column i of pi^T to image[i]
+        moved = np.empty_like(pi_t)
+        moved[:, image[g]] = pi_t * signs[g]
+        return np.array_equal(pi_t[dst[g]] * dsgn[g, :, None].astype(np.int64), moved)
 
     if not ((image >= 0).all() and all(commutes(g) for g in rho.group.generators)):
         raise ArithmeticError("the Morse complex fails pi rho = rho' pi")

@@ -29,10 +29,11 @@ matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
 equivalent to the simplicial complex and much smaller, so the cone value and
 the spectral gaps are that complex's.  The matching is a coreduction on
 orbit labels, singleton orbits without an action, so that a group maps it to
-itself (Freij 2009) and permutes its critical simplices with signs.  One
-walk up the gradient paths gives the chain equivalence ``pi``, the Morse
-boundary is read off ``pi b``, and the raw cap is carried through ``pi`` and
-averaged over the group on the critical simplices, so the group-averaged cap
+itself (Freij 2009) and permutes its critical simplices with signs.  The
+chain equivalence ``pi`` is solved for by substitution in the order in which
+the coreduction pairs the simplices, the Morse boundary is read off ``pi
+b``, and the raw cap is carried through ``pi`` and averaged over the group
+on the critical simplices, so the group-averaged cap
 entries (:func:`_cap_entries`) are read only by the action gate and by the
 public functions that lay out dense blocks.  Dense
 blocks are laid out only where a public function returns them: the boundary

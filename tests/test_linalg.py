@@ -7,16 +7,20 @@ from hypothesis import strategies as st
 
 from hpsig import (
     adjoint,
+    check_coincidence,
     is_invertible,
+    manifold_signature,
     min_singular_value,
     operator_norm,
     spectral_split,
 )
-from hpsig.errors import NotSelfAdjoint, ShapeMismatch
+from hpsig.errors import NotSelfAdjoint, PreconditionViolated, ShapeMismatch
+from hpsig.fixtures import cp2_nine_vertex, model_even_sphere
 from hpsig.linalg import (
     as_matrix,
     assemble_total,
     block_diag,
+    classify_eigenvalues,
     frobenius_norm,
     operator_dtype,
     residual_within,
@@ -237,3 +241,23 @@ def test_assemble_total_accumulates_blocks():
     assert np.array_equal(total, expect)
     with pytest.raises(ShapeMismatch):
         assemble_total((1,), (1,), [(0, 0, np.ones((2, 2)))])
+
+
+@pytest.mark.parametrize("tol", [-1.0, float("nan")])
+def test_a_negative_or_nan_tolerance_is_refused(tol):
+    # every residual gate and every sign classification reads the tolerance
+    # through within or the eigenvalue threshold
+    with pytest.raises(PreconditionViolated, match="tolerance"):
+        within(0.0, tol)
+    with pytest.raises(PreconditionViolated, match="tolerance"):
+        classify_eigenvalues(np.array([0.5, -0.5]), tol=tol)
+    with pytest.raises(PreconditionViolated, match="tolerance"):
+        manifold_signature(cp2_nine_vertex(), tol=tol)
+    with pytest.raises(PreconditionViolated, match="tolerance"):
+        check_coincidence(model_even_sphere(2), tol=tol)
+
+
+def test_a_zero_tolerance_decides_exactly():
+    assert within(0.0, 0.0) and not within(1e-300, 0.0)
+    counts = classify_eigenvalues(np.array([0.5, -0.5, 0.0]), tol=0.0)
+    assert (counts.rank_plus, counts.rank_minus, counts.rank_zero) == (1, 1, 1)

@@ -251,6 +251,23 @@ _ACTING = {
 }
 
 
+def _rounds(chains, rho):
+    """The face table and the pairs the coreduction keeps, round by round,
+    on the orbits of ``rho`` or on singletons without it."""
+    table = reduce._face_table(chains)
+    orbit = np.arange(table.shape[0]) if rho is None else rho._images[0].min(axis=0)
+    return table, reduce._coreduction(chains, table, orbit)
+
+
+def _mates(chains, rho):
+    """Each simplex's partner in the coreduction's matching, -1 for a
+    critical one."""
+    mate = np.full(sum(chains.dims), -1)
+    for s, t in _rounds(chains, rho)[1]:
+        mate[s], mate[t] = t, s
+    return mate
+
+
 def _reduce_with(m, act):
     """The chains, the chain action and the Morse complex with its action."""
     chains = enumerate_and_boundaries(m)
@@ -267,8 +284,7 @@ def test_the_orbit_reduction_is_invariant_and_exact_on_relabellings(name):
         for oriented in (m, _flipped(m)):
             chains, rho, morse = _reduce_with(oriented, act)
             # the matching commutes with every element: mate[g x] = g mate[x]
-            table = reduce._face_table(chains)
-            mate, _ = reduce._coreduction(chains, table, rho._images[0].min(axis=0))
+            mate = _mates(chains, rho)
             for dst in rho._images[0]:
                 assert np.array_equal(mate[dst], np.where(mate >= 0, dst[mate], -1))
             assert sum(morse.dims) == np.count_nonzero(mate < 0)
@@ -318,7 +334,7 @@ def test_the_average_on_the_critical_simplices_is_the_transported_average(name):
         want = _transported_average(chains, rho, morse)
         assert morse.duality.dtype == want.dtype and morse.duality.tobytes() == want.tobytes()
         # b' is pi b at the critical columns
-        mate, _ = reduce._coreduction(chains, reduce._face_table(chains), rho._images[0].min(axis=0))
+        mate = _mates(chains, rho)
         pi_b = morse.projection @ chains.chain.total_boundary().astype(np.int64)
         assert np.array_equal(morse.boundary, pi_b[:, mate < 0])
 
@@ -356,3 +372,46 @@ def test_a_matching_that_is_not_invariant_is_refused(monkeypatch):
     )
     with pytest.raises(ArithmeticError, match="pi rho = rho' pi"):
         reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
+
+
+def _acting_or_closed(name):
+    """The chains and chain action (None without one) of a fixture of
+    ``_CLOSED`` or ``_ACTING``."""
+    if name in _CLOSED:
+        return enumerate_and_boundaries(_CLOSED[name]()), None
+    m, act = _ACTING[name]()
+    chains = enumerate_and_boundaries(m)
+    return chains, chain_action(m, act, chains)
+
+
+def _morse_of(chains, rho):
+    """The Morse complex of ``chains`` with the action ``rho`` or without."""
+    return reduce.morse_complex(chains, simplicial._roots(len(chains.dims) - 1), rho)
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSED) + sorted(_ACTING))
+def test_each_kept_pair_s_other_faces_died_in_an_earlier_round(name):
+    # the order in which morse_complex solves for pi: the other faces of a
+    # pair's simplex are critical, known from the start, or matched earlier
+    chains, rho = _acting_or_closed(name)
+    table, rounds = _rounds(chains, rho)
+    size = table.shape[0]
+    died = np.full(size + 1, -1)  # each matched simplex's round, -1 elsewhere
+    for r, (s, t) in enumerate(rounds):
+        died[s] = died[t] = r
+    pairs = sum(s.size for s, _ in rounds)
+    assert np.count_nonzero(died >= 0) == 2 * pairs  # none matched twice
+    for r, (s, t) in enumerate(rounds):
+        faces = table[s]
+        assert ((faces == t[:, None]).sum(axis=1) == 1).all()
+        assert (died[faces[faces != t[:, None]]] < r).all()
+    assert sum(_morse_of(chains, rho).dims) == size - 2 * pairs
+
+
+@pytest.mark.parametrize("name", ["cp2", "octahedron", "octahedron-sd-z4", "cp2-triple-s3"])
+def test_pairs_solved_for_out_of_order_are_refused(monkeypatch, name):
+    chains, rho = _acting_or_closed(name)
+    real = reduce._coreduction
+    monkeypatch.setattr(reduce, "_coreduction", lambda *args: real(*args)[::-1])
+    with pytest.raises(ArithmeticError, match="pi b = b' pi"):
+        _morse_of(chains, rho)
