@@ -16,7 +16,10 @@ matching, and
     pi_p = [1 on C_p, -b_{p+1}[C_p, D_{p+1}] A^{-1} on U_p, 0 on D_p]
 
 is solved for in integers by substitution, pair by pair in the order in which
-the coreduction kills them (:func:`morse_complex`).  It is the identity on
+the coreduction kills them (:func:`morse_complex`), ``b[t, s]`` being the
+sign of the face column in which the coreduction found ``t``.  Both read one
+face table, laid out once with a row per face column (:func:`_face_table`),
+so that the rounds count alive faces over contiguous rows.  ``pi`` is the identity on
 ``C``, so the Morse boundary
 ``b'_k = b_k[C, C] - b_k[C, D] A^{-1} b_k[U, C]`` is ``pi b`` at the critical
 columns, and ``b' b' = 0`` and ``pi b = b' pi`` are checked exactly.  The raw
@@ -46,28 +49,30 @@ def _face_signs(k: int) -> np.ndarray:
 
 
 def _face_table(chains) -> np.ndarray:
-    """The faces of each simplex of ``chains`` (a
-    :class:`~hpsig.simplicial.SimplicialChainData`) in its total-space row,
-    the face without vertex ``i`` in column ``i``, padded with ``N``, a dead
-    simplex past the end."""
+    """The faces of the simplices of ``chains`` (a
+    :class:`~hpsig.simplicial.SimplicialChainData`), shape ``(n + 1, N)``:
+    row ``i`` holds the total-space row of each simplex's face without
+    vertex ``i``, padded with ``N``, a dead simplex past the end, so that a
+    pass over one face of every simplex reads one contiguous row."""
     offsets = np.cumsum((0, *chains.dims))
-    table = np.full((offsets[-1], offsets.size - 1), offsets[-1])
+    table = np.full((offsets.size - 1, offsets[-1]), offsets[-1])
     for k, f in enumerate(chains.faces[1:], 1):
-        table[offsets[k] : offsets[k + 1], : k + 1] = offsets[k - 1] + f
+        table[: k + 1, offsets[k] : offsets[k + 1]] = (offsets[k - 1] + f).T
     return table
 
 
 def _coreduction(
     chains, table: np.ndarray, orbit: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """A coreduction (Mrozek-Batko, *Coreduction homology algorithm*,
     Discrete Comput. Geom. 2009) of the simplices of ``chains``, read off
     their face ``table`` (:func:`_face_table`) and ``orbit``, each simplex's
     orbit label under a group that maps the simplices to themselves: the
     least member of its orbit, or the simplex itself without a group.
-    Returns the pairs ``(s, t)`` it keeps, the simplices ``s`` and their
-    faces ``t`` as two arrays per round, in the order of the rounds; the
-    simplices in no pair are critical.
+    Returns the pairs ``(s, t)`` it keeps as three arrays per round, in the
+    order of the rounds: the simplices ``s``, their faces ``t`` and the
+    column ``i`` of ``table`` that holds ``t``, the face without vertex
+    ``i``; the simplices in no pair are critical.
 
     Every simplex starts alive.  Each round, every alive ``s`` with exactly
     one alive face ``t`` is a candidate, and the pair ``(s, t)`` is kept when
@@ -80,17 +85,18 @@ def _coreduction(
     Morse theory*, Discrete Math. 2009).  A kept pair's other faces died in
     earlier rounds, so every gradient path runs back in time, the matching
     is acyclic, and ``pi`` is solved for round by round in this order."""
-    size = table.shape[0]
+    size = table.shape[1]
     degree = np.repeat(np.arange(len(chains.dims)), chains.dims)
     orbit_size = np.bincount(orbit, minlength=size)[orbit]
     alive = np.ones(size + 1, bool)
     alive[size] = False
     pairs = []
     while alive.any():
-        live = alive[table].sum(axis=1)  # alive faces of each simplex
+        faces_alive = alive[table]
+        live = faces_alive.sum(axis=0, dtype=np.int8)  # alive faces of each simplex
         candidates = np.flatnonzero(alive[:size] & (live == 1))
-        rows = table[candidates]
-        t = rows[alive[rows]]  # each candidate's alive face
+        col = faces_alive[:, candidates].argmax(axis=0)  # each one's alive face
+        t = table[col, candidates]
         # the least orbit with one candidate coface: trivially so for a face
         # with one candidate coface in all
         chosen = np.bincount(t, minlength=size)[t] == 1
@@ -106,8 +112,8 @@ def _coreduction(
             chosen[single[first]] = True
         kept = chosen & (live[t] != 1)
         if kept.any():
-            pairs.append((candidates[kept], t[kept]))
-            dead = np.concatenate(pairs[-1])
+            pairs.append((candidates[kept], t[kept], col[kept]))
+            dead = np.concatenate(pairs[-1][:2])
         else:
             cells = np.flatnonzero(alive)  # by degree, so the lowest comes first
             low = cells[degree[cells] == degree[cells[0]]]
@@ -149,24 +155,22 @@ def morse_complex(chains, roots: Sequence[complex], rho: GroupAction | None = No
     arithmetic guarantees short of an overflow or a pair solved for out of
     order."""
     table = _face_table(chains)
-    size = table.shape[0]
+    size = table.shape[1]
     orbit = np.arange(size) if rho is None else rho._images[0].min(axis=0)
     rounds = _coreduction(chains, table, orbit)
     matched = np.zeros(size, bool)
-    for s, t in rounds:
+    for s, t, _ in rounds:
         matched[s] = matched[t] = True
     critical = np.flatnonzero(~matched)
     # pi^T, a row per simplex and the pad row N zero: the identity on C and
     # zero on D, whose rows stay zero while the rows of U are solved for
     rows = np.zeros((size + 1, critical.size), np.int64)
     rows[critical, np.arange(critical.size)] = 1
-    signs = _face_signs(table.shape[1] - 1)
-    for s, t in rounds:
+    signs = _face_signs(table.shape[0] - 1)
+    for s, t, col in rounds:
         # b[t, s] pi[:, t] + sum_{f != t} b[f, s] pi[:, f] = 0, the row of t
         # still zero in the sum
-        faces = table[s]
-        b_ts = signs[np.argmax(faces == t[:, None], axis=1)]
-        rows[t] = -b_ts[:, None] * (signs @ rows[faces])
+        rows[t] = -signs[col][:, None] * (signs @ rows[table[:, s].T])
     offsets = np.cumsum((0, *chains.dims))
     dims = np.bincount(np.searchsorted(offsets[1:], critical, "right"), minlength=offsets.size - 1)
     at, n = np.cumsum((0, *dims)), dims.size - 1

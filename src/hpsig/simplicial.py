@@ -19,10 +19,11 @@ afterwards.
 
 The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
-indices, and the facets' (back, front, sign) cap triples, gathered from the
-faces.  The duality check's structural identities are integer theorems,
-decided on them exactly (:func:`_exact_identities`); a triangulation on which
-one fails is refused, as degenerate or, for its action, as not equivariant.
+indices, and the facets' (back, front, sign) cap triples, all read off one
+rank table per degree that numbers every subset of every facet.  The duality
+check's structural identities are integer theorems, decided on them exactly
+(:func:`_exact_identities`); a triangulation on which one fails is refused,
+as degenerate or, for its action, as not equivariant.
 No float gate runs and the signature route lays out no degree block: it
 diagonalises ``B + S`` and ``B - S`` of the Morse complex of an acyclic
 matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
@@ -66,7 +67,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Sequence
 
 import numpy as np
@@ -135,9 +136,16 @@ class OrientedSimplicialManifold:
         if not len(self.facets):
             raise InvalidFacet("a manifold needs at least one facet")
         size = len(self.facets[0])
+        if not size:
+            raise InvalidFacet("facet () has no vertex")
         # the facets before the first of another size, as rows
         same = next((t for t, f in enumerate(self.facets) if len(f) != size), len(self.facets))
-        rows = np.array(self.facets[:same], dtype=np.int64).reshape(same, size)
+        try:
+            rows = np.array(self.facets[:same], dtype=np.int64).reshape(same, size)
+        except OverflowError:
+            info = np.iinfo(np.int64)
+            v = next(v for f in self.facets[:same] for v in f if not info.min <= v <= info.max)
+            raise InvalidFacet(f"vertex label {v} is outside the 64-bit integer range") from None
         t = _first((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
         if t is not None:
             raise InvalidFacet(
@@ -250,7 +258,9 @@ class SimplicialChainData:
 
     A simplex is found by its key: its vertex number in degree 0 and, above,
     ``index of the face without the last vertex * V + last vertex``, which
-    orders the keys like the rows (see :meth:`_locate`).
+    orders the keys like the rows (see :meth:`_locate`).  The facets' back
+    and front faces of each degree (``_ends``, read by ``cap_triples``) are
+    taken from the enumeration's rank tables.
 
     ``simplices`` (vertex label tuples), ``index`` (dicts from those tuples to
     positions) and ``chain`` (the complex with its dense boundary blocks) are
@@ -264,6 +274,8 @@ class SimplicialChainData:
         self.rows: list[np.ndarray] = [np.arange(vertices.size)[:, None]]
         self.faces: list[np.ndarray] = [np.zeros((vertices.size, 0), dtype=np.intp)]
         self._keys: list[np.ndarray] = [np.arange(vertices.size)]
+        # per degree, the facets' last and first faces of that degree
+        self._ends: list[tuple[np.ndarray, np.ndarray]] = [(facets[:, -1], facets[:, 0])]
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -314,16 +326,22 @@ class SimplicialChainData:
         ``[v_{N-p} .. v_N]`` (degree ``p``) and the front faces
         ``[v_0 .. v_{N-p}]`` (degree ``N - p``) of the facets, in the order of
         ``facets``; with ``signs`` they are the cap's (back, front, sign)
-        triples.  From the facets' indices down, a back face one degree
-        lower is the face without the first vertex (``faces[k][:, 0]``) and
-        a front face the face without the last (``faces[k][:, k]``)."""
+        triples, read off the ends that :func:`enumerate_and_boundaries`
+        ranked facet by facet."""
         n = len(self.rows) - 1
-        facet = self._locate(n, self.facets)
-        back, front = [facet], [facet]  # by degree, from N down
-        for k in range(n, 0, -1):
-            back.append(self.faces[k][back[-1], 0])
-            front.append(self.faces[k][front[-1], k])
-        return tuple((back[n - p], front[p]) for p in range(n + 1))
+        return tuple((self._ends[p][0], self._ends[n - p][1]) for p in range(n + 1))
+
+
+@cache
+def _subset_tables(n: int, p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``(p + 1)``-subsets of ``0 .. n`` in lexicographic order as rows,
+    and for each the position among the ``p``-subsets of its front (without
+    its last element) and of each subset without its ``i``-th element, in
+    column ``i``; built once per ``(n, p)`` and only read."""
+    lower = {s: i for i, s in enumerate(itertools.combinations(range(n + 1), p))}
+    subsets = list(itertools.combinations(range(n + 1), p + 1))
+    drops = [[lower[s[:i] + s[i + 1 :]] for i in range(p + 1)] for s in subsets]
+    return np.array(subsets), np.array([lower[s[:-1]] for s in subsets]), np.array(drops)
 
 
 def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainData:
@@ -331,28 +349,35 @@ def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainDa
     faces, as integer arrays; the dense boundary matrices are laid out on
     first use of ``chain``.
 
-    Degree ``p`` takes every ``(p + 1)``-subset of every facet at once, keys
-    each by the index of its front ``p``-subset in degree ``p - 1``
-    (:meth:`SimplicialChainData._locate`), keeps one row per distinct key
-    (``np.unique`` sorts them), and locates the faces of the kept rows.
+    Degree ``p`` ranks every ``(p + 1)``-subset of every facet at once: each
+    is keyed by the rank in degree ``p - 1`` of its front ``p``-subset, read
+    off the previous degree's per-facet rank table, times ``V`` plus its
+    last vertex, and one ``np.unique`` sorts the keys, keeps one row per
+    distinct key (its first occurrence) and gives every subset its rank.
+    The faces of the kept rows are one gather of the previous table at the
+    subsets without one vertex, and the facets' back and front faces, for
+    ``cap_triples``, are the last and first column of each table.  Only the
+    previous degree's table is kept.
     """
     facets = np.array(m.facets, dtype=np.int64)
     vertices = np.unique(facets)
     data = SimplicialChainData(
         vertices, np.searchsorted(vertices, facets), np.array(m.signs, dtype=float)
     )
-    n = m.dim
-    for p in range(1, n + 1):
-        subsets = list(itertools.combinations(range(n + 1), p + 1))
-        rows = data.facets[:, subsets].reshape(-1, p + 1)
-        keys, first = np.unique(
-            data._locate(p - 1, rows[:, :p]) * vertices.size + rows[:, p], return_index=True
+    rank = data.facets  # the rank of each p-subset of each facet, p = 0
+    for p in range(1, m.dim + 1):
+        subsets, front, drops = _subset_tables(m.dim, p)
+        keys, first, inverse = np.unique(
+            (rank[:, front] * vertices.size + data.facets[:, subsets[:, -1]]).ravel(),
+            return_index=True,
+            return_inverse=True,
         )
-        rows = rows[first]
+        facet, subset = np.divmod(first, subsets.shape[0])
         data._keys.append(keys)
-        data.rows.append(rows)
-        faces = [data._locate(p - 1, np.delete(rows, i, axis=1)) for i in range(p + 1)]
-        data.faces.append(np.stack(faces, axis=1))
+        data.rows.append(data.facets[facet[:, None], subsets[subset]])
+        data.faces.append(rank[facet[:, None], drops[subset]])
+        rank = inverse.reshape(rank.shape[0], subsets.shape[0])
+        data._ends.append((rank[:, -1], rank[:, 0]))
     return data
 
 
@@ -559,11 +584,12 @@ def _exact_identities(
 
     ``b_k`` has the entry ``(-1)^i`` at ``(faces[k][j, i], j)`` and ``P_k``
     is ``i^{e(k)}`` times the integer entries ``cap`` of
-    :func:`_cap_entries` divided by their count, so each identity is a list
-    of (row, column, integer) entries whose sums by position must vanish:
-    ``b b = 0`` (``boundary_residual``), the only check of the face arrays
-    on this route; the action's identities (``action_residual``,
-    :func:`_action_commutes`); and ``b P + P b^* = 0``
+    :func:`_cap_entries` divided by their count.  ``b b = 0``
+    (``boundary_residual``), the only check of the face arrays on this
+    route, is decided one simplex at a time (:func:`_squares_to_zero`); the
+    other identities are lists of (row, column, integer) entries whose sums
+    by position must vanish (:func:`_vanishes`): the action's
+    (``action_residual``, :func:`_action_commutes`) and ``b P + P b^* = 0``
     (``chain_residual``), which carries over to ``P^*`` (take adjoints), to
     ``S = (P + P^*) / 2`` and to the cone's chain-map gate.  The chain
     condition is decided on the raw cap, ``|G|`` times fewer entries than
@@ -572,10 +598,9 @@ def _exact_identities(
     does.  ``S`` is self-adjoint by construction, in floating point too.
     """
     n, dims, faces = len(chains.rows) - 1, chains.dims, chains.faces
-    bnd = _boundary_entries(chains)
-    if not all(_vanishes(*_times_boundary(faces, k, *bnd[k + 1]), dims[k + 1]) for k in range(1, n)):
+    if not all(_squares_to_zero(faces, k) for k in range(1, n)):
         return "boundary_residual"
-    if rho is not None and not _action_commutes(chains, rho, cap, bnd):
+    if rho is not None and not _action_commutes(chains, rho, cap, _boundary_entries(chains)):
         return "action_residual"
 
     def anticommutes(x: Sequence[tuple], k: int) -> bool:  # b_k P_k + P_{k-1} b^*_{n-k+1} = 0
@@ -591,6 +616,17 @@ def _exact_identities(
     if not all(anticommutes(raw, k) for k in range(1, n + 1)):
         return "chain_residual"
     return None
+
+
+def _squares_to_zero(faces: Sequence[np.ndarray], k: int) -> bool:
+    """Whether ``b_k b_{k+1} = 0``, decided one ``(k + 1)``-simplex at a
+    time: its faces' faces ``ff[j, i, l]``, the face without vertex ``l`` of
+    its face without vertex ``i``, enter column ``j`` with the sign
+    ``(-1)^(i + l)``, so the column vanishes exactly when the sorted entries
+    at even ``i + l`` equal those at odd ``i + l`` (as many of each)."""
+    ff = faces[k][faces[k + 1]]
+    odd = np.add.outer(np.arange(k + 2), np.arange(k + 1)) % 2 == 1
+    return np.array_equal(np.sort(ff[:, ~odd], axis=1), np.sort(ff[:, odd], axis=1))
 
 
 def _boundary_entries(chains: SimplicialChainData) -> dict[int, tuple]:
@@ -702,13 +738,17 @@ def _cap_blocks(
 
 def _vanishes(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, width: int, more=()) -> bool:
     """Whether the integer entries ``vals`` at ``(rows, cols)``, and those in
-    ``more``, of a matrix ``width`` columns wide sum to zero at every position."""
+    ``more``, of a matrix ``width`` columns wide sum to zero at every position:
+    whether the positions of the positive entries, each repeated ``v``
+    times, sorted, equal those of the negative entries, each repeated
+    ``|v|`` times, which is exact for any integers."""
     if more:
         rows, cols, vals = (np.concatenate(x) for x in zip((rows, cols, vals), more))
     keys = rows * width + cols
-    order = np.argsort(keys)
-    first = np.flatnonzero(np.diff(keys[order], prepend=-1))
-    return not np.add.reduceat(vals[order], first).any()
+    up, down = vals > 0, vals < 0
+    return np.array_equal(
+        np.sort(np.repeat(keys[up], vals[up])), np.sort(np.repeat(keys[down], -vals[down]))
+    )
 
 
 @dataclass(eq=False)
@@ -750,16 +790,15 @@ def _vertex_table(chains: SimplicialChainData, action: SimplicialAction, count: 
     a vertex.  A map that leaves out a vertex does not permute the vertex set
     and raises NotSimplicial."""
     labels = chains.vertices.tolist()
+    number = {v: r for r, v in enumerate(labels)}
     try:
-        images = np.array([[vm[v] for v in labels] for vm in action.vertex_maps[:count]], np.int64)
+        table = [[number.get(vm[v], -1) for v in labels] for vm in action.vertex_maps[:count]]
     except KeyError:
         g = next(g for g, vm in enumerate(action.vertex_maps) if not vm.keys() >= set(labels))
         raise NotSimplicial(
             f"element {action.group.elements[g]} does not permute the vertex set"
         ) from None
-    images = images.reshape(count, len(labels))
-    at = np.minimum(np.searchsorted(chains.vertices, images), len(labels) - 1)
-    return np.where(chains.vertices[at] == images, at, -1)
+    return np.array(table, np.intp).reshape(count, len(labels))
 
 
 def _simplex_images(

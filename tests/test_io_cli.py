@@ -35,6 +35,7 @@ from hpsig.fixtures import (
     octahedron,
     octahedron_rotation,
     simplex_disk,
+    simplex_sphere,
 )
 
 
@@ -546,6 +547,38 @@ def test_cli_refuses_a_vertex_map_that_leaves_out_a_vertex(tmp_path, capsys):
     ):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "failure: element g does not permute the vertex set\n")
+
+
+def test_cli_reads_a_vertex_image_outside_int64_as_a_non_vertex(tmp_path, capsys):
+    # the same verdicts as for an image label that fits but is not a vertex
+    outs = []
+    for label in (7, 2**70):
+        path = str(tmp_path / f"image-{label}.smf")
+        maps = ({v: v for v in range(4)}, {0: 1, 1: 0, 2: 2, 3: label})
+        write_smf(simplex_sphere(2), path, SimplicialAction(FiniteGroup.cyclic(2), maps))
+        assert main(["manifold", path]) == 1
+        assert capsys.readouterr() == ("", "failure: element g does not permute the vertex set\n")
+        assert main(["stats", path]) == 0
+        outs.append(capsys.readouterr().out)
+        assert main(["subdivide", path, "-o", str(tmp_path / "sd.smf")]) == 1
+        assert capsys.readouterr() == (
+            "", f"failure: element g maps simplex (3,) to ({label},), which is not a simplex\n"
+        )
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "verts, message",
+    [
+        ([0, 1, 2**70], f"vertex label {2**70} is outside the 64-bit integer range"),
+        ([], "facet () has no vertex"),
+    ],
+)
+def test_cli_refuses_a_facet_it_cannot_read_as_vertex_numbers(verts, message, tmp_path, capsys):
+    path = tmp_path / "bad.smf"
+    path.write_text(json.dumps({"format": "smf", "facets": [{"verts": verts, "sign": 1}]}))
+    assert main(["manifold", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"failure: {message}\n")
 
 
 def test_hpx_round_trip_of_a_triangulation_reads_a_dense_action(tmp_path):

@@ -252,10 +252,11 @@ _ACTING = {
 
 
 def _rounds(chains, rho):
-    """The face table and the pairs the coreduction keeps, round by round,
-    on the orbits of ``rho`` or on singletons without it."""
+    """The face table and the pairs the coreduction keeps, round by round
+    as (simplices, faces, face columns), on the orbits of ``rho`` or on
+    singletons without it."""
     table = reduce._face_table(chains)
-    orbit = np.arange(table.shape[0]) if rho is None else rho._images[0].min(axis=0)
+    orbit = np.arange(table.shape[1]) if rho is None else rho._images[0].min(axis=0)
     return table, reduce._coreduction(chains, table, orbit)
 
 
@@ -263,7 +264,7 @@ def _mates(chains, rho):
     """Each simplex's partner in the coreduction's matching, -1 for a
     critical one."""
     mate = np.full(sum(chains.dims), -1)
-    for s, t in _rounds(chains, rho)[1]:
+    for s, t, _ in _rounds(chains, rho)[1]:
         mate[s], mate[t] = t, s
     return mate
 
@@ -395,15 +396,16 @@ def test_each_kept_pair_s_other_faces_died_in_an_earlier_round(name):
     # pair's simplex are critical, known from the start, or matched earlier
     chains, rho = _acting_or_closed(name)
     table, rounds = _rounds(chains, rho)
-    size = table.shape[0]
+    size = table.shape[1]
     died = np.full(size + 1, -1)  # each matched simplex's round, -1 elsewhere
-    for r, (s, t) in enumerate(rounds):
+    for r, (s, t, _) in enumerate(rounds):
         died[s] = died[t] = r
-    pairs = sum(s.size for s, _ in rounds)
+    pairs = sum(s.size for s, *_ in rounds)
     assert np.count_nonzero(died >= 0) == 2 * pairs  # none matched twice
-    for r, (s, t) in enumerate(rounds):
-        faces = table[s]
+    for r, (s, t, col) in enumerate(rounds):
+        faces = table[:, s].T
         assert ((faces == t[:, None]).sum(axis=1) == 1).all()
+        assert np.array_equal(faces[np.arange(s.size), col], t)  # t is the face in column col
         assert (died[faces[faces != t[:, None]]] < r).all()
     assert sum(_morse_of(chains, rho).dims) == size - 2 * pairs
 

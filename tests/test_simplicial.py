@@ -62,7 +62,7 @@ from hpsig.fixtures import (
 from hpsig.generate import random_unitary
 from hpsig.cli import main
 from hpsig.io import write_smf
-from hpsig.linalg import adjoint, operator_norm
+from hpsig.linalg import DEFAULT_TOL, adjoint, operator_norm
 
 
 def test_facet_validation():
@@ -98,6 +98,11 @@ def test_facet_validation():
         ),
         (((0, 1, 2), (0, 1), (2, 1, 0)), (1, 1, 1), "facet (0, 1) has 2 vertices, expected 3"),
         (((0, 1, 2), (0, 1, 3), (0, 1, 2)), (1, 1, 1), "duplicate facets"),
+        # one facet with no vertex is not a duplicate of anything
+        (((),), (1,), "facet () has no vertex"),
+        (((), ()), (1, 1), "facet () has no vertex"),
+        # a label that no int64 array can hold
+        (((0, 1, 2**70),), (1,), f"vertex label {2**70} is outside the 64-bit integer range"),
         (((0, 1, 2),), (2,), "signs must be +1 or -1, one per facet"),
         (((0, 1, 2), (0, 1, 3)), (1,), "signs must be +1 or -1, one per facet"),
         (
@@ -938,7 +943,16 @@ def _moved_face(chains):
     chains.faces[2][0, 0] = (chains.faces[2][0, 0] + 1) % chains.dims[1]
 
 
-@pytest.mark.parametrize("broken", ["cap-triple", "face-index"])
+def _swapped_face_columns(chains):
+    """Swap the first two faces of the first top simplex: its face set
+    stays the same, but the two faces change signs, so ``b b`` fails in the
+    degree below the top."""
+    assert "chain" not in vars(chains)
+    top = chains.faces[-1]
+    top[0, [0, 1]] = top[0, [1, 0]]
+
+
+@pytest.mark.parametrize("broken", ["cap-triple", "face-index", "face-columns"])
 def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
     m = cp2_nine_vertex()
     if broken == "cap-triple":
@@ -948,22 +962,58 @@ def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
     chains = enumerate_and_boundaries(m)
     if broken == "face-index":
         _moved_face(chains)
-    failed = simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0])
+    if broken == "face-columns":
+        _swapped_face_columns(chains)
+        # the fundamental cycle reads the same face arrays and refuses them
+        # first; below, the cap is laid out and refused past it
+        with pytest.raises(IncoherentOrientation):
+            duality_operator(m, chains)
+    raw = simplicial._cap_entries(chains, None)[0]
+    failed = simplicial._exact_identities(chains, None, raw)
     # the public float gates on the laid-out blocks catch the same fault
-    hp = HilbertPoincareComplex(
-        chains.chain, DualityOperator(simplicial._symmetrize(_phased(m, chains)))
-    )
+    if broken == "face-columns":
+        phased = simplicial._cap_blocks(chains, raw, 1, simplicial._roots(m.dim))
+    else:
+        phased = _phased(m, chains)
+    hp = HilbertPoincareComplex(chains.chain, DualityOperator(simplicial._symmetrize(phased)))
     rep = verify_duality(hp)
     assert "duality does not anticommute with the boundary" in rep.failures
     assert rep.chain_residual > 0.1
-    if broken == "face-index":
+    if broken != "cap-triple":
         assert failed == "boundary_residual"
         assert "boundary squares to a nonzero operator" in rep.failures
     else:
         assert failed == "chain_residual"
     with pytest.raises(DegenerateDuality) as exc:
-        duality_operator(m, chains)
+        if broken == "face-columns":
+            simplicial._duality_from_cap(chains, DEFAULT_TOL, None)
+        else:
+            duality_operator(m, chains)
     assert str(exc.value) == f"{complexes._DUALITY_FAILURES[failed]} on the integer arrays"
+
+
+def test_b_b_is_decided_column_by_column():
+    # the boundary of the triangle [0, 1, 2]: edges (0, 1), (0, 2), (1, 2)
+    edges = np.array([[1, 0], [2, 0], [2, 1]])
+    faces = [np.zeros((3, 0), np.intp), edges, np.array([[2, 1, 0]])]
+    assert simplicial._squares_to_zero(faces, 1)
+    # two columns of b_1 b_2 that are nonzero but sum to zero are refused
+    faces[2] = np.array([[2, 1, 0], [0, 1, 0], [2, 1, 2]])
+    assert not simplicial._squares_to_zero(faces, 1)
+
+
+def test_vanishes_compares_the_entries_as_signed_multisets():
+    rows, cols = np.array([0, 0, 0]), np.array([1, 1, 1])
+    assert simplicial._vanishes(rows, cols, np.array([2, -1, -1]), 3)
+    assert not simplicial._vanishes(rows[:2], cols[:2], np.array([2, -1]), 3)
+    assert simplicial._vanishes(rows[:0], cols[:0], np.zeros(0, np.int64), 3)
+    assert simplicial._vanishes(rows[:2], cols[:2], np.array([0, 0]), 3)
+    # entries at two different positions never cancel, nor do those given in
+    # ``more``: (0, 1) and (1, 0) are different positions of a wide matrix
+    assert not simplicial._vanishes(np.array([0, 1]), np.array([1, 0]), np.array([1, -1]), 3)
+    one = (rows[:1], cols[:1], np.array([1]))
+    assert not simplicial._vanishes(*one, 3, (np.array([1]), np.array([0]), np.array([-1])))
+    assert simplicial._vanishes(*one, 3, (rows[:1], cols[:1], np.array([-1])))
 
 
 def test_the_manifold_command_refuses_an_identity_that_fails_exactly(
