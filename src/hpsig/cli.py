@@ -62,7 +62,6 @@ from .signature import (
 from .simplicial import (
     barycentric_subdivide,
     bordism_to_cwb,
-    enumerate_and_boundaries,
     geometry_stats,
     manifold_signature,
 )
@@ -304,11 +303,10 @@ def _describe(out: _Output, manifold, prefix: str = "") -> None:
 def _cmd_manifold(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
     tol = args.tol
-    chains = enumerate_and_boundaries(manifold)
     _describe(out, manifold, "triangulation: ")
-    out(f"  chain dims {chains.dims}", chain_dims=chains.dims)
+    out(f"  chain dims {manifold.chains.dims}", chain_dims=manifold.chains.dims)
     if args.stats:
-        stats = geometry_stats(manifold, action, chains)
+        stats = geometry_stats(manifold, action)
         out(f"  max closed star {stats.max_closed_star}, "
             f"max isotropy order {stats.max_isotropy_order}",
             stats=_fields(stats, "simplex_counts", "max_closed_star", "max_isotropy_order"))
@@ -316,13 +314,13 @@ def _cmd_manifold(args, out: _Output) -> int:
         if action is not None:
             raise PreconditionViolated("group actions are only supported on closed triangulations")
         # bordism_to_cwb raises unless the boundary structure checks pass
-        cwb = bordism_to_cwb(manifold, chains, tol=tol)
+        cwb = bordism_to_cwb(manifold, tol=tol)
         zero = boundary_signature_is_zero(cwb, tol=tol)
         out("  boundary structure valid: True", structure_passed=True)
         out(f"  boundary class vanishes:  {zero.is_zero}", boundary_class_zero=zero.is_zero)
         out(f"manifold: {'PASS' if zero.passed else 'FAIL'} (tol {tol:g})", passed=zero.passed)
         return EXIT_OK if zero.passed else EXIT_FAIL
-    rep = manifold_signature(manifold, action, chains, tol=tol)
+    rep = manifold_signature(manifold, action, tol=tol)
     if action is not None:
         # the duality check decides both commutators exactly and refuses an
         # action that fails one, so an action that reaches here has residuals 0
@@ -340,7 +338,7 @@ def _cmd_manifold(args, out: _Output) -> int:
 
 def _cmd_stats(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
-    stats = geometry_stats(manifold, action, enumerate_and_boundaries(manifold))
+    stats = geometry_stats(manifold, action)
     _describe(out, manifold)
     out(f"  simplex counts {stats.simplex_counts}", simplex_counts=stats.simplex_counts)
     out(f"  max closed star {stats.max_closed_star}", max_closed_star=stats.max_closed_star)

@@ -20,7 +20,10 @@ afterwards.
 The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples, all read off one
-rank table per degree that numbers every subset of every facet.  The duality
+rank table per degree that numbers every subset of every facet.  They are the
+manifold's own (:attr:`OrientedSimplicialManifold.chains`), enumerated on
+first read and kept, and every public function here reads them there, so no
+function takes chain data beside the manifold.  The duality
 check's structural identities are integer theorems, decided on them exactly
 (:func:`_exact_identities`); a triangulation on which one fails is refused,
 as degenerate or, for its action, as not equivariant.
@@ -123,8 +126,9 @@ __all__ = [
 class OrientedSimplicialManifold:
     """Pure simplicial complex of facet dimension ``dim`` with facet signs.
 
-    Facets are sorted vertex tuples; every codimension-one face must lie in
-    one or two facets.  ``with_boundary`` is derived from the face counts.
+    Facets are sorted tuples of integer vertex labels and signs are the
+    integers +1 and -1; every codimension-one face must lie in one or two
+    facets.  ``with_boundary`` is derived from the face counts.
     Coherence of the signs is not checked here; it is certified by
     :func:`fundamental_cycle`.
     """
@@ -140,12 +144,15 @@ class OrientedSimplicialManifold:
             raise InvalidFacet("facet () has no vertex")
         # the facets before the first of another size, as rows
         same = next((t for t, f in enumerate(self.facets) if len(f) != size), len(self.facets))
-        try:
-            rows = np.array(self.facets[:same], dtype=np.int64).reshape(same, size)
-        except OverflowError:
+        rows = np.array(self.facets[:same])
+        if rows.dtype.kind != "i":  # a label that is not an integer or needs more than 64 bits
             info = np.iinfo(np.int64)
-            v = next(v for f in self.facets[:same] for v in f if not info.min <= v <= info.max)
-            raise InvalidFacet(f"vertex label {v} is outside the 64-bit integer range") from None
+            for v in (v for f in self.facets[:same] for v in f):
+                if not isinstance(v, (int, np.integer)):
+                    raise InvalidFacet(f"vertex label {v!r} is not an integer")
+                if not info.min <= v <= info.max:
+                    raise InvalidFacet(f"vertex label {v} is outside the 64-bit integer range")
+        rows = rows.astype(np.int64, copy=False).reshape(same, size)
         t = _first((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
         if t is not None:
             raise InvalidFacet(
@@ -156,7 +163,8 @@ class OrientedSimplicialManifold:
             raise InvalidFacet(f"facet {f} has {len(f)} vertices, expected {size}")
         if _unique_rows(rows)[0].shape[0] != same:
             raise InvalidFacet("duplicate facets")
-        signs = tuple(int(s) for s in self.signs)
+        # a sign that is not an integer reads as 0, which is refused below
+        signs = tuple(int(s) if isinstance(s, (int, np.integer)) else 0 for s in self.signs)
         if len(signs) != same or any(s not in (-1, 1) for s in signs):
             raise InvalidFacet("signs must be +1 or -1, one per facet")
         # every codimension-one face, facet by facet, the face without
@@ -177,6 +185,13 @@ class OrientedSimplicialManifold:
         self.dim = size - 1
         self.with_boundary = bool(self._boundary.shape[0])
 
+    @cached_property
+    def chains(self) -> SimplicialChainData:
+        """The simplices as integer arrays (:func:`enumerate_and_boundaries`),
+        enumerated on first read and kept; every function of this module
+        that takes the manifold reads them here."""
+        return enumerate_and_boundaries(self)
+
     @classmethod
     def from_facets(
         cls,
@@ -188,15 +203,15 @@ class OrientedSimplicialManifold:
         The sign solver walks the facet adjacency graph; two facets sharing a
         codimension-one face get opposite induced orientations on it.  The
         first facet of each connected component gets sign +1, which pins the
-        assignment uniquely.  Raises IncoherentOrientation when no coherent
-        assignment exists.
+        assignment uniquely.  The facets are validated first, as the
+        constructor does, and IncoherentOrientation is raised when no
+        coherent assignment exists.
         """
-        sorted_facets = tuple(tuple(sorted(int(v) for v in f)) for f in facets)
+        sorted_facets = tuple(tuple(sorted(f)) for f in facets)
         if signs is not None:
             return cls(sorted_facets, tuple(signs))
-        m = len(sorted_facets)
-        if not m:
-            raise InvalidFacet("a manifold needs at least one facet")
+        out = cls(sorted_facets, (1,) * len(sorted_facets))
+        sorted_facets, m = out.facets, len(out.facets)
         by_face: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for t, f in enumerate(sorted_facets):
             for i in range(len(f)):
@@ -225,7 +240,8 @@ class OrientedSimplicialManifold:
                                 f"facets {sorted_facets[t]} and {sorted_facets[u]} "
                                 f"cannot be oriented coherently"
                             )
-        return cls(sorted_facets, tuple(solved))
+        out.signs = tuple(solved)
+        return out
 
     def boundary_faces(self) -> tuple[tuple[int, ...], ...]:
         """Codimension-one faces lying in exactly one facet."""
@@ -262,9 +278,11 @@ class SimplicialChainData:
     and front faces of each degree (``_ends``, read by ``cap_triples``) are
     taken from the enumeration's rank tables.
 
-    ``simplices`` (vertex label tuples), ``index`` (dicts from those tuples to
-    positions) and ``chain`` (the complex with its dense boundary blocks) are
-    built once, on first use.
+    Built once per manifold, on the first read of its ``chains``
+    (:func:`enumerate_and_boundaries`), and kept with it.  ``simplices``
+    (vertex label tuples), ``index`` (dicts from those tuples to positions)
+    and ``chain`` (the complex with its dense boundary blocks) are built once,
+    on first use, and kept too.
     """
 
     def __init__(self, vertices: np.ndarray, facets: np.ndarray, signs: np.ndarray) -> None:
@@ -381,9 +399,7 @@ def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainDa
     return data
 
 
-def fundamental_cycle(
-    m: OrientedSimplicialManifold, chains: SimplicialChainData | None = None
-) -> np.ndarray:
+def fundamental_cycle(m: OrientedSimplicialManifold) -> np.ndarray:
     """Signed indicator vector of the facets; certifies orientation coherence.
 
     For a closed manifold the boundary of the cycle must vanish identically;
@@ -391,7 +407,7 @@ def fundamental_cycle(
     facet.  Violations raise IncoherentOrientation (the arithmetic is exact on
     small integers).
     """
-    chains = chains or enumerate_and_boundaries(m)
+    chains = m.chains
     n = m.dim
     facet, _ = chains.cap_triples[n]  # in degree N the back face is the facet
     z = np.zeros(chains.dims[n])
@@ -409,9 +425,7 @@ def fundamental_cycle(
     return z
 
 
-def cap_duality(
-    m: OrientedSimplicialManifold, chains: SimplicialChainData | None = None
-) -> tuple[np.ndarray, ...]:
+def cap_duality(m: OrientedSimplicialManifold) -> tuple[np.ndarray, ...]:
     """Raw integer cap with the fundamental cycle, one matrix per degree.
 
     Entry ``p`` maps cochains on ``(N-p)``-simplices (identified with chains
@@ -419,9 +433,8 @@ def cap_duality(
     facet sign at (back face, front face).  A facet is the union of its two
     faces, so no two facets share an entry.
     """
-    chains = chains or enumerate_and_boundaries(m)
-    fundamental_cycle(m, chains)
-    return tuple(_cap_blocks(chains, _cap_entries(chains, None)[0], 1, [1.0] * (m.dim + 1)))
+    fundamental_cycle(m)
+    return tuple(_cap_blocks(m.chains, _cap_entries(m.chains, None)[0], 1, [1.0] * (m.dim + 1)))
 
 
 # Real phases stay real, so a 4k-dimensional cap stays real.
@@ -466,10 +479,7 @@ class CapReport:
 
 
 def duality_operator(
-    m: OrientedSimplicialManifold,
-    chains: SimplicialChainData | None = None,
-    tol: float = DEFAULT_TOL,
-    rho: GroupAction | None = None,
+    m: OrientedSimplicialManifold, *, tol: float = DEFAULT_TOL, rho: GroupAction | None = None
 ) -> tuple[DualityOperator, CapReport]:
     """Symmetrized phased cap of a closed manifold, with its residual report.
 
@@ -482,7 +492,7 @@ def duality_operator(
     if the action fails to commute exactly, and PreconditionViolated for
     manifolds with boundary (those go through :func:`bordism_to_cwb`).
     """
-    cap = _closed_duality(m, chains, tol, rho)
+    cap = _closed_duality(m, tol, rho)
     return cap.dual, cap.report
 
 
@@ -524,10 +534,7 @@ class _CapDuality:
 
 
 def _closed_duality(
-    m: OrientedSimplicialManifold,
-    chains: SimplicialChainData | None,
-    tol: float,
-    rho: GroupAction | None,
+    m: OrientedSimplicialManifold, tol: float, rho: GroupAction | None
 ) -> _CapDuality:
     """:func:`duality_operator` with everything its duality check computed."""
     if m.with_boundary:
@@ -535,9 +542,8 @@ def _closed_duality(
             "duality_operator needs a closed manifold; "
             "manifolds with boundary use bordism_to_cwb"
         )
-    chains = chains or enumerate_and_boundaries(m)
-    fundamental_cycle(m, chains)
-    return _duality_from_cap(chains, tol, rho)
+    fundamental_cycle(m)
+    return _duality_from_cap(m.chains, tol, rho)
 
 
 def _duality_from_cap(
@@ -626,7 +632,10 @@ def _squares_to_zero(faces: Sequence[np.ndarray], k: int) -> bool:
     at even ``i + l`` equal those at odd ``i + l`` (as many of each)."""
     ff = faces[k][faces[k + 1]]
     odd = np.add.outer(np.arange(k + 2), np.arange(k + 1)) % 2 == 1
-    return np.array_equal(np.sort(ff[:, ~odd], axis=1), np.sort(ff[:, odd], axis=1))
+    even, odd = ff[:, ~odd], ff[:, odd]  # copies, sorted in place to hold the peak
+    even.sort(axis=1)
+    odd.sort(axis=1)
+    return np.array_equal(even, odd)
 
 
 def _boundary_entries(chains: SimplicialChainData) -> dict[int, tuple]:
@@ -816,10 +825,7 @@ def _simplex_images(
 
 
 def chain_action(
-    m: OrientedSimplicialManifold,
-    action: SimplicialAction,
-    chains: SimplicialChainData | None = None,
-    tol: float = DEFAULT_TOL,
+    m: OrientedSimplicialManifold, action: SimplicialAction, *, tol: float = DEFAULT_TOL
 ) -> GroupAction:
     """Signed permutation representation on the chain spaces.
 
@@ -839,7 +845,7 @@ def chain_action(
     (:meth:`~hpsig.groups.GroupAction._check_images`), and the action is
     refused with NotRepresentation at every ``tol``.
     """
-    chains = chains or enumerate_and_boundaries(m)
+    chains = m.chains
     n = m.dim
     group = action.group
     vset = set(m.vertices)
@@ -919,10 +925,7 @@ class EquivarianceReport:
 
 
 def verify_equivariance(
-    m: OrientedSimplicialManifold,
-    action: SimplicialAction,
-    chains: SimplicialChainData | None = None,
-    tol: float = DEFAULT_TOL,
+    m: OrientedSimplicialManifold, action: SimplicialAction, *, tol: float = DEFAULT_TOL
 ) -> EquivarianceReport:
     """Commutators of the action with the boundary and with the group
     averaged cap, closed or with boundary.
@@ -932,9 +935,9 @@ def verify_equivariance(
     Raises EquivarianceViolated when one fails, and the errors of
     :func:`chain_action` and :func:`fundamental_cycle`.
     """
-    chains = chains or enumerate_and_boundaries(m)
-    rho = chain_action(m, action, chains, tol=tol)
-    fundamental_cycle(m, chains)
+    chains = m.chains
+    rho = chain_action(m, action, tol=tol)
+    fundamental_cycle(m)
     if not _action_commutes(chains, rho, _cap_entries(chains, rho)[0], _boundary_entries(chains)):
         raise EquivarianceViolated(f"{_DUALITY_FAILURES['action_residual']} on the integer arrays")
     return EquivarianceReport(tol=tol, boundary_residual=0.0, duality_residual=0.0, passed=True)
@@ -943,40 +946,36 @@ def verify_equivariance(
 def to_hp_complex(
     m: OrientedSimplicialManifold,
     action: SimplicialAction | None = None,
-    chains: SimplicialChainData | None = None,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> HilbertPoincareComplex:
     """Duality complex of a closed oriented triangulated manifold."""
-    chains = chains or enumerate_and_boundaries(m)
-    rho = chain_action(m, action, chains, tol=tol) if action is not None else None
-    return HilbertPoincareComplex(chains.chain, _closed_duality(m, chains, tol, rho).dual, rho)
+    rho = chain_action(m, action, tol=tol) if action is not None else None
+    return HilbertPoincareComplex(m.chains.chain, _closed_duality(m, tol, rho).dual, rho)
 
 
 def manifold_signature(
     m: OrientedSimplicialManifold,
     action: SimplicialAction | None = None,
-    chains: SimplicialChainData | None = None,
+    *,
     tol: float = DEFAULT_TOL,
 ) -> CoincidenceReport:
     """Signature classes of a closed manifold through all three constructions.
 
-    The classes of ``check_coincidence(to_hp_complex(m, action, chains,
-    tol), tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the
+    The classes of ``check_coincidence(to_hp_complex(m, action, tol=tol),
+    tol)``, with ``B + S`` and ``B - S`` diagonalised once, in the
     duality check, and read again by the constructions.  They are those of
     the Morse complex, with or without an action, whose spectral gaps are
     reported, and no degree block of ``b`` or ``S`` is laid out; an identity
     that fails exactly is refused (see :func:`_duality_from_cap`).
     """
-    chains = chains or enumerate_and_boundaries(m)
-    rho = chain_action(m, action, chains, tol=tol) if action is not None else None
-    cap = _closed_duality(m, chains, tol, rho)
+    rho = chain_action(m, action, tol=tol) if action is not None else None
+    cap = _closed_duality(m, tol, rho)
     return _coincidence(m.dim, None if rho is None else rho.group, cap.halves, tol)
 
 
 def bordism_to_cwb(
-    m: OrientedSimplicialManifold,
-    chains: SimplicialChainData | None = None,
-    tol: float = DEFAULT_TOL,
+    m: OrientedSimplicialManifold, *, tol: float = DEFAULT_TOL
 ) -> ComplexWithBoundary:
     """Complex-with-boundary of a triangulated manifold with boundary.
 
@@ -987,9 +986,8 @@ def bordism_to_cwb(
     """
     if not m.with_boundary:
         raise PreconditionViolated("manifold is closed; use to_hp_complex")
-    chains = chains or enumerate_and_boundaries(m)
-    fundamental_cycle(m, chains)
-    n = m.dim
+    fundamental_cycle(m)
+    chains, n = m.chains, m.dim
     sym = _symmetrize(_cap_blocks(chains, _cap_entries(chains, None)[0], 1, _roots(n)))
     split = [np.zeros(0, dtype=np.intp)] * (n + 1)
     counts = np.bincount(chains.faces[n].ravel(), minlength=chains.dims[n - 1])
@@ -1018,9 +1016,7 @@ class GeometryStats:
 
 
 def geometry_stats(
-    m: OrientedSimplicialManifold,
-    action: SimplicialAction | None = None,
-    chains: SimplicialChainData | None = None,
+    m: OrientedSimplicialManifold, action: SimplicialAction | None = None
 ) -> GeometryStats:
     """Simplex counts, the largest closed vertex star (counting simplices of
     every dimension), and the largest simplex stabilizer order.
@@ -1033,7 +1029,7 @@ def geometry_stats(
     precedes, so any vertex maps defined on every vertex are read; a map
     that leaves out a vertex raises NotSimplicial.
     """
-    chains = chains or enumerate_and_boundaries(m)
+    chains = m.chains
     star = sum(np.bincount(r.ravel(), minlength=chains.vertices.size) for r in chains.rows)
     max_star = 2 * int(star.max()) - 1
     max_iso = 1
@@ -1064,7 +1060,7 @@ def barycentric_subdivide(
     NotSimplicial when a vertex map leaves out a vertex or sends a simplex to
     a non-simplex.
     """
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     n = m.dim
     offsets = np.cumsum((0, *chains.dims))
     perms = np.array(list(itertools.permutations(range(n + 1))), dtype=np.intp)

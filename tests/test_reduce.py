@@ -96,7 +96,7 @@ def _blocks(chains, morse):
 @pytest.mark.parametrize("name", sorted(_CLOSED) + ["s3", "circle"])
 def test_certificates_hold_exactly(name):
     m = {"s3": lambda: simplex_sphere(3), "circle": lambda: circle_polygon(5), **_CLOSED}[name]()
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     morse = _morse(chains)
     b, pi = chains.chain.total_boundary(), morse.projection
     bp = morse.boundary
@@ -168,7 +168,7 @@ def test_reduced_and_unreduced_classes_agree(name):
 
 def test_zero_dimensional_manifold():
     m = OrientedSimplicialManifold(((0,), (1,), (2,)), (1, -1, 1))
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     morse = _morse(chains)
     assert morse.dims == (3,) and morse.boundary.shape == (3, 3)
     assert np.array_equal(morse.projection, np.eye(3, dtype=np.int64))
@@ -200,12 +200,12 @@ def test_odd_degree_keeps_its_verdicts(build):
     with pytest.raises(OddDimension):
         check_coincidence(to_hp_complex(m))
     # a zero cap anticommutes exactly and is degenerate on both routes
-    chains = enumerate_and_boundaries(m)
-    chains.signs = np.zeros_like(chains.signs)
+    zeroed = build()
+    zeroed.chains.signs = np.zeros_like(zeroed.chains.signs)
     with pytest.raises(DegenerateDuality):
-        duality_operator(m, chains)
+        duality_operator(zeroed)
     zero = DualityOperator(tuple(np.zeros_like(x) for x in dual.blocks))
-    assert not verify_duality(HilbertPoincareComplex(chains.chain, zero)).cone_invertible
+    assert not verify_duality(HilbertPoincareComplex(zeroed.chains.chain, zero)).cone_invertible
 
 
 def test_first_subdivision_of_cp2(tmp_path, capsys):
@@ -271,8 +271,8 @@ def _mates(chains, rho):
 
 def _reduce_with(m, act):
     """The chains, the chain action and the Morse complex with its action."""
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     return chains, rho, reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
 
 
@@ -365,8 +365,8 @@ def test_a_matching_that_is_not_invariant_is_refused(monkeypatch):
     # subdivided octahedron it keeps critical simplices that the quarter turn
     # does not permute
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     real = reduce._coreduction
     monkeypatch.setattr(
         reduce, "_coreduction", lambda chains, table, orbit: real(chains, table, np.arange(orbit.size))
@@ -381,8 +381,8 @@ def _acting_or_closed(name):
     if name in _CLOSED:
         return enumerate_and_boundaries(_CLOSED[name]()), None
     m, act = _ACTING[name]()
-    chains = enumerate_and_boundaries(m)
-    return chains, chain_action(m, act, chains)
+    chains = m.chains
+    return chains, chain_action(m, act)
 
 
 def _morse_of(chains, rho):

@@ -15,7 +15,6 @@ from hpsig import (
     check_coincidence,
     direct_sum,
     doubled_duality_cone,
-    enumerate_and_boundaries,
     generate_with_boundary,
     generate_with_signature,
     higson_roe_signature,
@@ -259,8 +258,8 @@ def test_eigensolve_budget(monkeypatch, tmp_path, capsys, count_calls):
     cwb = generate_with_boundary(2, "n4-d6")
     # the isotypic block widths of the full complex and of its Morse complex
     blocks = sorted(q.shape[1] for q in octa.action.isotypic_bases)
-    chains = simplicial.enumerate_and_boundaries(m)
-    rho = simplicial.chain_action(m, act, chains)
+    chains = m.chains
+    rho = simplicial.chain_action(m, act)
     morse = reduce.morse_complex(chains, simplicial._roots(m.dim), rho)
     reduced = sorted(q.shape[1] for q in morse.action.isotypic_bases)
     solves = count_calls(np.linalg, ("eigh", "eigvalsh"))
@@ -513,10 +512,10 @@ def _noncommuting(name, monkeypatch):
         entries = simplicial._cap_entries
         monkeypatch.setattr(simplicial, "_cap_entries", lambda chains, rho: entries(chains, None))
         m, action = octahedron(), octahedron_rotation()
-        chains = enumerate_and_boundaries(m)
+        chains = m.chains
         raw = entries(chains, None)[0]
         dual = simplicial._symmetrize(simplicial._cap_blocks(chains, raw, 1, simplicial._roots(2)))
-        rho = chain_action(m, action, chains)
+        rho = chain_action(m, action)
         return HilbertPoincareComplex(chains.chain, DualityOperator(dual), rho), (m, action)
     hp = generate_with_signature(1, "n2-z3-d4")[0]
     rng = np.random.default_rng(3)

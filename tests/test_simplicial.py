@@ -117,6 +117,11 @@ def test_facet_validation():
             "face (1, 2) lies in 3 facets; at most 2 allowed",
         ),
         (((0,), (1,), (2,)), (1, 1, 1), None),
+        # a label or sign that is not an integer is refused, not truncated
+        (((0, 1.5, 2),), (1,), "vertex label 1.5 is not an integer"),
+        (((0, "1", 2),), (1,), "vertex label '1' is not an integer"),
+        (((0, 1, 2),), (1.5,), "signs must be +1 or -1, one per facet"),
+        (((0, 1, 2),), ("1",), "signs must be +1 or -1, one per facet"),
     ],
 )
 def test_facet_validation_messages(facets, signs, message):
@@ -158,16 +163,16 @@ def test_simplex_counts(build, dims):
 
 def test_fundamental_cycle_closed():
     m = simplex_sphere(2)
-    chains = enumerate_and_boundaries(m)
-    z = fundamental_cycle(m, chains)
+    chains = m.chains
+    z = fundamental_cycle(m)
     assert np.array_equal(np.abs(z), np.ones(len(m.facets)))
     assert operator_norm((chains.chain.boundary(2) @ z).reshape(-1, 1)) == 0.0
 
 
 def test_fundamental_cycle_with_boundary():
     m = simplex_disk(2)
-    chains = enumerate_and_boundaries(m)
-    z = fundamental_cycle(m, chains)
+    chains = m.chains
+    z = fundamental_cycle(m)
     bz = chains.chain.boundary(2) @ z
     allowed = {chains.index[1][f] for f in m.boundary_faces()}
     for row, val in enumerate(bz):
@@ -188,10 +193,53 @@ def test_solver_assigns_coherent_signs():
     assert pair.signs[:4] == pair.signs[4:]
 
 
+@pytest.mark.parametrize(
+    "facets, message",
+    [
+        ([], "a manifold needs at least one facet"),
+        ([(0, 1.5, 2)], "vertex label 1.5 is not an integer"),
+        # three facets on one face can never be oriented coherently, but the
+        # face is refused first, as the constructor refuses it
+        ([(0, 1, 2), (1, 2, 3), (1, 2, 4)], "face (1, 2) lies in 3 facets; at most 2 allowed"),
+    ],
+)
+def test_the_sign_solver_runs_on_validated_facets(facets, message):
+    with pytest.raises(InvalidFacet) as exc:
+        OrientedSimplicialManifold.from_facets(facets)
+    assert str(exc.value) == message
+
+
+def test_a_manifold_is_enumerated_once(count_calls):
+    m, act = octahedron(), octahedron_rotation()
+    calls = count_calls(simplicial, ("enumerate_and_boundaries",))
+    fundamental_cycle(m)
+    geometry_stats(m, act)
+    chain_action(m, act)
+    verify_equivariance(m, act)
+    manifold_signature(m, act)
+    to_hp_complex(m, act)
+    assert calls == {"enumerate_and_boundaries": 1}
+    # chain data passed where it used to be accepted is refused, not read as
+    # the tolerance
+    chains, disk = m.chains, simplex_disk(2)
+    for call in (
+        lambda: fundamental_cycle(m, chains),
+        lambda: cap_duality(m, chains),
+        lambda: duality_operator(m, chains),
+        lambda: chain_action(m, act, chains),
+        lambda: verify_equivariance(m, act, chains),
+        lambda: to_hp_complex(m, act, chains),
+        lambda: manifold_signature(m, act, chains),
+        lambda: bordism_to_cwb(disk, disk.chains),
+        lambda: geometry_stats(m, act, chains),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 def test_interval_cap_values():
     m = simplex_disk(1)
-    chains = enumerate_and_boundaries(m)
-    caps = cap_duality(m, chains)
+    caps = cap_duality(m)
     assert np.array_equal(caps[0].real, np.array([[0.0], [1.0]]))
     assert np.array_equal(caps[1].real, np.array([[1.0, 0.0]]))
 
@@ -211,7 +259,7 @@ def test_phased_cap_anticommutes_exactly(build):
     assert rep.passed
     # alternating-sign orderings cancel exactly in integer arithmetic, and
     # in floating point on the laid-out phased cap
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     assert simplicial._exact_identities(chains, None, simplicial._cap_entries(chains, None)[0]) is None
     phased = HilbertPoincareComplex(chains.chain, DualityOperator(tuple(_phased(m, chains))))
     assert verify_duality(phased).chain_residual == 0.0
@@ -376,7 +424,7 @@ def test_equivariance_identity_action():
 def _phased(m, chains):
     """The phased cap laid out densely, each raw cap block times its phase:
     the reference for the cap blocks that the simplicial layer scatters."""
-    return [r * x for r, x in zip(simplicial._roots(m.dim), cap_duality(m, chains))]
+    return [r * x for r, x in zip(simplicial._roots(m.dim), cap_duality(m))]
 
 
 def test_equivariance_octahedron_rotation():
@@ -386,8 +434,8 @@ def test_equivariance_octahedron_rotation():
     # averaging makes the pipeline duality commute exactly, while the raw
     # phased cap is order sensitive and visibly fails to commute
     assert rep.duality_residual == 0.0
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     raw = DualityOperator(tuple(_phased(m, chains))).total(chains.chain)
     commutators = [rho.total(g) @ raw - raw @ rho.total(g) for g in range(rho.group.order)]
     assert max(np.linalg.norm(x) for x in commutators) > 1.0
@@ -583,8 +631,8 @@ def _morse_hp(m, chains, rho=None):
 @pytest.mark.parametrize("name", sorted(_ROUTE_CASES))
 def test_shared_route_matches_the_public_route(name):
     m, act = _ROUTE_CASES[name]()
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains) if act is not None else None
+    chains = m.chains
+    rho = chain_action(m, act) if act is not None else None
     shared = manifold_signature(m, act)
     public = check_coincidence(to_hp_complex(m, act))
     # the spectra are those of the Morse complex, with its action
@@ -601,8 +649,8 @@ def test_shared_route_matches_the_public_route(name):
     # float gate of the public check on the laid-out blocks, and its cone
     # value against that of the Morse complex, which the public check reads
     # over the trivial group and the route, with an action, block by block
-    exact = duality_operator(m, chains, rho=rho)[1]
-    floated = verify_duality(to_hp_complex(m, act, chains))
+    exact = duality_operator(m, rho=rho)[1]
+    floated = verify_duality(to_hp_complex(m, act))
     assert exact.passed and floated.passed and floated.chain_residual == 0.0
     reduced = verify_duality(morse).cone_min_singular_value
     if act is None:
@@ -639,14 +687,12 @@ def _moved_cap_triples(chains):
          "duality does not anticommute with the boundary on the integer arrays"),
     ],
 )
-def test_shared_route_fails_as_the_public_route(name, build, error, message, monkeypatch):
+def test_shared_route_fails_as_the_public_route(name, build, error, message):
+    m = build()
     if name == "chain-map":
         # the moved cap triple fails the chain condition exactly, which both
         # routes decide on the integer arrays and refuse
-        monkeypatch.setattr(
-            simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
-        )
-    m = build()
+        m.chains.cap_triples = _moved_cap_triples(m.chains)
     with pytest.raises(error) as shared:
         manifold_signature(m)
     with pytest.raises(error) as public:
@@ -672,12 +718,12 @@ _EXACT_CASES = {
 @pytest.mark.parametrize("name", sorted(_EXACT_CASES))
 def test_exact_gates_agree_with_the_float_gates(name):
     m, act = _EXACT_CASES[name]()
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains) if act is not None else None
+    chains = m.chains
+    rho = chain_action(m, act) if act is not None else None
     failed = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
     # every identity holds exactly, so the duality check runs no float gate
     assert failed is None
-    cap = simplicial._closed_duality(m, chains, 1e-9, rho)
+    cap = simplicial._closed_duality(m, 1e-9, rho)
     hp = HilbertPoincareComplex(chains.chain, cap.dual, rho)
     # the float gates pass on the same complex
     plain = verify_duality(HilbertPoincareComplex(hp.chain, DualityOperator(hp.duality.blocks), rho))
@@ -752,8 +798,8 @@ _ACTION_CASES = {
 @pytest.mark.parametrize("name", sorted(_ACTION_CASES))
 def test_the_cap_entries_give_the_dense_route_s_blocks_and_compressions(name):
     m, act = _ACTION_CASES[name]()
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     assert rho.is_signed_permutation
     # the group average read off the cap entries is the dense one, up to
     # the sign of zero
@@ -807,8 +853,8 @@ _ACTING = sorted(set(_HALF_CASES) - {"cp2", "cp2-flip", "s3", "s4", "point"})
 )
 def test_b_plus_minus_s_read_off_the_integer_arrays_are_the_block_layout(name, acting):
     m, act = _HALF_CASES[name]()
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains) if acting else None
+    chains = m.chains
+    rho = chain_action(m, act) if acting else None
     halves = reduce.reduced_halves(reduce.morse_complex(chains, simplicial._roots(m.dim), rho))
     assert (halves[1] is None) == (m.dim % 2 == 0)
     hp = _morse_hp(m, chains, rho)
@@ -827,7 +873,7 @@ def test_the_action_route_lays_out_no_n_wide_operator(
 ):
     m, act = _ACTION_CASES[name]() if name in _ACTION_CASES else (cp2_nine_vertex(), None)
     want = manifold_signature(m, act)
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     width = sum(chains.dims)
 
     def refuse(*args):
@@ -852,7 +898,7 @@ def test_the_action_route_lays_out_no_n_wide_operator(
     layouts = count_calls(complexes, ("assemble_total",))
     tracemalloc.start()
     try:
-        rep = manifold_signature(m, act, chains)
+        rep = manifold_signature(m, act)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -887,8 +933,8 @@ def test_an_action_that_does_not_compose_exactly_is_refused(monkeypatch):
     # every action that chain_action returns composes exactly, so its
     # identities are decided on the group's generators
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation_group())
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     cap = simplicial._cap_entries(chains, rho)[0]
     seen = set()
     dst, sign = rho._images
@@ -907,8 +953,8 @@ def test_the_action_gate_reads_the_boundary_half(monkeypatch):
     # one flipped sign of a generator on an edge breaks rho(g) b = b rho(g),
     # which the boundary entries alone decide, before any cap entry is read
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     dst, sign = rho._images
     g = rho.group.generators[0]
     flipped = sign.copy()
@@ -919,7 +965,7 @@ def test_the_action_gate_reads_the_boundary_half(monkeypatch):
     assert not simplicial._action_commutes(chains, bad, [], bnd)
     monkeypatch.setattr(simplicial, "chain_action", lambda *args, **kwargs: bad)
     with pytest.raises(EquivarianceViolated) as exc:
-        verify_equivariance(m, act, chains)
+        verify_equivariance(m, act)
     assert str(exc.value) == (
         "action does not commute with the structure maps on the integer arrays"
     )
@@ -927,12 +973,12 @@ def test_the_action_gate_reads_the_boundary_half(monkeypatch):
 
 def test_the_cap_is_averaged_over_signed_permutations_only():
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation())
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, act, chains)
+    chains = m.chains
+    rho = chain_action(m, act)
     rng = np.random.default_rng(5)
     twisted = rho.conjugated([random_unitary(rng, d) for d in rho.dims])
     with pytest.raises(PreconditionViolated, match="signed permutations"):
-        duality_operator(m, chains, rho=twisted)
+        duality_operator(m, rho=twisted)
 
 
 def _moved_face(chains):
@@ -953,13 +999,11 @@ def _swapped_face_columns(chains):
 
 
 @pytest.mark.parametrize("broken", ["cap-triple", "face-index", "face-columns"])
-def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
+def test_an_identity_that_fails_exactly_is_refused(broken):
     m = cp2_nine_vertex()
+    chains = m.chains
     if broken == "cap-triple":
-        monkeypatch.setattr(
-            simplicial.SimplicialChainData, "cap_triples", property(_moved_cap_triples)
-        )
-    chains = enumerate_and_boundaries(m)
+        chains.cap_triples = _moved_cap_triples(chains)
     if broken == "face-index":
         _moved_face(chains)
     if broken == "face-columns":
@@ -967,7 +1011,7 @@ def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
         # the fundamental cycle reads the same face arrays and refuses them
         # first; below, the cap is laid out and refused past it
         with pytest.raises(IncoherentOrientation):
-            duality_operator(m, chains)
+            duality_operator(m)
     raw = simplicial._cap_entries(chains, None)[0]
     failed = simplicial._exact_identities(chains, None, raw)
     # the public float gates on the laid-out blocks catch the same fault
@@ -988,7 +1032,7 @@ def test_an_identity_that_fails_exactly_is_refused(broken, monkeypatch):
         if broken == "face-columns":
             simplicial._duality_from_cap(chains, DEFAULT_TOL, None)
         else:
-            duality_operator(m, chains)
+            duality_operator(m)
     assert str(exc.value) == f"{complexes._DUALITY_FAILURES[failed]} on the integer arrays"
 
 
@@ -1077,8 +1121,8 @@ def test_the_refusal_never_fires_on_valid_input(name):
     for seed in range(10):
         m, act = _relabelled(base, base_act, seed)
         for oriented in (m, _flipped(m)):
-            chains = enumerate_and_boundaries(oriented)
-            rhos = [None] if act is None else [None, chain_action(oriented, act, chains)]
+            chains = oriented.chains
+            rhos = [None] if act is None else [None, chain_action(oriented, act)]
             for rho in rhos:
                 cap = simplicial._cap_entries(chains, rho)[0]
                 assert simplicial._exact_identities(chains, rho, cap) is None
@@ -1109,12 +1153,12 @@ def test_the_refusal_of_a_labelling_lays_out_only_the_blocks_it_names():
     m, act = cp2_triple_s3()
     maps = list(act.vertex_maps)
     maps[1], maps[2] = maps[2], maps[1]
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     chains.cap_triples  # located before the measurement
     tracemalloc.start()
     try:
         with pytest.raises(NotRepresentation) as exc:
-            chain_action(m, SimplicialAction(act.group, tuple(maps)), chains)
+            chain_action(m, SimplicialAction(act.group, tuple(maps)))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

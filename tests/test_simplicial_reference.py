@@ -24,7 +24,6 @@ from hpsig import (
     bordism_to_cwb,
     cap_duality,
     chain_action,
-    enumerate_and_boundaries,
     fundamental_cycle,
     geometry_stats,
     manifold_signature,
@@ -201,7 +200,7 @@ def test_enumeration_and_cap_match_the_loops(name):
     m = barycentric_subdivide(cp2_nine_vertex())[0] if name == "sd-cp2" else FIXTURES[name]()[0]
     n = m.dim
     simplices, index = _reference_simplices(m)
-    chains = enumerate_and_boundaries(m)
+    chains = m.chains
     assert chains.simplices == simplices
     assert chains.index == index
     assert chains.dims == tuple(map(len, simplices))
@@ -220,9 +219,9 @@ def test_enumeration_and_cap_match_the_loops(name):
         assert len(chains.chain.boundaries) == len(bnds)
         for got, want in zip(chains.chain.boundaries, bnds):
             assert _same_bits(got, want)
-        for got, want in zip(cap_duality(m, chains), _reference_cap(m, simplices, index)):
+        for got, want in zip(cap_duality(m), _reference_cap(m, simplices, index)):
             assert _same_bits(got, want)
-    z = fundamental_cycle(m, chains)
+    z = fundamental_cycle(m)
     want = np.zeros(len(simplices[m.dim]))
     for f, s in zip(m.facets, m.signs):
         want[index[m.dim][f]] = s
@@ -347,8 +346,8 @@ def test_subdivided_cp2_triple_forms_no_dense_block():
     m, action = barycentric_subdivide(*cp2_triple_s3())
     tracemalloc.start()
     try:
-        chains = enumerate_and_boundaries(m)
-        rho = chain_action(m, action, chains)
+        chains = m.chains
+        rho = chain_action(m, action)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -363,8 +362,8 @@ def test_subdivided_cp2_triple_forms_no_dense_block():
 
 def test_subdivided_cp2_triple_decides_its_duality_gates_with_no_dense_block():
     m, action = barycentric_subdivide(*cp2_triple_s3())
-    chains = enumerate_and_boundaries(m)
-    rho = chain_action(m, action, chains)
+    chains = m.chains
+    rho = chain_action(m, action)
     tracemalloc.start()
     try:
         failed = simplicial._exact_identities(chains, rho, simplicial._cap_entries(chains, rho)[0])
