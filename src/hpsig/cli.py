@@ -292,8 +292,8 @@ def _cmd_bordism_check(args, out: _Output) -> int:
 def _describe(out: _Output, manifold, prefix: str = "") -> None:
     """The header line of a triangulation, with its dimension and boundary flag."""
     out(
-        f"{prefix}dimension {manifold.dim}, {len(manifold.vertices)} vertices, "
-        f"{len(manifold.facets)} facets, "
+        f"{prefix}dimension {manifold.dim}, {len(manifold.chains.vertices)} vertices, "
+        f"{len(manifold.chains.facets)} facets, "
         f"{'with boundary' if manifold.with_boundary else 'closed'}",
         dim=manifold.dim,
         with_boundary=manifold.with_boundary,
@@ -369,9 +369,9 @@ def _cmd_generate(args, out: _Output) -> int:
 def _cmd_subdivide(args, out: _Output) -> int:
     manifold, action = read_smf(args.file)
     refined, refined_action = barycentric_subdivide(manifold, action)
-    out(f"subdivided: {len(manifold.facets)} -> {len(refined.facets)} facets, "
-        f"{len(refined.vertices)} vertices",
-        facets=len(refined.facets), vertices=len(refined.vertices))
+    facets, vertices = len(refined.chains.facets), len(refined.chains.vertices)
+    out(f"subdivided: {len(manifold.chains.facets)} -> {facets} facets, {vertices} vertices",
+        facets=facets, vertices=vertices)
     write_smf(refined, args.output, refined_action)
     out(f"written to {args.output}", output=args.output)
     return EXIT_OK

@@ -236,8 +236,8 @@ def write_smf(
         "format": "smf",
         "dim": manifold.dim,
         "facets": [
-            {"verts": list(f), "sign": s}
-            for f, s in zip(manifold.facets, manifold.signs)
+            {"verts": f, "sign": s}
+            for f, s in zip(manifold._facets.tolist(), manifold.chains.signs.tolist())
         ],
     }
     if action is not None:
@@ -277,7 +277,7 @@ def read_smf(
             signs.append(_need(entry, "sign", int, f"{path}: facets[{i}]"))
             if isinstance(signs[-1], bool):
                 raise ParseError(f"{path}: facets[{i}]: key 'sign' has the wrong type")
-    manifold = OrientedSimplicialManifold(tuple(map(tuple, facets)), tuple(map(int, signs)))
+    manifold = OrientedSimplicialManifold(facets, signs)
     if "dim" in doc and doc["dim"] != manifold.dim:
         raise ParseError(
             f"{path}: dim key says {doc['dim']} but facets have dimension "

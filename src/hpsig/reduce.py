@@ -183,7 +183,7 @@ def morse_complex(chains, roots: Sequence[complex], rho: GroupAction | None = No
         certified &= np.array_equal(pi_b, pi_t[k] @ b)
     if not (certified and not (boundary @ boundary).any()):
         raise ArithmeticError("the Morse complex fails b' b' = 0 or pi b = b' pi")
-    raw, cap_signs = np.zeros_like(boundary), chains.signs.astype(np.int64)[:, None]
+    raw, cap_signs = np.zeros_like(boundary), chains.signs[:, None]
     for k, (back, front) in enumerate(chains.cap_triples):
         signed = pi_t[k][back] * cap_signs
         raw[at[k] : at[k + 1], at[n - k] : at[n - k + 1]] = signed.T @ pi_t[n - k][front]

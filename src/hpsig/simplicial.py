@@ -21,12 +21,12 @@ The combinatorial data stay integer arrays (:class:`SimplicialChainData`):
 per degree the sorted simplices as rows of vertex numbers and their faces as
 indices, and the facets' (back, front, sign) cap triples, all read off one
 rank table per degree that numbers every subset of every facet.  They are the
-manifold's own (:attr:`OrientedSimplicialManifold.chains`), enumerated on
-first read and kept, and every public function here reads them there, so no
-function takes chain data beside the manifold.  The duality
-check's structural identities are integer theorems, decided on them exactly
-(:func:`_exact_identities`); a triangulation on which one fails is refused,
-as degenerate or, for its action, as not equivariant.
+manifold's own (:attr:`OrientedSimplicialManifold.chains`), enumerated and
+validated by its constructor, and every public function here reads them
+there, so no function takes chain data beside the manifold.  The duality
+check's structural identities are integer theorems, decided on them
+exactly (:func:`_exact_identities`); a triangulation on which one fails is
+refused, as degenerate or, for its action, as not equivariant.
 No float gate runs and the signature route lays out no degree block: it
 diagonalises ``B + S`` and ``B - S`` of the Morse complex of an acyclic
 matching on the simplices (:mod:`hpsig.reduce`; Forman 1998), chain
@@ -122,75 +122,70 @@ __all__ = [
 ]
 
 
-@dataclass(eq=False)
 class OrientedSimplicialManifold:
     """Pure simplicial complex of facet dimension ``dim`` with facet signs.
 
-    Facets are sorted tuples of integer vertex labels and signs are the
+    Facets are sorted sequences of integer vertex labels and signs are the
     integers +1 and -1; every codimension-one face must lie in one or two
-    facets.  ``with_boundary`` is derived from the face counts.
-    Coherence of the signs is not checked here; it is certified by
-    :func:`fundamental_cycle`.
+    facets.  The constructor enumerates the simplices once, on one int64
+    facet array and one int64 sign array, keeps them as ``chains``
+    (:func:`enumerate_and_boundaries`) and validates the facets on them; the
+    face counts also give ``with_boundary``.  ``facets``, ``signs`` and
+    ``vertices`` (sorted) are read-only tuples of ints, built on first read.
+    Coherence of the signs is certified by :func:`fundamental_cycle`.
     """
 
-    facets: tuple[tuple[int, ...], ...]
-    signs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not len(self.facets):
+    def __init__(self, facets: Sequence[Sequence[int]], signs: Sequence[int]) -> None:
+        if not len(facets):
             raise InvalidFacet("a manifold needs at least one facet")
-        size = len(self.facets[0])
+        size = len(facets[0])
         if not size:
             raise InvalidFacet("facet () has no vertex")
-        # the facets before the first of another size, as rows
-        same = next((t for t, f in enumerate(self.facets) if len(f) != size), len(self.facets))
-        rows = np.array(self.facets[:same])
-        if rows.dtype.kind != "i":  # a label that is not an integer or needs more than 64 bits
-            info = np.iinfo(np.int64)
-            for v in (v for f in self.facets[:same] for v in f):
-                if not isinstance(v, (int, np.integer)):
-                    raise InvalidFacet(f"vertex label {v!r} is not an integer")
-                if not info.min <= v <= info.max:
-                    raise InvalidFacet(f"vertex label {v} is outside the 64-bit integer range")
-        rows = rows.astype(np.int64, copy=False).reshape(same, size)
+        rows = _int_array(facets, (len(facets), size))
+        if rows is None:  # the facets before the first of another size, label by label
+            same = next((t for t, f in enumerate(facets) if len(f) != size), len(facets))
+            rows = np.array([[_label(v) for v in f] for f in facets[:same]], dtype=np.int64)
         t = _first((rows[:, 1:] <= rows[:, :-1]).any(axis=1))
         if t is not None:
             raise InvalidFacet(
                 f"facet {tuple(rows[t].tolist())} is not a sorted tuple of distinct vertices"
             )
-        if same < len(self.facets):
-            f = tuple(int(v) for v in self.facets[same])
+        if len(rows) < len(facets):
+            f = tuple(_label(v) for v in facets[len(rows)])
             raise InvalidFacet(f"facet {f} has {len(f)} vertices, expected {size}")
-        if _unique_rows(rows)[0].shape[0] != same:
-            raise InvalidFacet("duplicate facets")
         # a sign that is not an integer reads as 0, which is refused below
-        signs = tuple(int(s) if isinstance(s, (int, np.integer)) else 0 for s in self.signs)
-        if len(signs) != same or any(s not in (-1, 1) for s in signs):
+        self._signs = _int_array(signs, (len(signs),))
+        if self._signs is None:
+            ints = (s if isinstance(s, (int, np.integer)) and s in (-1, 1) else 0 for s in signs)
+            self._signs = np.fromiter(ints, np.int64)
+        self.dim, self._facets, self._views = size - 1, rows, {}
+        self.chains = chains = enumerate_and_boundaries(self)
+        n = self.dim
+        if chains.dims[n] < len(rows):
+            raise InvalidFacet("duplicate facets")
+        if self._signs.shape != (len(rows),) or (np.abs(self._signs) != 1).any():
             raise InvalidFacet("signs must be +1 or -1, one per facet")
-        # every codimension-one face, facet by facet, the face without
-        # vertex i at i
-        faces = rows[:, [[j for j in range(size) if j != i] for i in range(size)]]
-        faces, first, counts = _unique_rows(faces.reshape(same * size, size - 1))
-        bad = np.flatnonzero(counts > 2)
-        if bad.size:
-            face = bad[np.argmin(first[bad])]  # the first to appear
+        # how many facets hold each codimension-one face (points have none)
+        counts = np.bincount(chains.faces[n].ravel(), minlength=chains.dims[n - 1] if n else 0)
+        if (counts > 2).any():
+            faces = chains.faces[n][chains.cap_triples[n][0]].ravel()  # facet by facet
+            face = faces[_first(counts[faces] > 2)]  # the first to appear
             raise InvalidFacet(
-                f"face {tuple(faces[face].tolist())} lies in {counts[face]} facets; "
+                f"face {chains.simplex(n - 1, face)} lies in {counts[face]} facets; "
                 f"at most 2 allowed"
             )
-        self.facets = tuple(map(tuple, rows.tolist()))
-        self.signs = signs
-        self._boundary = faces[counts == 1]
-        self.vertices = tuple(np.unique(rows).tolist())
-        self.dim = size - 1
-        self.with_boundary = bool(self._boundary.shape[0])
+        self._boundary = np.flatnonzero(counts == 1)  # the faces in one facet
+        self.with_boundary = bool(self._boundary.size)
 
-    @cached_property
-    def chains(self) -> SimplicialChainData:
-        """The simplices as integer arrays (:func:`enumerate_and_boundaries`),
-        enumerated on first read and kept; every function of this module
-        that takes the manifold reads them here."""
-        return enumerate_and_boundaries(self)
+    facets = property(lambda self: self._view("facets", self._facets), doc="Vertex label tuples.")
+    signs = property(lambda self: self._view("signs", self._signs), doc="The signs of the facets.")
+    vertices = property(lambda self: self._view("vertices", self.chains.vertices), doc="Labels.")
+
+    def _view(self, name: str, array: np.ndarray) -> tuple:
+        if name not in self._views:  # built on the first read and kept
+            rows = array.tolist()
+            self._views[name] = tuple(map(tuple, rows) if array.ndim > 1 else rows)
+        return self._views[name]
 
     @classmethod
     def from_facets(
@@ -203,14 +198,17 @@ class OrientedSimplicialManifold:
         The sign solver walks the facet adjacency graph; two facets sharing a
         codimension-one face get opposite induced orientations on it.  The
         first facet of each connected component gets sign +1, which pins the
-        assignment uniquely.  The facets are validated first, as the
-        constructor does, and IncoherentOrientation is raised when no
-        coherent assignment exists.
+        assignment uniquely.  The constructor validates the facets first, and
+        the solved signs are written into the manifold's one sign array.
+        IncoherentOrientation is raised when no coherent assignment exists.
         """
-        sorted_facets = tuple(tuple(sorted(f)) for f in facets)
+        try:
+            facets = [sorted(f) for f in facets]
+        except TypeError:  # labels that do not compare; the constructor names the first
+            pass
         if signs is not None:
-            return cls(sorted_facets, tuple(signs))
-        out = cls(sorted_facets, (1,) * len(sorted_facets))
+            return cls(facets, signs)
+        out = cls(facets, np.ones(len(facets), dtype=np.int64))
         sorted_facets, m = out.facets, len(out.facets)
         by_face: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for t, f in enumerate(sorted_facets):
@@ -240,24 +238,32 @@ class OrientedSimplicialManifold:
                                 f"facets {sorted_facets[t]} and {sorted_facets[u]} "
                                 f"cannot be oriented coherently"
                             )
-        out.signs = tuple(solved)
+        out.chains.signs[:] = solved
         return out
 
     def boundary_faces(self) -> tuple[tuple[int, ...], ...]:
-        """Codimension-one faces lying in exactly one facet."""
-        return tuple(map(tuple, self._boundary.tolist()))
+        """Codimension-one faces lying in exactly one facet, sorted."""
+        rows = self.chains.rows[self.dim - 1][self._boundary]
+        return tuple(map(tuple, self.chains.vertices[rows].tolist()))
 
 
-def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of an integer array in lexicographic order, the
-    position of each one's first occurrence and its count.  Rows of width 0
-    (the faces of points) are no rows at all."""
-    if not rows.shape[1]:
-        return rows[:0], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
-    order = np.lexsort(rows.T[::-1])  # stable: equal rows keep their order
-    ranked = rows[order]
-    starts = np.flatnonzero(np.concatenate(([True], (ranked[1:] != ranked[:-1]).any(axis=1))))
-    return ranked[starts], order[starts], np.diff(np.append(starts, rows.shape[0]))
+def _int_array(values, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``values`` as an int64 array of ``shape``, or None unless they are
+    integers that fit in 64 bits, laid out in that shape."""
+    try:
+        out = np.array(values)
+    except ValueError:  # ragged, or an entry that is itself a sequence
+        return None
+    return out.astype(np.int64, copy=False) if out.dtype.kind == "i" and out.shape == shape else None
+
+
+def _label(v) -> int:
+    """The vertex label ``v`` as an int, or InvalidFacet."""
+    if not isinstance(v, (int, np.integer)):
+        raise InvalidFacet(f"vertex label {v!r} is not an integer")
+    if not np.iinfo(np.int64).min <= v <= np.iinfo(np.int64).max:
+        raise InvalidFacet(f"vertex label {v} is outside the 64-bit integer range")
+    return int(v)
 
 
 class SimplicialChainData:
@@ -270,7 +276,7 @@ class SimplicialChainData:
     column ``i`` holds the index in degree ``p - 1`` of the face without the
     ``i``-th vertex, which the boundary gives the sign ``(-1)^i``; degree 0 has
     no faces.  ``facets`` holds the manifold's facets in its own order, as
-    rows of vertex numbers, and ``signs`` their signs.
+    rows of vertex numbers, and ``signs`` their signs (the manifold's array).
 
     A simplex is found by its key: its vertex number in degree 0 and, above,
     ``index of the face without the last vertex * V + last vertex``, which
@@ -278,11 +284,11 @@ class SimplicialChainData:
     and front faces of each degree (``_ends``, read by ``cap_triples``) are
     taken from the enumeration's rank tables.
 
-    Built once per manifold, on the first read of its ``chains``
-    (:func:`enumerate_and_boundaries`), and kept with it.  ``simplices``
-    (vertex label tuples), ``index`` (dicts from those tuples to positions)
-    and ``chain`` (the complex with its dense boundary blocks) are built once,
-    on first use, and kept too.
+    Built once per manifold, by its constructor
+    (:func:`enumerate_and_boundaries`), and kept with it as its ``chains``.
+    ``simplices`` (vertex label tuples), ``index`` (dicts from those tuples
+    to positions) and ``chain`` (the complex with its dense boundary blocks)
+    are built once, on first use, and kept too.
     """
 
     def __init__(self, vertices: np.ndarray, facets: np.ndarray, signs: np.ndarray) -> None:
@@ -377,11 +383,8 @@ def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainDa
     ``cap_triples``, are the last and first column of each table.  Only the
     previous degree's table is kept.
     """
-    facets = np.array(m.facets, dtype=np.int64)
-    vertices = np.unique(facets)
-    data = SimplicialChainData(
-        vertices, np.searchsorted(vertices, facets), np.array(m.signs, dtype=float)
-    )
+    vertices, numbers = np.unique(m._facets, return_inverse=True)
+    data = SimplicialChainData(vertices, numbers.reshape(m._facets.shape), m._signs)
     rank = data.facets  # the rank of each p-subset of each facet, p = 0
     for p in range(1, m.dim + 1):
         subsets, front, drops = _subset_tables(m.dim, p)
@@ -416,8 +419,8 @@ def fundamental_cycle(m: OrientedSimplicialManifold) -> np.ndarray:
         faces = chains.faces[n]
         weights = z[:, None] * (-1.0) ** np.arange(n + 1)
         bz = np.bincount(faces.ravel(), weights.ravel(), minlength=chains.dims[n - 1])
-        allowed = np.bincount(faces.ravel(), minlength=chains.dims[n - 1]) == 1
-        row = _first((np.abs(bz) > 0.5) & ~allowed)
+        bz[m._boundary] = 0.0
+        row = _first(np.abs(bz) > 0.5)
         if row is not None:
             raise IncoherentOrientation(
                 f"facet signs are not coherent around face {chains.simplex(n - 1, row)}"
@@ -695,9 +698,8 @@ def _cap_entries(
     ``rho(g)^{-1}`` does.  Raises PreconditionViolated for an action that is
     not by signed permutations, as :func:`chain_action`'s are."""
     n = len(chains.rows) - 1
-    signs = chains.signs.astype(np.int64)
     if rho is None:
-        return [(back, front, signs) for back, front in chains.cap_triples], 1
+        return [(back, front, chains.signs) for back, front in chains.cap_triples], 1
     if not rho.is_signed_permutation:
         raise PreconditionViolated(
             "the cap is averaged over an action by signed permutations of the simplices"
@@ -711,7 +713,7 @@ def _cap_entries(
         cap.append((
             (dst[:, back] - offsets[k]).ravel(),
             (dst[:, front] - offsets[n - k]).ravel(),
-            (signs * sign[:, back] * sign[:, front]).ravel(),
+            (chains.signs * sign[:, back] * sign[:, front]).ravel(),
         ))
     return cap, rho.group.order
 
@@ -990,8 +992,7 @@ def bordism_to_cwb(
     chains, n = m.chains, m.dim
     sym = _symmetrize(_cap_blocks(chains, _cap_entries(chains, None)[0], 1, _roots(n)))
     split = [np.zeros(0, dtype=np.intp)] * (n + 1)
-    counts = np.bincount(chains.faces[n].ravel(), minlength=chains.dims[n - 1])
-    split[n - 1] = np.flatnonzero(counts == 1)
+    split[n - 1] = m._boundary
     for p in range(n - 1, 0, -1):
         split[p - 1] = np.unique(chains.faces[p][split[p]])
     cwb = ComplexWithBoundary(chains.chain, DualityOperator(sym), tuple(split))
@@ -1073,10 +1074,8 @@ def barycentric_subdivide(
         ],
         axis=-1,
     )
-    signs = np.multiply.outer(np.array(m.signs), _parities(perms))
-    m2 = OrientedSimplicialManifold(
-        tuple(map(tuple, flags.reshape(-1, n + 1).tolist())), tuple(signs.ravel().tolist())
-    )
+    signs = chains.signs[:, None] * _parities(perms)
+    m2 = OrientedSimplicialManifold(flags.reshape(-1, n + 1), signs.ravel())
     if action is None:
         return m2, None
     table = _vertex_table(chains, action, action.group.order)

@@ -61,7 +61,7 @@ from hpsig.fixtures import (
 )
 from hpsig.generate import random_unitary
 from hpsig.cli import main
-from hpsig.io import write_smf
+from hpsig.io import read_smf, write_smf
 from hpsig.linalg import DEFAULT_TOL, adjoint, operator_norm
 
 
@@ -122,6 +122,11 @@ def test_facet_validation():
         (((0, "1", 2),), (1,), "vertex label '1' is not an integer"),
         (((0, 1, 2),), (1.5,), "signs must be +1 or -1, one per facet"),
         (((0, 1, 2),), ("1",), "signs must be +1 or -1, one per facet"),
+        # a label that is itself a sequence, ragged or not
+        (((0, (1, 2)),), (1,), "vertex label (1, 2) is not an integer"),
+        ((((0,), (1,)),), (1,), "vertex label (0,) is not an integer"),
+        # a facet of another size has its labels checked before it is named
+        (((0, 1, 2), ("a", 1)), (1, 1), "vertex label 'a' is not an integer"),
     ],
 )
 def test_facet_validation_messages(facets, signs, message):
@@ -194,6 +199,25 @@ def test_solver_assigns_coherent_signs():
 
 
 @pytest.mark.parametrize(
+    "build",
+    [
+        lambda: simplex_sphere(2),
+        lambda: simplex_sphere(4),
+        lambda: circle_polygon(5),
+        octahedron,
+        disjoint_sphere_pair,
+        cp2_nine_vertex,
+    ],
+)
+def test_the_solved_signs_are_the_one_sign_array(build):
+    m = build()
+    assert m.chains.signs.tolist() == list(m.signs) and m.chains.signs.dtype == np.int64
+    for name in ("facets", "signs", "vertices"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, getattr(m, name))
+
+
+@pytest.mark.parametrize(
     "facets, message",
     [
         ([], "a manifold needs at least one facet"),
@@ -201,6 +225,9 @@ def test_solver_assigns_coherent_signs():
         # three facets on one face can never be oriented coherently, but the
         # face is refused first, as the constructor refuses it
         ([(0, 1, 2), (1, 2, 3), (1, 2, 4)], "face (1, 2) lies in 3 facets; at most 2 allowed"),
+        # labels that cannot be sorted are named as the constructor names them
+        ([("a", 1, 2)], "vertex label 'a' is not an integer"),
+        ([(0, (1, 2))], "vertex label (1, 2) is not an integer"),
     ],
 )
 def test_the_sign_solver_runs_on_validated_facets(facets, message):
@@ -209,9 +236,9 @@ def test_the_sign_solver_runs_on_validated_facets(facets, message):
     assert str(exc.value) == message
 
 
-def test_a_manifold_is_enumerated_once(count_calls):
-    m, act = octahedron(), octahedron_rotation()
+def test_a_manifold_is_enumerated_once(count_calls, tmp_path):
     calls = count_calls(simplicial, ("enumerate_and_boundaries",))
+    m, act = octahedron(), octahedron_rotation()
     fundamental_cycle(m)
     geometry_stats(m, act)
     chain_action(m, act)
@@ -219,6 +246,15 @@ def test_a_manifold_is_enumerated_once(count_calls):
     manifold_signature(m, act)
     to_hp_complex(m, act)
     assert calls == {"enumerate_and_boundaries": 1}
+    # the constructor enumerates the manifolds the reader and the subdivision
+    # build, and nothing else does
+    path = str(tmp_path / "oct.smf")
+    write_smf(m, path)
+    read, _ = read_smf(path)
+    assert calls == {"enumerate_and_boundaries": 2}
+    fine, _ = barycentric_subdivide(read)
+    manifold_signature(fine)
+    assert calls == {"enumerate_and_boundaries": 3}
     # chain data passed where it used to be accepted is refused, not read as
     # the tolerance
     chains, disk = m.chains, simplex_disk(2)

@@ -11,9 +11,11 @@ transported), and sd(CP^2_9) with the 54 automorphisms of CP^2_9
 (``fixtures.cp2_automorphisms``, transported), writes each to an ``.smf`` file
 in a temporary directory, and runs ``hpsig.cli.main(["manifold", path,
 "--json"])`` on each in-process.  Prints one JSON line: per case the exit
-code, ``passed``, the class of each construction, the chain dimensions and
-the wall time of the command (``time.perf_counter``), and the process's peak
-resident set size (``ru_maxrss``, which covers the builds as well).  Expected
+code, ``passed``, the class of each construction, the chain dimensions, the
+wall time of the command (``time.perf_counter``) and, taken before it, that of
+one ``read_smf(path)`` (``read_s``), which enumerates and validates the
+triangulation, and the process's peak resident set size (``ru_maxrss``,
+which covers the builds as well).  Expected
 are +1 and -1 over the trivial group, the values 3, 1 and 0 on the identity,
 the transpositions and the 3-cycles over S_3, and over Aut(CP^2_9) a linear
 character that takes the values +1 and -1 (multiplicity 1 there and 0
@@ -42,7 +44,11 @@ from hpsig.fixtures import cp2_automorphisms, cp2_nine_vertex, cp2_triple_s3
 
 
 def run(path: str) -> dict:
-    """The CLI ``manifold --json`` command on ``path``, timed."""
+    """The CLI ``manifold --json`` command on ``path``, timed, and one
+    ``read_smf(path)`` before it, timed alone."""
+    t0 = time.perf_counter()
+    hpsig.read_smf(path)
+    read_s = time.perf_counter() - t0
     out = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out):
@@ -56,6 +62,7 @@ def run(path: str) -> dict:
         "classes": classes,
         "chain_dims": payload["chain_dims"],
         "seconds": round(seconds, 4),
+        "read_s": round(read_s, 4),
     }
 
 
