@@ -51,6 +51,7 @@ from .linalg import (
     assemble_total,
     is_invertible,
     residual_within,
+    _shared_bounds,
 )
 from .signature import CoincidenceReport, _coincidence, check_coincidence
 
@@ -79,8 +80,10 @@ class ComplexWithBoundary:
     :func:`verify_with_boundary` and :func:`decompose`.
 
     The complex must not be changed after construction: its index sets, total
-    operators, block decomposition, structure gates (per tolerance) and
-    restricted defect are computed on first use and shared by every check.
+    operators, the eight sub/quotient corners of those totals (read-only), the
+    block decomposition (views of the corners), the structure gates and the
+    quotient cone's value (per tolerance) and the restricted defect are
+    computed on first use and shared by every check.
     """
 
     chain: ChainComplex
@@ -127,36 +130,39 @@ class ComplexWithBoundary:
         return sub, tuple(np.setdiff1d(np.arange(d), idx) for d, idx in zip(self.chain.dims, sub))
 
     @cached_property
-    def _total_index_sets(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sub and the quotient coordinates of the total space."""
-        offsets = np.cumsum((0, *self.chain.dims[:-1]))
-        return tuple(
-            np.concatenate([off + idx for off, idx in zip(offsets, part)])
-            for part in self._index_sets
-        )
-
-    @cached_property
     def _totals(self) -> tuple[np.ndarray, np.ndarray]:
         """The total boundary ``b`` and the total duality ``S``."""
         return self.chain.total_boundary(), self.duality.total(self.chain)
 
     @cached_property
-    def _blocks(self) -> BlockDecomposition:
-        return _split_blocks(self)
+    def _corners(self) -> tuple[np.ndarray, ...]:
+        """``b`` and ``S`` on (sub, sub), (sub, quotient), (quotient, sub) and
+        (quotient, quotient), read-only: ``b0, h, f, b1, s2, f_upper, f_lower,
+        s1``.  The total-space coordinates of each part are listed degree by
+        degree, so every degree block is a contiguous slice of its corner."""
+        offsets = np.cumsum((0, *self.chain.dims[:-1]))
+        sub, quo = (
+            np.concatenate([off + idx for off, idx in zip(offsets, part)])
+            for part in self._index_sets
+        )
+        corners = tuple(
+            total[np.ix_(rows, cols)]
+            for total in self._totals
+            for rows, cols in ((sub, sub), (sub, quo), (quo, sub), (quo, quo))
+        )
+        for corner in corners:
+            corner.flags.writeable = False
+        return corners
 
-    @cached_property
-    def _restricted(self) -> tuple[np.ndarray, ...]:
-        return _restricted_defect(self)
+    _blocks = cached_property(lambda self: _split_blocks(self))
+    _restricted = cached_property(lambda self: _restricted_defect(self))
+    _by_tol = cached_property(lambda self: {})
 
-    @cached_property
-    def _gates_by_tol(self) -> dict[float, dict[str, tuple[bool, float]]]:
-        return {}
-
-    def _gates(self, tol: float) -> dict[str, tuple[bool, float]]:
-        """The structure gates at ``tol``, evaluated once per tolerance."""
-        if tol not in self._gates_by_tol:
-            self._gates_by_tol[tol] = _structure_gates(self, tol)
-        return self._gates_by_tol[tol]
+    def _once(self, check, tol: float):
+        """``check(self, tol)``, evaluated once per check and tolerance."""
+        if (check, tol) not in self._by_tol:
+            self._by_tol[check, tol] = check(self, tol)
+        return self._by_tol[check, tol]
 
 
 def _restricted_defect(cwb: ComplexWithBoundary) -> tuple[np.ndarray, ...]:
@@ -198,55 +204,41 @@ class BlockDecomposition:
 
 
 def _split_blocks(cwb: ComplexWithBoundary) -> BlockDecomposition:
-    chain, s = cwb.chain, cwb.duality
-    big_n = chain.n
-    idx0, idx1 = cwb._index_sets
-    b0 = [np.zeros((0, 0))]
-    b1 = [np.zeros((0, 0))]
-    h = [np.zeros((0, 0))]
-    f = [np.zeros((0, 0))]
-    for m in range(1, big_n + 1):
-        b = chain.boundary(m)
-        b0.append(b[np.ix_(idx0[m - 1], idx0[m])])
-        b1.append(b[np.ix_(idx1[m - 1], idx1[m])])
-        h.append(b[np.ix_(idx0[m - 1], idx1[m])])
-        f.append(b[np.ix_(idx1[m - 1], idx0[m])])
-    s2, s1, fu, fl = [], [], [], []
-    for k in range(big_n + 1):
-        blk = s.block(k)
-        s2.append(blk[np.ix_(idx0[k], idx0[big_n - k])])
-        s1.append(blk[np.ix_(idx1[k], idx1[big_n - k])])
-        fu.append(blk[np.ix_(idx0[k], idx1[big_n - k])])
-        fl.append(blk[np.ix_(idx1[k], idx0[big_n - k])])
+    """The degree blocks as views of ``cwb._corners``."""
+    big_n = cwb.chain.n
+    dims = tuple(tuple(ix.size for ix in part) for part in cwb._index_sets)
+    offsets = [np.cumsum((0, *d)) for d in dims]
+    parts = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+    def blocks(corner, part, degrees):
+        rows, cols = (offsets[p] for p in part)
+        return tuple(corner[rows[k] : rows[k + 1], cols[m] : cols[m + 1]] for k, m in degrees)
+
+    # boundary entry m maps degree m to m - 1 (entry 0 is empty); duality
+    # entry k maps degree N - k to k
+    b0, h, f, b1 = (
+        (corner[:0, :0], *blocks(corner, part, [(m - 1, m) for m in range(1, big_n + 1)]))
+        for corner, part in zip(cwb._corners[:4], parts)
+    )
+    s2, f_upper, f_lower, s1 = (
+        blocks(corner, part, [(k, big_n - k) for k in range(big_n + 1)])
+        for corner, part in zip(cwb._corners[4:], parts)
+    )
     return BlockDecomposition(
-        sub_dims=tuple(ix.size for ix in idx0),
-        quotient_dims=tuple(ix.size for ix in idx1),
-        b0=tuple(b0),
-        b1=tuple(b1),
-        h=tuple(h),
-        f=tuple(f),
-        s2=tuple(s2),
-        s1=tuple(s1),
-        f_upper=tuple(fu),
-        f_lower=tuple(fl),
-        residuals={},
+        sub_dims=dims[0], quotient_dims=dims[1], b0=b0, b1=b1, h=h, f=f,
+        s2=s2, s1=s1, f_upper=f_upper, f_lower=f_lower, residuals={},
     )
 
 
 def _structure_gates(
     cwb: ComplexWithBoundary, tol: float
 ) -> dict[str, tuple[bool, float]]:
-    """Gate every structural identity at one common scale, by name.
-
-    The totals of the blocks are read off ``b`` and ``S`` by the total-space
-    index sets: ``b0 = b[sub, sub]``, ``h = b[sub, quotient]`` and so on.
-    """
+    """Gate every structural identity at one common scale, by name, on the
+    totals of the blocks (``cwb._corners``)."""
     btot, stot = cwb._totals
-    sub, quo = cwb._total_index_sets
-    corners = ((sub, sub), (sub, quo), (quo, sub), (quo, quo))
-    b0, htot, ftot, b1 = (btot[np.ix_(rows, cols)] for rows, cols in corners)
-    s2, fup, flo, s1 = (stot[np.ix_(rows, cols)] for rows, cols in corners)
+    b0, htot, ftot, b1, s2, fup, flo, s1 = cwb._corners
 
+    @_shared_bounds()  # one column-norm bound of each total for the eight gates
     def scale(norm) -> float:
         nb, ns = norm(btot), norm(stot)
         return max(nb, ns, nb * ns)
@@ -295,9 +287,9 @@ def verify_with_boundary(
     cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL
 ) -> CwbReport:
     """Check every structural condition and report without raising."""
-    gates = cwb._gates(tol)
+    gates = cwb._once(_structure_gates, tol)
     failures = [name for name, (ok, _) in gates.items() if not ok]
-    inv, minsv = _quotient_cone_min_sv(cwb, tol)
+    inv, minsv = cwb._once(_quotient_cone_min_sv, tol)
     if not inv:
         failures.append("quotient cone operator is not invertible")
     return CwbReport(
@@ -318,7 +310,7 @@ def decompose(cwb: ComplexWithBoundary, tol: float = DEFAULT_TOL) -> BlockDecomp
     subcomplex and IdentityViolated naming each failed chain identity.  The
     blocks are those every check of ``cwb`` shares, with the residuals at ``tol``.
     """
-    gates = cwb._gates(tol)
+    gates = cwb._once(_structure_gates, tol)
     ok, res = gates["split-preserved"]
     if not ok:
         raise SplitInconsistent(
@@ -361,9 +353,7 @@ def _boundary_complex(
         )
     restricted = cwb._restricted
     btot, stot = cwb._totals
-
-    def scale(norm) -> float:
-        return norm(btot) * norm(stot)
+    scale = _shared_bounds()(lambda norm: norm(btot) * norm(stot))
 
     gates = []
     for k in range(n + 1):
@@ -414,6 +404,7 @@ def hyperbolic(
         for k, blk in enumerate(s_blocks)
     ]
     btot = chain.total_boundary()
+    shared = _shared_bounds()
 
     def scale_s(norm) -> float:
         return max((norm(x) for x in s), default=0.0)
@@ -422,12 +413,12 @@ def hyperbolic(
         ok, res = residual_within(
             chain.boundary(k) @ chain.boundary(k + 1),
             tol,
-            lambda norm: norm(btot) ** 2,
+            shared(lambda norm: norm(btot) ** 2),
         )
         if not ok:
             raise PreconditionViolated(f"input boundary does not square to zero ({res:.3e})")
     for k in range(d + 1):
-        ok, res = residual_within(adjoint(s[k]) - s[d - k], tol, scale_s)
+        ok, res = residual_within(adjoint(s[k]) - s[d - k], tol, shared(scale_s))
         if not ok:
             raise PreconditionViolated(
                 f"input family is not self-adjoint at degree {k} ({res:.3e})"
@@ -436,7 +427,7 @@ def hyperbolic(
         ok, res = residual_within(
             chain.boundary(k) @ s[k] + s[k - 1] @ adjoint(chain.boundary(d - k + 1)),
             tol,
-            lambda norm: norm(btot) * scale_s(norm),
+            shared(lambda norm: norm(btot) * scale_s(norm)),
         )
         if not ok:
             raise PreconditionViolated(
@@ -564,9 +555,7 @@ def verify_cone_identities(
             + [(m - 1, 2 * m + 1, blocks.f_upper[m - 1]) for m in range(1, top + 1)],
         )
         delta = hyp.total_boundary()
-        btot, stot = cwb._totals
-        sub = cwb._total_index_sets[0]
-        b0_raw = btot[np.ix_(sub, sub)]
+        b0_raw, s2_tot = cwb._corners[0], cwb._corners[4]
         b_bdry = 1j * b0_raw
         ok, chain_res = residual_within(
             ftot @ delta + b_bdry @ ftot,
@@ -581,7 +570,6 @@ def verify_cone_identities(
             dims0, dims0, [(k, big_n - 1 - k, r) for k, r in enumerate(cwb._restricted)]
         )
         ttot = hyp.total_duality()
-        s2_tot = stot[np.ix_(sub, sub)]
         formula = ftot @ ttot @ adjoint(ftot) + b0_raw @ s2_tot + s2_tot @ adjoint(b0_raw)
         ok, formula_res = residual_within(
             s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))

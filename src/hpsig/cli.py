@@ -6,7 +6,7 @@ the algebraic identities hold, but an invertibility assumption fails: the
 cone or quotient cone is the only failed gate of ``verify``, ``cone`` finds
 the cone degenerate, or a degenerate duality or operator is raised).
 The default tolerance is 1e-9, overridable with --tol or the HPSIG_TOL
-environment variable.
+environment variable by a positive finite number.
 
 Every command has one output path.  It records each text line together with
 the JSON fields that line shows in one :class:`_Output`; :func:`main` renders
@@ -385,8 +385,9 @@ def _default_tol() -> float:
         value = float(raw)
     except ValueError:
         raise ParseError(f"HPSIG_TOL is not a number: {raw!r}")
-    if not value > 0:
-        raise ParseError(f"HPSIG_TOL must be positive, got {raw!r}")
+    if not 0 < value < float("inf"):
+        why = "finite" if value > 0 else "positive"
+        raise ParseError(f"HPSIG_TOL must be {why}, got {raw!r}")
     return value
 
 
@@ -438,8 +439,9 @@ def main(argv=None) -> int:
     try:
         if args.tol is None:
             args.tol = _default_tol()
-        elif not args.tol > 0:
-            raise ParseError(f"--tol must be positive, got {args.tol}")
+        elif not 0 < args.tol < float("inf"):
+            why = "finite" if args.tol > 0 else "positive"
+            raise ParseError(f"--tol must be {why}, got {args.tol}")
         code = args.fn(args, out)
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -19,7 +19,7 @@ Residual gates.  An identity is accepted when the spectral norm of its
 residual ``r`` satisfies ``|r| <= tol * max(1, scale)`` (:func:`within`), where
 ``scale`` is built from the spectral norms of the data entering the identity,
 so that tolerances behave uniformly across magnitudes; a tolerance must be
-a number >= 0.  :func:`residual_within`
+a finite number >= 0.  :func:`residual_within`
 decides that rule without a singular value decomposition in the common case:
 the Frobenius norm of ``r`` bounds its spectral norm from above and the largest
 column norm of each operand bounds the operand's spectral norm from below, so
@@ -168,11 +168,13 @@ _BOUND_MARGIN = 1.0 - 1e-10
 
 
 def _checked(tol: float) -> float:
-    """``tol``; raises PreconditionViolated unless it is a number >= 0: a
-    negative or NaN tolerance fails every residual and miscounts the sign
-    classes."""
+    """``tol``; raises PreconditionViolated unless it is a finite number >= 0:
+    a negative or NaN tolerance fails every residual and miscounts the sign
+    classes, and an infinite one passes every residual."""
     if not tol >= 0:
         raise PreconditionViolated(f"tolerance must be a number >= 0, got {tol!r}")
+    if tol == float("inf"):
+        raise PreconditionViolated(f"tolerance must be finite, got {tol!r}")
     return tol
 
 

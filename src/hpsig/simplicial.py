@@ -160,6 +160,7 @@ class OrientedSimplicialManifold:
             self._signs = np.fromiter(ints, np.int64)
         self.dim, self._facets, self._views = size - 1, rows, {}
         self.chains = chains = enumerate_and_boundaries(self)
+        del self._facets  # from here on read off ``chains`` (``__getattr__``)
         n = self.dim
         if chains.dims[n] < len(rows):
             raise InvalidFacet("duplicate facets")
@@ -177,12 +178,18 @@ class OrientedSimplicialManifold:
         self._boundary = np.flatnonzero(counts == 1)  # the faces in one facet
         self.with_boundary = bool(self._boundary.size)
 
-    facets = property(lambda self: self._view("facets", self._facets), doc="Vertex label tuples.")
-    signs = property(lambda self: self._view("signs", self._signs), doc="The signs of the facets.")
-    vertices = property(lambda self: self._view("vertices", self.chains.vertices), doc="Labels.")
+    facets = property(lambda self: self._view("facets"), doc="Vertex label tuples.")
+    signs = property(lambda self: self._view("signs"), doc="The signs of the facets.")
+    vertices = property(lambda self: self._view("vertices"), doc="Labels.")
 
-    def _view(self, name: str, array: np.ndarray) -> tuple:
+    def __getattr__(self, name: str):
+        if name != "_facets":  # the facets as rows of labels, which only ``chains`` keeps
+            raise AttributeError(name)
+        return self.chains.vertices[self.chains.facets]
+
+    def _view(self, name: str) -> tuple:
         if name not in self._views:  # built on the first read and kept
+            array = self._facets if name == "facets" else getattr(self.chains, name)
             rows = array.tolist()
             self._views[name] = tuple(map(tuple, rows) if array.ndim > 1 else rows)
         return self._views[name]
@@ -384,7 +391,7 @@ def enumerate_and_boundaries(m: OrientedSimplicialManifold) -> SimplicialChainDa
     previous degree's table is kept.
     """
     vertices, numbers = np.unique(m._facets, return_inverse=True)
-    data = SimplicialChainData(vertices, numbers.reshape(m._facets.shape), m._signs)
+    data = SimplicialChainData(vertices, numbers.reshape(-1, m.dim + 1), m._signs)
     rank = data.facets  # the rank of each p-subset of each facet, p = 0
     for p in range(1, m.dim + 1):
         subsets, front, drops = _subset_tables(m.dim, p)

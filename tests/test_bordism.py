@@ -14,7 +14,9 @@ from hpsig import (
     check_coincidence,
     decompose,
     generate_with_boundary,
+    generate_with_signature,
     hyperbolic,
+    linalg,
     verify_cone_identities,
     verify_duality,
     verify_with_boundary,
@@ -73,6 +75,73 @@ def test_decompose_blocks_reassemble():
     # the forbidden block of the differential vanishes identically
     for m in range(1, n_tot + 1):
         assert operator_norm(blocks.f[m]) <= 1e-12
+
+
+# the block families by field: (rows, columns), 0 for the sub and 1 for the
+# quotient part
+_BOUNDARY_FAMILIES = {"b0": (0, 0), "h": (0, 1), "f": (1, 0), "b1": (1, 1)}
+_DUALITY_FAMILIES = {"s2": (0, 0), "f_upper": (0, 1), "f_lower": (1, 0), "s1": (1, 1)}
+_FAMILIES = {**_BOUNDARY_FAMILIES, **_DUALITY_FAMILIES}
+
+
+def _sliced_blocks(cwb):
+    """Every degree block, cut out of ``chain.boundary(m)`` and
+    ``duality.block(k)`` by the sub and quotient index lists of each degree."""
+    chain, big_n = cwb.chain, cwb.chain.n
+    idx = [(list(cwb.sub_indices(m)), list(cwb.quotient_indices(m))) for m in range(big_n + 1)]
+    out = {
+        name: [np.zeros((0, 0))]
+        + [chain.boundary(m)[np.ix_(idx[m - 1][r], idx[m][c])] for m in range(1, big_n + 1)]
+        for name, (r, c) in _BOUNDARY_FAMILIES.items()
+    }
+    for name, (r, c) in _DUALITY_FAMILIES.items():
+        out[name] = [
+            cwb.duality.block(k)[np.ix_(idx[k][r], idx[big_n - k][c])] for k in range(big_n + 1)
+        ]
+    return out
+
+
+def _closed_with_split(part):
+    """A closed complex as a complex with boundary whose sub part is empty
+    (``part`` "none") or everything (``part`` "all")."""
+    hp, _ = generate_with_signature(4, "n4")
+    split = tuple(tuple(range(d)) if part == "all" else () for d in hp.dims)
+    return ComplexWithBoundary(hp.chain, hp.duality, split)
+
+
+@pytest.mark.parametrize("case", ["n2", "n4-d8", "disk3", "disk4", "sub-none", "sub-all"])
+def test_decomposition_blocks_match_the_sliced_degree_blocks(case):
+    if case.startswith("disk"):
+        cwb = bordism_to_cwb(simplex_disk(int(case[4:])))
+    elif case.startswith("sub-"):
+        cwb = _closed_with_split(case[4:])
+    else:
+        cwb = generate_with_boundary(1, case)
+    blocks = decompose(cwb)
+    want = _sliced_blocks(cwb)
+    for name in _FAMILIES:
+        got = getattr(blocks, name)
+        assert len(got) == len(want[name]), name
+        for k, (g, w) in enumerate(zip(got, want[name])):
+            assert g.shape == w.shape, (name, k)
+            assert np.array_equal(g, w), (name, k)
+            if w.size:
+                assert g.dtype == w.dtype, (name, k)
+    assert blocks.sub_dims == tuple(len(cwb.sub_indices(m)) for m in range(cwb.chain.n + 1))
+    assert blocks.quotient_dims == tuple(
+        len(cwb.quotient_indices(m)) for m in range(cwb.chain.n + 1)
+    )
+
+
+def test_corners_and_decomposition_blocks_are_read_only():
+    # every check of a complex shares them, so none may change them
+    cwb = generate_with_boundary(0, "n4")
+    blocks = decompose(cwb)
+    arrays = [*cwb._corners] + [x for name in _FAMILIES for x in getattr(blocks, name)]
+    for x in arrays:
+        if x.size:
+            with pytest.raises(ValueError):
+                x[(0,) * x.ndim] = 1.0
 
 
 def test_decompose_rejects_unpreserved_split():
@@ -203,6 +272,18 @@ def test_one_split_gate_pass_and_defect_per_complex(count_calls):
     assert verify_cone_identities(cwb).passed
     assert shared == {"_split_blocks": 1, "_structure_gates": 1, "_restricted_defect": 1}
     assert dense == {"matrix_rank": 0, "svd": 0}
+    # the eight structure gates share one column-norm bound of b and one of S
+    fresh = ComplexWithBoundary(cwb.chain, cwb.duality, cwb.split)
+    bounds = count_calls(linalg, ("_column_norm_bound",))
+    assert all(ok for ok, _ in bordism._structure_gates(fresh, 1e-9).values())
+    assert bounds == {"_column_norm_bound": 2}
+    # the quotient cone is evaluated once per complex and tolerance
+    cone = count_calls(bordism, ("_quotient_cone_min_sv",))
+    verify_with_boundary(fresh)
+    verify_with_boundary(fresh)
+    assert cone == {"_quotient_cone_min_sv": 1}
+    assert verify_with_boundary(fresh, 1e-8).passed
+    assert cone == {"_quotient_cone_min_sv": 2}
 
 
 @pytest.mark.parametrize("order", ["loose-first", "tight-first"])

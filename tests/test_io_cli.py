@@ -618,6 +618,24 @@ def test_cli_tol_flag_and_env(tmp_path, capsys, monkeypatch):
     assert "tol 0.001" in capsys.readouterr().out
 
 
+def test_cli_refuses_an_infinite_tolerance(tmp_path, capsys, monkeypatch):
+    # this complex passes at the default tolerance; at an infinite one every
+    # residual gate would pass and the cone would read as degenerate
+    hp, _ = generate_with_signature(3, "n2-z2")
+    path = str(tmp_path / "c.hpx")
+    write_hpx(hp, path)
+    assert main(["verify", path]) == 0
+    capsys.readouterr()
+    refused = {"-1": "positive, got -1.0", "0": "positive, got 0.0", "nan": "positive, got nan",
+               "inf": "finite, got inf"}
+    for tol, why in refused.items():
+        assert main(["verify", path, "--tol", tol]) == 2
+        assert capsys.readouterr().err == f"error: --tol must be {why}\n"
+    monkeypatch.setenv("HPSIG_TOL", "inf")
+    assert main(["verify", path]) == 2
+    assert capsys.readouterr().err == "error: HPSIG_TOL must be finite, got 'inf'\n"
+
+
 def test_console_entry_point(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "hpsig.cli", "generate", "--seed", "1", "--profile", "n2"],

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from hpsig import (
     adjoint,
     check_coincidence,
+    generate_with_boundary,
     is_invertible,
     manifold_signature,
     min_singular_value,
     operator_norm,
     spectral_split,
+    verify_with_boundary,
 )
 from hpsig.errors import NotSelfAdjoint, PreconditionViolated, ShapeMismatch
 from hpsig.fixtures import cp2_nine_vertex, model_even_sphere
@@ -255,6 +257,21 @@ def test_a_negative_or_nan_tolerance_is_refused(tol):
         manifold_signature(cp2_nine_vertex(), tol=tol)
     with pytest.raises(PreconditionViolated, match="tolerance"):
         check_coincidence(model_even_sphere(2), tol=tol)
+
+
+def test_an_infinite_tolerance_is_refused():
+    # an infinite tolerance would pass every residual gate whatever its size
+    # and read every eigenvalue as zero
+    inf = float("inf")
+    for gate in (
+        lambda: within(1e300, inf),
+        lambda: residual_within(np.ones((2, 2)), inf),
+        lambda: classify_eigenvalues(np.array([0.5, -0.5]), tol=inf),
+        lambda: check_coincidence(model_even_sphere(2), tol=inf),
+        lambda: verify_with_boundary(generate_with_boundary(0, "n2"), tol=inf),
+    ):
+        with pytest.raises(PreconditionViolated, match="tolerance must be finite, got inf"):
+            gate()
 
 
 def test_a_zero_tolerance_decides_exactly():

@@ -273,6 +273,21 @@ def test_a_manifold_is_enumerated_once(count_calls, tmp_path):
             call()
 
 
+def test_a_manifold_keeps_its_facets_once(tmp_path):
+    # labels that are not the vertex numbers, facets out of label order
+    facets = [(10, 30, 70), (30, 70, 90), (10, 30, 90), (10, 70, 90)]
+    m = OrientedSimplicialManifold.from_facets(facets[::-1])
+    arrays = [v for v in vars(m).values() if isinstance(v, np.ndarray) and v.ndim == 2]
+    assert arrays == []  # the facets are held by ``chains`` only, as vertex numbers
+    assert m.facets == tuple(facets[::-1])
+    assert np.array_equal(m.chains.vertices[m.chains.facets], np.array(facets[::-1]))
+    path = str(tmp_path / "s2.smf")
+    write_smf(m, path)
+    again, _ = read_smf(path)
+    assert (again.facets, again.signs) == (m.facets, m.signs)
+    assert simplicial.enumerate_and_boundaries(m).dims == m.chains.dims
+
+
 def test_interval_cap_values():
     m = simplex_disk(1)
     caps = cap_duality(m)

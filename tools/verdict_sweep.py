@@ -526,11 +526,11 @@ def cli_invocations(tmp: str):
     runs += [((*cmd, path), {}) for path in rejected for cmd in REJECTED_COMMANDS]
     runs += [(("manifold", hpx[0]), {}), (("verify", smf[0]), {})]
     runs += [
-        (("verify", hpx[0], "--tol", tol), {}) for tol in ("-1", "0", "1e-3", "nan")
+        (("verify", hpx[0], "--tol", tol), {}) for tol in ("-1", "0", "1e-3", "nan", "inf")
     ]
     runs += [(("manifold", smf[1], "--tol", "-1"), {})]
     runs += [(("manifold", refused, "--tol", "3"), {})]
-    runs += [(("verify", hpx[0]), {"HPSIG_TOL": tol}) for tol in ("banana", "-2", "1e-3")]
+    runs += [(("verify", hpx[0]), {"HPSIG_TOL": tol}) for tol in ("banana", "-2", "1e-3", "inf")]
     for seed, profile in ((1, "n2"), (9, "n2-z2-d6"), (3, "n4-z3-d3"), (2, "n0-z4")):
         for extra in ((), ("--with-boundary",), ("-o", "{dir}/gen.hpx")):
             runs.append((("generate", "--seed", str(seed), "--profile", profile, *extra), {}))
