@@ -167,15 +167,17 @@ class ComplexWithBoundary:
 
 def _restricted_defect(cwb: ComplexWithBoundary) -> tuple[np.ndarray, ...]:
     """The defect ``R_k = b_{k+1} S_{k+1} + S_k b^*_{N-k}``, which maps
-    ``E_{n-k} -> E_k``, restricted to ``(E_0)_{n-k} -> (E_0)_k``."""
+    ``E_{n-k} -> E_k``, restricted to ``(E_0)_{n-k} -> (E_0)_k`` before the
+    products."""
     chain, s = cwb.chain, cwb.duality
     big_n = chain.n
     sub = cwb._index_sets[0]
     out = []
     for k in range(big_n):
-        term1 = chain.boundary(k + 1) @ s.block(k + 1)
-        term2 = s.block(k) @ adjoint(chain.boundary(big_n - k))
-        out.append((term1 + term2)[np.ix_(sub[k], sub[big_n - 1 - k])])
+        rows, cols = sub[k], sub[big_n - 1 - k]
+        term1 = chain.boundary(k + 1)[rows] @ s.block(k + 1)[:, cols]
+        term2 = s.block(k)[rows] @ adjoint(chain.boundary(big_n - k)[cols])
+        out.append(term1 + term2)
     return tuple(out)
 
 

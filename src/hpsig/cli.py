@@ -348,6 +348,8 @@ def _cmd_stats(args, out: _Output) -> int:
 
 
 def _cmd_generate(args, out: _Output) -> int:
+    if args.seed < 0:
+        raise ParseError(f"--seed must be non-negative, got {args.seed}")
     if args.with_boundary:
         obj = generate_with_boundary(args.seed, args.profile)
         out(f"generated complex with boundary: top degree {obj.chain.n}, dims {obj.chain.dims}",

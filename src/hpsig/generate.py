@@ -5,7 +5,9 @@ group, of a middle-degree form with prescribed inertia plus hyperbolic
 padding, subsequently disguised by an exact duality perturbation and unitary
 changes of basis.  None of the disguising steps can move the class, so the
 expected character is the sum of the prescribed inertia numbers weighted by
-the characters.
+the characters.  The pieces are laid out once, one block-diagonal per degree;
+the action is laid out after both changes of basis, on the conjugated scalar
+blocks, and checked once.
 
 A generated complex with boundary couples an acyclic distinguished subcomplex
 to a hyperbolic quotient through a chain homotopy, which satisfies the
@@ -17,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
@@ -26,7 +27,6 @@ from .complexes import (
     ChainComplex,
     DualityOperator,
     HilbertPoincareComplex,
-    direct_sum,
     perturb_duality,
     twist,
 )
@@ -72,6 +72,12 @@ def parse_profile(text: str | Profile) -> Profile:
     if max_dim < 1:
         raise ParseError("dimension cap must be at least 1")
     return Profile(n=n, group_order=order, max_dim=max_dim)
+
+
+def _rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise PreconditionViolated(f"the seed must be non-negative, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
@@ -140,21 +146,16 @@ def _hyperbolic_piece(
     return hyperbolic(ChainComplex(dims, _zero_boundaries(dims)), blocks)
 
 
-def _empty_piece(n: int) -> HilbertPoincareComplex:
-    dims = (0,) * (n + 1)
-    return HilbertPoincareComplex(
-        ChainComplex(dims, _zero_boundaries(dims)),
-        DualityOperator(tuple(_zero_blocks(dims))),
-    )
-
-
 def generate_with_signature(
     seed: int, profile: str | Profile
 ) -> tuple[HilbertPoincareComplex, K0Class]:
     """Seeded complex of even top degree with its expected signature class.
 
     The profile's group order 1 yields a plain complex (no action) and an
-    integer class over the trivial group.
+    integer class over the trivial group.  Otherwise ``g`` acts on character
+    ``j``'s pieces by ``omega^(jg)``; the perturbation and both changes of
+    basis run on the complex alone, and the action is laid out after them, by
+    the same conjugations, and checked once.  A negative seed is refused.
     """
     profile = parse_profile(profile)
     n = profile.n
@@ -162,7 +163,7 @@ def generate_with_signature(
         raise PreconditionViolated(
             f"the generator needs an even top degree, got {n}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     order = profile.group_order
     cap_mid = max(1, profile.max_dim // order)
     cap_hyp = max(1, profile.max_dim // (2 * order))
@@ -174,42 +175,23 @@ def generate_with_signature(
     if not any(sizes_mid) and not any(sizes_hyp):
         sizes_mid[int(rng.integers(0, order))] = 1
 
-    pieces: list[HilbertPoincareComplex] = []
-    inertia: list[int] = []
+    # every part of every character, laid out once per degree in character
+    # order; piece_dims[j] are the dimensions of character j's parts
+    parts: list[HilbertPoincareComplex] = []
+    piece_dims, inertia = [], []
     for j in range(order):
-        parts: list[HilbertPoincareComplex] = []
-        sig_j = 0
+        first, sig_j = len(parts), 0
         if sizes_mid[j]:
             hp_mid, sig_j = _middle_piece(rng, n, sizes_mid[j])
             parts.append(hp_mid)
         if sizes_hyp[j]:
             parts.append(_hyperbolic_piece(rng, n, sizes_hyp[j]))
-        pieces.append(reduce(direct_sum, parts) if parts else _empty_piece(n))
+        piece_dims.append(tuple(sum(p.dims[k] for p in parts[first:]) for k in range(n + 1)))
         inertia.append(sig_j)
-    total = reduce(direct_sum, pieces)
-    piece_dims = [p.dims for p in pieces]
-
-    if order > 1:
-        group = FiniteGroup.cyclic(order)
-        omega = np.exp(2j * np.pi / order)
-        # element g acts on isotypic piece j by omega^(jg)
-        fams = tuple(
-            tuple(
-                block_diag(
-                    *(
-                        omega ** ((j * g) % order) * np.eye(d[k])
-                        for j, d in enumerate(piece_dims)
-                    )
-                )
-                for k in range(n + 1)
-            )
-            for g in range(order)
-        )
-        action = GroupAction(group, fams)
-        hp = HilbertPoincareComplex(total.chain, total.duality, action)
-    else:
-        group = FiniteGroup.trivial()
-        hp = total
+    dims = tuple(sum(d[k] for d in piece_dims) for k in range(n + 1))
+    bnds = [block_diag(*(p.chain.boundary(k) for p in parts)) for k in range(1, n + 1)]
+    sblocks = [block_diag(*(p.duality.block(k) for p in parts)) for k in range(n + 1)]
+    hp = HilbertPoincareComplex(ChainComplex(dims, bnds), DualityOperator(sblocks))
 
     # exact duality perturbation, block-diagonal over the isotypic pieces so
     # it commutes with the action
@@ -236,9 +218,24 @@ def generate_with_signature(
         for k in range(n + 1)
     ]
     hp = twist(hp, eq_us)
-    hp = twist(hp, [random_unitary(rng, hp.dims[k]) for k in range(n + 1)])
+    global_us = [random_unitary(rng, dims[k]) for k in range(n + 1)]
+    hp = twist(hp, global_us)
 
     if order > 1:
+        group = FiniteGroup.cyclic(order)
+        omega = np.exp(2j * np.pi / order)
+
+        def block(g: int, k: int) -> np.ndarray:
+            # g acts on character j's pieces by omega^(jg), in both new bases
+            m = block_diag(
+                *(omega ** ((j * g) % order) * np.eye(d[k]) for j, d in enumerate(piece_dims))
+            )
+            for u in (eq_us[k], global_us[k]):
+                m = u @ m @ adjoint(u)
+            return m
+
+        action = GroupAction(group, [[block(g, k) for k in range(n + 1)] for g in range(order)])
+        hp = HilbertPoincareComplex(hp.chain, hp.duality, action)
         values = []
         for cls in group.conjugacy_classes:
             g = cls[0]
@@ -247,7 +244,7 @@ def generate_with_signature(
             )
         expected = K0Class(group, tuple(values))
     else:
-        expected = K0Class(group, (complex(sum(inertia)),))
+        expected = K0Class(FiniteGroup.trivial(), (complex(sum(inertia)),))
     return hp, expected
 
 
@@ -258,7 +255,8 @@ def generate_with_boundary(seed: int, profile: str | Profile) -> ComplexWithBoun
     complex has odd top degree ``n + 1``.  The distinguished subcomplex is
     acyclic and avoids the top degree, the quotient is hyperbolic, and the
     coupling blocks come from a degree-zero homotopy, so the structure is
-    valid by construction and the boundary class vanishes.
+    valid by construction and the boundary class vanishes.  A negative seed
+    is refused.
     """
     profile = parse_profile(profile)
     n = profile.n
@@ -268,7 +266,7 @@ def generate_with_boundary(seed: int, profile: str | Profile) -> ComplexWithBoun
         )
     if profile.group_order != 1:
         raise PreconditionViolated("the boundary generator has no equivariant mode")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     big_n = n + 1
     cap = max(1, min(2, profile.max_dim // 2))
 

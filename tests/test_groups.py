@@ -337,14 +337,20 @@ def test_isotypic_bases_span_the_isotypic_images(rotations):
 
 
 def test_dense_actions_get_bases_that_span_the_isotypic_images():
-    # a generated Z/4 action, and the 24 rotations of the subdivided
-    # octahedron conjugated by random unitaries, whose characters have
-    # degrees 1, 1, 2, 3 and 3: both take the degree-by-degree route
+    # generated Z/4 and Z/3 actions, whose blocks are laid out after both
+    # changes of basis, and the 24 rotations of the subdivided octahedron
+    # conjugated by random unitaries, whose characters have degrees 1, 1, 2, 3
+    # and 3: all take the degree-by-degree route
     m, act = barycentric_subdivide(octahedron(), octahedron_rotation_group())
     rotations = chain_action(m, act)
     rng = np.random.default_rng(11)
     twisted = rotations.conjugated([random_unitary(rng, d) for d in rotations.dims])
-    for rho in (generate_with_signature(0, "n2-z4-d4")[0].action, twisted):
+    generated = [
+        generate_with_signature(seed, profile)[0].action
+        for profile in ("n2-z4-d4", "n4-z3-d3")
+        for seed in range(8)
+    ]
+    for rho in (*generated, twisted):
         assert not rho.is_signed_permutation
         _assert_spans_the_isotypic_images(rho, 1e-12)
     # the same ranks as the signed permutations' own

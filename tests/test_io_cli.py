@@ -522,6 +522,12 @@ def test_cli_generate_with_boundary(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_generate_refuses_a_negative_seed(capsys):
+    for extra in ([], ["--with-boundary"]):
+        assert main(["generate", "--seed", "-1", "--profile", "n2", *extra]) == 2
+        assert capsys.readouterr() == ("", "error: --seed must be non-negative, got -1\n")
+
+
 def test_cli_subdivide(tmp_path, capsys):
     src = str(tmp_path / "oct.smf")
     dst = str(tmp_path / "oct2.smf")

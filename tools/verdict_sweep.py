@@ -50,8 +50,9 @@ blocks, triangulations with and without actions, one action for each
 rejection of ``chain_action`` and a vertex map that leaves out a vertex, a
 labelling that does not compose like its group, which ``chain_action``
 refuses at every tolerance and is run at ``--tol 3``, unreadable files, bad
-tolerances).  An exception that escapes the CLI is recorded as the
-interpreter reports it, with exit code 1 and the traceback's last line.
+tolerances, a bad profile and a negative seed).  An exception that escapes
+the CLI is recorded as the interpreter reports it, with exit code 1 and the
+traceback's last line.
 Each invocation writes one JSON line with its argv, exit code, stdout and
 stderr, the temporary directory masked as ``<dir>``.
 
@@ -536,6 +537,8 @@ def cli_invocations(tmp: str):
             runs.append((("generate", "--seed", str(seed), "--profile", profile, *extra), {}))
     runs += [
         (("generate", "--seed", "1", "--profile", "x7"), {}),
+        (("generate", "--seed", "-1", "--profile", "n2"), {}),
+        (("generate", "--seed", "-1", "--profile", "n2", "--with-boundary"), {}),
         (("generate", "--seed", "1", "--profile", "n2", "--with-boundary",
           "-o", "{dir}/gen-b.hpx"), {}),
         (("generate", "--seed", "1"), {}),
