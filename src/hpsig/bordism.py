@@ -81,9 +81,9 @@ class ComplexWithBoundary:
 
     The complex must not be changed after construction: its index sets, total
     operators, the eight sub/quotient corners of those totals (read-only), the
-    block decomposition (views of the corners), the structure gates and the
-    quotient cone's value (per tolerance) and the restricted defect are
-    computed on first use and shared by every check.
+    block decomposition (views of the corners), the quotient chain complex,
+    the structure gates and the quotient cone's value (per tolerance) and the
+    restricted defect are computed on first use and shared by every check.
     """
 
     chain: ChainComplex
@@ -155,6 +155,9 @@ class ComplexWithBoundary:
         return corners
 
     _blocks = cached_property(lambda self: _split_blocks(self))
+    _quotient = cached_property(
+        lambda self: ChainComplex(self._blocks.quotient_dims, self._blocks.b1[1:])
+    )
     _restricted = cached_property(lambda self: _restricted_defect(self))
     _by_tol = cached_property(lambda self: {})
 
@@ -259,13 +262,16 @@ def _structure_gates(
 
 
 def _quotient_cone_min_sv(cwb: ComplexWithBoundary, tol: float) -> tuple[bool, float]:
-    """Invertibility of the cone operator of the quotient duality family."""
-    chain, blocks = cwb.chain, cwb._blocks
-    quotient = ChainComplex(blocks.quotient_dims, tuple(blocks.b1[1:]))
+    """Invertibility of the cone operator of the quotient duality family.
+
+    The chain map ``j S`` leaves the dual complex of ``E``, whose coordinates
+    are ``E``'s own, not the sub/quotient order of ``cwb._corners``; so its
+    blocks are the quotient rows of each ``duality.block(p)``."""
+    chain = cwb.chain
     rows = cwb._index_sets[1]
     js = [cwb.duality.block(p)[rows[p], :] for p in range(chain.n + 1)]
     try:
-        cone = mapping_cone(js, _negated(dual_complex(chain)), quotient, tol=tol)
+        cone = mapping_cone(js, _negated(dual_complex(chain)), cwb._quotient, tol=tol)
     except NotChainMap:
         return False, 0.0
     d = cone.total_boundary()
@@ -386,9 +392,7 @@ def _boundary_complex(
 
 
 def hyperbolic(
-    chain: ChainComplex,
-    s_blocks: Sequence[np.ndarray],
-    tol: float = DEFAULT_TOL,
+    chain: ChainComplex, s_blocks: Sequence[np.ndarray], tol: float = DEFAULT_TOL
 ) -> HilbertPoincareComplex:
     """Hyperbolic complex on ``E_m (+) E_{d+1-m}`` built from compatible data.
 
@@ -397,60 +401,65 @@ def hyperbolic(
     ``S_k^* = S_{d-k}``, and ``b S + S b^* = 0``.  The output has top degree
     ``d + 1``, differential ``i [[b, S], [0, b^*]]`` and the coordinate swap as
     duality; its signature class vanishes.
+
+    This is the gate pass :func:`_hyperbolic_input`, which checks the
+    preconditions, followed by the layout :func:`_hyperbolic_layout`, which
+    checks nothing; a caller that needs only one half runs only that one.
     """
-    d = chain.n
+    return _hyperbolic_layout(chain, _hyperbolic_input(chain, s_blocks, tol))
+
+
+def _hyperbolic_input(
+    chain: ChainComplex, s_blocks: Sequence[np.ndarray], tol: float
+) -> list[np.ndarray]:
+    """The gate pass of :func:`hyperbolic`: the family as a list of matrices
+    of the right shapes (ShapeMismatch), once its three preconditions hold
+    (PreconditionViolated)."""
+    d, b = chain.n, chain.boundary
     if len(s_blocks) != d + 1:
         raise ShapeMismatch(f"expected {d + 1} duality blocks, got {len(s_blocks)}")
-    s = [
-        as_matrix(blk, rows=chain.dims[k], cols=chain.dims[d - k])
-        for k, blk in enumerate(s_blocks)
-    ]
+    s = [as_matrix(x, rows=chain.dims[k], cols=chain.dims[d - k]) for k, x in enumerate(s_blocks)]
     btot = chain.total_boundary()
-    shared = _shared_bounds()
 
     def scale_s(norm) -> float:
         return max((norm(x) for x in s), default=0.0)
 
-    for k in range(1, d):
-        ok, res = residual_within(
-            chain.boundary(k) @ chain.boundary(k + 1),
-            tol,
-            shared(lambda norm: norm(btot) ** 2),
-        )
+    gates = [
+        (b(k) @ b(k + 1), lambda norm: norm(btot) ** 2, "input boundary does not square to zero")
+        for k in range(1, d)
+    ]
+    gates += [
+        (adjoint(s[k]) - s[d - k], scale_s, f"input family is not self-adjoint at degree {k}")
+        for k in range(d + 1)
+    ]
+    gates += [
+        (b(k) @ s[k] + s[k - 1] @ adjoint(b(d - k + 1)), lambda norm: norm(btot) * scale_s(norm),
+         f"input family does not anticommute with the boundary at degree {k}")
+        for k in range(1, d + 1)
+    ]
+    shared = _shared_bounds()
+    for r, scale, why in gates:
+        ok, res = residual_within(r, tol, shared(scale))
         if not ok:
-            raise PreconditionViolated(f"input boundary does not square to zero ({res:.3e})")
-    for k in range(d + 1):
-        ok, res = residual_within(adjoint(s[k]) - s[d - k], tol, shared(scale_s))
-        if not ok:
-            raise PreconditionViolated(
-                f"input family is not self-adjoint at degree {k} ({res:.3e})"
-            )
-    for k in range(1, d + 1):
-        ok, res = residual_within(
-            chain.boundary(k) @ s[k] + s[k - 1] @ adjoint(chain.boundary(d - k + 1)),
-            tol,
-            shared(lambda norm: norm(btot) * scale_s(norm)),
-        )
-        if not ok:
-            raise PreconditionViolated(
-                f"input family does not anticommute with the boundary at degree {k} "
-                f"({res:.3e})"
-            )
-    top = d + 1
+            raise PreconditionViolated(f"{why} ({res:.3e})")
+    return s
+
+
+def _hyperbolic_layout(chain: ChainComplex, s: Sequence[np.ndarray]) -> HilbertPoincareComplex:
+    """The layout of :func:`hyperbolic`, with no gate: ``s`` holds the blocks
+    ``S_k`` as matrices of shape ``dims[k] x dims[d - k]``."""
+    top = chain.n + 1
     # degree m is E_m (+) E_{top-m}; ext pads the one degree that falls outside
     ext = (*chain.dims, 0)
-    bnds = []
-    for m in range(1, top + 1):
-        blk = assemble_total(
+    bnds = [
+        1j * assemble_total(
             (ext[m - 1], ext[top - m + 1]),
             (ext[m], ext[top - m]),
-            [
-                (0, 0, chain.boundary(m)),
-                (0, 1, s[m - 1]),
-                (1, 1, adjoint(chain.boundary(top - m + 1))),
-            ],
+            [(0, 0, chain.boundary(m)), (0, 1, s[m - 1]),
+             (1, 1, adjoint(chain.boundary(top - m + 1)))],
         )
-        bnds.append(1j * blk)
+        for m in range(1, top + 1)
+    ]
     sdual = [
         assemble_total(
             (ext[m], ext[top - m]),
@@ -460,9 +469,7 @@ def hyperbolic(
         for m in range(top + 1)
     ]
     hdims = tuple(ext[m] + ext[top - m] for m in range(top + 1))
-    return HilbertPoincareComplex(
-        ChainComplex(hdims, tuple(bnds)), DualityOperator(tuple(sdual))
-    )
+    return HilbertPoincareComplex(ChainComplex(hdims, tuple(bnds)), DualityOperator(tuple(sdual)))
 
 
 @dataclass(frozen=True)
@@ -497,82 +504,66 @@ def verify_cone_identities(
 ) -> ConeIdentitiesReport:
     """Verify the cone and boundary-formula identities.
 
-    Builds (a) the attaching cone on ``E_m (+) (E_1)_{N+1-m}`` and checks that
-    its differential squares to zero, (b) the coupling chain map from the
-    hyperbolic complex of the quotient data to the boundary complex, and (c)
-    the closed formula expressing the restricted duality through that chain
-    map.  The four-term sequence of coordinate inclusions and projections
-    relating sub, total and quotient spaces is exact for every
+    Each operator is laid out from ``cwb._corners``, whose parts list their
+    coordinates degree by degree:
+
+    (a) the attaching cone on (``E_0``, ``E_1``, the cone's ``E_1``) has the
+        differential ``A = [[b0, h, f_upper], [f, b1, s1], [0, 0, b1*]]``,
+        which must square to zero;
+    (b) on two copies of ``E_1`` the hyperbolic complex of the quotient data
+        has differential ``i [[b1, s1], [0, b1*]]`` and the swap ``T`` as
+        duality, and the coupling map ``F = [h, f_upper]`` must be a chain map
+        to the boundary complex ``(E_0, i b0)``; both are blocks of ``A``;
+    (c) the restricted duality must equal ``F T F* + b0 s2 + s2 b0*``, where
+        ``F T = [f_upper, h]``.
+
+    They are the constructions built degree by degree, the cone on
+    ``E_m (+) (E_1)_{N+1-m}`` and the hyperbolic complex on
+    ``(E_1)_m (+) (E_1)_{N+1-m}``, with their coordinates permuted, so every
+    residual is the same up to rounding.  (b) and (c) run when the quotient
+    data passes the gate pass of :func:`hyperbolic` (``hyperbolic_valid``).
+    The four-term sequence of coordinate inclusions and projections relating
+    sub, total and quotient spaces is exact for every
     :class:`ComplexWithBoundary`, whose split and quotient indices partition
     each degree, so it is not checked.
     """
-    blocks = cwb._blocks
-    chain = cwb.chain
-    big_n = chain.n
-    dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
-    idx1 = cwb._index_sets[1]
-    quotient = ChainComplex(dims1, tuple(blocks.b1[1:]))
+    b0, h, f, b1, s2, f_upper, _, s1 = cwb._corners
+    d0, d1 = b0.shape[0], b1.shape[0]
     failures: list[str] = []
 
-    # (a) attaching cone: degree m is E_m (+) (E_1)_{N+1-m}; the pads stand
-    # for the degrees outside 0..N
-    ext, ext1 = (*chain.dims, 0), (*dims1, 0)
-    abnds = []
-    for m in range(1, big_n + 2):
-        q = big_n + 1 - m
-        abnds.append(
-            assemble_total(
-                (ext[m - 1], ext1[q + 1]),
-                (ext[m], ext1[q]),
-                [
-                    (0, 0, chain.boundary(m)),
-                    (0, 1, cwb.duality.block(m - 1)[:, idx1[q]]),
-                    (1, 1, adjoint(quotient.boundary(q + 1))),
-                ],
-            )
-        )
-    adims = tuple(ext[m] + ext1[big_n + 1 - m] for m in range(big_n + 2))
-    attach = ChainComplex(adims, tuple(abnds)).total_boundary()
+    # (a) attaching cone
+    attach = assemble_total(
+        (d0, d1, d1),
+        (d0, d1, d1),
+        [(0, 0, b0), (0, 1, h), (0, 2, f_upper), (1, 0, f), (1, 1, b1), (1, 2, s1),
+         (2, 2, adjoint(b1))],
+    )
     ok, sq = residual_within(attach @ attach, tol, lambda norm: norm(attach) ** 2)
     if not ok:
         failures.append(_CONE_IDENTITY_FAILURES["cone_square_residual"])
 
     # (b) hyperbolic complex of the quotient data and the coupling chain map
     hyp_valid = True
-    chain_res = float("nan")
-    formula_res = float("nan")
+    chain_res = formula_res = float("nan")
     try:
-        hyp = hyperbolic(quotient, blocks.s1, tol=tol)
+        _hyperbolic_input(cwb._quotient, cwb._blocks.s1, tol)
     except (PreconditionViolated, ShapeMismatch) as exc:
         hyp_valid = False
         failures.append(f"quotient data is not hyperbolic input: {exc}")
     if hyp_valid:
-        # hyperbolic degree m is (E_1)_m (+) (E_1)_{top-m}: half-degrees 2m, 2m + 1
-        top = big_n + 1
-        half_dims = [d for m in range(top + 1) for d in (ext1[m], ext1[top - m])]
-        ftot = assemble_total(
-            dims0,
-            half_dims,
-            [(m - 1, 2 * m, blocks.h[m]) for m in range(1, top)]
-            + [(m - 1, 2 * m + 1, blocks.f_upper[m - 1]) for m in range(1, top + 1)],
-        )
-        delta = hyp.total_boundary()
-        b0_raw, s2_tot = cwb._corners[0], cwb._corners[4]
-        b_bdry = 1j * b0_raw
+        ftot, delta = attach[:d0, d0:], 1j * attach[d0:, d0:]
         ok, chain_res = residual_within(
-            ftot @ delta + b_bdry @ ftot,
-            tol,
-            lambda norm: norm(ftot) * max(norm(delta), 1.0),
+            ftot @ delta + 1j * b0 @ ftot, tol, lambda norm: norm(ftot) * max(norm(delta), 1.0)
         )
         if not ok:
             failures.append(_CONE_IDENTITY_FAILURES["chain_map_residual"])
 
-        # (c) restricted duality equals f T f* + b0 S2 + S2 b0*
+        # (c) restricted duality equals F T F* + b0 s2 + s2 b0*
+        dims0 = cwb._blocks.sub_dims
         s0_tot = assemble_total(
-            dims0, dims0, [(k, big_n - 1 - k, r) for k, r in enumerate(cwb._restricted)]
+            dims0, dims0, [(k, cwb.chain.n - 1 - k, r) for k, r in enumerate(cwb._restricted)]
         )
-        ttot = hyp.total_duality()
-        formula = ftot @ ttot @ adjoint(ftot) + b0_raw @ s2_tot + s2_tot @ adjoint(b0_raw)
+        formula = np.hstack((f_upper, h)) @ adjoint(ftot) + b0 @ s2 + s2 @ adjoint(b0)
         ok, formula_res = residual_within(
             s0_tot - formula, tol, lambda norm: max(norm(s0_tot), norm(formula))
         )

@@ -45,10 +45,8 @@ from .errors import (
     DegenerateDuality,
     DegenerateOperator,
     HpsigError,
-    IdentityViolated,
     ParseError,
     PreconditionViolated,
-    SplitInconsistent,
 )
 from .generate import generate_with_boundary, generate_with_signature
 from .groups import K0Class
@@ -165,6 +163,18 @@ def _exit_code(rep) -> int:
     return EXIT_DEGENERATE if not rep.cone_invertible and len(rep.failures) == 1 else EXIT_FAIL
 
 
+def _error_exit(exc: Exception) -> int:
+    """Print the stderr line of an error and return its exit code."""
+    if isinstance(exc, (ParseError, OSError)):
+        prefix, code = "error", EXIT_PARSE
+    elif isinstance(exc, (DegenerateDuality, DegenerateOperator, DegenerateBoundaryDuality)):
+        prefix, code = "degenerate", EXIT_DEGENERATE
+    else:
+        prefix, code = "failure", EXIT_FAIL
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return code
+
+
 def _read_hpx(path: str, closed: bool, why: str):
     """The complex stored at ``path``, which must be closed or have a boundary."""
     obj = read_hpx(path)
@@ -261,12 +271,11 @@ def _cmd_bordism_check(args, out: _Output) -> int:
     struct = verify_with_boundary(cwb, tol=tol)
     cone = verify_cone_identities(cwb, tol=tol)
     try:
-        zero, why = boundary_signature_is_zero(cwb, tol=tol), None
-    except (SplitInconsistent, IdentityViolated) as exc:
-        # no boundary object exists; the structure lines show which gate
-        # failed, and stderr keeps the message the command has always printed
-        zero, why = None, str(exc)
-        print(f"failure: {why}", file=sys.stderr)
+        zero, why, code = boundary_signature_is_zero(cwb, tol=tol), None, EXIT_FAIL
+    except HpsigError as exc:
+        # the boundary class cannot be computed; the report still prints, with
+        # the stderr line and the exit code that main gives the same error
+        zero, why, code = None, str(exc), _error_exit(exc)
     out("structure:")
     _structure(out, struct, "structure")
     out("attaching construction:", attaching=_fields(
@@ -286,7 +295,7 @@ def _cmd_bordism_check(args, out: _Output) -> int:
         out(f"  boundary class vanishes: {zero.is_zero}", boundary_class_zero=zero.is_zero)
     passed = struct.passed and cone.passed and zero is not None and zero.passed
     out(f"bordism-check: {'PASS' if passed else 'FAIL'} (tol {tol:g})", passed=passed)
-    return EXIT_OK if passed else EXIT_FAIL
+    return EXIT_OK if passed else code
 
 
 def _describe(out: _Output, manifold, prefix: str = "") -> None:
@@ -445,15 +454,8 @@ def main(argv=None) -> int:
             why = "finite" if args.tol > 0 else "positive"
             raise ParseError(f"--tol must be {why}, got {args.tol}")
         code = args.fn(args, out)
-    except (ParseError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateDuality, DegenerateOperator, DegenerateBoundaryDuality) as exc:
-        print(f"degenerate: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except HpsigError as exc:
-        print(f"failure: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+    except (HpsigError, OSError) as exc:
+        return _error_exit(exc)
     out.render(args.json)
     return code
 

@@ -7,11 +7,13 @@ from hpsig import (
     ChainComplex,
     ComplexWithBoundary,
     DualityOperator,
+    barycentric_subdivide,
     bordism,
     bordism_to_cwb,
     boundary_complex,
     boundary_signature_is_zero,
     check_coincidence,
+    complexes,
     decompose,
     generate_with_boundary,
     generate_with_signature,
@@ -361,3 +363,106 @@ def test_every_split_gives_an_exact_four_term_sequence(case):
         profile, seed = case.split("/")
         cwb = generate_with_boundary(int(seed), profile)
     assert _dense_sequence_flags(cwb) == (True, True)
+
+
+def _reference_cone_identities(cwb, tol=1e-9):
+    """The attaching construction built degree by degree: the cone on
+    ``E_m (+) (E_1)_{N+1-m}`` from the columns of ``duality.block`` and the
+    hyperbolic complex of the quotient data from :func:`hyperbolic`, as
+    ``(passed, hyperbolic_valid, failures, residuals)``."""
+    blocks, chain, big_n = cwb._blocks, cwb.chain, cwb.chain.n
+    dims0, dims1 = blocks.sub_dims, blocks.quotient_dims
+    quotient = ChainComplex(dims1, tuple(blocks.b1[1:]))
+    failures = []
+    ext, ext1 = (*chain.dims, 0), (*dims1, 0)
+    abnds = []
+    for m in range(1, big_n + 2):
+        q = big_n + 1 - m
+        cols = list(cwb.quotient_indices(q))
+        abnds.append(assemble_total(
+            (ext[m - 1], ext1[q + 1]),
+            (ext[m], ext1[q]),
+            [(0, 0, chain.boundary(m)), (0, 1, cwb.duality.block(m - 1)[:, cols]),
+             (1, 1, adjoint(quotient.boundary(q + 1)))],
+        ))
+    adims = tuple(ext[m] + ext1[big_n + 1 - m] for m in range(big_n + 2))
+    attach = ChainComplex(adims, tuple(abnds)).total_boundary()
+    ok, sq = residual_within(attach @ attach, tol, lambda norm: norm(attach) ** 2)
+    if not ok:
+        failures.append(bordism._CONE_IDENTITY_FAILURES["cone_square_residual"])
+    chain_res = formula_res = float("nan")
+    try:
+        hyp = hyperbolic(quotient, blocks.s1, tol=tol)
+    except (PreconditionViolated, ShapeMismatch) as exc:
+        hyp = None
+        failures.append(f"quotient data is not hyperbolic input: {exc}")
+    if hyp is not None:
+        top = big_n + 1
+        half_dims = [d for m in range(top + 1) for d in (ext1[m], ext1[top - m])]
+        ftot = assemble_total(
+            dims0, half_dims,
+            [(m - 1, 2 * m, blocks.h[m]) for m in range(1, top)]
+            + [(m - 1, 2 * m + 1, blocks.f_upper[m - 1]) for m in range(1, top + 1)],
+        )
+        delta = hyp.total_boundary()
+        b0, s2 = cwb._corners[0], cwb._corners[4]
+        ok, chain_res = residual_within(
+            ftot @ delta + 1j * b0 @ ftot, tol, lambda norm: norm(ftot) * max(norm(delta), 1.0)
+        )
+        if not ok:
+            failures.append(bordism._CONE_IDENTITY_FAILURES["chain_map_residual"])
+        s0 = assemble_total(
+            dims0, dims0, [(k, big_n - 1 - k, r) for k, r in enumerate(cwb._restricted)]
+        )
+        formula = ftot @ hyp.total_duality() @ adjoint(ftot) + b0 @ s2 + s2 @ adjoint(b0)
+        ok, formula_res = residual_within(
+            s0 - formula, tol, lambda norm: max(norm(s0), norm(formula))
+        )
+        if not ok:
+            failures.append(bordism._CONE_IDENTITY_FAILURES["boundary_formula_residual"])
+    return not failures, hyp is not None, tuple(failures), (sq, chain_res, formula_res)
+
+
+def _attaching_cases():
+    for profile in BOUNDARY_PROFILES:
+        for seed in range(12):
+            yield f"b-{profile}/{seed}", generate_with_boundary(seed, profile)
+    disk = simplex_disk(3)
+    yield "b-disk3", bordism_to_cwb(disk)
+    yield "b-sd-disk3", bordism_to_cwb(barycentric_subdivide(disk)[0])
+
+
+def test_the_attaching_construction_matches_the_degree_by_degree_route(verdict_sweep):
+    # the corner layout permutes the coordinates of the degree-by-degree
+    # construction, so the verdicts are equal and the residuals equal up to rounding
+    for name, base in _attaching_cases():
+        for kind, eps in ((None, 0.0), ("sa", 1e-9), ("nsa", 1e-3)):
+            cwb = base if kind is None else verdict_sweep.perturbed_with_boundary(
+                base, name, kind, eps
+            )
+            passed, hyp_valid, failures, residuals = _reference_cone_identities(cwb)
+            rep = verify_cone_identities(cwb)
+            assert (rep.passed, rep.hyperbolic_valid, rep.failures) == (
+                passed, hyp_valid, failures
+            ), (name, kind)
+            got = (rep.cone_square_residual, rep.chain_map_residual,
+                   rep.boundary_formula_residual)
+            for g, w in zip(got, residuals):
+                assert np.isnan(g) == np.isnan(w), (name, kind)
+                assert np.isnan(w) or abs(g - w) <= 1e-15, (name, kind, g, w)
+
+
+def test_the_attaching_construction_lays_out_no_hyperbolic_complex(count_calls):
+    cwb = generate_with_boundary(3, "n4-d6")
+    assert verify_with_boundary(cwb).passed
+    assert boundary_signature_is_zero(cwb).passed
+    halves = count_calls(bordism, ("hyperbolic", "_hyperbolic_input", "_hyperbolic_layout"))
+    built = count_calls(complexes.HilbertPoincareComplex, ("__post_init__",))
+    chains = count_calls(ChainComplex, ("__post_init__",))
+    blocks = count_calls(DualityOperator, ("block",))
+    assert verify_cone_identities(cwb).passed
+    assert halves == {"hyperbolic": 0, "_hyperbolic_input": 1, "_hyperbolic_layout": 0}
+    assert built == {"__post_init__": 0}
+    # the quotient complex is the one the quotient cone built
+    assert chains == {"__post_init__": 0}
+    assert blocks == {"block": 0}

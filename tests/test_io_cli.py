@@ -402,6 +402,49 @@ def test_cli_bordism_check_prints_checks_that_did_not_run(tmp_path, capsys, verd
     assert attaching["boundary_formula_residual"] is None
 
 
+# the byte sweep's with-boundary files whose boundary class raises: the stderr
+# line and the exit code of the error, which the report does not change
+_UNCOMPUTED_CLASSES = {
+    "b-zero-quotient": ("failure: signature constructions need even top degree, got 1\n", 1),
+    "b-n2-0-sa": (
+        "degenerate: boundary duality cone is singular (smallest singular value 0.000e+00)\n",
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNCOMPUTED_CLASSES))
+def test_cli_bordism_check_reports_a_boundary_class_that_raises(tmp_path, capsys, name,
+                                                                verdict_sweep):
+    if name == "b-zero-quotient":
+        chain, zero = verdict_sweep._zero_duality_chain()
+        cwb = ComplexWithBoundary(chain, zero, ((), (), ()))
+    else:
+        cwb = verdict_sweep.perturbed_with_boundary(
+            generate_with_boundary(0, "n2"), "b-n2-0", "sa", 1e-9
+        )
+    path = str(tmp_path / f"{name}.hpx")
+    write_hpx(cwb, path)
+    err, code = _UNCOMPUTED_CLASSES[name]
+    why = err.split(": ", 1)[1].rstrip("\n")
+    assert main(["bordism-check", path]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    lines = captured.out.splitlines()
+    assert lines[:1] == ["structure:"] and "attaching construction:" in lines
+    assert any(line.startswith("  attaching cone squares") for line in lines)
+    assert lines[-3:] == ["boundary class:", f"  not computed: {why}",
+                          "bordism-check: FAIL (tol 1e-09)"]
+    assert main(["bordism-check", path, "--json"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == err
+    doc = json.loads(captured.out)
+    assert {"structure", "attaching"} <= doc.keys()
+    assert doc["boundary_class_zero"] is None
+    assert doc["boundary_class_error"] == why
+    assert doc["passed"] is False
+
+
 def test_cli_signature(tmp_path, capsys):
     hp, expected = generate_with_signature(5, "n2-d6")
     path = str(tmp_path / "c.hpx")

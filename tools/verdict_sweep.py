@@ -45,7 +45,8 @@ command also reads, and that command's ``--json`` payload and exit code.
 ``--cli`` runs the CLI byte sweep instead: every command, in text and with
 ``--json``, on a fixed set of ``.hpx`` and ``.smf`` files written to a
 temporary directory (passing, failing, degenerate and with-boundary complexes,
-the ``.hpx`` of a triangulation with its action, which is read back as dense
+the 3-simplex and its barycentric subdivision among the latter, the ``.hpx``
+of a triangulation with its action, which is read back as dense
 blocks, triangulations with and without actions, one action for each
 rejection of ``chain_action`` and a vertex map that leaves out a vertex, a
 labelling that does not compose like its group, which ``chain_action``
@@ -468,11 +469,14 @@ def cli_fixtures(tmp: str) -> tuple[list[str], list[str], list[str], str]:
     }
     closed["n2-d6-5-nsa"] = perturbed(closed["n2-d6-5"], "n2-d6-5", "nsa", 1e-3)
     closed["n2-z2-0-sa"] = perturbed(closed["n2-z2-0"], "n2-z2-0", "sa", 1e-3)
+    disk = fixtures.simplex_disk(3)
     bounded = {
         "b-n2-0": hpsig.generate_with_boundary(0, "n2"),
         "b-n2-d6-3": hpsig.generate_with_boundary(3, "n2-d6"),
         "b-n4-d6-2": hpsig.generate_with_boundary(2, "n4-d6"),
-        "b-disk3": hpsig.bordism_to_cwb(fixtures.simplex_disk(3)),
+        "b-disk3": hpsig.bordism_to_cwb(disk),
+        # a triangulated attaching cone whose split permutes many coordinates
+        "b-sd-disk3": hpsig.bordism_to_cwb(hpsig.barycentric_subdivide(disk)[0]),
         "b-zero-quotient": hpsig.ComplexWithBoundary(chain, zero, ((), (), ())),
     }
     # a structural failure, and a quotient cone that is singular at the default
